@@ -88,6 +88,8 @@ class ExplorationSettings:
             raise ConfigError("invalid exploration settings")
         if not 0.0 <= self.refresh_from_modes <= 1.0:
             raise ConfigError("exploration.refresh_from_modes must be a probability")
+        if self.max_bootstrap_attempts < 1:
+            raise ConfigError("exploration.max_bootstrap_attempts must be at least 1")
 
 
 @dataclass

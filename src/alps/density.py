@@ -73,17 +73,3 @@ class PowerTarget:
 
     def log_density(self, x: Vector) -> float:
         return self.beta * self.base.log_density(x)
-
-
-def check_gradient(target: TargetDensity, points: np.ndarray,
-                   rel_tol: float = 1e-4) -> float:
-    """Max relative error between analytic and central-difference gradients."""
-    worst = 0.0
-    for x in np.atleast_2d(points):
-        g = target.gradient(x)
-        g_fd = numdiff.central_gradient(target.log_density, x)
-        scale = np.maximum(1.0, np.abs(g_fd))
-        worst = max(worst, float(np.max(np.abs(g - g_fd) / scale)))
-    if worst > rel_tol:
-        raise AssertionError(f"gradient mismatch: max relative error {worst:.3e}")
-    return worst

@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .density import TargetDensity
+from .density import PowerTarget, TargetDensity
 from .kernels import RwmConfig, mixture_propose, rwm_core
 from .optimize import OptimizerConfig, local_optimize
 from .registry import (IndefiniteHessianError, ModeRegistry,
@@ -43,17 +43,6 @@ class ExplorationConfig:
             self.optimizer = OptimizerConfig()
 
 
-class _HotTarget:
-    """beta_hot * log pi, shaped like the duck type rwm_core expects."""
-
-    def __init__(self, base: TargetDensity, beta_hot: float):
-        self.base = base
-        self.beta = beta_hot
-
-    def log_density(self, x: np.ndarray) -> float:
-        return self.beta * self.base.log_density(x)
-
-
 def hot_chain(base: TargetDensity, beta_hot: float, step_scale: float = 1.0):
     """Reusable (target, rwm config) pair for repeated hot-chain updates.
 
@@ -63,7 +52,7 @@ def hot_chain(base: TargetDensity, beta_hot: float, step_scale: float = 1.0):
     """
     if not 0.0 < beta_hot < 1.0:
         raise ValueError("beta_hot must lie in (0, 1)")
-    return _HotTarget(base, beta_hot), RwmConfig(step_scale=step_scale)
+    return PowerTarget(base, beta_hot), RwmConfig(step_scale=step_scale)
 
 
 def hot_step(x_hot: np.ndarray, beta_hot: float, base: TargetDensity,

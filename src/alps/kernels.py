@@ -9,7 +9,7 @@ and every acceptance decision consumes exactly one uniform draw.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,39 +19,6 @@ from .registry import RegistrySnapshot
 
 LOCAL = "local"
 LEAP = "leap"
-
-
-@dataclass(frozen=True)
-class TemperatureLadder:
-    """Annealing schedule: beta_hot < 1 plus 1 = beta_0 < ... < beta_n."""
-
-    beta_hot: float
-    betas: np.ndarray
-
-    def __post_init__(self):
-        betas = np.asarray(self.betas, dtype=float)
-        object.__setattr__(self, "betas", betas)
-        if betas.ndim != 1 or betas.size < 1:
-            raise ValueError("betas must be a non-empty vector")
-        if betas[0] != 1.0:
-            raise ValueError("betas[0] must equal 1")
-        if np.any(np.diff(betas) <= 0):
-            raise ValueError("betas must be strictly increasing")
-        if not 0.0 < self.beta_hot < 1.0:
-            raise ValueError("beta_hot must lie in (0, 1)")
-
-    @property
-    def n_levels(self) -> int:
-        return self.betas.size
-
-
-@dataclass
-class LadderState:
-    """Chain state (x_hot, x_0, ..., x_n) plus the snapshot version."""
-
-    x_hot: np.ndarray
-    xs: list
-    registry_version: int = 0
 
 
 @dataclass
@@ -130,16 +97,6 @@ def rwm_core(x: np.ndarray, logp_x: float, target, cfg: RwmConfig,
     return x_new, logp_new, accepted
 
 
-def rwm_step(x: np.ndarray, beta: float, target, cfg: RwmConfig,
-             rng: np.random.Generator):
-    """Spec-facing wrapper; returns (x', accepted)."""
-    if getattr(target, "beta", beta) != beta:
-        raise ValueError(f"target.beta {target.beta} does not match beta {beta}")
-    x = np.asarray(x, dtype=float)
-    x_new, _, accepted = rwm_core(x, target.log_density(x), target, cfg, rng)
-    return x_new, accepted
-
-
 def quanta_transform(x: np.ndarray, beta_from: float, beta_to: float,
                      mu: np.ndarray) -> np.ndarray:
     """Affine rescaling (beta_from/beta_to)^{1/2} (x - mu) + mu."""
@@ -176,24 +133,6 @@ def quanta_swap_core(x_k: np.ndarray, x_k1: np.ndarray, logp_k: float,
     return SwapResult(False, log_ratio, x_k, x_k1, logp_k, logp_k1)
 
 
-def quanta_swap(state: LadderState, k: int, targets: list,
-                snapshot: RegistrySnapshot, rng: np.random.Generator):
-    """Transformation-aided swap between levels k and k+1.
-
-    On acceptance level k holds the down-transformed cold state and
-    level k+1 the up-transformed warm state.
-    """
-    if not 0 <= k <= len(state.xs) - 2:
-        raise ValueError(f"swap index {k} out of range")
-    res = quanta_swap_core(state.xs[k], state.xs[k + 1],
-                           targets[k].log_density(state.xs[k]),
-                           targets[k + 1].log_density(state.xs[k + 1]),
-                           targets[k], targets[k + 1], snapshot, rng)
-    state.xs[k] = res.x_low
-    state.xs[k + 1] = res.x_high
-    return state, res.accepted
-
-
 def standard_swap_core(x_k: np.ndarray, x_k1: np.ndarray, logp_k: float,
                        logp_k1: float, target_k, target_k1,
                        rng: np.random.Generator) -> SwapResult:
@@ -204,20 +143,6 @@ def standard_swap_core(x_k: np.ndarray, x_k1: np.ndarray, logp_k: float,
     if _accept(log_ratio, u):
         return SwapResult(True, log_ratio, x_k1, x_k, lp_xk1_at_k, lp_xk_at_k1)
     return SwapResult(False, log_ratio, x_k, x_k1, logp_k, logp_k1)
-
-
-def standard_swap(state: LadderState, k: int, targets: list,
-                  rng: np.random.Generator):
-    """Classic parallel-tempering exchange of levels k and k+1."""
-    if not 0 <= k <= len(state.xs) - 2:
-        raise ValueError(f"swap index {k} out of range")
-    res = standard_swap_core(state.xs[k], state.xs[k + 1],
-                             targets[k].log_density(state.xs[k]),
-                             targets[k + 1].log_density(state.xs[k + 1]),
-                             targets[k], targets[k + 1], rng)
-    state.xs[k] = res.x_low
-    state.xs[k + 1] = res.x_high
-    return state, res.accepted
 
 
 def mixture_propose(snapshot: RegistrySnapshot, beta: float,
@@ -273,14 +198,3 @@ def mode_leap_core(x: np.ndarray, logp_x: float, target,
     if _accept(log_ratio, u):
         return y, logp_y, LEAP, True
     return x, logp_x, LEAP, False
-
-
-def mode_leap_step(x: np.ndarray, snapshot: RegistrySnapshot, beta_max: float,
-                   target, cfg: RwmConfig, rng: np.random.Generator):
-    """Spec-facing wrapper; returns (x', move_type, accepted)."""
-    if target.beta != beta_max:
-        raise ValueError(f"target.beta {target.beta} does not match {beta_max}")
-    x = np.asarray(x, dtype=float)
-    x_new, _, move_type, accepted = mode_leap_core(
-        x, target.log_density(x), target, snapshot, beta_max, cfg, rng)
-    return x_new, move_type, accepted

@@ -54,28 +54,6 @@ def logsumexp_1d(a: np.ndarray) -> float:
     return float(m) + math.log(np.exp(a - m).sum())
 
 
-def quad_form(chol: np.ndarray, v: np.ndarray) -> float:
-    """v^T S^{-1} v where S = chol chol^T, via one triangular solve."""
-    z = solve_triangular(chol, v, lower=True, check_finite=False)
-    return float(z @ z)
-
-
-def mvn_log_density(x: np.ndarray, mu: np.ndarray, chol: np.ndarray,
-                    log_det: float | None = None) -> float:
-    """Log density of N(mu, S) at x with S given by its Cholesky factor."""
-    if log_det is None:
-        log_det = log_det_from_chol(chol)
-    d = mu.shape[0]
-    q = quad_form(chol, x - mu)
-    return -0.5 * (d * LOG_2PI + log_det + q)
-
-
-def sample_mvn(mu: np.ndarray, chol: np.ndarray, rng: np.random.Generator,
-               scale: float = 1.0) -> np.ndarray:
-    z = rng.standard_normal(mu.shape[0])
-    return mu + scale * (chol @ z)
-
-
 def spd_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve S x = b for S = chol chol^T."""
     y = solve_triangular(chol, b, lower=True, check_finite=False)

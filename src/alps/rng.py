@@ -14,7 +14,6 @@ import numpy as np
 _U64 = 0xFFFFFFFFFFFFFFFF
 
 # Fixed stream-id layout.  Levels 0..n use ids 0..n directly.
-HOT_CHAIN_STREAM = 1 << 32
 SWAP_STREAM = (1 << 32) + 1
 LEAP_STREAM = (1 << 32) + 2
 EXPLORE_STREAM = (1 << 32) + 3

@@ -1,21 +1,31 @@
-"""Run orchestration: the annealed leap-point sampler and both baselines.
+"""Run orchestration: one sweep driver for ALPS and both baselines.
 
-One sweep = v within-temperature RWM updates at levels 0..n-1, v
-mode-leap updates at level n, s temperature-swap proposals, and one
-exploration step.  Level-0 states are recorded after every level-0
-update, so total_target_samples = v * sweeps.
+A run type is the list of phases one sweep applies, in order:
+
+- ALPS: RWM at HAT levels 0..n-1, mode leaps at level n, swaps (QuanTA
+  with probability swap_quanta_prob, else standard), exploration, and
+  the mode allocations of levels 0 and n.
+- PT: RWM at power-tempered levels 0..n, standard swaps, and the
+  nearest component locations of levels 0 and n.
+- LAIS: mode leaps at level 0, exploration, and the allocation of
+  level 0.  It is ALPS on a one-level ladder whose leap-local RWM step
+  is tuned.
+
+RWM and leap phases make v updates per level.  Level-0 states are
+recorded after every level-0 update, so total_target_samples = v * sweeps.
 """
 
 from __future__ import annotations
 
 import logging
 import time
+from functools import partial
 
 import numpy as np
 
 from . import outputs
 from .config import ConfigError, RunConfig
-from .density import TargetDensity
+from .density import PowerTarget, TargetDensity
 from .diagnostics import (HOT, LEAP, LEAP_LOCAL, RWM, SWAP_QUANTA,
                           SWAP_STANDARD, RunDiagnostics)
 from .exploration import ExplorationConfig, hessian_at, hot_chain, mfind
@@ -36,24 +46,6 @@ class NumericalAbort(RuntimeError):
     """Target evaluation failed mid-run; message carries sweep context."""
 
 
-class _StepTuner:
-    """Robbins-Monro adaptation of log step scales toward a target rate."""
-
-    def __init__(self, cfgs: list, target_rate: float, enabled: bool):
-        self.cfgs = cfgs
-        self.target_rate = target_rate
-        self.enabled = enabled
-
-    def update(self, level: int, rate: float, sweep: int) -> None:
-        if not self.enabled or not np.isfinite(rate):
-            return
-        gamma = 1.0 / (1.0 + sweep) ** 0.6
-        cfg = self.cfgs[level]
-        cfg.step_scale = float(np.clip(
-            np.exp(np.log(cfg.step_scale) + gamma * (rate - self.target_rate)),
-            1e-8, 1e8))
-
-
 def _initial_point(config: RunConfig, dim: int) -> np.ndarray:
     if config.init is None:
         return np.zeros(dim)
@@ -64,20 +56,18 @@ def _initial_point(config: RunConfig, dim: int) -> np.ndarray:
 
 
 def _register_point_as_mode(point: np.ndarray, target: TargetDensity,
-                            registry: ModeRegistry) -> bool:
+                            registry: ModeRegistry) -> None:
     """Polish a candidate point and offer it to the registry."""
     mu, converged = local_optimize(np.asarray(point, dtype=float), target)
     if not converged:
         logger.warning("initial mode candidate did not converge; skipped")
-        return False
+        return
     try:
         sigma, _, _ = covariance_from_hessian(hessian_at(target, mu))
     except (ValueError, IndefiniteHessianError) as err:
         logger.warning("initial mode candidate rejected: %s", err)
-        return False
-    info = make_mode_info(mu, sigma, target.log_density(mu))
-    _, inserted = try_insert(registry, info)
-    return inserted
+        return
+    try_insert(registry, make_mode_info(mu, sigma, target.log_density(mu)))
 
 
 def _exploration_config(config: RunConfig) -> ExplorationConfig | None:
@@ -90,41 +80,6 @@ def _exploration_config(config: RunConfig) -> ExplorationConfig | None:
                              step_scale=ec.step_scale,
                              n_hot_chains=ec.n_hot_chains,
                              refresh_from_modes=ec.refresh_from_modes)
-
-
-def _bootstrap_registry(registry: ModeRegistry, target: TargetDensity,
-                        ec_cfg: ExplorationConfig, hot_states: list,
-                        factory: StreamFactory, diag: RunDiagnostics,
-                        max_attempts: int) -> None:
-    """Run exploration until at least one mode is registered."""
-    for attempt in range(max_attempts):
-        rng = factory.stream(EXPLORE_STREAM,
-                             _BOOTSTRAP_COUNTER_BASE + attempt)
-        chain = attempt % len(hot_states)
-        record: dict = {}
-        hot_states[chain], registry, found = mfind(
-            hot_states[chain], registry, target, ec_cfg, rng,
-            log_cb=record.update)
-        diag.discovery_log.append({"sweep": -1, "iteration": attempt, **record})
-        if found:
-            diag.registry_events.append(
-                {"sweep": -1, "version": registry.version,
-                 "n_modes": registry.n_modes})
-            return
-    raise NumericalAbort(f"no modes discovered after {max_attempts} "
-                         "bootstrap exploration attempts")
-
-
-def _ladder_targets(base: TargetDensity, registry: ModeRegistry,
-                    betas: np.ndarray, trunc_radius: float | None):
-    snapshot = registry.snapshot()
-    targets = []
-    for beta in betas:
-        level_target = HatTarget(base, snapshot, float(beta))
-        if trunc_radius is not None and beta > 1.0:
-            level_target = TruncatedHatTarget(level_target, trunc_radius)
-        targets.append(level_target)
-    return snapshot, targets
 
 
 def _swap_schedule(strategy: str, n_pairs: int, n_swaps: int, sweep: int,
@@ -149,44 +104,250 @@ def _swap_schedule(strategy: str, n_pairs: int, n_swaps: int, sweep: int,
     return out[:n_swaps]
 
 
-def _reset_nonfinite_levels(xs: list, logps: list, targets: list,
-                            snapshot) -> None:
-    # states stranded outside a (new) truncation region restart at the
-    # dominant mode point, whose HAT value is finite at every level
-    for k, lp in enumerate(logps):
-        if not np.isfinite(lp):
-            xs[k] = snapshot.mus[int(np.argmax(snapshot.log_weights))].copy()
-            logps[k] = targets[k].log_density(xs[k])
+class _Run:
+    """Chains, ladder and diagnostics of one run, shared by its phases.
 
-
-def _exploration_phase(t: int, active: int, registry: ModeRegistry,
-                       target: TargetDensity, ec_cfg: ExplorationConfig,
-                       hot_states: list, hot_logps: list, hot_target,
-                       hot_cfg: RwmConfig, rng_ec, diag: RunDiagnostics):
-    """One sweep's exploration step; returns the (possibly grown) registry.
-
-    Chain `active` runs a full mode search; every other chain takes
-    v + 1 plain hot-temperature RWM updates (pass active = -1 once
-    adaptation is frozen so no chain searches).
+    With `hat` the levels are HAT targets on a mode registry filled from
+    config.initial_modes or else by bootstrap exploration; without it
+    they are the plain powers pi^beta and there is no registry.
     """
-    for c in range(len(hot_states)):
-        if c == active:
-            record: dict = {}
-            hot_states[c], registry, found = mfind(
-                hot_states[c], registry, target, ec_cfg, rng_ec,
-                log_cb=record.update)
-            hot_logps[c] = hot_target.log_density(hot_states[c])
-            diag.discovery_log.append({"sweep": t, "iteration": c, **record})
-            if found:
-                diag.registry_events.append(
-                    {"sweep": t, "version": registry.version,
-                     "n_modes": registry.n_modes})
+
+    def __init__(self, config: RunConfig, target: TargetDensity,
+                 betas: np.ndarray, hat: bool):
+        if config.out_dir:
+            outputs.prepare_out_dir(config.out_dir)
+        d = target.dim
+        self.config, self.target, self.betas = config, target, betas
+        self.n = betas.size - 1
+        self.freeze = config.freeze_at_sweep
+        self.stage = "setup"
+        self.diag = RunDiagnostics(dim=d)
+        self.factory = StreamFactory(config.seed)
+        self.registry = self.ec_cfg = self.snapshot = self.trunc_radius = None
+        x0 = _initial_point(config, d)
+        self.xs = [x0.copy() for _ in range(self.n + 1)]
+        if hat:
+            self._find_modes(x0)
+            if config.truncation and config.truncation.enabled:
+                self.trunc_radius = chi2_quantile(config.truncation.level, d)
+        self.build_levels()
+        # power levels carry no mode information to precondition with
+        local = (dict(preconditioner=config.rwm.preconditioner,
+                      hastings=config.rwm.hastings) if hat else {})
+        self.rwm_cfgs = [RwmConfig(step_scale=s, **local)
+                         for s in config.rwm.step_scales(self.n + 1)]
+        self.locations = getattr(target, "component_locations", None)
+
+    def _find_modes(self, x0: np.ndarray) -> None:
+        config = self.config
+        self.registry = ModeRegistry(dim=self.target.dim,
+                                     tol=config.registry_tol)
+        self.ec_cfg = _exploration_config(config)
+        for point in config.initial_modes or []:
+            _register_point_as_mode(np.asarray(point, dtype=float),
+                                    self.target, self.registry)
+        n_chains = self.ec_cfg.n_hot_chains if self.ec_cfg else 1
+        self.hot_states = [x0.copy() for _ in range(n_chains)]
+        if self.registry.n_modes == 0:
+            if self.ec_cfg is None:
+                raise ConfigError("no modes discovered (registry empty and "
+                                  "exploration disabled)")
+            attempts = config.exploration.max_bootstrap_attempts
+            for attempt in range(attempts):
+                rng = self.factory.stream(EXPLORE_STREAM,
+                                          _BOOTSTRAP_COUNTER_BASE + attempt)
+                if self.search(attempt % n_chains, -1, attempt, rng):
+                    break
+            else:
+                raise NumericalAbort(f"no modes discovered after {attempts} "
+                                     "bootstrap exploration attempts")
+        if self.ec_cfg is not None:
+            self.hot_target, self.hot_cfg = hot_chain(
+                self.target, self.ec_cfg.beta_hot, self.ec_cfg.step_scale)
+            self.hot_logps = [self.hot_target.log_density(s)
+                              for s in self.hot_states]
+
+    def search(self, chain: int, sweep: int, iteration: int, rng) -> bool:
+        """One logged mfind call from hot chain `chain`."""
+        record: dict = {}
+        self.hot_states[chain], self.registry, found = mfind(
+            self.hot_states[chain], self.registry, self.target, self.ec_cfg,
+            rng, log_cb=record.update)
+        self.diag.discovery_log.append(
+            {"sweep": sweep, "iteration": iteration, **record})
+        if found:
+            self.diag.registry_events.append(
+                {"sweep": sweep, "version": self.registry.version,
+                 "n_modes": self.registry.n_modes})
+        return found
+
+    def build_levels(self) -> None:
+        """Level targets on the current registry snapshot (plain powers
+        without a registry) and the chains' log densities under them."""
+        if self.registry is None:
+            self.level_targets = [PowerTarget(self.target, b)
+                                  for b in self.betas]
         else:
-            for _ in range(ec_cfg.v + 1):
-                hot_states[c], hot_logps[c], acc = rwm_core(
-                    hot_states[c], hot_logps[c], hot_target, hot_cfg, rng_ec)
-                diag.count(HOT, -1, acc)
-    return registry
+            self.snapshot = self.registry.snapshot()
+            self.level_targets = []
+            for beta in self.betas:
+                level = HatTarget(self.target, self.snapshot, float(beta))
+                if self.trunc_radius is not None and beta > 1.0:
+                    level = TruncatedHatTarget(level, self.trunc_radius)
+                self.level_targets.append(level)
+        self.logps = [lt.log_density(x)
+                      for lt, x in zip(self.level_targets, self.xs)]
+        # states stranded outside a (new) truncation region restart at the
+        # dominant mode point, whose HAT value is finite at every level
+        for k, lp in enumerate(self.logps):
+            if self.snapshot is not None and not np.isfinite(lp):
+                snap = self.snapshot
+                self.xs[k] = snap.mus[int(np.argmax(snap.log_weights))].copy()
+                self.logps[k] = self.level_targets[k].log_density(self.xs[k])
+
+    def tune(self, level: int, rate: float, sweep: int) -> None:
+        """Robbins-Monro step of the level's log step scale toward the
+        target acceptance rate, until adaptation freezes."""
+        rwm = self.config.rwm
+        if not rwm.tune or sweep >= self.freeze or not np.isfinite(rate):
+            return
+        gamma = 1.0 / (1.0 + sweep) ** 0.6
+        cfg = self.rwm_cfgs[level]
+        cfg.step_scale = float(np.clip(
+            np.exp(np.log(cfg.step_scale) + gamma * (rate - rwm.tune_target)),
+            1e-8, 1e8))
+
+
+# Phases: each takes (run, sweep index) and advances the run in place.
+# They look kernels up in this module's namespace at call time, so
+# wrappers installed on those names see every call.
+
+def _rwm_phase(run: _Run, t: int, levels: range) -> None:
+    v = run.config.v
+    for k in levels:
+        run.stage = f"rwm level {k}"
+        rng = run.factory.level_stream(k, t)
+        accepted = 0
+        a_k = None  # allocation of xs[k], carried across the reps
+        for _ in range(v):
+            run.xs[k], run.logps[k], a_k, acc = rwm_core_alloc(
+                run.xs[k], run.logps[k], run.level_targets[k],
+                run.rwm_cfgs[k], rng, a_k)
+            accepted += int(acc)
+            run.diag.count(RWM, k, acc)
+            if k == 0:
+                run.diag.record_sample(t, run.xs[0])
+        run.tune(k, accepted / v, t)
+
+
+def _leap_phase(run: _Run, t: int, tune_local: bool) -> None:
+    """Mode leaps at level n; `tune_local` adapts the local moves' step."""
+    n = run.n
+    run.stage = f"leap level {n}"
+    rng = run.factory.stream(LEAP_STREAM, t)
+    accepted_local = n_local = 0
+    for _ in range(run.config.v):
+        run.xs[n], run.logps[n], move_type, acc = mode_leap_core(
+            run.xs[n], run.logps[n], run.level_targets[n], run.snapshot,
+            float(run.betas[n]), run.rwm_cfgs[n], rng)
+        run.diag.count(LEAP if move_type == "leap" else LEAP_LOCAL, n, acc)
+        if move_type == "local":
+            accepted_local += int(acc)
+            n_local += 1
+        if n == 0:
+            run.diag.record_sample(t, run.xs[0])
+    if tune_local and n_local:
+        run.tune(n, accepted_local / n_local, t)
+
+
+def _swap_phase(run: _Run, t: int, quanta: bool) -> None:
+    """s neighbour swaps; with `quanta` a coin picks QuanTA or standard
+    for each, without it all are standard and no coin is drawn."""
+    config, n = run.config, run.n
+    if n < 1 or config.n_swaps == 0:
+        return
+    run.stage = "swaps"
+    rng = run.factory.stream(SWAP_STREAM, t)
+    xs, logps, targets = run.xs, run.logps, run.level_targets
+    for k in _swap_schedule(config.swap_strategy, n, config.n_swaps, t, rng):
+        if quanta and rng.random() < config.swap_quanta_prob:
+            res = quanta_swap_core(xs[k], xs[k + 1], logps[k], logps[k + 1],
+                                   targets[k], targets[k + 1], run.snapshot,
+                                   rng)
+            run.diag.count(SWAP_QUANTA, k, res.accepted)
+        else:
+            res = standard_swap_core(xs[k], xs[k + 1], logps[k],
+                                     logps[k + 1], targets[k],
+                                     targets[k + 1], rng)
+            run.diag.count(SWAP_STANDARD, k, res.accepted)
+        xs[k], xs[k + 1] = res.x_low, res.x_high
+        logps[k], logps[k + 1] = res.logp_low, res.logp_high
+
+
+def _explore(run: _Run, t: int) -> None:
+    if run.ec_cfg is not None:
+        run.stage = "exploration"
+        _exploration_phase(run, t)
+
+
+def _exploration_phase(run: _Run, t: int) -> None:
+    """Until adaptation freezes, chain t mod n_chains runs a full mode
+    search; every other chain takes v + 1 plain hot RWM updates."""
+    rng = run.factory.stream(EXPLORE_STREAM, t)
+    n_chains = len(run.hot_states)
+    active = t % n_chains if t < run.freeze else -1
+    for c in range(n_chains):
+        if c == active:
+            run.search(c, t, c, rng)
+            run.hot_logps[c] = run.hot_target.log_density(run.hot_states[c])
+        else:
+            for _ in range(run.ec_cfg.v + 1):
+                run.hot_states[c], run.hot_logps[c], acc = rwm_core(
+                    run.hot_states[c], run.hot_logps[c], run.hot_target,
+                    run.hot_cfg, rng)
+                run.diag.count(HOT, -1, acc)
+
+
+def _hat_visits(run: _Run, t: int) -> None:
+    run.stage = "bookkeeping"
+    diag, n = run.diag, run.n
+    diag.mode_visits_level0.append(
+        run.level_targets[0].allocate_index(run.xs[0]))
+    diag.mode_visits_top.append(
+        diag.mode_visits_level0[-1] if n == 0
+        else run.level_targets[n].allocate_index(run.xs[n]))
+
+
+def _nearest_visits(run: _Run, t: int) -> None:
+    if run.locations is not None:
+        for visits, x in ((run.diag.mode_visits_level0, run.xs[0]),
+                          (run.diag.mode_visits_top, run.xs[run.n])):
+            sq_dist = np.sum((run.locations - x) ** 2, axis=1)
+            visits.append(int(np.argmin(sq_dist)))
+
+
+def _drive(config: RunConfig, target: TargetDensity, betas: np.ndarray,
+           hat: bool, phases: tuple):
+    """Set up a run and apply `phases` in order every sweep."""
+    run = _Run(config, target, betas, hat)
+    diag = run.diag
+    for t in range(config.n_sweeps):
+        t_start = time.perf_counter()
+        run.stage = "setup"
+        try:
+            if hat and run.registry.version != run.snapshot.version:
+                run.build_levels()
+            for phase in phases:
+                phase(run, t)
+        except (ValueError, FloatingPointError, np.linalg.LinAlgError) as err:
+            raise NumericalAbort(f"sweep {t}, {run.stage}: {err}") from err
+        diag.sweep_seconds += time.perf_counter() - t_start
+        diag.n_sweeps += 1
+
+    diag.tuned_step_scales = [cfg.step_scale for cfg in run.rwm_cfgs]
+    diag.registry = run.registry
+    samples = diag.samples_array()[:config.total_target_samples]
+    return samples, diag
 
 
 def alps_run(config: RunConfig, target: TargetDensity):
@@ -194,134 +355,10 @@ def alps_run(config: RunConfig, target: TargetDensity):
     betas = np.asarray(config.ladder.betas, dtype=float)
     if betas[0] != 1.0 or np.any(np.diff(betas) <= 0):
         raise ConfigError("annealing ladder must start at 1 and increase")
-    if config.out_dir:
-        outputs.prepare_out_dir(config.out_dir)
-    d = target.dim
-    n = betas.size - 1
-    diag = RunDiagnostics(dim=d)
-    factory = StreamFactory(config.seed)
-    registry = ModeRegistry(dim=d, tol=config.registry_tol)
-    ec_cfg = _exploration_config(config)
-
-    for point in config.initial_modes or []:
-        _register_point_as_mode(np.asarray(point, dtype=float), target, registry)
-
-    x0 = _initial_point(config, d)
-    n_chains = ec_cfg.n_hot_chains if ec_cfg else 1
-    hot_states = [x0.copy() for _ in range(n_chains)]
-    if registry.n_modes == 0:
-        if ec_cfg is None:
-            raise ValueError("no modes discovered (registry empty and "
-                             "exploration disabled)")
-        max_attempts = (config.exploration.max_bootstrap_attempts
-                        if config.exploration else 2000)
-        _bootstrap_registry(registry, target, ec_cfg, hot_states, factory,
-                            diag, max_attempts)
-
-    trunc_radius = None
-    if config.truncation and config.truncation.enabled:
-        trunc_radius = chi2_quantile(config.truncation.level, d)
-
-    hot_target = hot_cfg = None
-    hot_logps: list = []
-    if ec_cfg is not None:
-        hot_target, hot_cfg = hot_chain(target, ec_cfg.beta_hot,
-                                        ec_cfg.step_scale)
-        hot_logps = [hot_target.log_density(s) for s in hot_states]
-
-    snapshot, level_targets = _ladder_targets(target, registry, betas,
-                                              trunc_radius)
-    xs = [x0.copy() for _ in range(n + 1)]
-    logps = [level_targets[k].log_density(xs[k]) for k in range(n + 1)]
-    _reset_nonfinite_levels(xs, logps, level_targets, snapshot)
-
-    rwm_cfgs = [RwmConfig(step_scale=s, preconditioner=config.rwm.preconditioner,
-                          hastings=config.rwm.hastings)
-                for s in config.rwm.step_scales(n + 1)]
-    tuner = _StepTuner(rwm_cfgs, config.rwm.tune_target, config.rwm.tune)
-    freeze = config.freeze_at_sweep
-    n_sweeps = config.n_sweeps
-
-    for t in range(n_sweeps):
-        t_start = time.perf_counter()
-        stage = "setup"
-        try:
-            if registry.version != snapshot.version:
-                snapshot, level_targets = _ladder_targets(
-                    target, registry, betas, trunc_radius)
-                logps = [level_targets[k].log_density(xs[k])
-                         for k in range(n + 1)]
-                _reset_nonfinite_levels(xs, logps, level_targets, snapshot)
-
-            for k in range(n):
-                stage = f"rwm level {k}"
-                rng = factory.level_stream(k, t)
-                accepted = 0
-                a_k = None  # allocation of xs[k], carried across the reps
-                for _ in range(config.v):
-                    xs[k], logps[k], a_k, acc = rwm_core_alloc(
-                        xs[k], logps[k], level_targets[k], rwm_cfgs[k],
-                        rng, a_k)
-                    accepted += int(acc)
-                    diag.count(RWM, k, acc)
-                    if k == 0:
-                        diag.record_sample(t, xs[0])
-                if t < freeze:
-                    tuner.update(k, accepted / config.v, t)
-
-            stage = f"leap level {n}"
-            rng_leap = factory.stream(LEAP_STREAM, t)
-            for _ in range(config.v):
-                xs[n], logps[n], move_type, acc = mode_leap_core(
-                    xs[n], logps[n], level_targets[n], snapshot,
-                    float(betas[n]), rwm_cfgs[n], rng_leap)
-                diag.count(LEAP if move_type == "leap" else LEAP_LOCAL, n, acc)
-                if n == 0:
-                    diag.record_sample(t, xs[0])
-
-            if n >= 1 and config.n_swaps > 0:
-                stage = "swaps"
-                rng_swap = factory.stream(SWAP_STREAM, t)
-                for k in _swap_schedule(config.swap_strategy, n,
-                                        config.n_swaps, t, rng_swap):
-                    if rng_swap.random() < config.swap_quanta_prob:
-                        res = quanta_swap_core(xs[k], xs[k + 1], logps[k],
-                                               logps[k + 1], level_targets[k],
-                                               level_targets[k + 1], snapshot,
-                                               rng_swap)
-                        diag.count(SWAP_QUANTA, k, res.accepted)
-                    else:
-                        res = standard_swap_core(xs[k], xs[k + 1], logps[k],
-                                                 logps[k + 1], level_targets[k],
-                                                 level_targets[k + 1], rng_swap)
-                        diag.count(SWAP_STANDARD, k, res.accepted)
-                    xs[k], xs[k + 1] = res.x_low, res.x_high
-                    logps[k], logps[k + 1] = res.logp_low, res.logp_high
-
-            if ec_cfg is not None:
-                stage = "exploration"
-                rng_ec = factory.stream(EXPLORE_STREAM, t)
-                active = t % n_chains if t < freeze else -1
-                registry = _exploration_phase(
-                    t, active, registry, target, ec_cfg, hot_states,
-                    hot_logps, hot_target, hot_cfg, rng_ec, diag)
-
-            stage = "bookkeeping"
-            diag.mode_visits_level0.append(level_targets[0].allocate_index(xs[0]))
-            diag.mode_visits_top.append(level_targets[n].allocate_index(xs[n]))
-        except (ValueError, FloatingPointError, np.linalg.LinAlgError) as err:
-            raise NumericalAbort(f"sweep {t}, {stage}: {err}") from err
-        diag.sweep_seconds += time.perf_counter() - t_start
-        diag.n_sweeps += 1
-
-    diag.tuned_step_scales = [cfg.step_scale for cfg in rwm_cfgs]
-    diag.registry = registry
-    samples = diag.samples_array()[:config.total_target_samples]
-    return samples, diag
-
-
-def _nearest_mode_index(x: np.ndarray, locations: np.ndarray) -> int:
-    return int(np.argmin(np.sum((locations - x) ** 2, axis=1)))
+    return _drive(config, target, betas, hat=True, phases=(
+        partial(_rwm_phase, levels=range(betas.size - 1)),
+        partial(_leap_phase, tune_local=False),
+        partial(_swap_phase, quanta=True), _explore, _hat_visits))
 
 
 def pt_run(config: RunConfig, target: TargetDensity):
@@ -329,73 +366,9 @@ def pt_run(config: RunConfig, target: TargetDensity):
     betas = np.asarray(config.ladder.betas, dtype=float)
     if betas[0] != 1.0 or (betas.size > 1 and np.any(np.diff(betas) >= 0)):
         raise ConfigError("tempering ladder must start at 1 and decrease")
-    if config.out_dir:
-        outputs.prepare_out_dir(config.out_dir)
-    d = target.dim
-    n = betas.size - 1
-    diag = RunDiagnostics(dim=d)
-    factory = StreamFactory(config.seed)
-
-    class _Power:
-        def __init__(self, beta):
-            self.beta = float(beta)
-
-        def log_density(self, x):
-            return self.beta * target.log_density(x)
-
-    level_targets = [_Power(b) for b in betas]
-    x0 = _initial_point(config, d)
-    xs = [x0.copy() for _ in range(n + 1)]
-    logps = [level_targets[k].log_density(xs[k]) for k in range(n + 1)]
-    rwm_cfgs = [RwmConfig(step_scale=s, preconditioner="none")
-                for s in config.rwm.step_scales(n + 1)]
-    tuner = _StepTuner(rwm_cfgs, config.rwm.tune_target, config.rwm.tune)
-    freeze = config.freeze_at_sweep
-    locations = getattr(target, "component_locations", None)
-
-    for t in range(config.n_sweeps):
-        t_start = time.perf_counter()
-        stage = "setup"
-        try:
-            for k in range(n + 1):
-                stage = f"rwm level {k}"
-                rng = factory.level_stream(k, t)
-                accepted = 0
-                for _ in range(config.v):
-                    xs[k], logps[k], _, acc = rwm_core_alloc(
-                        xs[k], logps[k], level_targets[k], rwm_cfgs[k], rng)
-                    accepted += int(acc)
-                    diag.count(RWM, k, acc)
-                    if k == 0:
-                        diag.record_sample(t, xs[0])
-                if t < freeze:
-                    tuner.update(k, accepted / config.v, t)
-
-            if n >= 1 and config.n_swaps > 0:
-                stage = "swaps"
-                rng_swap = factory.stream(SWAP_STREAM, t)
-                for k in _swap_schedule(config.swap_strategy, n,
-                                        config.n_swaps, t, rng_swap):
-                    res = standard_swap_core(xs[k], xs[k + 1], logps[k],
-                                             logps[k + 1], level_targets[k],
-                                             level_targets[k + 1], rng_swap)
-                    diag.count(SWAP_STANDARD, k, res.accepted)
-                    xs[k], xs[k + 1] = res.x_low, res.x_high
-                    logps[k], logps[k + 1] = res.logp_low, res.logp_high
-
-            if locations is not None:
-                diag.mode_visits_level0.append(
-                    _nearest_mode_index(xs[0], locations))
-                diag.mode_visits_top.append(
-                    _nearest_mode_index(xs[n], locations))
-        except (ValueError, FloatingPointError, np.linalg.LinAlgError) as err:
-            raise NumericalAbort(f"sweep {t}, {stage}: {err}") from err
-        diag.sweep_seconds += time.perf_counter() - t_start
-        diag.n_sweeps += 1
-
-    diag.tuned_step_scales = [cfg.step_scale for cfg in rwm_cfgs]
-    samples = diag.samples_array()[:config.total_target_samples]
-    return samples, diag
+    return _drive(config, target, betas, hat=False, phases=(
+        partial(_rwm_phase, levels=range(betas.size)),
+        partial(_swap_phase, quanta=False), _nearest_visits))
 
 
 def lais_run(config: RunConfig, target: TargetDensity):
@@ -407,86 +380,5 @@ def lais_run(config: RunConfig, target: TargetDensity):
     betas = np.asarray(config.ladder.betas, dtype=float)
     if betas.size != 1 or betas[0] != 1.0:
         raise ConfigError("this sampler runs a single level at beta = 1")
-    if config.out_dir:
-        outputs.prepare_out_dir(config.out_dir)
-    d = target.dim
-    diag = RunDiagnostics(dim=d)
-    factory = StreamFactory(config.seed)
-    registry = ModeRegistry(dim=d, tol=config.registry_tol)
-    ec_cfg = _exploration_config(config)
-
-    for point in config.initial_modes or []:
-        _register_point_as_mode(np.asarray(point, dtype=float), target, registry)
-
-    x0 = _initial_point(config, d)
-    n_chains = ec_cfg.n_hot_chains if ec_cfg else 1
-    hot_states = [x0.copy() for _ in range(n_chains)]
-    if registry.n_modes == 0:
-        if ec_cfg is None:
-            raise ValueError("no modes discovered (registry empty and "
-                             "exploration disabled)")
-        max_attempts = (config.exploration.max_bootstrap_attempts
-                        if config.exploration else 2000)
-        _bootstrap_registry(registry, target, ec_cfg, hot_states, factory,
-                            diag, max_attempts)
-
-    hot_target = hot_cfg = None
-    hot_logps: list = []
-    if ec_cfg is not None:
-        hot_target, hot_cfg = hot_chain(target, ec_cfg.beta_hot,
-                                        ec_cfg.step_scale)
-        hot_logps = [hot_target.log_density(s) for s in hot_states]
-
-    snapshot, level_targets = _ladder_targets(target, registry, betas, None)
-    x = x0.copy()
-    logp = level_targets[0].log_density(x)
-    cfg0 = RwmConfig(step_scale=config.rwm.step_scales(1)[0],
-                     preconditioner=config.rwm.preconditioner,
-                     hastings=config.rwm.hastings)
-    tuner = _StepTuner([cfg0], config.rwm.tune_target, config.rwm.tune)
-    freeze = config.freeze_at_sweep
-
-    for t in range(config.n_sweeps):
-        t_start = time.perf_counter()
-        stage = "setup"
-        try:
-            if registry.version != snapshot.version:
-                snapshot, level_targets = _ladder_targets(target, registry,
-                                                          betas, None)
-                logp = level_targets[0].log_density(x)
-
-            stage = "leap level 0"
-            rng_leap = factory.stream(LEAP_STREAM, t)
-            accepted_local = 0
-            n_local = 0
-            for _ in range(config.v):
-                x, logp, move_type, acc = mode_leap_core(
-                    x, logp, level_targets[0], snapshot, 1.0, cfg0, rng_leap)
-                diag.count(LEAP if move_type == "leap" else LEAP_LOCAL, 0, acc)
-                if move_type == "local":
-                    accepted_local += int(acc)
-                    n_local += 1
-                diag.record_sample(t, x)
-            if t < freeze and n_local:
-                tuner.update(0, accepted_local / n_local, t)
-
-            if ec_cfg is not None:
-                stage = "exploration"
-                rng_ec = factory.stream(EXPLORE_STREAM, t)
-                active = t % n_chains if t < freeze else -1
-                registry = _exploration_phase(
-                    t, active, registry, target, ec_cfg, hot_states,
-                    hot_logps, hot_target, hot_cfg, rng_ec, diag)
-
-            stage = "bookkeeping"
-            diag.mode_visits_level0.append(level_targets[0].allocate_index(x))
-            diag.mode_visits_top.append(diag.mode_visits_level0[-1])
-        except (ValueError, FloatingPointError, np.linalg.LinAlgError) as err:
-            raise NumericalAbort(f"sweep {t}, {stage}: {err}") from err
-        diag.sweep_seconds += time.perf_counter() - t_start
-        diag.n_sweeps += 1
-
-    diag.tuned_step_scales = [cfg0.step_scale]
-    diag.registry = registry
-    samples = diag.samples_array()[:config.total_target_samples]
-    return samples, diag
+    return _drive(config, target, betas, hat=True, phases=(
+        partial(_leap_phase, tune_local=True), _explore, _hat_visits))

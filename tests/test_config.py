@@ -60,6 +60,10 @@ def test_value_validation():
         RunConfig.from_dict(dict(MINIMAL, swap_strategy="roundrobin"))
     with pytest.raises(ConfigError):
         RunConfig.from_dict(dict(MINIMAL, truncation={"level": 1.0}))
+    for attempts in (0, -3):
+        with pytest.raises(ConfigError, match="max_bootstrap_attempts"):
+            RunConfig.from_dict(dict(
+                MINIMAL, exploration={"max_bootstrap_attempts": attempts}))
 
 
 def test_swap_strategy_even_odd_accepted():

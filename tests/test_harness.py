@@ -4,12 +4,17 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from alps.cli import main
 from alps.config import ConfigError, RunConfig
 from alps.diagnostics import (LEAP, LEAP_LOCAL, RWM, SWAP_QUANTA,
                               SWAP_STANDARD, running_prob_estimate)
 from alps.outputs import emit_outputs
 from alps.runner import _swap_schedule, alps_run, lais_run, pt_run
 from alps.targets.gaussian import GaussianTarget
+
+
+def proposals(diag, move):
+    return sum(n for (mv, _), (a, n) in diag.counters.items() if mv == move)
 
 
 def gaussian_config(**over):
@@ -100,6 +105,17 @@ def test_alps_run_requires_modes_or_exploration():
         alps_run(cfg, target)
 
 
+def test_cli_no_modes_without_exploration_is_config_error(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "target": {"name": "gaussian", "params": {"mu": [0.0],
+                                                  "sigma": [[1.0]]}},
+        "ladder": {"betas": [1.0, 4.0]}, "seed": 0, "exploration": None,
+        "total_target_samples": 10}))
+    assert main(["run", "--config", str(path)]) == 2
+    assert "config error: no modes discovered" in capsys.readouterr().err
+
+
 def test_alps_run_exploration_needs_hot_temperature():
     cfg = gaussian_config(exploration={"enabled": True})
     target = GaussianTarget(np.zeros(1), np.eye(1))
@@ -127,6 +143,73 @@ def test_pt_run_moments_and_ladder_validation():
     with pytest.raises(ConfigError):
         pt_run(gaussian_config(ladder={"betas": [1.0, 4.0]},
                                initial_modes=None), target)
+
+
+def pt_config(**over):
+    return gaussian_config(ladder={"betas": [1.0, 0.36, 0.1]},
+                           rwm={"step_scale": [2.4, 4.0, 7.0], "tune": True},
+                           initial_modes=None, **over)
+
+
+def test_pt_run_counter_identities():
+    cfg = pt_config(total_target_samples=1000, burnin_samples=100)
+    target = GaussianTarget(np.zeros(1), np.eye(1))
+    target.component_locations = np.array([[-1.0], [2.0]])
+    samples, diag = pt_run(cfg, target)
+    t = diag.n_sweeps
+    assert proposals(diag, RWM) == cfg.v * t * 3
+    assert proposals(diag, SWAP_STANDARD) == cfg.n_swaps * t
+    assert proposals(diag, SWAP_QUANTA) == 0
+    assert len(diag.mode_visits_level0) == len(diag.mode_visits_top) == t
+    assert set(diag.mode_visits_level0) <= {0, 1}
+    assert len(diag.tuned_step_scales) == 3
+    assert diag.registry is None
+    assert len(samples) == 1000
+
+
+def test_pt_run_is_deterministic():
+    target = GaussianTarget(np.zeros(1), np.eye(1))
+    a, da = pt_run(pt_config(total_target_samples=2000), target)
+    b, db = pt_run(pt_config(total_target_samples=2000), target)
+    np.testing.assert_array_equal(a, b)
+    assert da.counters == db.counters
+
+
+def lais_config(**over):
+    return gaussian_config(ladder={"betas": [1.0]}, s=0, **over)
+
+
+def test_lais_run_counter_identities():
+    cfg = lais_config(total_target_samples=1000, burnin_samples=100)
+    target = GaussianTarget(np.zeros(1), np.eye(1))
+    samples, diag = lais_run(cfg, target)
+    t = diag.n_sweeps
+    assert proposals(diag, LEAP) + proposals(diag, LEAP_LOCAL) == cfg.v * t
+    assert proposals(diag, RWM) == 0
+    assert proposals(diag, SWAP_QUANTA) + proposals(diag, SWAP_STANDARD) == 0
+    assert len(diag.mode_visits_level0) == t
+    assert diag.mode_visits_top == diag.mode_visits_level0
+    assert diag.registry.n_modes == 1
+    assert len(samples) == 1000
+
+
+def test_lais_run_is_deterministic():
+    target = GaussianTarget(np.zeros(1), np.eye(1))
+    a, da = lais_run(lais_config(total_target_samples=2000), target)
+    b, db = lais_run(lais_config(total_target_samples=2000), target)
+    np.testing.assert_array_equal(a, b)
+    assert da.counters == db.counters
+
+
+def test_lais_run_is_alps_on_one_level_without_tuning():
+    # LAIS differs from one-level ALPS only in tuning its leap-local step
+    target = GaussianTarget(np.zeros(1), np.eye(1))
+    rwm = {"step_scale": 2.4, "preconditioner": "mode_local", "tune": False}
+    a, da = lais_run(lais_config(total_target_samples=2000, rwm=rwm), target)
+    b, db = alps_run(lais_config(total_target_samples=2000, rwm=rwm), target)
+    np.testing.assert_array_equal(a, b)
+    assert da.counters == db.counters
+    assert da.mode_visits_top == db.mode_visits_top
 
 
 def test_lais_run_single_level_only():

@@ -3,7 +3,8 @@ import pytest
 from scipy.stats import chi2, multivariate_normal, norm
 
 from alps.hat import (HatTarget, TruncatedHatTarget, allocate_mode,
-                      chi2_quantile, default_truncation_radius)
+                      chi2_quantile, default_truncation_radius,
+                      gaussian_log_pdf_terms)
 from alps.registry import (ModeRegistry, RegistrySnapshot, make_mode_info,
                            try_insert)
 from alps.targets.gaussian import GaussianMixtureTarget, GaussianTarget
@@ -68,6 +69,24 @@ def mixture_base_1d():
         [base.log_density(np.array([0.0])), base.log_density(np.array([1.0]))],
         1)
     return base, snap
+
+
+def test_gaussian_log_pdf_terms_against_scipy():
+    rng = np.random.default_rng(3)
+    d = 5
+    mus = rng.standard_normal((3, d)) * 4
+    sigmas = []
+    for _ in range(3):
+        a = rng.standard_normal((d, d))
+        sigmas.append(a @ a.T + d * np.eye(d))
+    snap = registry_snapshot(mus, sigmas, [0.0, -1.0, -2.0], d)
+    for beta in (1.0, 7.0):
+        for _ in range(20):
+            x = rng.standard_normal(d) * 3
+            got = gaussian_log_pdf_terms(snap, snap.quad_forms(x), beta)
+            expected = [multivariate_normal.logpdf(x, mu, sigma / beta)
+                        for mu, sigma in zip(mus, sigmas)]
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10)
 
 
 def test_hat_beta_one_is_base_pointwise():

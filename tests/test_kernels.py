@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 from scipy.integrate import dblquad
 from scipy.stats import norm
 
@@ -8,7 +7,7 @@ from alps.hat import HatTarget
 from alps.kernels import (LEAP, LOCAL, RwmConfig, leap_log_ratio,
                           mixture_log_density, mixture_propose,
                           mode_leap_core, quanta_swap_core, quanta_transform,
-                          rwm_core, rwm_step, standard_swap_core)
+                          rwm_core, standard_swap_core)
 from alps.registry import ModeRegistry, make_mode_info, try_insert
 from alps.targets.gaussian import GaussianTarget
 
@@ -79,12 +78,6 @@ def test_rwm_1d_gaussian_acceptance_benchmark():
         x, logp, acc = rwm_core(x, logp, target, cfg, rng)
         accepts += acc
     assert abs(accepts / n - 0.44) < 0.03
-
-
-def test_rwm_step_validates_beta():
-    target = gaussian_hat([0.0], [[1.0]], 4.0)
-    with pytest.raises(ValueError, match="does not match"):
-        rwm_step(np.zeros(1), 1.0, target, RwmConfig(), np.random.default_rng(0))
 
 
 def test_quanta_transform_identity_and_scale():

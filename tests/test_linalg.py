@@ -1,11 +1,9 @@
 import numpy as np
 import pytest
 from scipy.special import logsumexp
-from scipy.stats import multivariate_normal
 
 from alps.linalg import (IndefiniteMatrixError, chol_lower, log_det_from_chol,
-                         logsumexp_1d, mvn_log_density, quad_form, sample_mvn,
-                         spd_solve)
+                         logsumexp_1d, spd_solve)
 
 
 def random_spd(rng, d):
@@ -33,37 +31,6 @@ def test_log_det_from_chol():
     chol = chol_lower(a)
     _, expected = np.linalg.slogdet(a)
     assert abs(log_det_from_chol(chol) - expected) < 1e-10
-
-
-def test_quad_form_against_solve():
-    rng = np.random.default_rng(2)
-    a = random_spd(rng, 6)
-    v = rng.standard_normal(6)
-    expected = float(v @ np.linalg.solve(a, v))
-    assert abs(quad_form(chol_lower(a), v) - expected) < 1e-10
-
-
-def test_mvn_log_density_against_scipy():
-    rng = np.random.default_rng(3)
-    d = 5
-    mu = rng.standard_normal(d)
-    sigma = random_spd(rng, d)
-    chol = chol_lower(sigma)
-    log_det = log_det_from_chol(chol)
-    for _ in range(20):
-        x = rng.standard_normal(d) * 3
-        expected = multivariate_normal.logpdf(x, mu, sigma)
-        assert abs(mvn_log_density(x, mu, chol, log_det) - expected) < 1e-10
-
-
-def test_sample_mvn_moments():
-    rng = np.random.default_rng(4)
-    mu = np.array([1.0, -2.0])
-    sigma = np.array([[2.0, 0.6], [0.6, 1.0]])
-    chol = chol_lower(sigma)
-    draws = np.array([sample_mvn(mu, chol, rng) for _ in range(20000)])
-    np.testing.assert_allclose(draws.mean(axis=0), mu, atol=0.05)
-    np.testing.assert_allclose(np.cov(draws.T), sigma, atol=0.08)
 
 
 def test_spd_solve():
