@@ -26,7 +26,10 @@ def _build(cls, obj: dict, path: str):
     extra = set(obj) - known
     if extra:
         raise ConfigError(f"{path}: unknown key(s) {sorted(extra)}")
-    return cls(**obj)
+    try:
+        return cls(**obj)
+    except TypeError as err:  # e.g. a string where a number belongs
+        raise ConfigError(f"{path}: {err}") from err
 
 
 @dataclass
@@ -46,15 +49,24 @@ class LadderConfig:
         self.betas = [float(b) for b in self.betas]
         if any(b <= 0 for b in self.betas):
             raise ConfigError("ladder.betas must be positive")
+        if self.beta_hot is not None and not 0.0 < self.beta_hot < 1.0:
+            raise ConfigError("ladder.beta_hot must lie in (0, 1)")
 
 
 @dataclass
 class RwmSettings:
-    step_scale: float | list = 1.0
-    preconditioner: str = "none"      # "none" | "mode_local"
-    hastings: str = "corrected"       # "corrected" | "frozen"
+    step_scale: float | list = 1.0    # one per level, or one for all
     tune: bool = False
     tune_target: float = 0.234
+
+    def __post_init__(self):
+        scales = ([self.step_scale]
+                  if isinstance(self.step_scale, (int, float))
+                  else self.step_scale)
+        if not all(isinstance(s, (int, float)) and s > 0 for s in scales):
+            raise ConfigError("rwm.step_scale must be positive numbers")
+        if not 0.0 < self.tune_target < 1.0:
+            raise ConfigError("rwm.tune_target must lie in (0, 1)")
 
     def step_scales(self, n_levels: int) -> list:
         if isinstance(self.step_scale, (int, float)):
@@ -221,9 +233,8 @@ def _benchmark_preset() -> dict:
         "v": 5,
         "s": 6,
         "swap_quanta_prob": 0.5,
-        "rwm": {"step_scale": 2.38 / np.sqrt(20.0),
-                "preconditioner": "mode_local", "hastings": "corrected",
-                "tune": True, "tune_target": 0.234},
+        "rwm": {"step_scale": 2.38 / np.sqrt(20.0), "tune": True,
+                "tune_target": 0.234},
         "exploration": {"enabled": True, "step_scale": 120.0,
                         "n_hot_chains": 1, "refresh_from_modes": 0.0},
         "truncation": {"enabled": False},
@@ -245,7 +256,7 @@ def _benchmark_pt_preset() -> dict:
         "s": 13,
         "rwm": {"step_scale": [2.38 / np.sqrt(20.0 * 0.6 ** k)
                                for k in range(14)],
-                "preconditioner": "none", "tune": True, "tune_target": 0.234},
+                "tune": True, "tune_target": 0.234},
         "exploration": None,
         "total_target_samples": 200000,
         "burnin_samples": 15000,
@@ -262,9 +273,8 @@ def _benchmark_lais_preset() -> dict:
         "seed": 1,
         "v": 5,
         "s": 0,
-        "rwm": {"step_scale": 2.38 / np.sqrt(20.0),
-                "preconditioner": "mode_local", "hastings": "corrected",
-                "tune": True, "tune_target": 0.234},
+        "rwm": {"step_scale": 2.38 / np.sqrt(20.0), "tune": True,
+                "tune_target": 0.234},
         "exploration": {"enabled": True, "step_scale": 120.0},
         "total_target_samples": 200000,
         "burnin_samples": 15000,
@@ -284,9 +294,8 @@ def _sur_grunfeld_preset() -> dict:
         "v": 5,
         "s": 6,
         "swap_quanta_prob": 0.5,
-        "rwm": {"step_scale": 2.38 / np.sqrt(15.0),
-                "preconditioner": "mode_local", "hastings": "corrected",
-                "tune": True, "tune_target": 0.234},
+        "rwm": {"step_scale": 2.38 / np.sqrt(15.0), "tune": True,
+                "tune_target": 0.234},
         "exploration": {"enabled": True, "step_scale": 40.0,
                         "n_hot_chains": 1, "refresh_from_modes": 0.25},
         "truncation": {"enabled": True, "level": 0.9999},
@@ -307,8 +316,7 @@ def _sur_drton_preset() -> dict:
         "seed": 1,
         "v": 5,
         "s": 2,
-        "rwm": {"step_scale": 1.0, "preconditioner": "mode_local",
-                "hastings": "corrected", "tune": True},
+        "rwm": {"step_scale": 1.0, "tune": True},
         "exploration": {"enabled": True, "step_scale": 2.0},
         "truncation": {"enabled": True, "level": 0.9999},
         "total_target_samples": 20000,

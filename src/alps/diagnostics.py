@@ -20,9 +20,10 @@ class RunDiagnostics:
     """Bookkeeping shared by all run types."""
 
     dim: int
+    capacity: int = 0    # level-0 states the run will record
+    samples: np.ndarray = field(init=False)  # (capacity, dim)
+    n_recorded: int = 0  # filled rows of samples
     counters: dict = field(default_factory=lambda: defaultdict(lambda: [0, 0]))
-    samples: list = field(default_factory=list)        # level-0 states
-    sample_sweeps: list = field(default_factory=list)  # sweep of each sample
     mode_visits_level0: list = field(default_factory=list)
     mode_visits_top: list = field(default_factory=list)
     registry_events: list = field(default_factory=list)
@@ -32,14 +33,17 @@ class RunDiagnostics:
     tuned_step_scales: list = field(default_factory=list)
     registry: object = None
 
+    def __post_init__(self):
+        self.samples = np.empty((self.capacity, self.dim))
+
     def count(self, move: str, level: int, accepted: bool) -> None:
         cell = self.counters[(move, level)]
         cell[0] += int(accepted)
         cell[1] += 1
 
-    def record_sample(self, sweep: int, x: np.ndarray) -> None:
-        self.samples.append(np.array(x, copy=True))
-        self.sample_sweeps.append(sweep)
+    def record_sample(self, x: np.ndarray) -> None:
+        self.samples[self.n_recorded] = x
+        self.n_recorded += 1
 
     def acceptance_rate(self, move: str, level: int | None = None) -> float:
         acc = tot = 0
@@ -48,11 +52,6 @@ class RunDiagnostics:
                 acc += a
                 tot += n
         return acc / tot if tot else np.nan
-
-    def samples_array(self) -> np.ndarray:
-        if not self.samples:
-            return np.empty((0, self.dim))
-        return np.asarray(self.samples)
 
     def acceptance_dict(self) -> dict:
         out: dict = {}

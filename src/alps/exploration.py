@@ -15,7 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .density import PowerTarget, TargetDensity
-from .kernels import RwmConfig, mixture_propose, rwm_core
+from .kernels import mixture_propose, rwm_core
 from .optimize import OptimizerConfig, local_optimize
 from .registry import (IndefiniteHessianError, ModeRegistry,
                        covariance_from_hessian, make_mode_info, try_insert)
@@ -43,25 +43,16 @@ class ExplorationConfig:
             self.optimizer = OptimizerConfig()
 
 
-def hot_chain(base: TargetDensity, beta_hot: float, step_scale: float = 1.0):
-    """Reusable (target, rwm config) pair for repeated hot-chain updates.
-
-    Callers that advance the chain many times should build this once and
-    carry the log density between rwm_core calls instead of paying one
-    extra density evaluation per step through hot_step.
-    """
-    if not 0.0 < beta_hot < 1.0:
-        raise ValueError("beta_hot must lie in (0, 1)")
-    return PowerTarget(base, beta_hot), RwmConfig(step_scale=step_scale)
-
-
 def hot_step(x_hot: np.ndarray, beta_hot: float, base: TargetDensity,
              rng: np.random.Generator, step_scale: float = 1.0):
-    """One RWM update of the hot chain; returns (x', accepted)."""
-    target, cfg = hot_chain(base, beta_hot, step_scale)
+    """One RWM update of the hot chain; returns (x', accepted).  It pays
+    two density evaluations per step; long chains should call rwm_core."""
+    if not 0.0 < beta_hot < 1.0:
+        raise ValueError("beta_hot must lie in (0, 1)")
+    target = PowerTarget(base, beta_hot)
     x_hot = np.asarray(x_hot, dtype=float)
     x_new, _, accepted = rwm_core(x_hot, target.log_density(x_hot), target,
-                                  cfg, rng)
+                                  step_scale, rng)
     return x_new, accepted
 
 

@@ -1,10 +1,11 @@
 """Within-temperature and between-temperature chain kernels.
 
-Random-walk Metropolis with optional mode-local preconditioning,
-standard and transformation-aided temperature swaps, and the
-mode-leaping independence sampler driven by the registry's Gaussian
-mixture.  All acceptance ratios are formed and compared in log space,
-and every acceptance decision consumes exactly one uniform draw.
+Random-walk Metropolis, standard and transformation-aided (QuanTA)
+temperature swaps, and mode leaps from the registry's Gaussian mixture.
+Moves follow from the level target: a HAT level's registry snapshot
+gives mode-local RWM steps and QuanTA mode points, a power-tempered
+level gets the plain random walk.  All acceptance ratios are formed and
+compared in log space; each decision consumes exactly one uniform draw.
 """
 
 from __future__ import annotations
@@ -21,21 +22,6 @@ LOCAL = "local"
 LEAP = "leap"
 
 
-@dataclass
-class RwmConfig:
-    step_scale: float = 1.0
-    preconditioner: str = "none"       # "none" | "mode_local"
-    hastings: str = "corrected"        # "corrected" | "frozen"
-
-    def __post_init__(self):
-        if self.step_scale <= 0:
-            raise ValueError("step_scale must be positive")
-        if self.preconditioner not in ("none", "mode_local"):
-            raise ValueError(f"unknown preconditioner {self.preconditioner!r}")
-        if self.hastings not in ("corrected", "frozen"):
-            raise ValueError(f"unknown hastings variant {self.hastings!r}")
-
-
 def _accept(log_ratio: float, u: float) -> bool:
     # NaN log-ratio (e.g. -inf minus -inf) compares false: auto-reject
     return bool(np.log(u) < log_ratio)
@@ -50,33 +36,33 @@ def _proposal_log_density(diff: np.ndarray, chol: np.ndarray, log_det: float,
                    + float(z @ z))
 
 
-def rwm_core_alloc(x: np.ndarray, logp_x: float, target, cfg: RwmConfig,
+def rwm_core_alloc(x: np.ndarray, logp_x: float, target, step_scale: float,
                    rng: np.random.Generator, a_x: int | None = None):
     """One RWM step carrying the current allocation index.
 
-    Returns (x', logp', a', accepted).  `a_x` is the known allocation of
-    x at the target's temperature (None to compute it here); a' is the
-    allocation of x', so repeated steps at one level evaluate each point
-    against the registry exactly once.  Without mode-local
-    preconditioning the allocation slots are None.
+    Returns (x', logp', a', accepted).  On a HAT level (one with a
+    registry snapshot) the step is the allocated mode's Cholesky factor
+    times step_scale / sqrt(beta), Hastings-corrected when the allocation
+    changes; `a_x` (None: compute it here) and a' are the allocations of
+    x and x', so repeated steps evaluate each point once.  Elsewhere the
+    step is step_scale * N(0, I) and the allocation slots are None.
     """
     z = rng.standard_normal(x.shape[0])
     u = rng.random()
-    if cfg.preconditioner != "mode_local":
-        y = x + cfg.step_scale * z
+    snapshot = getattr(target, "snapshot", None)
+    if snapshot is None:
+        y = x + step_scale * z
         logp_y = target.log_density(y)
         if _accept(logp_y - logp_x, u):
             return y, logp_y, None, True
         return x, logp_x, None, False
-    snapshot: RegistrySnapshot = target.snapshot
     if a_x is None:
         a_x = target.allocate_index(x)
-    scale = cfg.step_scale / np.sqrt(target.beta)
+    scale = step_scale / np.sqrt(target.beta)
     y = x + scale * (snapshot.chols[a_x] @ z)
     logp_y, a_y = target.value_and_alloc(y)
     log_ratio = logp_y - logp_x
-    if (cfg.hastings == "corrected" and a_y != a_x
-            and np.isfinite(logp_y)):
+    if a_y != a_x and np.isfinite(logp_y):
         # allocation changed: the frozen-L proposal is no longer
         # symmetric, so apply the Hastings correction
         diff = y - x
@@ -90,11 +76,11 @@ def rwm_core_alloc(x: np.ndarray, logp_x: float, target, cfg: RwmConfig,
     return x, logp_x, a_x, False
 
 
-def rwm_core(x: np.ndarray, logp_x: float, target, cfg: RwmConfig,
+def rwm_core(x: np.ndarray, logp_x: float, target, step_scale: float,
              rng: np.random.Generator):
     """One RWM step; returns (x', logp', accepted)."""
-    x_new, logp_new, _, accepted = rwm_core_alloc(x, logp_x, target, cfg, rng)
-    return x_new, logp_new, accepted
+    y, logp_y, _, accepted = rwm_core_alloc(x, logp_x, target, step_scale, rng)
+    return y, logp_y, accepted
 
 
 def quanta_transform(x: np.ndarray, beta_from: float, beta_to: float,
@@ -117,9 +103,9 @@ class SwapResult:
 
 def quanta_swap_core(x_k: np.ndarray, x_k1: np.ndarray, logp_k: float,
                      logp_k1: float, target_k, target_k1,
-                     snapshot: RegistrySnapshot,
                      rng: np.random.Generator) -> SwapResult:
     beta_k, beta_k1 = target_k.beta, target_k1.beta
+    snapshot = target_k.snapshot
     m1 = target_k.allocate_index(x_k)
     m2 = target_k1.allocate_index(x_k1)
     y_k = quanta_transform(x_k, beta_k, beta_k1, snapshot.mus[m1])
@@ -167,33 +153,31 @@ def mixture_log_density(snapshot: RegistrySnapshot, beta: float,
                         + gaussian_log_pdf_terms(snapshot, qf, beta))
 
 
-def leap_log_ratio(x: np.ndarray, y: np.ndarray, target,
-                   snapshot: RegistrySnapshot, beta: float,
+def leap_log_ratio(x: np.ndarray, y: np.ndarray, target, beta: float,
                    logp_x: float | None = None) -> float:
     """Independence-sampler log acceptance ratio for proposal y from x."""
     if logp_x is None:
         logp_x = target.log_density(x)
     logp_y = target.log_density(y)
-    lq_x = mixture_log_density(snapshot, beta, x)
-    lq_y = mixture_log_density(snapshot, beta, y)
+    lq_x = mixture_log_density(target.snapshot, beta, x)
+    lq_y = mixture_log_density(target.snapshot, beta, y)
     return (logp_y + lq_x) - (logp_x + lq_y)
 
 
-def mode_leap_core(x: np.ndarray, logp_x: float, target,
-                   snapshot: RegistrySnapshot, beta_max: float,
-                   cfg: RwmConfig, rng: np.random.Generator):
+def mode_leap_core(x: np.ndarray, logp_x: float, target, step_scale: float,
+                   rng: np.random.Generator):
     """Algorithm: coin-flip between a local RWM move and a mixture leap.
 
     Returns (x', logp', move_type, accepted).
     """
     if rng.random() < 0.5:
-        x_new, logp_new, accepted = rwm_core(x, logp_x, target, cfg, rng)
-        return x_new, logp_new, LOCAL, accepted
-    y = mixture_propose(snapshot, beta_max, rng)
+        y, logp_y, accepted = rwm_core(x, logp_x, target, step_scale, rng)
+        return y, logp_y, LOCAL, accepted
+    y = mixture_propose(target.snapshot, target.beta, rng)
     u = rng.random()
     logp_y = target.log_density(y)
-    lq_x = mixture_log_density(snapshot, beta_max, x)
-    lq_y = mixture_log_density(snapshot, beta_max, y)
+    lq_x = mixture_log_density(target.snapshot, target.beta, x)
+    lq_y = mixture_log_density(target.snapshot, target.beta, y)
     log_ratio = (logp_y + lq_x) - (logp_x + lq_y)
     if _accept(log_ratio, u):
         return y, logp_y, LEAP, True

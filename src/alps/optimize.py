@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import numdiff
 from .density import TargetDensity
 
 logger = logging.getLogger(__name__)
@@ -25,13 +24,11 @@ class OptimizerConfig:
     gradient_tolerance: float = 1e-6
     armijo_constant: float = 1e-4
     backtrack_factor: float = 0.5
-    finite_difference_step: float = numdiff.DEFAULT_GRAD_STEP
 
     def __post_init__(self):
         if (self.max_iterations <= 0 or self.gradient_tolerance <= 0
                 or not 0 < self.armijo_constant < 1
-                or not 0 < self.backtrack_factor < 1
-                or self.finite_difference_step <= 0):
+                or not 0 < self.backtrack_factor < 1):
             raise ValueError("optimizer settings must be positive "
                              "(factors strictly inside (0, 1))")
 
@@ -53,10 +50,7 @@ def local_optimize(x0: np.ndarray, base: TargetDensity,
         return -base.log_density(p)
 
     def grad(p: np.ndarray) -> np.ndarray:
-        if base.has_gradient:
-            return -base.gradient(p)
-        return -numdiff.central_gradient(base.log_density, p,
-                                         step=cfg.finite_difference_step)
+        return -base.gradient(p)
 
     fx = f(x)
     if not np.isfinite(fx):

@@ -34,15 +34,14 @@ def _write_json(path: str, obj) -> None:
         fh.write("\n")
 
 
-def _write_trace(path: str, diag: RunDiagnostics, config: RunConfig) -> None:
-    header = "sweep," + ",".join(f"x{i}" for i in range(diag.dim))
-    limit = min(len(diag.samples), config.total_target_samples)
-    step = max(config.thinning, 1)
+def _write_trace(path: str, samples: np.ndarray, config: RunConfig) -> None:
+    """Every thinning-th sample; each sweep records v of them."""
+    header = "sweep," + ",".join(f"x{i}" for i in range(samples.shape[1]))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
-        for i in range(0, limit, step):
-            coords = ",".join(repr(float(v)) for v in diag.samples[i])
-            fh.write(f"{diag.sample_sweeps[i]},{coords}\n")
+        for i in range(0, len(samples), max(config.thinning, 1)):
+            coords = ",".join(repr(float(v)) for v in samples[i])
+            fh.write(f"{i // config.v},{coords}\n")
 
 
 def emit_outputs(diag: RunDiagnostics, config: RunConfig) -> dict:
@@ -55,7 +54,9 @@ def emit_outputs(diag: RunDiagnostics, config: RunConfig) -> dict:
              for name in ("trace.csv", "acceptance.json", "modes.json",
                           "timing.json", "summary.json")}
 
-    _write_trace(paths["trace.csv"], diag, config)
+    n_recorded = min(diag.n_recorded, config.total_target_samples)
+    samples = diag.samples[:n_recorded]
+    _write_trace(paths["trace.csv"], samples, config)
     _write_json(paths["acceptance.json"], diag.acceptance_dict())
 
     if diag.registry is not None and diag.registry.n_modes > 0:
@@ -66,7 +67,6 @@ def emit_outputs(diag: RunDiagnostics, config: RunConfig) -> dict:
         modes = {"modes": [], "n_modes": 0}
     _write_json(paths["modes.json"], modes)
 
-    n_recorded = min(len(diag.samples), config.total_target_samples)
     per_1000 = (1000.0 * diag.sweep_seconds / n_recorded
                 if n_recorded else None)
     _write_json(paths["timing.json"], {
@@ -79,8 +79,7 @@ def emit_outputs(diag: RunDiagnostics, config: RunConfig) -> dict:
     running_terminal = None
     if (config.running_threshold is not None
             and n_recorded > config.burnin_samples):
-        trace = diag.samples_array()[:n_recorded, 0]
-        est = running_prob_estimate(trace, config.running_threshold,
+        est = running_prob_estimate(samples[:, 0], config.running_threshold,
                                     config.burnin_samples)
         running_terminal = float(est[-1])
     _write_json(paths["summary.json"], {

@@ -28,9 +28,9 @@ from .config import ConfigError, RunConfig
 from .density import PowerTarget, TargetDensity
 from .diagnostics import (HOT, LEAP, LEAP_LOCAL, RWM, SWAP_QUANTA,
                           SWAP_STANDARD, RunDiagnostics)
-from .exploration import ExplorationConfig, hessian_at, hot_chain, mfind
+from .exploration import ExplorationConfig, hessian_at, mfind
 from .hat import HatTarget, TruncatedHatTarget, chi2_quantile
-from .kernels import (RwmConfig, mode_leap_core, quanta_swap_core, rwm_core,
+from .kernels import (mode_leap_core, quanta_swap_core, rwm_core,
                       rwm_core_alloc, standard_swap_core)
 from .optimize import local_optimize
 from .registry import (IndefiniteHessianError, ModeRegistry,
@@ -121,7 +121,7 @@ class _Run:
         self.n = betas.size - 1
         self.freeze = config.freeze_at_sweep
         self.stage = "setup"
-        self.diag = RunDiagnostics(dim=d)
+        self.diag = RunDiagnostics(d, config.n_sweeps * config.v)
         self.factory = StreamFactory(config.seed)
         self.registry = self.ec_cfg = self.snapshot = self.trunc_radius = None
         x0 = _initial_point(config, d)
@@ -131,11 +131,7 @@ class _Run:
             if config.truncation and config.truncation.enabled:
                 self.trunc_radius = chi2_quantile(config.truncation.level, d)
         self.build_levels()
-        # power levels carry no mode information to precondition with
-        local = (dict(preconditioner=config.rwm.preconditioner,
-                      hastings=config.rwm.hastings) if hat else {})
-        self.rwm_cfgs = [RwmConfig(step_scale=s, **local)
-                         for s in config.rwm.step_scales(self.n + 1)]
+        self.step_scales = config.rwm.step_scales(self.n + 1)
         self.locations = getattr(target, "component_locations", None)
 
     def _find_modes(self, x0: np.ndarray) -> None:
@@ -162,8 +158,7 @@ class _Run:
                 raise NumericalAbort(f"no modes discovered after {attempts} "
                                      "bootstrap exploration attempts")
         if self.ec_cfg is not None:
-            self.hot_target, self.hot_cfg = hot_chain(
-                self.target, self.ec_cfg.beta_hot, self.ec_cfg.step_scale)
+            self.hot_target = PowerTarget(self.target, self.ec_cfg.beta_hot)
             self.hot_logps = [self.hot_target.log_density(s)
                               for s in self.hot_states]
 
@@ -212,10 +207,9 @@ class _Run:
         if not rwm.tune or sweep >= self.freeze or not np.isfinite(rate):
             return
         gamma = 1.0 / (1.0 + sweep) ** 0.6
-        cfg = self.rwm_cfgs[level]
-        cfg.step_scale = float(np.clip(
-            np.exp(np.log(cfg.step_scale) + gamma * (rate - rwm.tune_target)),
-            1e-8, 1e8))
+        log_step = np.log(self.step_scales[level])
+        self.step_scales[level] = float(np.clip(
+            np.exp(log_step + gamma * (rate - rwm.tune_target)), 1e-8, 1e8))
 
 
 # Phases: each takes (run, sweep index) and advances the run in place.
@@ -232,11 +226,11 @@ def _rwm_phase(run: _Run, t: int, levels: range) -> None:
         for _ in range(v):
             run.xs[k], run.logps[k], a_k, acc = rwm_core_alloc(
                 run.xs[k], run.logps[k], run.level_targets[k],
-                run.rwm_cfgs[k], rng, a_k)
+                run.step_scales[k], rng, a_k)
             accepted += int(acc)
             run.diag.count(RWM, k, acc)
             if k == 0:
-                run.diag.record_sample(t, run.xs[0])
+                run.diag.record_sample(run.xs[0])
         run.tune(k, accepted / v, t)
 
 
@@ -248,21 +242,21 @@ def _leap_phase(run: _Run, t: int, tune_local: bool) -> None:
     accepted_local = n_local = 0
     for _ in range(run.config.v):
         run.xs[n], run.logps[n], move_type, acc = mode_leap_core(
-            run.xs[n], run.logps[n], run.level_targets[n], run.snapshot,
-            float(run.betas[n]), run.rwm_cfgs[n], rng)
+            run.xs[n], run.logps[n], run.level_targets[n],
+            run.step_scales[n], rng)
         run.diag.count(LEAP if move_type == "leap" else LEAP_LOCAL, n, acc)
         if move_type == "local":
             accepted_local += int(acc)
             n_local += 1
         if n == 0:
-            run.diag.record_sample(t, run.xs[0])
+            run.diag.record_sample(run.xs[0])
     if tune_local and n_local:
         run.tune(n, accepted_local / n_local, t)
 
 
-def _swap_phase(run: _Run, t: int, quanta: bool) -> None:
-    """s neighbour swaps; with `quanta` a coin picks QuanTA or standard
-    for each, without it all are standard and no coin is drawn."""
+def _swap_phase(run: _Run, t: int) -> None:
+    """s neighbour swaps; on HAT levels a coin picks QuanTA or standard
+    for each, on power levels all are standard and no coin is drawn."""
     config, n = run.config, run.n
     if n < 1 or config.n_swaps == 0:
         return
@@ -270,10 +264,9 @@ def _swap_phase(run: _Run, t: int, quanta: bool) -> None:
     rng = run.factory.stream(SWAP_STREAM, t)
     xs, logps, targets = run.xs, run.logps, run.level_targets
     for k in _swap_schedule(config.swap_strategy, n, config.n_swaps, t, rng):
-        if quanta and rng.random() < config.swap_quanta_prob:
+        if run.snapshot is not None and rng.random() < config.swap_quanta_prob:
             res = quanta_swap_core(xs[k], xs[k + 1], logps[k], logps[k + 1],
-                                   targets[k], targets[k + 1], run.snapshot,
-                                   rng)
+                                   targets[k], targets[k + 1], rng)
             run.diag.count(SWAP_QUANTA, k, res.accepted)
         else:
             res = standard_swap_core(xs[k], xs[k + 1], logps[k],
@@ -304,7 +297,7 @@ def _exploration_phase(run: _Run, t: int) -> None:
             for _ in range(run.ec_cfg.v + 1):
                 run.hot_states[c], run.hot_logps[c], acc = rwm_core(
                     run.hot_states[c], run.hot_logps[c], run.hot_target,
-                    run.hot_cfg, rng)
+                    run.ec_cfg.step_scale, rng)
                 run.diag.count(HOT, -1, acc)
 
 
@@ -344,10 +337,9 @@ def _drive(config: RunConfig, target: TargetDensity, betas: np.ndarray,
         diag.sweep_seconds += time.perf_counter() - t_start
         diag.n_sweeps += 1
 
-    diag.tuned_step_scales = [cfg.step_scale for cfg in run.rwm_cfgs]
+    diag.tuned_step_scales = list(run.step_scales)
     diag.registry = run.registry
-    samples = diag.samples_array()[:config.total_target_samples]
-    return samples, diag
+    return diag.samples[:config.total_target_samples], diag
 
 
 def alps_run(config: RunConfig, target: TargetDensity):
@@ -358,7 +350,7 @@ def alps_run(config: RunConfig, target: TargetDensity):
     return _drive(config, target, betas, hat=True, phases=(
         partial(_rwm_phase, levels=range(betas.size - 1)),
         partial(_leap_phase, tune_local=False),
-        partial(_swap_phase, quanta=True), _explore, _hat_visits))
+        _swap_phase, _explore, _hat_visits))
 
 
 def pt_run(config: RunConfig, target: TargetDensity):
@@ -368,7 +360,7 @@ def pt_run(config: RunConfig, target: TargetDensity):
         raise ConfigError("tempering ladder must start at 1 and decrease")
     return _drive(config, target, betas, hat=False, phases=(
         partial(_rwm_phase, levels=range(betas.size)),
-        partial(_swap_phase, quanta=False), _nearest_visits))
+        _swap_phase, _nearest_visits))
 
 
 def lais_run(config: RunConfig, target: TargetDensity):

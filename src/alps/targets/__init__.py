@@ -17,13 +17,33 @@ __all__ = [
     "benchmark_target", "IidProductTarget", "SkewShape", "GaussianShape",
     "SurData", "SurProfileTarget", "load_grunfeld", "load_sur_csv",
     "sur_sigma_hat", "sur_gls_theta", "sur_profile_loglik", "zellner_iterate",
-    "build_target",
+    "build_target", "TARGET_PARAMS",
 ]
 
 
+# Parameter keys each named target accepts.
+TARGET_PARAMS = {
+    "gaussian": {"mu", "sigma"},
+    "gaussian_mixture": {"weights", "mus", "sigmas"},
+    "skew_normal_mixture_20d": {"dim", "alpha"},
+    "sur_grunfeld": {"first_years"},
+    "sur_csv": {"path", "first_years"},
+    "iid_product_skew": {"dim", "alpha", "beta"},
+}
+
+
 def build_target(name: str, params: dict | None = None) -> TargetDensity:
-    """Construct a named target from a config parameter block."""
+    """Construct a named target from a config parameter block.
+
+    Unknown target names and parameter keys are errors.
+    """
     params = dict(params or {})
+    if name not in TARGET_PARAMS:
+        raise ValueError(f"unknown target {name!r}")
+    extra = set(params) - TARGET_PARAMS[name]
+    if extra:
+        raise ValueError(f"unknown parameter(s) {sorted(extra)} for target "
+                         f"{name!r}; accepted: {sorted(TARGET_PARAMS[name])}")
     if name == "gaussian":
         return GaussianTarget(np.asarray(params["mu"], dtype=float),
                               np.asarray(params["sigma"], dtype=float))
@@ -40,8 +60,7 @@ def build_target(name: str, params: dict | None = None) -> TargetDensity:
         data = load_sur_csv(params["path"],
                             first_years=params.get("first_years"))
         return SurProfileTarget(data)
-    if name == "iid_product_skew":
-        shape = SkewShape(alpha=float(params.get("alpha", 2.0)))
-        return IidProductTarget(shape, dim=int(params["dim"]),
-                                beta=float(params.get("beta", 1.0)))
-    raise ValueError(f"unknown target {name!r}")
+    # iid_product_skew
+    shape = SkewShape(alpha=float(params.get("alpha", 2.0)))
+    return IidProductTarget(shape, dim=int(params["dim"]),
+                            beta=float(params.get("beta", 1.0)))

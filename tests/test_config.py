@@ -20,7 +20,8 @@ def test_minimal_config_parses_with_defaults():
     assert cfg.n_levels == 2
     assert cfg.n_swaps == 1
     assert cfg.swap_strategy == "uniform"
-    assert cfg.rwm.preconditioner == "none"
+    assert (cfg.rwm.step_scale, cfg.rwm.tune, cfg.rwm.tune_target) == (
+        1.0, False, 0.234)
     assert cfg.exploration is not None and cfg.exploration.enabled
 
 
@@ -60,6 +61,14 @@ def test_value_validation():
         RunConfig.from_dict(dict(MINIMAL, swap_strategy="roundrobin"))
     with pytest.raises(ConfigError):
         RunConfig.from_dict(dict(MINIMAL, truncation={"level": 1.0}))
+    with pytest.raises(ConfigError, match="beta_hot"):
+        RunConfig.from_dict(dict(MINIMAL, ladder={"betas": [1.0],
+                                                  "beta_hot": 2.0}))
+    with pytest.raises(ConfigError, match="tune_target"):
+        RunConfig.from_dict(dict(MINIMAL, rwm={"tune_target": 5.0}))
+    for step in (0, -1.0, [1.0, -2.0]):
+        with pytest.raises(ConfigError, match="step_scale"):
+            RunConfig.from_dict(dict(MINIMAL, rwm={"step_scale": step}))
     for attempts in (0, -3):
         with pytest.raises(ConfigError, match="max_bootstrap_attempts"):
             RunConfig.from_dict(dict(
@@ -110,7 +119,7 @@ def test_benchmark_preset_values():
     assert cfg.ladder.betas == [1.0, 4.0, 16.0, 64.0, 256.0, 1024.0, 4096.0]
     assert cfg.ladder.beta_hot == 5e-6
     assert cfg.s == 6 and cfg.v == 5
-    assert cfg.rwm.preconditioner == "mode_local"
+    assert cfg.rwm.step_scale == 2.38 / np.sqrt(20.0) and cfg.rwm.tune
     assert cfg.total_target_samples == 200000
     pt = RunConfig.from_dict(preset_dict("synthetic-20d-pt"))
     assert pt.n_levels == 14
@@ -134,7 +143,7 @@ def test_load_config_merges_file_and_cli(tmp_path):
     assert cfg.total_target_samples == 50
     assert cfg.seed == 42
     assert not cfg.rwm.tune
-    assert cfg.rwm.preconditioner == "mode_local"  # preset value survives
+    assert cfg.rwm.step_scale == 2.38 / np.sqrt(20.0)  # preset value survives
 
 
 def test_load_config_requires_some_source():

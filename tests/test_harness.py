@@ -27,8 +27,7 @@ def gaussian_config(**over):
         "burnin_samples": 1000,
         "exploration": None,
         "initial_modes": [[0.0]],
-        "rwm": {"step_scale": 2.4, "preconditioner": "mode_local",
-                "tune": True},
+        "rwm": {"step_scale": 2.4, "tune": True},
     }
     base.update(over)
     return RunConfig.from_dict(base)
@@ -114,6 +113,30 @@ def test_cli_no_modes_without_exploration_is_config_error(tmp_path, capsys):
         "total_target_samples": 10}))
     assert main(["run", "--config", str(path)]) == 2
     assert "config error: no modes discovered" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override, message", [
+    ({"ladder": {"betas": [1.0, 0.5], "beta_hot": 2.0}}, "beta_hot"),
+    ({"rwm": {"tune_target": 5.0}}, "tune_target"),
+    ({"rwm": {"step_scale": 0}}, "step_scale"),
+    ({"rwm": {"step_scale": [1.0, -2.0]}}, "step_scale"),
+    ({"rwm": {"hastings": "corrected"}}, "rwm: unknown key"),
+    ({"truncation": {"level": "high"}}, "truncation"),
+    ({"target": {"name": "iid_product_skew",
+                 "params": {"dim": 1, "alpah": 10.0}}}, "alpah"),
+])
+def test_cli_bad_settings_are_config_errors(tmp_path, capsys, override,
+                                            message):
+    config = {
+        "target": {"name": "gaussian", "params": {"mu": [0.0],
+                                                  "sigma": [[1.0]]}},
+        "ladder": {"betas": [1.0, 0.5]}, "seed": 0, "exploration": None,
+        "total_target_samples": 10, **override}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["pt", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and message in err
 
 
 def test_alps_run_exploration_needs_hot_temperature():
@@ -204,7 +227,7 @@ def test_lais_run_is_deterministic():
 def test_lais_run_is_alps_on_one_level_without_tuning():
     # LAIS differs from one-level ALPS only in tuning its leap-local step
     target = GaussianTarget(np.zeros(1), np.eye(1))
-    rwm = {"step_scale": 2.4, "preconditioner": "mode_local", "tune": False}
+    rwm = {"step_scale": 2.4, "tune": False}
     a, da = lais_run(lais_config(total_target_samples=2000, rwm=rwm), target)
     b, db = alps_run(lais_config(total_target_samples=2000, rwm=rwm), target)
     np.testing.assert_array_equal(a, b)
@@ -272,6 +295,9 @@ def test_emit_outputs_files_and_reproducibility(tmp_path):
         lines = fh.read().splitlines()
     assert lines[0] == "sweep,x0"
     assert len(lines) == 1 + 200  # 2000 samples thinned by 10
+    # sample i is recorded in sweep i // v (v = 5)
+    assert [int(line.split(",")[0]) for line in lines[1:]] == \
+        list(range(0, 400, 2))
 
     with open(paths["a"]["acceptance.json"]) as fh:
         acc = json.load(fh)

@@ -4,7 +4,7 @@ from scipy.stats import norm
 
 from alps.density import TargetDensity
 from alps.hat import HatTarget
-from alps.kernels import (LEAP, LOCAL, RwmConfig, leap_log_ratio,
+from alps.kernels import (LEAP, LOCAL, leap_log_ratio,
                           mixture_log_density, mixture_propose,
                           mode_leap_core, quanta_swap_core, quanta_transform,
                           rwm_core, standard_swap_core)
@@ -49,7 +49,7 @@ def test_rwm_zero_displacement_accepts():
     target = gaussian_hat([0.0], [[1.0]], 1.0)
     x = np.array([0.7])
     x_new, logp, accepted = rwm_core(x, target.log_density(x), target,
-                                     RwmConfig(step_scale=1.0), StubRng())
+                                     1.0, StubRng())
     assert accepted
     np.testing.assert_array_equal(x_new, x)
 
@@ -59,8 +59,7 @@ def test_rwm_rejects_minus_inf_region():
     box.beta = 1.0
     x = np.array([0.0])
     rng = StubRng(normals=5.0, uniforms=0.5)
-    x_new, logp, accepted = rwm_core(x, 0.0, box, RwmConfig(step_scale=1.0),
-                                     rng)
+    x_new, logp, accepted = rwm_core(x, 0.0, box, 1.0, rng)
     assert not accepted
     np.testing.assert_array_equal(x_new, x)
 
@@ -69,13 +68,12 @@ def test_rwm_1d_gaussian_acceptance_benchmark():
     # 1-d N(0,1) with step 2.4: long-run acceptance about 0.44
     target = gaussian_hat([0.0], [[1.0]], 1.0)
     rng = np.random.default_rng(0)
-    cfg = RwmConfig(step_scale=2.4)
     x = np.zeros(1)
     logp = target.log_density(x)
     accepts = 0
     n = 100000
     for _ in range(n):
-        x, logp, acc = rwm_core(x, logp, target, cfg, rng)
+        x, logp, acc = rwm_core(x, logp, target, 2.4, rng)
         accepts += acc
     assert abs(accepts / n - 0.44) < 0.03
 
@@ -110,7 +108,7 @@ def test_quanta_swap_mode_points_always_accept():
     t_k1 = HatTarget(mix, snap, 16.0)
     x_k, x_k1 = snap.mus[0].copy(), snap.mus[1].copy()
     res = quanta_swap_core(x_k, x_k1, t_k.log_density(x_k),
-                           t_k1.log_density(x_k1), t_k, t_k1, snap,
+                           t_k1.log_density(x_k1), t_k, t_k1,
                            StubRng(uniforms=0.999999))
     assert res.accepted
     assert abs(res.log_ratio) < 1e-10
@@ -128,7 +126,7 @@ def test_quanta_equals_standard_at_equal_betas():
         x_k = rng.standard_normal(1)
         x_k1 = rng.standard_normal(1) + 10.0
         lq = quanta_swap_core(x_k, x_k1, t_a.log_density(x_k),
-                              t_b.log_density(x_k1), t_a, t_b, snap,
+                              t_b.log_density(x_k1), t_a, t_b,
                               StubRng()).log_ratio
         ls = standard_swap_core(x_k, x_k1, t_a.log_density(x_k),
                                 t_b.log_density(x_k1), t_a, t_b,
@@ -231,7 +229,7 @@ def test_mixture_log_density_integrates_against_proposals():
 def test_leap_self_proposal_ratio_zero():
     target = gaussian_hat([0.0, 0.0], np.eye(2), 64.0)
     x = np.array([0.1, -0.2])
-    assert leap_log_ratio(x, x.copy(), target, target.snapshot, 64.0) == 0.0
+    assert leap_log_ratio(x, x.copy(), target, 64.0) == 0.0
 
 
 def test_leap_exact_gaussian_always_accepts():
@@ -240,17 +238,16 @@ def test_leap_exact_gaussian_always_accepts():
     a = rng.standard_normal((3, 3))
     sigma = a @ a.T + 3 * np.eye(3)
     target = gaussian_hat(mu, sigma, 256.0)
-    snap = target.snapshot
     x = mu + 0.01 * rng.standard_normal(3)
     logp = target.log_density(x)
     leaps = 0
     for _ in range(500):
         x_new, logp_new, move, acc = mode_leap_core(
-            x, logp, target, snap, 256.0, RwmConfig(step_scale=0.05), rng)
+            x, logp, target, 0.05, rng)
         if move == LEAP:
             leaps += 1
             assert acc
-            ratio = leap_log_ratio(x, x_new, target, snap, 256.0, logp)
+            ratio = leap_log_ratio(x, x_new, target, 256.0, logp)
             assert abs(ratio) < 1e-8
         x, logp = x_new, logp_new
     assert leaps > 150
@@ -263,7 +260,6 @@ def test_mode_leap_move_type_split():
     x = np.zeros(1)
     logp = target.log_density(x)
     for _ in range(2000):
-        x, logp, move, _ = mode_leap_core(x, logp, target, target.snapshot,
-                                          16.0, RwmConfig(step_scale=0.5), rng)
+        x, logp, move, _ = mode_leap_core(x, logp, target, 0.5, rng)
         moves[move] += 1
     assert abs(moves[LEAP] / 2000 - 0.5) < 0.05

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -5,6 +7,7 @@ from scipy.integrate import quad
 from scipy.special import logsumexp
 
 from alps import numdiff
+from alps.targets import TARGET_PARAMS, build_target
 from alps.targets.gaussian import GaussianMixtureTarget, GaussianTarget
 from alps.targets.product import (GaussianShape, IidProductTarget, SkewShape,
                                   check_shape)
@@ -180,3 +183,27 @@ def test_gaussian_shape_derivatives():
     shape = GaussianShape()
     assert shape.h2() == -1.0
     assert shape.h3() == 0.0
+
+
+def test_build_target_takes_each_targets_own_keys():
+    csv = os.path.join(os.path.dirname(numdiff.__file__), "targets", "data",
+                       "grunfeld.csv")
+    specs = {
+        "gaussian": ({"mu": [1.0, 2.0], "sigma": np.eye(2).tolist()}, 2),
+        "gaussian_mixture": ({"weights": [0.5, 0.5], "mus": [[0.0], [5.0]],
+                              "sigmas": [[[1.0]], [[1.0]]]}, 1),
+        "skew_normal_mixture_20d": ({"dim": 4, "alpha": 3.0}, 4),
+        "sur_grunfeld": ({"first_years": 15}, 15),
+        "sur_csv": ({"path": csv, "first_years": 15}, 15),
+        "iid_product_skew": ({"dim": 3, "alpha": 10.0, "beta": 2.0}, 3),
+    }
+    assert set(specs) == set(TARGET_PARAMS)
+    for name, (params, dim) in specs.items():
+        assert set(params) == TARGET_PARAMS[name]
+        assert build_target(name, params).dim == dim
+    skew = build_target("iid_product_skew", {"dim": 2, "alpha": 10.0})
+    assert skew.h.alpha == 10.0
+    with pytest.raises(ValueError, match="alpah"):
+        build_target("iid_product_skew", {"dim": 2, "alpah": 10.0})
+    with pytest.raises(ValueError, match="unknown target"):
+        build_target("gausian", {})

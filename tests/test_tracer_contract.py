@@ -1,0 +1,52 @@
+"""The benchmark tracer (perfbench/tracer.py) patches alps functions by
+name; every name it patches must exist and still see the sweep's calls.
+
+The patches replace module attributes for the rest of a process, so the
+traced run happens in a subprocess.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+V, SWEEPS, LEVELS = 5, 10, 3
+
+SCRIPT = f"""
+import json
+import sys
+
+import numpy as np
+
+sys.path.insert(0, "perfbench")
+import tracer
+from alps import runner
+from alps.config import RunConfig
+from alps.targets.gaussian import GaussianTarget
+
+t = tracer.Tracer()
+tracer.instrument(t)
+config = RunConfig.from_dict({{
+    "target": {{"name": "gaussian"}}, "seed": 0, "v": {V},
+    "ladder": {{"betas": [0.5 ** k for k in range({LEVELS})]}},
+    "exploration": None, "total_target_samples": {V * SWEEPS}}})
+t.wrap("runner", runner.pt_run)(config, GaussianTarget(np.zeros(1), np.eye(1)))
+print(json.dumps({{
+    "rwm": t.calls("kernels.rwm", "runner"),
+    "swap_standard": t.calls("kernels.swap_standard", "runner"),
+    "record_sample": t.calls("diagnostics.record_sample")}}))
+"""
+
+
+def test_tracer_patches_see_a_pt_run():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", SCRIPT], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    counts = json.loads(proc.stdout.splitlines()[-1])
+    assert counts["rwm"] == V * SWEEPS * LEVELS
+    assert counts["swap_standard"] > 0
+    assert counts["record_sample"] == V * SWEEPS
