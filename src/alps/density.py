@@ -35,14 +35,6 @@ class TargetDensity:
     def log_density(self, x: Vector) -> float:
         return float(self._log_density(np.asarray(x, dtype=float)))
 
-    @property
-    def has_gradient(self) -> bool:
-        return self._gradient is not None
-
-    @property
-    def has_hessian(self) -> bool:
-        return self._hessian is not None
-
     def gradient(self, x: Vector) -> Vector:
         x = np.asarray(x, dtype=float)
         if self._gradient is not None:
@@ -73,3 +65,13 @@ class PowerTarget:
 
     def log_density(self, x: Vector) -> float:
         return self.beta * self.base.log_density(x)
+
+    def value_and_base(self, x: Vector) -> tuple[float, float]:
+        """(beta * log pi(x), log pi(x)) from one base evaluation.
+
+        A chain that carries log pi(x) with its state gets the value of x
+        at any other power beta' as beta' * log pi(x), the same float
+        product `log_density` returns, without evaluating pi again.
+        """
+        logpi = self.base.log_density(x)
+        return self.beta * logpi, logpi

@@ -37,25 +37,31 @@ def _proposal_log_density(diff: np.ndarray, chol: np.ndarray, log_det: float,
 
 
 def rwm_core_alloc(x: np.ndarray, logp_x: float, target, step_scale: float,
-                   rng: np.random.Generator, a_x: int | None = None):
-    """One RWM step carrying the current allocation index.
+                   rng: np.random.Generator, a_x: int | float | None = None):
+    """One RWM step carrying a per-state statistic of the chain.
 
-    Returns (x', logp', a', accepted).  On a HAT level (one with a
-    registry snapshot) the step is the allocated mode's Cholesky factor
-    times step_scale / sqrt(beta), Hastings-corrected when the allocation
-    changes; `a_x` (None: compute it here) and a' are the allocations of
-    x and x', so repeated steps evaluate each point once.  Elsewhere the
-    step is step_scale * N(0, I) and the allocation slots are None.
+    Returns (x', logp', a', accepted), where `a_x` and a' are the
+    statistics of x and x', so repeated steps evaluate each point once.
+    On a HAT level (one with a registry snapshot) the statistic is the
+    allocation index (`a_x` None: compute it here) and the step is the
+    allocated mode's Cholesky factor times step_scale / sqrt(beta),
+    Hastings-corrected when the allocation changes.  Elsewhere the step
+    is step_scale * N(0, I); on a power level (a `PowerTarget`) the
+    statistic is the base log density log pi, on any other target None.
     """
     z = rng.standard_normal(x.shape[0])
     u = rng.random()
     snapshot = getattr(target, "snapshot", None)
     if snapshot is None:
         y = x + step_scale * z
-        logp_y = target.log_density(y)
+        value_and_base = getattr(target, "value_and_base", None)
+        if value_and_base is None:
+            logp_y, a_y = target.log_density(y), None
+        else:
+            logp_y, a_y = value_and_base(y)
         if _accept(logp_y - logp_x, u):
-            return y, logp_y, None, True
-        return x, logp_x, None, False
+            return y, logp_y, a_y, True
+        return x, logp_x, a_x, False
     if a_x is None:
         a_x = target.allocate_index(x)
     scale = step_scale / np.sqrt(target.beta)
@@ -121,10 +127,21 @@ def quanta_swap_core(x_k: np.ndarray, x_k1: np.ndarray, logp_k: float,
 
 def standard_swap_core(x_k: np.ndarray, x_k1: np.ndarray, logp_k: float,
                        logp_k1: float, target_k, target_k1,
-                       rng: np.random.Generator) -> SwapResult:
+                       rng: np.random.Generator,
+                       logpi: tuple | None = None) -> SwapResult:
+    """Exchange proposal between neighbouring levels k and k+1.
+
+    On power levels `logpi` may carry (log pi(x_k), log pi(x_k1)); the
+    cross terms are then beta * log pi, the product a `PowerTarget`
+    evaluates, so no density is evaluated and the result is unchanged.
+    """
     u = rng.random()
-    lp_xk1_at_k = target_k.log_density(x_k1)
-    lp_xk_at_k1 = target_k1.log_density(x_k)
+    if logpi is None:
+        lp_xk1_at_k = target_k.log_density(x_k1)
+        lp_xk_at_k1 = target_k1.log_density(x_k)
+    else:
+        lp_xk1_at_k = target_k.beta * logpi[1]
+        lp_xk_at_k1 = target_k1.beta * logpi[0]
     log_ratio = (lp_xk1_at_k + lp_xk_at_k1) - (logp_k + logp_k1)
     if _accept(log_ratio, u):
         return SwapResult(True, log_ratio, x_k1, x_k, lp_xk1_at_k, lp_xk_at_k1)

@@ -12,6 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 _U64 = 0xFFFFFFFFFFFFFFFF
+# Philox holds four 64-bit words of output; a full buffer_pos marks it empty.
+_EMPTY_BUFFER = (0, 0, 0, 0)
 
 # Fixed stream-id layout.  Levels 0..n use ids 0..n directly.
 SWAP_STREAM = (1 << 32) + 1
@@ -20,30 +22,55 @@ EXPLORE_STREAM = (1 << 32) + 3
 SCALING_STREAM = (1 << 32) + 4
 
 
-def substream(seed: int, stream: int, counter: int = 0) -> np.random.Generator:
+def substream(seed: int, stream: int, counter: int = 0,
+              generator: np.random.Generator | None = None
+              ) -> np.random.Generator:
     """Generator for one (stream, counter) cell of the keyed family.
 
     The 128-bit Philox key holds (seed, stream); `counter` selects a
     disjoint 2^128-long block of the counter space, so per-sweep
-    substreams never overlap.
+    substreams never overlap.  Given a Philox `generator` from an earlier
+    call, its state is rewound to this cell instead: the key, the counter
+    block and an emptied output buffer, so it draws exactly what a newly
+    built generator would.
     """
     if seed < 0:
         raise ValueError("seed must be non-negative")
-    key = np.array([seed & _U64, stream & _U64], dtype=np.uint64)
-    ctr = np.array([0, 0, counter & _U64, (counter >> 64) & _U64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(counter=ctr, key=key))
+    key = (seed & _U64, stream & _U64)
+    ctr = (0, 0, counter & _U64, (counter >> 64) & _U64)
+    if generator is None:
+        return np.random.Generator(np.random.Philox(
+            counter=np.array(ctr, dtype=np.uint64),
+            key=np.array(key, dtype=np.uint64)))
+    generator.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": ctr, "key": key},
+        "buffer": _EMPTY_BUFFER, "buffer_pos": len(_EMPTY_BUFFER),
+        "has_uint32": 0, "uinteger": 0}
+    return generator
 
 
 class StreamFactory:
-    """Bound (seed -> substream) helper used by the run orchestrators."""
+    """Bound (seed -> substream) helper used by the run orchestrators.
+
+    It keeps one generator per stream id.  A later request for the same
+    id rewinds the generator returned earlier to the requested counter
+    block, so a caller must be done with a stream's previous generator
+    before it asks for that stream again.  Different ids never share a
+    generator.
+    """
 
     def __init__(self, seed: int):
         if seed < 0:
             raise ValueError("seed must be non-negative")
         self.seed = int(seed)
+        self._generators: dict = {}
 
     def stream(self, stream: int, counter: int = 0) -> np.random.Generator:
-        return substream(self.seed, stream, counter)
+        gen = substream(self.seed, stream, counter,
+                        self._generators.get(stream))
+        self._generators[stream] = gen
+        return gen
 
     def level_stream(self, level: int, sweep: int) -> np.random.Generator:
-        return substream(self.seed, level, sweep)
+        return self.stream(level, sweep)

@@ -109,7 +109,8 @@ class _Run:
 
     With `hat` the levels are HAT targets on a mode registry filled from
     config.initial_modes or else by bootstrap exploration; without it
-    they are the plain powers pi^beta and there is no registry.
+    they are the plain powers pi^beta, there is no registry, and each
+    chain carries log pi of its state in `logpis` (None on HAT levels).
     """
 
     def __init__(self, config: RunConfig, target: TargetDensity,
@@ -124,6 +125,7 @@ class _Run:
         self.diag = RunDiagnostics(d, config.n_sweeps * config.v)
         self.factory = StreamFactory(config.seed)
         self.registry = self.ec_cfg = self.snapshot = self.trunc_radius = None
+        self.logpis = None
         x0 = _initial_point(config, d)
         self.xs = [x0.copy() for _ in range(self.n + 1)]
         if hat:
@@ -182,20 +184,24 @@ class _Run:
         if self.registry is None:
             self.level_targets = [PowerTarget(self.target, b)
                                   for b in self.betas]
-        else:
-            self.snapshot = self.registry.snapshot()
-            self.level_targets = []
-            for beta in self.betas:
-                level = HatTarget(self.target, self.snapshot, float(beta))
-                if self.trunc_radius is not None and beta > 1.0:
-                    level = TruncatedHatTarget(level, self.trunc_radius)
-                self.level_targets.append(level)
+            values = [lt.value_and_base(x)
+                      for lt, x in zip(self.level_targets, self.xs)]
+            self.logps = [value for value, _ in values]
+            self.logpis = [logpi for _, logpi in values]
+            return
+        self.snapshot = self.registry.snapshot()
+        self.level_targets = []
+        for beta in self.betas:
+            level = HatTarget(self.target, self.snapshot, float(beta))
+            if self.trunc_radius is not None and beta > 1.0:
+                level = TruncatedHatTarget(level, self.trunc_radius)
+            self.level_targets.append(level)
         self.logps = [lt.log_density(x)
                       for lt, x in zip(self.level_targets, self.xs)]
         # states stranded outside a (new) truncation region restart at the
         # dominant mode point, whose HAT value is finite at every level
         for k, lp in enumerate(self.logps):
-            if self.snapshot is not None and not np.isfinite(lp):
+            if not np.isfinite(lp):
                 snap = self.snapshot
                 self.xs[k] = snap.mus[int(np.argmax(snap.log_weights))].copy()
                 self.logps[k] = self.level_targets[k].log_density(self.xs[k])
@@ -222,7 +228,9 @@ def _rwm_phase(run: _Run, t: int, levels: range) -> None:
         run.stage = f"rwm level {k}"
         rng = run.factory.level_stream(k, t)
         accepted = 0
-        a_k = None  # allocation of xs[k], carried across the reps
+        # statistic of xs[k] carried across the reps: log pi on a power
+        # level, the allocation on a HAT level (found by the first step)
+        a_k = run.logpis[k] if run.logpis else None
         for _ in range(v):
             run.xs[k], run.logps[k], a_k, acc = rwm_core_alloc(
                 run.xs[k], run.logps[k], run.level_targets[k],
@@ -231,6 +239,8 @@ def _rwm_phase(run: _Run, t: int, levels: range) -> None:
             run.diag.count(RWM, k, acc)
             if k == 0:
                 run.diag.record_sample(run.xs[0])
+        if run.logpis:
+            run.logpis[k] = a_k
         run.tune(k, accepted / v, t)
 
 
@@ -256,23 +266,28 @@ def _leap_phase(run: _Run, t: int, tune_local: bool) -> None:
 
 def _swap_phase(run: _Run, t: int) -> None:
     """s neighbour swaps; on HAT levels a coin picks QuanTA or standard
-    for each, on power levels all are standard and no coin is drawn."""
+    for each, on power levels all are standard, no coin is drawn and the
+    carried log pi values price the swaps and move with the states."""
     config, n = run.config, run.n
     if n < 1 or config.n_swaps == 0:
         return
     run.stage = "swaps"
     rng = run.factory.stream(SWAP_STREAM, t)
-    xs, logps, targets = run.xs, run.logps, run.level_targets
+    xs, logps, logpis = run.xs, run.logps, run.logpis
+    targets = run.level_targets
     for k in _swap_schedule(config.swap_strategy, n, config.n_swaps, t, rng):
         if run.snapshot is not None and rng.random() < config.swap_quanta_prob:
             res = quanta_swap_core(xs[k], xs[k + 1], logps[k], logps[k + 1],
                                    targets[k], targets[k + 1], rng)
             run.diag.count(SWAP_QUANTA, k, res.accepted)
         else:
-            res = standard_swap_core(xs[k], xs[k + 1], logps[k],
-                                     logps[k + 1], targets[k],
-                                     targets[k + 1], rng)
+            res = standard_swap_core(
+                xs[k], xs[k + 1], logps[k], logps[k + 1], targets[k],
+                targets[k + 1], rng,
+                (logpis[k], logpis[k + 1]) if logpis else None)
             run.diag.count(SWAP_STANDARD, k, res.accepted)
+            if logpis and res.accepted:
+                logpis[k], logpis[k + 1] = logpis[k + 1], logpis[k]
         xs[k], xs[k + 1] = res.x_low, res.x_high
         logps[k], logps[k + 1] = res.logp_low, res.logp_high
 

@@ -48,7 +48,7 @@ class IidProductTarget(TargetDensity):
         super().__init__(dim=dim, log_density=self._logpdf, name="iid_product")
 
     def _logpdf(self, x: np.ndarray) -> float:
-        return float(np.sum(self.beta * np.asarray(self.h(x), dtype=float)))
+        return float((self.beta * np.asarray(self.h(x), dtype=float)).sum())
 
 
 class SkewShape:

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import gammaln, logsumexp
 
-from .linalg import LOG_2PI
+from alps.linalg import LOG_2PI
 
 POWER = "power"
 WEIGHT_PRESERVING = "weight_preserving"

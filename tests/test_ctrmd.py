@@ -3,8 +3,8 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import norm
 
-from alps.ctrmd import (POWER, WEIGHT_PRESERVING, CtrmdSpec, component_masses,
-                        ctrmd_log_density, tempered_component_log_weights)
+from ctrmd import (POWER, WEIGHT_PRESERVING, CtrmdSpec, component_masses,
+                   ctrmd_log_density, tempered_component_log_weights)
 
 SPEC = CtrmdSpec(weights=(0.3, 0.7), mus=(0.0, 20.0), variances=(1.0, 4.0))
 

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from alps import runner
 from alps.cli import main
 from alps.config import ConfigError, RunConfig
+from alps.density import TargetDensity
 from alps.diagnostics import (LEAP, LEAP_LOCAL, RWM, SWAP_QUANTA,
                               SWAP_STANDARD, running_prob_estimate)
+from alps.kernels import standard_swap_core
 from alps.outputs import emit_outputs
 from alps.runner import _swap_schedule, alps_run, lais_run, pt_run
 from alps.targets.gaussian import GaussianTarget
@@ -188,6 +191,27 @@ def test_pt_run_counter_identities():
     assert len(diag.tuned_step_scales) == 3
     assert diag.registry is None
     assert len(samples) == 1000
+
+
+def test_pt_run_swaps_evaluate_no_density(monkeypatch):
+    # each chain carries log pi of its state: pi is evaluated once per
+    # chain at set-up and once per RWM proposal, never by a swap
+    base = GaussianTarget(np.zeros(1), np.eye(1))
+    calls = []
+    target = TargetDensity(
+        1, lambda x: calls.append(None) or base.log_density(x))
+    cfg = pt_config(total_target_samples=1000, burnin_samples=100)
+    samples, diag = pt_run(cfg, target)
+    assert proposals(diag, SWAP_STANDARD) == cfg.n_swaps * diag.n_sweeps > 0
+    carried = len(calls)
+    assert carried == 3 * (1 + cfg.v * diag.n_sweeps)
+    # and the run is the one that prices every swap by two evaluations
+    monkeypatch.setattr(runner, "standard_swap_core",
+                        lambda *args: standard_swap_core(*args[:7]))
+    evaluated, diag_evaluated = pt_run(cfg, target)
+    assert len(calls) - carried == carried + 2 * cfg.n_swaps * diag.n_sweeps
+    np.testing.assert_array_equal(samples, evaluated)
+    assert diag.counters == diag_evaluated.counters
 
 
 def test_pt_run_is_deterministic():

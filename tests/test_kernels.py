@@ -2,7 +2,7 @@ import numpy as np
 from scipy.integrate import dblquad
 from scipy.stats import norm
 
-from alps.density import TargetDensity
+from alps.density import PowerTarget, TargetDensity
 from alps.hat import HatTarget
 from alps.kernels import (LEAP, LOCAL, leap_log_ratio,
                           mixture_log_density, mixture_propose,
@@ -144,6 +144,30 @@ def test_standard_swap_trivial_accepts():
                              t_b.log_density(x), t_a, t_b,
                              StubRng(uniforms=0.999999))
     assert res.accepted and abs(res.log_ratio) < 1e-14
+
+
+def test_standard_swap_with_carried_logpi_is_exact():
+    # pricing a swap from carried log pi gives the evaluating path's
+    # result bit for bit, also where pi vanishes (x[0] < -1)
+    base = TargetDensity(
+        2, lambda x: -0.5 * float(x @ x) if x[0] > -1.0 else -np.inf)
+    rng = np.random.default_rng(11)
+    for _ in range(500):
+        t_k, t_k1 = (PowerTarget(base, b) for b in rng.uniform(0.01, 1.0, 2))
+        x_k, x_k1 = rng.normal(0.0, 2.0, (2, 2))
+        lp_k, lp_k1 = base.log_density(x_k), base.log_density(x_k1)
+        args = (x_k, x_k1, t_k.log_density(x_k), t_k1.log_density(x_k1),
+                t_k, t_k1)
+        seed = int(rng.integers(1 << 32))
+        ref = standard_swap_core(*args, np.random.default_rng(seed))
+        got = standard_swap_core(*args, np.random.default_rng(seed),
+                                 (lp_k, lp_k1))
+        assert got.accepted == ref.accepted
+        for name in ("log_ratio", "logp_low", "logp_high"):
+            assert (np.float64(getattr(got, name)).tobytes()
+                    == np.float64(getattr(ref, name)).tobytes())
+        np.testing.assert_array_equal(got.x_low, ref.x_low)
+        np.testing.assert_array_equal(got.x_high, ref.x_high)
 
 
 def test_standard_swap_rate_matches_quadrature():

@@ -17,8 +17,13 @@ def test_quadratic_exact():
 def test_quadratic_with_analytic_gradient():
     a = np.array([0.3, 0.7])
     target = GaussianTarget(a, np.diag([2.0, 0.5]))
-    assert target.has_gradient
-    mu, converged = local_optimize(np.array([-4.0, 6.0]), target,
+    x0 = np.array([-4.0, 6.0])
+    # Sigma^{-1} (a - x0), to rounding: a finite-difference fallback
+    # would be off by far more
+    np.testing.assert_allclose(target.gradient(x0),
+                               [(0.3 + 4.0) / 2.0, (0.7 - 6.0) / 0.5],
+                               rtol=1e-13)
+    mu, converged = local_optimize(x0, target,
                                    OptimizerConfig(gradient_tolerance=1e-10))
     assert converged
     np.testing.assert_allclose(mu, a, atol=1e-8)

@@ -38,3 +38,23 @@ def test_factory_streams_independent_of_call_order():
     x2 = f2.stream(LEAP_STREAM, 3).random(4)
     np.testing.assert_array_equal(x, x2)
     np.testing.assert_array_equal(y, y2)
+
+
+def test_factory_rewinds_one_generator_per_stream():
+    factory = StreamFactory(seed=9)
+    generators = {}
+    for counter in (0, 1, 7, (1 << 64) + 3, 1):
+        for sid in (0, 3, SWAP_STREAM, LEAP_STREAM):
+            if sid < SWAP_STREAM:
+                gen = factory.level_stream(sid, counter)
+            else:
+                gen = factory.stream(sid, counter)
+            fresh = substream(9, sid, counter)
+            np.testing.assert_array_equal(gen.standard_normal(5),
+                                          fresh.standard_normal(5))
+            np.testing.assert_array_equal(gen.random(3), fresh.random(3))
+            # leaves a buffered uint32 for the next request to discard
+            assert (gen.integers(0, 1000, dtype=np.uint32)
+                    == fresh.integers(0, 1000, dtype=np.uint32))
+            assert generators.setdefault(sid, gen) is gen
+    assert len({id(gen) for gen in generators.values()}) == 4

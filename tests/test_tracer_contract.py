@@ -35,7 +35,8 @@ t.wrap("runner", runner.pt_run)(config, GaussianTarget(np.zeros(1), np.eye(1)))
 print(json.dumps({{
     "rwm": t.calls("kernels.rwm", "runner"),
     "swap_standard": t.calls("kernels.swap_standard", "runner"),
-    "record_sample": t.calls("diagnostics.record_sample")}}))
+    "record_sample": t.calls("diagnostics.record_sample"),
+    "substream": t.calls("rng.substream")}}))
 """
 
 
@@ -50,3 +51,5 @@ def test_tracer_patches_see_a_pt_run():
     assert counts["rwm"] == V * SWEEPS * LEVELS
     assert counts["swap_standard"] > 0
     assert counts["record_sample"] == V * SWEEPS
+    # one stream per level and one swap stream per sweep
+    assert counts["substream"] == SWEEPS * (LEVELS + 1)
