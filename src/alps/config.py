@@ -306,31 +306,11 @@ def _sur_grunfeld_preset() -> dict:
     }
 
 
-def _sur_drton_preset() -> dict:
-    # Bivariate two-mode example; requires a user-supplied CSV (the
-    # 8-observation dataset is not bundled).
-    return {
-        "target": {"name": "sur_csv", "params": {"path": "drton.csv"}},
-        "ladder": {"beta_hot": 0.5,
-                   "betas": [1.0, float(np.sqrt(10.0)), 10.0]},
-        "seed": 1,
-        "v": 5,
-        "s": 2,
-        "rwm": {"step_scale": 1.0, "tune": True},
-        "exploration": {"enabled": True, "step_scale": 2.0},
-        "truncation": {"enabled": True, "level": 0.9999},
-        "total_target_samples": 20000,
-        "burnin_samples": 2000,
-        "init": None,
-    }
-
-
 PRESETS = {
     "synthetic-20d": _benchmark_preset,
     "synthetic-20d-pt": _benchmark_pt_preset,
     "synthetic-20d-lais": _benchmark_lais_preset,
     "sur-grunfeld": _sur_grunfeld_preset,
-    "sur-drton": _sur_drton_preset,
 }
 
 

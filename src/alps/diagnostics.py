@@ -45,14 +45,6 @@ class RunDiagnostics:
         self.samples[self.n_recorded] = x
         self.n_recorded += 1
 
-    def acceptance_rate(self, move: str, level: int | None = None) -> float:
-        acc = tot = 0
-        for (mv, lv), (a, n) in self.counters.items():
-            if mv == move and (level is None or lv == level):
-                acc += a
-                tot += n
-        return acc / tot if tot else np.nan
-
     def acceptance_dict(self) -> dict:
         out: dict = {}
         for (move, level), (acc, tot) in sorted(self.counters.items()):

@@ -164,10 +164,6 @@ def chi2_quantile(level: float, dim: int) -> float:
     return 0.5 * (lo + hi)
 
 
-def default_truncation_radius(dim: int, level: float = 0.9999) -> float:
-    return chi2_quantile(level, dim)
-
-
 def gaussian_log_pdf_terms(snapshot: RegistrySnapshot, qf: np.ndarray,
                            beta: float) -> np.ndarray:
     """log phi(x | mu_j, Sigma_j / beta) for all j, from shared quad forms."""

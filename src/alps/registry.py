@@ -100,10 +100,6 @@ def approximate_log_weights(modes: list[ModeInfo]) -> np.ndarray:
     return raw - logsumexp(raw)
 
 
-def approximate_weights(modes: list[ModeInfo]) -> np.ndarray:
-    return np.exp(approximate_log_weights(modes))
-
-
 def pseudo_distance(a: ModeInfo, b: ModeInfo, dim: int | None = None) -> float:
     """d^{-1} max of the two Mahalanobis quadratic forms between mode points."""
     if a.dim != b.dim:

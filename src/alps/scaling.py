@@ -8,6 +8,11 @@ independence-sampler acceptance rate E[min(1, e^B)] approaches
 
 as d grows.  This module estimates the left side by Monte Carlo and
 evaluates the right side in closed form.
+
+The current state x is drawn coordinate-wise by rejection from exp(beta*h),
+and the rejection sampler hands back h(x) with each draw.  The leap ratio
+carries those values, so the shape is evaluated once per proposal of the
+rejection sampler and once per leap proposal y, never again at x.
 """
 
 from __future__ import annotations
@@ -50,8 +55,8 @@ class ScalingExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.ell <= 0:
-            raise ValueError("ell must be positive")
+        if not (math.isfinite(self.ell) and self.ell > 0):
+            raise ValueError(f"ell must be finite and positive, got {self.ell!r}")
         dims = tuple(int(d) for d in self.dims)
         if not dims or any(d < 2 for d in dims):
             raise ValueError("dims must all be at least 2")
@@ -102,41 +107,76 @@ def _envelope_log_constant(shape: Callable, beta: float, env_sd: float) -> float
     return float(np.max(log_ratio)) + 1e-6 * (1.0 + beta)
 
 
+def _rejection_batch(shape: Callable, beta: float, env_sd: float,
+                     log_env_norm: float, log_m: float, m: int, rng) -> tuple:
+    """m envelope proposals; returns the accepted ones and h at each.
+
+    A function of its own so that its temporaries are freed before the
+    next batch allocates.
+    """
+    t = env_sd * rng.standard_normal(m)
+    h = np.asarray(shape(t), dtype=float)
+    # beta*h + 0.5*(t/env_sd)**2 + log_env_norm - log_m, in place
+    log_acc = beta * h
+    sq = t / env_sd
+    sq **= 2
+    sq *= 0.5
+    log_acc += sq
+    log_acc += log_env_norm
+    log_acc -= log_m
+    if np.any(log_acc > 0):
+        bad = float(t[np.argmax(log_acc)])
+        raise EnvelopeViolationError(
+            bad, f"rejection envelope violated at x = {bad:.6g} "
+                 f"(excess {float(np.max(log_acc)):.3e} in log density)")
+    u = rng.random(m, out=sq)  # sq is spent; its buffer takes the uniforms
+    np.negative(u, out=u)
+    keep = np.flatnonzero(np.log1p(u, out=u) < log_acc)
+    return t[keep], h[keep]
+
+
 def _sample_tempered_coords(shape: Callable, beta: float, env_sd: float,
-                            log_m: float, n_coords: int, rng) -> np.ndarray:
-    """Draw n_coords iid values with density proportional to exp(beta*h)."""
+                            log_m: float, n_coords: int, rng) -> tuple:
+    """Draw n_coords iid values with density proportional to exp(beta*h).
+
+    Returns (draws, h(draws)).  Each h value is copied from the shape
+    evaluation the draw's acceptance test already made, so callers never
+    evaluate the shape at the draws again.
+    """
     out = np.empty(n_coords)
+    h_out = np.empty(n_coords)
     filled = 0
     log_env_norm = math.log(env_sd * math.sqrt(2.0 * math.pi))
     while filled < n_coords:
         m = min(max(2 * (n_coords - filled), 64), _BATCH)
-        t = env_sd * rng.standard_normal(m)
-        log_acc = (beta * np.asarray(shape(t), dtype=float)
-                   + 0.5 * (t / env_sd) ** 2 + log_env_norm - log_m)
-        if np.any(log_acc > 0):
-            bad = float(t[np.argmax(log_acc)])
-            raise EnvelopeViolationError(
-                bad, f"rejection envelope violated at x = {bad:.6g} "
-                     f"(excess {float(np.max(log_acc)):.3e} in log density)")
-        keep = np.log1p(-rng.random(m)) < log_acc
-        kept = t[keep]
+        kept, h_kept = _rejection_batch(shape, beta, env_sd, log_env_norm,
+                                        log_m, m, rng)
         take = min(kept.size, n_coords - filled)
         out[filled:filled + take] = kept[:take]
+        h_out[filled:filled + take] = h_kept[:take]
         filled += take
-    return out
+    return out, h_out
+
+
+def _g_row_sums(t: np.ndarray, h: np.ndarray, abs_h2: float) -> np.ndarray:
+    """Row sums of g(t) = h(t) + |H| t^2 / 2, given h already evaluated at t."""
+    g = 0.5 * abs_h2 * t
+    g *= t
+    g += h
+    return g.sum(axis=1)
 
 
 def _leap_log_ratios(shape: Callable, beta: float, abs_h2: float,
-                     x: np.ndarray, y: np.ndarray) -> np.ndarray:
+                     gx_sums: np.ndarray, y: np.ndarray) -> np.ndarray:
     """B = beta * (sum_i g(y_i) - sum_i g(x_i)), g(t) = h(t) + |H| t^2 / 2.
 
-    The per-coordinate form makes a symmetric Gaussian shape cancel
-    exactly (g identically zero), so its observed rate is 1 bitwise.
+    The row sums of g(x) come in carried (`_g_row_sums` of the sampler's
+    draws and their h values); the shape is evaluated at y only.  The
+    per-coordinate form makes a symmetric Gaussian shape cancel exactly
+    (g identically zero), so its observed rate is 1 bitwise.
     """
-    half_h2 = 0.5 * abs_h2
-    gx = np.asarray(shape(x), dtype=float) + half_h2 * x * x
-    gy = np.asarray(shape(y), dtype=float) + half_h2 * y * y
-    return beta * (gy.sum(axis=1) - gx.sum(axis=1))
+    gy_sums = _g_row_sums(y, np.asarray(shape(y), dtype=float), abs_h2)
+    return beta * (gy_sums - gx_sums)
 
 
 def scaling_experiment(cfg: ScalingExperimentConfig) -> list:
@@ -158,10 +198,13 @@ def scaling_experiment(cfg: ScalingExperimentConfig) -> list:
         done = 0
         while done < cfg.samples:
             rows_here = min(cfg.samples - done, max(_BATCH // d, 1))
-            x = _sample_tempered_coords(cfg.shape, beta, env_sd, log_m,
-                                        rows_here * d, rng).reshape(rows_here, d)
+            x, hx = _sample_tempered_coords(cfg.shape, beta, env_sd, log_m,
+                                            rows_here * d, rng)
+            gx_sums = _g_row_sums(x.reshape(rows_here, d),
+                                  hx.reshape(rows_here, d), abs_h2)
+            del x, hx  # freed before y is drawn, so peak memory stays flat
             y = prop_sd * rng.standard_normal((rows_here, d))
-            b = _leap_log_ratios(cfg.shape, beta, abs_h2, x, y)
+            b = _leap_log_ratios(cfg.shape, beta, abs_h2, gx_sums, y)
             vals[done:done + rows_here] = np.where(b >= 0.0, 1.0, np.exp(b))
             done += rows_here
         observed = float(np.mean(vals))

@@ -66,8 +66,9 @@ class SkewShape:
         self._peak = float(skew_log_pdf(self.m0, alpha))
 
     def __call__(self, x):
-        return skew_log_pdf(np.asarray(x, dtype=float) + self.m0,
-                            self.alpha) - self._peak
+        h = skew_log_pdf(np.asarray(x, dtype=float) + self.m0, self.alpha)
+        h -= self._peak
+        return h
 
     def h2(self) -> float:
         return numdiff.richardson_second_derivative(

@@ -26,9 +26,21 @@ def mills_ratio(t):
 
 
 def skew_log_pdf(z, alpha: float):
-    """log of the normalized 1-d skew-normal 2 phi(z) Phi(alpha z)."""
+    """log of the normalized 1-d skew-normal 2 phi(z) Phi(alpha z).
+
+    Computed in place with the floating-point operations of
+    LOG_2 + _norm_log_pdf(z) + log_ndtr(alpha z), summed in that order, so
+    the bits match that expression while a bulk array holds at most two
+    temporaries at a time.
+    """
     z = np.asarray(z, dtype=float)
-    return LOG_2 + _norm_log_pdf(z) + log_ndtr(alpha * z)
+    tail = log_ndtr(alpha * z)
+    out = z * z
+    out += LOG_2PI
+    out *= -0.5
+    out += LOG_2
+    out += tail
+    return out
 
 
 def skew_log_pdf_d1(z, alpha: float):

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from scipy.stats import chi2, multivariate_normal, norm
 
+from alps.config import TruncationSettings
 from alps.hat import (HatTarget, TruncatedHatTarget, allocate_mode,
-                      chi2_quantile, default_truncation_radius,
-                      gaussian_log_pdf_terms)
+                      chi2_quantile, gaussian_log_pdf_terms)
 from alps.registry import (ModeRegistry, RegistrySnapshot, make_mode_info,
                            try_insert)
 from alps.targets.gaussian import GaussianMixtureTarget, GaussianTarget
@@ -206,7 +206,9 @@ def test_chi2_quantile_validates():
 
 
 def test_default_truncation_radius():
-    assert abs(default_truncation_radius(20) - chi2.ppf(0.9999, 20)) < 1e-6
+    level = TruncationSettings().level
+    assert level == 0.9999
+    assert abs(chi2_quantile(level, 20) - chi2.ppf(0.9999, 20)) < 1e-6
 
 
 def test_hat_rejects_bad_construction():

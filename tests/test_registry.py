@@ -2,9 +2,13 @@ import numpy as np
 import pytest
 
 from alps.registry import (IndefiniteHessianError, ModeRegistry,
-                           approximate_weights, covariance_from_hessian,
+                           approximate_log_weights, covariance_from_hessian,
                            default_tol, make_mode_info, pseudo_distance,
                            try_insert)
+
+
+def approximate_weights(modes):
+    return np.exp(approximate_log_weights(modes))
 
 
 def mode_1d(mu, var, log_pi):

@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 from scipy import stats
 from scipy.integrate import quad
-from scipy.special import logsumexp
+from scipy.special import log_ndtr, logsumexp
 
 from alps import numdiff
 from alps.targets import TARGET_PARAMS, build_target
+from alps.linalg import LOG_2PI
 from alps.targets.gaussian import GaussianMixtureTarget, GaussianTarget
 from alps.targets.product import (GaussianShape, IidProductTarget, SkewShape,
                                   check_shape)
-from alps.targets.skewnormal import (SkewNormalMixtureTarget, benchmark_target,
-                                     skew_log_pdf, skew_log_pdf_d1,
+from alps.targets.skewnormal import (LOG_2, SkewNormalMixtureTarget,
+                                     benchmark_target, skew_log_pdf,
+                                     skew_log_pdf_d1,
                                      skew_log_pdf_d2, skew_log_pdf_d3,
                                      skew_normal_mode_offset)
 
@@ -23,6 +25,38 @@ def test_skew_log_pdf_matches_scipy():
         np.testing.assert_allclose(skew_log_pdf(x, alpha),
                                    stats.skewnorm.logpdf(x, alpha),
                                    rtol=1e-12, atol=1e-12)
+
+
+def reference_skew_log_pdf(z, alpha):
+    """skew_log_pdf as one expression."""
+    z = np.asarray(z, dtype=float)
+    return LOG_2 + -0.5 * (z * z + LOG_2PI) + log_ndtr(alpha * z)
+
+
+def test_skew_log_pdf_matches_one_expression_reference():
+    rng = np.random.default_rng(7)
+    special = np.array([np.inf, -np.inf, np.nan, 0.0, -0.0])
+    inputs = [0.3, -2.5, np.float64(1.7), np.inf, -np.inf, np.nan, special,
+              rng.standard_normal(20), 3.0 * rng.standard_normal((40, 9))]
+    huge = np.array([1e200, -1e200])
+    for alpha in (2.0, 10.0, -3.0):
+        for z in inputs:
+            got = skew_log_pdf(z, alpha)
+            want = reference_skew_log_pdf(z, alpha)
+            assert type(got) is type(want)
+            assert np.shape(got) == np.shape(want)
+            assert np.array_equal(got, want, equal_nan=True)
+        # z * z overflows to inf in both forms, with numpy's warning
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            got = skew_log_pdf(huge, alpha)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            want = reference_skew_log_pdf(huge, alpha)
+        assert np.array_equal(got, want, equal_nan=True)
+        shape = SkewShape(alpha)
+        peak = float(reference_skew_log_pdf(shape.m0, alpha))
+        for z in inputs[6:]:
+            want = reference_skew_log_pdf(z + shape.m0, alpha) - peak
+            assert np.array_equal(shape(z), want, equal_nan=True)
 
 
 def test_skew_log_pdf_integrates_to_one():
