@@ -17,23 +17,48 @@ class TargetDensity:
     `log_density` may return -inf where the density vanishes.  Evaluation
     must be pure: targets are shared across levels and, potentially,
     worker threads.
+
+    `log_density_batch(X)` evaluates the rows of an (L, dim) array and
+    returns an (L,) array whose entry i is bit for bit
+    `log_density(X[i])`, so a caller may batch the points of many chains
+    without changing any decision.  A target may supply a vectorized
+    `log_density_batch` callback that keeps this equality; without one,
+    the rows are evaluated one at a time through `log_density`.
     """
 
     def __init__(self, dim: int,
                  log_density: Callable[[Vector], float],
                  gradient: Optional[Callable[[Vector], Vector]] = None,
                  hessian: Optional[Callable[[Vector], np.ndarray]] = None,
-                 name: str = "target"):
+                 name: str = "target",
+                 log_density_batch: Optional[
+                     Callable[[np.ndarray], np.ndarray]] = None):
         if dim < 1:
             raise ValueError("dim must be positive")
         self.dim = int(dim)
         self._log_density = log_density
+        self._log_density_batch = log_density_batch
         self._gradient = gradient
         self._hessian = hessian
         self.name = name
 
     def log_density(self, x: Vector) -> float:
         return float(self._log_density(np.asarray(x, dtype=float)))
+
+    def log_density_batch(self, xs: np.ndarray) -> np.ndarray:
+        """log_density of each row of the (L, dim) array `xs`, as (L,)."""
+        xs = np.asarray(xs, dtype=float)
+        if xs.ndim != 2 or xs.shape[1] != self.dim:
+            raise ValueError(f"expected an (L, {self.dim}) batch, got shape "
+                             f"{xs.shape}")
+        if self._log_density_batch is None:
+            out = np.array([self.log_density(x) for x in xs], dtype=float)
+        else:
+            out = np.asarray(self._log_density_batch(xs), dtype=float)
+        if out.shape != (xs.shape[0],):
+            raise ValueError(f"{self.name}: batch log density has shape "
+                             f"{out.shape}, expected ({xs.shape[0]},)")
+        return out
 
     def gradient(self, x: Vector) -> Vector:
         x = np.asarray(x, dtype=float)

@@ -6,6 +6,11 @@ Moves follow from the level target: a HAT level's registry snapshot
 gives mode-local RWM steps and QuanTA mode points, a power-tempered
 level gets the plain random walk.  All acceptance ratios are formed and
 compared in log space; each decision consumes exactly one uniform draw.
+
+An RWM step is three calls: `rwm_propose` draws the proposal and its
+uniform, the caller evaluates it (`rwm_evaluate`, or a batched call over
+many levels), and `rwm_decide` accepts or rejects.  `rwm_core` composes
+them for a single chain, so there is one RWM formula.
 """
 
 from __future__ import annotations
@@ -36,41 +41,54 @@ def _proposal_log_density(diff: np.ndarray, chol: np.ndarray, log_det: float,
                    + float(z @ z))
 
 
-def rwm_core_alloc(x: np.ndarray, logp_x: float, target, step_scale: float,
-                   rng: np.random.Generator, a_x: int | float | None = None):
-    """One RWM step carrying a per-state statistic of the chain.
+def rwm_propose(x: np.ndarray, target, step_scale: float,
+                rng: np.random.Generator, a_x: int | float | None = None):
+    """Draw one RWM proposal from x; returns (y, u, a_x).
 
-    Returns (x', logp', a', accepted), where `a_x` and a' are the
-    statistics of x and x', so repeated steps evaluate each point once.
-    On a HAT level (one with a registry snapshot) the statistic is the
-    allocation index (`a_x` None: compute it here) and the step is the
-    allocated mode's Cholesky factor times step_scale / sqrt(beta),
-    Hastings-corrected when the allocation changes.  Elsewhere the step
-    is step_scale * N(0, I); on a power level (a `PowerTarget`) the
-    statistic is the base log density log pi, on any other target None.
+    Draws z ~ N(0, I), then the acceptance uniform u.  On a HAT level (one
+    with a registry snapshot) `a_x` is the allocation index of x, computed
+    here when None, and the step is the allocated mode's Cholesky factor
+    times step_scale / sqrt(beta) applied to z.  Elsewhere the step is
+    step_scale * z and `a_x` is passed through unchanged.
     """
     z = rng.standard_normal(x.shape[0])
     u = rng.random()
     snapshot = getattr(target, "snapshot", None)
     if snapshot is None:
-        y = x + step_scale * z
-        value_and_base = getattr(target, "value_and_base", None)
-        if value_and_base is None:
-            logp_y, a_y = target.log_density(y), None
-        else:
-            logp_y, a_y = value_and_base(y)
-        if _accept(logp_y - logp_x, u):
-            return y, logp_y, a_y, True
-        return x, logp_x, a_x, False
+        return x + step_scale * z, u, a_x
     if a_x is None:
         a_x = target.allocate_index(x)
     scale = step_scale / np.sqrt(target.beta)
-    y = x + scale * (snapshot.chols[a_x] @ z)
-    logp_y, a_y = target.value_and_alloc(y)
+    return x + scale * (snapshot.chols[a_x] @ z), u, a_x
+
+
+def rwm_evaluate(target, y: np.ndarray):
+    """(log density of y, its statistic) as `rwm_decide` takes them: the
+    allocation on a HAT level, log pi on a power level (a `PowerTarget`),
+    None on any other target."""
+    if getattr(target, "snapshot", None) is not None:
+        return target.value_and_alloc(y)
+    value_and_base = getattr(target, "value_and_base", None)
+    if value_and_base is None:
+        return target.log_density(y), None
+    return value_and_base(y)
+
+
+def rwm_decide(x: np.ndarray, logp_x: float, a_x, y: np.ndarray, u: float,
+               logp_y: float, a_y, target, step_scale: float):
+    """Accept or reject the proposal y of `rwm_propose`, evaluated as
+    `rwm_evaluate` does; returns (x', logp', a', accepted).
+
+    `a_x` and `a_y` are the statistics of x and y, carried so that
+    repeated steps evaluate each point once.  On a HAT level whose
+    allocation changed the Hastings correction is applied.
+    """
     log_ratio = logp_y - logp_x
-    if a_y != a_x and np.isfinite(logp_y):
+    snapshot = getattr(target, "snapshot", None)
+    if snapshot is not None and a_y != a_x and np.isfinite(logp_y):
         # allocation changed: the frozen-L proposal is no longer
         # symmetric, so apply the Hastings correction
+        scale = step_scale / np.sqrt(target.beta)
         diff = y - x
         fwd = _proposal_log_density(diff, snapshot.chols[a_x],
                                     snapshot.log_dets[a_x], scale)
@@ -84,9 +102,13 @@ def rwm_core_alloc(x: np.ndarray, logp_x: float, target, step_scale: float,
 
 def rwm_core(x: np.ndarray, logp_x: float, target, step_scale: float,
              rng: np.random.Generator):
-    """One RWM step; returns (x', logp', accepted)."""
-    y, logp_y, _, accepted = rwm_core_alloc(x, logp_x, target, step_scale, rng)
-    return y, logp_y, accepted
+    """One RWM step of a single chain, propose -> evaluate -> decide;
+    returns (x', logp', accepted)."""
+    y, u, a_x = rwm_propose(x, target, step_scale, rng)
+    logp_y, a_y = rwm_evaluate(target, y)
+    x, logp, _, accepted = rwm_decide(x, logp_x, a_x, y, u, logp_y, a_y,
+                                      target, step_scale)
+    return x, logp, accepted
 
 
 def quanta_transform(x: np.ndarray, beta_from: float, beta_to: float,
@@ -170,14 +192,18 @@ def mixture_log_density(snapshot: RegistrySnapshot, beta: float,
                         + gaussian_log_pdf_terms(snapshot, qf, beta))
 
 
-def leap_log_ratio(x: np.ndarray, y: np.ndarray, target, beta: float,
-                   logp_x: float | None = None) -> float:
-    """Independence-sampler log acceptance ratio for proposal y from x."""
+def leap_log_ratio(x: np.ndarray, y: np.ndarray, target,
+                   logp_x: float | None = None,
+                   logp_y: float | None = None) -> float:
+    """Independence-sampler log acceptance ratio for the mixture proposal
+    y from x at the level's temperature; log densities not given are
+    evaluated."""
     if logp_x is None:
         logp_x = target.log_density(x)
-    logp_y = target.log_density(y)
-    lq_x = mixture_log_density(target.snapshot, beta, x)
-    lq_y = mixture_log_density(target.snapshot, beta, y)
+    if logp_y is None:
+        logp_y = target.log_density(y)
+    lq_x = mixture_log_density(target.snapshot, target.beta, x)
+    lq_y = mixture_log_density(target.snapshot, target.beta, y)
     return (logp_y + lq_x) - (logp_x + lq_y)
 
 
@@ -193,9 +219,7 @@ def mode_leap_core(x: np.ndarray, logp_x: float, target, step_scale: float,
     y = mixture_propose(target.snapshot, target.beta, rng)
     u = rng.random()
     logp_y = target.log_density(y)
-    lq_x = mixture_log_density(target.snapshot, target.beta, x)
-    lq_y = mixture_log_density(target.snapshot, target.beta, y)
-    log_ratio = (logp_y + lq_x) - (logp_x + lq_y)
+    log_ratio = leap_log_ratio(x, y, target, logp_x, logp_y)
     if _accept(log_ratio, u):
         return y, logp_y, LEAP, True
     return x, logp_x, LEAP, False

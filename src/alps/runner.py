@@ -11,8 +11,10 @@ A run type is the list of phases one sweep applies, in order:
   level 0.  It is ALPS on a one-level ladder whose leap-local RWM step
   is tuned.
 
-RWM and leap phases make v updates per level.  Level-0 states are
-recorded after every level-0 update, so total_target_samples = v * sweeps.
+RWM and leap phases make v updates per level.  The RWM phase advances
+its levels in lockstep: each repetition proposes at every level, then
+evaluates, then decides at every level.  Level-0 states are recorded
+after every level-0 update, so total_target_samples = v * sweeps.
 """
 
 from __future__ import annotations
@@ -31,7 +33,10 @@ from .diagnostics import (HOT, LEAP, LEAP_LOCAL, RWM, SWAP_QUANTA,
 from .exploration import ExplorationConfig, hessian_at, mfind
 from .hat import HatTarget, TruncatedHatTarget, chi2_quantile
 from .kernels import (mode_leap_core, quanta_swap_core, rwm_core,
-                      rwm_core_alloc, standard_swap_core)
+                      rwm_evaluate, rwm_propose, standard_swap_core)
+# perfbench/tracer.py counts the sweep's RWM updates, one decision each,
+# through this name
+from .kernels import rwm_decide as rwm_core_alloc
 from .optimize import local_optimize
 from .registry import (IndefiniteHessianError, ModeRegistry,
                        covariance_from_hessian, make_mode_info, try_insert)
@@ -223,25 +228,49 @@ class _Run:
 # wrappers installed on those names see every call.
 
 def _rwm_phase(run: _Run, t: int, levels: range) -> None:
+    """v RWM updates per level, the levels in lockstep.
+
+    Each repetition draws every level's proposal from the level's own
+    stream, evaluates them all, then lets each level decide.  Power
+    levels are evaluated by one `log_density_batch` call on the base
+    target, and level k's value is beta_k * log pi, the product its
+    `PowerTarget` returns; HAT levels evaluate one by one.  The streams
+    are keyed on (level, sweep), so the draws, and hence the run, are
+    those of updating the levels one after another.
+    """
+    if not levels:
+        return
     v = run.config.v
-    for k in levels:
-        run.stage = f"rwm level {k}"
-        rng = run.factory.level_stream(k, t)
-        accepted = 0
-        # statistic of xs[k] carried across the reps: log pi on a power
-        # level, the allocation on a HAT level (found by the first step)
-        a_k = run.logpis[k] if run.logpis else None
-        for _ in range(v):
-            run.xs[k], run.logps[k], a_k, acc = rwm_core_alloc(
-                run.xs[k], run.logps[k], run.level_targets[k],
-                run.step_scales[k], rng, a_k)
-            accepted += int(acc)
+    xs, logps, targets = run.xs, run.logps, run.level_targets
+    steps = run.step_scales
+    rngs = [run.factory.level_stream(k, t) for k in levels]
+    # statistic of each state carried across the reps: log pi on a power
+    # level (run.logpis, updated in place), the allocation on a HAT level
+    # (found by the level's first proposal)
+    stats = run.logpis if run.logpis else [None] * len(xs)
+    accepted = dict.fromkeys(levels, 0)
+    span = f"levels {levels[0]}-{levels[-1]}"
+    for r in range(v):
+        run.stage = f"rwm rep {r}, {span}"
+        proposals = [rwm_propose(xs[k], targets[k], steps[k], rng, stats[k])
+                     for k, rng in zip(levels, rngs)]
+        if run.logpis:
+            logpi_ys = run.target.log_density_batch(
+                np.array([y for y, _, _ in proposals])).tolist()
+            values = [(targets[k].beta * logpi_y, logpi_y)
+                      for k, logpi_y in zip(levels, logpi_ys)]
+        else:
+            values = [rwm_evaluate(targets[k], y)
+                      for k, (y, _, _) in zip(levels, proposals)]
+        for k, (y, u, a_x), (logp_y, a_y) in zip(levels, proposals, values):
+            xs[k], logps[k], stats[k], acc = rwm_core_alloc(
+                xs[k], logps[k], a_x, y, u, logp_y, a_y, targets[k], steps[k])
+            accepted[k] += acc
             run.diag.count(RWM, k, acc)
             if k == 0:
-                run.diag.record_sample(run.xs[0])
-        if run.logpis:
-            run.logpis[k] = a_k
-        run.tune(k, accepted / v, t)
+                run.diag.record_sample(xs[0])
+    for k in levels:
+        run.tune(k, accepted[k] / v, t)
 
 
 def _leap_phase(run: _Run, t: int, tune_local: bool) -> None:

@@ -107,6 +107,21 @@ def _envelope_log_constant(shape: Callable, beta: float, env_sd: float) -> float
     return float(np.max(log_ratio)) + 1e-6 * (1.0 + beta)
 
 
+def _log_acceptance(t: np.ndarray, h: np.ndarray, beta: float, env_sd: float,
+                    log_env_norm: float, log_m: float) -> np.ndarray:
+    """Rejection log acceptance ratio of the envelope proposals t with
+    shape values h: beta*h + 0.5*(t/env_sd)**2 + log_env_norm - log_m,
+    summed left to right, computed in place with one temporary."""
+    log_acc = beta * h
+    sq = t / env_sd
+    sq **= 2
+    sq *= 0.5
+    log_acc += sq
+    log_acc += log_env_norm
+    log_acc -= log_m
+    return log_acc
+
+
 def _rejection_batch(shape: Callable, beta: float, env_sd: float,
                      log_env_norm: float, log_m: float, m: int, rng) -> tuple:
     """m envelope proposals; returns the accepted ones and h at each.
@@ -116,20 +131,13 @@ def _rejection_batch(shape: Callable, beta: float, env_sd: float,
     """
     t = env_sd * rng.standard_normal(m)
     h = np.asarray(shape(t), dtype=float)
-    # beta*h + 0.5*(t/env_sd)**2 + log_env_norm - log_m, in place
-    log_acc = beta * h
-    sq = t / env_sd
-    sq **= 2
-    sq *= 0.5
-    log_acc += sq
-    log_acc += log_env_norm
-    log_acc -= log_m
+    log_acc = _log_acceptance(t, h, beta, env_sd, log_env_norm, log_m)
     if np.any(log_acc > 0):
         bad = float(t[np.argmax(log_acc)])
         raise EnvelopeViolationError(
             bad, f"rejection envelope violated at x = {bad:.6g} "
                  f"(excess {float(np.max(log_acc)):.3e} in log density)")
-    u = rng.random(m, out=sq)  # sq is spent; its buffer takes the uniforms
+    u = rng.random(m)
     np.negative(u, out=u)
     keep = np.flatnonzero(np.log1p(u, out=u) < log_acc)
     return t[keep], h[keep]

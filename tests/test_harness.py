@@ -1,10 +1,11 @@
 import json
+import re
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from alps import runner
+from alps import cli, kernels, runner
 from alps.cli import main
 from alps.config import ConfigError, RunConfig
 from alps.density import TargetDensity
@@ -13,7 +14,8 @@ from alps.diagnostics import (LEAP, LEAP_LOCAL, RWM, SWAP_QUANTA,
 from alps.kernels import standard_swap_core
 from alps.outputs import emit_outputs
 from alps.runner import _swap_schedule, alps_run, lais_run, pt_run
-from alps.targets.gaussian import GaussianTarget
+from alps.targets.gaussian import GaussianMixtureTarget, GaussianTarget
+from alps.targets.product import IidProductTarget, SkewShape
 
 
 def proposals(diag, move):
@@ -213,6 +215,146 @@ def test_pt_run_swaps_evaluate_no_density(monkeypatch):
     assert len(calls) - carried == carried + 2 * cfg.n_swaps * diag.n_sweeps
     np.testing.assert_array_equal(samples, evaluated)
     assert diag.counters == diag_evaluated.counters
+
+
+def reference_rwm_core_alloc(x, logp_x, target, step_scale, rng, a_x=None):
+    """One RWM step as a single function: draw, evaluate, then decide."""
+    z = rng.standard_normal(x.shape[0])
+    u = rng.random()
+    snapshot = getattr(target, "snapshot", None)
+    if snapshot is None:
+        y = x + step_scale * z
+        value_and_base = getattr(target, "value_and_base", None)
+        if value_and_base is None:
+            logp_y, a_y = target.log_density(y), None
+        else:
+            logp_y, a_y = value_and_base(y)
+        if kernels._accept(logp_y - logp_x, u):
+            return y, logp_y, a_y, True
+        return x, logp_x, a_x, False
+    if a_x is None:
+        a_x = target.allocate_index(x)
+    scale = step_scale / np.sqrt(target.beta)
+    y = x + scale * (snapshot.chols[a_x] @ z)
+    logp_y, a_y = target.value_and_alloc(y)
+    log_ratio = logp_y - logp_x
+    if a_y != a_x and np.isfinite(logp_y):
+        diff = y - x
+        fwd = kernels._proposal_log_density(diff, snapshot.chols[a_x],
+                                            snapshot.log_dets[a_x], scale)
+        rev = kernels._proposal_log_density(-diff, snapshot.chols[a_y],
+                                            snapshot.log_dets[a_y], scale)
+        log_ratio += rev - fwd
+    if kernels._accept(log_ratio, u):
+        return y, logp_y, a_y, True
+    return x, logp_x, a_x, False
+
+
+def reference_rwm_phase(run, t, levels):
+    """The RWM phase updating one level after another, v steps each."""
+    v = run.config.v
+    for k in levels:
+        rng = run.factory.level_stream(k, t)
+        accepted = 0
+        a_k = run.logpis[k] if run.logpis else None
+        for _ in range(v):
+            run.xs[k], run.logps[k], a_k, acc = reference_rwm_core_alloc(
+                run.xs[k], run.logps[k], run.level_targets[k],
+                run.step_scales[k], rng, a_k)
+            accepted += int(acc)
+            run.diag.count(RWM, k, acc)
+            if k == 0:
+                run.diag.record_sample(run.xs[0])
+        if run.logpis:
+            run.logpis[k] = a_k
+        run.tune(k, accepted / v, t)
+
+
+def two_mode_alps_case():
+    target = GaussianMixtureTarget([0.6, 0.4], [[0.0, 0.0], [3.0, 0.5]],
+                                   [np.eye(2), 0.5 * np.eye(2)])
+    cfg = gaussian_config(ladder={"betas": [1.0, 2.0, 6.0]},
+                          initial_modes=[[0.0, 0.0], [3.0, 0.5]],
+                          rwm={"step_scale": [2.0, 2.0, 2.0], "tune": True},
+                          truncation={"enabled": True, "level": 0.999},
+                          total_target_samples=1500, burnin_samples=500)
+    return alps_run, cfg, target
+
+
+def skew_pt_case():
+    # a vectorized log_density_batch
+    target = IidProductTarget(SkewShape(alpha=10.0), dim=5)
+    cfg = pt_config(total_target_samples=1500, burnin_samples=500)
+    return pt_run, cfg, target
+
+
+def gaussian_pt_case():
+    # TargetDensity's row-by-row batch fallback
+    target = GaussianTarget(np.zeros(1), np.eye(1))
+    return pt_run, pt_config(total_target_samples=1500), target
+
+
+@pytest.mark.parametrize("case", [two_mode_alps_case, skew_pt_case,
+                                  gaussian_pt_case],
+                         ids=["alps-hat", "pt-batched", "pt-loop"])
+def test_lockstep_rwm_phase_equals_level_by_level_reference(monkeypatch, case):
+    run_fn, cfg, target = case()
+    corrections = []
+    proposal_log_density = kernels._proposal_log_density
+    monkeypatch.setattr(kernels, "_proposal_log_density",
+                        lambda *a: corrections.append(None)
+                        or proposal_log_density(*a))
+    samples, diag = run_fn(cfg, target)
+    lockstep_corrections = len(corrections)
+    monkeypatch.setattr(runner, "_rwm_phase", reference_rwm_phase)
+    ref_samples, ref_diag = run_fn(cfg, target)
+    np.testing.assert_array_equal(samples, ref_samples)
+    assert diag.counters == ref_diag.counters
+    assert diag.tuned_step_scales == ref_diag.tuned_step_scales
+    assert diag.mode_visits_level0 == ref_diag.mode_visits_level0
+    assert len(corrections) == 2 * lockstep_corrections
+    if run_fn is alps_run:  # the Hastings correction ran
+        assert lockstep_corrections > 0
+
+
+class FailingBatch(TargetDensity):
+    """1-d standard normal whose n-th evaluation raises, or whose batch
+    call returns one value too many."""
+
+    def __init__(self, fail_at=None, batch_extra=False):
+        self.calls = 0
+        self.fail_at = fail_at
+        super().__init__(1, self._logpdf, log_density_batch=(
+            self._batch_extra if batch_extra else None))
+
+    def _logpdf(self, x):
+        self.calls += 1
+        if self.calls == self.fail_at:
+            raise ValueError("evaluation failed")
+        return -0.5 * float(x @ x)
+
+    def _batch_extra(self, xs):
+        return np.zeros(len(xs) + 1)
+
+
+@pytest.mark.parametrize("target, message", [
+    (FailingBatch(fail_at=50), "evaluation failed"),
+    (FailingBatch(batch_extra=True), r"has shape \(4,\), expected \(3,\)"),
+])
+def test_cli_batched_evaluation_failure_aborts_with_context(
+        tmp_path, capsys, monkeypatch, target, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "target": {"name": "gaussian", "params": {"mu": [0.0],
+                                                  "sigma": [[1.0]]}},
+        "ladder": {"betas": [1.0, 0.5, 0.25]}, "seed": 0,
+        "exploration": None, "total_target_samples": 100}))
+    monkeypatch.setattr(cli, "build_target", lambda name, params: target)
+    assert main(["pt", "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert re.match(r"numerical abort: sweep \d+, rwm rep \d+, levels 0-2: ",
+                    err), err
+    assert re.search(message, err), err
 
 
 def test_pt_run_is_deterministic():

@@ -253,7 +253,7 @@ def test_mixture_log_density_integrates_against_proposals():
 def test_leap_self_proposal_ratio_zero():
     target = gaussian_hat([0.0, 0.0], np.eye(2), 64.0)
     x = np.array([0.1, -0.2])
-    assert leap_log_ratio(x, x.copy(), target, 64.0) == 0.0
+    assert leap_log_ratio(x, x.copy(), target) == 0.0
 
 
 def test_leap_exact_gaussian_always_accepts():
@@ -271,7 +271,7 @@ def test_leap_exact_gaussian_always_accepts():
         if move == LEAP:
             leaps += 1
             assert acc
-            ratio = leap_log_ratio(x, x_new, target, 256.0, logp)
+            ratio = leap_log_ratio(x, x_new, target, logp)
             assert abs(ratio) < 1e-8
         x, logp = x_new, logp_new
     assert leaps > 150

@@ -9,7 +9,7 @@ from alps import scaling
 from alps.cli import main
 from alps.rng import SCALING_STREAM, StreamFactory
 from alps.scaling import (EnvelopeViolationError, ScalingExperimentConfig,
-                          ScalingRow, _envelope_log_constant,
+                          ScalingRow, _envelope_log_constant, _log_acceptance,
                           _sample_tempered_coords, _shape_derivatives,
                           predicted_acceptance, scaling_experiment)
 from alps.targets.product import GaussianShape, SkewShape
@@ -152,6 +152,23 @@ def test_sampler_matches_reference_and_carries_h(monkeypatch, shape, batch):
                                            np.random.default_rng(4))
     assert np.array_equal(draws, ref, equal_nan=True)
     assert np.array_equal(h, shape(draws), equal_nan=True)
+
+
+@pytest.mark.parametrize("d", [10, 80])
+def test_log_acceptance_is_the_left_to_right_sum(d):
+    # pins the last bits of the rejection log-ratio, which decide draws
+    # only over long runs: any reordering of its sum changes some entry
+    shape, ell = SkewShape(alpha=2.0), 0.25
+    beta = ell * d
+    abs_h2 = -shape.h2()
+    env_sd = math.sqrt(2.0 * max(1.0, abs_h2) / (beta * abs_h2))
+    log_m = _envelope_log_constant(shape, beta, env_sd)
+    log_env_norm = math.log(env_sd * math.sqrt(2.0 * math.pi))
+    t = env_sd * np.random.default_rng(d).standard_normal(20000)
+    h = shape(t)
+    log_acc = _log_acceptance(t, h, beta, env_sd, log_env_norm, log_m)
+    ref = beta * h + 0.5 * (t / env_sd) ** 2 + log_env_norm - log_m
+    assert np.array_equal(log_acc, ref)
 
 
 @pytest.mark.parametrize("shape", [SkewShape(alpha=2.0), GaussianShape()])

@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from scipy.special import log_ndtr, logsumexp
 
 from alps import numdiff
+from alps.density import TargetDensity
 from alps.targets import TARGET_PARAMS, build_target
 from alps.linalg import LOG_2PI
 from alps.targets.gaussian import GaussianMixtureTarget, GaussianTarget
@@ -241,3 +242,42 @@ def test_build_target_takes_each_targets_own_keys():
         build_target("iid_product_skew", {"dim": 2, "alpah": 10.0})
     with pytest.raises(ValueError, match="unknown target"):
         build_target("gausian", {})
+
+
+def special_rows(dim, rng):
+    """Rows at 0, +-1e3, inf, nan and ordinary points, mixed per row."""
+    rows = [np.zeros(dim), np.full(dim, 1e3), np.full(dim, -1e3),
+            np.full(dim, np.inf), np.full(dim, -np.inf), np.full(dim, np.nan)]
+    for value in (0.0, 1e3, -1e3, np.inf, -np.inf, np.nan):
+        row = 3.0 * rng.standard_normal(dim)
+        row[rng.integers(dim)] = value
+        rows.append(row)
+    rows.extend(20.0 * rng.standard_normal((6, dim)))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("target", [
+    IidProductTarget(SkewShape(alpha=2.0), dim=20),
+    IidProductTarget(SkewShape(alpha=10.0), dim=20, beta=0.3),
+    benchmark_target(20),
+    GaussianTarget(np.arange(3.0), np.diag([1.0, 2.0, 0.5])),
+], ids=["iid-alpha2", "iid-alpha10", "skew-mixture", "gaussian-loop"])
+def test_log_density_batch_equals_log_density_row_by_row(target):
+    rng = np.random.default_rng(12)
+    pool = special_rows(target.dim, rng)
+    for size in (1, 3, 14):
+        for _ in range(10):
+            xs = pool[rng.integers(len(pool), size=size)]
+            batch = target.log_density_batch(xs)
+            rows = np.array([target.log_density(x) for x in xs])
+            assert batch.shape == (size,)
+            assert np.array_equal(batch, rows, equal_nan=True)
+
+
+def test_log_density_batch_checks_shapes():
+    target = TargetDensity(2, lambda x: 0.0,
+                           log_density_batch=lambda xs: np.zeros((len(xs), 1)))
+    with pytest.raises(ValueError, match="expected"):
+        target.log_density_batch(np.zeros((3, 1)))
+    with pytest.raises(ValueError, match=r"expected \(3,\)"):
+        target.log_density_batch(np.zeros((3, 2)))
