@@ -21,23 +21,20 @@ class TargetDensity:
     `log_density_batch(X)` evaluates the rows of an (L, dim) array and
     returns an (L,) array whose entry i is bit for bit
     `log_density(X[i])`, so a caller may batch the points of many chains
-    without changing any decision.  A target may supply a vectorized
-    `log_density_batch` callback that keeps this equality; without one,
-    the rows are evaluated one at a time through `log_density`.
+    without changing any decision.  By default the rows are evaluated one
+    at a time through `log_density`; a subclass may vectorize
+    `_log_density_rows` if it keeps this equality.
     """
 
     def __init__(self, dim: int,
                  log_density: Callable[[Vector], float],
                  gradient: Optional[Callable[[Vector], Vector]] = None,
                  hessian: Optional[Callable[[Vector], np.ndarray]] = None,
-                 name: str = "target",
-                 log_density_batch: Optional[
-                     Callable[[np.ndarray], np.ndarray]] = None):
+                 name: str = "target"):
         if dim < 1:
             raise ValueError("dim must be positive")
         self.dim = int(dim)
         self._log_density = log_density
-        self._log_density_batch = log_density_batch
         self._gradient = gradient
         self._hessian = hessian
         self.name = name
@@ -51,14 +48,14 @@ class TargetDensity:
         if xs.ndim != 2 or xs.shape[1] != self.dim:
             raise ValueError(f"expected an (L, {self.dim}) batch, got shape "
                              f"{xs.shape}")
-        if self._log_density_batch is None:
-            out = np.array([self.log_density(x) for x in xs], dtype=float)
-        else:
-            out = np.asarray(self._log_density_batch(xs), dtype=float)
+        out = np.asarray(self._log_density_rows(xs), dtype=float)
         if out.shape != (xs.shape[0],):
             raise ValueError(f"{self.name}: batch log density has shape "
                              f"{out.shape}, expected ({xs.shape[0]},)")
         return out
+
+    def _log_density_rows(self, xs: np.ndarray):
+        return [self.log_density(x) for x in xs]
 
     def gradient(self, x: Vector) -> Vector:
         x = np.asarray(x, dtype=float)

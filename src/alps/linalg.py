@@ -54,21 +54,6 @@ def logsumexp_1d(a: np.ndarray) -> float:
     return float(m) + math.log(np.exp(a - m).sum())
 
 
-def logsumexp_rows(a: np.ndarray) -> np.ndarray:
-    """`logsumexp_1d` of each row of a 2-d array, bit for bit.
-
-    The shift, exponentials and row sums are vectorized; the final log
-    stays `math.log`, one row at a time, as in `logsumexp_1d`.
-    """
-    m = a.max(axis=1)
-    out = m.tolist()
-    rows = np.flatnonzero(np.isfinite(m))
-    sums = np.exp(a[rows] - m[rows, None]).sum(axis=1)
-    for i, s in zip(rows.tolist(), sums.tolist()):
-        out[i] += math.log(s)
-    return np.array(out)
-
-
 def spd_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve S x = b for S = chol chol^T."""
     y = solve_triangular(chol, b, lower=True, check_finite=False)

@@ -108,10 +108,13 @@ def _envelope_log_constant(shape: Callable, beta: float, env_sd: float) -> float
 
 
 def _log_acceptance(t: np.ndarray, h: np.ndarray, beta: float, env_sd: float,
-                    log_env_norm: float, log_m: float) -> np.ndarray:
+                    log_env_norm: float, log_m: float) -> tuple:
     """Rejection log acceptance ratio of the envelope proposals t with
     shape values h: beta*h + 0.5*(t/env_sd)**2 + log_env_norm - log_m,
-    summed left to right, computed in place with one temporary."""
+    summed left to right, computed in place with one temporary.
+
+    Returns (log_acc, spent temporary); the caller may reuse the latter.
+    """
     log_acc = beta * h
     sq = t / env_sd
     sq **= 2
@@ -119,7 +122,7 @@ def _log_acceptance(t: np.ndarray, h: np.ndarray, beta: float, env_sd: float,
     log_acc += sq
     log_acc += log_env_norm
     log_acc -= log_m
-    return log_acc
+    return log_acc, sq
 
 
 def _rejection_batch(shape: Callable, beta: float, env_sd: float,
@@ -131,13 +134,13 @@ def _rejection_batch(shape: Callable, beta: float, env_sd: float,
     """
     t = env_sd * rng.standard_normal(m)
     h = np.asarray(shape(t), dtype=float)
-    log_acc = _log_acceptance(t, h, beta, env_sd, log_env_norm, log_m)
+    log_acc, sq = _log_acceptance(t, h, beta, env_sd, log_env_norm, log_m)
     if np.any(log_acc > 0):
         bad = float(t[np.argmax(log_acc)])
         raise EnvelopeViolationError(
             bad, f"rejection envelope violated at x = {bad:.6g} "
                  f"(excess {float(np.max(log_acc)):.3e} in log density)")
-    u = rng.random(m)
+    u = rng.random(m, out=sq)  # sq is spent; its buffer takes the uniforms
     np.negative(u, out=u)
     keep = np.flatnonzero(np.log1p(u, out=u) < log_acc)
     return t[keep], h[keep]

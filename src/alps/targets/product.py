@@ -45,13 +45,12 @@ class IidProductTarget(TargetDensity):
             check_shape(h)
         self.h = h
         self.beta = float(beta)
-        super().__init__(dim=dim, log_density=self._logpdf, name="iid_product",
-                         log_density_batch=self._logpdf_batch)
+        super().__init__(dim=dim, log_density=self._logpdf, name="iid_product")
 
     def _logpdf(self, x: np.ndarray) -> float:
         return float((self.beta * np.asarray(self.h(x), dtype=float)).sum())
 
-    def _logpdf_batch(self, xs: np.ndarray) -> np.ndarray:
+    def _log_density_rows(self, xs: np.ndarray) -> np.ndarray:
         # h is elementwise and each row is reduced like `_logpdf` reduces x
         return (self.beta * np.asarray(self.h(xs), dtype=float)).sum(axis=1)
 

@@ -11,7 +11,7 @@ import numpy as np
 from scipy.special import log_ndtr
 
 from ..density import TargetDensity
-from ..linalg import LOG_2PI, logsumexp_1d, logsumexp_rows
+from ..linalg import LOG_2PI, logsumexp_1d
 
 LOG_2 = float(np.log(2.0))
 
@@ -96,8 +96,7 @@ class SkewNormalMixtureTarget(TargetDensity):
                                            - np.log(omegas))
         super().__init__(dim=mus.shape[1], log_density=self._logpdf,
                          gradient=self._grad, hessian=self._hess,
-                         name="skew_normal_mixture",
-                         log_density_batch=self._logpdf_batch)
+                         name="skew_normal_mixture")
 
     @property
     def component_locations(self) -> np.ndarray:
@@ -109,17 +108,12 @@ class SkewNormalMixtureTarget(TargetDensity):
         return self.mus + off * self.omegas[:, None]
 
     def _component_logpdfs(self, x: np.ndarray) -> np.ndarray:
-        """Component log densities at x (d,) as (K,), or at each row of
-        x (L, d) as (L, K), with the same operations per row."""
-        z = (x[..., None, :] - self.mus) * self._inv_omegas
+        z = (x - self.mus) * self._inv_omegas
         terms = log_ndtr(self.alpha * z) - 0.5 * (z * z)
-        return terms.sum(axis=-1) + self._comp_const
+        return terms.sum(axis=1) + self._comp_const
 
     def _logpdf(self, x: np.ndarray) -> float:
         return logsumexp_1d(self._component_logpdfs(x))
-
-    def _logpdf_batch(self, xs: np.ndarray) -> np.ndarray:
-        return logsumexp_rows(self._component_logpdfs(xs))
 
     def _grad(self, x: np.ndarray) -> np.ndarray:
         comp = self._component_logpdfs(x)

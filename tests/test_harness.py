@@ -324,8 +324,8 @@ class FailingBatch(TargetDensity):
     def __init__(self, fail_at=None, batch_extra=False):
         self.calls = 0
         self.fail_at = fail_at
-        super().__init__(1, self._logpdf, log_density_batch=(
-            self._batch_extra if batch_extra else None))
+        self.batch_extra = batch_extra
+        super().__init__(1, self._logpdf)
 
     def _logpdf(self, x):
         self.calls += 1
@@ -333,8 +333,10 @@ class FailingBatch(TargetDensity):
             raise ValueError("evaluation failed")
         return -0.5 * float(x @ x)
 
-    def _batch_extra(self, xs):
-        return np.zeros(len(xs) + 1)
+    def _log_density_rows(self, xs):
+        if self.batch_extra:
+            return np.zeros(len(xs) + 1)
+        return super()._log_density_rows(xs)
 
 
 @pytest.mark.parametrize("target, message", [

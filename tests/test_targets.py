@@ -259,9 +259,8 @@ def special_rows(dim, rng):
 @pytest.mark.parametrize("target", [
     IidProductTarget(SkewShape(alpha=2.0), dim=20),
     IidProductTarget(SkewShape(alpha=10.0), dim=20, beta=0.3),
-    benchmark_target(20),
     GaussianTarget(np.arange(3.0), np.diag([1.0, 2.0, 0.5])),
-], ids=["iid-alpha2", "iid-alpha10", "skew-mixture", "gaussian-loop"])
+], ids=["iid-alpha2", "iid-alpha10", "gaussian-loop"])
 def test_log_density_batch_equals_log_density_row_by_row(target):
     rng = np.random.default_rng(12)
     pool = special_rows(target.dim, rng)
@@ -274,9 +273,15 @@ def test_log_density_batch_equals_log_density_row_by_row(target):
             assert np.array_equal(batch, rows, equal_nan=True)
 
 
+class ColumnBatch(TargetDensity):
+    """Returns its batch as an (L, 1) column instead of (L,)."""
+
+    def _log_density_rows(self, xs):
+        return np.zeros((len(xs), 1))
+
+
 def test_log_density_batch_checks_shapes():
-    target = TargetDensity(2, lambda x: 0.0,
-                           log_density_batch=lambda xs: np.zeros((len(xs), 1)))
+    target = ColumnBatch(2, lambda x: 0.0)
     with pytest.raises(ValueError, match="expected"):
         target.log_density_batch(np.zeros((3, 1)))
     with pytest.raises(ValueError, match=r"expected \(3,\)"):
