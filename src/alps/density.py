@@ -78,6 +78,10 @@ class PowerTarget:
     chain, where no mode information is available.
     """
 
+    # no registry snapshot: the kernels give this level the plain random
+    # walk and standard swaps
+    snapshot = None
+
     def __init__(self, base: TargetDensity, beta: float):
         if beta <= 0:
             raise ValueError("beta must be positive")

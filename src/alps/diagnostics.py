@@ -36,10 +36,12 @@ class RunDiagnostics:
     def __post_init__(self):
         self.samples = np.empty((self.capacity, self.dim))
 
-    def count(self, move: str, level: int, accepted: bool) -> None:
+    def count(self, move: str, level: int, accepts: int,
+              proposals: int = 1) -> None:
+        """Add `accepts` accepted out of `proposals` moves to the tally."""
         cell = self.counters[(move, level)]
-        cell[0] += int(accepted)
-        cell[1] += 1
+        cell[0] += int(accepts)
+        cell[1] += proposals
 
     def record_sample(self, x: np.ndarray) -> None:
         self.samples[self.n_recorded] = x

@@ -22,6 +22,12 @@ from .registry import (IndefiniteHessianError, ModeRegistry,
 
 logger = logging.getLogger(__name__)
 
+# `status` of an mfind discovery record
+INSERTED = "inserted"
+DUPLICATE = "duplicate"
+NOT_CONVERGED = "not_converged"
+REJECTED = "rejected"
+
 
 @dataclass
 class ExplorationConfig:
@@ -72,7 +78,9 @@ def mfind(x_hot: np.ndarray, registry: ModeRegistry, base: TargetDensity,
 
     Runs v + 1 hot-chain updates, then an ascent from the endpoint.
     Non-converged ascents and indefinite Hessians are discarded with a
-    warning; the hot state still advances.
+    warning; the hot state still advances.  The record passed to
+    `log_cb` has a `status`: INSERTED, DUPLICATE, NOT_CONVERGED, or
+    REJECTED with the rejection message in `reason`.
     """
     x_hot = np.asarray(x_hot, dtype=float)
     if cfg.refresh_from_modes > 0.0 and registry.n_modes > 0:
@@ -82,7 +90,7 @@ def mfind(x_hot: np.ndarray, registry: ModeRegistry, base: TargetDensity,
         x_hot, _ = hot_step(x_hot, cfg.beta_hot, base, rng, cfg.step_scale)
 
     record = {"found_new": False, "log_pi_at_mode": np.nan,
-              "min_pseudo_distance": np.nan}
+              "min_pseudo_distance": np.nan, "status": NOT_CONVERGED}
     mu, converged = local_optimize(x_hot, base, cfg.optimizer)
     if not converged:
         logger.debug("mode search did not converge; candidate discarded")
@@ -94,6 +102,7 @@ def mfind(x_hot: np.ndarray, registry: ModeRegistry, base: TargetDensity,
         candidate = make_mode_info(mu, sigma, base.log_density(mu))
     except (IndefiniteHessianError, ValueError) as err:
         logger.warning("candidate mode rejected: %s", err)
+        record.update(status=REJECTED, reason=str(err))
         if log_cb:
             log_cb(record)
         return x_hot, registry, False
@@ -101,6 +110,7 @@ def mfind(x_hot: np.ndarray, registry: ModeRegistry, base: TargetDensity,
     record["min_pseudo_distance"] = registry.min_pseudo_distance(candidate)
     registry, inserted = try_insert(registry, candidate)
     record["found_new"] = inserted
+    record["status"] = INSERTED if inserted else DUPLICATE
     if log_cb:
         log_cb(record)
     return x_hot, registry, inserted

@@ -5,12 +5,18 @@ temperature swaps, and mode leaps from the registry's Gaussian mixture.
 Moves follow from the level target: a HAT level's registry snapshot
 gives mode-local RWM steps and QuanTA mode points, a power-tempered
 level gets the plain random walk.  All acceptance ratios are formed and
-compared in log space; each decision consumes exactly one uniform draw.
+compared in log space.
 
-An RWM step is three calls: `rwm_propose` draws the proposal and its
-uniform, the caller evaluates it (`rwm_evaluate`, or a batched call over
-many levels), and `rwm_decide` accepts or rejects.  `rwm_core` composes
-them for a single chain, so there is one RWM formula.
+Each decision takes exactly one uniform, drawn by its caller: the RWM
+and swap decisions take it as the argument `u`, so a caller may draw
+the uniforms of many decisions in one call.  The mode-leap kernel draws
+its own.
+
+An RWM step is three calls: `rwm_propose` forms the proposal from a
+drawn z ~ N(0, I), the caller evaluates it (`rwm_evaluate`, or a
+batched call over many levels), and `rwm_decide` accepts or rejects
+with the step's uniform.  `rwm_core` draws z, then u, and composes the
+three for a single chain, so there is one RWM formula.
 """
 
 from __future__ import annotations
@@ -41,25 +47,24 @@ def _proposal_log_density(diff: np.ndarray, chol: np.ndarray, log_det: float,
                    + float(z @ z))
 
 
-def rwm_propose(x: np.ndarray, target, step_scale: float,
-                rng: np.random.Generator, a_x: int | float | None = None):
-    """Draw one RWM proposal from x; returns (y, u, a_x).
+def rwm_propose(x: np.ndarray, target, step_scale, z: np.ndarray,
+                a_x: int | float | None = None):
+    """The RWM proposal from x for the drawn z ~ N(0, I); returns (y, a_x).
 
-    Draws z ~ N(0, I), then the acceptance uniform u.  On a HAT level (one
-    with a registry snapshot) `a_x` is the allocation index of x, computed
-    here when None, and the step is the allocated mode's Cholesky factor
-    times step_scale / sqrt(beta) applied to z.  Elsewhere the step is
-    step_scale * z and `a_x` is passed through unchanged.
+    On a HAT level (one with a registry snapshot) `a_x` is the allocation
+    index of x, computed here when None, and the step is the allocated
+    mode's Cholesky factor times step_scale / sqrt(beta) applied to z.
+    Elsewhere the step is step_scale * z and `a_x` is passed through
+    unchanged; there x may also be an (L, dim) block of states, z the
+    block of their draws and step_scale an (L, 1) column of scales.
     """
-    z = rng.standard_normal(x.shape[0])
-    u = rng.random()
     snapshot = getattr(target, "snapshot", None)
     if snapshot is None:
-        return x + step_scale * z, u, a_x
+        return x + step_scale * z, a_x
     if a_x is None:
         a_x = target.allocate_index(x)
     scale = step_scale / np.sqrt(target.beta)
-    return x + scale * (snapshot.chols[a_x] @ z), u, a_x
+    return x + scale * (snapshot.chols[a_x] @ z), a_x
 
 
 def rwm_evaluate(target, y: np.ndarray):
@@ -77,7 +82,8 @@ def rwm_evaluate(target, y: np.ndarray):
 def rwm_decide(x: np.ndarray, logp_x: float, a_x, y: np.ndarray, u: float,
                logp_y: float, a_y, target, step_scale: float):
     """Accept or reject the proposal y of `rwm_propose`, evaluated as
-    `rwm_evaluate` does; returns (x', logp', a', accepted).
+    `rwm_evaluate` does, with the step's uniform u; returns
+    (x', logp', a', accepted).
 
     `a_x` and `a_y` are the statistics of x and y, carried so that
     repeated steps evaluate each point once.  On a HAT level whose
@@ -102,9 +108,11 @@ def rwm_decide(x: np.ndarray, logp_x: float, a_x, y: np.ndarray, u: float,
 
 def rwm_core(x: np.ndarray, logp_x: float, target, step_scale: float,
              rng: np.random.Generator):
-    """One RWM step of a single chain, propose -> evaluate -> decide;
-    returns (x', logp', accepted)."""
-    y, u, a_x = rwm_propose(x, target, step_scale, rng)
+    """One RWM step of a single chain: draw z, then u, and propose ->
+    evaluate -> decide; returns (x', logp', accepted)."""
+    z = rng.standard_normal(x.shape[0])
+    u = rng.random()
+    y, a_x = rwm_propose(x, target, step_scale, z)
     logp_y, a_y = rwm_evaluate(target, y)
     x, logp, _, accepted = rwm_decide(x, logp_x, a_x, y, u, logp_y, a_y,
                                       target, step_scale)
@@ -131,14 +139,16 @@ class SwapResult:
 
 def quanta_swap_core(x_k: np.ndarray, x_k1: np.ndarray, logp_k: float,
                      logp_k1: float, target_k, target_k1,
-                     rng: np.random.Generator) -> SwapResult:
+                     u: float) -> SwapResult:
+    """QuanTA exchange between neighbouring HAT levels k and k+1, decided
+    by the uniform `u`: each state is rescaled about its allocated mode
+    point to the other level's temperature."""
     beta_k, beta_k1 = target_k.beta, target_k1.beta
     snapshot = target_k.snapshot
     m1 = target_k.allocate_index(x_k)
     m2 = target_k1.allocate_index(x_k1)
     y_k = quanta_transform(x_k, beta_k, beta_k1, snapshot.mus[m1])
     y_k1 = quanta_transform(x_k1, beta_k1, beta_k, snapshot.mus[m2])
-    u = rng.random()
     lp_yk_at_k1 = target_k1.log_density(y_k)
     lp_yk1_at_k = target_k.log_density(y_k1)
     log_ratio = (lp_yk_at_k1 + lp_yk1_at_k) - (logp_k + logp_k1)
@@ -148,16 +158,15 @@ def quanta_swap_core(x_k: np.ndarray, x_k1: np.ndarray, logp_k: float,
 
 
 def standard_swap_core(x_k: np.ndarray, x_k1: np.ndarray, logp_k: float,
-                       logp_k1: float, target_k, target_k1,
-                       rng: np.random.Generator,
+                       logp_k1: float, target_k, target_k1, u: float,
                        logpi: tuple | None = None) -> SwapResult:
-    """Exchange proposal between neighbouring levels k and k+1.
+    """Exchange proposal between neighbouring levels k and k+1, decided
+    by the uniform `u`.
 
     On power levels `logpi` may carry (log pi(x_k), log pi(x_k1)); the
     cross terms are then beta * log pi, the product a `PowerTarget`
     evaluates, so no density is evaluated and the result is unchanged.
     """
-    u = rng.random()
     if logpi is None:
         lp_xk1_at_k = target_k.log_density(x_k1)
         lp_xk_at_k1 = target_k1.log_density(x_k)

@@ -11,10 +11,23 @@ A run type is the list of phases one sweep applies, in order:
   level 0.  It is ALPS on a one-level ladder whose leap-local RWM step
   is tuned.
 
-RWM and leap phases make v updates per level.  The RWM phase advances
-its levels in lockstep: each repetition proposes at every level, then
-evaluates, then decides at every level.  Level-0 states are recorded
-after every level-0 update, so total_target_samples = v * sweeps.
+RWM and leap phases make v updates per level.  Level-0 states are
+recorded after every level-0 update, so total_target_samples = v * sweeps.
+
+The RWM phase advances its levels in lockstep, one (L, dim) block of
+draws per repetition.  Each level draws from its own `level_stream`:
+its z ~ N(0, I) into its row of the block, then its acceptance uniform.
+On power levels the proposals of all levels are then one array
+operation and one `log_density_batch` call; HAT levels propose with
+their mode's Cholesky step and evaluate one by one.  Each level then
+decides.  Because every stream is keyed on (level, sweep), the draws,
+and hence the run, are those of updating the levels one after another.
+
+The swap phase draws from the sweep's swap stream: under the "uniform"
+strategy the s pair indices first, in one call, then the s decisions'
+uniforms in one call, in order, one row per swap.  On HAT levels a row
+is (coin, u): the coin picks QuanTA or standard, u decides; on power
+levels a row is u alone.
 """
 
 from __future__ import annotations
@@ -30,7 +43,8 @@ from .config import ConfigError, RunConfig
 from .density import PowerTarget, TargetDensity
 from .diagnostics import (HOT, LEAP, LEAP_LOCAL, RWM, SWAP_QUANTA,
                           SWAP_STANDARD, RunDiagnostics)
-from .exploration import ExplorationConfig, hessian_at, mfind
+from .exploration import (NOT_CONVERGED, REJECTED, ExplorationConfig,
+                          hessian_at, mfind)
 from .hat import HatTarget, TruncatedHatTarget, chi2_quantile
 from .kernels import (mode_leap_core, quanta_swap_core, rwm_core,
                       rwm_evaluate, rwm_propose, standard_swap_core)
@@ -97,7 +111,7 @@ def _swap_schedule(strategy: str, n_pairs: int, n_swaps: int, sweep: int,
     compose into systematic up/down passes of the ladder.
     """
     if strategy == "uniform":
-        return [int(rng.integers(0, n_pairs)) for _ in range(n_swaps)]
+        return rng.integers(0, n_pairs, size=n_swaps).tolist()
     even = list(range(0, n_pairs, 2))
     odd = list(range(1, n_pairs, 2))
     blocks = [even, odd] if sweep % 2 == 0 else [odd, even]
@@ -138,7 +152,7 @@ class _Run:
             if config.truncation and config.truncation.enabled:
                 self.trunc_radius = chi2_quantile(config.truncation.level, d)
         self.build_levels()
-        self.step_scales = config.rwm.step_scales(self.n + 1)
+        self.step_scales = np.array(config.rwm.step_scales(self.n + 1))
         self.locations = getattr(target, "component_locations", None)
 
     def _find_modes(self, x0: np.ndarray) -> None:
@@ -155,19 +169,31 @@ class _Run:
             if self.ec_cfg is None:
                 raise ConfigError("no modes discovered (registry empty and "
                                   "exploration disabled)")
-            attempts = config.exploration.max_bootstrap_attempts
-            for attempt in range(attempts):
-                rng = self.factory.stream(EXPLORE_STREAM,
-                                          _BOOTSTRAP_COUNTER_BASE + attempt)
-                if self.search(attempt % n_chains, -1, attempt, rng):
-                    break
-            else:
-                raise NumericalAbort(f"no modes discovered after {attempts} "
-                                     "bootstrap exploration attempts")
+            self._bootstrap(config.exploration.max_bootstrap_attempts,
+                            n_chains)
         if self.ec_cfg is not None:
             self.hot_target = PowerTarget(self.target, self.ec_cfg.beta_hot)
             self.hot_logps = [self.hot_target.log_density(s)
                               for s in self.hot_states]
+
+    def _bootstrap(self, attempts: int, n_chains: int) -> None:
+        """Search until a first mode is registered; abort after `attempts`
+        searches, saying why each one failed."""
+        for attempt in range(attempts):
+            rng = self.factory.stream(EXPLORE_STREAM,
+                                      _BOOTSTRAP_COUNTER_BASE + attempt)
+            if self.search(attempt % n_chains, -1, attempt, rng):
+                return
+        records = self.diag.discovery_log  # the bootstrap's searches
+        statuses = [rec["status"] for rec in records]
+        message = (f"no modes discovered after {attempts} bootstrap "
+                   f"exploration attempts: "
+                   f"{statuses.count(NOT_CONVERGED)} ascents did not "
+                   f"converge, {statuses.count(REJECTED)} Hessians rejected")
+        reasons = [rec["reason"] for rec in records if "reason" in rec]
+        if reasons:
+            message += f" (last: {reasons[-1]})"
+        raise NumericalAbort(message)
 
     def search(self, chain: int, sweep: int, iteration: int, rng) -> bool:
         """One logged mfind call from hot chain `chain`."""
@@ -211,66 +237,112 @@ class _Run:
                 self.xs[k] = snap.mus[int(np.argmax(snap.log_weights))].copy()
                 self.logps[k] = self.level_targets[k].log_density(self.xs[k])
 
-    def tune(self, level: int, rate: float, sweep: int) -> None:
-        """Robbins-Monro step of the level's log step scale toward the
-        target acceptance rate, until adaptation freezes."""
+    def tune(self, levels, rates, sweep: int) -> None:
+        """Robbins-Monro step of each level's log step scale toward the
+        target acceptance rate, all levels in one array operation, until
+        adaptation freezes."""
         rwm = self.config.rwm
-        if not rwm.tune or sweep >= self.freeze or not np.isfinite(rate):
+        if not rwm.tune or sweep >= self.freeze:
             return
+        levels = np.asarray(levels)
         gamma = 1.0 / (1.0 + sweep) ** 0.6
-        log_step = np.log(self.step_scales[level])
-        self.step_scales[level] = float(np.clip(
-            np.exp(log_step + gamma * (rate - rwm.tune_target)), 1e-8, 1e8))
+        log_steps = np.log(self.step_scales[levels])
+        self.step_scales[levels] = np.clip(
+            np.exp(log_steps + gamma * (np.asarray(rates) - rwm.tune_target)),
+            1e-8, 1e8)
 
 
 # Phases: each takes (run, sweep index) and advances the run in place.
 # They look kernels up in this module's namespace at call time, so
 # wrappers installed on those names see every call.
 
-def _rwm_phase(run: _Run, t: int, levels: range) -> None:
-    """v RWM updates per level, the levels in lockstep.
+def _draw_rwm(rngs: list, Z: np.ndarray) -> list:
+    """Each level's z into its row of Z, then its uniform; returns the
+    uniforms."""
+    us = []
+    for rng, z in zip(rngs, Z):
+        rng.standard_normal(out=z)
+        us.append(rng.random())
+    return us
 
-    Each repetition draws every level's proposal from the level's own
-    stream, evaluates them all, then lets each level decide.  Power
-    levels are evaluated by one `log_density_batch` call on the base
-    target, and level k's value is beta_k * log pi, the product its
-    `PowerTarget` returns; HAT levels evaluate one by one.  The streams
-    are keyed on (level, sweep), so the draws, and hence the run, are
-    those of updating the levels one after another.
-    """
+
+def _rwm_phase(run: _Run, t: int, levels: range) -> None:
+    """v RWM updates per level, the levels in lockstep (see the module
+    docstring); the tallies are counted and the step scales tuned once
+    per level after the last repetition."""
     if not levels:
         return
     v = run.config.v
-    xs, logps, targets = run.xs, run.logps, run.level_targets
-    steps = run.step_scales
     rngs = [run.factory.level_stream(k, t) for k in levels]
-    # statistic of each state carried across the reps: log pi on a power
-    # level (run.logpis, updated in place), the allocation on a HAT level
-    # (found by the level's first proposal)
-    stats = run.logpis if run.logpis else [None] * len(xs)
-    accepted = dict.fromkeys(levels, 0)
+    Z = np.empty((len(levels), run.target.dim))
+    reps = _power_rwm_reps if run.logpis else _hat_rwm_reps
+    accepted = reps(run, levels, rngs, Z)
+    for k, acc in zip(levels, accepted.tolist()):
+        run.diag.count(RWM, k, acc, v)
+    run.tune(levels, accepted / v, t)
+
+
+def _power_rwm_reps(run: _Run, levels: range, rngs: list,
+                    Z: np.ndarray) -> np.ndarray:
+    """The v repetitions on power levels: the proposals are X + S*Z, one
+    `log_density_batch` call on the base target gives their log pi, and
+    level k's value is beta_k * log pi, the product its `PowerTarget`
+    returns.  Each chain carries (state, value, log pi); returns the
+    accept counts."""
+    targets = [run.level_targets[k] for k in levels]
+    X = np.array([run.xs[k] for k in levels])
+    S = run.step_scales[levels][:, None]
+    betas = np.array([target.beta for target in targets])
+    logps = [run.logps[k] for k in levels]
+    logpis = [run.logpis[k] for k in levels]
+    steps = S.ravel().tolist()
+    accepted = np.zeros(len(levels), dtype=int)
     span = f"levels {levels[0]}-{levels[-1]}"
-    for r in range(v):
+    for r in range(run.config.v):
         run.stage = f"rwm rep {r}, {span}"
-        proposals = [rwm_propose(xs[k], targets[k], steps[k], rng, stats[k])
-                     for k, rng in zip(levels, rngs)]
-        if run.logpis:
-            logpi_ys = run.target.log_density_batch(
-                np.array([y for y, _, _ in proposals])).tolist()
-            values = [(targets[k].beta * logpi_y, logpi_y)
-                      for k, logpi_y in zip(levels, logpi_ys)]
-        else:
-            values = [rwm_evaluate(targets[k], y)
-                      for k, (y, _, _) in zip(levels, proposals)]
-        for k, (y, u, a_x), (logp_y, a_y) in zip(levels, proposals, values):
-            xs[k], logps[k], stats[k], acc = rwm_core_alloc(
-                xs[k], logps[k], a_x, y, u, logp_y, a_y, targets[k], steps[k])
-            accepted[k] += acc
-            run.diag.count(RWM, k, acc)
-            if k == 0:
-                run.diag.record_sample(xs[0])
-    for k in levels:
-        run.tune(k, accepted[k] / v, t)
+        us = _draw_rwm(rngs, Z)
+        Y, _ = rwm_propose(X, targets[0], S, Z)
+        logpi_ys = run.target.log_density_batch(Y)
+        logp_ys = (betas * logpi_ys).tolist()
+        logpi_ys = logpi_ys.tolist()
+        acc = np.zeros(len(levels), dtype=bool)
+        for i, target in enumerate(targets):
+            _, logps[i], logpis[i], acc[i] = rwm_core_alloc(
+                X[i], logps[i], logpis[i], Y[i], us[i], logp_ys[i],
+                logpi_ys[i], target, steps[i])
+        np.copyto(X, Y, where=acc[:, None])
+        accepted += acc
+        if levels[0] == 0:
+            run.diag.record_sample(X[0])
+    for i, k in enumerate(levels):
+        run.xs[k], run.logps[k], run.logpis[k] = X[i], logps[i], logpis[i]
+    return accepted
+
+
+def _hat_rwm_reps(run: _Run, levels: range, rngs: list,
+                  Z: np.ndarray) -> np.ndarray:
+    """The v repetitions on HAT levels: each level proposes with its
+    allocated mode's Cholesky step and evaluates on its own.  Each chain
+    carries the allocation of its state, found by its first proposal;
+    returns the accept counts."""
+    xs, logps, targets = run.xs, run.logps, run.level_targets
+    steps = run.step_scales.tolist()
+    allocs = [None] * len(levels)
+    accepted = np.zeros(len(levels), dtype=int)
+    span = f"levels {levels[0]}-{levels[-1]}"
+    for r in range(run.config.v):
+        run.stage = f"rwm rep {r}, {span}"
+        us = _draw_rwm(rngs, Z)
+        for i, k in enumerate(levels):
+            y, a_x = rwm_propose(xs[k], targets[k], steps[k], Z[i], allocs[i])
+            logp_y, a_y = rwm_evaluate(targets[k], y)
+            xs[k], logps[k], allocs[i], acc = rwm_core_alloc(
+                xs[k], logps[k], a_x, y, us[i], logp_y, a_y, targets[k],
+                steps[k])
+            accepted[i] += acc
+        if levels[0] == 0:
+            run.diag.record_sample(xs[0])
+    return accepted
 
 
 def _leap_phase(run: _Run, t: int, tune_local: bool) -> None:
@@ -290,29 +362,35 @@ def _leap_phase(run: _Run, t: int, tune_local: bool) -> None:
         if n == 0:
             run.diag.record_sample(run.xs[0])
     if tune_local and n_local:
-        run.tune(n, accepted_local / n_local, t)
+        run.tune([n], [accepted_local / n_local], t)
 
 
 def _swap_phase(run: _Run, t: int) -> None:
     """s neighbour swaps; on HAT levels a coin picks QuanTA or standard
     for each, on power levels all are standard, no coin is drawn and the
-    carried log pi values price the swaps and move with the states."""
+    carried log pi values price the swaps and move with the states.  The
+    schedule and the uniforms are drawn up front (see the module
+    docstring)."""
     config, n = run.config, run.n
     if n < 1 or config.n_swaps == 0:
         return
     run.stage = "swaps"
     rng = run.factory.stream(SWAP_STREAM, t)
+    hat = run.snapshot is not None
+    schedule = _swap_schedule(config.swap_strategy, n, config.n_swaps, t, rng)
+    draws = rng.random((config.n_swaps, 2 if hat else 1)).tolist()
     xs, logps, logpis = run.xs, run.logps, run.logpis
     targets = run.level_targets
-    for k in _swap_schedule(config.swap_strategy, n, config.n_swaps, t, rng):
-        if run.snapshot is not None and rng.random() < config.swap_quanta_prob:
+    for k, row in zip(schedule, draws):
+        u = row[-1]
+        if hat and row[0] < config.swap_quanta_prob:
             res = quanta_swap_core(xs[k], xs[k + 1], logps[k], logps[k + 1],
-                                   targets[k], targets[k + 1], rng)
+                                   targets[k], targets[k + 1], u)
             run.diag.count(SWAP_QUANTA, k, res.accepted)
         else:
             res = standard_swap_core(
                 xs[k], xs[k + 1], logps[k], logps[k + 1], targets[k],
-                targets[k + 1], rng,
+                targets[k + 1], u,
                 (logpis[k], logpis[k + 1]) if logpis else None)
             run.diag.count(SWAP_STANDARD, k, res.accepted)
             if logpis and res.accepted:
@@ -381,7 +459,7 @@ def _drive(config: RunConfig, target: TargetDensity, betas: np.ndarray,
         diag.sweep_seconds += time.perf_counter() - t_start
         diag.n_sweeps += 1
 
-    diag.tuned_step_scales = list(run.step_scales)
+    diag.tuned_step_scales = run.step_scales.tolist()
     diag.registry = run.registry
     return diag.samples[:config.total_target_samples], diag
 

@@ -129,17 +129,22 @@ def _rejection_batch(shape: Callable, beta: float, env_sd: float,
                      log_env_norm: float, log_m: float, m: int, rng) -> tuple:
     """m envelope proposals; returns the accepted ones and h at each.
 
+    Raises EnvelopeViolationError, naming the abscissa, where a log
+    acceptance ratio is positive or NaN (a NaN shape value).
+
     A function of its own so that its temporaries are freed before the
     next batch allocates.
     """
     t = env_sd * rng.standard_normal(m)
     h = np.asarray(shape(t), dtype=float)
     log_acc, sq = _log_acceptance(t, h, beta, env_sd, log_env_norm, log_m)
-    if np.any(log_acc > 0):
+    worst = float(log_acc.max())  # NaN if any entry is NaN
+    if not worst <= 0.0:
+        # argmax finds the first NaN too
         bad = float(t[np.argmax(log_acc)])
         raise EnvelopeViolationError(
             bad, f"rejection envelope violated at x = {bad:.6g} "
-                 f"(excess {float(np.max(log_acc)):.3e} in log density)")
+                 f"(log acceptance ratio {worst:.3e}, must be <= 0)")
     u = rng.random(m, out=sq)  # sq is spent; its buffer takes the uniforms
     np.negative(u, out=u)
     keep = np.flatnonzero(np.log1p(u, out=u) < log_acc)

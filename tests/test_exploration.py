@@ -128,8 +128,9 @@ def test_mfind_log_callback_fields():
           log_cb=records.append)
     assert len(records) == 1
     assert set(records[0]) == {"found_new", "log_pi_at_mode",
-                               "min_pseudo_distance"}
+                               "min_pseudo_distance", "status"}
     assert records[0]["found_new"] is True
+    assert records[0]["status"] == "inserted"
 
 
 def test_exploration_config_validation():

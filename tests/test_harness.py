@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -16,6 +19,9 @@ from alps.outputs import emit_outputs
 from alps.runner import _swap_schedule, alps_run, lais_run, pt_run
 from alps.targets.gaussian import GaussianMixtureTarget, GaussianTarget
 from alps.targets.product import IidProductTarget, SkewShape
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
 
 
 def proposals(diag, move):
@@ -357,6 +363,144 @@ def test_cli_batched_evaluation_failure_aborts_with_context(
     assert re.match(r"numerical abort: sweep \d+, rwm rep \d+, levels 0-2: ",
                     err), err
     assert re.search(message, err), err
+
+
+def reference_quanta_swap_core(x_k, x_k1, logp_k, logp_k1, target_k,
+                               target_k1, rng):
+    """The QuanTA swap drawing its uniform from the generator."""
+    snapshot = target_k.snapshot
+    m1 = target_k.allocate_index(x_k)
+    m2 = target_k1.allocate_index(x_k1)
+    y_k = kernels.quanta_transform(x_k, target_k.beta, target_k1.beta,
+                                   snapshot.mus[m1])
+    y_k1 = kernels.quanta_transform(x_k1, target_k1.beta, target_k.beta,
+                                    snapshot.mus[m2])
+    u = rng.random()
+    lp_yk_at_k1 = target_k1.log_density(y_k)
+    lp_yk1_at_k = target_k.log_density(y_k1)
+    log_ratio = (lp_yk_at_k1 + lp_yk1_at_k) - (logp_k + logp_k1)
+    if kernels._accept(log_ratio, u):
+        return kernels.SwapResult(True, log_ratio, y_k1, y_k, lp_yk1_at_k,
+                                  lp_yk_at_k1)
+    return kernels.SwapResult(False, log_ratio, x_k, x_k1, logp_k, logp_k1)
+
+
+def reference_standard_swap_core(x_k, x_k1, logp_k, logp_k1, target_k,
+                                 target_k1, rng, logpi=None):
+    """The standard swap drawing its uniform from the generator."""
+    u = rng.random()
+    if logpi is None:
+        lp_xk1_at_k = target_k.log_density(x_k1)
+        lp_xk_at_k1 = target_k1.log_density(x_k)
+    else:
+        lp_xk1_at_k = target_k.beta * logpi[1]
+        lp_xk_at_k1 = target_k1.beta * logpi[0]
+    log_ratio = (lp_xk1_at_k + lp_xk_at_k1) - (logp_k + logp_k1)
+    if kernels._accept(log_ratio, u):
+        return kernels.SwapResult(True, log_ratio, x_k1, x_k, lp_xk1_at_k,
+                                  lp_xk_at_k1)
+    return kernels.SwapResult(False, log_ratio, x_k, x_k1, logp_k, logp_k1)
+
+
+def reference_swap_phase(run, t):
+    """The swap phase drawing one value at a time: each pair index, then
+    per swap the coin (HAT levels) and the kernel's own uniform."""
+    config, n = run.config, run.n
+    if n < 1 or config.n_swaps == 0:
+        return
+    rng = run.factory.stream(runner.SWAP_STREAM, t)
+    if config.swap_strategy == "uniform":
+        schedule = [int(rng.integers(0, n)) for _ in range(config.n_swaps)]
+    else:
+        schedule = _swap_schedule("even_odd", n, config.n_swaps, t, None)
+    xs, logps, logpis = run.xs, run.logps, run.logpis
+    targets = run.level_targets
+    for k in schedule:
+        if run.snapshot is not None and rng.random() < config.swap_quanta_prob:
+            res = reference_quanta_swap_core(
+                xs[k], xs[k + 1], logps[k], logps[k + 1], targets[k],
+                targets[k + 1], rng)
+            run.diag.count(SWAP_QUANTA, k, res.accepted)
+        else:
+            res = reference_standard_swap_core(
+                xs[k], xs[k + 1], logps[k], logps[k + 1], targets[k],
+                targets[k + 1], rng,
+                (logpis[k], logpis[k + 1]) if logpis else None)
+            run.diag.count(SWAP_STANDARD, k, res.accepted)
+            if logpis and res.accepted:
+                logpis[k], logpis[k + 1] = logpis[k + 1], logpis[k]
+        xs[k], xs[k + 1] = res.x_low, res.x_high
+        logps[k], logps[k + 1] = res.logp_low, res.logp_high
+
+
+def located_pt_case(strategy):
+    target = GaussianTarget(np.zeros(1), np.eye(1))
+    target.component_locations = np.array([[-1.0], [2.0]])
+    cfg = pt_config(total_target_samples=1500, burnin_samples=500, s=3,
+                    swap_strategy=strategy)
+    return pt_run, cfg, target
+
+
+@pytest.mark.parametrize("case", [
+    lambda: located_pt_case("uniform"),
+    lambda: located_pt_case("even_odd"),
+    two_mode_alps_case,
+], ids=["pt-uniform", "pt-even-odd", "alps-hat"])
+def test_batched_swap_draws_equal_sequential_reference(monkeypatch, case):
+    run_fn, cfg, target = case()
+    samples, diag = run_fn(cfg, target)
+    monkeypatch.setattr(runner, "_swap_phase", reference_swap_phase)
+    ref_samples, ref_diag = run_fn(cfg, target)
+    np.testing.assert_array_equal(samples, ref_samples)
+    assert diag.counters == ref_diag.counters
+    assert diag.tuned_step_scales == ref_diag.tuned_step_scales
+    assert diag.mode_visits_level0 == ref_diag.mode_visits_level0
+    assert diag.mode_visits_top == ref_diag.mode_visits_top
+    assert len(diag.mode_visits_level0) == diag.n_sweeps
+    moves = [SWAP_STANDARD] + ([SWAP_QUANTA] if run_fn is alps_run else [])
+    for move in moves:  # every kind of swap was accepted
+        assert sum(a for (mv, _), (a, n) in diag.counters.items()
+                   if mv == move) > 0
+
+
+def test_bootstrap_abort_names_budget_and_failures(tmp_path, capsys,
+                                                   monkeypatch):
+    # a linear log density has no mode: every ascent runs off
+    target = TargetDensity(2, lambda x: float(x.sum()),
+                           gradient=lambda x: np.ones(2))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "target": {"name": "gaussian"},
+        "ladder": {"betas": [1.0, 4.0], "beta_hot": 0.5}, "seed": 0,
+        "exploration": {"enabled": True, "max_bootstrap_attempts": 3},
+        "total_target_samples": 10}))
+    monkeypatch.setattr(cli, "build_target", lambda name, params: target)
+    assert main(["run", "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert ("numerical abort: no modes discovered after 3 bootstrap "
+            "exploration attempts: 3 ascents did not converge, 0 Hessians "
+            "rejected\n") == err
+    # a flat density with a positive Hessian: every ascent converges at
+    # once and every Hessian is rejected
+    target = TargetDensity(1, lambda x: 0.0, gradient=lambda x: np.zeros(1),
+                           hessian=lambda x: np.eye(1))
+    assert main(["run", "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert ("no modes discovered after 3 bootstrap exploration attempts: "
+            "0 ascents did not converge, 3 Hessians rejected (last: not a "
+            "local maximum / indefinite Hessian (failing pivot index 0))"
+            ) in err
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "alps", "pt", "--help"],
+                          env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: alps pt")
 
 
 def test_pt_run_is_deterministic():

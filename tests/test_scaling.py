@@ -195,6 +195,33 @@ def test_understated_envelope_is_detected():
     assert math.isfinite(info.value.abscissa)
 
 
+@pytest.mark.parametrize("poison", ["nan", "positive"])
+def test_rejection_batch_names_the_bad_abscissa(poison):
+    # a NaN shape value is an envelope failure, not a rejected draw
+    skew = SkewShape(alpha=2.0)
+    beta, env_sd, m = 20.0, 0.3, 4096
+    log_m = _envelope_log_constant(skew, beta, env_sd)
+    log_env_norm = math.log(env_sd * math.sqrt(2.0 * math.pi))
+    bad_value = np.nan if poison == "nan" else 1e3
+
+    def shape(t):
+        return np.where(t > 0.5, bad_value, skew(t))
+
+    t = env_sd * np.random.default_rng(3).standard_normal(m)
+    # the first NaN, or else the largest excess: the largest t above 0.5
+    bad = float(t[np.flatnonzero(t > 0.5)[0]] if poison == "nan"
+                else t.max())
+    with pytest.raises(EnvelopeViolationError) as info:
+        scaling._rejection_batch(shape, beta, env_sd, log_env_norm, log_m, m,
+                                 np.random.default_rng(3))
+    assert info.value.abscissa == bad
+    assert f"x = {bad:.6g}" in str(info.value)
+    # the same draws with a finite shape pass the check
+    kept, _ = scaling._rejection_batch(skew, beta, env_sd, log_env_norm,
+                                       log_m, m, np.random.default_rng(3))
+    assert 0 < kept.size < m
+
+
 def test_stderr_scales_with_sample_size():
     base = dict(shape=SkewShape(alpha=2.0), ell=1.0, dims=(4,), seed=2)
     small = scaling_experiment(ScalingExperimentConfig(samples=4000, **base))

@@ -35,6 +35,7 @@ t.wrap("runner", runner.pt_run)(config, GaussianTarget(np.zeros(1), np.eye(1)))
 print(json.dumps({{
     "rwm": t.calls("kernels.rwm", "runner"),
     "swap_standard": t.calls("kernels.swap_standard", "runner"),
+    "n_swaps": config.n_swaps,
     "record_sample": t.calls("diagnostics.record_sample"),
     "substream": t.calls("rng.substream")}}))
 """
@@ -81,7 +82,9 @@ def traced_counts(script):
 def test_tracer_patches_see_a_pt_run():
     counts = traced_counts(SCRIPT)
     assert counts["rwm"] == V * SWEEPS * LEVELS
-    assert counts["swap_standard"] > 0
+    # the swap phase draws its uniforms in one call, and still calls the
+    # swap kernel once per swap
+    assert counts["swap_standard"] == SWEEPS * counts["n_swaps"] > 0
     assert counts["record_sample"] == V * SWEEPS
     # one stream per level and one swap stream per sweep
     assert counts["substream"] == SWEEPS * (LEVELS + 1)
