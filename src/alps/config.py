@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
@@ -143,6 +144,10 @@ class RunConfig:
             raise ConfigError("swap_strategy must be 'uniform' or 'even_odd'")
         if self.s is not None and self.s < 0:
             raise ConfigError("s must be non-negative")
+        if self.registry_tol is not None and not (
+                isinstance(self.registry_tol, (int, float))
+                and math.isfinite(self.registry_tol) and self.registry_tol > 0):
+            raise ConfigError("registry_tol must be a positive finite number")
 
     # Derived quantities -------------------------------------------------
     @property

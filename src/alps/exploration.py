@@ -1,22 +1,30 @@
-"""Exploration component: hot chain, mode finding, registry updates.
+"""Exploration component: mode search and registry updates.
 
-The hot chain moves on the plain power-tempered density pi^beta_hot
-(mode information does not exist yet when exploration starts).  Each
-mfind call advances the hot chain, runs a quasi-Newton ascent from its
-endpoint, and offers the resulting (mode, Hessian) pair to the registry.
+The hot chains belong to the runner (`runner._Run`): they move on the
+plain power-tempered density pi^beta_hot (mode information does not
+exist yet when exploration starts) by `kernels.rwm_core`, each carrying
+its log density.  Every sweep until adaptation freezes, one of them
+searches: `mfind` runs a quasi-Newton ascent from the point the chain
+reached and offers the resulting (mode, Hessian) pair to the registry.
+The runner's `initial_modes` are registered by the same search.
+
+Per sweep the hot chains draw from the sweep's explore stream, the
+chains in order.  The searching chain first draws the refresh coin (only
+while `refresh_from_modes` > 0 and a mode is registered; on heads the
+mixture point follows), then every chain draws z, then u, per RWM step.
+`mfind` itself draws nothing.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .density import PowerTarget, TargetDensity
-from .kernels import mixture_propose, rwm_core
-from .optimize import OptimizerConfig, local_optimize
+from .kernels import rwm_core
+from .optimize import local_optimize
 from .registry import (IndefiniteHessianError, ModeRegistry,
                        covariance_from_hessian, make_mode_info, try_insert)
 
@@ -29,30 +37,15 @@ NOT_CONVERGED = "not_converged"
 REJECTED = "rejected"
 
 
-@dataclass
-class ExplorationConfig:
-    beta_hot: float
-    v: int = 5
-    step_scale: float = 1.0
-    n_hot_chains: int = 1
-    refresh_from_modes: float = 0.0
-    optimizer: OptimizerConfig | None = None
-
-    def __post_init__(self):
-        if not 0.0 < self.beta_hot < 1.0:
-            raise ValueError("beta_hot must lie in (0, 1)")
-        if self.v < 0 or self.step_scale <= 0 or self.n_hot_chains < 1:
-            raise ValueError("invalid exploration settings")
-        if not 0.0 <= self.refresh_from_modes <= 1.0:
-            raise ValueError("refresh_from_modes must be a probability")
-        if self.optimizer is None:
-            self.optimizer = OptimizerConfig()
-
-
 def hot_step(x_hot: np.ndarray, beta_hot: float, base: TargetDensity,
              rng: np.random.Generator, step_scale: float = 1.0):
-    """One RWM update of the hot chain; returns (x', accepted).  It pays
-    two density evaluations per step; long chains should call rwm_core."""
+    """One RWM update of a hot chain; returns (x', accepted).
+
+    It pays two density evaluations per step, where the runner's hot
+    chains carry their log density and pay one.  Nothing in the package
+    calls it; it is kept because perfbench/tracer.py still counts hot
+    steps through this name.
+    """
     if not 0.0 < beta_hot < 1.0:
         raise ValueError("beta_hot must lie in (0, 1)")
     target = PowerTarget(base, beta_hot)
@@ -71,32 +64,24 @@ def hessian_at(base: TargetDensity, mu: np.ndarray) -> np.ndarray:
     return hess
 
 
-def mfind(x_hot: np.ndarray, registry: ModeRegistry, base: TargetDensity,
-          cfg: ExplorationConfig, rng: np.random.Generator,
+def mfind(x: np.ndarray, registry: ModeRegistry, base: TargetDensity,
           log_cb: Optional[Callable[[dict], None]] = None):
-    """One exploration step; returns (x_hot', registry', found_new).
+    """One mode search from x; returns (mu, registry', found_new), mu
+    the ascent's endpoint.
 
-    Runs v + 1 hot-chain updates, then an ascent from the endpoint.
     Non-converged ascents and indefinite Hessians are discarded with a
-    warning; the hot state still advances.  The record passed to
-    `log_cb` has a `status`: INSERTED, DUPLICATE, NOT_CONVERGED, or
-    REJECTED with the rejection message in `reason`.
+    log message.  The record passed to `log_cb` has a `status`:
+    INSERTED, DUPLICATE, NOT_CONVERGED, or REJECTED with the rejection
+    message in `reason`.
     """
-    x_hot = np.asarray(x_hot, dtype=float)
-    if cfg.refresh_from_modes > 0.0 and registry.n_modes > 0:
-        if rng.random() < cfg.refresh_from_modes:
-            x_hot = mixture_propose(registry.snapshot(), 1.0, rng)
-    for _ in range(cfg.v + 1):
-        x_hot, _ = hot_step(x_hot, cfg.beta_hot, base, rng, cfg.step_scale)
-
     record = {"found_new": False, "log_pi_at_mode": np.nan,
               "min_pseudo_distance": np.nan, "status": NOT_CONVERGED}
-    mu, converged = local_optimize(x_hot, base, cfg.optimizer)
+    mu, converged = local_optimize(x, base)
     if not converged:
         logger.debug("mode search did not converge; candidate discarded")
         if log_cb:
             log_cb(record)
-        return x_hot, registry, False
+        return mu, registry, False
     try:
         sigma, _, _ = covariance_from_hessian(hessian_at(base, mu))
         candidate = make_mode_info(mu, sigma, base.log_density(mu))
@@ -105,7 +90,7 @@ def mfind(x_hot: np.ndarray, registry: ModeRegistry, base: TargetDensity,
         record.update(status=REJECTED, reason=str(err))
         if log_cb:
             log_cb(record)
-        return x_hot, registry, False
+        return mu, registry, False
     record["log_pi_at_mode"] = candidate.log_pi_at_mode
     record["min_pseudo_distance"] = registry.min_pseudo_distance(candidate)
     registry, inserted = try_insert(registry, candidate)
@@ -113,4 +98,4 @@ def mfind(x_hot: np.ndarray, registry: ModeRegistry, base: TargetDensity,
     record["status"] = INSERTED if inserted else DUPLICATE
     if log_cb:
         log_cb(record)
-    return x_hot, registry, inserted
+    return mu, registry, inserted

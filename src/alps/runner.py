@@ -28,6 +28,15 @@ strategy the s pair indices first, in one call, then the s decisions'
 uniforms in one call, in order, one row per swap.  On HAT levels a row
 is (coin, u): the coin picks QuanTA or standard, u decides; on power
 levels a row is u alone.
+
+The run owns the hot chains of exploration (ALPS and LAIS): each moves
+on pi^beta_hot by v + 1 `rwm_core` steps per sweep, carrying its log
+density.  Until adaptation freezes, chain t mod n_chains then searches
+from its state (`exploration.mfind`).  The exploration phase draws from
+the sweep's explore stream, the chains in order; the searching chain
+first draws the refresh coin (and, on heads, the mixture point it
+restarts from), then every chain draws z, then u, per step.  A
+bootstrap search draws the same way from a stream of its own.
 """
 
 from __future__ import annotations
@@ -43,17 +52,17 @@ from .config import ConfigError, RunConfig
 from .density import PowerTarget, TargetDensity
 from .diagnostics import (HOT, LEAP, LEAP_LOCAL, RWM, SWAP_QUANTA,
                           SWAP_STANDARD, RunDiagnostics)
-from .exploration import (NOT_CONVERGED, REJECTED, ExplorationConfig,
-                          hessian_at, mfind)
+from .exploration import NOT_CONVERGED, REJECTED, mfind
 from .hat import HatTarget, TruncatedHatTarget, chi2_quantile
-from .kernels import (mode_leap_core, quanta_swap_core, rwm_core,
-                      rwm_evaluate, rwm_propose, standard_swap_core)
+from .kernels import (mixture_propose, mode_leap_core, quanta_swap_core,
+                      rwm_core, rwm_evaluate, rwm_propose, standard_swap_core)
 # perfbench/tracer.py counts the sweep's RWM updates, one decision each,
 # through this name
 from .kernels import rwm_decide as rwm_core_alloc
-from .optimize import local_optimize
-from .registry import (IndefiniteHessianError, ModeRegistry,
-                       covariance_from_hessian, make_mode_info, try_insert)
+# kept only for perfbench/tracer.py, which patches these names here
+from .optimize import local_optimize  # noqa: F401
+from .registry import ModeRegistry
+from .registry import try_insert  # noqa: F401
 from .rng import EXPLORE_STREAM, LEAP_STREAM, SWAP_STREAM, StreamFactory
 
 logger = logging.getLogger(__name__)
@@ -65,40 +74,17 @@ class NumericalAbort(RuntimeError):
     """Target evaluation failed mid-run; message carries sweep context."""
 
 
+def _config_point(value, dim: int, name: str) -> np.ndarray:
+    point = np.asarray(value, dtype=float)
+    if point.shape != (dim,):
+        raise ConfigError(f"{name} has shape {point.shape}, expected ({dim},)")
+    return point
+
+
 def _initial_point(config: RunConfig, dim: int) -> np.ndarray:
     if config.init is None:
         return np.zeros(dim)
-    x0 = np.asarray(config.init, dtype=float)
-    if x0.shape != (dim,):
-        raise ConfigError(f"init has shape {x0.shape}, expected ({dim},)")
-    return x0
-
-
-def _register_point_as_mode(point: np.ndarray, target: TargetDensity,
-                            registry: ModeRegistry) -> None:
-    """Polish a candidate point and offer it to the registry."""
-    mu, converged = local_optimize(np.asarray(point, dtype=float), target)
-    if not converged:
-        logger.warning("initial mode candidate did not converge; skipped")
-        return
-    try:
-        sigma, _, _ = covariance_from_hessian(hessian_at(target, mu))
-    except (ValueError, IndefiniteHessianError) as err:
-        logger.warning("initial mode candidate rejected: %s", err)
-        return
-    try_insert(registry, make_mode_info(mu, sigma, target.log_density(mu)))
-
-
-def _exploration_config(config: RunConfig) -> ExplorationConfig | None:
-    ec = config.exploration
-    if ec is None or not ec.enabled:
-        return None
-    if config.ladder.beta_hot is None:
-        raise ConfigError("exploration requires ladder.beta_hot")
-    return ExplorationConfig(beta_hot=config.ladder.beta_hot, v=config.v,
-                             step_scale=ec.step_scale,
-                             n_hot_chains=ec.n_hot_chains,
-                             refresh_from_modes=ec.refresh_from_modes)
+    return _config_point(config.init, dim, "init")
 
 
 def _swap_schedule(strategy: str, n_pairs: int, n_swaps: int, sweep: int,
@@ -143,8 +129,8 @@ class _Run:
         self.stage = "setup"
         self.diag = RunDiagnostics(d, config.n_sweeps * config.v)
         self.factory = StreamFactory(config.seed)
-        self.registry = self.ec_cfg = self.snapshot = self.trunc_radius = None
-        self.logpis = None
+        self.registry = self.snapshot = self.trunc_radius = None
+        self.hot_target = self.logpis = None
         x0 = _initial_point(config, d)
         self.xs = [x0.copy() for _ in range(self.n + 1)]
         if hat:
@@ -156,33 +142,41 @@ class _Run:
         self.locations = getattr(target, "component_locations", None)
 
     def _find_modes(self, x0: np.ndarray) -> None:
-        config = self.config
-        self.registry = ModeRegistry(dim=self.target.dim,
-                                     tol=config.registry_tol)
-        self.ec_cfg = _exploration_config(config)
-        for point in config.initial_modes or []:
-            _register_point_as_mode(np.asarray(point, dtype=float),
-                                    self.target, self.registry)
-        n_chains = self.ec_cfg.n_hot_chains if self.ec_cfg else 1
-        self.hot_states = [x0.copy() for _ in range(n_chains)]
+        """Start the hot chains at x0 when exploration runs, then fill the
+        registry by a search from each of config.initial_modes, or else
+        by bootstrap searches."""
+        config, d = self.config, self.target.dim
+        points = [_config_point(point, d, f"initial_modes[{i}]")
+                  for i, point in enumerate(config.initial_modes or [])]
+        explore = config.exploration
+        if explore is not None and explore.enabled:
+            if config.ladder.beta_hot is None:
+                raise ConfigError("exploration requires ladder.beta_hot")
+            self.hot_target = PowerTarget(self.target, config.ladder.beta_hot)
+            self.hot_states = [x0.copy() for _ in range(explore.n_hot_chains)]
+            self.hot_logps = [self.hot_target.log_density(x)
+                              for x in self.hot_states]
+        self.registry = ModeRegistry(dim=d, tol=config.registry_tol)
+        for i, point in enumerate(points):
+            record: dict = {}
+            _, self.registry, _ = mfind(point, self.registry, self.target,
+                                        log_cb=record.update)
+            if record["status"] == NOT_CONVERGED:
+                logger.warning("initial_modes[%d]: ascent did not converge; "
+                               "skipped", i)
         if self.registry.n_modes == 0:
-            if self.ec_cfg is None:
+            if self.hot_target is None:
                 raise ConfigError("no modes discovered (registry empty and "
                                   "exploration disabled)")
-            self._bootstrap(config.exploration.max_bootstrap_attempts,
-                            n_chains)
-        if self.ec_cfg is not None:
-            self.hot_target = PowerTarget(self.target, self.ec_cfg.beta_hot)
-            self.hot_logps = [self.hot_target.log_density(s)
-                              for s in self.hot_states]
+            self._bootstrap(explore.max_bootstrap_attempts)
 
-    def _bootstrap(self, attempts: int, n_chains: int) -> None:
+    def _bootstrap(self, attempts: int) -> None:
         """Search until a first mode is registered; abort after `attempts`
         searches, saying why each one failed."""
         for attempt in range(attempts):
             rng = self.factory.stream(EXPLORE_STREAM,
                                       _BOOTSTRAP_COUNTER_BASE + attempt)
-            if self.search(attempt % n_chains, -1, attempt, rng):
+            if self.search(attempt % len(self.hot_states), -1, attempt, rng):
                 return
         records = self.diag.discovery_log  # the bootstrap's searches
         statuses = [rec["status"] for rec in records]
@@ -195,12 +189,32 @@ class _Run:
             message += f" (last: {reasons[-1]})"
         raise NumericalAbort(message)
 
+    def hot_moves(self, chain: int, rng, tally: bool = True) -> None:
+        """v + 1 RWM steps of hot chain `chain` on pi^beta_hot, carrying
+        its log density; `tally` counts them under HOT."""
+        step_scale = self.config.exploration.step_scale
+        x, logp = self.hot_states[chain], self.hot_logps[chain]
+        for _ in range(self.config.v + 1):
+            x, logp, acc = rwm_core(x, logp, self.hot_target, step_scale, rng)
+            if tally:
+                self.diag.count(HOT, -1, acc)
+        self.hot_states[chain], self.hot_logps[chain] = x, logp
+
     def search(self, chain: int, sweep: int, iteration: int, rng) -> bool:
-        """One logged mfind call from hot chain `chain`."""
+        """Move hot chain `chain`, its steps untallied, then one logged
+        mfind call from its state.  The move first draws the refresh
+        coin: on heads the chain restarts at a draw from the registry's
+        mixture."""
+        refresh = self.config.exploration.refresh_from_modes
+        if (refresh > 0.0 and self.registry.n_modes > 0
+                and rng.random() < refresh):
+            x = mixture_propose(self.registry.snapshot(), 1.0, rng)
+            self.hot_states[chain] = x
+            self.hot_logps[chain] = self.hot_target.log_density(x)
+        self.hot_moves(chain, rng, tally=False)
         record: dict = {}
-        self.hot_states[chain], self.registry, found = mfind(
-            self.hot_states[chain], self.registry, self.target, self.ec_cfg,
-            rng, log_cb=record.update)
+        _, self.registry, found = mfind(self.hot_states[chain], self.registry,
+                                        self.target, log_cb=record.update)
         self.diag.discovery_log.append(
             {"sweep": sweep, "iteration": iteration, **record})
         if found:
@@ -399,28 +413,21 @@ def _swap_phase(run: _Run, t: int) -> None:
         logps[k], logps[k + 1] = res.logp_low, res.logp_high
 
 
-def _explore(run: _Run, t: int) -> None:
-    if run.ec_cfg is not None:
-        run.stage = "exploration"
-        _exploration_phase(run, t)
-
-
 def _exploration_phase(run: _Run, t: int) -> None:
-    """Until adaptation freezes, chain t mod n_chains runs a full mode
-    search; every other chain takes v + 1 plain hot RWM updates."""
+    """Until adaptation freezes, hot chain t mod n_chains moves and
+    searches (`_Run.search`); every other chain moves, its steps tallied
+    under HOT.  Without exploration there are no hot chains."""
+    if run.hot_target is None:
+        return
+    run.stage = "exploration"
     rng = run.factory.stream(EXPLORE_STREAM, t)
     n_chains = len(run.hot_states)
     active = t % n_chains if t < run.freeze else -1
     for c in range(n_chains):
         if c == active:
             run.search(c, t, c, rng)
-            run.hot_logps[c] = run.hot_target.log_density(run.hot_states[c])
         else:
-            for _ in range(run.ec_cfg.v + 1):
-                run.hot_states[c], run.hot_logps[c], acc = rwm_core(
-                    run.hot_states[c], run.hot_logps[c], run.hot_target,
-                    run.ec_cfg.step_scale, rng)
-                run.diag.count(HOT, -1, acc)
+            run.hot_moves(c, rng)
 
 
 def _hat_visits(run: _Run, t: int) -> None:
@@ -472,7 +479,7 @@ def alps_run(config: RunConfig, target: TargetDensity):
     return _drive(config, target, betas, hat=True, phases=(
         partial(_rwm_phase, levels=range(betas.size - 1)),
         partial(_leap_phase, tune_local=False),
-        _swap_phase, _explore, _hat_visits))
+        _swap_phase, _exploration_phase, _hat_visits))
 
 
 def pt_run(config: RunConfig, target: TargetDensity):
@@ -495,4 +502,5 @@ def lais_run(config: RunConfig, target: TargetDensity):
     if betas.size != 1 or betas[0] != 1.0:
         raise ConfigError("this sampler runs a single level at beta = 1")
     return _drive(config, target, betas, hat=True, phases=(
-        partial(_leap_phase, tune_local=True), _explore, _hat_visits))
+        partial(_leap_phase, tune_local=True), _exploration_phase,
+        _hat_visits))

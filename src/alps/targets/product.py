@@ -13,7 +13,8 @@ import numpy as np
 
 from .. import numdiff
 from ..density import TargetDensity
-from .skewnormal import skew_log_pdf, skew_normal_mode_offset
+from .skewnormal import (skew_log_pdf, skew_log_pdf_d2, skew_log_pdf_d3,
+                         skew_normal_mode_offset)
 
 
 def check_shape(h: Callable, grid_half: float = 8.0) -> None:
@@ -60,8 +61,8 @@ class SkewShape:
 
     h(x) = log f(x + m0) - log f(m0) where f is the skew-normal density
     with the given alpha and m0 its mode, so h(0) = 0 and h'(0) = 0.
-    The derivatives entering the acceptance formula are extracted by
-    Richardson-extrapolated central differences.
+    The derivatives entering the acceptance formula are the analytic
+    ones of log f at m0.
     """
 
     def __init__(self, alpha: float = 2.0):
@@ -75,12 +76,10 @@ class SkewShape:
         return h
 
     def h2(self) -> float:
-        return numdiff.richardson_second_derivative(
-            lambda t: float(self(np.array([t]))[0]), 0.0, h0=0.05)
+        return float(skew_log_pdf_d2(self.m0, self.alpha))
 
     def h3(self) -> float:
-        return numdiff.richardson_third_derivative(
-            lambda t: float(self(np.array([t]))[0]), 0.0, h0=0.05)
+        return float(skew_log_pdf_d3(self.m0, self.alpha))
 
 
 class GaussianShape:

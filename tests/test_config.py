@@ -73,6 +73,16 @@ def test_value_validation():
         with pytest.raises(ConfigError, match="max_bootstrap_attempts"):
             RunConfig.from_dict(dict(
                 MINIMAL, exploration={"max_bootstrap_attempts": attempts}))
+    with pytest.raises(ConfigError, match="exploration"):
+        RunConfig.from_dict(dict(MINIMAL, exploration={"step_scale": 0.0}))
+    with pytest.raises(ConfigError, match="refresh_from_modes"):
+        RunConfig.from_dict(dict(MINIMAL,
+                                 exploration={"refresh_from_modes": 2.0}))
+    for tol in (-1.0, 0.0, float("nan")):
+        with pytest.raises(ConfigError, match="registry_tol"):
+            RunConfig.from_dict(dict(MINIMAL, registry_tol=tol))
+    assert RunConfig.from_dict(dict(MINIMAL, registry_tol=0.5)).registry_tol \
+        == 0.5
 
 
 def test_swap_strategy_even_odd_accepted():

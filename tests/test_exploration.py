@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from alps.density import TargetDensity
-from alps.exploration import (ExplorationConfig, hessian_at, hot_step, mfind)
+from alps.density import PowerTarget, TargetDensity
+from alps.exploration import hessian_at, hot_step, mfind
+from alps.kernels import rwm_core
 from alps.numdiff import richardson_second_derivative
 from alps.registry import ModeRegistry, make_mode_info, try_insert
-from alps.targets.gaussian import GaussianTarget
+from alps.targets.gaussian import GaussianMixtureTarget, GaussianTarget
 from alps.targets.skewnormal import (benchmark_target, skew_log_pdf,
                                      skew_normal_mode_offset)
 
@@ -83,11 +84,9 @@ def test_mfind_unimodal_gaussian_registers_truth():
     sigma_true = np.array([[1.5, 0.4], [0.4, 0.8]])
     base = GaussianTarget(mu_true, sigma_true)
     registry = ModeRegistry(dim=2)
-    cfg = ExplorationConfig(beta_hot=0.1, v=5, step_scale=2.0)
-    rng = np.random.default_rng(1)
-    x_hot, registry, found = mfind(np.array([5.0, 5.0]), registry, base, cfg,
-                                   rng)
+    mu, registry, found = mfind(np.array([5.0, 5.0]), registry, base)
     assert found and registry.n_modes == 1
+    np.testing.assert_allclose(mu, mu_true, atol=1e-6)
     np.testing.assert_allclose(registry.modes[0].mu, mu_true, atol=1e-6)
     np.testing.assert_allclose(registry.modes[0].sigma, sigma_true, atol=1e-5)
 
@@ -98,34 +97,31 @@ def test_mfind_known_mode_not_reinserted():
     registry, _ = try_insert(registry, make_mode_info(
         np.zeros(2), np.eye(2), base.log_density(np.zeros(2))))
     version = registry.version
-    cfg = ExplorationConfig(beta_hot=0.2, v=3, step_scale=1.0)
-    rng = np.random.default_rng(2)
-    _, registry, found = mfind(np.array([1.0, 1.0]), registry, base, cfg, rng)
+    _, registry, found = mfind(np.array([1.0, 1.0]), registry, base)
     assert not found
     assert registry.n_modes == 1 and registry.version == version
 
 
 def test_mfind_append_only_and_version_tracks_insertions():
-    base = GaussianTarget(np.zeros(1), np.eye(1))
+    base = GaussianMixtureTarget([0.5, 0.5], [[0.0], [6.0]],
+                                 [np.eye(1), np.eye(1)])
     registry = ModeRegistry(dim=1)
-    cfg = ExplorationConfig(beta_hot=0.3, v=2, step_scale=1.0)
-    rng = np.random.default_rng(3)
-    x = np.array([3.0])
-    for _ in range(5):
+    found_any = []
+    for start in (-2.0, 0.5, 7.0, 5.5, -1.0):
         before = [m.mu.copy() for m in registry.modes]
-        x, registry, found = mfind(x, registry, base, cfg, rng)
+        _, registry, found = mfind(np.array([start]), registry, base)
+        found_any.append(found)
         for old, kept in zip(before, registry.modes):
             np.testing.assert_array_equal(old, kept.mu)
         assert registry.version == registry.n_modes
+    assert found_any == [True, False, True, False, False]
 
 
 def test_mfind_log_callback_fields():
     base = GaussianTarget(np.zeros(1), np.eye(1))
     registry = ModeRegistry(dim=1)
-    cfg = ExplorationConfig(beta_hot=0.3, v=1, step_scale=1.0)
     records = []
-    mfind(np.zeros(1), registry, base, cfg, np.random.default_rng(4),
-          log_cb=records.append)
+    mfind(np.zeros(1), registry, base, log_cb=records.append)
     assert len(records) == 1
     assert set(records[0]) == {"found_new", "log_pi_at_mode",
                                "min_pseudo_distance", "status"}
@@ -133,29 +129,25 @@ def test_mfind_log_callback_fields():
     assert records[0]["status"] == "inserted"
 
 
-def test_exploration_config_validation():
-    with pytest.raises(ValueError):
-        ExplorationConfig(beta_hot=1.5)
-    with pytest.raises(ValueError):
-        ExplorationConfig(beta_hot=0.5, step_scale=0.0)
-    with pytest.raises(ValueError):
-        ExplorationConfig(beta_hot=0.5, refresh_from_modes=2.0)
-
-
 def test_benchmark_hot_chain_finds_all_modes():
     # the hot chain sweeps every basin quickly at the benchmark settings:
     # over 10 seeds, at least 9 register all four modes within the first
-    # 4000 hot-chain iterations
+    # 4000 hot-chain iterations.  The chain moves as the runner moves it
+    # (v + 1 RWM steps carrying its log density), then searches.
     target = benchmark_target()
-    cfg = ExplorationConfig(beta_hot=5e-6, v=5, step_scale=120.0)
-    max_calls = 4000 // (cfg.v + 1)
+    hot = PowerTarget(target, 5e-6)
+    v, step_scale = 5, 120.0
+    max_calls = 4000 // (v + 1)
     successes = 0
     for seed in range(10):
         rng = np.random.default_rng(seed)
         registry = ModeRegistry(dim=20)
         x_hot = np.full(20, 20.0)
+        logp = hot.log_density(x_hot)
         for _ in range(max_calls):
-            x_hot, registry, _ = mfind(x_hot, registry, target, cfg, rng)
+            for _ in range(v + 1):
+                x_hot, logp, _ = rwm_core(x_hot, logp, hot, step_scale, rng)
+            _, registry, _ = mfind(x_hot, registry, target)
             if registry.n_modes == 4:
                 successes += 1
                 break

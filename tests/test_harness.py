@@ -1,21 +1,26 @@
 import json
+import logging
 import os
 import re
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from alps import cli, kernels, runner
+from alps import cli, exploration, kernels, runner
 from alps.cli import main
 from alps.config import ConfigError, RunConfig
-from alps.density import TargetDensity
-from alps.diagnostics import (LEAP, LEAP_LOCAL, RWM, SWAP_QUANTA,
+from alps.density import PowerTarget, TargetDensity
+from alps.diagnostics import (HOT, LEAP, LEAP_LOCAL, RWM, SWAP_QUANTA,
                               SWAP_STANDARD, running_prob_estimate)
 from alps.kernels import standard_swap_core
+from alps.optimize import local_optimize
 from alps.outputs import emit_outputs
+from alps.registry import (IndefiniteHessianError, ModeRegistry,
+                           covariance_from_hessian, make_mode_info, try_insert)
 from alps.runner import _swap_schedule, alps_run, lais_run, pt_run
 from alps.targets.gaussian import GaussianMixtureTarget, GaussianTarget
 from alps.targets.product import IidProductTarget, SkewShape
@@ -163,6 +168,23 @@ def test_alps_run_init_shape_checked():
     target = GaussianTarget(np.zeros(1), np.eye(1))
     with pytest.raises(ConfigError, match="init"):
         alps_run(cfg, target)
+    cfg = gaussian_config(initial_modes=[[0.0], [1.0, 2.0, 3.0]])
+    with pytest.raises(ConfigError, match=re.escape(
+            "initial_modes[1] has shape (3,), expected (1,)")):
+        alps_run(cfg, target)
+
+
+def test_alps_run_skipped_initial_mode_logs_warning(caplog):
+    # the ascent from 10 climbs the linear branch without converging
+    target = TargetDensity(
+        1, lambda x: float(-x[0] ** 2 if x[0] < 5.0 else x[0] - 30.0),
+        gradient=lambda x: np.array([-2.0 * x[0] if x[0] < 5.0 else 1.0]))
+    cfg = gaussian_config(initial_modes=[[0.5], [10.0]],
+                          total_target_samples=50, burnin_samples=0)
+    with caplog.at_level(logging.WARNING, logger="alps.runner"):
+        _, diag = alps_run(cfg, target)
+    assert diag.registry.n_modes == 1
+    assert "initial_modes[1]: ascent did not converge; skipped" in caplog.text
 
 
 def test_pt_run_moments_and_ladder_validation():
@@ -461,6 +483,173 @@ def test_batched_swap_draws_equal_sequential_reference(monkeypatch, case):
     for move in moves:  # every kind of swap was accepted
         assert sum(a for (mv, _), (a, n) in diag.counters.items()
                    if mv == move) > 0
+
+
+def reference_settings(config):
+    """The exploration settings as the hot chain read them."""
+    ec = config.exploration
+    return SimpleNamespace(beta_hot=config.ladder.beta_hot, v=config.v,
+                           step_scale=ec.step_scale,
+                           n_hot_chains=ec.n_hot_chains,
+                           refresh_from_modes=ec.refresh_from_modes)
+
+
+def reference_mfind(x_hot, registry, base, cfg, rng, log_cb=None):
+    """One exploration step as one function: the refresh coin, v + 1
+    `hot_step` updates (two evaluations each), then the ascent, Hessian
+    and insertion; returns (x_hot', registry', found_new)."""
+    x_hot = np.asarray(x_hot, dtype=float)
+    if cfg.refresh_from_modes > 0.0 and registry.n_modes > 0:
+        if rng.random() < cfg.refresh_from_modes:
+            x_hot = kernels.mixture_propose(registry.snapshot(), 1.0, rng)
+    for _ in range(cfg.v + 1):
+        x_hot, _ = exploration.hot_step(x_hot, cfg.beta_hot, base, rng,
+                                        cfg.step_scale)
+    record = {"found_new": False, "log_pi_at_mode": np.nan,
+              "min_pseudo_distance": np.nan, "status": "not_converged"}
+    mu, converged = local_optimize(x_hot, base)
+    if not converged:
+        if log_cb:
+            log_cb(record)
+        return x_hot, registry, False
+    try:
+        sigma, _, _ = covariance_from_hessian(exploration.hessian_at(base, mu))
+        candidate = make_mode_info(mu, sigma, base.log_density(mu))
+    except (IndefiniteHessianError, ValueError) as err:
+        record.update(status="rejected", reason=str(err))
+        if log_cb:
+            log_cb(record)
+        return x_hot, registry, False
+    record["log_pi_at_mode"] = candidate.log_pi_at_mode
+    record["min_pseudo_distance"] = registry.min_pseudo_distance(candidate)
+    registry, inserted = try_insert(registry, candidate)
+    record["found_new"] = inserted
+    record["status"] = "inserted" if inserted else "duplicate"
+    if log_cb:
+        log_cb(record)
+    return x_hot, registry, inserted
+
+
+def reference_register_point_as_mode(point, target, registry):
+    """Polish an initial mode and offer it to the registry."""
+    mu, converged = local_optimize(np.asarray(point, dtype=float), target)
+    if not converged:
+        return
+    try:
+        sigma, _, _ = covariance_from_hessian(exploration.hessian_at(target,
+                                                                     mu))
+    except (ValueError, IndefiniteHessianError):
+        return
+    try_insert(registry, make_mode_info(mu, sigma, target.log_density(mu)))
+
+
+def reference_find_modes(run, x0):
+    """Initial modes, then the bootstrap; the hot chains' log densities
+    are evaluated afresh after it."""
+    config = run.config
+    run.registry = ModeRegistry(dim=run.target.dim, tol=config.registry_tol)
+    for point in config.initial_modes or []:
+        reference_register_point_as_mode(point, run.target, run.registry)
+    cfg = reference_settings(config)
+    run.hot_states = [x0.copy() for _ in range(cfg.n_hot_chains)]
+    if run.registry.n_modes == 0:
+        run._bootstrap(config.exploration.max_bootstrap_attempts)
+    run.hot_target = PowerTarget(run.target, cfg.beta_hot)
+    run.hot_logps = [run.hot_target.log_density(x) for x in run.hot_states]
+
+
+def reference_search(run, chain, sweep, iteration, rng):
+    """One logged exploration step of hot chain `chain`."""
+    record = {}
+    run.hot_states[chain], run.registry, found = reference_mfind(
+        run.hot_states[chain], run.registry, run.target,
+        reference_settings(run.config), rng, log_cb=record.update)
+    run.diag.discovery_log.append(
+        {"sweep": sweep, "iteration": iteration, **record})
+    if found:
+        run.diag.registry_events.append(
+            {"sweep": sweep, "version": run.registry.version,
+             "n_modes": run.registry.n_modes})
+    return found
+
+
+def reference_exploration_phase(run, t):
+    """The searching chain runs a whole exploration step and has its log
+    density evaluated again; the others take v + 1 tallied steps."""
+    run.stage = "exploration"
+    cfg = reference_settings(run.config)
+    rng = run.factory.stream(runner.EXPLORE_STREAM, t)
+    n_chains = len(run.hot_states)
+    active = t % n_chains if t < run.freeze else -1
+    for c in range(n_chains):
+        if c == active:
+            reference_search(run, c, t, c, rng)
+            run.hot_logps[c] = run.hot_target.log_density(run.hot_states[c])
+        else:
+            for _ in range(cfg.v + 1):
+                run.hot_states[c], run.hot_logps[c], acc = kernels.rwm_core(
+                    run.hot_states[c], run.hot_logps[c], run.hot_target,
+                    cfg.step_scale, rng)
+                run.diag.count(HOT, -1, acc)
+
+
+def exploring_case(run_fn=alps_run, betas=(1.0, 2.0, 6.0), **over):
+    target = GaussianMixtureTarget([0.6, 0.4], [[0.0, 0.0], [3.0, 0.5]],
+                                   [np.eye(2), 0.5 * np.eye(2)])
+    cfg = gaussian_config(
+        ladder={"betas": list(betas), "beta_hot": 0.2},
+        rwm={"step_scale": [2.0] * len(betas), "tune": True},
+        total_target_samples=600, burnin_samples=0, freeze_sweep=60,
+        **over)
+    return run_fn, cfg, target
+
+
+def explore(n_hot_chains, refresh):
+    return {"enabled": True, "step_scale": 3.0, "n_hot_chains": n_hot_chains,
+            "refresh_from_modes": refresh}
+
+
+@pytest.mark.parametrize("case", [
+    lambda: exploring_case(initial_modes=None, exploration=explore(1, 0.0)),
+    lambda: exploring_case(initial_modes=None, exploration=explore(2, 0.5)),
+    lambda: exploring_case(initial_modes=[[3.0, 0.5]],
+                           exploration=explore(1, 0.0)),
+    lambda: exploring_case(initial_modes=[[0.0, 0.0]],
+                           exploration=explore(2, 0.5)),
+    lambda: exploring_case(lais_run, betas=(1.0,), s=0,
+                           initial_modes=[[0.0, 0.0]],
+                           exploration=explore(2, 0.5)),
+], ids=["bootstrap-1-chain", "bootstrap-2-chains-refresh",
+        "initial-modes-1-chain", "initial-modes-2-chains-refresh",
+        "lais-2-chains-refresh"])
+def test_runner_hot_chains_equal_mfind_hot_step_reference(monkeypatch, case):
+    run_fn, cfg, target = case()
+    samples, diag = run_fn(cfg, target)
+    monkeypatch.setattr(runner._Run, "_find_modes", reference_find_modes)
+    monkeypatch.setattr(runner._Run, "search", reference_search)
+    monkeypatch.setattr(runner, "_exploration_phase",
+                        reference_exploration_phase)
+    ref_samples, ref_diag = run_fn(cfg, target)
+    np.testing.assert_array_equal(samples, ref_samples)
+    assert diag.counters == ref_diag.counters
+    registry, ref_registry = diag.registry, ref_diag.registry
+    assert registry.version == ref_registry.version
+    for mode, ref_mode in zip(registry.modes, ref_registry.modes,
+                              strict=True):
+        np.testing.assert_array_equal(mode.mu, ref_mode.mu)
+        np.testing.assert_array_equal(mode.sigma, ref_mode.sigma)
+    np.testing.assert_array_equal(registry.log_weights,
+                                  ref_registry.log_weights)
+    assert diag.registry_events == ref_diag.registry_events
+    assert repr(diag.discovery_log) == repr(ref_diag.discovery_log)
+    # the case exercises what it should: both modes found, searches until
+    # the freeze only, and every step of a non-searching chain tallied
+    n_chains = cfg.exploration.n_hot_chains
+    sweep_searches = sum(rec["sweep"] >= 0 for rec in diag.discovery_log)
+    assert registry.n_modes == 2 and diag.registry_events
+    assert sweep_searches == cfg.freeze_at_sweep < diag.n_sweeps
+    assert diag.counters[(HOT, -1)][1] == (cfg.v + 1) * (
+        n_chains * diag.n_sweeps - sweep_searches)
 
 
 def test_bootstrap_abort_names_budget_and_failures(tmp_path, capsys,

@@ -210,8 +210,14 @@ def test_skew_shape_derivatives_match_analytic():
     shape = SkewShape(alpha=2.0)
     m0 = shape.m0
     assert abs(float(shape(np.array([0.0]))[0])) < 1e-14
-    assert abs(shape.h2() - skew_log_pdf_d2(m0, 2.0)) < 1e-8
-    assert abs(shape.h3() - skew_log_pdf_d3(m0, 2.0)) < 1e-6
+    assert shape.h2() == float(skew_log_pdf_d2(m0, 2.0))
+    assert shape.h3() == float(skew_log_pdf_d3(m0, 2.0))
+    # and, independently of those formulas, differences of the shape
+    f = lambda t: float(shape(np.array([t]))[0])
+    assert abs(shape.h2() - numdiff.richardson_second_derivative(
+        f, 0.0, h0=0.05)) < 1e-8
+    assert abs(shape.h3() - numdiff.richardson_third_derivative(
+        f, 0.0, h0=0.05)) < 1e-6
 
 
 def test_gaussian_shape_derivatives():

@@ -69,6 +69,42 @@ print(json.dumps({{
 """
 
 
+HOT_CHAINS, FREEZE = 2, 4
+
+# ALPS with exploration and no initial modes: the registry starts empty,
+# so bootstrap searches come first.
+EXPLORE_SCRIPT = f"""
+import json
+import sys
+
+import numpy as np
+
+sys.path.insert(0, "perfbench")
+import tracer
+from alps import runner
+from alps.config import RunConfig
+from alps.targets.gaussian import GaussianMixtureTarget
+
+t = tracer.Tracer()
+tracer.instrument(t)
+config = RunConfig.from_dict({{
+    "target": {{"name": "gaussian_mixture"}}, "seed": 0, "v": {V},
+    "ladder": {{"betas": [2.0 ** k for k in range({LEVELS})],
+                "beta_hot": 0.2}},
+    "exploration": {{"step_scale": 3.0, "n_hot_chains": {HOT_CHAINS}}},
+    "freeze_sweep": {FREEZE}, "total_target_samples": {V * SWEEPS}}})
+target = GaussianMixtureTarget([0.6, 0.4], [[0.0, 0.0], [3.0, 0.5]],
+                               [np.eye(2), 0.5 * np.eye(2)])
+_, diag = t.wrap("runner", runner.alps_run)(config, target)
+print(json.dumps({{
+    "hot_steps": t.calls("exploration.hot_step")
+                 + t.calls("exploration.hot_rwm"),
+    "mfind": t.calls("exploration.mfind"),
+    "bootstrap": sum(rec["sweep"] == -1 for rec in diag.discovery_log),
+    "sweeps": diag.n_sweeps}}))
+"""
+
+
 def traced_counts(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -95,3 +131,14 @@ def test_tracer_sees_every_element_of_batched_skew_evaluations():
     assert counts["rwm"] == V * SWEEPS * LEVELS
     # one evaluation per level at set-up and one per RWM proposal
     assert counts["shape_elements"] == LEVELS * DIM * (1 + V * SWEEPS)
+
+
+def test_tracer_counts_hot_steps_and_searches_of_an_alps_run():
+    counts = traced_counts(EXPLORE_SCRIPT)
+    assert counts["sweeps"] == SWEEPS and counts["bootstrap"] >= 1
+    # every chain moves v + 1 steps per sweep, and so does every
+    # bootstrap search's chain
+    assert counts["hot_steps"] == (V + 1) * (
+        HOT_CHAINS * SWEEPS + counts["bootstrap"])
+    # one search per bootstrap attempt and per sweep before the freeze
+    assert counts["mfind"] == counts["bootstrap"] + FREEZE
