@@ -44,7 +44,13 @@ def _build_parser() -> argparse.ArgumentParser:
         _add_common(sub)
         sub.set_defaults(func=_cmd_sampling, runner=_RUNNERS[name])
 
-    sc = subs.add_parser("scaling", help="cold-temperature acceptance scaling")
+    sc = subs.add_parser(
+        "scaling", help="cold-temperature acceptance scaling",
+        description="Observed vs predicted leap acceptance at beta = ell * d "
+                    "along a dimension grid.  Dimensions run on up to "
+                    "min(#dims, usable CPUs) threads and proposals are "
+                    "processed in blocks of 2^15; scaling.csv does not "
+                    "depend on either.")
     sc.add_argument("--shape", choices=("skew", "gaussian"), default="skew")
     sc.add_argument("--alpha", type=float, default=2.0,
                     help="skewness of the skew shape")

@@ -33,6 +33,15 @@ def _build(cls, obj: dict, path: str):
         raise ConfigError(f"{path}: {err}") from err
 
 
+def _require_int(value, key: str, optional: bool = False) -> None:
+    """ConfigError unless value is an integer (a JSON integer; not a bool
+    or a float), or None where the setting is optional."""
+    if optional and value is None:
+        return
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key} must be an integer")
+
+
 @dataclass
 class TargetSpec:
     name: str
@@ -97,6 +106,8 @@ class ExplorationSettings:
     max_bootstrap_attempts: int = 2000
 
     def __post_init__(self):
+        for key in ("n_hot_chains", "max_bootstrap_attempts"):
+            _require_int(getattr(self, key), f"exploration.{key}")
         if self.step_scale <= 0 or self.n_hot_chains < 1:
             raise ConfigError("invalid exploration settings")
         if not 0.0 <= self.refresh_from_modes <= 1.0:
@@ -132,6 +143,10 @@ class RunConfig:
         if self.seed is None or int(self.seed) < 0:
             raise ConfigError("seed must be a non-negative integer (no default)")
         self.seed = int(self.seed)
+        for key in ("v", "total_target_samples", "burnin_samples", "thinning"):
+            _require_int(getattr(self, key), key)
+        for key in ("s", "freeze_sweep"):
+            _require_int(getattr(self, key), key, optional=True)
         if self.v < 1:
             raise ConfigError("v must be at least 1")
         if self.total_target_samples < 0 or self.burnin_samples < 0:

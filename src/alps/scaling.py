@@ -13,12 +13,22 @@ The current state x is drawn coordinate-wise by rejection from exp(beta*h),
 and the rejection sampler hands back h(x) with each draw.  The leap ratio
 carries those values, so the shape is evaluated once per proposal of the
 rejection sampler and once per leap proposal y, never again at x.
+
+Each dimension d draws from its own stream (SCALING_STREAM, counter d),
+so the dimensions are independent: they run on up to min(#dims, usable
+CPUs) threads, largest first, since numpy's generator fills and scipy's
+log_ndtr release the interpreter lock; the shape must therefore be safe
+to call from several threads at once.  Within a dimension, proposals are
+processed in blocks of 2^15 (`_BLOCK`) that stay in cache.  Neither the
+thread count nor the block size changes a draw: `scaling.csv` is the same
+bytes either way.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable
 
@@ -34,6 +44,7 @@ logger = logging.getLogger(__name__)
 _GRID_HALF_WIDTH = 12.0
 _GRID_POINTS = 24001
 _BATCH = 1 << 18
+_BLOCK = 1 << 15
 
 
 class EnvelopeViolationError(RuntimeError):
@@ -62,6 +73,10 @@ class ScalingExperimentConfig:
             raise ValueError("dims must all be at least 2")
         if self.samples <= 1:
             raise ValueError("samples must exceed 1")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) \
+                or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, "
+                             f"got {self.seed!r}")
         object.__setattr__(self, "dims", dims)
         check_shape(self.shape)
 
@@ -126,29 +141,51 @@ def _log_acceptance(t: np.ndarray, h: np.ndarray, beta: float, env_sd: float,
 
 
 def _rejection_batch(shape: Callable, beta: float, env_sd: float,
-                     log_env_norm: float, log_m: float, m: int, rng) -> tuple:
-    """m envelope proposals; returns the accepted ones and h at each.
+                     log_env_norm: float, log_m: float, m: int, rng,
+                     out: np.ndarray, h_out: np.ndarray) -> tuple:
+    """One rejection round of m envelope proposals.
 
-    Raises EnvelopeViolationError, naming the abscissa, where a log
-    acceptance ratio is positive or NaN (a NaN shape value).
+    Draws the m normals in one call, then takes the proposals in blocks
+    of `_BLOCK`: each block's shape values, acceptance log-ratios and
+    uniforms (`rng.random` per block, in order, which draws what one
+    call of size m would) stay in cache, and its accepted draws and their
+    h values are written straight into `out` and `h_out` until those are
+    full.  Returns the filled prefixes (views of `out` and `h_out`).
 
-    A function of its own so that its temporaries are freed before the
-    next batch allocates.
+    Every proposal of the round is checked before it returns: raises
+    EnvelopeViolationError naming the first abscissa whose log acceptance
+    ratio is NaN (a NaN shape value) or, failing that, the one with the
+    largest positive ratio.
     """
-    t = env_sd * rng.standard_normal(m)
-    h = np.asarray(shape(t), dtype=float)
-    log_acc, sq = _log_acceptance(t, h, beta, env_sd, log_env_norm, log_m)
-    worst = float(log_acc.max())  # NaN if any entry is NaN
-    if not worst <= 0.0:
-        # argmax finds the first NaN too
-        bad = float(t[np.argmax(log_acc)])
+    t = rng.standard_normal(m)
+    t *= env_sd
+    filled = 0
+    first_nan = -1
+    worst, worst_at = -math.inf, -1
+    for lo in range(0, m, _BLOCK):
+        tb = t[lo:lo + _BLOCK]
+        h = np.asarray(shape(tb), dtype=float)
+        log_acc, sq = _log_acceptance(tb, h, beta, env_sd, log_env_norm, log_m)
+        block_max = float(log_acc.max())  # NaN if any entry is NaN
+        if first_nan < 0 and math.isnan(block_max):
+            first_nan = lo + int(np.argmax(log_acc))  # argmax finds the first NaN
+        elif block_max > worst:
+            worst, worst_at = block_max, lo + int(np.argmax(log_acc))
+        u = rng.random(tb.size, out=sq)  # sq is spent; its buffer takes the uniforms
+        np.negative(u, out=u)
+        keep = np.flatnonzero(np.log1p(u, out=u) < log_acc)
+        take = min(keep.size, out.size - filled)
+        out[filled:filled + take] = tb[keep[:take]]
+        h_out[filled:filled + take] = h[keep[:take]]
+        filled += take
+    if first_nan >= 0 or worst > 0.0:
+        at = first_nan if first_nan >= 0 else worst_at
+        ratio = math.nan if first_nan >= 0 else worst
+        bad = float(t[at])
         raise EnvelopeViolationError(
             bad, f"rejection envelope violated at x = {bad:.6g} "
-                 f"(log acceptance ratio {worst:.3e}, must be <= 0)")
-    u = rng.random(m, out=sq)  # sq is spent; its buffer takes the uniforms
-    np.negative(u, out=u)
-    keep = np.flatnonzero(np.log1p(u, out=u) < log_acc)
-    return t[keep], h[keep]
+                 f"(log acceptance ratio {ratio:.3e}, must be <= 0)")
+    return out[:filled], h_out[:filled]
 
 
 def _sample_tempered_coords(shape: Callable, beta: float, env_sd: float,
@@ -165,12 +202,9 @@ def _sample_tempered_coords(shape: Callable, beta: float, env_sd: float,
     log_env_norm = math.log(env_sd * math.sqrt(2.0 * math.pi))
     while filled < n_coords:
         m = min(max(2 * (n_coords - filled), 64), _BATCH)
-        kept, h_kept = _rejection_batch(shape, beta, env_sd, log_env_norm,
-                                        log_m, m, rng)
-        take = min(kept.size, n_coords - filled)
-        out[filled:filled + take] = kept[:take]
-        h_out[filled:filled + take] = h_kept[:take]
-        filled += take
+        kept, _ = _rejection_batch(shape, beta, env_sd, log_env_norm, log_m,
+                                   m, rng, out[filled:], h_out[filled:])
+        filled += kept.size
     return out, h_out
 
 
@@ -195,38 +229,77 @@ def _leap_log_ratios(shape: Callable, beta: float, abs_h2: float,
     return beta * (gy_sums - gx_sums)
 
 
+def _worker_count(n_dims: int) -> int:
+    """Threads for the dimension grid: one per dimension, at most one per
+    CPU this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:  # platforms without CPU affinity
+        cpus = os.cpu_count() or 1
+    return min(n_dims, cpus)
+
+
+def _dimension(cfg: ScalingExperimentConfig, d: int, abs_h2: float,
+               predicted: float) -> ScalingRow:
+    """Observed leap acceptance at dimension d, from its own stream."""
+    beta = cfg.ell * d
+    env_sd = math.sqrt(2.0 * max(1.0, abs_h2) / (beta * abs_h2))
+    log_m = _envelope_log_constant(cfg.shape, beta, env_sd)
+    rng = StreamFactory(cfg.seed).stream(SCALING_STREAM, counter=d)
+    prop_sd = 1.0 / math.sqrt(beta * abs_h2)
+    block_rows = max(_BLOCK // d, 1)
+    vals = np.empty(cfg.samples)
+    done = 0
+    while done < cfg.samples:
+        rows_here = min(cfg.samples - done, max(_BATCH // d, 1))
+        x, hx = _sample_tempered_coords(cfg.shape, beta, env_sd, log_m,
+                                        rows_here * d, rng)
+        x = x.reshape(rows_here, d)
+        hx = hx.reshape(rows_here, d)
+        # y is drawn after all x of the chunk, block by block of rows
+        for lo in range(0, rows_here, block_rows):
+            hi = min(lo + block_rows, rows_here)
+            gx_sums = _g_row_sums(x[lo:hi], hx[lo:hi], abs_h2)
+            y = prop_sd * rng.standard_normal((hi - lo, d))
+            b = _leap_log_ratios(cfg.shape, beta, abs_h2, gx_sums, y)
+            vals[done + lo:done + hi] = np.where(b >= 0.0, 1.0, np.exp(b))
+        del x, hx  # freed before the next chunk's draws are allocated
+        done += rows_here
+    observed = float(np.mean(vals))
+    stderr = float(np.std(vals, ddof=1) / math.sqrt(cfg.samples))
+    logger.info("scaling d=%d beta=%.3g observed=%.4f (se %.4f) "
+                "predicted=%.4f", d, beta, observed, stderr, predicted)
+    return ScalingRow(d=d, beta=float(beta), observed_rate=observed,
+                      mc_stderr=stderr, predicted_rate=predicted)
+
+
 def scaling_experiment(cfg: ScalingExperimentConfig) -> list:
-    """Observed vs predicted leap acceptance along the dimension grid."""
+    """Observed vs predicted leap acceptance along the dimension grid.
+
+    The dimensions run on `_worker_count` threads, largest first; the
+    rows come back in `cfg.dims` order.  A failure in one dimension
+    cancels those not yet started and is raised here.
+    """
+    from concurrent.futures import ThreadPoolExecutor, as_completed
+
     h2, h3 = _shape_derivatives(cfg.shape)
     if h2 >= 0:
         raise ValueError(f"h''(0) must be negative, got {h2:.6g}")
     abs_h2 = -h2
     predicted = predicted_acceptance(h3, h2, cfg.ell)
-    factory = StreamFactory(cfg.seed)
-    rows = []
-    for d in cfg.dims:
-        beta = cfg.ell * d
-        env_sd = math.sqrt(2.0 * max(1.0, abs_h2) / (beta * abs_h2))
-        log_m = _envelope_log_constant(cfg.shape, beta, env_sd)
-        rng = factory.stream(SCALING_STREAM, counter=d)
-        prop_sd = 1.0 / math.sqrt(beta * abs_h2)
-        vals = np.empty(cfg.samples)
-        done = 0
-        while done < cfg.samples:
-            rows_here = min(cfg.samples - done, max(_BATCH // d, 1))
-            x, hx = _sample_tempered_coords(cfg.shape, beta, env_sd, log_m,
-                                            rows_here * d, rng)
-            gx_sums = _g_row_sums(x.reshape(rows_here, d),
-                                  hx.reshape(rows_here, d), abs_h2)
-            del x, hx  # freed before y is drawn, so peak memory stays flat
-            y = prop_sd * rng.standard_normal((rows_here, d))
-            b = _leap_log_ratios(cfg.shape, beta, abs_h2, gx_sums, y)
-            vals[done:done + rows_here] = np.where(b >= 0.0, 1.0, np.exp(b))
-            done += rows_here
-        observed = float(np.mean(vals))
-        stderr = float(np.std(vals, ddof=1) / math.sqrt(cfg.samples))
-        logger.info("scaling d=%d beta=%.3g observed=%.4f (se %.4f) "
-                    "predicted=%.4f", d, beta, observed, stderr, predicted)
-        rows.append(ScalingRow(d=d, beta=float(beta), observed_rate=observed,
-                               mc_stderr=stderr, predicted_rate=predicted))
-    return rows
+    workers = _worker_count(len(cfg.dims))
+    if workers == 1:
+        return [_dimension(cfg, d, abs_h2, predicted) for d in cfg.dims]
+    largest_first = sorted(range(len(cfg.dims)), key=lambda i: -cfg.dims[i])
+    futures = [None] * len(cfg.dims)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for i in largest_first:
+            futures[i] = pool.submit(_dimension, cfg, cfg.dims[i], abs_h2,
+                                     predicted)
+        try:
+            for fut in as_completed(futures):
+                fut.result()
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+    return [fut.result() for fut in futures]

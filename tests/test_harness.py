@@ -156,6 +156,30 @@ def test_cli_bad_settings_are_config_errors(tmp_path, capsys, override,
     assert err.startswith("config error") and message in err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("v", 2.5), ("v", True), ("s", 1.5), ("s", True),
+    ("total_target_samples", 10.5), ("burnin_samples", 2.0),
+    ("thinning", False), ("freeze_sweep", 2.5), ("v", "5"),
+    ("exploration.n_hot_chains", 1.5), ("exploration.n_hot_chains", True),
+    ("exploration.max_bootstrap_attempts", 2.5),
+])
+def test_cli_integer_settings_reject_floats_and_bools(tmp_path, capsys, key,
+                                                      value):
+    # these settings size ranges and draws: a float or bool used to pass
+    # validation and end in a bare TypeError once the run started
+    section, _, name = key.rpartition(".")
+    config = {
+        "target": {"name": "gaussian", "params": {"mu": [0.0],
+                                                  "sigma": [[1.0]]}},
+        "ladder": {"betas": [1.0, 0.5], "beta_hot": 0.1}, "seed": 0,
+        "total_target_samples": 10,
+        **({section: {name: value}} if section else {name: value})}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["run", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"config error: {key} must be an integer\n"
+
+
 def test_alps_run_exploration_needs_hot_temperature():
     cfg = gaussian_config(exploration={"enabled": True})
     target = GaussianTarget(np.zeros(1), np.eye(1))

@@ -1,4 +1,6 @@
 import math
+import threading
+import time
 from dataclasses import astuple
 
 import numpy as np
@@ -213,13 +215,49 @@ def test_rejection_batch_names_the_bad_abscissa(poison):
                 else t.max())
     with pytest.raises(EnvelopeViolationError) as info:
         scaling._rejection_batch(shape, beta, env_sd, log_env_norm, log_m, m,
-                                 np.random.default_rng(3))
+                                 np.random.default_rng(3), np.empty(m),
+                                 np.empty(m))
     assert info.value.abscissa == bad
     assert f"x = {bad:.6g}" in str(info.value)
     # the same draws with a finite shape pass the check
     kept, _ = scaling._rejection_batch(skew, beta, env_sd, log_env_norm,
-                                       log_m, m, np.random.default_rng(3))
+                                       log_m, m, np.random.default_rng(3),
+                                       np.empty(m), np.empty(m))
     assert 0 < kept.size < m
+
+
+@pytest.mark.parametrize("poison", ["nan", "positive", "tied"])
+def test_rejection_batch_checks_every_block(monkeypatch, poison):
+    # blocks of 8: the first NaN and the largest excess sit in later blocks
+    # than the first, which holds a finite excess; the error still names the
+    # first NaN of the round, or else its largest excess, or else the first
+    # of the tied largest (an excess so large that t no longer shows in it)
+    monkeypatch.setattr(scaling, "_BLOCK", 8)
+    skew = SkewShape(alpha=2.0)
+    beta, env_sd, m = 20.0, 0.3, 4096
+    log_m = _envelope_log_constant(skew, beta, env_sd)
+    log_env_norm = math.log(env_sd * math.sqrt(2.0 * math.pi))
+    nan_above = 0.9 if poison == "nan" else math.inf
+
+    excess = 1e20 if poison == "tied" else 1e3
+
+    def shape(t):
+        bad = np.where(t > nan_above, np.nan, excess)
+        return np.where(t > 0.5, bad, skew(t))
+
+    t = env_sd * np.random.default_rng(3).standard_normal(m)
+    first_excess = int(np.flatnonzero(t > 0.5)[0])
+    first_nan = int(np.flatnonzero(t > 0.9)[0])
+    assert first_excess < 8 <= first_nan < int(np.argmax(t)) // 8 * 8
+    bad = float({"nan": t[first_nan], "positive": t.max(),
+                 "tied": t[first_excess]}[poison])
+    out, h_out = np.empty(m), np.empty(m)
+    with pytest.raises(EnvelopeViolationError) as info:
+        scaling._rejection_batch(shape, beta, env_sd, log_env_norm, log_m, m,
+                                 np.random.default_rng(3), out, h_out)
+    assert info.value.abscissa == bad
+    assert f"x = {bad:.6g}" in str(info.value)
+    assert ("log acceptance ratio nan" in str(info.value)) == (poison == "nan")
 
 
 def test_stderr_scales_with_sample_size():
@@ -254,3 +292,84 @@ def test_dimension_stream_is_order_independent():
     assert rows_ab[1] == rows_b[0]
     st = StreamFactory(5).stream(SCALING_STREAM, counter=8)
     assert st is not None
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("shape", [SkewShape(alpha=2.0), GaussianShape()])
+def test_blocked_threaded_experiment_matches_reference(monkeypatch, shape,
+                                                       workers):
+    # blocks of 2^7 and batches of 2^10 run several blocks per rejection
+    # round, several rounds per row chunk and several chunks per dimension;
+    # d = 160 exceeds the block, so the leap takes one row at a time
+    monkeypatch.setattr(scaling, "_BATCH", 1 << 10)
+    monkeypatch.setattr(scaling, "_BLOCK", 1 << 7)
+    monkeypatch.setattr(scaling, "_worker_count",
+                        lambda n_dims: min(n_dims, workers))
+    threads = set()
+    dimension = scaling._dimension
+
+    def recorded(*args):
+        threads.add(threading.get_ident())
+        return dimension(*args)
+
+    monkeypatch.setattr(scaling, "_dimension", recorded)
+    cfg = ScalingExperimentConfig(shape=shape, ell=0.5, dims=(4, 16, 10, 160),
+                                  samples=3000, seed=11)
+    rows = [astuple(r) for r in scaling_experiment(cfg)]
+    ref = [astuple(r) for r in reference_scaling_experiment(cfg)]
+    assert np.array_equal(rows, ref, equal_nan=True)
+    assert [r[0] for r in rows] == [4, 16, 10, 160]
+    if workers == 1:
+        assert threads == {threading.get_ident()}
+    else:
+        assert threading.get_ident() not in threads and len(threads) <= 2
+
+
+def test_worker_failure_cancels_the_dimensions_not_started(monkeypatch):
+    # the largest dimension starts first and fails; the two dimensions the
+    # workers hold then finish, and the rest never start
+    monkeypatch.setattr(scaling, "_worker_count", lambda n_dims: 2)
+    started = []
+    holding = threading.Event()
+
+    def dimension(cfg, d, abs_h2, predicted):
+        started.append(d)
+        if d == 9:
+            assert holding.wait(timeout=10.0)
+            raise EnvelopeViolationError(0.5, "poisoned dimension")
+        holding.set()
+        time.sleep(0.5)
+        return None
+
+    monkeypatch.setattr(scaling, "_dimension", dimension)
+    cfg = ScalingExperimentConfig(shape=GaussianShape(), ell=1.0,
+                                  dims=tuple(range(2, 10)), samples=10)
+    with pytest.raises(EnvelopeViolationError, match="poisoned dimension"):
+        scaling_experiment(cfg)
+    assert started[:2] == [9, 8] or started[:2] == [8, 9]
+    assert set(started) <= {9, 8, 7}
+
+
+def test_cli_worker_failure_exits_3(monkeypatch, capsys):
+    monkeypatch.setattr(scaling, "_worker_count", lambda n_dims: 2)
+    envelope = scaling._envelope_log_constant
+
+    def poisoned(shape, beta, env_sd):
+        if beta == 8.0:
+            raise EnvelopeViolationError(0.25, "poisoned envelope at d = 8")
+        return envelope(shape, beta, env_sd)
+
+    monkeypatch.setattr(scaling, "_envelope_log_constant", poisoned)
+    assert main(["scaling", "--ell", "1.0", "--dims", "4,8",
+                 "--samples", "200"]) == 3
+    assert "numerical abort: poisoned envelope at d = 8" in \
+        capsys.readouterr().err
+
+
+def test_seed_must_be_a_non_negative_integer(capsys):
+    for seed in (-1, 1.5, True, "3"):
+        with pytest.raises(ValueError, match="seed"):
+            ScalingExperimentConfig(shape=GaussianShape(), ell=1.0, seed=seed)
+    assert main(["scaling", "--seed", "-1"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: seed must be a non-negative integer")
