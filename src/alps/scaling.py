@@ -36,6 +36,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from . import numdiff
+from .config import _require_int
 from .rng import SCALING_STREAM, StreamFactory
 from .targets.product import check_shape
 
@@ -73,8 +74,8 @@ class ScalingExperimentConfig:
             raise ValueError("dims must all be at least 2")
         if self.samples <= 1:
             raise ValueError("samples must exceed 1")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int) \
-                or self.seed < 0:
+        _require_int(self.seed, "seed")
+        if self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, "
                              f"got {self.seed!r}")
         object.__setattr__(self, "dims", dims)
@@ -150,7 +151,7 @@ def _rejection_batch(shape: Callable, beta: float, env_sd: float,
     uniforms (`rng.random` per block, in order, which draws what one
     call of size m would) stay in cache, and its accepted draws and their
     h values are written straight into `out` and `h_out` until those are
-    full.  Returns the filled prefixes (views of `out` and `h_out`).
+    full.  Returns the number of entries filled.
 
     Every proposal of the round is checked before it returns: raises
     EnvelopeViolationError naming the first abscissa whose log acceptance
@@ -185,7 +186,7 @@ def _rejection_batch(shape: Callable, beta: float, env_sd: float,
         raise EnvelopeViolationError(
             bad, f"rejection envelope violated at x = {bad:.6g} "
                  f"(log acceptance ratio {ratio:.3e}, must be <= 0)")
-    return out[:filled], h_out[:filled]
+    return filled
 
 
 def _sample_tempered_coords(shape: Callable, beta: float, env_sd: float,
@@ -202,9 +203,8 @@ def _sample_tempered_coords(shape: Callable, beta: float, env_sd: float,
     log_env_norm = math.log(env_sd * math.sqrt(2.0 * math.pi))
     while filled < n_coords:
         m = min(max(2 * (n_coords - filled), 64), _BATCH)
-        kept, _ = _rejection_batch(shape, beta, env_sd, log_env_norm, log_m,
+        filled += _rejection_batch(shape, beta, env_sd, log_env_norm, log_m,
                                    m, rng, out[filled:], h_out[filled:])
-        filled += kept.size
     return out, h_out
 
 
@@ -280,26 +280,16 @@ def scaling_experiment(cfg: ScalingExperimentConfig) -> list:
     rows come back in `cfg.dims` order.  A failure in one dimension
     cancels those not yet started and is raised here.
     """
-    from concurrent.futures import ThreadPoolExecutor, as_completed
+    from concurrent.futures import ThreadPoolExecutor
 
     h2, h3 = _shape_derivatives(cfg.shape)
     if h2 >= 0:
         raise ValueError(f"h''(0) must be negative, got {h2:.6g}")
     abs_h2 = -h2
     predicted = predicted_acceptance(h3, h2, cfg.ell)
-    workers = _worker_count(len(cfg.dims))
-    if workers == 1:
-        return [_dimension(cfg, d, abs_h2, predicted) for d in cfg.dims]
-    largest_first = sorted(range(len(cfg.dims)), key=lambda i: -cfg.dims[i])
-    futures = [None] * len(cfg.dims)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for i in largest_first:
-            futures[i] = pool.submit(_dimension, cfg, cfg.dims[i], abs_h2,
-                                     predicted)
-        try:
-            for fut in as_completed(futures):
-                fut.result()
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
-    return [fut.result() for fut in futures]
+    n = len(cfg.dims)
+    order = sorted(range(n), key=lambda i: -cfg.dims[i])
+    with ThreadPoolExecutor(max_workers=_worker_count(n)) as pool:
+        rows = dict(zip(order, pool.map(
+            lambda i: _dimension(cfg, cfg.dims[i], abs_h2, predicted), order)))
+    return [rows[i] for i in range(n)]
