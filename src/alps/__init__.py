@@ -2,9 +2,9 @@
 Hessian-adjusted targets, QuanTA swaps, and mode-leap moves."""
 
 from .config import ConfigError, RunConfig, load_config, preset_dict
-from .density import PowerTarget, TargetDensity
+from .density import TargetDensity
 from .diagnostics import RunDiagnostics, running_prob_estimate
-from .hat import HatTarget, TruncatedHatTarget, chi2_quantile
+from .hat import HatTarget, PowerTarget, TruncatedHatTarget, chi2_quantile
 from .registry import (IndefiniteHessianError, ModeInfo, ModeRegistry,
                        RegistrySnapshot, covariance_from_hessian,
                        make_mode_info, pseudo_distance, try_insert)

@@ -42,6 +42,15 @@ def _require_int(value, key: str, optional: bool = False) -> None:
         raise ConfigError(f"{key} must be an integer")
 
 
+def _require_number(value, key: str, optional: bool = False) -> None:
+    """ConfigError unless value is a number (a JSON integer or float; not
+    a bool or a string), or None where the setting is optional."""
+    if optional and value is None:
+        return
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key} must be a number")
+
+
 @dataclass
 class TargetSpec:
     name: str
@@ -56,6 +65,9 @@ class LadderConfig:
     def __post_init__(self):
         if not self.betas:
             raise ConfigError("ladder.betas must be non-empty")
+        for beta in self.betas:
+            _require_number(beta, "ladder.betas")
+        _require_number(self.beta_hot, "ladder.beta_hot", optional=True)
         self.betas = [float(b) for b in self.betas]
         if any(b <= 0 for b in self.betas):
             raise ConfigError("ladder.betas must be positive")
@@ -73,8 +85,11 @@ class RwmSettings:
         scales = ([self.step_scale]
                   if isinstance(self.step_scale, (int, float))
                   else self.step_scale)
-        if not all(isinstance(s, (int, float)) and s > 0 for s in scales):
+        for scale in scales:
+            _require_number(scale, "rwm.step_scale")
+        if not all(s > 0 for s in scales):
             raise ConfigError("rwm.step_scale must be positive numbers")
+        _require_number(self.tune_target, "rwm.tune_target")
         if not 0.0 < self.tune_target < 1.0:
             raise ConfigError("rwm.tune_target must lie in (0, 1)")
 
@@ -93,6 +108,7 @@ class TruncationSettings:
     level: float = 0.9999
 
     def __post_init__(self):
+        _require_number(self.level, "truncation.level")
         if not 0.0 < self.level < 1.0:
             raise ConfigError("truncation.level must be in (0, 1)")
 
@@ -108,6 +124,8 @@ class ExplorationSettings:
     def __post_init__(self):
         for key in ("n_hot_chains", "max_bootstrap_attempts"):
             _require_int(getattr(self, key), f"exploration.{key}")
+        for key in ("step_scale", "refresh_from_modes"):
+            _require_number(getattr(self, key), f"exploration.{key}")
         if self.step_scale <= 0 or self.n_hot_chains < 1:
             raise ConfigError("invalid exploration settings")
         if not 0.0 <= self.refresh_from_modes <= 1.0:
@@ -140,13 +158,16 @@ class RunConfig:
     out_dir: Optional[str] = None
 
     def __post_init__(self):
-        if self.seed is None or int(self.seed) < 0:
-            raise ConfigError("seed must be a non-negative integer (no default)")
-        self.seed = int(self.seed)
-        for key in ("v", "total_target_samples", "burnin_samples", "thinning"):
+        for key in ("seed", "v", "total_target_samples", "burnin_samples",
+                    "thinning"):
             _require_int(getattr(self, key), key)
         for key in ("s", "freeze_sweep"):
             _require_int(getattr(self, key), key, optional=True)
+        _require_number(self.swap_quanta_prob, "swap_quanta_prob")
+        for key in ("registry_tol", "running_threshold"):
+            _require_number(getattr(self, key), key, optional=True)
+        if self.seed < 0:
+            raise ConfigError("seed must be a non-negative integer")
         if self.v < 1:
             raise ConfigError("v must be at least 1")
         if self.total_target_samples < 0 or self.burnin_samples < 0:
@@ -159,9 +180,10 @@ class RunConfig:
             raise ConfigError("swap_strategy must be 'uniform' or 'even_odd'")
         if self.s is not None and self.s < 0:
             raise ConfigError("s must be non-negative")
+        if self.freeze_sweep is not None and self.freeze_sweep < 0:
+            raise ConfigError("freeze_sweep must be non-negative")
         if self.registry_tol is not None and not (
-                isinstance(self.registry_tol, (int, float))
-                and math.isfinite(self.registry_tol) and self.registry_tol > 0):
+                math.isfinite(self.registry_tol) and self.registry_tol > 0):
             raise ConfigError("registry_tol must be a positive finite number")
 
     # Derived quantities -------------------------------------------------

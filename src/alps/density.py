@@ -70,34 +70,3 @@ class TargetDensity:
             return 0.5 * (h + h.T)
         return numdiff.central_hessian(self.log_density, x)
 
-
-class PowerTarget:
-    """Plain power-tempered density beta * log pi(x).
-
-    Used by the parallel-tempering baseline and by the hot exploration
-    chain, where no mode information is available.
-    """
-
-    # no registry snapshot: the kernels give this level the plain random
-    # walk and standard swaps
-    snapshot = None
-
-    def __init__(self, base: TargetDensity, beta: float):
-        if beta <= 0:
-            raise ValueError("beta must be positive")
-        self.base = base
-        self.beta = float(beta)
-        self.dim = base.dim
-
-    def log_density(self, x: Vector) -> float:
-        return self.beta * self.base.log_density(x)
-
-    def value_and_base(self, x: Vector) -> tuple[float, float]:
-        """(beta * log pi(x), log pi(x)) from one base evaluation.
-
-        A chain that carries log pi(x) with its state gets the value of x
-        at any other power beta' as beta' * log pi(x), the same float
-        product `log_density` returns, without evaluating pi again.
-        """
-        logpi = self.base.log_density(x)
-        return self.beta * logpi, logpi

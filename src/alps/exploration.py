@@ -3,10 +3,11 @@
 The hot chains belong to the runner (`runner._Run`): they move on the
 plain power-tempered density pi^beta_hot (mode information does not
 exist yet when exploration starts) by `kernels.rwm_core`, each carrying
-its log density.  Every sweep until adaptation freezes, one of them
-searches: `mfind` runs a quasi-Newton ascent from the point the chain
-reached and offers the resulting (mode, Hessian) pair to the registry.
-The runner's `initial_modes` are registered by the same search.
+its record and log density.  Every sweep until adaptation freezes, one
+of them searches: `mfind` runs a quasi-Newton ascent from the point the
+chain reached and offers the resulting (mode, Hessian) pair to the
+registry.  The runner's `initial_modes` are registered by the same
+search.
 
 Per sweep the hot chains draw from the sweep's explore stream, the
 chains in order.  The searching chain first draws the refresh coin (only
@@ -22,7 +23,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .density import PowerTarget, TargetDensity
+from .density import TargetDensity
+from .hat import PowerTarget
 from .kernels import rwm_core
 from .optimize import local_optimize
 from .registry import (IndefiniteHessianError, ModeRegistry,
@@ -49,10 +51,10 @@ def hot_step(x_hot: np.ndarray, beta_hot: float, base: TargetDensity,
     if not 0.0 < beta_hot < 1.0:
         raise ValueError("beta_hot must lie in (0, 1)")
     target = PowerTarget(base, beta_hot)
-    x_hot = np.asarray(x_hot, dtype=float)
-    x_new, _, accepted = rwm_core(x_hot, target.log_density(x_hot), target,
-                                  step_scale, rng)
-    return x_new, accepted
+    rec = target.record(x_hot)
+    rec, _, accepted = rwm_core(rec, target.value(rec)[0], target, step_scale,
+                                rng)
+    return rec.x, accepted
 
 
 def hessian_at(base: TargetDensity, mu: np.ndarray) -> np.ndarray:

@@ -1,12 +1,20 @@
-"""Hessian-adjusted tempered (HAT) targets and their truncated variant.
+"""Ladder levels: power-tempered and Hessian-adjusted tempered (HAT) targets.
 
 A HAT target at inverse temperature beta rescales the base density per
 mode so that every registered mode keeps its height log pi(mu_j) at all
 temperatures, which makes the annealed levels locally Gaussian without
 starving low modes of mass.
+
+A level's value and allocation at x depend on x only through its chain
+record (x, log pi(x), qf(x)), qf(x) being the quad forms of x against
+the J registered modes.  `level_values` turns records into values row by
+row, for every level type; a power level pi^beta is its J = 0 case,
+whose record carries an empty qf row and whose value is beta * log pi.
 """
 
 from __future__ import annotations
+
+from operator import itemgetter
 
 import numpy as np
 from scipy.special import gammainc, ndtri
@@ -14,6 +22,21 @@ from scipy.special import gammainc, ndtri
 from .density import TargetDensity
 from .linalg import LOG_2PI
 from .registry import RegistrySnapshot
+
+
+class ChainRecord(tuple):
+    """(x, log pi(x), qf(x)): a chain state with log pi and its quad forms
+    against the level snapshot's modes ((J,), empty on power levels).
+
+    Built from one tuple, `ChainRecord((x, logpi, qf))`, by tuple's own
+    constructor, a fraction of the cost of a NamedTuple's: the RWM phase
+    builds one per level every sweep.
+    """
+
+    __slots__ = ()
+    x = property(itemgetter(0))
+    logpi = property(itemgetter(1))
+    qf = property(itemgetter(2))
 
 
 def allocation_scores(snapshot: RegistrySnapshot, quad_forms: np.ndarray,
@@ -38,24 +61,98 @@ def allocate_mode(x: np.ndarray, beta: float,
     return int(np.argmax(allocation_scores(snapshot, qf, beta)))
 
 
-def _hat_value(base: TargetDensity, snapshot: RegistrySnapshot, beta: float,
-               x: np.ndarray, qf: np.ndarray) -> tuple[float, int]:
-    """(log hat density, allocation at beta) given precomputed quad forms."""
-    a_beta = int(np.argmax(snapshot.score_base - 0.5 * beta * qf))
+def quad_forms(snapshot: RegistrySnapshot | None, x: np.ndarray) -> np.ndarray:
+    """qf of a point (dim,) or of the rows of an (L, dim) block against
+    the snapshot's modes; without a snapshot, empty rows."""
+    if snapshot is None:
+        return x[..., :0]
+    return snapshot.quad_forms(x)
+
+
+def level_values(snapshot: RegistrySnapshot | None, beta, logpi, qf,
+                 radius=np.inf):
+    """(value, allocation) at inverse temperature beta of a chain record
+    (log pi, qf), qf the (J,) quad forms.  For a block of L records beta
+    and radius are (L,) arrays and logpi and qf sequences of L entries,
+    and the values and allocations come back as two lists.
+
+    Without a snapshot (J = 0) the value is beta * log pi and the
+    allocation 0.  Otherwise a is the allocation at beta.  While it
+    agrees with the allocation at 1 the value is beta log pi(x) +
+    (1 - beta) log pi(mu_a), arranged so that x = mu_a gives log pi(mu_a)
+    exactly; else it is log G(x, beta), where the Gaussian normalizer
+    cancels to leave the quad form.  At beta = 1 it is log pi(x).  States
+    whose quad form against mode a reaches `radius` have value -inf.
+    """
+    if isinstance(beta, np.ndarray):
+        if snapshot is None:  # one multiplication for the whole block
+            return (beta * logpi).tolist(), [0] * len(beta)
+        rows = [level_values(snapshot, *row) for row in zip(
+            beta.tolist(), logpi, qf, radius.tolist())]
+        return [value for value, _ in rows], [a for _, a in rows]
+    if snapshot is None:
+        return beta * logpi, 0
+    a = int(np.argmax(allocation_scores(snapshot, qf, beta)))
+    qf_a = float(qf[a])
+    if qf_a >= radius:
+        return -np.inf, a
     if beta == 1.0:
-        return base.log_density(x), a_beta
-    a_one = int(np.argmax(snapshot.score_base - 0.5 * qf))
-    log_pi_mode = float(snapshot.log_pi_at_modes[a_beta])
-    if a_beta == a_one:
-        # beta log pi(x) + (1 - beta) log pi(mu), arranged so x = mu_j
-        # returns log pi(mu_j) exactly
-        return log_pi_mode + beta * (base.log_density(x) - log_pi_mode), a_beta
-    # log G(x, beta): the (2 pi)^{d/2} |Sigma|^{1/2} beta^{-d/2} factors
-    # cancel against the Gaussian normalizer, leaving the quadratic form
-    return log_pi_mode - 0.5 * beta * float(qf[a_beta]), a_beta
+        return logpi, a
+    mode = float(snapshot.log_pi_at_modes[a])
+    if a == int(np.argmax(allocation_scores(snapshot, qf, 1.0))):
+        return mode + beta * (logpi - mode), a
+    return mode - 0.5 * beta * qf_a, a
 
 
-class HatTarget:
+class _Level:
+    """A ladder level: its value at a chain record, via `level_values`.
+
+    A subclass sets base, beta, dim, snapshot (None for a power level)
+    and radius (the truncation radius, inf without truncation).
+    """
+
+    snapshot = None
+    radius = np.inf
+
+    def record(self, x: np.ndarray) -> ChainRecord:
+        """The record of x: one base and one quad-form evaluation."""
+        x = np.asarray(x, dtype=float)
+        return ChainRecord((x, self.base.log_density(x),
+                            quad_forms(self.snapshot, x)))
+
+    def value(self, rec: ChainRecord) -> tuple[float, int]:
+        """(log density, allocation index) of a record; evaluates nothing."""
+        _, logpi, qf = rec
+        return level_values(self.snapshot, self.beta, logpi, qf, self.radius)
+
+    def value_and_alloc(self, x: np.ndarray) -> tuple[float, int]:
+        """(log density, allocation index) of the record of x."""
+        return self.value(self.record(x))
+
+    def log_density(self, x: np.ndarray) -> float:
+        return self.value_and_alloc(x)[0]
+
+    def allocate_index(self, x: np.ndarray) -> int:
+        return allocate_mode(x, self.beta, self.snapshot)
+
+
+class PowerTarget(_Level):
+    """The plain power pi^beta: a level without registered modes (J = 0),
+    whose value at a record is beta * log pi.
+
+    The parallel-tempering baseline's levels and the hot exploration
+    chains, where no mode information is available.
+    """
+
+    def __init__(self, base: TargetDensity, beta: float):
+        if beta <= 0:
+            raise ValueError("beta must be positive")
+        self.base = base
+        self.beta = float(beta)
+        self.dim = base.dim
+
+
+class HatTarget(_Level):
     """Tempered target pi_beta built on a registry snapshot."""
 
     def __init__(self, base: TargetDensity, snapshot: RegistrySnapshot,
@@ -71,29 +168,8 @@ class HatTarget:
         self.beta = float(beta)
         self.dim = base.dim
 
-    @property
-    def version(self) -> int:
-        return self.snapshot.version
 
-    def log_density(self, x: np.ndarray) -> float:
-        x = np.asarray(x, dtype=float)
-        if self.beta == 1.0:
-            return self.base.log_density(x)
-        qf = self.snapshot.quad_forms(x)
-        value, _ = _hat_value(self.base, self.snapshot, self.beta, x, qf)
-        return value
-
-    def value_and_alloc(self, x: np.ndarray) -> tuple[float, int]:
-        """(log density, allocation index) from one quad-form evaluation."""
-        x = np.asarray(x, dtype=float)
-        qf = self.snapshot.quad_forms(x)
-        return _hat_value(self.base, self.snapshot, self.beta, x, qf)
-
-    def allocate_index(self, x: np.ndarray) -> int:
-        return allocate_mode(x, self.beta, self.snapshot)
-
-
-class TruncatedHatTarget:
+class TruncatedHatTarget(_Level):
     """HAT target restricted to the allocation mode's Mahalanobis ball.
 
     The indicator uses the untempered Sigma of the allocated mode; q is
@@ -103,31 +179,11 @@ class TruncatedHatTarget:
     def __init__(self, inner: HatTarget, q: float):
         if q <= 0:
             raise ValueError("truncation radius q must be positive")
-        self.inner = inner
-        self.q = float(q)
+        self.radius = float(q)
         self.base = inner.base
         self.snapshot = inner.snapshot
         self.beta = inner.beta
         self.dim = inner.dim
-
-    @property
-    def version(self) -> int:
-        return self.snapshot.version
-
-    def log_density(self, x: np.ndarray) -> float:
-        return self.value_and_alloc(x)[0]
-
-    def value_and_alloc(self, x: np.ndarray) -> tuple[float, int]:
-        """(log density, allocation index) from one quad-form evaluation."""
-        x = np.asarray(x, dtype=float)
-        qf = self.snapshot.quad_forms(x)
-        value, a_beta = _hat_value(self.base, self.snapshot, self.beta, x, qf)
-        if qf[a_beta] >= self.q:
-            return -np.inf, a_beta
-        return value, a_beta
-
-    def allocate_index(self, x: np.ndarray) -> int:
-        return self.inner.allocate_index(x)
 
 
 def chi2_quantile(level: float, dim: int) -> float:

@@ -7,14 +7,20 @@ gives mode-local RWM steps and QuanTA mode points, a power-tempered
 level gets the plain random walk.  All acceptance ratios are formed and
 compared in log space.
 
+Each chain carries its record (x, log pi(x), qf(x)) (`hat.ChainRecord`)
+and its level value.  A kernel evaluates the base density and the quad
+forms once per new point, at the point's record; every value, allocation
+and mixture density it needs at a carried state it reads from the
+state's record (`level.value`).
+
 Each decision takes exactly one uniform, drawn by its caller: the RWM
 and swap decisions take it as the argument `u`, so a caller may draw
 the uniforms of many decisions in one call.  The mode-leap kernel draws
 its own.
 
-An RWM step is three calls: `rwm_propose` forms the proposal from a
-drawn z ~ N(0, I), the caller evaluates it (`rwm_evaluate`, or a
-batched call over many levels), and `rwm_decide` accepts or rejects
+An RWM step is three parts: `rwm_propose` forms the proposal from a
+drawn z ~ N(0, I), the caller scores its record (one point, or a block
+of points of many levels at once), and `rwm_decide` accepts or rejects
 with the step's uniform.  `rwm_core` draws z, then u, and composes the
 three for a single chain, so there is one RWM formula.
 """
@@ -25,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hat import gaussian_log_pdf_terms
+from .hat import ChainRecord, gaussian_log_pdf_terms
 from .linalg import LOG_2PI, logsumexp_1d
 from .registry import RegistrySnapshot
 
@@ -47,50 +53,33 @@ def _proposal_log_density(diff: np.ndarray, chol: np.ndarray, log_det: float,
                    + float(z @ z))
 
 
-def rwm_propose(x: np.ndarray, target, step_scale, z: np.ndarray,
-                a_x: int | float | None = None):
-    """The RWM proposal from x for the drawn z ~ N(0, I); returns (y, a_x).
+def rwm_propose(x: np.ndarray, snapshot: RegistrySnapshot | None, beta,
+                step_scale, z: np.ndarray, a_x) -> np.ndarray:
+    """The RWM proposal from x for the drawn z ~ N(0, I).
 
-    On a HAT level (one with a registry snapshot) `a_x` is the allocation
-    index of x, computed here when None, and the step is the allocated
-    mode's Cholesky factor times step_scale / sqrt(beta) applied to z.
-    Elsewhere the step is step_scale * z and `a_x` is passed through
-    unchanged; there x may also be an (L, dim) block of states, z the
-    block of their draws and step_scale an (L, 1) column of scales.
+    Without a snapshot (a power level) the step is step_scale * z.  On a
+    HAT level it is the Cholesky factor of x's allocated mode `a_x`
+    times step_scale / sqrt(beta) applied to z.  x may also be an
+    (L, dim) block of states, z the block of their draws, a_x their (L,)
+    allocations and beta and step_scale (L, 1) columns.
     """
-    snapshot = getattr(target, "snapshot", None)
     if snapshot is None:
-        return x + step_scale * z, a_x
-    if a_x is None:
-        a_x = target.allocate_index(x)
-    scale = step_scale / np.sqrt(target.beta)
-    return x + scale * (snapshot.chols[a_x] @ z), a_x
-
-
-def rwm_evaluate(target, y: np.ndarray):
-    """(log density of y, its statistic) as `rwm_decide` takes them: the
-    allocation on a HAT level, log pi on a power level (a `PowerTarget`),
-    None on any other target."""
-    if getattr(target, "snapshot", None) is not None:
-        return target.value_and_alloc(y)
-    value_and_base = getattr(target, "value_and_base", None)
-    if value_and_base is None:
-        return target.log_density(y), None
-    return value_and_base(y)
+        return x + step_scale * z
+    scale = step_scale / np.sqrt(beta)
+    return x + scale * np.matmul(snapshot.chols[a_x], z[..., None])[..., 0]
 
 
 def rwm_decide(x: np.ndarray, logp_x: float, a_x, y: np.ndarray, u: float,
                logp_y: float, a_y, target, step_scale: float):
-    """Accept or reject the proposal y of `rwm_propose`, evaluated as
-    `rwm_evaluate` does, with the step's uniform u; returns
-    (x', logp', a', accepted).
+    """Accept or reject the proposal y of `rwm_propose`, whose value and
+    allocation at the level are logp_y and a_y, with the step's uniform
+    u; returns (x', logp', a', accepted).
 
-    `a_x` and `a_y` are the statistics of x and y, carried so that
-    repeated steps evaluate each point once.  On a HAT level whose
-    allocation changed the Hastings correction is applied.
+    On a HAT level whose allocation changed the Hastings correction is
+    applied.
     """
     log_ratio = logp_y - logp_x
-    snapshot = getattr(target, "snapshot", None)
+    snapshot = target.snapshot
     if snapshot is not None and a_y != a_x and np.isfinite(logp_y):
         # allocation changed: the frozen-L proposal is no longer
         # symmetric, so apply the Hastings correction
@@ -106,17 +95,20 @@ def rwm_decide(x: np.ndarray, logp_x: float, a_x, y: np.ndarray, u: float,
     return x, logp_x, a_x, False
 
 
-def rwm_core(x: np.ndarray, logp_x: float, target, step_scale: float,
+def rwm_core(rec: ChainRecord, logp_x: float, target, step_scale: float,
              rng: np.random.Generator):
     """One RWM step of a single chain: draw z, then u, and propose ->
-    evaluate -> decide; returns (x', logp', accepted)."""
+    score -> decide; returns (record', logp', accepted)."""
+    x = rec.x
     z = rng.standard_normal(x.shape[0])
     u = rng.random()
-    y, a_x = rwm_propose(x, target, step_scale, z)
-    logp_y, a_y = rwm_evaluate(target, y)
-    x, logp, _, accepted = rwm_decide(x, logp_x, a_x, y, u, logp_y, a_y,
+    _, a_x = target.value(rec)
+    y = rwm_propose(x, target.snapshot, target.beta, step_scale, z, a_x)
+    rec_y = target.record(y)
+    logp_y, a_y = target.value(rec_y)
+    _, logp, _, accepted = rwm_decide(x, logp_x, a_x, y, u, logp_y, a_y,
                                       target, step_scale)
-    return x, logp, accepted
+    return (rec_y if accepted else rec), logp, accepted
 
 
 def quanta_transform(x: np.ndarray, beta_from: float, beta_to: float,
@@ -131,13 +123,13 @@ def quanta_transform(x: np.ndarray, beta_from: float, beta_to: float,
 class SwapResult:
     accepted: bool
     log_ratio: float
-    x_low: np.ndarray
-    x_high: np.ndarray
+    low: ChainRecord     # the record now at level k
+    high: ChainRecord    # the record now at level k + 1
     logp_low: float
     logp_high: float
 
 
-def quanta_swap_core(x_k: np.ndarray, x_k1: np.ndarray, logp_k: float,
+def quanta_swap_core(rec_k: ChainRecord, rec_k1: ChainRecord, logp_k: float,
                      logp_k1: float, target_k, target_k1,
                      u: float) -> SwapResult:
     """QuanTA exchange between neighbouring HAT levels k and k+1, decided
@@ -145,38 +137,32 @@ def quanta_swap_core(x_k: np.ndarray, x_k1: np.ndarray, logp_k: float,
     point to the other level's temperature."""
     beta_k, beta_k1 = target_k.beta, target_k1.beta
     snapshot = target_k.snapshot
-    m1 = target_k.allocate_index(x_k)
-    m2 = target_k1.allocate_index(x_k1)
-    y_k = quanta_transform(x_k, beta_k, beta_k1, snapshot.mus[m1])
-    y_k1 = quanta_transform(x_k1, beta_k1, beta_k, snapshot.mus[m2])
-    lp_yk_at_k1 = target_k1.log_density(y_k)
-    lp_yk1_at_k = target_k.log_density(y_k1)
+    _, m1 = target_k.value(rec_k)
+    _, m2 = target_k1.value(rec_k1)
+    y_k = target_k1.record(
+        quanta_transform(rec_k.x, beta_k, beta_k1, snapshot.mus[m1]))
+    y_k1 = target_k.record(
+        quanta_transform(rec_k1.x, beta_k1, beta_k, snapshot.mus[m2]))
+    lp_yk_at_k1, _ = target_k1.value(y_k)
+    lp_yk1_at_k, _ = target_k.value(y_k1)
     log_ratio = (lp_yk_at_k1 + lp_yk1_at_k) - (logp_k + logp_k1)
     if _accept(log_ratio, u):
         return SwapResult(True, log_ratio, y_k1, y_k, lp_yk1_at_k, lp_yk_at_k1)
-    return SwapResult(False, log_ratio, x_k, x_k1, logp_k, logp_k1)
+    return SwapResult(False, log_ratio, rec_k, rec_k1, logp_k, logp_k1)
 
 
-def standard_swap_core(x_k: np.ndarray, x_k1: np.ndarray, logp_k: float,
-                       logp_k1: float, target_k, target_k1, u: float,
-                       logpi: tuple | None = None) -> SwapResult:
+def standard_swap_core(rec_k: ChainRecord, rec_k1: ChainRecord,
+                       logp_k: float, logp_k1: float, target_k, target_k1,
+                       u: float) -> SwapResult:
     """Exchange proposal between neighbouring levels k and k+1, decided
-    by the uniform `u`.
-
-    On power levels `logpi` may carry (log pi(x_k), log pi(x_k1)); the
-    cross terms are then beta * log pi, the product a `PowerTarget`
-    evaluates, so no density is evaluated and the result is unchanged.
-    """
-    if logpi is None:
-        lp_xk1_at_k = target_k.log_density(x_k1)
-        lp_xk_at_k1 = target_k1.log_density(x_k)
-    else:
-        lp_xk1_at_k = target_k.beta * logpi[1]
-        lp_xk_at_k1 = target_k1.beta * logpi[0]
+    by the uniform `u`; the cross values come from the two records."""
+    lp_xk1_at_k, _ = target_k.value(rec_k1)
+    lp_xk_at_k1, _ = target_k1.value(rec_k)
     log_ratio = (lp_xk1_at_k + lp_xk_at_k1) - (logp_k + logp_k1)
     if _accept(log_ratio, u):
-        return SwapResult(True, log_ratio, x_k1, x_k, lp_xk1_at_k, lp_xk_at_k1)
-    return SwapResult(False, log_ratio, x_k, x_k1, logp_k, logp_k1)
+        return SwapResult(True, log_ratio, rec_k1, rec_k, lp_xk1_at_k,
+                          lp_xk_at_k1)
+    return SwapResult(False, log_ratio, rec_k, rec_k1, logp_k, logp_k1)
 
 
 def mixture_propose(snapshot: RegistrySnapshot, beta: float,
@@ -193,42 +179,39 @@ def mixture_propose(snapshot: RegistrySnapshot, beta: float,
 
 
 def mixture_log_density(snapshot: RegistrySnapshot, beta: float,
-                        y: np.ndarray) -> float:
+                        qf: np.ndarray) -> float:
+    """Log density at temperature beta of the registry's Laplace mixture
+    at a point, from the point's quad forms qf."""
     if snapshot.n_modes == 0:
         raise ValueError("no modes discovered")
-    qf = snapshot.quad_forms(np.asarray(y, dtype=float))
     return logsumexp_1d(snapshot.log_weights
                         + gaussian_log_pdf_terms(snapshot, qf, beta))
 
 
-def leap_log_ratio(x: np.ndarray, y: np.ndarray, target,
-                   logp_x: float | None = None,
-                   logp_y: float | None = None) -> float:
+def leap_log_ratio(x: ChainRecord, y: ChainRecord, target, logp_x: float,
+                   logp_y: float) -> float:
     """Independence-sampler log acceptance ratio for the mixture proposal
-    y from x at the level's temperature; log densities not given are
-    evaluated."""
-    if logp_x is None:
-        logp_x = target.log_density(x)
-    if logp_y is None:
-        logp_y = target.log_density(y)
-    lq_x = mixture_log_density(target.snapshot, target.beta, x)
-    lq_y = mixture_log_density(target.snapshot, target.beta, y)
+    y from x at the level's temperature, from their records and values."""
+    lq_x = mixture_log_density(target.snapshot, target.beta, x.qf)
+    lq_y = mixture_log_density(target.snapshot, target.beta, y.qf)
     return (logp_y + lq_x) - (logp_x + lq_y)
 
 
-def mode_leap_core(x: np.ndarray, logp_x: float, target, step_scale: float,
-                   rng: np.random.Generator):
+def mode_leap_core(rec: ChainRecord, logp_x: float, target,
+                   step_scale: float, rng: np.random.Generator):
     """Algorithm: coin-flip between a local RWM move and a mixture leap.
 
-    Returns (x', logp', move_type, accepted).
+    Returns (record', logp', move_type, accepted).
     """
     if rng.random() < 0.5:
-        y, logp_y, accepted = rwm_core(x, logp_x, target, step_scale, rng)
-        return y, logp_y, LOCAL, accepted
+        rec_y, logp_y, accepted = rwm_core(rec, logp_x, target, step_scale,
+                                           rng)
+        return rec_y, logp_y, LOCAL, accepted
     y = mixture_propose(target.snapshot, target.beta, rng)
     u = rng.random()
-    logp_y = target.log_density(y)
-    log_ratio = leap_log_ratio(x, y, target, logp_x, logp_y)
+    rec_y = target.record(y)
+    logp_y, _ = target.value(rec_y)
+    log_ratio = leap_log_ratio(rec, rec_y, target, logp_x, logp_y)
     if _accept(log_ratio, u):
-        return y, logp_y, LEAP, True
-    return x, logp_x, LEAP, False
+        return rec_y, logp_y, LEAP, True
+    return rec, logp_x, LEAP, False

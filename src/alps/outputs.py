@@ -1,6 +1,7 @@
 """Run artifacts: trace.csv, acceptance.json, modes.json, timing.json,
-summary.json.  All files are UTF-8 and byte-reproducible for a fixed
-seed (floats serialized via repr, JSON keys sorted)."""
+summary.json.  All files are UTF-8 (floats serialized via repr, JSON keys
+sorted).  All but timing.json, which holds wall-clock seconds, are
+byte-reproducible for a fixed seed."""
 
 from __future__ import annotations
 

@@ -149,9 +149,14 @@ class RegistrySnapshot:
         return self.mus.shape[0]
 
     def quad_forms(self, x: np.ndarray) -> np.ndarray:
-        """(x - mu_j)^T Sigma_j^{-1} (x - mu_j) for every mode j."""
-        z = np.matmul(self.inv_chols, (x - self.mus)[:, :, None])
-        return (z * z).sum(axis=(1, 2))
+        """(x - mu_j)^T Sigma_j^{-1} (x - mu_j) for every mode j: (J,) for
+        a point x, (L, J) for an (L, dim) block of points.
+
+        A block goes through one broadcast `matmul`, whose rows equal the
+        point-by-point values bit for bit (`einsum` may sum in another
+        order)."""
+        z = np.matmul(self.inv_chols, (x[..., None, :] - self.mus)[..., None])
+        return (z * z).sum(axis=(-2, -1))
 
 
 @dataclass

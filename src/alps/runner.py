@@ -14,14 +14,22 @@ A run type is the list of phases one sweep applies, in order:
 RWM and leap phases make v updates per level.  Level-0 states are
 recorded after every level-0 update, so total_target_samples = v * sweeps.
 
+Every ladder chain carries its record (x, log pi(x), qf(x)), qf(x)
+being the quad forms of x against the registered modes (an empty row on
+power levels), and its level value.  Swaps, QuanTA's allocations, leaps
+and the mode visits read values and allocations off the records
+(`hat.level_values`); only new points are evaluated.  A registry
+rebuild recomputes qf and keeps log pi.
+
 The RWM phase advances its levels in lockstep, one (L, dim) block of
 draws per repetition.  Each level draws from its own `level_stream`:
 its z ~ N(0, I) into its row of the block, then its acceptance uniform.
-On power levels the proposals of all levels are then one array
-operation and one `log_density_batch` call; HAT levels propose with
-their mode's Cholesky step and evaluate one by one.  Each level then
-decides.  Because every stream is keyed on (level, sweep), the draws,
-and hence the run, are those of updating the levels one after another.
+The proposals of all levels are then one array operation (HAT levels
+step by their allocated mode's Cholesky factor), one
+`log_density_batch` call, one quad-form call and one `level_values`
+call; each level then decides.  Because every stream is keyed on
+(level, sweep), the draws, and hence the run, are those of updating the
+levels one after another.
 
 The swap phase draws from the sweep's swap stream: under the "uniform"
 strategy the s pair indices first, in one call, then the s decisions'
@@ -30,13 +38,13 @@ is (coin, u): the coin picks QuanTA or standard, u decides; on power
 levels a row is u alone.
 
 The run owns the hot chains of exploration (ALPS and LAIS): each moves
-on pi^beta_hot by v + 1 `rwm_core` steps per sweep, carrying its log
-density.  Until adaptation freezes, chain t mod n_chains then searches
-from its state (`exploration.mfind`).  The exploration phase draws from
-the sweep's explore stream, the chains in order; the searching chain
-first draws the refresh coin (and, on heads, the mixture point it
-restarts from), then every chain draws z, then u, per step.  A
-bootstrap search draws the same way from a stream of its own.
+on pi^beta_hot by v + 1 `rwm_core` steps per sweep, carrying its record
+and log density.  Until adaptation freezes, chain t mod n_chains then
+searches from its state (`exploration.mfind`).  The exploration phase
+draws from the sweep's explore stream, the chains in order; the
+searching chain first draws the refresh coin (and, on heads, the
+mixture point it restarts from), then every chain draws z, then u, per
+step.  A bootstrap search draws the same way from a stream of its own.
 """
 
 from __future__ import annotations
@@ -49,13 +57,14 @@ import numpy as np
 
 from . import outputs
 from .config import ConfigError, RunConfig
-from .density import PowerTarget, TargetDensity
+from .density import TargetDensity
 from .diagnostics import (HOT, LEAP, LEAP_LOCAL, RWM, SWAP_QUANTA,
                           SWAP_STANDARD, RunDiagnostics)
 from .exploration import NOT_CONVERGED, REJECTED, mfind
-from .hat import HatTarget, TruncatedHatTarget, chi2_quantile
+from .hat import (ChainRecord, HatTarget, PowerTarget, TruncatedHatTarget,
+                  chi2_quantile, level_values, quad_forms)
 from .kernels import (mixture_propose, mode_leap_core, quanta_swap_core,
-                      rwm_core, rwm_evaluate, rwm_propose, standard_swap_core)
+                      rwm_core, rwm_propose, standard_swap_core)
 # perfbench/tracer.py counts the sweep's RWM updates, one decision each,
 # through this name
 from .kernels import rwm_decide as rwm_core_alloc
@@ -114,8 +123,8 @@ class _Run:
 
     With `hat` the levels are HAT targets on a mode registry filled from
     config.initial_modes or else by bootstrap exploration; without it
-    they are the plain powers pi^beta, there is no registry, and each
-    chain carries log pi of its state in `logpis` (None on HAT levels).
+    they are the plain powers pi^beta and there is no registry.  Chain k
+    carries its record in `states[k]` and its level value in `logps[k]`.
     """
 
     def __init__(self, config: RunConfig, target: TargetDensity,
@@ -130,9 +139,12 @@ class _Run:
         self.diag = RunDiagnostics(d, config.n_sweeps * config.v)
         self.factory = StreamFactory(config.seed)
         self.registry = self.snapshot = self.trunc_radius = None
-        self.hot_target = self.logpis = None
+        self.hot_target = None
         x0 = _initial_point(config, d)
-        self.xs = [x0.copy() for _ in range(self.n + 1)]
+        # build_levels fills in the quad forms
+        self.states = [ChainRecord((x0.copy(), target.log_density(x0),
+                                    quad_forms(None, x0)))
+                       for _ in range(self.n + 1)]
         if hat:
             self._find_modes(x0)
             if config.truncation and config.truncation.enabled:
@@ -153,9 +165,10 @@ class _Run:
             if config.ladder.beta_hot is None:
                 raise ConfigError("exploration requires ladder.beta_hot")
             self.hot_target = PowerTarget(self.target, config.ladder.beta_hot)
-            self.hot_states = [x0.copy() for _ in range(explore.n_hot_chains)]
-            self.hot_logps = [self.hot_target.log_density(x)
-                              for x in self.hot_states]
+            self.hot_states = [self.hot_target.record(x0.copy())
+                               for _ in range(explore.n_hot_chains)]
+            self.hot_logps = [self.hot_target.value(rec)[0]
+                              for rec in self.hot_states]
         self.registry = ModeRegistry(dim=d, tol=config.registry_tol)
         for i, point in enumerate(points):
             record: dict = {}
@@ -191,14 +204,15 @@ class _Run:
 
     def hot_moves(self, chain: int, rng, tally: bool = True) -> None:
         """v + 1 RWM steps of hot chain `chain` on pi^beta_hot, carrying
-        its log density; `tally` counts them under HOT."""
+        its record and log density; `tally` counts them under HOT."""
         step_scale = self.config.exploration.step_scale
-        x, logp = self.hot_states[chain], self.hot_logps[chain]
+        rec, logp = self.hot_states[chain], self.hot_logps[chain]
         for _ in range(self.config.v + 1):
-            x, logp, acc = rwm_core(x, logp, self.hot_target, step_scale, rng)
+            rec, logp, acc = rwm_core(rec, logp, self.hot_target, step_scale,
+                                      rng)
             if tally:
                 self.diag.count(HOT, -1, acc)
-        self.hot_states[chain], self.hot_logps[chain] = x, logp
+        self.hot_states[chain], self.hot_logps[chain] = rec, logp
 
     def search(self, chain: int, sweep: int, iteration: int, rng) -> bool:
         """Move hot chain `chain`, its steps untallied, then one logged
@@ -208,13 +222,15 @@ class _Run:
         refresh = self.config.exploration.refresh_from_modes
         if (refresh > 0.0 and self.registry.n_modes > 0
                 and rng.random() < refresh):
-            x = mixture_propose(self.registry.snapshot(), 1.0, rng)
-            self.hot_states[chain] = x
-            self.hot_logps[chain] = self.hot_target.log_density(x)
+            rec = self.hot_target.record(
+                mixture_propose(self.registry.snapshot(), 1.0, rng))
+            self.hot_states[chain] = rec
+            self.hot_logps[chain] = self.hot_target.value(rec)[0]
         self.hot_moves(chain, rng, tally=False)
         record: dict = {}
-        _, self.registry, found = mfind(self.hot_states[chain], self.registry,
-                                        self.target, log_cb=record.update)
+        _, self.registry, found = mfind(self.hot_states[chain].x,
+                                        self.registry, self.target,
+                                        log_cb=record.update)
         self.diag.discovery_log.append(
             {"sweep": sweep, "iteration": iteration, **record})
         if found:
@@ -225,31 +241,31 @@ class _Run:
 
     def build_levels(self) -> None:
         """Level targets on the current registry snapshot (plain powers
-        without a registry) and the chains' log densities under them."""
-        if self.registry is None:
-            self.level_targets = [PowerTarget(self.target, b)
-                                  for b in self.betas]
-            values = [lt.value_and_base(x)
-                      for lt, x in zip(self.level_targets, self.xs)]
-            self.logps = [value for value, _ in values]
-            self.logpis = [logpi for _, logpi in values]
-            return
-        self.snapshot = self.registry.snapshot()
+        without a registry); each chain's record gets its quad forms
+        against the snapshot, keeping log pi, and its value under its
+        level."""
+        snap = self.snapshot = (None if self.registry is None
+                                else self.registry.snapshot())
         self.level_targets = []
-        for beta in self.betas:
-            level = HatTarget(self.target, self.snapshot, float(beta))
+        for beta in self.betas.tolist():
+            level = (PowerTarget(self.target, beta) if snap is None
+                     else HatTarget(self.target, snap, beta))
             if self.trunc_radius is not None and beta > 1.0:
                 level = TruncatedHatTarget(level, self.trunc_radius)
             self.level_targets.append(level)
-        self.logps = [lt.log_density(x)
-                      for lt, x in zip(self.level_targets, self.xs)]
+        self.radii = np.array([level.radius for level in self.level_targets])
+        self.states = [ChainRecord((rec.x, rec.logpi, quad_forms(snap, rec.x)))
+                       for rec in self.states]
+        self.logps = [lt.value(rec)[0]
+                      for lt, rec in zip(self.level_targets, self.states)]
         # states stranded outside a (new) truncation region restart at the
         # dominant mode point, whose HAT value is finite at every level
         for k, lp in enumerate(self.logps):
-            if not np.isfinite(lp):
-                snap = self.snapshot
-                self.xs[k] = snap.mus[int(np.argmax(snap.log_weights))].copy()
-                self.logps[k] = self.level_targets[k].log_density(self.xs[k])
+            if snap is not None and not np.isfinite(lp):
+                level = self.level_targets[k]
+                self.states[k] = level.record(
+                    snap.mus[int(np.argmax(snap.log_weights))].copy())
+                self.logps[k] = level.value(self.states[k])[0]
 
     def tune(self, levels, rates, sweep: int) -> None:
         """Robbins-Monro step of each level's log step scale toward the
@@ -286,77 +302,47 @@ def _rwm_phase(run: _Run, t: int, levels: range) -> None:
     per level after the last repetition."""
     if not levels:
         return
-    v = run.config.v
+    v, snapshot = run.config.v, run.snapshot
+    lo, hi = levels.start, levels.stop
     rngs = [run.factory.level_stream(k, t) for k in levels]
-    Z = np.empty((len(levels), run.target.dim))
-    reps = _power_rwm_reps if run.logpis else _hat_rwm_reps
-    accepted = reps(run, levels, rngs, Z)
-    for k, acc in zip(levels, accepted.tolist()):
-        run.diag.count(RWM, k, acc, v)
-    run.tune(levels, accepted / v, t)
-
-
-def _power_rwm_reps(run: _Run, levels: range, rngs: list,
-                    Z: np.ndarray) -> np.ndarray:
-    """The v repetitions on power levels: the proposals are X + S*Z, one
-    `log_density_batch` call on the base target gives their log pi, and
-    level k's value is beta_k * log pi, the product its `PowerTarget`
-    returns.  Each chain carries (state, value, log pi); returns the
-    accept counts."""
-    targets = [run.level_targets[k] for k in levels]
-    X = np.array([run.xs[k] for k in levels])
-    S = run.step_scales[levels][:, None]
-    betas = np.array([target.beta for target in targets])
-    logps = [run.logps[k] for k in levels]
-    logpis = [run.logpis[k] for k in levels]
-    steps = S.ravel().tolist()
+    targets = run.level_targets[lo:hi]
+    states = run.states[lo:hi]
+    X = np.array([rec.x for rec in states])
+    logpis = [rec.logpi for rec in states]
+    qfs = [rec.qf for rec in states]
+    logps = run.logps[lo:hi]
+    betas, radii = run.betas[lo:hi], run.radii[lo:hi]
+    _, allocs = level_values(snapshot, betas, logpis, qfs, radii)
+    beta_col, step_col = betas[:, None], run.step_scales[lo:hi, None]
+    steps = step_col.ravel().tolist()
+    Z = np.empty_like(X)
     accepted = np.zeros(len(levels), dtype=int)
-    span = f"levels {levels[0]}-{levels[-1]}"
-    for r in range(run.config.v):
+    span = f"levels {lo}-{hi - 1}"
+    for r in range(v):
         run.stage = f"rwm rep {r}, {span}"
         us = _draw_rwm(rngs, Z)
-        Y, _ = rwm_propose(X, targets[0], S, Z)
+        Y = rwm_propose(X, snapshot, beta_col, step_col, Z, allocs)
         logpi_ys = run.target.log_density_batch(Y)
-        logp_ys = (betas * logpi_ys).tolist()
+        qf_ys = quad_forms(snapshot, Y)
+        logp_ys, a_ys = level_values(snapshot, betas, logpi_ys, qf_ys, radii)
         logpi_ys = logpi_ys.tolist()
         acc = np.zeros(len(levels), dtype=bool)
         for i, target in enumerate(targets):
-            _, logps[i], logpis[i], acc[i] = rwm_core_alloc(
-                X[i], logps[i], logpis[i], Y[i], us[i], logp_ys[i],
-                logpi_ys[i], target, steps[i])
+            _, logps[i], allocs[i], moved = rwm_core_alloc(
+                X[i], logps[i], allocs[i], Y[i], us[i], logp_ys[i], a_ys[i],
+                target, steps[i])
+            if moved:
+                acc[i] = True
+                logpis[i], qfs[i] = logpi_ys[i], qf_ys[i]
         np.copyto(X, Y, where=acc[:, None])
         accepted += acc
-        if levels[0] == 0:
+        if lo == 0:
             run.diag.record_sample(X[0])
-    for i, k in enumerate(levels):
-        run.xs[k], run.logps[k], run.logpis[k] = X[i], logps[i], logpis[i]
-    return accepted
-
-
-def _hat_rwm_reps(run: _Run, levels: range, rngs: list,
-                  Z: np.ndarray) -> np.ndarray:
-    """The v repetitions on HAT levels: each level proposes with its
-    allocated mode's Cholesky step and evaluates on its own.  Each chain
-    carries the allocation of its state, found by its first proposal;
-    returns the accept counts."""
-    xs, logps, targets = run.xs, run.logps, run.level_targets
-    steps = run.step_scales.tolist()
-    allocs = [None] * len(levels)
-    accepted = np.zeros(len(levels), dtype=int)
-    span = f"levels {levels[0]}-{levels[-1]}"
-    for r in range(run.config.v):
-        run.stage = f"rwm rep {r}, {span}"
-        us = _draw_rwm(rngs, Z)
-        for i, k in enumerate(levels):
-            y, a_x = rwm_propose(xs[k], targets[k], steps[k], Z[i], allocs[i])
-            logp_y, a_y = rwm_evaluate(targets[k], y)
-            xs[k], logps[k], allocs[i], acc = rwm_core_alloc(
-                xs[k], logps[k], a_x, y, us[i], logp_y, a_y, targets[k],
-                steps[k])
-            accepted[i] += acc
-        if levels[0] == 0:
-            run.diag.record_sample(xs[0])
-    return accepted
+    run.states[lo:hi] = map(ChainRecord, zip(X, logpis, qfs))
+    run.logps[lo:hi] = logps
+    for k, acc in zip(levels, accepted.tolist()):
+        run.diag.count(RWM, k, acc, v)
+    run.tune(levels, accepted / v, t)
 
 
 def _leap_phase(run: _Run, t: int, tune_local: bool) -> None:
@@ -366,23 +352,22 @@ def _leap_phase(run: _Run, t: int, tune_local: bool) -> None:
     rng = run.factory.stream(LEAP_STREAM, t)
     accepted_local = n_local = 0
     for _ in range(run.config.v):
-        run.xs[n], run.logps[n], move_type, acc = mode_leap_core(
-            run.xs[n], run.logps[n], run.level_targets[n],
+        run.states[n], run.logps[n], move_type, acc = mode_leap_core(
+            run.states[n], run.logps[n], run.level_targets[n],
             run.step_scales[n], rng)
         run.diag.count(LEAP if move_type == "leap" else LEAP_LOCAL, n, acc)
         if move_type == "local":
             accepted_local += int(acc)
             n_local += 1
         if n == 0:
-            run.diag.record_sample(run.xs[0])
+            run.diag.record_sample(run.states[0].x)
     if tune_local and n_local:
         run.tune([n], [accepted_local / n_local], t)
 
 
 def _swap_phase(run: _Run, t: int) -> None:
     """s neighbour swaps; on HAT levels a coin picks QuanTA or standard
-    for each, on power levels all are standard, no coin is drawn and the
-    carried log pi values price the swaps and move with the states.  The
+    for each, on power levels all are standard and no coin is drawn.  The
     schedule and the uniforms are drawn up front (see the module
     docstring)."""
     config, n = run.config, run.n
@@ -393,23 +378,19 @@ def _swap_phase(run: _Run, t: int) -> None:
     hat = run.snapshot is not None
     schedule = _swap_schedule(config.swap_strategy, n, config.n_swaps, t, rng)
     draws = rng.random((config.n_swaps, 2 if hat else 1)).tolist()
-    xs, logps, logpis = run.xs, run.logps, run.logpis
-    targets = run.level_targets
+    states, logps, targets = run.states, run.logps, run.level_targets
     for k, row in zip(schedule, draws):
         u = row[-1]
         if hat and row[0] < config.swap_quanta_prob:
-            res = quanta_swap_core(xs[k], xs[k + 1], logps[k], logps[k + 1],
-                                   targets[k], targets[k + 1], u)
+            res = quanta_swap_core(states[k], states[k + 1], logps[k],
+                                   logps[k + 1], targets[k], targets[k + 1], u)
             run.diag.count(SWAP_QUANTA, k, res.accepted)
         else:
-            res = standard_swap_core(
-                xs[k], xs[k + 1], logps[k], logps[k + 1], targets[k],
-                targets[k + 1], u,
-                (logpis[k], logpis[k + 1]) if logpis else None)
+            res = standard_swap_core(states[k], states[k + 1], logps[k],
+                                     logps[k + 1], targets[k], targets[k + 1],
+                                     u)
             run.diag.count(SWAP_STANDARD, k, res.accepted)
-            if logpis and res.accepted:
-                logpis[k], logpis[k + 1] = logpis[k + 1], logpis[k]
-        xs[k], xs[k + 1] = res.x_low, res.x_high
+        states[k], states[k + 1] = res.low, res.high
         logps[k], logps[k + 1] = res.logp_low, res.logp_high
 
 
@@ -434,17 +415,17 @@ def _hat_visits(run: _Run, t: int) -> None:
     run.stage = "bookkeeping"
     diag, n = run.diag, run.n
     diag.mode_visits_level0.append(
-        run.level_targets[0].allocate_index(run.xs[0]))
+        run.level_targets[0].value(run.states[0])[1])
     diag.mode_visits_top.append(
         diag.mode_visits_level0[-1] if n == 0
-        else run.level_targets[n].allocate_index(run.xs[n]))
+        else run.level_targets[n].value(run.states[n])[1])
 
 
 def _nearest_visits(run: _Run, t: int) -> None:
     if run.locations is not None:
-        for visits, x in ((run.diag.mode_visits_level0, run.xs[0]),
-                          (run.diag.mode_visits_top, run.xs[run.n])):
-            sq_dist = np.sum((run.locations - x) ** 2, axis=1)
+        for visits, rec in ((run.diag.mode_visits_level0, run.states[0]),
+                            (run.diag.mode_visits_top, run.states[run.n])):
+            sq_dist = np.sum((run.locations - rec.x) ** 2, axis=1)
             visits.append(int(np.argmin(sq_dist)))
 
 

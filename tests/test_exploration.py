@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from alps.density import PowerTarget, TargetDensity
+from alps.density import TargetDensity
 from alps.exploration import hessian_at, hot_step, mfind
+from alps.hat import PowerTarget
 from alps.kernels import rwm_core
 from alps.numdiff import richardson_second_derivative
 from alps.registry import ModeRegistry, make_mode_info, try_insert
@@ -133,7 +134,7 @@ def test_benchmark_hot_chain_finds_all_modes():
     # the hot chain sweeps every basin quickly at the benchmark settings:
     # over 10 seeds, at least 9 register all four modes within the first
     # 4000 hot-chain iterations.  The chain moves as the runner moves it
-    # (v + 1 RWM steps carrying its log density), then searches.
+    # (v + 1 RWM steps carrying its record), then searches.
     target = benchmark_target()
     hot = PowerTarget(target, 5e-6)
     v, step_scale = 5, 120.0
@@ -142,12 +143,12 @@ def test_benchmark_hot_chain_finds_all_modes():
     for seed in range(10):
         rng = np.random.default_rng(seed)
         registry = ModeRegistry(dim=20)
-        x_hot = np.full(20, 20.0)
-        logp = hot.log_density(x_hot)
+        rec = hot.record(np.full(20, 20.0))
+        logp = hot.value(rec)[0]
         for _ in range(max_calls):
             for _ in range(v + 1):
-                x_hot, logp, _ = rwm_core(x_hot, logp, hot, step_scale, rng)
-            _, registry, _ = mfind(x_hot, registry, target)
+                rec, logp, _ = rwm_core(rec, logp, hot, step_scale, rng)
+            _, registry, _ = mfind(rec.x, registry, target)
             if registry.n_modes == 4:
                 successes += 1
                 break

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import logging
 import os
@@ -13,14 +14,17 @@ from scipy import stats
 from alps import cli, exploration, kernels, runner
 from alps.cli import main
 from alps.config import ConfigError, RunConfig
-from alps.density import PowerTarget, TargetDensity
+from alps.density import TargetDensity
 from alps.diagnostics import (HOT, LEAP, LEAP_LOCAL, RWM, SWAP_QUANTA,
                               SWAP_STANDARD, running_prob_estimate)
+from alps.hat import PowerTarget
+from alps.linalg import logsumexp_1d
 from alps.kernels import standard_swap_core
 from alps.optimize import local_optimize
 from alps.outputs import emit_outputs
 from alps.registry import (IndefiniteHessianError, ModeRegistry,
-                           covariance_from_hessian, make_mode_info, try_insert)
+                           RegistrySnapshot, covariance_from_hessian,
+                           make_mode_info, try_insert)
 from alps.runner import _swap_schedule, alps_run, lais_run, pt_run
 from alps.targets.gaussian import GaussianMixtureTarget, GaussianTarget
 from alps.targets.product import IidProductTarget, SkewShape
@@ -141,6 +145,10 @@ def test_cli_no_modes_without_exploration_is_config_error(tmp_path, capsys):
     ({"truncation": {"level": "high"}}, "truncation"),
     ({"target": {"name": "iid_product_skew",
                  "params": {"dim": 1, "alpah": 10.0}}}, "alpah"),
+    ({"freeze_sweep": -3}, "freeze_sweep must be non-negative"),
+    ({"rwm": {"step_scale": True}}, "rwm.step_scale must be a number"),
+    ({"swap_quanta_prob": True}, "swap_quanta_prob must be a number"),
+    ({"ladder": {"betas": [True, 0.5]}}, "ladder.betas must be a number"),
 ])
 def test_cli_bad_settings_are_config_errors(tmp_path, capsys, override,
                                             message):
@@ -162,6 +170,7 @@ def test_cli_bad_settings_are_config_errors(tmp_path, capsys, override,
     ("thinning", False), ("freeze_sweep", 2.5), ("v", "5"),
     ("exploration.n_hot_chains", 1.5), ("exploration.n_hot_chains", True),
     ("exploration.max_bootstrap_attempts", 2.5),
+    ("seed", 1.7), ("seed", True), ("seed", "3"),
 ])
 def test_cli_integer_settings_reject_floats_and_bools(tmp_path, capsys, key,
                                                       value):
@@ -261,12 +270,50 @@ def test_pt_run_swaps_evaluate_no_density(monkeypatch):
     carried = len(calls)
     assert carried == 3 * (1 + cfg.v * diag.n_sweeps)
     # and the run is the one that prices every swap by two evaluations
-    monkeypatch.setattr(runner, "standard_swap_core",
-                        lambda *args: standard_swap_core(*args[:7]))
+    monkeypatch.setattr(
+        runner, "standard_swap_core",
+        lambda rec_k, rec_k1, lp_k, lp_k1, t_k, t_k1, u: standard_swap_core(
+            t_k.record(rec_k.x), t_k1.record(rec_k1.x), lp_k, lp_k1, t_k,
+            t_k1, u))
     evaluated, diag_evaluated = pt_run(cfg, target)
     assert len(calls) - carried == carried + 2 * cfg.n_swaps * diag.n_sweeps
     np.testing.assert_array_equal(samples, evaluated)
     assert diag.counters == diag_evaluated.counters
+    monkeypatch.undo()
+
+    # on an ALPS ladder the chains carry their records too: no swap, leap
+    # or mode visit evaluates pi or the quad forms at a chain's current
+    # state, and standard swaps and mode visits evaluate nothing at all
+    run_fn, cfg, target = two_mode_alps_case()
+    points = []
+    log_density, quad_forms = target.log_density, RegistrySnapshot.quad_forms
+    monkeypatch.setattr(target, "log_density", lambda x: points.append(
+        np.array(x)) or log_density(x))
+    monkeypatch.setattr(RegistrySnapshot, "quad_forms", lambda snap, x: (
+        points.append(np.array(x)) or quad_forms(snap, x)))
+    calls = {}
+
+    def watched(name, current, evaluates):
+        kernel = getattr(runner, name)
+
+        def wrapped(*args):
+            start = len(points)
+            out = kernel(*args)
+            new = points[start:]
+            assert evaluates or not new, name
+            assert not any(np.array_equal(p, x) for p in new
+                           for x in current(*args)), name
+            calls[name] = calls.get(name, 0) + 1
+            return out
+        monkeypatch.setattr(runner, name, wrapped)
+
+    watched("standard_swap_core", lambda a, b, *_: (a.x, b.x), False)
+    watched("quanta_swap_core", lambda a, b, *_: (a.x, b.x), True)
+    watched("mode_leap_core", lambda a, *_: (a.x,), True)
+    watched("_hat_visits", lambda run, t: (run.states[0].x,
+                                           run.states[run.n].x), False)
+    run_fn(cfg, target)
+    assert min(calls.values()) > 0 and len(calls) == 4
 
 
 def reference_rwm_core_alloc(x, logp_x, target, step_scale, rng, a_x=None):
@@ -303,22 +350,23 @@ def reference_rwm_core_alloc(x, logp_x, target, step_scale, rng, a_x=None):
 
 
 def reference_rwm_phase(run, t, levels):
-    """The RWM phase updating one level after another, v steps each."""
+    """The RWM phase updating one level after another, v steps each; the
+    chain's record is evaluated afresh at its last state."""
     v = run.config.v
     for k in levels:
         rng = run.factory.level_stream(k, t)
         accepted = 0
-        a_k = run.logpis[k] if run.logpis else None
+        a_k = None
+        x = run.states[k].x
         for _ in range(v):
-            run.xs[k], run.logps[k], a_k, acc = reference_rwm_core_alloc(
-                run.xs[k], run.logps[k], run.level_targets[k],
+            x, run.logps[k], a_k, acc = reference_rwm_core_alloc(
+                x, run.logps[k], run.level_targets[k],
                 run.step_scales[k], rng, a_k)
             accepted += int(acc)
             run.diag.count(RWM, k, acc)
             if k == 0:
-                run.diag.record_sample(run.xs[0])
-        if run.logpis:
-            run.logpis[k] = a_k
+                run.diag.record_sample(x)
+        run.states[k] = run.level_targets[k].record(x)
         run.tune(k, accepted / v, t)
 
 
@@ -338,6 +386,33 @@ def skew_pt_case():
     target = IidProductTarget(SkewShape(alpha=10.0), dim=5)
     cfg = pt_config(total_target_samples=1500, burnin_samples=500)
     return pt_run, cfg, target
+
+
+# sha256 of the level-0 samples and of the sorted acceptance counters of
+# the two cases above, recorded on x86-64 Linux (numpy 2.4, OpenBLAS):
+# refactors that keep behaviour keep them.  A platform whose libm or BLAS
+# rounds differently changes them.
+PINNED_DIGESTS = {
+    "two_mode_alps_case": (
+        "268214e5a7ff4cf96315c18317e2d422cd1a74c3a27b5b65d20454d825e3f06f",
+        "179897955bc02aedfe0bff6c1083668faa411d3968eb2087b120926ffa5748d0"),
+    "skew_pt_case": (
+        "831aa611c9e7af4c652ad84e781c6c8ac57760b265022939f06ef8e98e399c90",
+        "dd3383bb67239c13e5601d1c0b8e9eed652307db06f4fc4da070dbecf2af1454"),
+}
+
+
+@pytest.mark.parametrize("case", [two_mode_alps_case, skew_pt_case],
+                         ids=["alps-hat", "pt-batched"])
+def test_fixed_seed_runs_keep_their_digests(case):
+    # the ALPS case runs truncated HAT, QuanTA and standard swaps and
+    # leaps; the PT case the batched power path
+    run_fn, cfg, target = case()
+    samples, diag = run_fn(cfg, target)
+    counters = repr(sorted(diag.counters.items())).encode()
+    assert (hashlib.sha256(samples.tobytes()).hexdigest(),
+            hashlib.sha256(counters).hexdigest()) == PINNED_DIGESTS[
+                case.__name__]
 
 
 def gaussian_pt_case():
@@ -367,6 +442,40 @@ def test_lockstep_rwm_phase_equals_level_by_level_reference(monkeypatch, case):
     assert len(corrections) == 2 * lockstep_corrections
     if run_fn is alps_run:  # the Hastings correction ran
         assert lockstep_corrections > 0
+
+
+class QuickGaussianMixture(GaussianMixtureTarget):
+    """The same mixture density, its log-sum-exp taken by `logsumexp_1d`
+    rather than scipy's, which costs most of a run on two components."""
+
+    def _logpdf(self, x):
+        return logsumexp_1d(self.log_w + self._component_logpdfs(x))
+
+
+def test_alps_recovers_unequal_mode_weights():
+    # HAT keeps each mode's mass at every level, so level 0 must split its
+    # time 0.7 / 0.3 between two modes of unequal covariance, which it
+    # reaches only through the leaps at the top level and the swaps
+    weights, mus = [0.7, 0.3], [[0.0, 0.0], [10.0, 3.0]]
+    sigmas = [[[1.0, 0.3], [0.3, 0.5]], [[0.4, -0.1], [-0.1, 1.2]]]
+    target = QuickGaussianMixture(weights, mus, sigmas)
+    cfg = gaussian_config(ladder={"betas": [1.0, 8.0]}, initial_modes=mus,
+                          init=[0.0, 0.0],
+                          rwm={"step_scale": [1.7, 1.7], "tune": True},
+                          total_target_samples=6000, burnin_samples=600)
+    samples, _ = alps_run(cfg, target)
+    in_first = samples[cfg.burnin_samples:, 0] < 5.0
+    batches = in_first.reshape(30, -1).mean(axis=1)
+    mcse = batches.std(ddof=1) / np.sqrt(batches.size)
+    assert mcse < 0.03
+    assert abs(in_first.mean() - 0.7) < 3.0 * mcse
+    assert np.count_nonzero(np.diff(in_first)) > 50  # level 0 hops modes
+    # a random walk at level 0 alone never leaves the first mode
+    walk_cfg = gaussian_config(ladder={"betas": [1.0]}, initial_modes=None,
+                               init=[0.0, 0.0], total_target_samples=3000,
+                               rwm={"step_scale": 1.7, "tune": True})
+    walk, _ = pt_run(walk_cfg, target)
+    assert np.all(walk[:, 0] < 5.0)
 
 
 class FailingBatch(TargetDensity):
@@ -450,7 +559,8 @@ def reference_standard_swap_core(x_k, x_k1, logp_k, logp_k1, target_k,
 
 def reference_swap_phase(run, t):
     """The swap phase drawing one value at a time: each pair index, then
-    per swap the coin (HAT levels) and the kernel's own uniform."""
+    per swap the coin (HAT levels) and the kernel's own uniform; the
+    records of the two chains are evaluated afresh after each swap."""
     config, n = run.config, run.n
     if n < 1 or config.n_swaps == 0:
         return
@@ -459,23 +569,21 @@ def reference_swap_phase(run, t):
         schedule = [int(rng.integers(0, n)) for _ in range(config.n_swaps)]
     else:
         schedule = _swap_schedule("even_odd", n, config.n_swaps, t, None)
-    xs, logps, logpis = run.xs, run.logps, run.logpis
+    states, logps = run.states, run.logps
     targets = run.level_targets
     for k in schedule:
         if run.snapshot is not None and rng.random() < config.swap_quanta_prob:
             res = reference_quanta_swap_core(
-                xs[k], xs[k + 1], logps[k], logps[k + 1], targets[k],
-                targets[k + 1], rng)
+                states[k].x, states[k + 1].x, logps[k], logps[k + 1],
+                targets[k], targets[k + 1], rng)
             run.diag.count(SWAP_QUANTA, k, res.accepted)
         else:
             res = reference_standard_swap_core(
-                xs[k], xs[k + 1], logps[k], logps[k + 1], targets[k],
-                targets[k + 1], rng,
-                (logpis[k], logpis[k + 1]) if logpis else None)
+                states[k].x, states[k + 1].x, logps[k], logps[k + 1],
+                targets[k], targets[k + 1], rng)
             run.diag.count(SWAP_STANDARD, k, res.accepted)
-            if logpis and res.accepted:
-                logpis[k], logpis[k + 1] = logpis[k + 1], logpis[k]
-        xs[k], xs[k + 1] = res.x_low, res.x_high
+        states[k] = targets[k].record(res.low)
+        states[k + 1] = targets[k + 1].record(res.high)
         logps[k], logps[k + 1] = res.logp_low, res.logp_high
 
 
@@ -575,19 +683,23 @@ def reference_find_modes(run, x0):
     for point in config.initial_modes or []:
         reference_register_point_as_mode(point, run.target, run.registry)
     cfg = reference_settings(config)
-    run.hot_states = [x0.copy() for _ in range(cfg.n_hot_chains)]
+    run.hot_target = PowerTarget(run.target, cfg.beta_hot)
+    run.hot_states = [run.hot_target.record(x0.copy())
+                      for _ in range(cfg.n_hot_chains)]
     if run.registry.n_modes == 0:
         run._bootstrap(config.exploration.max_bootstrap_attempts)
-    run.hot_target = PowerTarget(run.target, cfg.beta_hot)
-    run.hot_logps = [run.hot_target.log_density(x) for x in run.hot_states]
+    run.hot_logps = [run.hot_target.log_density(rec.x)
+                     for rec in run.hot_states]
 
 
 def reference_search(run, chain, sweep, iteration, rng):
-    """One logged exploration step of hot chain `chain`."""
+    """One logged exploration step of hot chain `chain`; its record is
+    evaluated afresh at the state the step reached."""
     record = {}
-    run.hot_states[chain], run.registry, found = reference_mfind(
-        run.hot_states[chain], run.registry, run.target,
+    x_hot, run.registry, found = reference_mfind(
+        run.hot_states[chain].x, run.registry, run.target,
         reference_settings(run.config), rng, log_cb=record.update)
+    run.hot_states[chain] = run.hot_target.record(x_hot)
     run.diag.discovery_log.append(
         {"sweep": sweep, "iteration": iteration, **record})
     if found:
@@ -608,7 +720,8 @@ def reference_exploration_phase(run, t):
     for c in range(n_chains):
         if c == active:
             reference_search(run, c, t, c, rng)
-            run.hot_logps[c] = run.hot_target.log_density(run.hot_states[c])
+            run.hot_logps[c] = run.hot_target.log_density(
+                run.hot_states[c].x)
         else:
             for _ in range(cfg.v + 1):
                 run.hot_states[c], run.hot_logps[c], acc = kernels.rwm_core(
