@@ -4,7 +4,7 @@ Hessian-adjusted targets, QuanTA swaps, and mode-leap moves."""
 from .config import ConfigError, RunConfig, load_config, preset_dict
 from .density import TargetDensity
 from .diagnostics import RunDiagnostics, running_prob_estimate
-from .hat import HatTarget, PowerTarget, TruncatedHatTarget, chi2_quantile
+from .hat import Level, chi2_quantile
 from .registry import (IndefiniteHessianError, ModeInfo, ModeRegistry,
                        RegistrySnapshot, covariance_from_hessian,
                        make_mode_info, pseudo_distance, try_insert)
@@ -16,9 +16,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConfigError", "RunConfig", "load_config", "preset_dict",
-    "PowerTarget", "TargetDensity",
+    "TargetDensity",
     "RunDiagnostics", "running_prob_estimate",
-    "HatTarget", "TruncatedHatTarget", "chi2_quantile",
+    "Level", "chi2_quantile",
     "IndefiniteHessianError", "ModeInfo", "ModeRegistry", "RegistrySnapshot",
     "covariance_from_hessian", "make_mode_info", "pseudo_distance",
     "try_insert",

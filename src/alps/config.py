@@ -1,7 +1,11 @@
 """Run configuration: strict JSON-compatible schema plus named presets.
 
 Unknown keys anywhere in the document are errors (fail fast); the seed
-is mandatory so no run ever depends on entropy.
+is mandatory so no run ever depends on entropy.  Numbers must be finite.
+
+An optional section is switched by its presence alone: exploration runs
+unless `"exploration": null`, truncation runs only with a `"truncation"`
+object.
 """
 
 from __future__ import annotations
@@ -43,12 +47,15 @@ def _require_int(value, key: str, optional: bool = False) -> None:
 
 
 def _require_number(value, key: str, optional: bool = False) -> None:
-    """ConfigError unless value is a number (a JSON integer or float; not
-    a bool or a string), or None where the setting is optional."""
+    """ConfigError unless value is a finite number (a JSON integer or
+    float; not a bool, a string, NaN or an infinity), or None where the
+    setting is optional."""
     if optional and value is None:
         return
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{key} must be a number")
+    if not math.isfinite(value):
+        raise ConfigError(f"{key} must be finite")
 
 
 @dataclass
@@ -104,7 +111,9 @@ class RwmSettings:
 
 @dataclass
 class TruncationSettings:
-    enabled: bool = False
+    """Present in a config, it truncates the levels with beta > 1 at the
+    chi-squared quantile `level` (see `runner._Run`)."""
+
     level: float = 0.9999
 
     def __post_init__(self):
@@ -115,7 +124,9 @@ class TruncationSettings:
 
 @dataclass
 class ExplorationSettings:
-    enabled: bool = True
+    """Present in a config, it runs the hot chains and the mode search;
+    `"exploration": null` turns exploration off."""
+
     step_scale: float = 1.0
     n_hot_chains: int = 1
     refresh_from_modes: float = 0.0
@@ -146,7 +157,7 @@ class RunConfig:
     rwm: RwmSettings = field(default_factory=RwmSettings)
     exploration: Optional[ExplorationSettings] = field(
         default_factory=ExplorationSettings)
-    truncation: TruncationSettings = field(default_factory=TruncationSettings)
+    truncation: Optional[TruncationSettings] = None
     total_target_samples: int = 10000
     burnin_samples: int = 0
     freeze_sweep: Optional[int] = None
@@ -182,9 +193,10 @@ class RunConfig:
             raise ConfigError("s must be non-negative")
         if self.freeze_sweep is not None and self.freeze_sweep < 0:
             raise ConfigError("freeze_sweep must be non-negative")
-        if self.registry_tol is not None and not (
-                math.isfinite(self.registry_tol) and self.registry_tol > 0):
-            raise ConfigError("registry_tol must be a positive finite number")
+        if self.registry_tol is not None and not self.registry_tol > 0:
+            raise ConfigError("registry_tol must be positive")
+        if not isinstance(self.initial_modes, (list, type(None))):
+            raise ConfigError("initial_modes must be a list of points")
 
     # Derived quantities -------------------------------------------------
     @property
@@ -226,17 +238,11 @@ class RunConfig:
             raise ConfigError("config requires 'seed' (no entropy default)")
         obj["target"] = _build(TargetSpec, obj["target"], "target")
         obj["ladder"] = _build(LadderConfig, obj["ladder"], "ladder")
-        if obj.get("rwm") is not None:
-            obj["rwm"] = _build(RwmSettings, obj["rwm"], "rwm")
-        if obj.get("truncation") is not None:
-            obj["truncation"] = _build(TruncationSettings, obj["truncation"],
-                                       "truncation")
-        if "exploration" in obj:
-            if obj["exploration"] is None:
-                pass
-            else:
-                obj["exploration"] = _build(ExplorationSettings,
-                                            obj["exploration"], "exploration")
+        for key, section in (("rwm", RwmSettings),
+                             ("truncation", TruncationSettings),
+                             ("exploration", ExplorationSettings)):
+            if obj.get(key) is not None:
+                obj[key] = _build(section, obj[key], key)
         try:
             return cls(**obj)
         except TypeError as err:
@@ -277,9 +283,8 @@ def _benchmark_preset() -> dict:
         "swap_quanta_prob": 0.5,
         "rwm": {"step_scale": 2.38 / np.sqrt(20.0), "tune": True,
                 "tune_target": 0.234},
-        "exploration": {"enabled": True, "step_scale": 120.0,
-                        "n_hot_chains": 1, "refresh_from_modes": 0.0},
-        "truncation": {"enabled": False},
+        "exploration": {"step_scale": 120.0, "n_hot_chains": 1,
+                        "refresh_from_modes": 0.0},
         "total_target_samples": 200000,
         "burnin_samples": 15000,
         "thinning": 10,
@@ -317,7 +322,7 @@ def _benchmark_lais_preset() -> dict:
         "s": 0,
         "rwm": {"step_scale": 2.38 / np.sqrt(20.0), "tune": True,
                 "tune_target": 0.234},
-        "exploration": {"enabled": True, "step_scale": 120.0},
+        "exploration": {"step_scale": 120.0},
         "total_target_samples": 200000,
         "burnin_samples": 15000,
         "thinning": 10,
@@ -338,9 +343,9 @@ def _sur_grunfeld_preset() -> dict:
         "swap_quanta_prob": 0.5,
         "rwm": {"step_scale": 2.38 / np.sqrt(15.0), "tune": True,
                 "tune_target": 0.234},
-        "exploration": {"enabled": True, "step_scale": 40.0,
-                        "n_hot_chains": 1, "refresh_from_modes": 0.25},
-        "truncation": {"enabled": True, "level": 0.9999},
+        "exploration": {"step_scale": 40.0, "n_hot_chains": 1,
+                        "refresh_from_modes": 0.25},
+        "truncation": {"level": 0.9999},
         "total_target_samples": 20000,
         "burnin_samples": 2000,
         "thinning": 10,

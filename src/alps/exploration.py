@@ -1,13 +1,13 @@
 """Exploration component: mode search and registry updates.
 
 The hot chains belong to the runner (`runner._Run`): they move on the
-plain power-tempered density pi^beta_hot (mode information does not
-exist yet when exploration starts) by `kernels.rwm_core`, each carrying
-its record and log density.  Every sweep until adaptation freezes, one
-of them searches: `mfind` runs a quasi-Newton ascent from the point the
-chain reached and offers the resulting (mode, Hessian) pair to the
-registry.  The runner's `initial_modes` are registered by the same
-search.
+plain power-tempered density pi^beta_hot, a `hat.Level` without a
+snapshot (mode information does not exist yet when exploration starts),
+by `kernels.rwm_core`, each carrying its record and log density.  Every
+sweep until adaptation freezes, one of them searches: `mfind` runs a
+quasi-Newton ascent from the point the chain reached and offers the
+resulting (mode, Hessian) pair to the registry.  The runner's
+`initial_modes` are registered by the same search.
 
 Per sweep the hot chains draw from the sweep's explore stream, the
 chains in order.  The searching chain first draws the refresh coin (only
@@ -24,7 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .density import TargetDensity
-from .hat import PowerTarget
+from .hat import Level
 from .kernels import rwm_core
 from .optimize import local_optimize
 from .registry import (IndefiniteHessianError, ModeRegistry,
@@ -50,7 +50,7 @@ def hot_step(x_hot: np.ndarray, beta_hot: float, base: TargetDensity,
     """
     if not 0.0 < beta_hot < 1.0:
         raise ValueError("beta_hot must lie in (0, 1)")
-    target = PowerTarget(base, beta_hot)
+    target = Level(base, beta_hot)
     rec = target.record(x_hot)
     rec, _, accepted = rwm_core(rec, target.value(rec)[0], target, step_scale,
                                 rng)

@@ -2,10 +2,10 @@
 
 Random-walk Metropolis, standard and transformation-aided (QuanTA)
 temperature swaps, and mode leaps from the registry's Gaussian mixture.
-Moves follow from the level target: a HAT level's registry snapshot
-gives mode-local RWM steps and QuanTA mode points, a power-tempered
-level gets the plain random walk.  All acceptance ratios are formed and
-compared in log space.
+Moves follow from the level (`hat.Level`): a level on a registry
+snapshot (HAT, truncated or not) gives mode-local RWM steps and QuanTA
+mode points, a level without one (a plain power) gets the plain random
+walk.  All acceptance ratios are formed and compared in log space.
 
 Each chain carries its record (x, log pi(x), qf(x)) (`hat.ChainRecord`)
 and its level value.  A kernel evaluates the base density and the quad

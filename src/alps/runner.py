@@ -19,7 +19,10 @@ being the quad forms of x against the registered modes (an empty row on
 power levels), and its level value.  Swaps, QuanTA's allocations, leaps
 and the mode visits read values and allocations off the records
 (`hat.level_values`); only new points are evaluated.  A registry
-rebuild recomputes qf and keeps log pi.
+rebuild recomputes qf and keeps log pi.  Every level, and the target of
+the hot chains, is one `hat.Level`: a plain power without a snapshot, a
+HAT level on the run's current snapshot, truncated at a finite radius
+(the levels with beta > 1 when config.truncation is set).
 
 The RWM phase advances its levels in lockstep, one (L, dim) block of
 draws per repetition.  Each level draws from its own `level_stream`:
@@ -61,8 +64,7 @@ from .density import TargetDensity
 from .diagnostics import (HOT, LEAP, LEAP_LOCAL, RWM, SWAP_QUANTA,
                           SWAP_STANDARD, RunDiagnostics)
 from .exploration import NOT_CONVERGED, REJECTED, mfind
-from .hat import (ChainRecord, HatTarget, PowerTarget, TruncatedHatTarget,
-                  chi2_quantile, level_values, quad_forms)
+from .hat import ChainRecord, Level, chi2_quantile, level_values, quad_forms
 from .kernels import (mixture_propose, mode_leap_core, quanta_swap_core,
                       rwm_core, rwm_propose, standard_swap_core)
 # perfbench/tracer.py counts the sweep's RWM updates, one decision each,
@@ -84,16 +86,16 @@ class NumericalAbort(RuntimeError):
 
 
 def _config_point(value, dim: int, name: str) -> np.ndarray:
-    point = np.asarray(value, dtype=float)
+    """The config entry `name` as a point of dim finite coordinates."""
+    try:
+        point = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"{name} is not a point: {err}") from err
     if point.shape != (dim,):
         raise ConfigError(f"{name} has shape {point.shape}, expected ({dim},)")
+    if not np.all(np.isfinite(point)):
+        raise ConfigError(f"{name} must be finite")
     return point
-
-
-def _initial_point(config: RunConfig, dim: int) -> np.ndarray:
-    if config.init is None:
-        return np.zeros(dim)
-    return _config_point(config.init, dim, "init")
 
 
 def _swap_schedule(strategy: str, n_pairs: int, n_swaps: int, sweep: int,
@@ -123,8 +125,10 @@ class _Run:
 
     With `hat` the levels are HAT targets on a mode registry filled from
     config.initial_modes or else by bootstrap exploration; without it
-    they are the plain powers pi^beta and there is no registry.  Chain k
-    carries its record in `states[k]` and its level value in `logps[k]`.
+    they are the plain powers pi^beta and there is no registry.  `radii`
+    holds each level's truncation radius: config.truncation's chi-squared
+    quantile at the levels with beta > 1, inf elsewhere.  Chain k carries
+    its record in `states[k]` and its level value in `logps[k]`.
     """
 
     def __init__(self, config: RunConfig, target: TargetDensity,
@@ -138,17 +142,23 @@ class _Run:
         self.stage = "setup"
         self.diag = RunDiagnostics(d, config.n_sweeps * config.v)
         self.factory = StreamFactory(config.seed)
-        self.registry = self.snapshot = self.trunc_radius = None
+        self.registry = self.snapshot = None
         self.hot_target = None
-        x0 = _initial_point(config, d)
+        x0 = (np.zeros(d) if config.init is None
+              else _config_point(config.init, d, "init"))
+        # checked in every run type; only searches read them
+        self.initial_points = [
+            _config_point(point, d, f"initial_modes[{i}]")
+            for i, point in enumerate(config.initial_modes or [])]
         # build_levels fills in the quad forms
         self.states = [ChainRecord((x0.copy(), target.log_density(x0),
                                     quad_forms(None, x0)))
                        for _ in range(self.n + 1)]
         if hat:
             self._find_modes(x0)
-            if config.truncation and config.truncation.enabled:
-                self.trunc_radius = chi2_quantile(config.truncation.level, d)
+        radius = (np.inf if config.truncation is None
+                  else chi2_quantile(config.truncation.level, d))
+        self.radii = np.where(betas > 1.0, radius, np.inf)
         self.build_levels()
         self.step_scales = np.array(config.rwm.step_scales(self.n + 1))
         self.locations = getattr(target, "component_locations", None)
@@ -158,19 +168,17 @@ class _Run:
         registry by a search from each of config.initial_modes, or else
         by bootstrap searches."""
         config, d = self.config, self.target.dim
-        points = [_config_point(point, d, f"initial_modes[{i}]")
-                  for i, point in enumerate(config.initial_modes or [])]
         explore = config.exploration
-        if explore is not None and explore.enabled:
+        if explore is not None:
             if config.ladder.beta_hot is None:
                 raise ConfigError("exploration requires ladder.beta_hot")
-            self.hot_target = PowerTarget(self.target, config.ladder.beta_hot)
+            self.hot_target = Level(self.target, config.ladder.beta_hot)
             self.hot_states = [self.hot_target.record(x0.copy())
                                for _ in range(explore.n_hot_chains)]
             self.hot_logps = [self.hot_target.value(rec)[0]
                               for rec in self.hot_states]
         self.registry = ModeRegistry(dim=d, tol=config.registry_tol)
-        for i, point in enumerate(points):
+        for i, point in enumerate(self.initial_points):
             record: dict = {}
             _, self.registry, _ = mfind(point, self.registry, self.target,
                                         log_cb=record.update)
@@ -240,20 +248,15 @@ class _Run:
         return found
 
     def build_levels(self) -> None:
-        """Level targets on the current registry snapshot (plain powers
-        without a registry); each chain's record gets its quad forms
-        against the snapshot, keeping log pi, and its value under its
-        level."""
+        """One `Level` per beta on the current registry snapshot (plain
+        powers without a registry), at its radius in `radii`; each chain's
+        record gets its quad forms against the snapshot, keeping log pi,
+        and its value under its level."""
         snap = self.snapshot = (None if self.registry is None
                                 else self.registry.snapshot())
-        self.level_targets = []
-        for beta in self.betas.tolist():
-            level = (PowerTarget(self.target, beta) if snap is None
-                     else HatTarget(self.target, snap, beta))
-            if self.trunc_radius is not None and beta > 1.0:
-                level = TruncatedHatTarget(level, self.trunc_radius)
-            self.level_targets.append(level)
-        self.radii = np.array([level.radius for level in self.level_targets])
+        self.level_targets = [
+            Level(self.target, beta, snap, radius)
+            for beta, radius in zip(self.betas.tolist(), self.radii.tolist())]
         self.states = [ChainRecord((rec.x, rec.logpi, quad_forms(snap, rec.x)))
                        for rec in self.states]
         self.logps = [lt.value(rec)[0]

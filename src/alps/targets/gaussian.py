@@ -6,7 +6,8 @@ import numpy as np
 from scipy.special import logsumexp
 
 from ..density import TargetDensity
-from ..linalg import LOG_2PI, chol_lower, log_det_from_chol, spd_solve
+from ..linalg import (LOG_2PI, chol_lower, log_det_from_chol, logsumexp_1d,
+                      spd_solve)
 from scipy.linalg import solve_triangular
 
 
@@ -63,7 +64,7 @@ class GaussianMixtureTarget(TargetDensity):
         return out
 
     def _logpdf(self, x: np.ndarray) -> float:
-        return float(logsumexp(self.log_w + self._component_logpdfs(x)))
+        return logsumexp_1d(self.log_w + self._component_logpdfs(x))
 
     def _grad(self, x: np.ndarray) -> np.ndarray:
         lp = self.log_w + self._component_logpdfs(x)

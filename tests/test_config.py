@@ -22,7 +22,8 @@ def test_minimal_config_parses_with_defaults():
     assert cfg.swap_strategy == "uniform"
     assert (cfg.rwm.step_scale, cfg.rwm.tune, cfg.rwm.tune_target) == (
         1.0, False, 0.234)
-    assert cfg.exploration is not None and cfg.exploration.enabled
+    # exploration is on and truncation off unless a config says otherwise
+    assert cfg.exploration is not None and cfg.truncation is None
 
 
 def test_seed_is_mandatory():
@@ -166,3 +167,13 @@ def test_load_config_requires_some_source():
 def test_from_json_reports_parse_errors():
     with pytest.raises(ConfigError, match="invalid JSON"):
         RunConfig.from_json("{not json")
+
+
+def test_presence_of_a_section_is_its_switch():
+    assert RunConfig.from_dict(preset_dict("sur-grunfeld")).truncation.level \
+        == 0.9999
+    assert RunConfig.from_dict(preset_dict("synthetic-20d")).truncation is None
+    assert RunConfig.from_dict(dict(MINIMAL, truncation={})).truncation.level \
+        == 0.9999
+    assert RunConfig.from_dict(dict(MINIMAL, exploration=None)).exploration \
+        is None

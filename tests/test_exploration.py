@@ -3,7 +3,7 @@ import pytest
 
 from alps.density import TargetDensity
 from alps.exploration import hessian_at, hot_step, mfind
-from alps.hat import PowerTarget
+from alps.hat import Level
 from alps.kernels import rwm_core
 from alps.numdiff import richardson_second_derivative
 from alps.registry import ModeRegistry, make_mode_info, try_insert
@@ -136,7 +136,7 @@ def test_benchmark_hot_chain_finds_all_modes():
     # 4000 hot-chain iterations.  The chain moves as the runner moves it
     # (v + 1 RWM steps carrying its record), then searches.
     target = benchmark_target()
-    hot = PowerTarget(target, 5e-6)
+    hot = Level(target, 5e-6)
     v, step_scale = 5, 120.0
     max_calls = 4000 // (v + 1)
     successes = 0

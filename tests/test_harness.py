@@ -17,8 +17,7 @@ from alps.config import ConfigError, RunConfig
 from alps.density import TargetDensity
 from alps.diagnostics import (HOT, LEAP, LEAP_LOCAL, RWM, SWAP_QUANTA,
                               SWAP_STANDARD, running_prob_estimate)
-from alps.hat import PowerTarget
-from alps.linalg import logsumexp_1d
+from alps.hat import Level, chi2_quantile
 from alps.kernels import standard_swap_core
 from alps.optimize import local_optimize
 from alps.outputs import emit_outputs
@@ -149,6 +148,24 @@ def test_cli_no_modes_without_exploration_is_config_error(tmp_path, capsys):
     ({"rwm": {"step_scale": True}}, "rwm.step_scale must be a number"),
     ({"swap_quanta_prob": True}, "swap_quanta_prob must be a number"),
     ({"ladder": {"betas": [True, 0.5]}}, "ladder.betas must be a number"),
+    # Python's json reads NaN and Infinity
+    ({"ladder": {"betas": [1.0, float("nan")]}}, "ladder.betas must be finite"),
+    ({"ladder": {"betas": [1.0, float("inf")]}}, "ladder.betas must be finite"),
+    ({"exploration": {"step_scale": float("nan")}},
+     "exploration.step_scale must be finite"),
+    ({"rwm": {"step_scale": float("inf")}}, "rwm.step_scale must be finite"),
+    ({"running_threshold": float("nan")}, "running_threshold must be finite"),
+    ({"init": "abc"}, "init is not a point"),
+    ({"init": [float("inf")]}, "init must be finite"),
+    ({"initial_modes": [["a"]]}, "initial_modes[0] is not a point"),
+    ({"initial_modes": 5}, "initial_modes must be a list of points"),
+    ({"initial_modes": [[0.0], [float("nan")]]},
+     "initial_modes[1] must be finite"),
+    # presence of the section is the switch
+    ({"truncation": {"enabled": True}},
+     "truncation: unknown key(s) ['enabled']"),
+    ({"exploration": {"enabled": True}},
+     "exploration: unknown key(s) ['enabled']"),
 ])
 def test_cli_bad_settings_are_config_errors(tmp_path, capsys, override,
                                             message):
@@ -189,8 +206,39 @@ def test_cli_integer_settings_reject_floats_and_bools(tmp_path, capsys, key,
     assert capsys.readouterr().err == f"config error: {key} must be an integer\n"
 
 
+@pytest.mark.parametrize("run_fn, betas, truncation", [
+    (alps_run, [1.0, 2.0, 6.0], {"level": 0.99}),
+    (alps_run, [1.0, 2.0, 6.0], None),
+    (pt_run, [1.0, 0.5], {"level": 0.99}),
+], ids=["alps-truncated", "alps", "pt"])
+def test_build_levels_truncates_exactly_the_levels_above_one(run_fn, betas,
+                                                             truncation):
+    target = GaussianMixtureTarget([0.6, 0.4], [[0.0, 0.0], [3.0, 0.5]],
+                                   [np.eye(2), 0.5 * np.eye(2)])
+    cfg = gaussian_config(ladder={"betas": betas}, truncation=truncation,
+                          initial_modes=[[0.0, 0.0]],
+                          rwm={"step_scale": 1.0})
+    run = runner._Run(cfg, target, np.array(betas), hat=run_fn is alps_run)
+    radius = np.inf if truncation is None else chi2_quantile(0.99, 2)
+    expected = [radius if beta > 1.0 else np.inf for beta in betas]
+    assert run.radii.tolist() == expected
+    assert [level.radius for level in run.level_targets] == expected
+    # every level shares the run's snapshot, also after a rebuild
+    assert all(level.snapshot is run.snapshot for level in run.level_targets)
+    if run_fn is pt_run:
+        assert run.snapshot is None
+        return
+    run.registry, inserted = try_insert(run.registry, make_mode_info(
+        np.array([3.0, 0.5]), 0.5 * np.eye(2), target.log_density([3.0, 0.5])))
+    assert inserted
+    run.build_levels()
+    assert run.snapshot.n_modes == 2
+    assert all(level.snapshot is run.snapshot for level in run.level_targets)
+    assert [level.radius for level in run.level_targets] == expected
+
+
 def test_alps_run_exploration_needs_hot_temperature():
-    cfg = gaussian_config(exploration={"enabled": True})
+    cfg = gaussian_config(exploration={})
     target = GaussianTarget(np.zeros(1), np.eye(1))
     with pytest.raises(ConfigError, match="beta_hot"):
         alps_run(cfg, target)
@@ -376,7 +424,7 @@ def two_mode_alps_case():
     cfg = gaussian_config(ladder={"betas": [1.0, 2.0, 6.0]},
                           initial_modes=[[0.0, 0.0], [3.0, 0.5]],
                           rwm={"step_scale": [2.0, 2.0, 2.0], "tune": True},
-                          truncation={"enabled": True, "level": 0.999},
+                          truncation={"level": 0.999},
                           total_target_samples=1500, burnin_samples=500)
     return alps_run, cfg, target
 
@@ -444,21 +492,13 @@ def test_lockstep_rwm_phase_equals_level_by_level_reference(monkeypatch, case):
         assert lockstep_corrections > 0
 
 
-class QuickGaussianMixture(GaussianMixtureTarget):
-    """The same mixture density, its log-sum-exp taken by `logsumexp_1d`
-    rather than scipy's, which costs most of a run on two components."""
-
-    def _logpdf(self, x):
-        return logsumexp_1d(self.log_w + self._component_logpdfs(x))
-
-
 def test_alps_recovers_unequal_mode_weights():
     # HAT keeps each mode's mass at every level, so level 0 must split its
     # time 0.7 / 0.3 between two modes of unequal covariance, which it
     # reaches only through the leaps at the top level and the swaps
     weights, mus = [0.7, 0.3], [[0.0, 0.0], [10.0, 3.0]]
     sigmas = [[[1.0, 0.3], [0.3, 0.5]], [[0.4, -0.1], [-0.1, 1.2]]]
-    target = QuickGaussianMixture(weights, mus, sigmas)
+    target = GaussianMixtureTarget(weights, mus, sigmas)
     cfg = gaussian_config(ladder={"betas": [1.0, 8.0]}, initial_modes=mus,
                           init=[0.0, 0.0],
                           rwm={"step_scale": [1.7, 1.7], "tune": True},
@@ -683,7 +723,7 @@ def reference_find_modes(run, x0):
     for point in config.initial_modes or []:
         reference_register_point_as_mode(point, run.target, run.registry)
     cfg = reference_settings(config)
-    run.hot_target = PowerTarget(run.target, cfg.beta_hot)
+    run.hot_target = Level(run.target, cfg.beta_hot)
     run.hot_states = [run.hot_target.record(x0.copy())
                       for _ in range(cfg.n_hot_chains)]
     if run.registry.n_modes == 0:
@@ -742,7 +782,7 @@ def exploring_case(run_fn=alps_run, betas=(1.0, 2.0, 6.0), **over):
 
 
 def explore(n_hot_chains, refresh):
-    return {"enabled": True, "step_scale": 3.0, "n_hot_chains": n_hot_chains,
+    return {"step_scale": 3.0, "n_hot_chains": n_hot_chains,
             "refresh_from_modes": refresh}
 
 
@@ -798,7 +838,7 @@ def test_bootstrap_abort_names_budget_and_failures(tmp_path, capsys,
     path.write_text(json.dumps({
         "target": {"name": "gaussian"},
         "ladder": {"betas": [1.0, 4.0], "beta_hot": 0.5}, "seed": 0,
-        "exploration": {"enabled": True, "max_bootstrap_attempts": 3},
+        "exploration": {"max_bootstrap_attempts": 3},
         "total_target_samples": 10}))
     monkeypatch.setattr(cli, "build_target", lambda name, params: target)
     assert main(["run", "--config", str(path)]) == 3

@@ -3,8 +3,8 @@ import pytest
 from scipy.stats import chi2, multivariate_normal, norm
 
 from alps.config import TruncationSettings
-from alps.hat import (HatTarget, TruncatedHatTarget, allocate_mode,
-                      chi2_quantile, gaussian_log_pdf_terms)
+from alps.hat import (Level, allocate_mode, chi2_quantile,
+                      gaussian_log_pdf_terms)
 from alps.registry import (ModeRegistry, RegistrySnapshot, make_mode_info,
                            try_insert)
 from alps.targets.gaussian import GaussianMixtureTarget, GaussianTarget
@@ -91,7 +91,7 @@ def test_gaussian_log_pdf_terms_against_scipy():
 
 def test_hat_beta_one_is_base_pointwise():
     base, snap = mixture_base_1d()
-    hat = HatTarget(base, snap, 1.0)
+    hat = Level(base, 1.0, snap)
     rng = np.random.default_rng(1)
     for _ in range(100):
         x = rng.uniform(-8, 8, size=1)
@@ -101,7 +101,7 @@ def test_hat_beta_one_is_base_pointwise():
 def test_hat_mode_height_invariance_exact():
     base, snap = mixture_base_1d()
     for beta in (1.0, 4.0, 64.0, 4096.0):
-        hat = HatTarget(base, snap, beta)
+        hat = Level(base, beta, snap)
         for j in range(snap.n_modes):
             mu = snap.mus[j]
             assert hat.log_density(mu) == base.log_density(mu)
@@ -112,7 +112,7 @@ def test_hat_same_allocation_branch_value():
     # 4 * logpdf(1) + (1 - 4) * logpdf(0) = -2 - log(2 pi)/2
     base = GaussianTarget(np.zeros(1), np.eye(1))
     snap = registry_snapshot([[0.0]], [np.eye(1)], [base.log_density([0.0])], 1)
-    hat = HatTarget(base, snap, 4.0)
+    hat = Level(base, 4.0, snap)
     expected = -2.0 - 0.5 * np.log(2.0 * np.pi)
     assert abs(hat.log_density(np.array([1.0])) - expected) < 1e-12
 
@@ -125,7 +125,7 @@ def test_hat_allocation_flip_branch():
     beta = 4096.0
     assert allocate_mode(x, 1.0, snap) == 1
     assert allocate_mode(x, beta, snap) == 0
-    hat = HatTarget(base, snap, beta)
+    hat = Level(base, beta, snap)
     qf0 = (0.9 - 0.0) ** 2 / 4.0
     expected = snap.log_pi_at_modes[0] - 0.5 * beta * qf0
     assert abs(hat.log_density(x) - expected) < 1e-10
@@ -141,7 +141,7 @@ def test_hat_exact_gaussian_matches_scaled_gaussian():
     base = GaussianTarget(mu, sigma)
     snap = registry_snapshot([mu], [sigma], [base.log_density(mu)], 3)
     for beta in (4.0, 64.0, 1024.0):
-        hat = HatTarget(base, snap, beta)
+        hat = Level(base, beta, snap)
         points = mu + rng.standard_normal((100, 3)) @ np.linalg.cholesky(
             sigma / beta).T
         deltas = np.array([
@@ -152,16 +152,16 @@ def test_hat_exact_gaussian_matches_scaled_gaussian():
 
 def test_truncated_hat_mode_point_passes():
     base, snap = mixture_base_1d()
-    hat = HatTarget(base, snap, 16.0)
-    trunc = TruncatedHatTarget(hat, q=4.0)
+    hat = Level(base, 16.0, snap)
+    trunc = Level(base, 16.0, snap, radius=4.0)
     mu = snap.mus[0]
     assert trunc.log_density(mu) == hat.log_density(mu)
 
 
 def test_truncated_hat_large_q_is_inner():
     base, snap = mixture_base_1d()
-    hat = HatTarget(base, snap, 16.0)
-    trunc = TruncatedHatTarget(hat, q=1e12)
+    hat = Level(base, 16.0, snap)
+    trunc = Level(base, 16.0, snap, radius=1e12)
     rng = np.random.default_rng(3)
     for _ in range(50):
         x = rng.uniform(-10, 10, size=1)
@@ -172,14 +172,14 @@ def test_truncated_hat_outside_radius():
     # d=1, mode (0, 1), q=4, x=3: quadratic form 9 >= 4 -> -inf
     base = GaussianTarget(np.zeros(1), np.eye(1))
     snap = registry_snapshot([[0.0]], [np.eye(1)], [base.log_density([0.0])], 1)
-    trunc = TruncatedHatTarget(HatTarget(base, snap, 4.0), q=4.0)
+    trunc = Level(base, 4.0, snap, radius=4.0)
     assert trunc.log_density(np.array([3.0])) == -np.inf
 
 
 def test_truncated_never_exceeds_inner():
     base, snap = mixture_base_1d()
-    hat = HatTarget(base, snap, 64.0)
-    trunc = TruncatedHatTarget(hat, q=2.5)
+    hat = Level(base, 64.0, snap)
+    trunc = Level(base, 64.0, snap, radius=2.5)
     rng = np.random.default_rng(4)
     for _ in range(200):
         x = rng.uniform(-6, 6, size=1)
@@ -214,6 +214,23 @@ def test_default_truncation_radius():
 def test_hat_rejects_bad_construction():
     base, snap = mixture_base_1d()
     with pytest.raises(ValueError):
-        HatTarget(base, snap, 0.0)
+        Level(base, 0.0, snap)
     with pytest.raises(ValueError):
-        TruncatedHatTarget(HatTarget(base, snap, 2.0), q=0.0)
+        Level(base, 2.0, snap, radius=0.0)
+    with pytest.raises(ValueError):
+        Level(base, 2.0, snap, radius=np.nan)
+    with pytest.raises(ValueError, match="no modes discovered"):
+        Level(base, 2.0, empty_snapshot(1))
+    with pytest.raises(ValueError, match="dimension"):
+        Level(GaussianTarget(np.zeros(2), np.eye(2)), 2.0, snap)
+    with pytest.raises(ValueError, match="needs a registry snapshot"):
+        Level(base, 2.0, radius=4.0)
+
+
+def test_level_without_snapshot_is_the_power():
+    base, _ = mixture_base_1d()
+    level = Level(base, 0.3)
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        x = rng.uniform(-6, 6, size=1)
+        assert level.value_and_alloc(x) == (0.3 * base.log_density(x), 0)

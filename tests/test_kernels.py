@@ -3,7 +3,7 @@ from scipy.integrate import quad
 from scipy.stats import norm
 
 from alps.density import TargetDensity
-from alps.hat import HatTarget, PowerTarget
+from alps.hat import Level
 from alps.kernels import (LEAP, LOCAL, leap_log_ratio,
                           mixture_log_density, mixture_propose,
                           mode_leap_core, quanta_swap_core, quanta_transform,
@@ -34,7 +34,7 @@ def gaussian_hat(mu, sigma, beta):
     reg, _ = try_insert(reg, make_mode_info(np.asarray(mu, dtype=float),
                                             np.asarray(sigma, dtype=float),
                                             base.log_density(mu)))
-    return HatTarget(base, reg.snapshot(), beta)
+    return Level(base, beta, reg.snapshot())
 
 
 def two_mode_snapshot():
@@ -56,7 +56,7 @@ def test_rwm_zero_displacement_accepts():
 
 
 def test_rwm_rejects_minus_inf_region():
-    box = PowerTarget(
+    box = Level(
         TargetDensity(1, lambda x: 0.0 if abs(x[0]) < 1 else -np.inf), 1.0)
     x = np.array([0.0])
     rng = StubRng(normals=5.0, uniforms=0.5)
@@ -105,8 +105,8 @@ def test_quanta_swap_mode_points_always_accept():
                 np.log(2.0) - 0.5 * x[0] ** 2, -0.5 * (x[0] - 10.0) ** 2)))
 
     mix = Mix()
-    t_k = HatTarget(mix, snap, 4.0)
-    t_k1 = HatTarget(mix, snap, 16.0)
+    t_k = Level(mix, 4.0, snap)
+    t_k1 = Level(mix, 16.0, snap)
     x_k, x_k1 = t_k.record(snap.mus[0]), t_k1.record(snap.mus[1])
     res = quanta_swap_core(x_k, x_k1, t_k.value(x_k)[0],
                            t_k1.value(x_k1)[0], t_k, t_k1, 0.999999)
@@ -119,8 +119,8 @@ def test_quanta_swap_mode_points_always_accept():
 def test_quanta_equals_standard_at_equal_betas():
     snap = two_mode_snapshot()
     base = GaussianTarget(np.zeros(1), np.eye(1))
-    t_a = HatTarget(base, snap, 4.0)
-    t_b = HatTarget(base, snap, 4.0)
+    t_a = Level(base, 4.0, snap)
+    t_b = Level(base, 4.0, snap)
     rng = np.random.default_rng(2)
     for _ in range(50):
         x_k = t_a.record(rng.standard_normal(1))
@@ -135,8 +135,8 @@ def test_quanta_equals_standard_at_equal_betas():
 def test_standard_swap_trivial_accepts():
     snap = two_mode_snapshot()
     base = GaussianTarget(np.zeros(1), np.eye(1))
-    t_a = HatTarget(base, snap, 1.0)
-    t_b = HatTarget(base, snap, 4.0)
+    t_a = Level(base, 1.0, snap)
+    t_b = Level(base, 4.0, snap)
     x = t_a.record(np.array([0.3]))
     res = standard_swap_core(x, x, t_a.value(x)[0], t_b.value(x)[0], t_a, t_b,
                              0.999999)
@@ -151,7 +151,7 @@ def test_standard_swap_with_carried_logpi_is_exact():
         2, lambda x: -0.5 * float(x @ x) if x[0] > -1.0 else -np.inf)
     rng = np.random.default_rng(11)
     for _ in range(500):
-        t_k, t_k1 = (PowerTarget(base, b) for b in rng.uniform(0.01, 1.0, 2))
+        t_k, t_k1 = (Level(base, b) for b in rng.uniform(0.01, 1.0, 2))
         x_k, x_k1 = rng.normal(0.0, 2.0, (2, 2))
         rec_k, rec_k1 = t_k.record(x_k), t_k1.record(x_k1)
         lp_k, lp_k1 = t_k.log_density(x_k), t_k1.log_density(x_k1)
@@ -175,7 +175,7 @@ def test_standard_swap_rate_matches_quadrature():
     # power-tempered 1-d N(0,1) at betas (1, 2) with iid level draws;
     # acceptance = E min(1, ratio), computed independently by quadrature
     base = TargetDensity(1, lambda x: -0.5 * float(x @ x))
-    t1, t2 = PowerTarget(base, 1.0), PowerTarget(base, 2.0)
+    t1, t2 = Level(base, 1.0), Level(base, 2.0)
     rng = np.random.default_rng(3)
     n = 100000
     xs = rng.standard_normal(n) / 1.0

@@ -105,6 +105,45 @@ print(json.dumps({{
 """
 
 
+# ALPS with truncated HAT levels.  The tracer patches the level methods
+# under both alias names, so each call to one would count twice; after
+# the run, one direct call shows the patches are live.
+HAT_SCRIPT = f"""
+import json
+import sys
+
+import numpy as np
+
+sys.path.insert(0, "perfbench")
+import tracer
+from alps import hat, runner
+from alps.config import RunConfig
+from alps.targets.gaussian import GaussianMixtureTarget
+
+t = tracer.Tracer()
+tracer.instrument(t)
+config = RunConfig.from_dict({{
+    "target": {{"name": "gaussian_mixture"}}, "seed": 0, "v": {V},
+    "ladder": {{"betas": [2.0 ** k for k in range({LEVELS})]}},
+    "exploration": None, "truncation": {{"level": 0.99}},
+    "initial_modes": [[0.0, 0.0], [3.0, 0.5]],
+    "total_target_samples": {V * SWEEPS}}})
+target = GaussianMixtureTarget([0.6, 0.4], [[0.0, 0.0], [3.0, 0.5]],
+                               [np.eye(2), 0.5 * np.eye(2)])
+_, diag = t.wrap("runner", runner.alps_run)(config, target)
+names = ("hat.value_and_alloc", "hat.allocate_index", "hat.log_density")
+run_calls = {{name: t.calls(name) for name in names}}
+run = runner._Run(config, target, np.array(config.ladder.betas), hat=True)
+level = run.level_targets[-1]
+level.log_density(np.zeros(2))
+level.allocate_index(np.zeros(2))
+print(json.dumps({{
+    "run": run_calls, "probe": {{name: t.calls(name) for name in names}},
+    "truncated": int(np.isfinite(run.radii).sum()),
+    "modes": diag.registry.n_modes, "sweeps": diag.n_sweeps}}))
+"""
+
+
 def traced_counts(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -142,3 +181,14 @@ def test_tracer_counts_hot_steps_and_searches_of_an_alps_run():
         HOT_CHAINS * SWEEPS + counts["bootstrap"])
     # one search per bootstrap attempt and per sweep before the freeze
     assert counts["mfind"] == counts["bootstrap"] + FREEZE
+
+
+def test_traced_truncated_alps_run_calls_no_patched_level_method():
+    counts = traced_counts(HAT_SCRIPT)
+    assert counts["sweeps"] == SWEEPS and counts["modes"] == 2
+    assert counts["truncated"] == LEVELS - 1
+    assert counts["run"] == {"hat.value_and_alloc": 0,
+                             "hat.allocate_index": 0, "hat.log_density": 0}
+    # one direct call of each is counted once per alias
+    assert counts["probe"] == {"hat.value_and_alloc": 2,
+                               "hat.allocate_index": 2, "hat.log_density": 2}
