@@ -8,7 +8,7 @@ import logging
 import os
 import sys
 
-from .config import ConfigError, load_config
+from .config import PRESETS, ConfigError, load_config
 from .outputs import emit_outputs, prepare_out_dir
 from .runner import NumericalAbort, alps_run, lais_run, pt_run
 from .scaling import (EnvelopeViolationError, ScalingExperimentConfig,
@@ -24,7 +24,8 @@ _RUNNERS = {"run": alps_run, "pt": pt_run, "lais": lais_run}
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON config file")
-    sub.add_argument("--preset", help="named preset (base layer under --config)")
+    sub.add_argument("--preset", help="named preset, the base layer under "
+                                      f"--config: {', '.join(PRESETS)}")
     sub.add_argument("--seed", type=int, help="override the config seed")
     sub.add_argument("--out", help="output directory")
 

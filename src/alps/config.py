@@ -6,6 +6,21 @@ is mandatory so no run ever depends on entropy.  Numbers must be finite.
 An optional section is switched by its presence alone: exploration runs
 unless `"exploration": null`, truncation runs only with a `"truncation"`
 object.
+
+Some values of a run are fixed or derived rather than set, because every
+preset uses the one value:
+
+- swaps per sweep: `n_levels - 1` (`RunConfig.n_swaps`), one per
+  neighbour pair of the ladder;
+- the freeze of adaptation (step tuning and mode search): the end of
+  burn-in, `burnin_sweeps`, so the sampled part runs on a fixed ladder;
+- the registry's dedup tolerance: 1 + sqrt(2/d)
+  (`registry.default_tol`), which scales with the target's dimension;
+- the RWM tuning target: an acceptance rate of 0.234
+  (`runner.RWM_TUNE_TARGET`), optimal for RWM in high dimension (Roberts,
+  Gelman & Gilks 1997);
+- trace thinning: every 10th sample goes to trace.csv
+  (`outputs.TRACE_THINNING`).
 """
 
 from __future__ import annotations
@@ -86,7 +101,6 @@ class LadderConfig:
 class RwmSettings:
     step_scale: float | list = 1.0    # one per level, or one for all
     tune: bool = False
-    tune_target: float = 0.234
 
     def __post_init__(self):
         scales = ([self.step_scale]
@@ -96,9 +110,6 @@ class RwmSettings:
             _require_number(scale, "rwm.step_scale")
         if not all(s > 0 for s in scales):
             raise ConfigError("rwm.step_scale must be positive numbers")
-        _require_number(self.tune_target, "rwm.tune_target")
-        if not 0.0 < self.tune_target < 1.0:
-            raise ConfigError("rwm.tune_target must lie in (0, 1)")
 
     def step_scales(self, n_levels: int) -> list:
         if isinstance(self.step_scale, (int, float)):
@@ -151,7 +162,6 @@ class RunConfig:
     ladder: LadderConfig
     seed: int
     v: int = 5
-    s: Optional[int] = None
     swap_quanta_prob: float = 0.5
     swap_strategy: str = "uniform"    # "uniform" | "even_odd"
     rwm: RwmSettings = field(default_factory=RwmSettings)
@@ -160,43 +170,30 @@ class RunConfig:
     truncation: Optional[TruncationSettings] = None
     total_target_samples: int = 10000
     burnin_samples: int = 0
-    freeze_sweep: Optional[int] = None
-    thinning: int = 10
     init: Optional[list] = None
     initial_modes: Optional[list] = None
     running_threshold: Optional[float] = None
-    registry_tol: Optional[float] = None
     out_dir: Optional[str] = None
 
     def __post_init__(self):
-        for key in ("seed", "v", "total_target_samples", "burnin_samples",
-                    "thinning"):
+        for key in ("seed", "v", "total_target_samples", "burnin_samples"):
             _require_int(getattr(self, key), key)
-        for key in ("s", "freeze_sweep"):
-            _require_int(getattr(self, key), key, optional=True)
         _require_number(self.swap_quanta_prob, "swap_quanta_prob")
-        for key in ("registry_tol", "running_threshold"):
-            _require_number(getattr(self, key), key, optional=True)
+        _require_number(self.running_threshold, "running_threshold",
+                        optional=True)
         if self.seed < 0:
             raise ConfigError("seed must be a non-negative integer")
         if self.v < 1:
             raise ConfigError("v must be at least 1")
         if self.total_target_samples < 0 or self.burnin_samples < 0:
             raise ConfigError("sample counts must be non-negative")
-        if self.thinning < 1:
-            raise ConfigError("thinning must be at least 1")
         if not 0.0 <= self.swap_quanta_prob <= 1.0:
             raise ConfigError("swap_quanta_prob must be a probability")
         if self.swap_strategy not in ("uniform", "even_odd"):
             raise ConfigError("swap_strategy must be 'uniform' or 'even_odd'")
-        if self.s is not None and self.s < 0:
-            raise ConfigError("s must be non-negative")
-        if self.freeze_sweep is not None and self.freeze_sweep < 0:
-            raise ConfigError("freeze_sweep must be non-negative")
-        if self.registry_tol is not None and not self.registry_tol > 0:
-            raise ConfigError("registry_tol must be positive")
         if not isinstance(self.initial_modes, (list, type(None))):
             raise ConfigError("initial_modes must be a list of points")
+        self.rwm.step_scales(self.n_levels)  # a list must match the ladder
 
     # Derived quantities -------------------------------------------------
     @property
@@ -205,9 +202,7 @@ class RunConfig:
 
     @property
     def n_swaps(self) -> int:
-        if self.s is not None:
-            return self.s
-        return max(self.n_levels - 1, 1)
+        return self.n_levels - 1
 
     @property
     def n_sweeps(self) -> int:
@@ -217,36 +212,24 @@ class RunConfig:
     def burnin_sweeps(self) -> int:
         return -(-self.burnin_samples // self.v)
 
-    @property
-    def freeze_at_sweep(self) -> int:
-        if self.freeze_sweep is not None:
-            return self.freeze_sweep
-        return self.burnin_sweeps
-
     @classmethod
     def from_dict(cls, obj: dict) -> "RunConfig":
-        obj = copy.deepcopy(obj)
         if not isinstance(obj, dict):
             raise ConfigError("config root must be an object")
-        known = {f.name for f in fields(cls)}
-        extra = set(obj) - known
-        if extra:
-            raise ConfigError(f"unknown key(s) {sorted(extra)}")
+        obj = copy.deepcopy(obj)
         if "target" not in obj or "ladder" not in obj:
             raise ConfigError("config requires 'target' and 'ladder'")
         if "seed" not in obj:
             raise ConfigError("config requires 'seed' (no entropy default)")
-        obj["target"] = _build(TargetSpec, obj["target"], "target")
-        obj["ladder"] = _build(LadderConfig, obj["ladder"], "ladder")
-        for key, section in (("rwm", RwmSettings),
-                             ("truncation", TruncationSettings),
-                             ("exploration", ExplorationSettings)):
-            if obj.get(key) is not None:
+        # null switches an optional section off; a mandatory one rejects it
+        for key, section, optional in (
+                ("target", TargetSpec, False), ("ladder", LadderConfig, False),
+                ("rwm", RwmSettings, False),
+                ("truncation", TruncationSettings, True),
+                ("exploration", ExplorationSettings, True)):
+            if key in obj and not (optional and obj[key] is None):
                 obj[key] = _build(section, obj[key], key)
-        try:
-            return cls(**obj)
-        except TypeError as err:
-            raise ConfigError(str(err)) from err
+        return _build(cls, obj, "config")
 
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
@@ -279,15 +262,12 @@ def _benchmark_preset() -> dict:
                    "betas": [1.0, 4.0, 16.0, 64.0, 256.0, 1024.0, 4096.0]},
         "seed": 1,
         "v": 5,
-        "s": 6,
         "swap_quanta_prob": 0.5,
-        "rwm": {"step_scale": 2.38 / np.sqrt(20.0), "tune": True,
-                "tune_target": 0.234},
+        "rwm": {"step_scale": 2.38 / np.sqrt(20.0), "tune": True},
         "exploration": {"step_scale": 120.0, "n_hot_chains": 1,
                         "refresh_from_modes": 0.0},
         "total_target_samples": 200000,
         "burnin_samples": 15000,
-        "thinning": 10,
         "init": [20.0] * 20,
         "initial_modes": [[20.0] * 20],
         "running_threshold": 0.5,
@@ -300,14 +280,12 @@ def _benchmark_pt_preset() -> dict:
         "ladder": {"betas": [0.6 ** k for k in range(14)]},
         "seed": 1,
         "v": 5,
-        "s": 13,
         "rwm": {"step_scale": [2.38 / np.sqrt(20.0 * 0.6 ** k)
                                for k in range(14)],
-                "tune": True, "tune_target": 0.234},
+                "tune": True},
         "exploration": None,
         "total_target_samples": 200000,
         "burnin_samples": 15000,
-        "thinning": 10,
         "init": [20.0] * 20,
         "running_threshold": 0.5,
     }
@@ -319,13 +297,10 @@ def _benchmark_lais_preset() -> dict:
         "ladder": {"beta_hot": 5e-6, "betas": [1.0]},
         "seed": 1,
         "v": 5,
-        "s": 0,
-        "rwm": {"step_scale": 2.38 / np.sqrt(20.0), "tune": True,
-                "tune_target": 0.234},
+        "rwm": {"step_scale": 2.38 / np.sqrt(20.0), "tune": True},
         "exploration": {"step_scale": 120.0},
         "total_target_samples": 200000,
         "burnin_samples": 15000,
-        "thinning": 10,
         "init": [20.0] * 20,
         "initial_modes": [[20.0] * 20],
         "running_threshold": 0.5,
@@ -339,16 +314,13 @@ def _sur_grunfeld_preset() -> dict:
                    "betas": [1.00, 1.10, 1.40, 1.96, 2.74, 3.84, 5.38]},
         "seed": 1,
         "v": 5,
-        "s": 6,
         "swap_quanta_prob": 0.5,
-        "rwm": {"step_scale": 2.38 / np.sqrt(15.0), "tune": True,
-                "tune_target": 0.234},
+        "rwm": {"step_scale": 2.38 / np.sqrt(15.0), "tune": True},
         "exploration": {"step_scale": 40.0, "n_hot_chains": 1,
                         "refresh_from_modes": 0.25},
         "truncation": {"level": 0.9999},
         "total_target_samples": 20000,
         "burnin_samples": 2000,
-        "thinning": 10,
         "init": None,
     }
 

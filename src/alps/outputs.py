@@ -16,6 +16,8 @@ from .diagnostics import RunDiagnostics, running_prob_estimate
 
 logger = logging.getLogger(__name__)
 
+TRACE_THINNING = 10
+
 
 def prepare_out_dir(path: str) -> None:
     """Create the output directory and verify it is writable."""
@@ -36,11 +38,11 @@ def _write_json(path: str, obj) -> None:
 
 
 def _write_trace(path: str, samples: np.ndarray, config: RunConfig) -> None:
-    """Every thinning-th sample; each sweep records v of them."""
+    """Every TRACE_THINNING-th sample; each sweep records v of them."""
     header = "sweep," + ",".join(f"x{i}" for i in range(samples.shape[1]))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
-        for i in range(0, len(samples), max(config.thinning, 1)):
+        for i in range(0, len(samples), TRACE_THINNING):
             coords = ",".join(repr(float(v)) for v in samples[i])
             fh.write(f"{i // config.v},{coords}\n")
 

@@ -34,11 +34,12 @@ call; each level then decides.  Because every stream is keyed on
 (level, sweep), the draws, and hence the run, are those of updating the
 levels one after another.
 
-The swap phase draws from the sweep's swap stream: under the "uniform"
-strategy the s pair indices first, in one call, then the s decisions'
-uniforms in one call, in order, one row per swap.  On HAT levels a row
-is (coin, u): the coin picks QuanTA or standard, u decides; on power
-levels a row is u alone.
+The swap phase makes one swap per neighbour pair, n_levels - 1 in all.
+It draws from the sweep's swap stream: under the "uniform" strategy the
+pair indices first, in one call, then the decisions' uniforms in one
+call, in order, one row per swap.  On HAT levels a row is (coin, u): the
+coin picks QuanTA or standard, u decides; on power levels a row is u
+alone.
 
 The run owns the hot chains of exploration (ALPS and LAIS): each moves
 on pi^beta_hot by v + 1 `rwm_core` steps per sweep, carrying its record
@@ -79,6 +80,9 @@ from .rng import EXPLORE_STREAM, LEAP_STREAM, SWAP_STREAM, StreamFactory
 logger = logging.getLogger(__name__)
 
 _BOOTSTRAP_COUNTER_BASE = 1 << 62
+# Step tuning aims at the acceptance rate that is optimal for RWM in high
+# dimension (Roberts, Gelman & Gilks 1997).
+RWM_TUNE_TARGET = 0.234
 
 
 class NumericalAbort(RuntimeError):
@@ -98,26 +102,19 @@ def _config_point(value, dim: int, name: str) -> np.ndarray:
     return point
 
 
-def _swap_schedule(strategy: str, n_pairs: int, n_swaps: int, sweep: int,
-                   rng) -> list:
-    """Pair indices for one sweep's swap phase.
+def _swap_schedule(strategy: str, n_pairs: int, sweep: int, rng) -> list:
+    """Pair indices for one sweep's swap phase, one swap per pair.
 
-    "uniform" draws each pair index independently; "even_odd" cycles
-    deterministically through even-indexed then odd-indexed pairs,
-    alternating the starting block between sweeps so neighbouring swaps
-    compose into systematic up/down passes of the ladder.
+    "uniform" draws each pair index independently; "even_odd" runs the
+    even-indexed then the odd-indexed pairs, alternating the starting
+    block between sweeps so neighbouring swaps compose into systematic
+    up/down passes of the ladder.
     """
     if strategy == "uniform":
-        return rng.integers(0, n_pairs, size=n_swaps).tolist()
+        return rng.integers(0, n_pairs, size=n_pairs).tolist()
     even = list(range(0, n_pairs, 2))
     odd = list(range(1, n_pairs, 2))
-    blocks = [even, odd] if sweep % 2 == 0 else [odd, even]
-    out: list = []
-    i = 0
-    while len(out) < n_swaps:
-        out.extend(blocks[i % 2] or blocks[(i + 1) % 2])
-        i += 1
-    return out[:n_swaps]
+    return even + odd if sweep % 2 == 0 else odd + even
 
 
 class _Run:
@@ -138,7 +135,7 @@ class _Run:
         d = target.dim
         self.config, self.target, self.betas = config, target, betas
         self.n = betas.size - 1
-        self.freeze = config.freeze_at_sweep
+        self.freeze = config.burnin_sweeps
         self.stage = "setup"
         self.diag = RunDiagnostics(d, config.n_sweeps * config.v)
         self.factory = StreamFactory(config.seed)
@@ -177,7 +174,7 @@ class _Run:
                                for _ in range(explore.n_hot_chains)]
             self.hot_logps = [self.hot_target.value(rec)[0]
                               for rec in self.hot_states]
-        self.registry = ModeRegistry(dim=d, tol=config.registry_tol)
+        self.registry = ModeRegistry(dim=d)
         for i, point in enumerate(self.initial_points):
             record: dict = {}
             _, self.registry, _ = mfind(point, self.registry, self.target,
@@ -274,14 +271,13 @@ class _Run:
         """Robbins-Monro step of each level's log step scale toward the
         target acceptance rate, all levels in one array operation, until
         adaptation freezes."""
-        rwm = self.config.rwm
-        if not rwm.tune or sweep >= self.freeze:
+        if not self.config.rwm.tune or sweep >= self.freeze:
             return
         levels = np.asarray(levels)
         gamma = 1.0 / (1.0 + sweep) ** 0.6
         log_steps = np.log(self.step_scales[levels])
         self.step_scales[levels] = np.clip(
-            np.exp(log_steps + gamma * (np.asarray(rates) - rwm.tune_target)),
+            np.exp(log_steps + gamma * (np.asarray(rates) - RWM_TUNE_TARGET)),
             1e-8, 1e8)
 
 
@@ -369,18 +365,18 @@ def _leap_phase(run: _Run, t: int, tune_local: bool) -> None:
 
 
 def _swap_phase(run: _Run, t: int) -> None:
-    """s neighbour swaps; on HAT levels a coin picks QuanTA or standard
-    for each, on power levels all are standard and no coin is drawn.  The
-    schedule and the uniforms are drawn up front (see the module
-    docstring)."""
+    """One swap per neighbour pair; on HAT levels a coin picks QuanTA or
+    standard for each, on power levels all are standard and no coin is
+    drawn.  The schedule and the uniforms are drawn up front (see the
+    module docstring)."""
     config, n = run.config, run.n
-    if n < 1 or config.n_swaps == 0:
+    if n < 1:
         return
     run.stage = "swaps"
     rng = run.factory.stream(SWAP_STREAM, t)
     hat = run.snapshot is not None
-    schedule = _swap_schedule(config.swap_strategy, n, config.n_swaps, t, rng)
-    draws = rng.random((config.n_swaps, 2 if hat else 1)).tolist()
+    schedule = _swap_schedule(config.swap_strategy, n, t, rng)
+    draws = rng.random((n, 2 if hat else 1)).tolist()
     states, logps, targets = run.states, run.logps, run.level_targets
     for k, row in zip(schedule, draws):
         u = row[-1]

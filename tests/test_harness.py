@@ -101,12 +101,12 @@ def test_alps_run_is_deterministic():
 def test_alps_run_even_odd_strategy():
     cfg = gaussian_config(total_target_samples=500,
                           ladder={"betas": [1.0, 4.0, 16.0]},
-                          s=4, swap_strategy="even_odd")
+                          swap_strategy="even_odd")
     target = GaussianTarget(np.zeros(1), np.eye(1))
     _, diag = alps_run(cfg, target)
     swaps = sum(n for (mv, _), (a, n) in diag.counters.items()
                 if mv in (SWAP_QUANTA, SWAP_STANDARD))
-    assert swaps == 4 * diag.n_sweeps
+    assert swaps == 2 * diag.n_sweeps
 
 
 def test_alps_run_ladder_validation():
@@ -137,14 +137,14 @@ def test_cli_no_modes_without_exploration_is_config_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("override, message", [
     ({"ladder": {"betas": [1.0, 0.5], "beta_hot": 2.0}}, "beta_hot"),
-    ({"rwm": {"tune_target": 5.0}}, "tune_target"),
+    ({"rwm": {"tune_target": 5.0}}, "rwm: unknown key(s) ['tune_target']"),
     ({"rwm": {"step_scale": 0}}, "step_scale"),
     ({"rwm": {"step_scale": [1.0, -2.0]}}, "step_scale"),
     ({"rwm": {"hastings": "corrected"}}, "rwm: unknown key"),
     ({"truncation": {"level": "high"}}, "truncation"),
     ({"target": {"name": "iid_product_skew",
                  "params": {"dim": 1, "alpah": 10.0}}}, "alpah"),
-    ({"freeze_sweep": -3}, "freeze_sweep must be non-negative"),
+    ({"freeze_sweep": -3}, "config: unknown key(s) ['freeze_sweep']"),
     ({"rwm": {"step_scale": True}}, "rwm.step_scale must be a number"),
     ({"swap_quanta_prob": True}, "swap_quanta_prob must be a number"),
     ({"ladder": {"betas": [True, 0.5]}}, "ladder.betas must be a number"),
@@ -166,6 +166,14 @@ def test_cli_no_modes_without_exploration_is_config_error(tmp_path, capsys):
      "truncation: unknown key(s) ['enabled']"),
     ({"exploration": {"enabled": True}},
      "exploration: unknown key(s) ['enabled']"),
+    # a mandatory section rejects null
+    ({"rwm": None}, "rwm: expected an object, got NoneType"),
+    # fixed or derived values are not settings
+    ({"s": 1.5}, "config: unknown key(s) ['s']"),
+    ({"s": True}, "config: unknown key(s) ['s']"),
+    ({"thinning": False}, "config: unknown key(s) ['thinning']"),
+    ({"freeze_sweep": 2.5}, "config: unknown key(s) ['freeze_sweep']"),
+    ({"registry_tol": 0.5}, "config: unknown key(s) ['registry_tol']"),
 ])
 def test_cli_bad_settings_are_config_errors(tmp_path, capsys, override,
                                             message):
@@ -182,9 +190,8 @@ def test_cli_bad_settings_are_config_errors(tmp_path, capsys, override,
 
 
 @pytest.mark.parametrize("key, value", [
-    ("v", 2.5), ("v", True), ("s", 1.5), ("s", True),
-    ("total_target_samples", 10.5), ("burnin_samples", 2.0),
-    ("thinning", False), ("freeze_sweep", 2.5), ("v", "5"),
+    ("v", 2.5), ("v", True),
+    ("total_target_samples", 10.5), ("burnin_samples", 2.0), ("v", "5"),
     ("exploration.n_hot_chains", 1.5), ("exploration.n_hot_chains", True),
     ("exploration.max_bootstrap_attempts", 2.5),
     ("seed", 1.7), ("seed", True), ("seed", "3"),
@@ -602,13 +609,13 @@ def reference_swap_phase(run, t):
     per swap the coin (HAT levels) and the kernel's own uniform; the
     records of the two chains are evaluated afresh after each swap."""
     config, n = run.config, run.n
-    if n < 1 or config.n_swaps == 0:
+    if n < 1:
         return
     rng = run.factory.stream(runner.SWAP_STREAM, t)
     if config.swap_strategy == "uniform":
-        schedule = [int(rng.integers(0, n)) for _ in range(config.n_swaps)]
+        schedule = [int(rng.integers(0, n)) for _ in range(n)]
     else:
-        schedule = _swap_schedule("even_odd", n, config.n_swaps, t, None)
+        schedule = _swap_schedule("even_odd", n, t, None)
     states, logps = run.states, run.logps
     targets = run.level_targets
     for k in schedule:
@@ -630,7 +637,7 @@ def reference_swap_phase(run, t):
 def located_pt_case(strategy):
     target = GaussianTarget(np.zeros(1), np.eye(1))
     target.component_locations = np.array([[-1.0], [2.0]])
-    cfg = pt_config(total_target_samples=1500, burnin_samples=500, s=3,
+    cfg = pt_config(total_target_samples=1500, burnin_samples=500,
                     swap_strategy=strategy)
     return pt_run, cfg, target
 
@@ -719,7 +726,7 @@ def reference_find_modes(run, x0):
     """Initial modes, then the bootstrap; the hot chains' log densities
     are evaluated afresh after it."""
     config = run.config
-    run.registry = ModeRegistry(dim=run.target.dim, tol=config.registry_tol)
+    run.registry = ModeRegistry(dim=run.target.dim)
     for point in config.initial_modes or []:
         reference_register_point_as_mode(point, run.target, run.registry)
     cfg = reference_settings(config)
@@ -776,7 +783,7 @@ def exploring_case(run_fn=alps_run, betas=(1.0, 2.0, 6.0), **over):
     cfg = gaussian_config(
         ladder={"betas": list(betas), "beta_hot": 0.2},
         rwm={"step_scale": [2.0] * len(betas), "tune": True},
-        total_target_samples=600, burnin_samples=0, freeze_sweep=60,
+        total_target_samples=600, burnin_samples=300,
         **over)
     return run_fn, cfg, target
 
@@ -793,7 +800,7 @@ def explore(n_hot_chains, refresh):
                            exploration=explore(1, 0.0)),
     lambda: exploring_case(initial_modes=[[0.0, 0.0]],
                            exploration=explore(2, 0.5)),
-    lambda: exploring_case(lais_run, betas=(1.0,), s=0,
+    lambda: exploring_case(lais_run, betas=(1.0,),
                            initial_modes=[[0.0, 0.0]],
                            exploration=explore(2, 0.5)),
 ], ids=["bootstrap-1-chain", "bootstrap-2-chains-refresh",
@@ -824,7 +831,7 @@ def test_runner_hot_chains_equal_mfind_hot_step_reference(monkeypatch, case):
     n_chains = cfg.exploration.n_hot_chains
     sweep_searches = sum(rec["sweep"] >= 0 for rec in diag.discovery_log)
     assert registry.n_modes == 2 and diag.registry_events
-    assert sweep_searches == cfg.freeze_at_sweep < diag.n_sweeps
+    assert sweep_searches == cfg.burnin_sweeps < diag.n_sweeps
     assert diag.counters[(HOT, -1)][1] == (cfg.v + 1) * (
         n_chains * diag.n_sweeps - sweep_searches)
 
@@ -878,7 +885,7 @@ def test_pt_run_is_deterministic():
 
 
 def lais_config(**over):
-    return gaussian_config(ladder={"betas": [1.0]}, s=0, **over)
+    return gaussian_config(ladder={"betas": [1.0]}, **over)
 
 
 def test_lais_run_counter_identities():
@@ -917,10 +924,8 @@ def test_lais_run_is_alps_on_one_level_without_tuning():
 def test_lais_run_single_level_only():
     target = GaussianTarget(np.zeros(1), np.eye(1))
     with pytest.raises(ConfigError, match="single level"):
-        lais_run(gaussian_config(ladder={"betas": [1.0, 4.0]},
-                                 s=0), target)
-    cfg = gaussian_config(ladder={"betas": [1.0]}, s=0,
-                          total_target_samples=5000)
+        lais_run(gaussian_config(ladder={"betas": [1.0, 4.0]}), target)
+    cfg = gaussian_config(ladder={"betas": [1.0]}, total_target_samples=5000)
     samples, diag = lais_run(cfg, target)
     assert samples.shape == (5000, 1)
     accepts, proposed = diag.counters[(LEAP, 0)]
@@ -940,18 +945,15 @@ def test_running_prob_estimate_values():
 
 def test_swap_schedule_uniform_bounds():
     rng = np.random.default_rng(0)
-    ks = _swap_schedule("uniform", 6, 200, 0, rng)
-    assert len(ks) == 200
-    assert set(ks) <= set(range(6))
-    assert len(set(ks)) == 6
+    schedules = [_swap_schedule("uniform", 6, t, rng) for t in range(40)]
+    assert all(len(ks) == 6 for ks in schedules)
+    assert set(sum(schedules, [])) == set(range(6))
 
 
 def test_swap_schedule_even_odd_alternates():
-    assert _swap_schedule("even_odd", 4, 4, 0, None) == [0, 2, 1, 3]
-    assert _swap_schedule("even_odd", 4, 4, 1, None) == [1, 3, 0, 2]
-    assert _swap_schedule("even_odd", 4, 6, 0, None) == [0, 2, 1, 3, 0, 2]
-    assert _swap_schedule("even_odd", 1, 3, 0, None) == [0, 0, 0]
-    assert _swap_schedule("even_odd", 1, 2, 1, None) == [0, 0]
+    assert _swap_schedule("even_odd", 4, 0, None) == [0, 2, 1, 3]
+    assert _swap_schedule("even_odd", 4, 1, None) == [1, 3, 0, 2]
+    assert _swap_schedule("even_odd", 1, 1, None) == [0]
 
 
 def test_emit_outputs_files_and_reproducibility(tmp_path):
@@ -960,7 +962,7 @@ def test_emit_outputs_files_and_reproducibility(tmp_path):
     for tag in ("a", "b"):
         out = tmp_path / tag
         cfg = gaussian_config(total_target_samples=2000, burnin_samples=200,
-                              thinning=10, running_threshold=0.0,
+                              running_threshold=0.0,
                               out_dir=str(out))
         samples, diag = alps_run(cfg, target)
         paths[tag] = emit_outputs(diag, cfg)

@@ -92,7 +92,7 @@ config = RunConfig.from_dict({{
     "ladder": {{"betas": [2.0 ** k for k in range({LEVELS})],
                 "beta_hot": 0.2}},
     "exploration": {{"step_scale": 3.0, "n_hot_chains": {HOT_CHAINS}}},
-    "freeze_sweep": {FREEZE}, "total_target_samples": {V * SWEEPS}}})
+    "burnin_samples": {V * FREEZE}, "total_target_samples": {V * SWEEPS}}})
 target = GaussianMixtureTarget([0.6, 0.4], [[0.0, 0.0], [3.0, 0.5]],
                                [np.eye(2), 0.5 * np.eye(2)])
 _, diag = t.wrap("runner", runner.alps_run)(config, target)
