@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
 
 from .config import PRESETS, ConfigError, load_config
-from .outputs import emit_outputs, prepare_out_dir
+from .outputs import emit_outputs, prepare_out_dir, write_json
 from .runner import NumericalAbort, alps_run, lais_run, pt_run
 from .scaling import (EnvelopeViolationError, ScalingExperimentConfig,
                       scaling_experiment)
@@ -135,7 +134,10 @@ def _cmd_sur_fit(args: argparse.Namespace) -> int:
             data = load_grunfeld(first_years=first_years)
     except (SurParseError, OSError) as err:
         raise ConfigError(f"cannot load panel data: {err}") from err
-    result = zellner_iterate(data, tol=args.tol, max_iter=args.max_iter)
+    try:
+        result = zellner_iterate(data, tol=args.tol, max_iter=args.max_iter)
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
     loglik = result.trajectory[-1]
     print(f"iterations: {result.iterations}")
     print(f"log-likelihood: {loglik:.7f}")
@@ -143,16 +145,14 @@ def _cmd_sur_fit(args: argparse.Namespace) -> int:
     if args.out:
         prepare_out_dir(args.out)
         path = os.path.join(args.out, "sur_fit.json")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump({
-                "iterations": result.iterations,
-                "log_likelihood": float(loglik),
-                "converged": result.converged,
-                "theta": [float(v) for v in result.theta],
-                "sigma": [[float(v) for v in row] for row in result.sigma],
-                "trajectory": [float(v) for v in result.trajectory],
-            }, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, {
+            "iterations": result.iterations,
+            "log_likelihood": float(loglik),
+            "converged": result.converged,
+            "theta": [float(v) for v in result.theta],
+            "sigma": [[float(v) for v in row] for row in result.sigma],
+            "trajectory": [float(v) for v in result.trajectory],
+        })
         print(f"wrote {path}")
     return 0
 

@@ -10,6 +10,7 @@ object.
 Some values of a run are fixed or derived rather than set, because every
 preset uses the one value:
 
+- one hot chain of exploration (`runner._Run.hot_state`);
 - swaps per sweep: `n_levels - 1` (`RunConfig.n_swaps`), one per
   neighbour pair of the ladder;
 - the freeze of adaptation (step tuning and mode search): the end of
@@ -135,21 +136,20 @@ class TruncationSettings:
 
 @dataclass
 class ExplorationSettings:
-    """Present in a config, it runs the hot chains and the mode search;
+    """Present in a config, it runs the hot chain and the mode search;
     `"exploration": null` turns exploration off."""
 
     step_scale: float = 1.0
-    n_hot_chains: int = 1
     refresh_from_modes: float = 0.0
     max_bootstrap_attempts: int = 2000
 
     def __post_init__(self):
-        for key in ("n_hot_chains", "max_bootstrap_attempts"):
-            _require_int(getattr(self, key), f"exploration.{key}")
+        _require_int(self.max_bootstrap_attempts,
+                     "exploration.max_bootstrap_attempts")
         for key in ("step_scale", "refresh_from_modes"):
             _require_number(getattr(self, key), f"exploration.{key}")
-        if self.step_scale <= 0 or self.n_hot_chains < 1:
-            raise ConfigError("invalid exploration settings")
+        if self.step_scale <= 0:
+            raise ConfigError("exploration.step_scale must be positive")
         if not 0.0 <= self.refresh_from_modes <= 1.0:
             raise ConfigError("exploration.refresh_from_modes must be a probability")
         if self.max_bootstrap_attempts < 1:
@@ -193,6 +193,8 @@ class RunConfig:
             raise ConfigError("swap_strategy must be 'uniform' or 'even_odd'")
         if not isinstance(self.initial_modes, (list, type(None))):
             raise ConfigError("initial_modes must be a list of points")
+        if not isinstance(self.out_dir, (str, type(None))):
+            raise ConfigError("out_dir must be a string")
         self.rwm.step_scales(self.n_levels)  # a list must match the ladder
 
     # Derived quantities -------------------------------------------------
@@ -264,8 +266,7 @@ def _benchmark_preset() -> dict:
         "v": 5,
         "swap_quanta_prob": 0.5,
         "rwm": {"step_scale": 2.38 / np.sqrt(20.0), "tune": True},
-        "exploration": {"step_scale": 120.0, "n_hot_chains": 1,
-                        "refresh_from_modes": 0.0},
+        "exploration": {"step_scale": 120.0, "refresh_from_modes": 0.0},
         "total_target_samples": 200000,
         "burnin_samples": 15000,
         "init": [20.0] * 20,
@@ -316,8 +317,7 @@ def _sur_grunfeld_preset() -> dict:
         "v": 5,
         "swap_quanta_prob": 0.5,
         "rwm": {"step_scale": 2.38 / np.sqrt(15.0), "tune": True},
-        "exploration": {"step_scale": 40.0, "n_hot_chains": 1,
-                        "refresh_from_modes": 0.25},
+        "exploration": {"step_scale": 40.0, "refresh_from_modes": 0.25},
         "truncation": {"level": 0.9999},
         "total_target_samples": 20000,
         "burnin_samples": 2000,

@@ -1,19 +1,19 @@
 """Exploration component: mode search and registry updates.
 
-The hot chains belong to the runner (`runner._Run`): they move on the
+The hot chain belongs to the runner (`runner._Run`): it moves on the
 plain power-tempered density pi^beta_hot, a `hat.Level` without a
 snapshot (mode information does not exist yet when exploration starts),
-by `kernels.rwm_core`, each carrying its record and log density.  Every
-sweep until adaptation freezes, one of them searches: `mfind` runs a
+by `kernels.rwm_core`, and its record (`hat.ChainRecord`) is its only
+state.  Every sweep until adaptation freezes it searches: `mfind` runs a
 quasi-Newton ascent from the point the chain reached and offers the
 resulting (mode, Hessian) pair to the registry.  The runner's
 `initial_modes` are registered by the same search.
 
-Per sweep the hot chains draw from the sweep's explore stream, the
-chains in order.  The searching chain first draws the refresh coin (only
-while `refresh_from_modes` > 0 and a mode is registered; on heads the
-mixture point follows), then every chain draws z, then u, per RWM step.
-`mfind` itself draws nothing.
+Per sweep the hot chain draws from the sweep's explore stream.  While it
+searches it first draws the refresh coin (only while
+`refresh_from_modes` > 0 and a mode is registered; on heads the mixture
+point follows), then z, then u, per RWM step.  `mfind` itself draws
+nothing.
 """
 
 from __future__ import annotations

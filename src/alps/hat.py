@@ -19,7 +19,7 @@ from __future__ import annotations
 from operator import itemgetter
 
 import numpy as np
-from scipy.special import gammainc, ndtri
+from scipy.special import gammaincinv
 
 from .density import TargetDensity
 from .linalg import LOG_2PI
@@ -163,37 +163,14 @@ HatTarget = TruncatedHatTarget = Level
 
 
 def chi2_quantile(level: float, dim: int) -> float:
-    """Chi-squared quantile via Wilson-Hilferty refined by bisection.
-
-    Bisection runs on the regularized lower incomplete gamma, so the
-    result is exact to the bracket width (1e-12 relative).
-    """
+    """Chi-squared quantile: 2 P^-1(dim / 2, level), P the regularized
+    lower incomplete gamma function (what `scipy.stats.chi2.ppf`
+    computes)."""
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")
     if dim < 1:
         raise ValueError("dim must be positive")
-    z = ndtri(level)
-    c = 2.0 / (9.0 * dim)
-    guess = dim * (1.0 - c + z * np.sqrt(c)) ** 3
-    guess = max(guess, 1e-8)
-
-    def cdf(x: float) -> float:
-        return float(gammainc(0.5 * dim, 0.5 * x))
-
-    lo, hi = guess, guess
-    while cdf(lo) > level:
-        lo *= 0.5
-    while cdf(hi) < level:
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if cdf(mid) < level:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-12 * hi:
-            break
-    return 0.5 * (lo + hi)
+    return float(2.0 * gammaincinv(0.5 * dim, level))
 
 
 def gaussian_log_pdf_terms(snapshot: RegistrySnapshot, qf: np.ndarray,

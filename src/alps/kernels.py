@@ -7,11 +7,13 @@ snapshot (HAT, truncated or not) gives mode-local RWM steps and QuanTA
 mode points, a level without one (a plain power) gets the plain random
 walk.  All acceptance ratios are formed and compared in log space.
 
-Each chain carries its record (x, log pi(x), qf(x)) (`hat.ChainRecord`)
-and its level value.  A kernel evaluates the base density and the quad
-forms once per new point, at the point's record; every value, allocation
-and mixture density it needs at a carried state it reads from the
-state's record (`level.value`).
+Each chain carries its record (x, log pi(x), qf(x)) (`hat.ChainRecord`).
+A kernel takes the chain's level value beside the record and returns
+the new one, so a caller making many moves reads it off the record
+(`level.value`) once.  A kernel evaluates the base density and the quad
+forms once per new point, at the point's record; every other value,
+allocation and mixture density it needs at a carried state it reads
+from the state's record.
 
 Each decision takes exactly one uniform, drawn by its caller: the RWM
 and swap decisions take it as the argument `u`, so a caller may draw

@@ -31,7 +31,8 @@ def prepare_out_dir(path: str) -> None:
         raise ConfigError(f"output directory {path!r} is not writable: {err}")
 
 
-def _write_json(path: str, obj) -> None:
+def write_json(path: str, obj) -> None:
+    """obj as UTF-8 JSON: indent 2, sorted keys, a trailing newline."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -60,7 +61,7 @@ def emit_outputs(diag: RunDiagnostics, config: RunConfig) -> dict:
     n_recorded = min(diag.n_recorded, config.total_target_samples)
     samples = diag.samples[:n_recorded]
     _write_trace(paths["trace.csv"], samples, config)
-    _write_json(paths["acceptance.json"], diag.acceptance_dict())
+    write_json(paths["acceptance.json"], diag.acceptance_dict())
 
     if diag.registry is not None and diag.registry.n_modes > 0:
         modes = json.loads(diag.registry.to_json())
@@ -68,11 +69,11 @@ def emit_outputs(diag: RunDiagnostics, config: RunConfig) -> dict:
         modes["log_weights"] = [float(w) for w in snapshot.log_weights]
     else:
         modes = {"modes": [], "n_modes": 0}
-    _write_json(paths["modes.json"], modes)
+    write_json(paths["modes.json"], modes)
 
     per_1000 = (1000.0 * diag.sweep_seconds / n_recorded
                 if n_recorded else None)
-    _write_json(paths["timing.json"], {
+    write_json(paths["timing.json"], {
         "total_seconds": diag.sweep_seconds,
         "n_sweeps": diag.n_sweeps,
         "n_target_samples": n_recorded,
@@ -85,7 +86,7 @@ def emit_outputs(diag: RunDiagnostics, config: RunConfig) -> dict:
         est = running_prob_estimate(samples[:, 0], config.running_threshold,
                                     config.burnin_samples)
         running_terminal = float(est[-1])
-    _write_json(paths["summary.json"], {
+    write_json(paths["summary.json"], {
         "seed": config.seed,
         "n_sweeps": diag.n_sweeps,
         "n_target_samples": n_recorded,

@@ -14,15 +14,16 @@ A run type is the list of phases one sweep applies, in order:
 RWM and leap phases make v updates per level.  Level-0 states are
 recorded after every level-0 update, so total_target_samples = v * sweeps.
 
-Every ladder chain carries its record (x, log pi(x), qf(x)), qf(x)
-being the quad forms of x against the registered modes (an empty row on
-power levels), and its level value.  Swaps, QuanTA's allocations, leaps
-and the mode visits read values and allocations off the records
-(`hat.level_values`); only new points are evaluated.  A registry
-rebuild recomputes qf and keeps log pi.  Every level, and the target of
-the hot chains, is one `hat.Level`: a plain power without a snapshot, a
-HAT level on the run's current snapshot, truncated at a finite radius
-(the levels with beta > 1 when config.truncation is set).
+Every chain, each ladder chain and the hot chain, carries its record
+(x, log pi(x), qf(x)), qf(x) being the quad forms of x against the
+registered modes (an empty row on power levels), and nothing else: a
+phase reads the chain values it needs off the records when it starts
+(`hat.level_values`, which evaluates no density) and keeps them only
+while it runs.  Only new points are evaluated.  A registry rebuild
+recomputes qf and keeps log pi.  Every level, and the target of the hot
+chain, is one `hat.Level`: a plain power without a snapshot, a HAT level
+on the run's current snapshot, truncated at a finite radius (the levels
+with beta > 1 when config.truncation is set).
 
 The RWM phase advances its levels in lockstep, one (L, dim) block of
 draws per repetition.  Each level draws from its own `level_stream`:
@@ -41,14 +42,13 @@ call, in order, one row per swap.  On HAT levels a row is (coin, u): the
 coin picks QuanTA or standard, u decides; on power levels a row is u
 alone.
 
-The run owns the hot chains of exploration (ALPS and LAIS): each moves
-on pi^beta_hot by v + 1 `rwm_core` steps per sweep, carrying its record
-and log density.  Until adaptation freezes, chain t mod n_chains then
-searches from its state (`exploration.mfind`).  The exploration phase
-draws from the sweep's explore stream, the chains in order; the
-searching chain first draws the refresh coin (and, on heads, the
-mixture point it restarts from), then every chain draws z, then u, per
-step.  A bootstrap search draws the same way from a stream of its own.
+The run owns the hot chain of exploration (ALPS and LAIS): it moves on
+pi^beta_hot by v + 1 `rwm_core` steps per sweep.  Until adaptation
+freezes, it then searches from its state (`exploration.mfind`).  The
+exploration phase draws from the sweep's explore stream: while the chain
+searches, first the refresh coin (and, on heads, the mixture point it
+restarts from), then z, then u, per step.  A bootstrap search draws the
+same way from a stream of its own.
 """
 
 from __future__ import annotations
@@ -124,8 +124,9 @@ class _Run:
     config.initial_modes or else by bootstrap exploration; without it
     they are the plain powers pi^beta and there is no registry.  `radii`
     holds each level's truncation radius: config.truncation's chi-squared
-    quantile at the levels with beta > 1, inf elsewhere.  Chain k carries
-    its record in `states[k]` and its level value in `logps[k]`.
+    quantile at the levels with beta > 1, inf elsewhere.  Chain k's
+    record, its only state, is `states[k]`; the hot chain's is
+    `hot_state`.
     """
 
     def __init__(self, config: RunConfig, target: TargetDensity,
@@ -140,7 +141,7 @@ class _Run:
         self.diag = RunDiagnostics(d, config.n_sweeps * config.v)
         self.factory = StreamFactory(config.seed)
         self.registry = self.snapshot = None
-        self.hot_target = None
+        self.hot_target = self.hot_state = None
         x0 = (np.zeros(d) if config.init is None
               else _config_point(config.init, d, "init"))
         # checked in every run type; only searches read them
@@ -161,7 +162,7 @@ class _Run:
         self.locations = getattr(target, "component_locations", None)
 
     def _find_modes(self, x0: np.ndarray) -> None:
-        """Start the hot chains at x0 when exploration runs, then fill the
+        """Start the hot chain at x0 when exploration runs, then fill the
         registry by a search from each of config.initial_modes, or else
         by bootstrap searches."""
         config, d = self.config, self.target.dim
@@ -170,10 +171,7 @@ class _Run:
             if config.ladder.beta_hot is None:
                 raise ConfigError("exploration requires ladder.beta_hot")
             self.hot_target = Level(self.target, config.ladder.beta_hot)
-            self.hot_states = [self.hot_target.record(x0.copy())
-                               for _ in range(explore.n_hot_chains)]
-            self.hot_logps = [self.hot_target.value(rec)[0]
-                              for rec in self.hot_states]
+            self.hot_state = self.hot_target.record(x0.copy())
         self.registry = ModeRegistry(dim=d)
         for i, point in enumerate(self.initial_points):
             record: dict = {}
@@ -194,7 +192,7 @@ class _Run:
         for attempt in range(attempts):
             rng = self.factory.stream(EXPLORE_STREAM,
                                       _BOOTSTRAP_COUNTER_BASE + attempt)
-            if self.search(attempt % len(self.hot_states), -1, attempt, rng):
+            if self.search(-1, rng):
                 return
         records = self.diag.discovery_log  # the bootstrap's searches
         statuses = [rec["status"] for rec in records]
@@ -207,37 +205,34 @@ class _Run:
             message += f" (last: {reasons[-1]})"
         raise NumericalAbort(message)
 
-    def hot_moves(self, chain: int, rng, tally: bool = True) -> None:
-        """v + 1 RWM steps of hot chain `chain` on pi^beta_hot, carrying
-        its record and log density; `tally` counts them under HOT."""
+    def hot_moves(self, rng, tally: bool = True) -> None:
+        """v + 1 RWM steps of the hot chain on pi^beta_hot; `tally` counts
+        them under HOT."""
         step_scale = self.config.exploration.step_scale
-        rec, logp = self.hot_states[chain], self.hot_logps[chain]
+        rec = self.hot_state
+        logp = self.hot_target.value(rec)[0]
         for _ in range(self.config.v + 1):
             rec, logp, acc = rwm_core(rec, logp, self.hot_target, step_scale,
                                       rng)
             if tally:
                 self.diag.count(HOT, -1, acc)
-        self.hot_states[chain], self.hot_logps[chain] = rec, logp
+        self.hot_state = rec
 
-    def search(self, chain: int, sweep: int, iteration: int, rng) -> bool:
-        """Move hot chain `chain`, its steps untallied, then one logged
-        mfind call from its state.  The move first draws the refresh
-        coin: on heads the chain restarts at a draw from the registry's
-        mixture."""
+    def search(self, sweep: int, rng) -> bool:
+        """Move the hot chain, its steps untallied, then one logged mfind
+        call from its state.  The move first draws the refresh coin: on
+        heads the chain restarts at a draw from the registry's mixture.
+        The search is logged under `sweep`, -1 in the bootstrap."""
         refresh = self.config.exploration.refresh_from_modes
         if (refresh > 0.0 and self.registry.n_modes > 0
                 and rng.random() < refresh):
-            rec = self.hot_target.record(
+            self.hot_state = self.hot_target.record(
                 mixture_propose(self.registry.snapshot(), 1.0, rng))
-            self.hot_states[chain] = rec
-            self.hot_logps[chain] = self.hot_target.value(rec)[0]
-        self.hot_moves(chain, rng, tally=False)
+        self.hot_moves(rng, tally=False)
         record: dict = {}
-        _, self.registry, found = mfind(self.hot_states[chain].x,
-                                        self.registry, self.target,
-                                        log_cb=record.update)
-        self.diag.discovery_log.append(
-            {"sweep": sweep, "iteration": iteration, **record})
+        _, self.registry, found = mfind(self.hot_state.x, self.registry,
+                                        self.target, log_cb=record.update)
+        self.diag.discovery_log.append({"sweep": sweep, **record})
         if found:
             self.diag.registry_events.append(
                 {"sweep": sweep, "version": self.registry.version,
@@ -247,8 +242,7 @@ class _Run:
     def build_levels(self) -> None:
         """One `Level` per beta on the current registry snapshot (plain
         powers without a registry), at its radius in `radii`; each chain's
-        record gets its quad forms against the snapshot, keeping log pi,
-        and its value under its level."""
+        record gets its quad forms against the snapshot, keeping log pi."""
         snap = self.snapshot = (None if self.registry is None
                                 else self.registry.snapshot())
         self.level_targets = [
@@ -256,16 +250,15 @@ class _Run:
             for beta, radius in zip(self.betas.tolist(), self.radii.tolist())]
         self.states = [ChainRecord((rec.x, rec.logpi, quad_forms(snap, rec.x)))
                        for rec in self.states]
-        self.logps = [lt.value(rec)[0]
-                      for lt, rec in zip(self.level_targets, self.states)]
+        if snap is None:
+            return
         # states stranded outside a (new) truncation region restart at the
         # dominant mode point, whose HAT value is finite at every level
-        for k, lp in enumerate(self.logps):
-            if snap is not None and not np.isfinite(lp):
-                level = self.level_targets[k]
-                self.states[k] = level.record(
-                    snap.mus[int(np.argmax(snap.log_weights))].copy())
-                self.logps[k] = level.value(self.states[k])[0]
+        mode = snap.mus[int(np.argmax(snap.log_weights))]
+        self.states = [
+            rec if np.isfinite(level.value(rec)[0])
+            else level.record(mode.copy())
+            for level, rec in zip(self.level_targets, self.states)]
 
     def tune(self, levels, rates, sweep: int) -> None:
         """Robbins-Monro step of each level's log step scale toward the
@@ -309,9 +302,8 @@ def _rwm_phase(run: _Run, t: int, levels: range) -> None:
     X = np.array([rec.x for rec in states])
     logpis = [rec.logpi for rec in states]
     qfs = [rec.qf for rec in states]
-    logps = run.logps[lo:hi]
     betas, radii = run.betas[lo:hi], run.radii[lo:hi]
-    _, allocs = level_values(snapshot, betas, logpis, qfs, radii)
+    logps, allocs = level_values(snapshot, betas, logpis, qfs, radii)
     beta_col, step_col = betas[:, None], run.step_scales[lo:hi, None]
     steps = step_col.ravel().tolist()
     Z = np.empty_like(X)
@@ -338,7 +330,6 @@ def _rwm_phase(run: _Run, t: int, levels: range) -> None:
         if lo == 0:
             run.diag.record_sample(X[0])
     run.states[lo:hi] = map(ChainRecord, zip(X, logpis, qfs))
-    run.logps[lo:hi] = logps
     for k, acc in zip(levels, accepted.tolist()):
         run.diag.count(RWM, k, acc, v)
     run.tune(levels, accepted / v, t)
@@ -346,20 +337,22 @@ def _rwm_phase(run: _Run, t: int, levels: range) -> None:
 
 def _leap_phase(run: _Run, t: int, tune_local: bool) -> None:
     """Mode leaps at level n; `tune_local` adapts the local moves' step."""
-    n = run.n
+    n, level = run.n, run.level_targets[run.n]
     run.stage = f"leap level {n}"
     rng = run.factory.stream(LEAP_STREAM, t)
+    rec = run.states[n]
+    logp = level.value(rec)[0]
     accepted_local = n_local = 0
     for _ in range(run.config.v):
-        run.states[n], run.logps[n], move_type, acc = mode_leap_core(
-            run.states[n], run.logps[n], run.level_targets[n],
-            run.step_scales[n], rng)
+        rec, logp, move_type, acc = mode_leap_core(
+            rec, logp, level, run.step_scales[n], rng)
         run.diag.count(LEAP if move_type == "leap" else LEAP_LOCAL, n, acc)
         if move_type == "local":
             accepted_local += int(acc)
             n_local += 1
         if n == 0:
-            run.diag.record_sample(run.states[0].x)
+            run.diag.record_sample(rec.x)
+    run.states[n] = rec
     if tune_local and n_local:
         run.tune([n], [accepted_local / n_local], t)
 
@@ -377,7 +370,10 @@ def _swap_phase(run: _Run, t: int) -> None:
     hat = run.snapshot is not None
     schedule = _swap_schedule(config.swap_strategy, n, t, rng)
     draws = rng.random((n, 2 if hat else 1)).tolist()
-    states, logps, targets = run.states, run.logps, run.level_targets
+    states, targets = run.states, run.level_targets
+    logps, _ = level_values(run.snapshot, run.betas,
+                            [rec.logpi for rec in states],
+                            [rec.qf for rec in states], run.radii)
     for k, row in zip(schedule, draws):
         u = row[-1]
         if hat and row[0] < config.swap_quanta_prob:
@@ -394,20 +390,17 @@ def _swap_phase(run: _Run, t: int) -> None:
 
 
 def _exploration_phase(run: _Run, t: int) -> None:
-    """Until adaptation freezes, hot chain t mod n_chains moves and
-    searches (`_Run.search`); every other chain moves, its steps tallied
-    under HOT.  Without exploration there are no hot chains."""
+    """Until adaptation freezes the hot chain moves and searches
+    (`_Run.search`); after it, it moves with its steps tallied under HOT.
+    Without exploration there is no hot chain."""
     if run.hot_target is None:
         return
     run.stage = "exploration"
     rng = run.factory.stream(EXPLORE_STREAM, t)
-    n_chains = len(run.hot_states)
-    active = t % n_chains if t < run.freeze else -1
-    for c in range(n_chains):
-        if c == active:
-            run.search(c, t, c, rng)
-        else:
-            run.hot_moves(c, rng)
+    if t < run.freeze:
+        run.search(t, rng)
+    else:
+        run.hot_moves(rng)
 
 
 def _hat_visits(run: _Run, t: int) -> None:

@@ -13,6 +13,7 @@ import csv
 import hashlib
 import importlib.resources
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -211,8 +212,10 @@ def zellner_iterate(data: SurData, tol: float = 1e-6,
     Converged when the relative change of the fitted values
     ||X theta_new - X theta||_2 / ||X theta_new||_2 drops below tol.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be finite and positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     theta = ols_theta(data)
     trajectory = [sur_profile_loglik(theta, data)]
     fitted = data.Y - _residuals(theta, data)

@@ -189,8 +189,7 @@ def test_settable_values_are_pinned():
         "target.name", "target.params", "ladder.betas", "ladder.beta_hot",
         "seed", "v", "swap_quanta_prob", "swap_strategy",
         "rwm.step_scale", "rwm.tune",
-        "exploration.step_scale", "exploration.n_hot_chains",
-        "exploration.refresh_from_modes",
+        "exploration.step_scale", "exploration.refresh_from_modes",
         "exploration.max_bootstrap_attempts",
         "truncation.level", "total_target_samples", "burnin_samples",
         "init", "initial_modes", "running_threshold", "out_dir"]

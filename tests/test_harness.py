@@ -174,6 +174,12 @@ def test_cli_no_modes_without_exploration_is_config_error(tmp_path, capsys):
     ({"thinning": False}, "config: unknown key(s) ['thinning']"),
     ({"freeze_sweep": 2.5}, "config: unknown key(s) ['freeze_sweep']"),
     ({"registry_tol": 0.5}, "config: unknown key(s) ['registry_tol']"),
+    ({"exploration": {"n_hot_chains": 1.5}},
+     "exploration: unknown key(s) ['n_hot_chains']"),
+    ({"exploration": {"n_hot_chains": True}},
+     "exploration: unknown key(s) ['n_hot_chains']"),
+    # used to end in a bare TypeError when the output directory was made
+    ({"out_dir": 5}, "out_dir must be a string"),
 ])
 def test_cli_bad_settings_are_config_errors(tmp_path, capsys, override,
                                             message):
@@ -192,7 +198,6 @@ def test_cli_bad_settings_are_config_errors(tmp_path, capsys, override,
 @pytest.mark.parametrize("key, value", [
     ("v", 2.5), ("v", True),
     ("total_target_samples", 10.5), ("burnin_samples", 2.0), ("v", "5"),
-    ("exploration.n_hot_chains", 1.5), ("exploration.n_hot_chains", True),
     ("exploration.max_bootstrap_attempts", 2.5),
     ("seed", 1.7), ("seed", True), ("seed", "3"),
 ])
@@ -413,10 +418,10 @@ def reference_rwm_phase(run, t, levels):
         accepted = 0
         a_k = None
         x = run.states[k].x
+        logp = run.level_targets[k].value(run.states[k])[0]
         for _ in range(v):
-            x, run.logps[k], a_k, acc = reference_rwm_core_alloc(
-                x, run.logps[k], run.level_targets[k],
-                run.step_scales[k], rng, a_k)
+            x, logp, a_k, acc = reference_rwm_core_alloc(
+                x, logp, run.level_targets[k], run.step_scales[k], rng, a_k)
             accepted += int(acc)
             run.diag.count(RWM, k, acc)
             if k == 0:
@@ -525,6 +530,26 @@ def test_alps_recovers_unequal_mode_weights():
     assert np.all(walk[:, 0] < 5.0)
 
 
+def test_build_levels_restarts_stranded_states_at_the_dominant_mode():
+    # a start far outside the truncation balls has value -inf at the
+    # truncated levels (beta > 1): their chains restart at the mode of
+    # largest weight, and level 0, not truncated, keeps the start
+    target = GaussianMixtureTarget([0.6, 0.4], [[0.0, 0.0], [3.0, 0.5]],
+                                   [np.eye(2), 0.5 * np.eye(2)])
+    cfg = gaussian_config(ladder={"betas": [1.0, 2.0, 6.0]},
+                          initial_modes=[[0.0, 0.0], [3.0, 0.5]],
+                          truncation={"level": 0.99}, init=[40.0, 40.0])
+    run = runner._Run(cfg, target, np.array(cfg.ladder.betas), hat=True)
+    start = np.array(cfg.init)
+    np.testing.assert_array_equal(run.states[0].x, start)
+    snap = run.snapshot
+    mode = snap.mus[int(np.argmax(snap.log_weights))]
+    for level, rec in zip(run.level_targets[1:], run.states[1:]):
+        assert level.value(level.record(start))[0] == -np.inf
+        np.testing.assert_array_equal(rec.x, mode)
+        assert np.isfinite(level.value(rec)[0])
+
+
 class FailingBatch(TargetDensity):
     """1-d standard normal whose n-th evaluation raises, or whose batch
     call returns one value too many."""
@@ -616,8 +641,8 @@ def reference_swap_phase(run, t):
         schedule = [int(rng.integers(0, n)) for _ in range(n)]
     else:
         schedule = _swap_schedule("even_odd", n, t, None)
-    states, logps = run.states, run.logps
-    targets = run.level_targets
+    states, targets = run.states, run.level_targets
+    logps = [target.value(rec)[0] for target, rec in zip(targets, states)]
     for k in schedule:
         if run.snapshot is not None and rng.random() < config.swap_quanta_prob:
             res = reference_quanta_swap_core(
@@ -669,7 +694,6 @@ def reference_settings(config):
     ec = config.exploration
     return SimpleNamespace(beta_hot=config.ladder.beta_hot, v=config.v,
                            step_scale=ec.step_scale,
-                           n_hot_chains=ec.n_hot_chains,
                            refresh_from_modes=ec.refresh_from_modes)
 
 
@@ -723,32 +747,26 @@ def reference_register_point_as_mode(point, target, registry):
 
 
 def reference_find_modes(run, x0):
-    """Initial modes, then the bootstrap; the hot chains' log densities
-    are evaluated afresh after it."""
+    """Initial modes, then the bootstrap."""
     config = run.config
     run.registry = ModeRegistry(dim=run.target.dim)
     for point in config.initial_modes or []:
         reference_register_point_as_mode(point, run.target, run.registry)
-    cfg = reference_settings(config)
-    run.hot_target = Level(run.target, cfg.beta_hot)
-    run.hot_states = [run.hot_target.record(x0.copy())
-                      for _ in range(cfg.n_hot_chains)]
+    run.hot_target = Level(run.target, config.ladder.beta_hot)
+    run.hot_state = run.hot_target.record(x0.copy())
     if run.registry.n_modes == 0:
         run._bootstrap(config.exploration.max_bootstrap_attempts)
-    run.hot_logps = [run.hot_target.log_density(rec.x)
-                     for rec in run.hot_states]
 
 
-def reference_search(run, chain, sweep, iteration, rng):
-    """One logged exploration step of hot chain `chain`; its record is
+def reference_search(run, sweep, rng):
+    """One logged exploration step of the hot chain; its record is
     evaluated afresh at the state the step reached."""
     record = {}
     x_hot, run.registry, found = reference_mfind(
-        run.hot_states[chain].x, run.registry, run.target,
+        run.hot_state.x, run.registry, run.target,
         reference_settings(run.config), rng, log_cb=record.update)
-    run.hot_states[chain] = run.hot_target.record(x_hot)
-    run.diag.discovery_log.append(
-        {"sweep": sweep, "iteration": iteration, **record})
+    run.hot_state = run.hot_target.record(x_hot)
+    run.diag.discovery_log.append({"sweep": sweep, **record})
     if found:
         run.diag.registry_events.append(
             {"sweep": sweep, "version": run.registry.version,
@@ -757,24 +775,19 @@ def reference_search(run, chain, sweep, iteration, rng):
 
 
 def reference_exploration_phase(run, t):
-    """The searching chain runs a whole exploration step and has its log
-    density evaluated again; the others take v + 1 tallied steps."""
+    """Until the freeze the hot chain runs a whole exploration step; after
+    it, it takes v + 1 tallied steps from the value of its record."""
     run.stage = "exploration"
     cfg = reference_settings(run.config)
     rng = run.factory.stream(runner.EXPLORE_STREAM, t)
-    n_chains = len(run.hot_states)
-    active = t % n_chains if t < run.freeze else -1
-    for c in range(n_chains):
-        if c == active:
-            reference_search(run, c, t, c, rng)
-            run.hot_logps[c] = run.hot_target.log_density(
-                run.hot_states[c].x)
-        else:
-            for _ in range(cfg.v + 1):
-                run.hot_states[c], run.hot_logps[c], acc = kernels.rwm_core(
-                    run.hot_states[c], run.hot_logps[c], run.hot_target,
-                    cfg.step_scale, rng)
-                run.diag.count(HOT, -1, acc)
+    if t < run.freeze:
+        reference_search(run, t, rng)
+        return
+    logp = run.hot_target.value(run.hot_state)[0]
+    for _ in range(cfg.v + 1):
+        run.hot_state, logp, acc = kernels.rwm_core(
+            run.hot_state, logp, run.hot_target, cfg.step_scale, rng)
+        run.diag.count(HOT, -1, acc)
 
 
 def exploring_case(run_fn=alps_run, betas=(1.0, 2.0, 6.0), **over):
@@ -788,24 +801,23 @@ def exploring_case(run_fn=alps_run, betas=(1.0, 2.0, 6.0), **over):
     return run_fn, cfg, target
 
 
-def explore(n_hot_chains, refresh):
-    return {"step_scale": 3.0, "n_hot_chains": n_hot_chains,
-            "refresh_from_modes": refresh}
+def explore(refresh):
+    return {"step_scale": 3.0, "refresh_from_modes": refresh}
 
 
 @pytest.mark.parametrize("case", [
-    lambda: exploring_case(initial_modes=None, exploration=explore(1, 0.0)),
-    lambda: exploring_case(initial_modes=None, exploration=explore(2, 0.5)),
+    lambda: exploring_case(initial_modes=None, exploration=explore(0.0)),
+    lambda: exploring_case(initial_modes=None, exploration=explore(0.5)),
     lambda: exploring_case(initial_modes=[[3.0, 0.5]],
-                           exploration=explore(1, 0.0)),
+                           exploration=explore(0.0)),
     lambda: exploring_case(initial_modes=[[0.0, 0.0]],
-                           exploration=explore(2, 0.5)),
+                           exploration=explore(0.5)),
     lambda: exploring_case(lais_run, betas=(1.0,),
                            initial_modes=[[0.0, 0.0]],
-                           exploration=explore(2, 0.5)),
-], ids=["bootstrap-1-chain", "bootstrap-2-chains-refresh",
-        "initial-modes-1-chain", "initial-modes-2-chains-refresh",
-        "lais-2-chains-refresh"])
+                           exploration=explore(0.5)),
+], ids=["bootstrap-1-chain", "bootstrap-1-chain-refresh",
+        "initial-modes-1-chain", "initial-modes-1-chain-refresh",
+        "lais-1-chain-refresh"])
 def test_runner_hot_chains_equal_mfind_hot_step_reference(monkeypatch, case):
     run_fn, cfg, target = case()
     samples, diag = run_fn(cfg, target)
@@ -827,13 +839,12 @@ def test_runner_hot_chains_equal_mfind_hot_step_reference(monkeypatch, case):
     assert diag.registry_events == ref_diag.registry_events
     assert repr(diag.discovery_log) == repr(ref_diag.discovery_log)
     # the case exercises what it should: both modes found, searches until
-    # the freeze only, and every step of a non-searching chain tallied
-    n_chains = cfg.exploration.n_hot_chains
+    # the freeze only, and every step after it tallied
     sweep_searches = sum(rec["sweep"] >= 0 for rec in diag.discovery_log)
     assert registry.n_modes == 2 and diag.registry_events
     assert sweep_searches == cfg.burnin_sweeps < diag.n_sweeps
     assert diag.counters[(HOT, -1)][1] == (cfg.v + 1) * (
-        n_chains * diag.n_sweeps - sweep_searches)
+        diag.n_sweeps - sweep_searches)
 
 
 def test_bootstrap_abort_names_budget_and_failures(tmp_path, capsys,

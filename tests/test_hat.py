@@ -195,7 +195,7 @@ def test_chi2_quantile_against_scipy():
         for level in (0.5, 0.9, 0.99, 0.9999):
             ours = chi2_quantile(level, dim)
             ref = chi2.ppf(level, dim)
-            assert abs(ours - ref) < 1e-8 * max(1.0, ref)
+            assert abs(ours - ref) <= 1e-14 * ref
 
 
 def test_chi2_quantile_validates():

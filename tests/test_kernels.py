@@ -66,17 +66,18 @@ def test_rwm_rejects_minus_inf_region():
 
 
 def test_rwm_1d_gaussian_acceptance_benchmark():
-    # 1-d N(0,1) with step 2.4: long-run acceptance about 0.44
+    # 1-d N(0,1) with step s: the stationary acceptance is
+    # (2/pi) atan(2/s), 0.44228 at s = 2.4
     target = gaussian_hat([0.0], [[1.0]], 1.0)
     rng = np.random.default_rng(0)
     rec = target.record(np.zeros(1))
     logp = target.value(rec)[0]
     accepts = 0
-    n = 100000
+    n = 20000
     for _ in range(n):
         rec, logp, acc = rwm_core(rec, logp, target, 2.4, rng)
         accepts += acc
-    assert abs(accepts / n - 0.44) < 0.03
+    assert abs(accepts / n - 2.0 / np.pi * np.arctan(2.0 / 2.4)) < 0.03
 
 
 def test_quanta_transform_identity_and_scale():

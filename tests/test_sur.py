@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
 from alps import numdiff
+from alps.cli import main
 from alps.targets.sur import (SurParseError, SurProfileTarget, load_grunfeld,
                               load_sur_csv, make_sur_data, ols_theta,
                               sur_gls_theta, sur_profile_loglik,
@@ -193,3 +196,27 @@ def test_grunfeld_zellner_iteration_count_and_likelihood():
     assert abs(result.iterations - 52) <= 3
     ll = sur_profile_loglik(result.theta, data)
     assert abs(ll - (-263.7)) < 0.1
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--tol", "0"], "tol must be finite and positive"),
+    (["--tol", "-0.5"], "tol must be finite and positive"),
+    (["--tol", "nan"], "tol must be finite and positive"),
+    (["--tol", "inf"], "tol must be finite and positive"),
+    (["--max-iter", "0"], "max_iter must be at least 1"),
+    (["--max-iter", "-1"], "max_iter must be at least 1"),
+])
+def test_cli_sur_fit_rejects_bad_numbers(capsys, args, message):
+    # tol 0 used to end in a bare ValueError; tol nan and max-iter <= 0
+    # used to report an unconverged fit with exit 0
+    assert main(["sur-fit", *args]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_cli_sur_fit_writes_sorted_json(tmp_path):
+    assert main(["sur-fit", "--out", str(tmp_path)]) == 0
+    text = (tmp_path / "sur_fit.json").read_text(encoding="utf-8")
+    fit = json.loads(text)
+    assert text == json.dumps(fit, indent=2, sort_keys=True) + "\n"
+    assert fit["converged"] and len(fit["theta"]) == 15
+    assert fit["log_likelihood"] == fit["trajectory"][-1]

@@ -69,7 +69,7 @@ print(json.dumps({{
 """
 
 
-HOT_CHAINS, FREEZE = 2, 4
+HOT_CHAINS, FREEZE = 1, 4
 
 # ALPS with exploration and no initial modes: the registry starts empty,
 # so bootstrap searches come first.
@@ -91,7 +91,7 @@ config = RunConfig.from_dict({{
     "target": {{"name": "gaussian_mixture"}}, "seed": 0, "v": {V},
     "ladder": {{"betas": [2.0 ** k for k in range({LEVELS})],
                 "beta_hot": 0.2}},
-    "exploration": {{"step_scale": 3.0, "n_hot_chains": {HOT_CHAINS}}},
+    "exploration": {{"step_scale": 3.0}},
     "burnin_samples": {V * FREEZE}, "total_target_samples": {V * SWEEPS}}})
 target = GaussianMixtureTarget([0.6, 0.4], [[0.0, 0.0], [3.0, 0.5]],
                                [np.eye(2), 0.5 * np.eye(2)])
