@@ -8,7 +8,7 @@ from .hat import Level, chi2_quantile
 from .registry import (IndefiniteHessianError, ModeInfo, ModeRegistry,
                        RegistrySnapshot, covariance_from_hessian,
                        make_mode_info, pseudo_distance, try_insert)
-from .runner import NumericalAbort, alps_run, lais_run, pt_run
+from .runner import NumericalAbort, alps_run, pt_run
 from .scaling import (EnvelopeViolationError, ScalingExperimentConfig,
                       predicted_acceptance, scaling_experiment)
 
@@ -22,7 +22,7 @@ __all__ = [
     "IndefiniteHessianError", "ModeInfo", "ModeRegistry", "RegistrySnapshot",
     "covariance_from_hessian", "make_mode_info", "pseudo_distance",
     "try_insert",
-    "NumericalAbort", "alps_run", "lais_run", "pt_run",
+    "NumericalAbort", "alps_run", "pt_run",
     "EnvelopeViolationError", "ScalingExperimentConfig",
     "predicted_acceptance", "scaling_experiment",
     "__version__",

@@ -1,4 +1,9 @@
-"""Command-line front end: run / pt / lais / scaling / sur-fit."""
+"""Command-line front end: run / pt / scaling / sur-fit.
+
+`alps run` runs ALPS and, on a one-level ladder such as the preset
+`synthetic-20d-lais`, the LAIS baseline; `alps pt` runs parallel
+tempering.
+"""
 
 from __future__ import annotations
 
@@ -9,7 +14,7 @@ import sys
 
 from .config import PRESETS, ConfigError, load_config
 from .outputs import emit_outputs, prepare_out_dir, write_json
-from .runner import NumericalAbort, alps_run, lais_run, pt_run
+from .runner import NumericalAbort, alps_run, pt_run
 from .scaling import (EnvelopeViolationError, ScalingExperimentConfig,
                       scaling_experiment)
 from .targets import build_target, load_grunfeld, load_sur_csv, zellner_iterate
@@ -18,7 +23,7 @@ from .targets.sur import SurParseError, UnidentifiableSystemError
 
 logger = logging.getLogger(__name__)
 
-_RUNNERS = {"run": alps_run, "pt": pt_run, "lais": lais_run}
+_RUNNERS = {"run": alps_run, "pt": pt_run}
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -37,9 +42,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="log progress at INFO level")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    for name, blurb in (("run", "annealed leap-point sampling"),
-                        ("pt", "parallel tempering baseline"),
-                        ("lais", "single-level mixture-leap baseline")):
+    for name, blurb in (("run", "annealed leap-point sampling (LAIS on a "
+                                "one-level ladder)"),
+                        ("pt", "parallel tempering baseline")):
         sub = subs.add_parser(name, help=blurb)
         _add_common(sub)
         sub.set_defaults(func=_cmd_sampling, runner=_RUNNERS[name])

@@ -15,6 +15,12 @@ preset uses the one value:
   neighbour pair of the ladder;
 - the freeze of adaptation (step tuning and mode search): the end of
   burn-in, `burnin_sweeps`, so the sampled part runs on a fixed ladder;
+- step tuning: every RWM level's step is tuned until the freeze, and
+  the leap-local step of the top level never is, so the LAIS baseline
+  is ALPS on the ladder [1.0];
+- the hot chain: it moves and searches until the freeze and stops there;
+- the bootstrap's budget: 2000 searches
+  (`runner.MAX_BOOTSTRAP_ATTEMPTS`);
 - the registry's dedup tolerance: 1 + sqrt(2/d)
   (`registry.default_tol`), which scales with the target's dimension;
 - the RWM tuning target: an acceptance rate of 0.234
@@ -101,7 +107,6 @@ class LadderConfig:
 @dataclass
 class RwmSettings:
     step_scale: float | list = 1.0    # one per level, or one for all
-    tune: bool = False
 
     def __post_init__(self):
         scales = ([self.step_scale]
@@ -141,19 +146,14 @@ class ExplorationSettings:
 
     step_scale: float = 1.0
     refresh_from_modes: float = 0.0
-    max_bootstrap_attempts: int = 2000
 
     def __post_init__(self):
-        _require_int(self.max_bootstrap_attempts,
-                     "exploration.max_bootstrap_attempts")
         for key in ("step_scale", "refresh_from_modes"):
             _require_number(getattr(self, key), f"exploration.{key}")
         if self.step_scale <= 0:
             raise ConfigError("exploration.step_scale must be positive")
         if not 0.0 <= self.refresh_from_modes <= 1.0:
             raise ConfigError("exploration.refresh_from_modes must be a probability")
-        if self.max_bootstrap_attempts < 1:
-            raise ConfigError("exploration.max_bootstrap_attempts must be at least 1")
 
 
 @dataclass
@@ -265,7 +265,7 @@ def _benchmark_preset() -> dict:
         "seed": 1,
         "v": 5,
         "swap_quanta_prob": 0.5,
-        "rwm": {"step_scale": 2.38 / np.sqrt(20.0), "tune": True},
+        "rwm": {"step_scale": 2.38 / np.sqrt(20.0)},
         "exploration": {"step_scale": 120.0, "refresh_from_modes": 0.0},
         "total_target_samples": 200000,
         "burnin_samples": 15000,
@@ -282,8 +282,7 @@ def _benchmark_pt_preset() -> dict:
         "seed": 1,
         "v": 5,
         "rwm": {"step_scale": [2.38 / np.sqrt(20.0 * 0.6 ** k)
-                               for k in range(14)],
-                "tune": True},
+                               for k in range(14)]},
         "exploration": None,
         "total_target_samples": 200000,
         "burnin_samples": 15000,
@@ -298,7 +297,7 @@ def _benchmark_lais_preset() -> dict:
         "ladder": {"beta_hot": 5e-6, "betas": [1.0]},
         "seed": 1,
         "v": 5,
-        "rwm": {"step_scale": 2.38 / np.sqrt(20.0), "tune": True},
+        "rwm": {"step_scale": 2.38 / np.sqrt(20.0)},
         "exploration": {"step_scale": 120.0},
         "total_target_samples": 200000,
         "burnin_samples": 15000,
@@ -316,7 +315,7 @@ def _sur_grunfeld_preset() -> dict:
         "seed": 1,
         "v": 5,
         "swap_quanta_prob": 0.5,
-        "rwm": {"step_scale": 2.38 / np.sqrt(15.0), "tune": True},
+        "rwm": {"step_scale": 2.38 / np.sqrt(15.0)},
         "exploration": {"step_scale": 40.0, "refresh_from_modes": 0.25},
         "truncation": {"level": 0.9999},
         "total_target_samples": 20000,

@@ -4,16 +4,16 @@ The hot chain belongs to the runner (`runner._Run`): it moves on the
 plain power-tempered density pi^beta_hot, a `hat.Level` without a
 snapshot (mode information does not exist yet when exploration starts),
 by `kernels.rwm_core`, and its record (`hat.ChainRecord`) is its only
-state.  Every sweep until adaptation freezes it searches: `mfind` runs a
-quasi-Newton ascent from the point the chain reached and offers the
-resulting (mode, Hessian) pair to the registry.  The runner's
-`initial_modes` are registered by the same search.
+state.  Every sweep until adaptation freezes it moves and searches:
+`mfind` runs a quasi-Newton ascent from the point the chain reached and
+offers the resulting (mode, Hessian) pair to the registry.  At the
+freeze the chain stops.  The runner's `initial_modes` are registered by
+the same search.
 
-Per sweep the hot chain draws from the sweep's explore stream.  While it
-searches it first draws the refresh coin (only while
-`refresh_from_modes` > 0 and a mode is registered; on heads the mixture
-point follows), then z, then u, per RWM step.  `mfind` itself draws
-nothing.
+Per sweep the hot chain draws from the sweep's explore stream: first
+the refresh coin (only while `refresh_from_modes` > 0 and a mode is
+registered; on heads the mixture point follows), then z, then u, per
+RWM step.  `mfind` itself draws nothing.
 """
 
 from __future__ import annotations

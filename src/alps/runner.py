@@ -1,4 +1,4 @@
-"""Run orchestration: one sweep driver for ALPS and both baselines.
+"""Run orchestration: one sweep driver for ALPS and the PT baseline.
 
 A run type is the list of phases one sweep applies, in order:
 
@@ -7,9 +7,15 @@ A run type is the list of phases one sweep applies, in order:
   the mode allocations of levels 0 and n.
 - PT: RWM at power-tempered levels 0..n, standard swaps, and the
   nearest component locations of levels 0 and n.
-- LAIS: mode leaps at level 0, exploration, and the allocation of
-  level 0.  It is ALPS on a one-level ladder whose leap-local RWM step
-  is tuned.
+
+The LAIS baseline (Laplace-mixture independence sampling at beta = 1)
+is ALPS on the one-level ladder [1.0]: mode leaps at level 0,
+exploration, and the allocation of level 0.
+
+Adaptation has one window, burn-in: until the freeze (sweep
+burnin_sweeps) each RWM level's step is tuned and the hot chain searches
+for modes; after it the kernels and the ladder are fixed.  The
+leap-local step at level n is never tuned.
 
 RWM and leap phases make v updates per level.  Level-0 states are
 recorded after every level-0 update, so total_target_samples = v * sweeps.
@@ -42,13 +48,14 @@ call, in order, one row per swap.  On HAT levels a row is (coin, u): the
 coin picks QuanTA or standard, u decides; on power levels a row is u
 alone.
 
-The run owns the hot chain of exploration (ALPS and LAIS): it moves on
-pi^beta_hot by v + 1 `rwm_core` steps per sweep.  Until adaptation
-freezes, it then searches from its state (`exploration.mfind`).  The
-exploration phase draws from the sweep's explore stream: while the chain
-searches, first the refresh coin (and, on heads, the mixture point it
-restarts from), then z, then u, per step.  A bootstrap search draws the
-same way from a stream of its own.
+The run owns the hot chain of exploration: until the freeze, each sweep
+it moves on pi^beta_hot by v + 1 `rwm_core` steps, tallied under HOT,
+and then searches from its state (`exploration.mfind`); at the freeze it
+stops.  The exploration phase draws from the sweep's explore stream:
+first the refresh coin (and, on heads, the mixture point the chain
+restarts from), then z, then u, per step.  A bootstrap search moves and
+draws the same way, from a stream of its own, and gives up after
+MAX_BOOTSTRAP_ATTEMPTS searches.
 """
 
 from __future__ import annotations
@@ -80,6 +87,7 @@ from .rng import EXPLORE_STREAM, LEAP_STREAM, SWAP_STREAM, StreamFactory
 logger = logging.getLogger(__name__)
 
 _BOOTSTRAP_COUNTER_BASE = 1 << 62
+MAX_BOOTSTRAP_ATTEMPTS = 2000
 # Step tuning aims at the acceptance rate that is optimal for RWM in high
 # dimension (Roberts, Gelman & Gilks 1997).
 RWM_TUNE_TARGET = 0.234
@@ -184,11 +192,12 @@ class _Run:
             if self.hot_target is None:
                 raise ConfigError("no modes discovered (registry empty and "
                                   "exploration disabled)")
-            self._bootstrap(explore.max_bootstrap_attempts)
+            self._bootstrap()
 
-    def _bootstrap(self, attempts: int) -> None:
-        """Search until a first mode is registered; abort after `attempts`
-        searches, saying why each one failed."""
+    def _bootstrap(self) -> None:
+        """Search until a first mode is registered; abort after
+        MAX_BOOTSTRAP_ATTEMPTS searches, saying why each one failed."""
+        attempts = MAX_BOOTSTRAP_ATTEMPTS
         for attempt in range(attempts):
             rng = self.factory.stream(EXPLORE_STREAM,
                                       _BOOTSTRAP_COUNTER_BASE + attempt)
@@ -205,30 +214,29 @@ class _Run:
             message += f" (last: {reasons[-1]})"
         raise NumericalAbort(message)
 
-    def hot_moves(self, rng, tally: bool = True) -> None:
-        """v + 1 RWM steps of the hot chain on pi^beta_hot; `tally` counts
-        them under HOT."""
+    def hot_moves(self, rng) -> None:
+        """v + 1 RWM steps of the hot chain on pi^beta_hot, tallied under
+        HOT."""
         step_scale = self.config.exploration.step_scale
         rec = self.hot_state
         logp = self.hot_target.value(rec)[0]
         for _ in range(self.config.v + 1):
             rec, logp, acc = rwm_core(rec, logp, self.hot_target, step_scale,
                                       rng)
-            if tally:
-                self.diag.count(HOT, -1, acc)
+            self.diag.count(HOT, -1, acc)
         self.hot_state = rec
 
     def search(self, sweep: int, rng) -> bool:
-        """Move the hot chain, its steps untallied, then one logged mfind
-        call from its state.  The move first draws the refresh coin: on
-        heads the chain restarts at a draw from the registry's mixture.
-        The search is logged under `sweep`, -1 in the bootstrap."""
+        """Move the hot chain, then one logged mfind call from its state.
+        The move first draws the refresh coin: on heads the chain
+        restarts at a draw from the registry's mixture.  The search is
+        logged under `sweep`, -1 in the bootstrap."""
         refresh = self.config.exploration.refresh_from_modes
         if (refresh > 0.0 and self.registry.n_modes > 0
                 and rng.random() < refresh):
             self.hot_state = self.hot_target.record(
                 mixture_propose(self.registry.snapshot(), 1.0, rng))
-        self.hot_moves(rng, tally=False)
+        self.hot_moves(rng)
         record: dict = {}
         _, self.registry, found = mfind(self.hot_state.x, self.registry,
                                         self.target, log_cb=record.update)
@@ -264,7 +272,7 @@ class _Run:
         """Robbins-Monro step of each level's log step scale toward the
         target acceptance rate, all levels in one array operation, until
         adaptation freezes."""
-        if not self.config.rwm.tune or sweep >= self.freeze:
+        if sweep >= self.freeze:
             return
         levels = np.asarray(levels)
         gamma = 1.0 / (1.0 + sweep) ** 0.6
@@ -335,26 +343,21 @@ def _rwm_phase(run: _Run, t: int, levels: range) -> None:
     run.tune(levels, accepted / v, t)
 
 
-def _leap_phase(run: _Run, t: int, tune_local: bool) -> None:
-    """Mode leaps at level n; `tune_local` adapts the local moves' step."""
+def _leap_phase(run: _Run, t: int) -> None:
+    """v mode-leap moves at level n, each a leap or a local RWM step at
+    the level's untuned step scale."""
     n, level = run.n, run.level_targets[run.n]
     run.stage = f"leap level {n}"
     rng = run.factory.stream(LEAP_STREAM, t)
     rec = run.states[n]
     logp = level.value(rec)[0]
-    accepted_local = n_local = 0
     for _ in range(run.config.v):
         rec, logp, move_type, acc = mode_leap_core(
             rec, logp, level, run.step_scales[n], rng)
         run.diag.count(LEAP if move_type == "leap" else LEAP_LOCAL, n, acc)
-        if move_type == "local":
-            accepted_local += int(acc)
-            n_local += 1
         if n == 0:
             run.diag.record_sample(rec.x)
     run.states[n] = rec
-    if tune_local and n_local:
-        run.tune([n], [accepted_local / n_local], t)
 
 
 def _swap_phase(run: _Run, t: int) -> None:
@@ -391,16 +394,12 @@ def _swap_phase(run: _Run, t: int) -> None:
 
 def _exploration_phase(run: _Run, t: int) -> None:
     """Until adaptation freezes the hot chain moves and searches
-    (`_Run.search`); after it, it moves with its steps tallied under HOT.
-    Without exploration there is no hot chain."""
-    if run.hot_target is None:
+    (`_Run.search`); from the freeze on it stops.  Without exploration
+    there is no hot chain."""
+    if run.hot_target is None or t >= run.freeze:
         return
     run.stage = "exploration"
-    rng = run.factory.stream(EXPLORE_STREAM, t)
-    if t < run.freeze:
-        run.search(t, rng)
-    else:
-        run.hot_moves(rng)
+    run.search(t, run.factory.stream(EXPLORE_STREAM, t))
 
 
 def _hat_visits(run: _Run, t: int) -> None:
@@ -445,14 +444,15 @@ def _drive(config: RunConfig, target: TargetDensity, betas: np.ndarray,
 
 
 def alps_run(config: RunConfig, target: TargetDensity):
-    """Annealed leap-point sampling; returns (level-0 samples, diagnostics)."""
+    """Annealed leap-point sampling; returns (level-0 samples, diagnostics).
+
+    On the ladder [1.0] this is the LAIS baseline."""
     betas = np.asarray(config.ladder.betas, dtype=float)
     if betas[0] != 1.0 or np.any(np.diff(betas) <= 0):
         raise ConfigError("annealing ladder must start at 1 and increase")
     return _drive(config, target, betas, hat=True, phases=(
         partial(_rwm_phase, levels=range(betas.size - 1)),
-        partial(_leap_phase, tune_local=False),
-        _swap_phase, _exploration_phase, _hat_visits))
+        _leap_phase, _swap_phase, _exploration_phase, _hat_visits))
 
 
 def pt_run(config: RunConfig, target: TargetDensity):
@@ -464,16 +464,3 @@ def pt_run(config: RunConfig, target: TargetDensity):
         partial(_rwm_phase, levels=range(betas.size)),
         _swap_phase, _nearest_visits))
 
-
-def lais_run(config: RunConfig, target: TargetDensity):
-    """Laplace-mixture independence sampling at the target temperature.
-
-    The non-annealing variant: exploration finds modes, and level 0
-    alternates local RWM with mixture leaps driven by q at beta = 1.
-    """
-    betas = np.asarray(config.ladder.betas, dtype=float)
-    if betas.size != 1 or betas[0] != 1.0:
-        raise ConfigError("this sampler runs a single level at beta = 1")
-    return _drive(config, target, betas, hat=True, phases=(
-        partial(_leap_phase, tune_local=True), _exploration_phase,
-        _hat_visits))

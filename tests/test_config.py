@@ -21,7 +21,7 @@ def test_minimal_config_parses_with_defaults():
     assert cfg.n_levels == 2
     assert cfg.n_swaps == 1
     assert cfg.swap_strategy == "uniform"
-    assert (cfg.rwm.step_scale, cfg.rwm.tune) == (1.0, False)
+    assert cfg.rwm.step_scale == 1.0
     # exploration is on and truncation off unless a config says otherwise
     assert cfg.exploration is not None and cfg.truncation is None
 
@@ -64,10 +64,6 @@ def test_value_validation():
     for step in (0, -1.0, [1.0, -2.0]):
         with pytest.raises(ConfigError, match="step_scale"):
             RunConfig.from_dict(dict(MINIMAL, rwm={"step_scale": step}))
-    for attempts in (0, -3):
-        with pytest.raises(ConfigError, match="max_bootstrap_attempts"):
-            RunConfig.from_dict(dict(
-                MINIMAL, exploration={"max_bootstrap_attempts": attempts}))
     with pytest.raises(ConfigError, match="exploration"):
         RunConfig.from_dict(dict(MINIMAL, exploration={"step_scale": 0.0}))
     with pytest.raises(ConfigError, match="refresh_from_modes"):
@@ -122,7 +118,7 @@ def test_benchmark_preset_values():
     assert cfg.ladder.betas == [1.0, 4.0, 16.0, 64.0, 256.0, 1024.0, 4096.0]
     assert cfg.ladder.beta_hot == 5e-6
     assert cfg.n_swaps == 6 and cfg.v == 5
-    assert cfg.rwm.step_scale == 2.38 / np.sqrt(20.0) and cfg.rwm.tune
+    assert cfg.rwm.step_scale == 2.38 / np.sqrt(20.0)
     assert cfg.total_target_samples == 200000
     pt = RunConfig.from_dict(preset_dict("synthetic-20d-pt"))
     assert pt.n_levels == 14
@@ -141,12 +137,12 @@ def test_unknown_preset_rejected():
 def test_load_config_merges_file_and_cli(tmp_path):
     p = tmp_path / "override.json"
     p.write_text(json.dumps({"total_target_samples": 50,
-                             "rwm": {"tune": False}}))
+                             "exploration": {"refresh_from_modes": 0.25}}))
     cfg = load_config(preset="synthetic-20d", config_path=str(p), seed=42)
     assert cfg.total_target_samples == 50
     assert cfg.seed == 42
-    assert not cfg.rwm.tune
-    assert cfg.rwm.step_scale == 2.38 / np.sqrt(20.0)  # preset value survives
+    assert cfg.exploration.refresh_from_modes == 0.25
+    assert cfg.exploration.step_scale == 120.0  # preset value survives
 
 
 def test_load_config_requires_some_source():
@@ -188,8 +184,7 @@ def test_settable_values_are_pinned():
     assert leaf_settings(cfg) == [
         "target.name", "target.params", "ladder.betas", "ladder.beta_hot",
         "seed", "v", "swap_quanta_prob", "swap_strategy",
-        "rwm.step_scale", "rwm.tune",
+        "rwm.step_scale",
         "exploration.step_scale", "exploration.refresh_from_modes",
-        "exploration.max_bootstrap_attempts",
         "truncation.level", "total_target_samples", "burnin_samples",
         "init", "initial_modes", "running_threshold", "out_dir"]

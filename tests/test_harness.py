@@ -24,7 +24,7 @@ from alps.outputs import emit_outputs
 from alps.registry import (IndefiniteHessianError, ModeRegistry,
                            RegistrySnapshot, covariance_from_hessian,
                            make_mode_info, try_insert)
-from alps.runner import _swap_schedule, alps_run, lais_run, pt_run
+from alps.runner import _swap_schedule, alps_run, pt_run
 from alps.targets.gaussian import GaussianMixtureTarget, GaussianTarget
 from alps.targets.product import IidProductTarget, SkewShape
 
@@ -46,7 +46,7 @@ def gaussian_config(**over):
         "burnin_samples": 1000,
         "exploration": None,
         "initial_modes": [[0.0]],
-        "rwm": {"step_scale": 2.4, "tune": True},
+        "rwm": {"step_scale": 2.4},
     }
     base.update(over)
     return RunConfig.from_dict(base)
@@ -138,6 +138,7 @@ def test_cli_no_modes_without_exploration_is_config_error(tmp_path, capsys):
 @pytest.mark.parametrize("override, message", [
     ({"ladder": {"betas": [1.0, 0.5], "beta_hot": 2.0}}, "beta_hot"),
     ({"rwm": {"tune_target": 5.0}}, "rwm: unknown key(s) ['tune_target']"),
+    ({"rwm": {"tune": False}}, "rwm: unknown key(s) ['tune']"),
     ({"rwm": {"step_scale": 0}}, "step_scale"),
     ({"rwm": {"step_scale": [1.0, -2.0]}}, "step_scale"),
     ({"rwm": {"hastings": "corrected"}}, "rwm: unknown key"),
@@ -178,6 +179,8 @@ def test_cli_no_modes_without_exploration_is_config_error(tmp_path, capsys):
      "exploration: unknown key(s) ['n_hot_chains']"),
     ({"exploration": {"n_hot_chains": True}},
      "exploration: unknown key(s) ['n_hot_chains']"),
+    ({"exploration": {"max_bootstrap_attempts": 3}},
+     "exploration: unknown key(s) ['max_bootstrap_attempts']"),
     # used to end in a bare TypeError when the output directory was made
     ({"out_dir": 5}, "out_dir must be a string"),
 ])
@@ -198,7 +201,6 @@ def test_cli_bad_settings_are_config_errors(tmp_path, capsys, override,
 @pytest.mark.parametrize("key, value", [
     ("v", 2.5), ("v", True),
     ("total_target_samples", 10.5), ("burnin_samples", 2.0), ("v", "5"),
-    ("exploration.max_bootstrap_attempts", 2.5),
     ("seed", 1.7), ("seed", True), ("seed", "3"),
 ])
 def test_cli_integer_settings_reject_floats_and_bools(tmp_path, capsys, key,
@@ -283,7 +285,7 @@ def test_alps_run_skipped_initial_mode_logs_warning(caplog):
 def test_pt_run_moments_and_ladder_validation():
     target = GaussianTarget(np.zeros(1), np.eye(1))
     cfg = gaussian_config(ladder={"betas": [1.0, 0.36]},
-                          rwm={"step_scale": [2.4, 4.0], "tune": True},
+                          rwm={"step_scale": [2.4, 4.0]},
                           initial_modes=None)
     samples, diag = pt_run(cfg, target)
     post = samples[1000:, 0]
@@ -297,7 +299,7 @@ def test_pt_run_moments_and_ladder_validation():
 
 def pt_config(**over):
     return gaussian_config(ladder={"betas": [1.0, 0.36, 0.1]},
-                           rwm={"step_scale": [2.4, 4.0, 7.0], "tune": True},
+                           rwm={"step_scale": [2.4, 4.0, 7.0]},
                            initial_modes=None, **over)
 
 
@@ -435,7 +437,7 @@ def two_mode_alps_case():
                                    [np.eye(2), 0.5 * np.eye(2)])
     cfg = gaussian_config(ladder={"betas": [1.0, 2.0, 6.0]},
                           initial_modes=[[0.0, 0.0], [3.0, 0.5]],
-                          rwm={"step_scale": [2.0, 2.0, 2.0], "tune": True},
+                          rwm={"step_scale": [2.0, 2.0, 2.0]},
                           truncation={"level": 0.999},
                           total_target_samples=1500, burnin_samples=500)
     return alps_run, cfg, target
@@ -513,7 +515,7 @@ def test_alps_recovers_unequal_mode_weights():
     target = GaussianMixtureTarget(weights, mus, sigmas)
     cfg = gaussian_config(ladder={"betas": [1.0, 8.0]}, initial_modes=mus,
                           init=[0.0, 0.0],
-                          rwm={"step_scale": [1.7, 1.7], "tune": True},
+                          rwm={"step_scale": [1.7, 1.7]},
                           total_target_samples=6000, burnin_samples=600)
     samples, _ = alps_run(cfg, target)
     in_first = samples[cfg.burnin_samples:, 0] < 5.0
@@ -525,7 +527,7 @@ def test_alps_recovers_unequal_mode_weights():
     # a random walk at level 0 alone never leaves the first mode
     walk_cfg = gaussian_config(ladder={"betas": [1.0]}, initial_modes=None,
                                init=[0.0, 0.0], total_target_samples=3000,
-                               rwm={"step_scale": 1.7, "tune": True})
+                               rwm={"step_scale": 1.7})
     walk, _ = pt_run(walk_cfg, target)
     assert np.all(walk[:, 0] < 5.0)
 
@@ -697,17 +699,19 @@ def reference_settings(config):
                            refresh_from_modes=ec.refresh_from_modes)
 
 
-def reference_mfind(x_hot, registry, base, cfg, rng, log_cb=None):
+def reference_mfind(x_hot, registry, base, cfg, rng, count, log_cb=None):
     """One exploration step as one function: the refresh coin, v + 1
-    `hot_step` updates (two evaluations each), then the ascent, Hessian
-    and insertion; returns (x_hot', registry', found_new)."""
+    `hot_step` updates (two evaluations each), each passed to `count`,
+    then the ascent, Hessian and insertion; returns (x_hot', registry',
+    found_new)."""
     x_hot = np.asarray(x_hot, dtype=float)
     if cfg.refresh_from_modes > 0.0 and registry.n_modes > 0:
         if rng.random() < cfg.refresh_from_modes:
             x_hot = kernels.mixture_propose(registry.snapshot(), 1.0, rng)
     for _ in range(cfg.v + 1):
-        x_hot, _ = exploration.hot_step(x_hot, cfg.beta_hot, base, rng,
-                                        cfg.step_scale)
+        x_hot, accepted = exploration.hot_step(x_hot, cfg.beta_hot, base, rng,
+                                               cfg.step_scale)
+        count(accepted)
     record = {"found_new": False, "log_pi_at_mode": np.nan,
               "min_pseudo_distance": np.nan, "status": "not_converged"}
     mu, converged = local_optimize(x_hot, base)
@@ -755,16 +759,19 @@ def reference_find_modes(run, x0):
     run.hot_target = Level(run.target, config.ladder.beta_hot)
     run.hot_state = run.hot_target.record(x0.copy())
     if run.registry.n_modes == 0:
-        run._bootstrap(config.exploration.max_bootstrap_attempts)
+        run._bootstrap()
 
 
 def reference_search(run, sweep, rng):
-    """One logged exploration step of the hot chain; its record is
-    evaluated afresh at the state the step reached."""
+    """One logged exploration step of the hot chain, its steps tallied
+    under HOT; its record is evaluated afresh at the state the step
+    reached."""
     record = {}
     x_hot, run.registry, found = reference_mfind(
         run.hot_state.x, run.registry, run.target,
-        reference_settings(run.config), rng, log_cb=record.update)
+        reference_settings(run.config), rng,
+        lambda accepted: run.diag.count(HOT, -1, accepted),
+        log_cb=record.update)
     run.hot_state = run.hot_target.record(x_hot)
     run.diag.discovery_log.append({"sweep": sweep, **record})
     if found:
@@ -775,19 +782,11 @@ def reference_search(run, sweep, rng):
 
 
 def reference_exploration_phase(run, t):
-    """Until the freeze the hot chain runs a whole exploration step; after
-    it, it takes v + 1 tallied steps from the value of its record."""
-    run.stage = "exploration"
-    cfg = reference_settings(run.config)
-    rng = run.factory.stream(runner.EXPLORE_STREAM, t)
+    """Until the freeze the hot chain runs a whole exploration step; from
+    the freeze on it stays where it is."""
     if t < run.freeze:
-        reference_search(run, t, rng)
-        return
-    logp = run.hot_target.value(run.hot_state)[0]
-    for _ in range(cfg.v + 1):
-        run.hot_state, logp, acc = kernels.rwm_core(
-            run.hot_state, logp, run.hot_target, cfg.step_scale, rng)
-        run.diag.count(HOT, -1, acc)
+        run.stage = "exploration"
+        reference_search(run, t, run.factory.stream(runner.EXPLORE_STREAM, t))
 
 
 def exploring_case(run_fn=alps_run, betas=(1.0, 2.0, 6.0), **over):
@@ -795,7 +794,7 @@ def exploring_case(run_fn=alps_run, betas=(1.0, 2.0, 6.0), **over):
                                    [np.eye(2), 0.5 * np.eye(2)])
     cfg = gaussian_config(
         ladder={"betas": list(betas), "beta_hot": 0.2},
-        rwm={"step_scale": [2.0] * len(betas), "tune": True},
+        rwm={"step_scale": [2.0] * len(betas)},
         total_target_samples=600, burnin_samples=300,
         **over)
     return run_fn, cfg, target
@@ -812,8 +811,7 @@ def explore(refresh):
                            exploration=explore(0.0)),
     lambda: exploring_case(initial_modes=[[0.0, 0.0]],
                            exploration=explore(0.5)),
-    lambda: exploring_case(lais_run, betas=(1.0,),
-                           initial_modes=[[0.0, 0.0]],
+    lambda: exploring_case(betas=(1.0,), initial_modes=[[0.0, 0.0]],
                            exploration=explore(0.5)),
 ], ids=["bootstrap-1-chain", "bootstrap-1-chain-refresh",
         "initial-modes-1-chain", "initial-modes-1-chain-refresh",
@@ -839,12 +837,13 @@ def test_runner_hot_chains_equal_mfind_hot_step_reference(monkeypatch, case):
     assert diag.registry_events == ref_diag.registry_events
     assert repr(diag.discovery_log) == repr(ref_diag.discovery_log)
     # the case exercises what it should: both modes found, searches until
-    # the freeze only, and every step after it tallied
-    sweep_searches = sum(rec["sweep"] >= 0 for rec in diag.discovery_log)
+    # the freeze only, and every hot step of every search tallied
+    bootstrap = sum(rec["sweep"] == -1 for rec in diag.discovery_log)
+    sweep_searches = len(diag.discovery_log) - bootstrap
     assert registry.n_modes == 2 and diag.registry_events
     assert sweep_searches == cfg.burnin_sweeps < diag.n_sweeps
     assert diag.counters[(HOT, -1)][1] == (cfg.v + 1) * (
-        diag.n_sweeps - sweep_searches)
+        bootstrap + cfg.burnin_sweeps)
 
 
 def test_bootstrap_abort_names_budget_and_failures(tmp_path, capsys,
@@ -856,9 +855,9 @@ def test_bootstrap_abort_names_budget_and_failures(tmp_path, capsys,
     path.write_text(json.dumps({
         "target": {"name": "gaussian"},
         "ladder": {"betas": [1.0, 4.0], "beta_hot": 0.5}, "seed": 0,
-        "exploration": {"max_bootstrap_attempts": 3},
         "total_target_samples": 10}))
     monkeypatch.setattr(cli, "build_target", lambda name, params: target)
+    monkeypatch.setattr(runner, "MAX_BOOTSTRAP_ATTEMPTS", 3)
     assert main(["run", "--config", str(path)]) == 3
     err = capsys.readouterr().err
     assert ("numerical abort: no modes discovered after 3 bootstrap "
@@ -900,9 +899,11 @@ def lais_config(**over):
 
 
 def test_lais_run_counter_identities():
+    # LAIS is ALPS on the one-level ladder [1.0]: only mode leaps and
+    # their local moves, no RWM phase and no swaps
     cfg = lais_config(total_target_samples=1000, burnin_samples=100)
     target = GaussianTarget(np.zeros(1), np.eye(1))
-    samples, diag = lais_run(cfg, target)
+    samples, diag = alps_run(cfg, target)
     t = diag.n_sweeps
     assert proposals(diag, LEAP) + proposals(diag, LEAP_LOCAL) == cfg.v * t
     assert proposals(diag, RWM) == 0
@@ -910,39 +911,31 @@ def test_lais_run_counter_identities():
     assert len(diag.mode_visits_level0) == t
     assert diag.mode_visits_top == diag.mode_visits_level0
     assert diag.registry.n_modes == 1
+    # the leap-local step is never tuned
+    assert diag.tuned_step_scales == cfg.rwm.step_scales(1)
     assert len(samples) == 1000
 
 
 def test_lais_run_is_deterministic():
     target = GaussianTarget(np.zeros(1), np.eye(1))
-    a, da = lais_run(lais_config(total_target_samples=2000), target)
-    b, db = lais_run(lais_config(total_target_samples=2000), target)
+    a, da = alps_run(lais_config(total_target_samples=2000), target)
+    b, db = alps_run(lais_config(total_target_samples=2000), target)
     np.testing.assert_array_equal(a, b)
     assert da.counters == db.counters
 
 
-def test_lais_run_is_alps_on_one_level_without_tuning():
-    # LAIS differs from one-level ALPS only in tuning its leap-local step
-    target = GaussianTarget(np.zeros(1), np.eye(1))
-    rwm = {"step_scale": 2.4, "tune": False}
-    a, da = lais_run(lais_config(total_target_samples=2000, rwm=rwm), target)
-    b, db = alps_run(lais_config(total_target_samples=2000, rwm=rwm), target)
-    np.testing.assert_array_equal(a, b)
-    assert da.counters == db.counters
-    assert da.mode_visits_top == db.mode_visits_top
-
-
-def test_lais_run_single_level_only():
-    target = GaussianTarget(np.zeros(1), np.eye(1))
-    with pytest.raises(ConfigError, match="single level"):
-        lais_run(gaussian_config(ladder={"betas": [1.0, 4.0]}), target)
-    cfg = gaussian_config(ladder={"betas": [1.0]}, total_target_samples=5000)
-    samples, diag = lais_run(cfg, target)
-    assert samples.shape == (5000, 1)
-    accepts, proposed = diag.counters[(LEAP, 0)]
-    assert proposed > 0 and accepts == proposed
-    post = samples[1000:, 0]
-    assert abs(np.mean(post)) < 0.08
+def test_cli_runs_the_lais_preset_under_run(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"exploration": None,
+                                "total_target_samples": 100}))
+    assert main(["run", "--preset", "synthetic-20d-lais",
+                 "--config", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "  leap: acceptance" in out and "  rwm:" not in out
+    # there is no separate LAIS subcommand
+    with pytest.raises(SystemExit) as exit_info:
+        main(["lais", "--preset", "synthetic-20d-lais"])
+    assert exit_info.value.code == 2
 
 
 def test_running_prob_estimate_values():

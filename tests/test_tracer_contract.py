@@ -69,7 +69,7 @@ print(json.dumps({{
 """
 
 
-HOT_CHAINS, FREEZE = 1, 4
+FREEZE = 4
 
 # ALPS with exploration and no initial modes: the registry starts empty,
 # so bootstrap searches come first.
@@ -175,10 +175,9 @@ def test_tracer_sees_every_element_of_batched_skew_evaluations():
 def test_tracer_counts_hot_steps_and_searches_of_an_alps_run():
     counts = traced_counts(EXPLORE_SCRIPT)
     assert counts["sweeps"] == SWEEPS and counts["bootstrap"] >= 1
-    # every chain moves v + 1 steps per sweep, and so does every
-    # bootstrap search's chain
-    assert counts["hot_steps"] == (V + 1) * (
-        HOT_CHAINS * SWEEPS + counts["bootstrap"])
+    # the hot chain moves v + 1 steps per search, bootstrap searches
+    # included, and stops at the freeze
+    assert counts["hot_steps"] == (V + 1) * (counts["bootstrap"] + FREEZE)
     # one search per bootstrap attempt and per sweep before the freeze
     assert counts["mfind"] == counts["bootstrap"] + FREEZE
 
