@@ -136,7 +136,13 @@ def quanta_swap_core(rec_k: ChainRecord, rec_k1: ChainRecord, logp_k: float,
                      u: float) -> SwapResult:
     """QuanTA exchange between neighbouring HAT levels k and k+1, decided
     by the uniform `u`: each state is rescaled about its allocated mode
-    point to the other level's temperature."""
+    point to the other level's temperature.
+
+    The map is an involution only while each transformed state keeps its
+    allocation at its new level; a proposal that changes either
+    allocation is rejected, with log ratio -inf (Tawn & Roberts 2018,
+    QuanTA).
+    """
     beta_k, beta_k1 = target_k.beta, target_k1.beta
     snapshot = target_k.snapshot
     _, m1 = target_k.value(rec_k)
@@ -145,8 +151,10 @@ def quanta_swap_core(rec_k: ChainRecord, rec_k1: ChainRecord, logp_k: float,
         quanta_transform(rec_k.x, beta_k, beta_k1, snapshot.mus[m1]))
     y_k1 = target_k.record(
         quanta_transform(rec_k1.x, beta_k1, beta_k, snapshot.mus[m2]))
-    lp_yk_at_k1, _ = target_k1.value(y_k)
-    lp_yk1_at_k, _ = target_k.value(y_k1)
+    lp_yk_at_k1, a_yk = target_k1.value(y_k)
+    lp_yk1_at_k, a_yk1 = target_k.value(y_k1)
+    if a_yk != m1 or a_yk1 != m2:
+        return SwapResult(False, -np.inf, rec_k, rec_k1, logp_k, logp_k1)
     log_ratio = (lp_yk_at_k1 + lp_yk1_at_k) - (logp_k + logp_k1)
     if _accept(log_ratio, u):
         return SwapResult(True, log_ratio, y_k1, y_k, lp_yk1_at_k, lp_yk_at_k1)

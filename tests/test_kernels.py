@@ -117,6 +117,28 @@ def test_quanta_swap_mode_points_always_accept():
     np.testing.assert_allclose(res.high.x, snap.mus[0], atol=1e-12)
 
 
+def test_quanta_swap_rejects_a_proposal_that_changes_allocation():
+    # modes at 0 and 10; at beta 4 the allocation boundary lies near 5.
+    # The state 4.0 at beta 4, rescaled about mode 0 to beta 1, lands at
+    # 8.0, which beta 1 allocates to mode 10: the reverse move would
+    # rescale about 10 and return 7.0, not 4.0, so the swap is rejected
+    # whatever its uniform
+    snap = two_mode_snapshot()
+    base = GaussianTarget(np.zeros(1), np.eye(1))
+    t_k, t_k1 = Level(base, 1.0, snap), Level(base, 4.0, snap)
+    x_k, x_k1 = t_k.record(np.array([0.5])), t_k1.record(np.array([4.0]))
+    assert t_k.value(x_k)[1] == t_k1.value(x_k1)[1] == 0
+    y_k1 = quanta_transform(x_k1.x, 4.0, 1.0, snap.mus[0])
+    np.testing.assert_allclose(y_k1, [8.0])
+    assert t_k.value(t_k.record(y_k1))[1] == 1
+    back = quanta_transform(y_k1, 1.0, 4.0, snap.mus[1])
+    assert not np.allclose(back, x_k1.x)
+    res = quanta_swap_core(x_k, x_k1, t_k.value(x_k)[0], t_k1.value(x_k1)[0],
+                           t_k, t_k1, 1e-300)
+    assert not res.accepted and res.log_ratio == -np.inf
+    assert res.low is x_k and res.high is x_k1
+
+
 def test_quanta_equals_standard_at_equal_betas():
     snap = two_mode_snapshot()
     base = GaussianTarget(np.zeros(1), np.eye(1))
