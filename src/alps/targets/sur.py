@@ -211,11 +211,18 @@ def zellner_iterate(data: SurData, tol: float = 1e-6,
 
     Converged when the relative change of the fitted values
     ||X theta_new - X theta||_2 / ||X theta_new||_2 drops below tol.
+    With N <= J observations per equation OLS fits every equation
+    exactly, the residual covariance is singular and the system is
+    unidentified: UnidentifiableSystemError.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be finite and positive")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
+    if data.N <= data.J:
+        raise UnidentifiableSystemError(
+            f"unidentifiable system: {data.N} observations per equation "
+            f"for {data.J} covariates")
     theta = ols_theta(data)
     trajectory = [sur_profile_loglik(theta, data)]
     fitted = data.Y - _residuals(theta, data)

@@ -205,10 +205,15 @@ def test_grunfeld_zellner_iteration_count_and_likelihood():
     (["--tol", "inf"], "tol must be finite and positive"),
     (["--max-iter", "0"], "max_iter must be at least 1"),
     (["--max-iter", "-1"], "max_iter must be at least 1"),
+    (["--first-years", "2"],
+     "unidentifiable system: 2 observations per equation for 3 covariates"),
+    (["--first-years", "3"],
+     "unidentifiable system: 3 observations per equation for 3 covariates"),
 ])
 def test_cli_sur_fit_rejects_bad_numbers(capsys, args, message):
     # tol 0 used to end in a bare ValueError; tol nan and max-iter <= 0
-    # used to report an unconverged fit with exit 0
+    # used to report an unconverged fit with exit 0, and a panel of
+    # N <= J years a log-likelihood of -inf as converged
     assert main(["sur-fit", *args]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
 
