@@ -13,7 +13,7 @@ from scipy import stats
 
 from alps import cli, exploration, kernels, runner
 from alps.cli import main
-from alps.config import ConfigError, RunConfig
+from alps.config import ConfigError, RunConfig, preset_dict
 from alps.density import TargetDensity
 from alps.diagnostics import (HOT, LEAP, LEAP_LOCAL, RWM, SWAP_QUANTA,
                               SWAP_STANDARD, running_prob_estimate)
@@ -25,6 +25,8 @@ from alps.registry import (IndefiniteHessianError, ModeRegistry,
                            RegistrySnapshot, covariance_from_hessian,
                            make_mode_info, try_insert)
 from alps.runner import _swap_schedule, alps_run, pt_run
+from alps.scaling import predicted_acceptance
+from alps.targets import build_target
 from alps.targets.gaussian import GaussianMixtureTarget, GaussianTarget
 from alps.targets.product import IidProductTarget, SkewShape
 
@@ -138,7 +140,6 @@ def test_cli_no_modes_without_exploration_is_config_error(tmp_path, capsys):
 @pytest.mark.parametrize("override, message", [
     ({"ladder": {"betas": [1.0, 0.5], "beta_hot": 2.0}}, "beta_hot"),
     ({"rwm": {"tune_target": 5.0}}, "rwm: unknown key(s) ['tune_target']"),
-    ({"rwm": {"tune": False}}, "rwm: unknown key(s) ['tune']"),
     ({"rwm": {"step_scale": 0}}, "step_scale"),
     ({"rwm": {"step_scale": [1.0, -2.0]}}, "step_scale"),
     ({"rwm": {"hastings": "corrected"}}, "rwm: unknown key"),
@@ -179,10 +180,12 @@ def test_cli_no_modes_without_exploration_is_config_error(tmp_path, capsys):
      "exploration: unknown key(s) ['n_hot_chains']"),
     ({"exploration": {"n_hot_chains": True}},
      "exploration: unknown key(s) ['n_hot_chains']"),
-    ({"exploration": {"max_bootstrap_attempts": 3}},
-     "exploration: unknown key(s) ['max_bootstrap_attempts']"),
     # used to end in a bare TypeError when the output directory was made
     ({"out_dir": 5}, "out_dir must be a string"),
+    # tuning always runs until the freeze; the bootstrap budget is fixed
+    ({"rwm": {"tune": False}}, "rwm: unknown key(s) ['tune']"),
+    ({"exploration": {"max_bootstrap_attempts": 3}},
+     "exploration: unknown key(s) ['max_bootstrap_attempts']"),
 ])
 def test_cli_bad_settings_are_config_errors(tmp_path, capsys, override,
                                             message):
@@ -451,30 +454,37 @@ def skew_pt_case():
 
 
 # sha256 of the level-0 samples and of the sorted acceptance counters of
-# the two cases above, recorded on x86-64 Linux (numpy 2.4, OpenBLAS):
-# refactors that keep behaviour keep them.  A platform whose libm or BLAS
-# rounds differently changes them.
+# the two cases above and of an exploring ALPS run, recorded on x86-64
+# Linux (numpy 2.4, OpenBLAS): refactors that keep behaviour keep them.
+# A platform whose libm or BLAS rounds differently changes them.
 PINNED_DIGESTS = {
-    "two_mode_alps_case": (
+    "alps-hat": (
         "44bc8563b543bace0a95cfef3f20bcf7c0af0ee59900d3b78bfbe5b1f934868f",
         "d3952443d39d5a52bfd1468398c8290539c45523a43f4de53baf65bf4fd787d6"),
-    "skew_pt_case": (
+    "pt-batched": (
         "831aa611c9e7af4c652ad84e781c6c8ac57760b265022939f06ef8e98e399c90",
         "dd3383bb67239c13e5601d1c0b8e9eed652307db06f4fc4da070dbecf2af1454"),
+    "alps-exploring": (
+        "96107e88a99e94da292f1f17435872d1452129a301365ac5582751c7c70e5d53",
+        "f673d33408fc628fb831dcb50ecda18cd53a0b8ac6b97efbee60c9c5913551bc"),
 }
 
 
-@pytest.mark.parametrize("case", [two_mode_alps_case, skew_pt_case],
-                         ids=["alps-hat", "pt-batched"])
-def test_fixed_seed_runs_keep_their_digests(case):
+@pytest.mark.parametrize("name, case", [
+    ("alps-hat", two_mode_alps_case),
+    ("pt-batched", skew_pt_case),
+    ("alps-exploring", lambda: exploring_case(initial_modes=None,
+                                              exploration=explore(0.5))),
+], ids=["alps-hat", "pt-batched", "alps-exploring"])
+def test_fixed_seed_runs_keep_their_digests(name, case):
     # the ALPS case runs truncated HAT, QuanTA and standard swaps and
-    # leaps; the PT case the batched power path
+    # leaps; the PT case the batched power path; the exploring case the
+    # bootstrap, refreshes, searches and the hot chain's tallied steps
     run_fn, cfg, target = case()
     samples, diag = run_fn(cfg, target)
     counters = repr(sorted(diag.counters.items())).encode()
     assert (hashlib.sha256(samples.tobytes()).hexdigest(),
-            hashlib.sha256(counters).hexdigest()) == PINNED_DIGESTS[
-                case.__name__]
+            hashlib.sha256(counters).hexdigest()) == PINNED_DIGESTS[name]
 
 
 def gaussian_pt_case():
@@ -926,6 +936,34 @@ def test_lais_run_is_deterministic():
     b, db = alps_run(lais_config(total_target_samples=2000), target)
     np.testing.assert_array_equal(a, b)
     assert da.counters == db.counters
+
+
+def test_lais_fails_in_high_dimension_where_the_cold_top_level_leaps():
+    # the paper's motivation on its 20-d skew-normal benchmark: at
+    # beta = 1 mixture leaps from the Laplace approximation are almost
+    # never accepted, while at the cold top of the ALPS ladder they are
+    # accepted at the rate the scaling limit predicts for beta = ell * d
+    target = build_target("skew_normal_mixture_20d", {})
+    config = preset_dict("synthetic-20d")
+    config.update(exploration=None, total_target_samples=2000,
+                  burnin_samples=500,
+                  initial_modes=target.component_modes().tolist())
+
+    def top_leap_rate(betas):
+        cfg = RunConfig.from_dict(
+            dict(config, ladder=dict(config["ladder"], betas=betas)))
+        _, diag = alps_run(cfg, target)
+        accepts, proposed = diag.counters[(LEAP, len(betas) - 1)]
+        assert proposed > 900
+        return accepts / proposed
+
+    top_betas = config["ladder"]["betas"]
+    shape = SkewShape(alpha=10.0)
+    predicted = predicted_acceptance(shape.h3(), shape.h2(),
+                                     top_betas[-1] / target.dim)
+    assert abs(predicted - 0.833) < 1e-3
+    assert top_leap_rate([1.0]) < 0.01
+    assert abs(top_leap_rate(top_betas) - predicted) < 0.05
 
 
 def test_cli_runs_the_lais_preset_under_run(tmp_path, capsys):
