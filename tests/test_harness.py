@@ -803,7 +803,7 @@ def reference_exploration_phase(run, t):
         reference_search(run, t, run.factory.stream(runner.EXPLORE_STREAM, t))
 
 
-def exploring_case(run_fn=alps_run, betas=(1.0, 2.0, 6.0), **over):
+def exploring_case(betas=(1.0, 2.0, 6.0), **over):
     target = GaussianMixtureTarget([0.6, 0.4], [[0.0, 0.0], [3.0, 0.5]],
                                    [np.eye(2), 0.5 * np.eye(2)])
     cfg = gaussian_config(
@@ -811,7 +811,7 @@ def exploring_case(run_fn=alps_run, betas=(1.0, 2.0, 6.0), **over):
         rwm={"step_scale": [2.0] * len(betas)},
         total_target_samples=600, burnin_samples=300,
         **over)
-    return run_fn, cfg, target
+    return alps_run, cfg, target
 
 
 def explore(refresh):
