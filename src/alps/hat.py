@@ -8,10 +8,11 @@ starving low modes of mass.
 
 A level's value and allocation at x depend on x only through its chain
 record (x, log pi(x), qf(x)), qf(x) being the quad forms of x against
-the J registered modes.  `level_values` turns records into values row by
-row, for every level; a power level pi^beta is its J = 0 case, whose
-record carries an empty qf row and whose value is beta * log pi, and a
-truncated level is one with a finite radius.
+the J registered modes.  `level_values` turns one record, or a block of
+records of many levels at once, into values for every level; a power
+level pi^beta is its J = 0 case, whose record carries an empty qf row
+and whose value is beta * log pi, and a truncated level is one with a
+finite radius.
 """
 
 from __future__ import annotations
@@ -75,8 +76,9 @@ def level_values(snapshot: RegistrySnapshot | None, beta, logpi, qf,
                  radius=np.inf):
     """(value, allocation) at inverse temperature beta of a chain record
     (log pi, qf), qf the (J,) quad forms.  For a block of L records beta
-    and radius are (L,) arrays and logpi and qf sequences of L entries,
-    and the values and allocations come back as two lists.
+    and radius are (L,) arrays, logpi has L entries and qf L rows, and
+    the values and allocations come back as two (L,) arrays
+    (`_block_values`), row for row those of the single-record form.
 
     Without a snapshot (J = 0) the value is beta * log pi and the
     allocation 0.  Otherwise a is the allocation at beta.  While it
@@ -87,11 +89,8 @@ def level_values(snapshot: RegistrySnapshot | None, beta, logpi, qf,
     whose quad form against mode a reaches `radius` have value -inf.
     """
     if isinstance(beta, np.ndarray):
-        if snapshot is None:  # one multiplication for the whole block
-            return (beta * logpi).tolist(), [0] * len(beta)
-        rows = [level_values(snapshot, *row) for row in zip(
-            beta.tolist(), logpi, qf, radius.tolist())]
-        return [value for value, _ in rows], [a for _, a in rows]
+        return _block_values(snapshot, beta, np.asarray(logpi, dtype=float),
+                             np.asarray(qf, dtype=float), radius)
     if snapshot is None:
         return beta * logpi, 0
     a = int(np.argmax(allocation_scores(snapshot, qf, beta)))
@@ -104,6 +103,23 @@ def level_values(snapshot: RegistrySnapshot | None, beta, logpi, qf,
     if a == int(np.argmax(allocation_scores(snapshot, qf, 1.0))):
         return mode + beta * (logpi - mode), a
     return mode - 0.5 * beta * qf_a, a
+
+
+def _block_values(snapshot: RegistrySnapshot | None, beta: np.ndarray,
+                  logpi: np.ndarray, qf: np.ndarray, radius: np.ndarray):
+    """`level_values` of L records as array operations: one score matrix
+    and its argmax at beta and at 1, then a selection among the value
+    branches, the same arithmetic as the single-record form row by row."""
+    if snapshot is None:
+        return beta * logpi, np.zeros(beta.size, dtype=int)
+    a = np.argmax(allocation_scores(snapshot, qf, beta[:, None]), axis=1)
+    a_one = np.argmax(allocation_scores(snapshot, qf, 1.0), axis=1)
+    qf_a = qf[np.arange(beta.size), a]
+    mode = snapshot.log_pi_at_modes[a]
+    value = np.where(a == a_one, mode + beta * (logpi - mode),
+                     mode - 0.5 * beta * qf_a)
+    value = np.where(beta == 1.0, logpi, value)
+    return np.where(qf_a >= radius, -np.inf, value), a
 
 
 class Level:

@@ -15,16 +15,18 @@ forms once per new point, at the point's record; every other value,
 allocation and mixture density it needs at a carried state it reads
 from the state's record.
 
-Each decision takes exactly one uniform, drawn by its caller: the RWM
-and swap decisions take it as the argument `u`, so a caller may draw
-the uniforms of many decisions in one call.  The mode-leap kernel draws
-its own.
+Each decision takes exactly one uniform u and compares log u with the
+log ratio; a NaN ratio rejects.  The RWM and swap decisions take log u,
+formed by their caller, as the argument `log_u`, so a caller may draw
+the uniforms of many decisions in one call and take their logs in
+another.  The mode-leap kernel draws its own.
 
 An RWM step is three parts: `rwm_propose` forms the proposal from a
-drawn z ~ N(0, I), the caller scores its record (one point, or a block
-of points of many levels at once), and `rwm_decide` accepts or rejects
-with the step's uniform.  `rwm_core` draws z, then u, and composes the
-three for a single chain, so there is one RWM formula.
+drawn z ~ N(0, I), the caller scores its record, and `rwm_decide`
+accepts or rejects.  Both work on a block of rows, one chain each: the
+RWM phase moves every level of the ladder in one block, one repetition
+at a time.  `rwm_core` draws z, then u, and composes the three for a
+single chain, a block of one row, so there is one RWM formula.
 """
 
 from __future__ import annotations
@@ -41,9 +43,10 @@ LOCAL = "local"
 LEAP = "leap"
 
 
-def _accept(log_ratio: float, u: float) -> bool:
-    # NaN log-ratio (e.g. -inf minus -inf) compares false: auto-reject
-    return bool(np.log(u) < log_ratio)
+def _accept(log_ratio, log_u):
+    # NaN log-ratio (e.g. -inf minus -inf) compares false: auto-reject.
+    # Elementwise on arrays.
+    return log_u < log_ratio
 
 
 def _proposal_log_density(diff: np.ndarray, chol: np.ndarray, log_det: float,
@@ -71,46 +74,53 @@ def rwm_propose(x: np.ndarray, snapshot: RegistrySnapshot | None, beta,
     return x + scale * np.matmul(snapshot.chols[a_x], z[..., None])[..., 0]
 
 
-def rwm_decide(x: np.ndarray, logp_x: float, a_x, y: np.ndarray, u: float,
-               logp_y: float, a_y, target, step_scale: float):
-    """Accept or reject the proposal y of `rwm_propose`, whose value and
-    allocation at the level are logp_y and a_y, with the step's uniform
-    u; returns (x', logp', a', accepted).
+def rwm_decide(x: np.ndarray, logp_x: np.ndarray, a_x: np.ndarray,
+               y: np.ndarray, log_u: np.ndarray, logp_y: np.ndarray,
+               a_y: np.ndarray, snapshot: RegistrySnapshot | None,
+               scale: np.ndarray) -> np.ndarray:
+    """Accept or reject the proposals y of `rwm_propose` from the states
+    x, (L, dim) blocks; returns the (L,) mask of accepted rows.
 
-    On a HAT level whose allocation changed the Hastings correction is
-    applied.
+    logp_x, a_x and logp_y, a_y are the rows' values and allocations at
+    their levels, log_u the logs of their uniforms and scale their
+    proposal scales, step_scale / sqrt(beta).  On HAT levels (a
+    snapshot) the Hastings correction is applied to each row whose
+    allocation changed and whose value is finite.
     """
-    log_ratio = logp_y - logp_x
-    snapshot = target.snapshot
-    if snapshot is not None and a_y != a_x and np.isfinite(logp_y):
+    with np.errstate(invalid="ignore"):  # -inf minus -inf: NaN, rejected
+        log_ratio = logp_y - logp_x
+    if snapshot is not None:
         # allocation changed: the frozen-L proposal is no longer
         # symmetric, so apply the Hastings correction
-        scale = step_scale / np.sqrt(target.beta)
-        diff = y - x
-        fwd = _proposal_log_density(diff, snapshot.chols[a_x],
-                                    snapshot.log_dets[a_x], scale)
-        rev = _proposal_log_density(-diff, snapshot.chols[a_y],
-                                    snapshot.log_dets[a_y], scale)
-        log_ratio += rev - fwd
-    if _accept(log_ratio, u):
-        return y, logp_y, a_y, True
-    return x, logp_x, a_x, False
+        for i in np.flatnonzero((a_y != a_x) & np.isfinite(logp_y)).tolist():
+            diff = y[i] - x[i]
+            fwd = _proposal_log_density(diff, snapshot.chols[a_x[i]],
+                                        snapshot.log_dets[a_x[i]], scale[i])
+            rev = _proposal_log_density(-diff, snapshot.chols[a_y[i]],
+                                        snapshot.log_dets[a_y[i]], scale[i])
+            log_ratio[i] += rev - fwd
+    return _accept(log_ratio, log_u)
 
 
 def rwm_core(rec: ChainRecord, logp_x: float, target, step_scale: float,
              rng: np.random.Generator):
     """One RWM step of a single chain: draw z, then u, and propose ->
-    score -> decide; returns (record', logp', accepted)."""
+    score -> decide, the decision on a block of one row; returns
+    (record', logp', accepted)."""
     x = rec.x
     z = rng.standard_normal(x.shape[0])
-    u = rng.random()
+    log_u = np.log(rng.random())
     _, a_x = target.value(rec)
     y = rwm_propose(x, target.snapshot, target.beta, step_scale, z, a_x)
     rec_y = target.record(y)
     logp_y, a_y = target.value(rec_y)
-    _, logp, _, accepted = rwm_decide(x, logp_x, a_x, y, u, logp_y, a_y,
-                                      target, step_scale)
-    return (rec_y if accepted else rec), logp, accepted
+    accepted = bool(rwm_decide(
+        x[None], np.array([logp_x]), np.array([a_x]), y[None],
+        np.array([log_u]), np.array([logp_y]), np.array([a_y]),
+        target.snapshot, np.array([step_scale / np.sqrt(target.beta)]))[0])
+    if accepted:
+        return rec_y, logp_y, True
+    return rec, logp_x, False
 
 
 def quanta_transform(x: np.ndarray, beta_from: float, beta_to: float,
@@ -133,9 +143,9 @@ class SwapResult:
 
 def quanta_swap_core(rec_k: ChainRecord, rec_k1: ChainRecord, logp_k: float,
                      logp_k1: float, target_k, target_k1,
-                     u: float) -> SwapResult:
+                     log_u: float) -> SwapResult:
     """QuanTA exchange between neighbouring HAT levels k and k+1, decided
-    by the uniform `u`: each state is rescaled about its allocated mode
+    by the log uniform `log_u`: each state is rescaled about its allocated mode
     point to the other level's temperature.
 
     The map is an involution only while each transformed state keeps its
@@ -156,20 +166,21 @@ def quanta_swap_core(rec_k: ChainRecord, rec_k1: ChainRecord, logp_k: float,
     if a_yk != m1 or a_yk1 != m2:
         return SwapResult(False, -np.inf, rec_k, rec_k1, logp_k, logp_k1)
     log_ratio = (lp_yk_at_k1 + lp_yk1_at_k) - (logp_k + logp_k1)
-    if _accept(log_ratio, u):
+    if _accept(log_ratio, log_u):
         return SwapResult(True, log_ratio, y_k1, y_k, lp_yk1_at_k, lp_yk_at_k1)
     return SwapResult(False, log_ratio, rec_k, rec_k1, logp_k, logp_k1)
 
 
 def standard_swap_core(rec_k: ChainRecord, rec_k1: ChainRecord,
                        logp_k: float, logp_k1: float, target_k, target_k1,
-                       u: float) -> SwapResult:
+                       log_u: float) -> SwapResult:
     """Exchange proposal between neighbouring levels k and k+1, decided
-    by the uniform `u`; the cross values come from the two records."""
+    by the log uniform `log_u`; the cross values come from the two
+    records."""
     lp_xk1_at_k, _ = target_k.value(rec_k1)
     lp_xk_at_k1, _ = target_k1.value(rec_k)
     log_ratio = (lp_xk1_at_k + lp_xk_at_k1) - (logp_k + logp_k1)
-    if _accept(log_ratio, u):
+    if _accept(log_ratio, log_u):
         return SwapResult(True, log_ratio, rec_k1, rec_k, lp_xk1_at_k,
                           lp_xk_at_k1)
     return SwapResult(False, log_ratio, rec_k, rec_k1, logp_k, logp_k1)
@@ -218,10 +229,10 @@ def mode_leap_core(rec: ChainRecord, logp_x: float, target,
                                            rng)
         return rec_y, logp_y, LOCAL, accepted
     y = mixture_propose(target.snapshot, target.beta, rng)
-    u = rng.random()
+    log_u = np.log(rng.random())
     rec_y = target.record(y)
     logp_y, _ = target.value(rec_y)
     log_ratio = leap_log_ratio(rec, rec_y, target, logp_x, logp_y)
-    if _accept(log_ratio, u):
+    if _accept(log_ratio, log_u):
         return rec_y, logp_y, LEAP, True
     return rec, logp_x, LEAP, False

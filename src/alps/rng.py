@@ -2,9 +2,10 @@
 
 Every stochastic component of a run draws from its own Philox stream,
 keyed by (seed, stream id) with the sweep index placed in the counter
-block.  Streams are therefore independent of execution order: a level
-kernel running on sweep t sees the same draws whether the levels are
-updated serially or on parallel workers.
+block.  Streams are therefore independent of execution order: a phase
+running on sweep t sees the same draws whatever ran before it.  The RWM
+phase draws every level's steps of the sweep as one block from the RWM
+stream: first all the z ~ N(0, I), then all the acceptance uniforms.
 """
 
 from __future__ import annotations
@@ -15,7 +16,10 @@ _U64 = 0xFFFFFFFFFFFFFFFF
 # Philox holds four 64-bit words of output; a full buffer_pos marks it empty.
 _EMPTY_BUFFER = (0, 0, 0, 0)
 
-# Fixed stream-id layout.  Levels 0..n use ids 0..n directly.
+# Fixed stream-id layout: one stream per kind of move, each sweep its own
+# counter block.  The RWM stream holds all of a sweep's RWM draws, every
+# level's.
+RWM_STREAM = 1 << 32
 SWAP_STREAM = (1 << 32) + 1
 LEAP_STREAM = (1 << 32) + 2
 EXPLORE_STREAM = (1 << 32) + 3
@@ -71,6 +75,3 @@ class StreamFactory:
                         self._generators.get(stream))
         self._generators[stream] = gen
         return gen
-
-    def level_stream(self, level: int, sweep: int) -> np.random.Generator:
-        return self.stream(level, sweep)

@@ -31,22 +31,24 @@ chain, is one `hat.Level`: a plain power without a snapshot, a HAT level
 on the run's current snapshot, truncated at a finite radius (the levels
 with beta > 1 when config.truncation is set).
 
-The RWM phase advances its levels in lockstep, one (L, dim) block of
-draws per repetition.  Each level draws from its own `level_stream`:
-its z ~ N(0, I) into its row of the block, then its acceptance uniform.
-The proposals of all levels are then one array operation (HAT levels
-step by their allocated mode's Cholesky factor), one
-`log_density_batch` call, one quad-form call and one `level_values`
-call; each level then decides.  Because every stream is keyed on
-(level, sweep), the draws, and hence the run, are those of updating the
-levels one after another.
+The RWM phase draws all of a sweep's RWM randomness from the sweep's
+RWM stream in two calls: first Z ~ N(0, I) of shape (v, L, dim), then
+the (v, L) acceptance uniforms, whose logs it takes in one more call.
+Repetition r moves the L levels in lockstep as array operations on
+(L, dim) blocks: the proposals from Z[r] (HAT levels step by their
+allocated mode's Cholesky factor), one `log_density_batch` call, one
+quad-form call, one `level_values` call and one `rwm_decide` call over
+the block, which compares each level's log u with its log ratio.  Row i
+of Z[r] and of the uniforms is level i's r-th step, so the run is the
+one that updates the levels one after another, each taking its steps'
+draws from the same block.
 
 The swap phase makes one swap per neighbour pair, n_levels - 1 in all.
 It draws from the sweep's swap stream: under the "uniform" strategy the
 pair indices first, in one call, then the decisions' uniforms in one
 call, in order, one row per swap.  On HAT levels a row is (coin, u): the
 coin picks QuanTA or standard, u decides; on power levels a row is u
-alone.
+alone.  The logs of the u column are taken in one call.
 
 The run owns the hot chain of exploration: until the freeze, each sweep
 it moves on pi^beta_hot by v + 1 `rwm_core` steps, tallied under HOT,
@@ -75,14 +77,15 @@ from .exploration import NOT_CONVERGED, REJECTED, mfind
 from .hat import ChainRecord, Level, chi2_quantile, level_values, quad_forms
 from .kernels import (mixture_propose, mode_leap_core, quanta_swap_core,
                       rwm_core, rwm_propose, standard_swap_core)
-# perfbench/tracer.py counts the sweep's RWM updates, one decision each,
-# through this name
+# perfbench/tracer.py counts the RWM phase's block decisions, one per
+# repetition, through this name
 from .kernels import rwm_decide as rwm_core_alloc
 # kept only for perfbench/tracer.py, which patches these names here
 from .optimize import local_optimize  # noqa: F401
 from .registry import ModeRegistry
 from .registry import try_insert  # noqa: F401
-from .rng import EXPLORE_STREAM, LEAP_STREAM, SWAP_STREAM, StreamFactory
+from .rng import (EXPLORE_STREAM, LEAP_STREAM, RWM_STREAM, SWAP_STREAM,
+                  StreamFactory)
 
 logger = logging.getLogger(__name__)
 
@@ -286,16 +289,6 @@ class _Run:
 # They look kernels up in this module's namespace at call time, so
 # wrappers installed on those names see every call.
 
-def _draw_rwm(rngs: list, Z: np.ndarray) -> list:
-    """Each level's z into its row of Z, then its uniform; returns the
-    uniforms."""
-    us = []
-    for rng, z in zip(rngs, Z):
-        rng.standard_normal(out=z)
-        us.append(rng.random())
-    return us
-
-
 def _rwm_phase(run: _Run, t: int, levels: range) -> None:
     """v RWM updates per level, the levels in lockstep (see the module
     docstring); the tallies are counted and the step scales tuned once
@@ -304,40 +297,36 @@ def _rwm_phase(run: _Run, t: int, levels: range) -> None:
         return
     v, snapshot = run.config.v, run.snapshot
     lo, hi = levels.start, levels.stop
-    rngs = [run.factory.level_stream(k, t) for k in levels]
-    targets = run.level_targets[lo:hi]
     states = run.states[lo:hi]
     X = np.array([rec.x for rec in states])
-    logpis = [rec.logpi for rec in states]
-    qfs = [rec.qf for rec in states]
+    logpi = np.array([rec.logpi for rec in states])
+    qf = np.array([rec.qf for rec in states])
     betas, radii = run.betas[lo:hi], run.radii[lo:hi]
-    logps, allocs = level_values(snapshot, betas, logpis, qfs, radii)
+    logp, alloc = level_values(snapshot, betas, logpi, qf, radii)
     beta_col, step_col = betas[:, None], run.step_scales[lo:hi, None]
-    steps = step_col.ravel().tolist()
-    Z = np.empty_like(X)
+    scale = (step_col / np.sqrt(beta_col)).ravel()
+    rng = run.factory.stream(RWM_STREAM, t)
+    Z = rng.standard_normal((v,) + X.shape)
+    log_u = np.log(rng.random((v, len(levels))))
     accepted = np.zeros(len(levels), dtype=int)
     span = f"levels {lo}-{hi - 1}"
     for r in range(v):
         run.stage = f"rwm rep {r}, {span}"
-        us = _draw_rwm(rngs, Z)
-        Y = rwm_propose(X, snapshot, beta_col, step_col, Z, allocs)
-        logpi_ys = run.target.log_density_batch(Y)
-        qf_ys = quad_forms(snapshot, Y)
-        logp_ys, a_ys = level_values(snapshot, betas, logpi_ys, qf_ys, radii)
-        logpi_ys = logpi_ys.tolist()
-        acc = np.zeros(len(levels), dtype=bool)
-        for i, target in enumerate(targets):
-            _, logps[i], allocs[i], moved = rwm_core_alloc(
-                X[i], logps[i], allocs[i], Y[i], us[i], logp_ys[i], a_ys[i],
-                target, steps[i])
-            if moved:
-                acc[i] = True
-                logpis[i], qfs[i] = logpi_ys[i], qf_ys[i]
+        Y = rwm_propose(X, snapshot, beta_col, step_col, Z[r], alloc)
+        logpi_y = run.target.log_density_batch(Y)
+        qf_y = quad_forms(snapshot, Y)
+        logp_y, alloc_y = level_values(snapshot, betas, logpi_y, qf_y, radii)
+        acc = rwm_core_alloc(X, logp, alloc, Y, log_u[r], logp_y, alloc_y,
+                             snapshot, scale)
         np.copyto(X, Y, where=acc[:, None])
+        np.copyto(logp, logp_y, where=acc)
+        np.copyto(logpi, logpi_y, where=acc)
+        np.copyto(alloc, alloc_y, where=acc)
+        np.copyto(qf, qf_y, where=acc[:, None])
         accepted += acc
         if lo == 0:
             run.diag.record_sample(X[0])
-    run.states[lo:hi] = map(ChainRecord, zip(X, logpis, qfs))
+    run.states[lo:hi] = map(ChainRecord, zip(X, logpi.tolist(), qf))
     for k, acc in zip(levels, accepted.tolist()):
         run.diag.count(RWM, k, acc, v)
     run.tune(levels, accepted / v, t)
@@ -372,21 +361,22 @@ def _swap_phase(run: _Run, t: int) -> None:
     rng = run.factory.stream(SWAP_STREAM, t)
     hat = run.snapshot is not None
     schedule = _swap_schedule(config.swap_strategy, n, t, rng)
-    draws = rng.random((n, 2 if hat else 1)).tolist()
+    draws = rng.random((n, 2 if hat else 1))
+    coins, log_us = draws[:, 0].tolist(), np.log(draws[:, -1]).tolist()
     states, targets = run.states, run.level_targets
-    logps, _ = level_values(run.snapshot, run.betas,
-                            [rec.logpi for rec in states],
-                            [rec.qf for rec in states], run.radii)
-    for k, row in zip(schedule, draws):
-        u = row[-1]
-        if hat and row[0] < config.swap_quanta_prob:
+    logps = level_values(run.snapshot, run.betas,
+                         [rec.logpi for rec in states],
+                         [rec.qf for rec in states], run.radii)[0].tolist()
+    for k, coin, log_u in zip(schedule, coins, log_us):
+        if hat and coin < config.swap_quanta_prob:
             res = quanta_swap_core(states[k], states[k + 1], logps[k],
-                                   logps[k + 1], targets[k], targets[k + 1], u)
+                                   logps[k + 1], targets[k], targets[k + 1],
+                                   log_u)
             run.diag.count(SWAP_QUANTA, k, res.accepted)
         else:
             res = standard_swap_core(states[k], states[k + 1], logps[k],
                                      logps[k + 1], targets[k], targets[k + 1],
-                                     u)
+                                     log_u)
             run.diag.count(SWAP_STANDARD, k, res.accepted)
         states[k], states[k + 1] = res.low, res.high
         logps[k], logps[k + 1] = res.logp_low, res.logp_high

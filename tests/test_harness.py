@@ -337,9 +337,9 @@ def test_pt_run_swaps_evaluate_no_density(monkeypatch):
     # and the run is the one that prices every swap by two evaluations
     monkeypatch.setattr(
         runner, "standard_swap_core",
-        lambda rec_k, rec_k1, lp_k, lp_k1, t_k, t_k1, u: standard_swap_core(
-            t_k.record(rec_k.x), t_k1.record(rec_k1.x), lp_k, lp_k1, t_k,
-            t_k1, u))
+        lambda rec_k, rec_k1, lp_k, lp_k1, t_k, t_k1, log_u:
+        standard_swap_core(t_k.record(rec_k.x), t_k1.record(rec_k1.x), lp_k,
+                           lp_k1, t_k, t_k1, log_u))
     evaluated, diag_evaluated = pt_run(cfg, target)
     assert len(calls) - carried == carried + 2 * cfg.n_swaps * diag.n_sweeps
     np.testing.assert_array_equal(samples, evaluated)
@@ -381,10 +381,10 @@ def test_pt_run_swaps_evaluate_no_density(monkeypatch):
     assert min(calls.values()) > 0 and len(calls) == 4
 
 
-def reference_rwm_core_alloc(x, logp_x, target, step_scale, rng, a_x=None):
-    """One RWM step as a single function: draw, evaluate, then decide."""
-    z = rng.standard_normal(x.shape[0])
-    u = rng.random()
+def reference_rwm_core_alloc(x, logp_x, target, step_scale, z, u, a_x=None):
+    """One RWM step as a single function on its drawn z and u: propose,
+    evaluate, then decide with the scalar kernel."""
+    log_u = np.log(u)
     snapshot = getattr(target, "snapshot", None)
     if snapshot is None:
         y = x + step_scale * z
@@ -393,7 +393,7 @@ def reference_rwm_core_alloc(x, logp_x, target, step_scale, rng, a_x=None):
             logp_y, a_y = target.log_density(y), None
         else:
             logp_y, a_y = value_and_base(y)
-        if kernels._accept(logp_y - logp_x, u):
+        if kernels._accept(logp_y - logp_x, log_u):
             return y, logp_y, a_y, True
         return x, logp_x, a_x, False
     if a_x is None:
@@ -409,24 +409,29 @@ def reference_rwm_core_alloc(x, logp_x, target, step_scale, rng, a_x=None):
         rev = kernels._proposal_log_density(-diff, snapshot.chols[a_y],
                                             snapshot.log_dets[a_y], scale)
         log_ratio += rev - fwd
-    if kernels._accept(log_ratio, u):
+    if kernels._accept(log_ratio, log_u):
         return y, logp_y, a_y, True
     return x, logp_x, a_x, False
 
 
 def reference_rwm_phase(run, t, levels):
-    """The RWM phase updating one level after another, v steps each; the
-    chain's record is evaluated afresh at its last state."""
+    """The RWM phase updating one level after another, v steps each, level
+    i's step r taking its z and u from row i of the sweep's draw block's
+    repetition r; the chain's record is evaluated afresh at its last
+    state."""
     v = run.config.v
-    for k in levels:
-        rng = run.factory.level_stream(k, t)
+    rng = run.factory.stream(runner.RWM_STREAM, t)
+    Z = rng.standard_normal((v, len(levels), run.target.dim))
+    U = rng.random((v, len(levels)))
+    for i, k in enumerate(levels):
         accepted = 0
         a_k = None
         x = run.states[k].x
         logp = run.level_targets[k].value(run.states[k])[0]
-        for _ in range(v):
+        for r in range(v):
             x, logp, a_k, acc = reference_rwm_core_alloc(
-                x, logp, run.level_targets[k], run.step_scales[k], rng, a_k)
+                x, logp, run.level_targets[k], run.step_scales[k], Z[r, i],
+                U[r, i], a_k)
             accepted += int(acc)
             run.diag.count(RWM, k, acc)
             if k == 0:
@@ -459,14 +464,14 @@ def skew_pt_case():
 # A platform whose libm or BLAS rounds differently changes them.
 PINNED_DIGESTS = {
     "alps-hat": (
-        "44bc8563b543bace0a95cfef3f20bcf7c0af0ee59900d3b78bfbe5b1f934868f",
-        "d3952443d39d5a52bfd1468398c8290539c45523a43f4de53baf65bf4fd787d6"),
+        "a61b29597350f32c34acec2f46601a4020aa799e8eb7c4ff32850bebeb13a149",
+        "a714557231e509e5f0ef3a41596310c4643975383efdcfd155ea667bd40f4f93"),
     "pt-batched": (
-        "831aa611c9e7af4c652ad84e781c6c8ac57760b265022939f06ef8e98e399c90",
-        "dd3383bb67239c13e5601d1c0b8e9eed652307db06f4fc4da070dbecf2af1454"),
+        "e8daf03a0d1cde0a0278687dbda44b0dbb6486e3077a72a4bae3d4a471209731",
+        "508187eecde125485bdf9711c2512e74dd933dfd9f631271e65f113cbacff3ec"),
     "alps-exploring": (
-        "96107e88a99e94da292f1f17435872d1452129a301365ac5582751c7c70e5d53",
-        "f673d33408fc628fb831dcb50ecda18cd53a0b8ac6b97efbee60c9c5913551bc"),
+        "c5ce3a861d2b86ce6ba844323023b9ff1dc621c1ea26efedb6895d70d11c301f",
+        "ce7f6e06367a293923187e75efcee08d77fc1c7e0da3a5c1579190c7636b7a68"),
 }
 
 
@@ -622,7 +627,7 @@ def reference_quanta_swap_core(x_k, x_k1, logp_k, logp_k1, target_k,
             or target_k.allocate_index(y_k1) != m2):
         return kernels.SwapResult(False, -np.inf, x_k, x_k1, logp_k, logp_k1)
     log_ratio = (lp_yk_at_k1 + lp_yk1_at_k) - (logp_k + logp_k1)
-    if kernels._accept(log_ratio, u):
+    if kernels._accept(log_ratio, np.log(u)):
         return kernels.SwapResult(True, log_ratio, y_k1, y_k, lp_yk1_at_k,
                                   lp_yk_at_k1)
     return kernels.SwapResult(False, log_ratio, x_k, x_k1, logp_k, logp_k1)
@@ -639,7 +644,7 @@ def reference_standard_swap_core(x_k, x_k1, logp_k, logp_k1, target_k,
         lp_xk1_at_k = target_k.beta * logpi[1]
         lp_xk_at_k1 = target_k1.beta * logpi[0]
     log_ratio = (lp_xk1_at_k + lp_xk_at_k1) - (logp_k + logp_k1)
-    if kernels._accept(log_ratio, u):
+    if kernels._accept(log_ratio, np.log(u)):
         return kernels.SwapResult(True, log_ratio, x_k1, x_k, lp_xk1_at_k,
                                   lp_xk_at_k1)
     return kernels.SwapResult(False, log_ratio, x_k, x_k1, logp_k, logp_k1)

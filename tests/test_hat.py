@@ -4,7 +4,7 @@ from scipy.stats import chi2, multivariate_normal, norm
 
 from alps.config import TruncationSettings
 from alps.hat import (Level, allocate_mode, chi2_quantile,
-                      gaussian_log_pdf_terms)
+                      gaussian_log_pdf_terms, level_values)
 from alps.registry import (ModeRegistry, RegistrySnapshot, make_mode_info,
                            try_insert)
 from alps.targets.gaussian import GaussianMixtureTarget, GaussianTarget
@@ -234,3 +234,37 @@ def test_level_without_snapshot_is_the_power():
     for _ in range(20):
         x = rng.uniform(-6, 6, size=1)
         assert level.value_and_alloc(x) == (0.3 * base.log_density(x), 0)
+
+
+@pytest.mark.parametrize("hat", [True, False], ids=["hat", "power"])
+def test_block_level_values_equal_the_single_record_form(hat):
+    # a block of records of many levels, priced at once, gives each row
+    # the value and allocation of the single-record form bit for bit,
+    # truncated rows (-inf), beta = 1 rows and rows whose allocation at
+    # beta differs from the one at 1 included
+    base, snap = mixture_base_1d()
+    if not hat:
+        snap = None
+    rng = np.random.default_rng(7)
+    n = 400
+    xs = rng.uniform(-8.0, 8.0, size=(n, 1))
+    betas = rng.choice([1.0, 1.5, 4.0, 64.0, 4096.0], size=n)
+    radii = (np.where(rng.random(n) < 0.5, 2.0, np.inf) if hat
+             else np.full(n, np.inf))
+    logpi = np.array([base.log_density(x) for x in xs])
+    qf = np.array([snap.quad_forms(x) if hat else x[:0] for x in xs])
+    values, allocs = level_values(snap, betas, logpi, qf, radii)
+    assert values.shape == allocs.shape == (n,)
+    flips = 0
+    for i in range(n):
+        value, a = level_values(snap, float(betas[i]), float(logpi[i]), qf[i],
+                                float(radii[i]))
+        assert (np.float64(values[i]).tobytes()
+                == np.float64(value).tobytes()) and allocs[i] == a
+        if hat and betas[i] != 1.0 and np.isfinite(value):
+            flips += a != allocate_mode(xs[i], 1.0, snap)
+    if hat:
+        assert np.isneginf(values).sum() > 0 and flips > 0
+        assert np.isfinite(values[betas == 1.0]).any()
+    else:
+        np.testing.assert_array_equal(allocs, 0)

@@ -1,13 +1,15 @@
 import numpy as np
+import pytest
 from scipy.integrate import quad
 from scipy.stats import norm
 
+from alps import kernels
 from alps.density import TargetDensity
 from alps.hat import Level
 from alps.kernels import (LEAP, LOCAL, leap_log_ratio,
                           mixture_log_density, mixture_propose,
                           mode_leap_core, quanta_swap_core, quanta_transform,
-                          rwm_core, standard_swap_core)
+                          rwm_core, rwm_decide, standard_swap_core)
 from alps.registry import ModeRegistry, make_mode_info, try_insert
 from alps.targets.gaussian import GaussianTarget
 
@@ -80,6 +82,78 @@ def test_rwm_1d_gaussian_acceptance_benchmark():
     assert abs(accepts / n - 2.0 / np.pi * np.arctan(2.0 / 2.4)) < 0.03
 
 
+def reference_rwm_decide(x, logp_x, a_x, y, u, logp_y, a_y, snapshot,
+                         scale):
+    """One row's RWM decision on Python floats, with the Hastings
+    correction where a finite proposal changed its allocation."""
+    log_ratio = logp_y - logp_x
+    if a_y != a_x and np.isfinite(logp_y):
+        diff = y - x
+        fwd = kernels._proposal_log_density(diff, snapshot.chols[a_x],
+                                            snapshot.log_dets[a_x], scale)
+        rev = kernels._proposal_log_density(-diff, snapshot.chols[a_y],
+                                            snapshot.log_dets[a_y], scale)
+        log_ratio += rev - fwd
+    return bool(np.log(u) < log_ratio)
+
+
+def test_block_rwm_decide_equals_the_row_by_row_reference(monkeypatch):
+    # two 2-d modes of different shapes, so a flip's Hastings term is
+    # not zero; the block holds -inf proposals, NaN values (one from
+    # -inf minus -inf) and allocation flips, finite and not
+    reg = ModeRegistry(dim=2, tol=1e-12)
+    for mu, sigma, lp in (([0.0, 0.0], [[1.0, 0.3], [0.3, 0.5]], 0.0),
+                          ([4.0, 1.0], [[0.2, 0.0], [0.0, 3.0]], -1.0)):
+        reg, _ = try_insert(reg, make_mode_info(np.array(mu), np.array(sigma),
+                                                lp))
+    snapshot = reg.snapshot()
+    rng = np.random.default_rng(4)
+    n = 200
+    x = rng.normal(0.0, 2.0, (n, 2))
+    y = x + rng.normal(0.0, 1.0, (n, 2))
+    logp_x = rng.normal(-3.0, 1.0, n)
+    logp_y = logp_x + rng.normal(0.0, 1.0, n)
+    logp_y[:10] = -np.inf
+    logp_y[10:15] = np.nan
+    logp_x[15:18] = logp_y[15:18] = -np.inf
+    a_x = rng.integers(0, 2, n)
+    a_y = np.where(rng.random(n) < 0.4, 1 - a_x, a_x)
+    u = rng.random(n)
+    scale = rng.uniform(0.5, 2.0, n)
+    corrections = []
+    proposal_log_density = kernels._proposal_log_density
+    monkeypatch.setattr(kernels, "_proposal_log_density",
+                        lambda *a: corrections.append(None)
+                        or proposal_log_density(*a))
+    got = rwm_decide(x, logp_x, a_x, y, np.log(u), logp_y, a_y, snapshot,
+                     scale)
+    flipped = (a_y != a_x) & np.isfinite(logp_y)
+    assert len(corrections) == 2 * flipped.sum() > 0
+    assert (a_y != a_x)[~np.isfinite(logp_y)].any()
+    expected = [reference_rwm_decide(
+        x[i], logp_x.tolist()[i], int(a_x[i]), y[i], u.tolist()[i],
+        logp_y.tolist()[i], int(a_y[i]), snapshot, scale.tolist()[i])
+        for i in range(n)]
+    assert got.dtype == bool and got.tolist() == expected
+    assert not got[:18].any() and 0 < got.sum() < n
+    # without the correction some flipped rows would be decided otherwise
+    plain = np.log(u[flipped]) < logp_y[flipped] - logp_x[flipped]
+    assert (plain != got[flipped]).any()
+
+
+@pytest.mark.parametrize("u", [0.3, 0.9])
+def test_rwm_core_decides_as_a_block_of_one_row(u):
+    # the single-chain step compares log u with the log ratio, as the
+    # block decision does
+    target = gaussian_hat([0.0], [[1.0]], 1.0)
+    rec = target.record(np.array([0.0]))
+    rng = StubRng(normals=1.0, uniforms=u)
+    _, logp, accepted = rwm_core(rec, target.value(rec)[0], target, 1.0, rng)
+    assert accepted == (np.log(u) < -0.5)
+    assert logp == (target.value(target.record(np.array([1.0])))[0]
+                    if accepted else target.value(rec)[0])
+
+
 def test_quanta_transform_identity_and_scale():
     x = np.array([3.0, -1.0])
     np.testing.assert_array_equal(quanta_transform(x, 2.0, 2.0, np.zeros(2)),
@@ -110,7 +184,7 @@ def test_quanta_swap_mode_points_always_accept():
     t_k1 = Level(mix, 16.0, snap)
     x_k, x_k1 = t_k.record(snap.mus[0]), t_k1.record(snap.mus[1])
     res = quanta_swap_core(x_k, x_k1, t_k.value(x_k)[0],
-                           t_k1.value(x_k1)[0], t_k, t_k1, 0.999999)
+                           t_k1.value(x_k1)[0], t_k, t_k1, np.log(0.999999))
     assert res.accepted
     assert abs(res.log_ratio) < 1e-10
     np.testing.assert_allclose(res.low.x, snap.mus[1], atol=1e-12)
@@ -134,7 +208,7 @@ def test_quanta_swap_rejects_a_proposal_that_changes_allocation():
     back = quanta_transform(y_k1, 1.0, 4.0, snap.mus[1])
     assert not np.allclose(back, x_k1.x)
     res = quanta_swap_core(x_k, x_k1, t_k.value(x_k)[0], t_k1.value(x_k1)[0],
-                           t_k, t_k1, 1e-300)
+                           t_k, t_k1, np.log(1e-300))
     assert not res.accepted and res.log_ratio == -np.inf
     assert res.low is x_k and res.high is x_k1
 
@@ -145,13 +219,14 @@ def test_quanta_equals_standard_at_equal_betas():
     t_a = Level(base, 4.0, snap)
     t_b = Level(base, 4.0, snap)
     rng = np.random.default_rng(2)
+    log_u = np.log(0.5)
     for _ in range(50):
         x_k = t_a.record(rng.standard_normal(1))
         x_k1 = t_b.record(rng.standard_normal(1) + 10.0)
         lq = quanta_swap_core(x_k, x_k1, t_a.value(x_k)[0],
-                              t_b.value(x_k1)[0], t_a, t_b, 0.5).log_ratio
+                              t_b.value(x_k1)[0], t_a, t_b, log_u).log_ratio
         ls = standard_swap_core(x_k, x_k1, t_a.value(x_k)[0],
-                                t_b.value(x_k1)[0], t_a, t_b, 0.5).log_ratio
+                                t_b.value(x_k1)[0], t_a, t_b, log_u).log_ratio
         assert abs(lq - ls) < 1e-10
 
 
@@ -162,7 +237,7 @@ def test_standard_swap_trivial_accepts():
     t_b = Level(base, 4.0, snap)
     x = t_a.record(np.array([0.3]))
     res = standard_swap_core(x, x, t_a.value(x)[0], t_b.value(x)[0], t_a, t_b,
-                             0.999999)
+                             np.log(0.999999))
     assert res.accepted and abs(res.log_ratio) < 1e-14
 
 
@@ -179,7 +254,8 @@ def test_standard_swap_with_carried_logpi_is_exact():
         rec_k, rec_k1 = t_k.record(x_k), t_k1.record(x_k1)
         lp_k, lp_k1 = t_k.log_density(x_k), t_k1.log_density(x_k1)
         u = rng.random()
-        got = standard_swap_core(rec_k, rec_k1, lp_k, lp_k1, t_k, t_k1, u)
+        got = standard_swap_core(rec_k, rec_k1, lp_k, lp_k1, t_k, t_k1,
+                                 np.log(u))
         cross = (t_k.log_density(x_k1), t_k1.log_density(x_k))
         log_ratio = (cross[0] + cross[1]) - (lp_k + lp_k1)
         accepted = bool(np.log(u) < log_ratio)
@@ -222,7 +298,7 @@ def test_standard_swap_rate_matches_quadrature():
     for i in range(m):
         x, y = t1.record(np.array([xs[i]])), t2.record(np.array([ys[i]]))
         res = standard_swap_core(x, y, t1.value(x)[0], t2.value(y)[0],
-                                 t1, t2, rng.random())
+                                 t1, t2, np.log(rng.random()))
         accepts += res.accepted
     assert abs(accepts / m - expected) < 0.015
 

@@ -1,7 +1,7 @@
 import numpy as np
 
-from alps.rng import (EXPLORE_STREAM, LEAP_STREAM, SCALING_STREAM,
-                      SWAP_STREAM, StreamFactory, substream)
+from alps.rng import (EXPLORE_STREAM, LEAP_STREAM, RWM_STREAM,
+                      SCALING_STREAM, SWAP_STREAM, StreamFactory, substream)
 
 
 def test_substream_reproducible():
@@ -18,23 +18,24 @@ def test_substream_distinct_keys_differ():
 
 
 def test_stream_constants_distinct():
-    names = {SWAP_STREAM, LEAP_STREAM, EXPLORE_STREAM, SCALING_STREAM}
-    assert len(names) == 4
+    names = {RWM_STREAM, SWAP_STREAM, LEAP_STREAM, EXPLORE_STREAM,
+             SCALING_STREAM}
+    assert len(names) == 5
 
 
-def test_factory_level_stream_matches_substream():
+def test_factory_rwm_stream_matches_substream():
     factory = StreamFactory(seed=42)
-    a = factory.level_stream(2, 17).random(10)
-    b = substream(42, 2, 17).random(10)
+    a = factory.stream(RWM_STREAM, 17).random(10)
+    b = substream(42, RWM_STREAM, 17).random(10)
     np.testing.assert_array_equal(a, b)
 
 
 def test_factory_streams_independent_of_call_order():
     f1 = StreamFactory(seed=5)
     x = f1.stream(LEAP_STREAM, 3).random(4)
-    y = f1.level_stream(0, 0).random(4)
+    y = f1.stream(RWM_STREAM, 0).random(4)
     f2 = StreamFactory(seed=5)
-    y2 = f2.level_stream(0, 0).random(4)
+    y2 = f2.stream(RWM_STREAM, 0).random(4)
     x2 = f2.stream(LEAP_STREAM, 3).random(4)
     np.testing.assert_array_equal(x, x2)
     np.testing.assert_array_equal(y, y2)
@@ -44,11 +45,8 @@ def test_factory_rewinds_one_generator_per_stream():
     factory = StreamFactory(seed=9)
     generators = {}
     for counter in (0, 1, 7, (1 << 64) + 3, 1):
-        for sid in (0, 3, SWAP_STREAM, LEAP_STREAM):
-            if sid < SWAP_STREAM:
-                gen = factory.level_stream(sid, counter)
-            else:
-                gen = factory.stream(sid, counter)
+        for sid in (RWM_STREAM, SWAP_STREAM, LEAP_STREAM, EXPLORE_STREAM):
+            gen = factory.stream(sid, counter)
             fresh = substream(9, sid, counter)
             np.testing.assert_array_equal(gen.standard_normal(5),
                                           fresh.standard_normal(5))

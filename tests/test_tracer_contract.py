@@ -156,18 +156,19 @@ def traced_counts(script):
 
 def test_tracer_patches_see_a_pt_run():
     counts = traced_counts(SCRIPT)
-    assert counts["rwm"] == V * SWEEPS * LEVELS
+    # one block decision per repetition, for all levels at once
+    assert counts["rwm"] == V * SWEEPS
     # the swap phase draws its uniforms in one call, and still calls the
     # swap kernel once per swap
     assert counts["swap_standard"] == SWEEPS * counts["n_swaps"] > 0
     assert counts["record_sample"] == V * SWEEPS
-    # one stream per level and one swap stream per sweep
-    assert counts["substream"] == SWEEPS * (LEVELS + 1)
+    # one RWM stream and one swap stream per sweep
+    assert counts["substream"] == 2 * SWEEPS
 
 
 def test_tracer_sees_every_element_of_batched_skew_evaluations():
     counts = traced_counts(SKEW_SCRIPT)
-    assert counts["rwm"] == V * SWEEPS * LEVELS
+    assert counts["rwm"] == V * SWEEPS
     # one evaluation per level at set-up and one per RWM proposal
     assert counts["shape_elements"] == LEVELS * DIM * (1 + V * SWEEPS)
 
