@@ -59,11 +59,9 @@ def _build(cls, obj: dict, path: str):
         raise ConfigError(f"{path}: {err}") from err
 
 
-def _require_int(value, key: str, optional: bool = False) -> None:
+def _require_int(value, key: str) -> None:
     """ConfigError unless value is an integer (a JSON integer; not a bool
-    or a float), or None where the setting is optional."""
-    if optional and value is None:
-        return
+    or a float)."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{key} must be an integer")
 
