@@ -19,7 +19,8 @@ Each decision takes exactly one uniform u and compares log u with the
 log ratio; a NaN ratio rejects.  The RWM and swap decisions take log u,
 formed by their caller, as the argument `log_u`, so a caller may draw
 the uniforms of many decisions in one call and take their logs in
-another.  The mode-leap kernel draws its own.
+another.  The single-chain kernels, `rwm_core` and the mode leap, draw
+their own.
 
 An RWM step is three parts: `rwm_propose` forms the proposal from a
 drawn z ~ N(0, I), the caller scores its record, and `rwm_decide`

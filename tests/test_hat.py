@@ -251,7 +251,9 @@ def test_block_level_values_equal_the_single_record_form(hat):
     betas = rng.choice([1.0, 1.5, 4.0, 64.0, 4096.0], size=n)
     radii = (np.where(rng.random(n) < 0.5, 2.0, np.inf) if hat
              else np.full(n, np.inf))
-    logpi = np.array([base.log_density(x) for x in xs])
+    # a record's value depends on x only through (log pi, qf), so log pi
+    # may be drawn freely; at beta = 1 it is returned as it is
+    logpi = rng.normal(-5.0, 4.0, size=n)
     qf = np.array([snap.quad_forms(x) if hat else x[:0] for x in xs])
     values, allocs = level_values(snap, betas, logpi, qf, radii)
     assert values.shape == allocs.shape == (n,)
