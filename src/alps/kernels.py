@@ -146,8 +146,8 @@ def quanta_swap_core(rec_k: ChainRecord, rec_k1: ChainRecord, logp_k: float,
                      logp_k1: float, target_k, target_k1,
                      log_u: float) -> SwapResult:
     """QuanTA exchange between neighbouring HAT levels k and k+1, decided
-    by the log uniform `log_u`: each state is rescaled about its allocated mode
-    point to the other level's temperature.
+    by the log uniform `log_u`: each state is rescaled about its
+    allocated mode point to the other level's temperature.
 
     The map is an involution only while each transformed state keeps its
     allocation at its new level; a proposal that changes either
