@@ -10,6 +10,10 @@ object.
 Some values of a run are fixed or derived rather than set, because every
 preset uses the one value:
 
+- within-level updates per sweep: `V` = 5 per level (RWM steps, or
+  mode leaps at the ALPS top level); a sweep records V level-0 samples,
+  so `n_sweeps` and `burnin_sweeps` are the sample counts over V,
+  rounded up;
 - one hot chain of exploration (`runner._Run.hot_state`);
 - swaps per sweep: `n_levels - 1` (`RunConfig.n_swaps`), one per
   neighbour pair of the ladder;
@@ -40,6 +44,11 @@ from typing import Optional
 
 import numpy as np
 
+from .rng import SEED_LIMIT
+
+# within-level updates per level and sweep (see the module docstring)
+V = 5
+
 
 class ConfigError(ValueError):
     pass
@@ -64,6 +73,14 @@ def _require_int(value, key: str) -> None:
     or a float)."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{key} must be an integer")
+
+
+def _require_seed(value) -> None:
+    """ConfigError unless value is an integer in [0, 2^64), the seeds
+    that key distinct Philox streams (`rng.substream`)."""
+    _require_int(value, "seed")
+    if not 0 <= value < SEED_LIMIT:
+        raise ConfigError("seed must be a non-negative integer below 2^64")
 
 
 def _require_number(value, key: str, optional: bool = False) -> None:
@@ -159,7 +176,6 @@ class RunConfig:
     target: TargetSpec
     ladder: LadderConfig
     seed: int
-    v: int = 5
     swap_quanta_prob: float = 0.5
     swap_strategy: str = "uniform"    # "uniform" | "even_odd"
     rwm: RwmSettings = field(default_factory=RwmSettings)
@@ -174,15 +190,12 @@ class RunConfig:
     out_dir: Optional[str] = None
 
     def __post_init__(self):
-        for key in ("seed", "v", "total_target_samples", "burnin_samples"):
+        _require_seed(self.seed)
+        for key in ("total_target_samples", "burnin_samples"):
             _require_int(getattr(self, key), key)
         _require_number(self.swap_quanta_prob, "swap_quanta_prob")
         _require_number(self.running_threshold, "running_threshold",
                         optional=True)
-        if self.seed < 0:
-            raise ConfigError("seed must be a non-negative integer")
-        if self.v < 1:
-            raise ConfigError("v must be at least 1")
         if self.total_target_samples < 0 or self.burnin_samples < 0:
             raise ConfigError("sample counts must be non-negative")
         if not 0.0 <= self.swap_quanta_prob <= 1.0:
@@ -206,11 +219,11 @@ class RunConfig:
 
     @property
     def n_sweeps(self) -> int:
-        return -(-self.total_target_samples // self.v)  # ceil division
+        return -(-self.total_target_samples // V)  # ceil division
 
     @property
     def burnin_sweeps(self) -> int:
-        return -(-self.burnin_samples // self.v)
+        return -(-self.burnin_samples // V)
 
     @classmethod
     def from_dict(cls, obj: dict) -> "RunConfig":
@@ -261,7 +274,6 @@ def _benchmark_preset() -> dict:
         "ladder": {"beta_hot": 5e-6,
                    "betas": [1.0, 4.0, 16.0, 64.0, 256.0, 1024.0, 4096.0]},
         "seed": 1,
-        "v": 5,
         "swap_quanta_prob": 0.5,
         "rwm": {"step_scale": 2.38 / np.sqrt(20.0)},
         "exploration": {"step_scale": 120.0, "refresh_from_modes": 0.0},
@@ -278,7 +290,6 @@ def _benchmark_pt_preset() -> dict:
         "target": {"name": "skew_normal_mixture_20d", "params": {}},
         "ladder": {"betas": [0.6 ** k for k in range(14)]},
         "seed": 1,
-        "v": 5,
         "rwm": {"step_scale": [2.38 / np.sqrt(20.0 * 0.6 ** k)
                                for k in range(14)]},
         "exploration": None,
@@ -294,7 +305,6 @@ def _benchmark_lais_preset() -> dict:
         "target": {"name": "skew_normal_mixture_20d", "params": {}},
         "ladder": {"beta_hot": 5e-6, "betas": [1.0]},
         "seed": 1,
-        "v": 5,
         "rwm": {"step_scale": 2.38 / np.sqrt(20.0)},
         "exploration": {"step_scale": 120.0},
         "total_target_samples": 200000,
@@ -311,7 +321,6 @@ def _sur_grunfeld_preset() -> dict:
         "ladder": {"beta_hot": 0.067,
                    "betas": [1.00, 1.10, 1.40, 1.96, 2.74, 3.84, 5.38]},
         "seed": 1,
-        "v": 5,
         "swap_quanta_prob": 0.5,
         "rwm": {"step_scale": 2.38 / np.sqrt(15.0)},
         "exploration": {"step_scale": 40.0, "refresh_from_modes": 0.25},

@@ -12,8 +12,8 @@ from typing import Callable
 import numpy as np
 
 _EPS = float(np.finfo(float).eps)
-DEFAULT_GRAD_STEP = _EPS ** (1.0 / 3.0)
-DEFAULT_HESS_STEP = _EPS ** 0.25
+GRAD_STEP = _EPS ** (1.0 / 3.0)
+HESS_STEP = _EPS ** 0.25
 
 
 def _steps(x: np.ndarray, base: float) -> np.ndarray:
@@ -21,10 +21,10 @@ def _steps(x: np.ndarray, base: float) -> np.ndarray:
     return base * np.maximum(1.0, np.abs(x))
 
 
-def central_gradient(f: Callable[[np.ndarray], float], x: np.ndarray,
-                     step: float = DEFAULT_GRAD_STEP) -> np.ndarray:
+def central_gradient(f: Callable[[np.ndarray], float],
+                     x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    h = _steps(x, step)
+    h = _steps(x, GRAD_STEP)
     g = np.empty_like(x)
     for i in range(x.size):
         e = np.zeros_like(x)
@@ -33,12 +33,12 @@ def central_gradient(f: Callable[[np.ndarray], float], x: np.ndarray,
     return g
 
 
-def central_hessian(f: Callable[[np.ndarray], float], x: np.ndarray,
-                    step: float = DEFAULT_HESS_STEP) -> np.ndarray:
+def central_hessian(f: Callable[[np.ndarray], float],
+                    x: np.ndarray) -> np.ndarray:
     """Symmetric central second differences, symmetrized as (H + H^T)/2."""
     x = np.asarray(x, dtype=float)
     d = x.size
-    h = _steps(x, step)
+    h = _steps(x, HESS_STEP)
     hess = np.empty((d, d))
     f0 = f(x)
     for i in range(d):
@@ -60,12 +60,13 @@ def central_hessian(f: Callable[[np.ndarray], float], x: np.ndarray,
     return 0.5 * (hess + hess.T)
 
 
-def _richardson(estimates: list[float], order: int = 2) -> float:
-    # estimates[k] computed with step h/2^k; error expands in h^order steps of 2
+def _richardson(estimates: list[float]) -> float:
+    # estimates[k] computed with step h/2^k; the error expands in even
+    # powers of h, so level lvl eliminates the h^(2 lvl) term
     table = [list(estimates)]
     n = len(estimates)
     for lvl in range(1, n):
-        fac = 4.0 ** lvl  # (2^order)^lvl with order 2
+        fac = 4.0 ** lvl
         prev = table[-1]
         table.append([(fac * prev[k + 1] - prev[k]) / (fac - 1.0)
                       for k in range(n - lvl)])

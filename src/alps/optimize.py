@@ -9,7 +9,6 @@ optimizer only has to be trustworthy, not clever.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,31 +17,20 @@ from .density import TargetDensity
 logger = logging.getLogger(__name__)
 
 
-@dataclass
-class OptimizerConfig:
-    max_iterations: int = 500
-    gradient_tolerance: float = 1e-6
-    armijo_constant: float = 1e-4
-    backtrack_factor: float = 0.5
-
-    def __post_init__(self):
-        if (self.max_iterations <= 0 or self.gradient_tolerance <= 0
-                or not 0 < self.armijo_constant < 1
-                or not 0 < self.backtrack_factor < 1):
-            raise ValueError("optimizer settings must be positive "
-                             "(factors strictly inside (0, 1))")
+MAX_ITERATIONS = 500
+GRADIENT_TOLERANCE = 1e-6
+# sufficient decrease: f(x + t p) <= f(x) + ARMIJO_CONSTANT * t * slope
+ARMIJO_CONSTANT = 1e-4
+BACKTRACK_FACTOR = 0.5
 
 
-def local_optimize(x0: np.ndarray, base: TargetDensity,
-                   cfg: OptimizerConfig | None = None):
+def local_optimize(x0: np.ndarray, base: TargetDensity):
     """Maximize base.log_density from x0; returns (mu, converged).
 
-    converged means the infinity norm of the gradient fell below the
-    tolerance within the iteration budget; on line-search failure the
+    converged means the infinity norm of the gradient fell below
+    GRADIENT_TOLERANCE within MAX_ITERATIONS; on line-search failure the
     best point seen so far is returned with converged = False.
     """
-    if cfg is None:
-        cfg = OptimizerConfig()
     x = np.asarray(x0, dtype=float).copy()
     d = x.size
 
@@ -62,8 +50,8 @@ def local_optimize(x0: np.ndarray, base: TargetDensity,
     scaled = False
     best_x, best_f = x.copy(), fx
 
-    for _ in range(cfg.max_iterations):
-        if np.max(np.abs(g)) <= cfg.gradient_tolerance:
+    for _ in range(MAX_ITERATIONS):
+        if np.max(np.abs(g)) <= GRADIENT_TOLERANCE:
             return x, True
         p = -h_inv @ g
         slope = float(g @ p)
@@ -74,8 +62,8 @@ def local_optimize(x0: np.ndarray, base: TargetDensity,
         t = 1.0
         fx_new = f(x + t * p)
         while not (np.isfinite(fx_new)
-                   and fx_new <= fx + cfg.armijo_constant * t * slope):
-            t *= cfg.backtrack_factor
+                   and fx_new <= fx + ARMIJO_CONSTANT * t * slope):
+            t *= BACKTRACK_FACTOR
             if t < 1e-16:
                 logger.debug("line search failed at |g|=%.3e", np.max(np.abs(g)))
                 return best_x, False
@@ -104,5 +92,5 @@ def local_optimize(x0: np.ndarray, base: TargetDensity,
         if fx < best_f:
             best_x, best_f = x.copy(), fx
 
-    converged = bool(np.max(np.abs(g)) <= cfg.gradient_tolerance)
+    converged = bool(np.max(np.abs(g)) <= GRADIENT_TOLERANCE)
     return (x, True) if converged else (best_x, False)

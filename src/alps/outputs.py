@@ -11,7 +11,7 @@ import os
 
 import numpy as np
 
-from .config import ConfigError, RunConfig
+from .config import V, ConfigError, RunConfig
 from .diagnostics import RunDiagnostics, running_prob_estimate
 
 logger = logging.getLogger(__name__)
@@ -38,14 +38,14 @@ def write_json(path: str, obj) -> None:
         fh.write("\n")
 
 
-def _write_trace(path: str, samples: np.ndarray, config: RunConfig) -> None:
-    """Every TRACE_THINNING-th sample; each sweep records v of them."""
+def _write_trace(path: str, samples: np.ndarray) -> None:
+    """Every TRACE_THINNING-th sample; each sweep records V of them."""
     header = "sweep," + ",".join(f"x{i}" for i in range(samples.shape[1]))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
         for i in range(0, len(samples), TRACE_THINNING):
             coords = ",".join(repr(float(v)) for v in samples[i])
-            fh.write(f"{i // config.v},{coords}\n")
+            fh.write(f"{i // V},{coords}\n")
 
 
 def emit_outputs(diag: RunDiagnostics, config: RunConfig) -> dict:
@@ -60,7 +60,7 @@ def emit_outputs(diag: RunDiagnostics, config: RunConfig) -> dict:
 
     n_recorded = min(diag.n_recorded, config.total_target_samples)
     samples = diag.samples[:n_recorded]
-    _write_trace(paths["trace.csv"], samples, config)
+    _write_trace(paths["trace.csv"], samples)
     write_json(paths["acceptance.json"], diag.acceptance_dict())
 
     if diag.registry is not None and diag.registry.n_modes > 0:

@@ -100,16 +100,14 @@ def approximate_log_weights(modes: list[ModeInfo]) -> np.ndarray:
     return raw - logsumexp(raw)
 
 
-def pseudo_distance(a: ModeInfo, b: ModeInfo, dim: int | None = None) -> float:
+def pseudo_distance(a: ModeInfo, b: ModeInfo) -> float:
     """d^{-1} max of the two Mahalanobis quadratic forms between mode points."""
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    if dim is None:
-        dim = a.dim
     diff = a.mu - b.mu
     za = solve_triangular(a.sigma_chol, diff, lower=True, check_finite=False)
     zb = solve_triangular(b.sigma_chol, diff, lower=True, check_finite=False)
-    return max(float(za @ za), float(zb @ zb)) / dim
+    return max(float(za @ za), float(zb @ zb)) / a.dim
 
 
 @dataclass(frozen=True)
@@ -118,7 +116,6 @@ class RegistrySnapshot:
 
     version: int
     dim: int
-    tol: float
     mus: np.ndarray          # (J, d)
     chols: np.ndarray        # (J, d, d) lower factors of Sigma_j
     log_dets: np.ndarray     # (J,)
@@ -190,7 +187,6 @@ class ModeRegistry:
             self._snapshot = RegistrySnapshot(
                 version=self.version,
                 dim=self.dim,
-                tol=self.tol,
                 mus=np.stack([m.mu for m in self.modes]),
                 chols=np.stack([m.sigma_chol for m in self.modes]),
                 log_dets=np.array([m.log_det_sigma for m in self.modes]),

@@ -13,6 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 _U64 = 0xFFFFFFFFFFFFFFFF
+# The seed is one 64-bit word of the Philox key.
+SEED_LIMIT = 1 << 64
 # Philox holds four 64-bit words of output; a full buffer_pos marks it empty.
 _EMPTY_BUFFER = (0, 0, 0, 0)
 
@@ -26,6 +28,11 @@ EXPLORE_STREAM = (1 << 32) + 3
 SCALING_STREAM = (1 << 32) + 4
 
 
+def _check_seed(seed: int) -> None:
+    if not 0 <= seed < SEED_LIMIT:
+        raise ValueError("seed must be a non-negative integer below 2^64")
+
+
 def substream(seed: int, stream: int, counter: int = 0,
               generator: np.random.Generator | None = None
               ) -> np.random.Generator:
@@ -36,11 +43,11 @@ def substream(seed: int, stream: int, counter: int = 0,
     substreams never overlap.  Given a Philox `generator` from an earlier
     call, its state is rewound to this cell instead: the key, the counter
     block and an emptied output buffer, so it draws exactly what a newly
-    built generator would.
+    built generator would.  Seeds outside [0, SEED_LIMIT) are errors, so
+    no two seeds share a key.
     """
-    if seed < 0:
-        raise ValueError("seed must be non-negative")
-    key = (seed & _U64, stream & _U64)
+    _check_seed(seed)
+    key = (seed, stream & _U64)
     ctr = (0, 0, counter & _U64, (counter >> 64) & _U64)
     if generator is None:
         return np.random.Generator(np.random.Philox(
@@ -65,8 +72,7 @@ class StreamFactory:
     """
 
     def __init__(self, seed: int):
-        if seed < 0:
-            raise ValueError("seed must be non-negative")
+        _check_seed(seed)
         self.seed = int(seed)
         self._generators: dict = {}
 

@@ -17,8 +17,9 @@ burnin_sweeps) each RWM level's step is tuned and the hot chain searches
 for modes; after it the kernels and the ladder are fixed.  The
 leap-local step at level n is never tuned.
 
-RWM and leap phases make v updates per level.  Level-0 states are
-recorded after every level-0 update, so total_target_samples = v * sweeps.
+RWM and leap phases make V (`config.V`) updates per level.  Level-0
+states are recorded after every level-0 update, so total_target_samples
+= V * sweeps.
 
 Every chain, each ladder chain and the hot chain, carries its record
 (x, log pi(x), qf(x)), qf(x) being the quad forms of x against the
@@ -32,8 +33,8 @@ on the run's current snapshot, truncated at a finite radius (the levels
 with beta > 1 when config.truncation is set).
 
 The RWM phase draws all of a sweep's RWM randomness from the sweep's
-RWM stream in two calls: first Z ~ N(0, I) of shape (v, L, dim), then
-the (v, L) acceptance uniforms, whose logs it takes in one more call.
+RWM stream in two calls: first Z ~ N(0, I) of shape (V, L, dim), then
+the (V, L) acceptance uniforms, whose logs it takes in one more call.
 Repetition r moves the L levels in lockstep as array operations on
 (L, dim) blocks: the proposals from Z[r] (HAT levels step by their
 allocated mode's Cholesky factor), one `log_density_batch` call, one
@@ -51,7 +52,7 @@ coin picks QuanTA or standard, u decides; on power levels a row is u
 alone.  The logs of the u column are taken in one call.
 
 The run owns the hot chain of exploration: until the freeze, each sweep
-it moves on pi^beta_hot by v + 1 `rwm_core` steps, tallied under HOT,
+it moves on pi^beta_hot by V + 1 `rwm_core` steps, tallied under HOT,
 and then searches from its state (`exploration.mfind`); at the freeze it
 stops.  The exploration phase draws from the sweep's explore stream:
 first the refresh coin (and, on heads, the mixture point the chain
@@ -69,7 +70,7 @@ from functools import partial
 import numpy as np
 
 from . import outputs
-from .config import ConfigError, RunConfig
+from .config import V, ConfigError, RunConfig
 from .density import TargetDensity
 from .diagnostics import (HOT, LEAP, LEAP_LOCAL, RWM, SWAP_QUANTA,
                           SWAP_STANDARD, RunDiagnostics)
@@ -149,7 +150,7 @@ class _Run:
         self.n = betas.size - 1
         self.freeze = config.burnin_sweeps
         self.stage = "setup"
-        self.diag = RunDiagnostics(d, config.n_sweeps * config.v)
+        self.diag = RunDiagnostics(d, config.n_sweeps * V)
         self.factory = StreamFactory(config.seed)
         self.registry = self.snapshot = None
         self.hot_target = self.hot_state = None
@@ -218,12 +219,12 @@ class _Run:
         raise NumericalAbort(message)
 
     def hot_moves(self, rng) -> None:
-        """v + 1 RWM steps of the hot chain on pi^beta_hot, tallied under
+        """V + 1 RWM steps of the hot chain on pi^beta_hot, tallied under
         HOT."""
         step_scale = self.config.exploration.step_scale
         rec = self.hot_state
         logp = self.hot_target.value(rec)[0]
-        for _ in range(self.config.v + 1):
+        for _ in range(V + 1):
             rec, logp, acc = rwm_core(rec, logp, self.hot_target, step_scale,
                                       rng)
             self.diag.count(HOT, -1, acc)
@@ -290,12 +291,12 @@ class _Run:
 # wrappers installed on those names see every call.
 
 def _rwm_phase(run: _Run, t: int, levels: range) -> None:
-    """v RWM updates per level, the levels in lockstep (see the module
+    """V RWM updates per level, the levels in lockstep (see the module
     docstring); the tallies are counted and the step scales tuned once
     per level after the last repetition."""
     if not levels:
         return
-    v, snapshot = run.config.v, run.snapshot
+    snapshot = run.snapshot
     lo, hi = levels.start, levels.stop
     states = run.states[lo:hi]
     X = np.array([rec.x for rec in states])
@@ -306,11 +307,11 @@ def _rwm_phase(run: _Run, t: int, levels: range) -> None:
     beta_col, step_col = betas[:, None], run.step_scales[lo:hi, None]
     scale = (step_col / np.sqrt(beta_col)).ravel()
     rng = run.factory.stream(RWM_STREAM, t)
-    Z = rng.standard_normal((v,) + X.shape)
-    log_u = np.log(rng.random((v, len(levels))))
+    Z = rng.standard_normal((V,) + X.shape)
+    log_u = np.log(rng.random((V, len(levels))))
     accepted = np.zeros(len(levels), dtype=int)
     span = f"levels {lo}-{hi - 1}"
-    for r in range(v):
+    for r in range(V):
         run.stage = f"rwm rep {r}, {span}"
         Y = rwm_propose(X, snapshot, beta_col, step_col, Z[r], alloc)
         logpi_y = run.target.log_density_batch(Y)
@@ -328,19 +329,19 @@ def _rwm_phase(run: _Run, t: int, levels: range) -> None:
             run.diag.record_sample(X[0])
     run.states[lo:hi] = map(ChainRecord, zip(X, logpi.tolist(), qf))
     for k, acc in zip(levels, accepted.tolist()):
-        run.diag.count(RWM, k, acc, v)
-    run.tune(levels, accepted / v, t)
+        run.diag.count(RWM, k, acc, V)
+    run.tune(levels, accepted / V, t)
 
 
 def _leap_phase(run: _Run, t: int) -> None:
-    """v mode-leap moves at level n, each a leap or a local RWM step at
+    """V mode-leap moves at level n, each a leap or a local RWM step at
     the level's untuned step scale."""
     n, level = run.n, run.level_targets[run.n]
     run.stage = f"leap level {n}"
     rng = run.factory.stream(LEAP_STREAM, t)
     rec = run.states[n]
     logp = level.value(rec)[0]
-    for _ in range(run.config.v):
+    for _ in range(V):
         rec, logp, move_type, acc = mode_leap_core(
             rec, logp, level, run.step_scales[n], rng)
         run.diag.count(LEAP if move_type == "leap" else LEAP_LOCAL, n, acc)

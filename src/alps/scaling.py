@@ -35,8 +35,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import ndtr
 
-from . import numdiff
-from .config import _require_int
+from .config import _require_seed
 from .rng import SCALING_STREAM, StreamFactory
 from .targets.product import check_shape
 
@@ -74,10 +73,11 @@ class ScalingExperimentConfig:
             raise ValueError("dims must all be at least 2")
         if self.samples <= 1:
             raise ValueError("samples must exceed 1")
-        _require_int(self.seed, "seed")
-        if self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, "
-                             f"got {self.seed!r}")
+        _require_seed(self.seed)
+        if not (callable(getattr(self.shape, "h2", None))
+                and callable(getattr(self.shape, "h3", None))):
+            raise ValueError("shape must define h2() and h3(), its second "
+                             "and third derivatives at 0")
         object.__setattr__(self, "dims", dims)
         check_shape(self.shape)
 
@@ -102,11 +102,8 @@ def predicted_acceptance(h3: float, h2: float, ell: float) -> float:
 
 
 def _shape_derivatives(shape: Callable) -> tuple:
-    if hasattr(shape, "h2") and hasattr(shape, "h3"):
-        return float(shape.h2()), float(shape.h3())
-    scalar = lambda t: float(np.asarray(shape(np.array([t])), dtype=float)[0])
-    return (numdiff.richardson_second_derivative(scalar, 0.0, h0=0.05),
-            numdiff.richardson_third_derivative(scalar, 0.0, h0=0.05))
+    """(h''(0), h'''(0)) from the shape's own h2() and h3()."""
+    return float(shape.h2()), float(shape.h3())
 
 
 def _envelope_log_constant(shape: Callable, beta: float, env_sd: float) -> float:

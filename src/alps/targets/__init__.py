@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..config import _require_int
 from ..density import TargetDensity
 from .gaussian import GaussianMixtureTarget, GaussianTarget
 from .product import GaussianShape, IidProductTarget, SkewShape
@@ -35,7 +36,8 @@ TARGET_PARAMS = {
 def build_target(name: str, params: dict | None = None) -> TargetDensity:
     """Construct a named target from a config parameter block.
 
-    Unknown target names and parameter keys are errors.
+    Unknown target names and parameter keys are errors, and so is a
+    `dim` that is not an integer.
     """
     params = dict(params or {})
     if name not in TARGET_PARAMS:
@@ -50,8 +52,10 @@ def build_target(name: str, params: dict | None = None) -> TargetDensity:
     if name == "gaussian_mixture":
         return GaussianMixtureTarget(params["weights"], params["mus"],
                                      params["sigmas"])
+    if "dim" in params:
+        _require_int(params["dim"], "target.params.dim")
     if name == "skew_normal_mixture_20d":
-        return benchmark_target(dim=int(params.get("dim", 20)),
+        return benchmark_target(dim=params.get("dim", 20),
                                 alpha=float(params.get("alpha", 10.0)))
     if name == "sur_grunfeld":
         data = load_grunfeld(first_years=params.get("first_years", 15))
@@ -62,5 +66,5 @@ def build_target(name: str, params: dict | None = None) -> TargetDensity:
         return SurProfileTarget(data)
     # iid_product_skew
     shape = SkewShape(alpha=float(params.get("alpha", 2.0)))
-    return IidProductTarget(shape, dim=int(params["dim"]),
+    return IidProductTarget(shape, dim=params["dim"],
                             beta=float(params.get("beta", 1.0)))

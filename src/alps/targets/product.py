@@ -17,10 +17,10 @@ from .skewnormal import (skew_log_pdf, skew_log_pdf_d2, skew_log_pdf_d3,
                          skew_normal_mode_offset)
 
 
-def check_shape(h: Callable, grid_half: float = 8.0) -> None:
-    """Grid verification that h is a valid shape: finite, h(0) = 0,
-    unique maximum at 0, strictly negative curvature there."""
-    grid = np.linspace(-grid_half, grid_half, 1601)
+def check_shape(h: Callable) -> None:
+    """Grid verification on [-8, 8] that h is a valid shape: finite,
+    h(0) = 0, unique maximum at 0, strictly negative curvature there."""
+    grid = np.linspace(-8.0, 8.0, 1601)
     vals = np.asarray(h(grid), dtype=float)
     if not np.all(np.isfinite(vals)):
         raise ValueError("h must be finite on the check grid")
@@ -38,12 +38,10 @@ def check_shape(h: Callable, grid_half: float = 8.0) -> None:
 class IidProductTarget(TargetDensity):
     """log pi(x) = beta * sum_i h(x_i) with h(0) = 0 and the max at 0."""
 
-    def __init__(self, h: Callable, dim: int, beta: float = 1.0,
-                 validate: bool = True):
+    def __init__(self, h: Callable, dim: int, beta: float = 1.0):
         if beta <= 0:
             raise ValueError("beta must be positive")
-        if validate:
-            check_shape(h)
+        check_shape(h)
         self.h = h
         self.beta = float(beta)
         super().__init__(dim=dim, log_density=self._logpdf, name="iid_product")

@@ -56,10 +56,6 @@ class SurData:
         """Stacked response vector, equation-major, length M * N."""
         return self.Y.reshape(-1)
 
-    @property
-    def X_blocks(self) -> list:
-        return [self.X[m] for m in range(self.M)]
-
     def _moments(self):
         if "XtX" not in self._cache:
             self._cache["XtX"] = np.einsum("lni,mnj->lmij", self.X, self.X)

@@ -17,7 +17,6 @@ MINIMAL = {
 def test_minimal_config_parses_with_defaults():
     cfg = RunConfig.from_dict(MINIMAL)
     assert cfg.seed == 7
-    assert cfg.v == 5
     assert cfg.n_levels == 2
     assert cfg.n_swaps == 1
     assert cfg.swap_strategy == "uniform"
@@ -51,8 +50,6 @@ def test_value_validation():
     with pytest.raises(ConfigError):
         RunConfig.from_dict(dict(MINIMAL, ladder={"betas": [0.0, 1.0]}))
     with pytest.raises(ConfigError):
-        RunConfig.from_dict(dict(MINIMAL, v=0))
-    with pytest.raises(ConfigError):
         RunConfig.from_dict(dict(MINIMAL, swap_quanta_prob=1.5))
     with pytest.raises(ConfigError):
         RunConfig.from_dict(dict(MINIMAL, swap_strategy="roundrobin"))
@@ -77,7 +74,7 @@ def test_swap_strategy_even_odd_accepted():
 
 
 def test_derived_quantities():
-    cfg = RunConfig.from_dict(dict(MINIMAL, v=5, total_target_samples=101,
+    cfg = RunConfig.from_dict(dict(MINIMAL, total_target_samples=101,
                                    burnin_samples=10))
     assert cfg.n_sweeps == 21
     assert cfg.burnin_sweeps == 2
@@ -117,7 +114,7 @@ def test_benchmark_preset_values():
     cfg = RunConfig.from_dict(preset_dict("synthetic-20d"))
     assert cfg.ladder.betas == [1.0, 4.0, 16.0, 64.0, 256.0, 1024.0, 4096.0]
     assert cfg.ladder.beta_hot == 5e-6
-    assert cfg.n_swaps == 6 and cfg.v == 5
+    assert cfg.n_swaps == 6
     assert cfg.rwm.step_scale == 2.38 / np.sqrt(20.0)
     assert cfg.total_target_samples == 200000
     pt = RunConfig.from_dict(preset_dict("synthetic-20d-pt"))
@@ -183,7 +180,7 @@ def test_settable_values_are_pinned():
     cfg = RunConfig.from_dict(dict(MINIMAL, truncation={}))
     assert leaf_settings(cfg) == [
         "target.name", "target.params", "ladder.betas", "ladder.beta_hot",
-        "seed", "v", "swap_quanta_prob", "swap_strategy",
+        "seed", "swap_quanta_prob", "swap_strategy",
         "rwm.step_scale",
         "exploration.step_scale", "exploration.refresh_from_modes",
         "truncation.level", "total_target_samples", "burnin_samples",

@@ -13,7 +13,7 @@ from scipy import stats
 
 from alps import cli, exploration, kernels, runner
 from alps.cli import main
-from alps.config import ConfigError, RunConfig, preset_dict
+from alps.config import V, ConfigError, RunConfig, preset_dict
 from alps.density import TargetDensity
 from alps.diagnostics import (HOT, LEAP, LEAP_LOCAL, RWM, SWAP_QUANTA,
                               SWAP_STANDARD, running_prob_estimate)
@@ -43,7 +43,6 @@ def gaussian_config(**over):
         "target": {"name": "gaussian"},
         "ladder": {"betas": [1.0, 4.0]},
         "seed": 0,
-        "v": 5,
         "total_target_samples": 20000,
         "burnin_samples": 1000,
         "exploration": None,
@@ -85,8 +84,8 @@ def test_alps_run_counter_identities():
     t = diag.n_sweeps
     def totals(move):
         return sum(n for (mv, _), (a, n) in diag.counters.items() if mv == move)
-    assert totals(RWM) == cfg.v * t
-    assert totals(LEAP) + totals(LEAP_LOCAL) == cfg.v * t
+    assert totals(RWM) == V * t
+    assert totals(LEAP) + totals(LEAP_LOCAL) == V * t
     assert totals(SWAP_QUANTA) + totals(SWAP_STANDARD) == cfg.n_swaps * t
     assert len(diag.mode_visits_level0) == t
     assert len(diag.mode_visits_top) == t
@@ -176,6 +175,7 @@ def test_cli_no_modes_without_exploration_is_config_error(tmp_path, capsys):
     ({"thinning": False}, "config: unknown key(s) ['thinning']"),
     ({"freeze_sweep": 2.5}, "config: unknown key(s) ['freeze_sweep']"),
     ({"registry_tol": 0.5}, "config: unknown key(s) ['registry_tol']"),
+    ({"v": 5}, "config: unknown key(s) ['v']"),
     ({"exploration": {"n_hot_chains": 1.5}},
      "exploration: unknown key(s) ['n_hot_chains']"),
     ({"exploration": {"n_hot_chains": True}},
@@ -202,8 +202,7 @@ def test_cli_bad_settings_are_config_errors(tmp_path, capsys, override,
 
 
 @pytest.mark.parametrize("key, value", [
-    ("v", 2.5), ("v", True),
-    ("total_target_samples", 10.5), ("burnin_samples", 2.0), ("v", "5"),
+    ("total_target_samples", 10.5), ("burnin_samples", 2.0),
     ("seed", 1.7), ("seed", True), ("seed", "3"),
 ])
 def test_cli_integer_settings_reject_floats_and_bools(tmp_path, capsys, key,
@@ -221,6 +220,55 @@ def test_cli_integer_settings_reject_floats_and_bools(tmp_path, capsys, key,
     path.write_text(json.dumps(config))
     assert main(["run", "--config", str(path)]) == 2
     assert capsys.readouterr().err == f"config error: {key} must be an integer\n"
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 64 + 1])
+@pytest.mark.parametrize("source", ["cli", "file"])
+def test_cli_seeds_outside_the_philox_key_are_config_errors(tmp_path, capsys,
+                                                           source, seed):
+    # the streams are keyed on 64 bits: 2^64 + 1 used to run as seed 1
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "target": {"name": "gaussian", "params": {"mu": [0.0],
+                                                  "sigma": [[1.0]]}},
+        "ladder": {"betas": [1.0, 0.5]}, "exploration": None,
+        "seed": seed if source == "file" else 0,
+        "total_target_samples": 10}))
+    argv = ["pt", "--config", str(path)]
+    assert main(argv + (["--seed", str(seed)] if source == "cli" else [])) == 2
+    assert capsys.readouterr().err == ("config error: seed must be a "
+                                       "non-negative integer below 2^64\n")
+
+
+@pytest.mark.parametrize("name, dim", [
+    ("iid_product_skew", 20.7), ("iid_product_skew", True),
+    ("iid_product_skew", "20"), ("skew_normal_mixture_20d", 20.0),
+    ("skew_normal_mixture_20d", "20"),
+])
+def test_cli_target_dim_must_be_an_integer(tmp_path, capsys, name, dim):
+    # int() used to run 20.7 as d = 20 and true as d = 1
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "target": {"name": name, "params": {"dim": dim}},
+        "ladder": {"betas": [1.0, 0.5]}, "seed": 0, "exploration": None,
+        "total_target_samples": 10}))
+    assert main(["pt", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == ("config error: bad target spec: "
+                                       "target.params.dim must be an "
+                                       "integer\n")
+
+
+def test_cli_missing_sur_csv_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    missing = tmp_path / "no_such_panel.csv"
+    path.write_text(json.dumps({
+        "target": {"name": "sur_csv", "params": {"path": str(missing)}},
+        "ladder": {"betas": [1.0, 0.5]}, "seed": 0, "exploration": None,
+        "total_target_samples": 10}))
+    assert main(["pt", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: bad target spec: ")
+    assert str(missing) in err
 
 
 @pytest.mark.parametrize("run_fn, betas, truncation", [
@@ -312,7 +360,7 @@ def test_pt_run_counter_identities():
     target.component_locations = np.array([[-1.0], [2.0]])
     samples, diag = pt_run(cfg, target)
     t = diag.n_sweeps
-    assert proposals(diag, RWM) == cfg.v * t * 3
+    assert proposals(diag, RWM) == V * t * 3
     assert proposals(diag, SWAP_STANDARD) == cfg.n_swaps * t
     assert proposals(diag, SWAP_QUANTA) == 0
     assert len(diag.mode_visits_level0) == len(diag.mode_visits_top) == t
@@ -333,7 +381,7 @@ def test_pt_run_swaps_evaluate_no_density(monkeypatch):
     samples, diag = pt_run(cfg, target)
     assert proposals(diag, SWAP_STANDARD) == cfg.n_swaps * diag.n_sweeps > 0
     carried = len(calls)
-    assert carried == 3 * (1 + cfg.v * diag.n_sweeps)
+    assert carried == 3 * (1 + V * diag.n_sweeps)
     # and the run is the one that prices every swap by two evaluations
     monkeypatch.setattr(
         runner, "standard_swap_core",
@@ -415,20 +463,19 @@ def reference_rwm_core_alloc(x, logp_x, target, step_scale, z, u, a_x=None):
 
 
 def reference_rwm_phase(run, t, levels):
-    """The RWM phase updating one level after another, v steps each, level
+    """The RWM phase updating one level after another, V steps each, level
     i's step r taking its z and u from row i of the sweep's draw block's
     repetition r; the chain's record is evaluated afresh at its last
     state."""
-    v = run.config.v
     rng = run.factory.stream(runner.RWM_STREAM, t)
-    Z = rng.standard_normal((v, len(levels), run.target.dim))
-    U = rng.random((v, len(levels)))
+    Z = rng.standard_normal((V, len(levels), run.target.dim))
+    U = rng.random((V, len(levels)))
     for i, k in enumerate(levels):
         accepted = 0
         a_k = None
         x = run.states[k].x
         logp = run.level_targets[k].value(run.states[k])[0]
-        for r in range(v):
+        for r in range(V):
             x, logp, a_k, acc = reference_rwm_core_alloc(
                 x, logp, run.level_targets[k], run.step_scales[k], Z[r, i],
                 U[r, i], a_k)
@@ -437,7 +484,7 @@ def reference_rwm_phase(run, t, levels):
             if k == 0:
                 run.diag.record_sample(x)
         run.states[k] = run.level_targets[k].record(x)
-        run.tune(k, accepted / v, t)
+        run.tune(k, accepted / V, t)
 
 
 def two_mode_alps_case():
@@ -713,13 +760,13 @@ def test_batched_swap_draws_equal_sequential_reference(monkeypatch, case):
 def reference_settings(config):
     """The exploration settings as the hot chain read them."""
     ec = config.exploration
-    return SimpleNamespace(beta_hot=config.ladder.beta_hot, v=config.v,
+    return SimpleNamespace(beta_hot=config.ladder.beta_hot,
                            step_scale=ec.step_scale,
                            refresh_from_modes=ec.refresh_from_modes)
 
 
 def reference_mfind(x_hot, registry, base, cfg, rng, count, log_cb=None):
-    """One exploration step as one function: the refresh coin, v + 1
+    """One exploration step as one function: the refresh coin, V + 1
     `hot_step` updates (two evaluations each), each passed to `count`,
     then the ascent, Hessian and insertion; returns (x_hot', registry',
     found_new)."""
@@ -727,7 +774,7 @@ def reference_mfind(x_hot, registry, base, cfg, rng, count, log_cb=None):
     if cfg.refresh_from_modes > 0.0 and registry.n_modes > 0:
         if rng.random() < cfg.refresh_from_modes:
             x_hot = kernels.mixture_propose(registry.snapshot(), 1.0, rng)
-    for _ in range(cfg.v + 1):
+    for _ in range(V + 1):
         x_hot, accepted = exploration.hot_step(x_hot, cfg.beta_hot, base, rng,
                                                cfg.step_scale)
         count(accepted)
@@ -861,7 +908,7 @@ def test_runner_hot_chains_equal_mfind_hot_step_reference(monkeypatch, case):
     sweep_searches = len(diag.discovery_log) - bootstrap
     assert registry.n_modes == 2 and diag.registry_events
     assert sweep_searches == cfg.burnin_sweeps < diag.n_sweeps
-    assert diag.counters[(HOT, -1)][1] == (cfg.v + 1) * (
+    assert diag.counters[(HOT, -1)][1] == (V + 1) * (
         bootstrap + cfg.burnin_sweeps)
 
 
@@ -924,7 +971,7 @@ def test_lais_run_counter_identities():
     target = GaussianTarget(np.zeros(1), np.eye(1))
     samples, diag = alps_run(cfg, target)
     t = diag.n_sweeps
-    assert proposals(diag, LEAP) + proposals(diag, LEAP_LOCAL) == cfg.v * t
+    assert proposals(diag, LEAP) + proposals(diag, LEAP_LOCAL) == V * t
     assert proposals(diag, RWM) == 0
     assert proposals(diag, SWAP_QUANTA) + proposals(diag, SWAP_STANDARD) == 0
     assert len(diag.mode_visits_level0) == t
@@ -1028,7 +1075,7 @@ def test_emit_outputs_files_and_reproducibility(tmp_path):
         lines = fh.read().splitlines()
     assert lines[0] == "sweep,x0"
     assert len(lines) == 1 + 200  # 2000 samples thinned by 10
-    # sample i is recorded in sweep i // v (v = 5)
+    # sample i is recorded in sweep i // V (V = 5)
     assert [int(line.split(",")[0]) for line in lines[1:]] == \
         list(range(0, 400, 2))
 

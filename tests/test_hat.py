@@ -20,7 +20,7 @@ def registry_snapshot(mus, sigmas, log_pis, dim):
 
 
 def empty_snapshot(dim):
-    return RegistrySnapshot(version=0, dim=dim, tol=2.0,
+    return RegistrySnapshot(version=0, dim=dim,
                             mus=np.zeros((0, dim)),
                             chols=np.zeros((0, dim, dim)),
                             log_dets=np.zeros(0), log_weights=np.zeros(0),

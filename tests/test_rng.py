@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from alps.rng import (EXPLORE_STREAM, LEAP_STREAM, RWM_STREAM,
                       SCALING_STREAM, SWAP_STREAM, StreamFactory, substream)
@@ -15,6 +16,18 @@ def test_substream_distinct_keys_differ():
     assert not np.array_equal(base, substream(8, 3, 11).standard_normal(20))
     assert not np.array_equal(base, substream(7, 4, 11).standard_normal(20))
     assert not np.array_equal(base, substream(7, 3, 12).standard_normal(20))
+
+
+def test_seeds_outside_the_64_bit_key_are_rejected():
+    # the key used to take seed mod 2^64, so 2^64 + 1 drew what 1 draws
+    for seed in (-1, 2 ** 64, 2 ** 64 + 1):
+        with pytest.raises(ValueError, match="seed"):
+            substream(seed, 3)
+        with pytest.raises(ValueError, match="seed"):
+            StreamFactory(seed)
+    top = substream(2 ** 64 - 1, 3).random(4)
+    np.testing.assert_array_equal(
+        StreamFactory(2 ** 64 - 1).stream(3).random(4), top)
 
 
 def test_stream_constants_distinct():

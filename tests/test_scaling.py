@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from alps import scaling
+from alps import cli, scaling
 from alps.cli import main
 from alps.rng import SCALING_STREAM, StreamFactory
 from alps.scaling import (EnvelopeViolationError, ScalingExperimentConfig,
@@ -370,3 +370,26 @@ def test_seed_must_be_a_non_negative_integer(capsys):
     assert main(["scaling", "--seed", "-1"]) == 2
     assert capsys.readouterr().err.startswith(
         "config error: seed must be a non-negative integer")
+
+
+def test_seeds_outside_the_philox_key_are_config_errors(capsys):
+    # the streams are keyed on 64 bits: 2^64 used to print the rows of 0
+    for seed in (2 ** 64, 2 ** 64 + 1):
+        with pytest.raises(ValueError, match="seed"):
+            ScalingExperimentConfig(shape=GaussianShape(), ell=1.0, seed=seed)
+    assert main(["scaling", "--seed", str(2 ** 64)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: seed must be a non-negative integer below 2^64\n")
+
+
+def test_shape_without_its_derivatives_is_a_config_error(monkeypatch, capsys):
+    def bare_gaussian(x):
+        x = np.asarray(x, dtype=float)
+        return -0.5 * x * x
+
+    with pytest.raises(ValueError, match=r"h2\(\) and h3\(\)"):
+        ScalingExperimentConfig(shape=bare_gaussian, ell=1.0)
+    monkeypatch.setattr(cli, "GaussianShape", lambda: bare_gaussian)
+    assert main(["scaling", "--shape", "gaussian"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: shape must define h2() and h3()")

@@ -60,7 +60,7 @@ def test_gls_matches_dense_kronecker_solve():
     w = rng.standard_normal((3, 3))
     sigma = w @ w.T + 3.0 * np.eye(3)
     # stacked GLS with the full MN x MN weight, equation-major order
-    big_x = block_diag(*data.X_blocks)
+    big_x = block_diag(*data.X)
     weight = np.kron(np.linalg.inv(sigma), np.eye(data.N))
     dense = np.linalg.solve(big_x.T @ weight @ big_x,
                             big_x.T @ weight @ data.y)

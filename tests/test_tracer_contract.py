@@ -10,8 +10,10 @@ import os
 import subprocess
 import sys
 
+from alps.config import V
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-V, SWEEPS, LEVELS = 5, 10, 3
+SWEEPS, LEVELS = 10, 3
 
 SCRIPT = f"""
 import json
@@ -28,7 +30,7 @@ from alps.targets.gaussian import GaussianTarget
 t = tracer.Tracer()
 tracer.instrument(t)
 config = RunConfig.from_dict({{
-    "target": {{"name": "gaussian"}}, "seed": 0, "v": {V},
+    "target": {{"name": "gaussian"}}, "seed": 0,
     "ladder": {{"betas": [0.5 ** k for k in range({LEVELS})]}},
     "exploration": None, "total_target_samples": {V * SWEEPS}}})
 t.wrap("runner", runner.pt_run)(config, GaussianTarget(np.zeros(1), np.eye(1)))
@@ -59,7 +61,7 @@ target = build_target("iid_product_skew", {{"dim": {DIM}, "alpha": 10.0}})
 t = tracer.Tracer()
 tracer.instrument(t)
 config = RunConfig.from_dict({{
-    "target": {{"name": "iid_product_skew"}}, "seed": 0, "v": {V},
+    "target": {{"name": "iid_product_skew"}}, "seed": 0,
     "ladder": {{"betas": [0.5 ** k for k in range({LEVELS})]}},
     "exploration": None, "total_target_samples": {V * SWEEPS}}})
 t.wrap("runner", runner.pt_run)(config, target)
@@ -88,7 +90,7 @@ from alps.targets.gaussian import GaussianMixtureTarget
 t = tracer.Tracer()
 tracer.instrument(t)
 config = RunConfig.from_dict({{
-    "target": {{"name": "gaussian_mixture"}}, "seed": 0, "v": {V},
+    "target": {{"name": "gaussian_mixture"}}, "seed": 0,
     "ladder": {{"betas": [2.0 ** k for k in range({LEVELS})],
                 "beta_hot": 0.2}},
     "exploration": {{"step_scale": 3.0}},
@@ -123,7 +125,7 @@ from alps.targets.gaussian import GaussianMixtureTarget
 t = tracer.Tracer()
 tracer.instrument(t)
 config = RunConfig.from_dict({{
-    "target": {{"name": "gaussian_mixture"}}, "seed": 0, "v": {V},
+    "target": {{"name": "gaussian_mixture"}}, "seed": 0,
     "ladder": {{"betas": [2.0 ** k for k in range({LEVELS})]}},
     "exploration": None, "truncation": {{"level": 0.99}},
     "initial_modes": [[0.0, 0.0], [3.0, 0.5]],
