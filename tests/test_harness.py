@@ -175,7 +175,6 @@ def test_cli_no_modes_without_exploration_is_config_error(tmp_path, capsys):
     ({"thinning": False}, "config: unknown key(s) ['thinning']"),
     ({"freeze_sweep": 2.5}, "config: unknown key(s) ['freeze_sweep']"),
     ({"registry_tol": 0.5}, "config: unknown key(s) ['registry_tol']"),
-    ({"v": 5}, "config: unknown key(s) ['v']"),
     ({"exploration": {"n_hot_chains": 1.5}},
      "exploration: unknown key(s) ['n_hot_chains']"),
     ({"exploration": {"n_hot_chains": True}},
@@ -186,6 +185,19 @@ def test_cli_no_modes_without_exploration_is_config_error(tmp_path, capsys):
     ({"rwm": {"tune": False}}, "rwm: unknown key(s) ['tune']"),
     ({"exploration": {"max_bootstrap_attempts": 3}},
      "exploration: unknown key(s) ['max_bootstrap_attempts']"),
+    # appended cases keep the ids of those above
+    ({"v": 5}, "config: unknown key(s) ['v']"),
+    # the streams are keyed on 64 bits: 2^64 + 1 used to run as seed 1
+    ({"seed": 2 ** 64}, "seed must be a non-negative integer below 2^64"),
+    ({"seed": 2 ** 64 + 1}, "seed must be a non-negative integer below 2^64"),
+    # int() used to run 20.7 as d = 20 and true as d = 1; a missing file
+    # used to end in a bare FileNotFoundError
+    *[({"target": {"name": name, "params": {"dim": dim}}},
+       "bad target spec: target.params.dim must be an integer")
+      for name in ("iid_product_skew", "skew_normal_mixture_20d")
+      for dim in (20.7, True, "20")],
+    ({"target": {"name": "sur_csv", "params": {"path": "missing/panel.csv"}}},
+     "bad target spec: [Errno 2] No such file or directory"),
 ])
 def test_cli_bad_settings_are_config_errors(tmp_path, capsys, override,
                                             message):
@@ -220,55 +232,6 @@ def test_cli_integer_settings_reject_floats_and_bools(tmp_path, capsys, key,
     path.write_text(json.dumps(config))
     assert main(["run", "--config", str(path)]) == 2
     assert capsys.readouterr().err == f"config error: {key} must be an integer\n"
-
-
-@pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 64 + 1])
-@pytest.mark.parametrize("source", ["cli", "file"])
-def test_cli_seeds_outside_the_philox_key_are_config_errors(tmp_path, capsys,
-                                                           source, seed):
-    # the streams are keyed on 64 bits: 2^64 + 1 used to run as seed 1
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps({
-        "target": {"name": "gaussian", "params": {"mu": [0.0],
-                                                  "sigma": [[1.0]]}},
-        "ladder": {"betas": [1.0, 0.5]}, "exploration": None,
-        "seed": seed if source == "file" else 0,
-        "total_target_samples": 10}))
-    argv = ["pt", "--config", str(path)]
-    assert main(argv + (["--seed", str(seed)] if source == "cli" else [])) == 2
-    assert capsys.readouterr().err == ("config error: seed must be a "
-                                       "non-negative integer below 2^64\n")
-
-
-@pytest.mark.parametrize("name, dim", [
-    ("iid_product_skew", 20.7), ("iid_product_skew", True),
-    ("iid_product_skew", "20"), ("skew_normal_mixture_20d", 20.0),
-    ("skew_normal_mixture_20d", "20"),
-])
-def test_cli_target_dim_must_be_an_integer(tmp_path, capsys, name, dim):
-    # int() used to run 20.7 as d = 20 and true as d = 1
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps({
-        "target": {"name": name, "params": {"dim": dim}},
-        "ladder": {"betas": [1.0, 0.5]}, "seed": 0, "exploration": None,
-        "total_target_samples": 10}))
-    assert main(["pt", "--config", str(path)]) == 2
-    assert capsys.readouterr().err == ("config error: bad target spec: "
-                                       "target.params.dim must be an "
-                                       "integer\n")
-
-
-def test_cli_missing_sur_csv_is_a_config_error(tmp_path, capsys):
-    path = tmp_path / "config.json"
-    missing = tmp_path / "no_such_panel.csv"
-    path.write_text(json.dumps({
-        "target": {"name": "sur_csv", "params": {"path": str(missing)}},
-        "ladder": {"betas": [1.0, 0.5]}, "seed": 0, "exploration": None,
-        "total_target_samples": 10}))
-    assert main(["pt", "--config", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error: bad target spec: ")
-    assert str(missing) in err
 
 
 @pytest.mark.parametrize("run_fn, betas, truncation", [
