@@ -42,8 +42,6 @@ import math
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
-import numpy as np
-
 from .rng import SEED_LIMIT
 
 # within-level updates per level and sweep (see the module docstring)
@@ -120,28 +118,6 @@ class LadderConfig:
 
 
 @dataclass
-class RwmSettings:
-    step_scale: float | list = 1.0    # one per level, or one for all
-
-    def __post_init__(self):
-        scales = ([self.step_scale]
-                  if isinstance(self.step_scale, (int, float))
-                  else self.step_scale)
-        for scale in scales:
-            _require_number(scale, "rwm.step_scale")
-        if not all(s > 0 for s in scales):
-            raise ConfigError("rwm.step_scale must be positive numbers")
-
-    def step_scales(self, n_levels: int) -> list:
-        if isinstance(self.step_scale, (int, float)):
-            return [float(self.step_scale)] * n_levels
-        if len(self.step_scale) != n_levels:
-            raise ConfigError(f"rwm.step_scale: expected {n_levels} entries, "
-                              f"got {len(self.step_scale)}")
-        return [float(s) for s in self.step_scale]
-
-
-@dataclass
 class TruncationSettings:
     """Present in a config, it truncates the levels with beta > 1 at the
     chi-squared quantile `level` (see `runner._Run`)."""
@@ -178,7 +154,6 @@ class RunConfig:
     seed: int
     swap_quanta_prob: float = 0.5
     swap_strategy: str = "uniform"    # "uniform" | "even_odd"
-    rwm: RwmSettings = field(default_factory=RwmSettings)
     exploration: Optional[ExplorationSettings] = field(
         default_factory=ExplorationSettings)
     truncation: Optional[TruncationSettings] = None
@@ -206,7 +181,6 @@ class RunConfig:
             raise ConfigError("initial_modes must be a list of points")
         if not isinstance(self.out_dir, (str, type(None))):
             raise ConfigError("out_dir must be a string")
-        self.rwm.step_scales(self.n_levels)  # a list must match the ladder
 
     # Derived quantities -------------------------------------------------
     @property
@@ -237,7 +211,6 @@ class RunConfig:
         # null switches an optional section off; a mandatory one rejects it
         for key, section, optional in (
                 ("target", TargetSpec, False), ("ladder", LadderConfig, False),
-                ("rwm", RwmSettings, False),
                 ("truncation", TruncationSettings, True),
                 ("exploration", ExplorationSettings, True)):
             if key in obj and not (optional and obj[key] is None):
@@ -275,7 +248,6 @@ def _benchmark_preset() -> dict:
                    "betas": [1.0, 4.0, 16.0, 64.0, 256.0, 1024.0, 4096.0]},
         "seed": 1,
         "swap_quanta_prob": 0.5,
-        "rwm": {"step_scale": 2.38 / np.sqrt(20.0)},
         "exploration": {"step_scale": 120.0, "refresh_from_modes": 0.0},
         "total_target_samples": 200000,
         "burnin_samples": 15000,
@@ -290,8 +262,6 @@ def _benchmark_pt_preset() -> dict:
         "target": {"name": "skew_normal_mixture_20d", "params": {}},
         "ladder": {"betas": [0.6 ** k for k in range(14)]},
         "seed": 1,
-        "rwm": {"step_scale": [2.38 / np.sqrt(20.0 * 0.6 ** k)
-                               for k in range(14)]},
         "exploration": None,
         "total_target_samples": 200000,
         "burnin_samples": 15000,
@@ -305,7 +275,6 @@ def _benchmark_lais_preset() -> dict:
         "target": {"name": "skew_normal_mixture_20d", "params": {}},
         "ladder": {"beta_hot": 5e-6, "betas": [1.0]},
         "seed": 1,
-        "rwm": {"step_scale": 2.38 / np.sqrt(20.0)},
         "exploration": {"step_scale": 120.0},
         "total_target_samples": 200000,
         "burnin_samples": 15000,
@@ -322,7 +291,6 @@ def _sur_grunfeld_preset() -> dict:
                    "betas": [1.00, 1.10, 1.40, 1.96, 2.74, 3.84, 5.38]},
         "seed": 1,
         "swap_quanta_prob": 0.5,
-        "rwm": {"step_scale": 2.38 / np.sqrt(15.0)},
         "exploration": {"step_scale": 40.0, "refresh_from_modes": 0.25},
         "truncation": {"level": 0.9999},
         "total_target_samples": 20000,

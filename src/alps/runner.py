@@ -92,8 +92,10 @@ logger = logging.getLogger(__name__)
 
 _BOOTSTRAP_COUNTER_BASE = 1 << 62
 MAX_BOOTSTRAP_ATTEMPTS = 2000
-# Step tuning aims at the acceptance rate that is optimal for RWM in high
-# dimension (Roberts, Gelman & Gilks 1997).
+# RWM steps start at 2.38/sqrt(d) in the level's units and are tuned toward
+# acceptance 0.234, both optimal for RWM in high dimension (Roberts, Gelman
+# & Gilks 1997).
+RWM_INITIAL_STEP = 2.38
 RWM_TUNE_TARGET = 0.234
 
 
@@ -170,7 +172,9 @@ class _Run:
                   else chi2_quantile(config.truncation.level, d))
         self.radii = np.where(betas > 1.0, radius, np.inf)
         self.build_levels()
-        self.step_scales = np.array(config.rwm.step_scales(self.n + 1))
+        # HAT proposals divide by sqrt(beta) themselves (`rwm_propose`)
+        self.step_scales = RWM_INITIAL_STEP / np.sqrt(
+            d * (np.ones_like(betas) if hat else betas))
         self.locations = getattr(target, "component_locations", None)
 
     def _find_modes(self, x0: np.ndarray) -> None:

@@ -6,6 +6,8 @@ import pytest
 
 from alps.config import (ConfigError, PRESETS, RunConfig, deep_merge,
                          load_config, preset_dict)
+from alps.runner import _Run
+from alps.targets import build_target
 
 MINIMAL = {
     "target": {"name": "skew_normal_mixture_20d"},
@@ -20,7 +22,6 @@ def test_minimal_config_parses_with_defaults():
     assert cfg.n_levels == 2
     assert cfg.n_swaps == 1
     assert cfg.swap_strategy == "uniform"
-    assert cfg.rwm.step_scale == 1.0
     # exploration is on and truncation off unless a config says otherwise
     assert cfg.exploration is not None and cfg.truncation is None
 
@@ -58,9 +59,6 @@ def test_value_validation():
     with pytest.raises(ConfigError, match="beta_hot"):
         RunConfig.from_dict(dict(MINIMAL, ladder={"betas": [1.0],
                                                   "beta_hot": 2.0}))
-    for step in (0, -1.0, [1.0, -2.0]):
-        with pytest.raises(ConfigError, match="step_scale"):
-            RunConfig.from_dict(dict(MINIMAL, rwm={"step_scale": step}))
     with pytest.raises(ConfigError, match="exploration"):
         RunConfig.from_dict(dict(MINIMAL, exploration={"step_scale": 0.0}))
     with pytest.raises(ConfigError, match="refresh_from_modes"):
@@ -79,21 +77,6 @@ def test_derived_quantities():
     assert cfg.n_sweeps == 21
     assert cfg.burnin_sweeps == 2
     assert cfg.n_swaps == 1
-
-
-def test_step_scales_broadcast_and_length_check():
-    cfg = RunConfig.from_dict(dict(MINIMAL, rwm={"step_scale": 0.5}))
-    assert cfg.rwm.step_scales(4) == [0.5] * 4
-    cfg = RunConfig.from_dict(dict(MINIMAL,
-                                   rwm={"step_scale": [0.5, 0.25]}))
-    assert cfg.rwm.step_scales(2) == [0.5, 0.25]
-    with pytest.raises(ConfigError, match="expected 3 entries"):
-        cfg.rwm.step_scales(3)
-    # a list that does not match the ladder fails at parse time, before
-    # a run could start its mode search
-    with pytest.raises(ConfigError,
-                       match="rwm.step_scale: expected 2 entries, got 3"):
-        RunConfig.from_dict(dict(MINIMAL, rwm={"step_scale": [0.5] * 3}))
 
 
 def test_deep_merge_nested_override():
@@ -115,12 +98,19 @@ def test_benchmark_preset_values():
     assert cfg.ladder.betas == [1.0, 4.0, 16.0, 64.0, 256.0, 1024.0, 4096.0]
     assert cfg.ladder.beta_hot == 5e-6
     assert cfg.n_swaps == 6
-    assert cfg.rwm.step_scale == 2.38 / np.sqrt(20.0)
     assert cfg.total_target_samples == 200000
     pt = RunConfig.from_dict(preset_dict("synthetic-20d-pt"))
     assert pt.n_levels == 14
     np.testing.assert_allclose(pt.ladder.betas, [0.6 ** k for k in range(14)])
     assert pt.exploration is None
+    # the initial RWM steps are 2.38/sqrt(d) in each level's units: HAT
+    # levels scale by 1/sqrt(beta) in the proposal, power levels here
+    target = build_target("skew_normal_mixture_20d", {})
+    run = _Run(cfg, target, np.array(cfg.ladder.betas), hat=True)
+    assert run.step_scales.tolist() == [2.38 / np.sqrt(20.0)] * 7
+    run = _Run(pt, target, np.array(pt.ladder.betas), hat=False)
+    assert run.step_scales.tolist() == [2.38 / np.sqrt(20.0 * 0.6 ** k)
+                                        for k in range(14)]
     lais = RunConfig.from_dict(preset_dict("synthetic-20d-lais"))
     assert lais.ladder.betas == [1.0]
     assert lais.n_swaps == 0
@@ -181,7 +171,6 @@ def test_settable_values_are_pinned():
     assert leaf_settings(cfg) == [
         "target.name", "target.params", "ladder.betas", "ladder.beta_hot",
         "seed", "swap_quanta_prob", "swap_strategy",
-        "rwm.step_scale",
         "exploration.step_scale", "exploration.refresh_from_modes",
         "truncation.level", "total_target_samples", "burnin_samples",
         "init", "initial_modes", "running_threshold", "out_dir"]

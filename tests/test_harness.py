@@ -47,7 +47,6 @@ def gaussian_config(**over):
         "burnin_samples": 1000,
         "exploration": None,
         "initial_modes": [[0.0]],
-        "rwm": {"step_scale": 2.4},
     }
     base.update(over)
     return RunConfig.from_dict(base)
@@ -138,15 +137,12 @@ def test_cli_no_modes_without_exploration_is_config_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("override, message", [
     ({"ladder": {"betas": [1.0, 0.5], "beta_hot": 2.0}}, "beta_hot"),
-    ({"rwm": {"tune_target": 5.0}}, "rwm: unknown key(s) ['tune_target']"),
-    ({"rwm": {"step_scale": 0}}, "step_scale"),
-    ({"rwm": {"step_scale": [1.0, -2.0]}}, "step_scale"),
-    ({"rwm": {"hastings": "corrected"}}, "rwm: unknown key"),
+    # the initial RWM steps are derived from d and the ladder
+    ({"rwm": {"step_scale": 2.4}}, "config: unknown key(s) ['rwm']"),
     ({"truncation": {"level": "high"}}, "truncation"),
     ({"target": {"name": "iid_product_skew",
                  "params": {"dim": 1, "alpah": 10.0}}}, "alpah"),
     ({"freeze_sweep": -3}, "config: unknown key(s) ['freeze_sweep']"),
-    ({"rwm": {"step_scale": True}}, "rwm.step_scale must be a number"),
     ({"swap_quanta_prob": True}, "swap_quanta_prob must be a number"),
     ({"ladder": {"betas": [True, 0.5]}}, "ladder.betas must be a number"),
     # Python's json reads NaN and Infinity
@@ -154,7 +150,6 @@ def test_cli_no_modes_without_exploration_is_config_error(tmp_path, capsys):
     ({"ladder": {"betas": [1.0, float("inf")]}}, "ladder.betas must be finite"),
     ({"exploration": {"step_scale": float("nan")}},
      "exploration.step_scale must be finite"),
-    ({"rwm": {"step_scale": float("inf")}}, "rwm.step_scale must be finite"),
     ({"running_threshold": float("nan")}, "running_threshold must be finite"),
     ({"init": "abc"}, "init is not a point"),
     ({"init": [float("inf")]}, "init must be finite"),
@@ -167,8 +162,6 @@ def test_cli_no_modes_without_exploration_is_config_error(tmp_path, capsys):
      "truncation: unknown key(s) ['enabled']"),
     ({"exploration": {"enabled": True}},
      "exploration: unknown key(s) ['enabled']"),
-    # a mandatory section rejects null
-    ({"rwm": None}, "rwm: expected an object, got NoneType"),
     # fixed or derived values are not settings
     ({"s": 1.5}, "config: unknown key(s) ['s']"),
     ({"s": True}, "config: unknown key(s) ['s']"),
@@ -181,8 +174,7 @@ def test_cli_no_modes_without_exploration_is_config_error(tmp_path, capsys):
      "exploration: unknown key(s) ['n_hot_chains']"),
     # used to end in a bare TypeError when the output directory was made
     ({"out_dir": 5}, "out_dir must be a string"),
-    # tuning always runs until the freeze; the bootstrap budget is fixed
-    ({"rwm": {"tune": False}}, "rwm: unknown key(s) ['tune']"),
+    # the bootstrap budget is fixed
     ({"exploration": {"max_bootstrap_attempts": 3}},
      "exploration: unknown key(s) ['max_bootstrap_attempts']"),
     # appended cases keep the ids of those above
@@ -244,9 +236,12 @@ def test_build_levels_truncates_exactly_the_levels_above_one(run_fn, betas,
     target = GaussianMixtureTarget([0.6, 0.4], [[0.0, 0.0], [3.0, 0.5]],
                                    [np.eye(2), 0.5 * np.eye(2)])
     cfg = gaussian_config(ladder={"betas": betas}, truncation=truncation,
-                          initial_modes=[[0.0, 0.0]],
-                          rwm={"step_scale": 1.0})
-    run = runner._Run(cfg, target, np.array(betas), hat=run_fn is alps_run)
+                          initial_modes=[[0.0, 0.0]])
+    hat = run_fn is alps_run
+    run = runner._Run(cfg, target, np.array(betas), hat=hat)
+    # 2.38/sqrt(d) in each level's units; HAT proposals divide by sqrt(beta)
+    np.testing.assert_array_equal(run.step_scales, 2.38 / np.sqrt(
+        2 * (np.ones(len(betas)) if hat else np.array(betas))))
     radius = np.inf if truncation is None else chi2_quantile(0.99, 2)
     expected = [radius if beta > 1.0 else np.inf for beta in betas]
     assert run.radii.tolist() == expected
@@ -298,9 +293,7 @@ def test_alps_run_skipped_initial_mode_logs_warning(caplog):
 
 def test_pt_run_moments_and_ladder_validation():
     target = GaussianTarget(np.zeros(1), np.eye(1))
-    cfg = gaussian_config(ladder={"betas": [1.0, 0.36]},
-                          rwm={"step_scale": [2.4, 4.0]},
-                          initial_modes=None)
+    cfg = gaussian_config(ladder={"betas": [1.0, 0.36]}, initial_modes=None)
     samples, diag = pt_run(cfg, target)
     post = samples[1000:, 0]
     assert abs(np.mean(post)) < 0.06
@@ -313,7 +306,6 @@ def test_pt_run_moments_and_ladder_validation():
 
 def pt_config(**over):
     return gaussian_config(ladder={"betas": [1.0, 0.36, 0.1]},
-                           rwm={"step_scale": [2.4, 4.0, 7.0]},
                            initial_modes=None, **over)
 
 
@@ -455,7 +447,6 @@ def two_mode_alps_case():
                                    [np.eye(2), 0.5 * np.eye(2)])
     cfg = gaussian_config(ladder={"betas": [1.0, 2.0, 6.0]},
                           initial_modes=[[0.0, 0.0], [3.0, 0.5]],
-                          rwm={"step_scale": [2.0, 2.0, 2.0]},
                           truncation={"level": 0.999},
                           total_target_samples=1500, burnin_samples=500)
     return alps_run, cfg, target
@@ -474,14 +465,14 @@ def skew_pt_case():
 # A platform whose libm or BLAS rounds differently changes them.
 PINNED_DIGESTS = {
     "alps-hat": (
-        "a61b29597350f32c34acec2f46601a4020aa799e8eb7c4ff32850bebeb13a149",
-        "a714557231e509e5f0ef3a41596310c4643975383efdcfd155ea667bd40f4f93"),
+        "ddd586468dd3a1e84c1460c6514b1df5b1bed620d3b53ba6de0af41978c75ec8",
+        "cf17b7bada79c3bcd53092ded6e167cc58ded02ab7d43663d49a638e82fc7e47"),
     "pt-batched": (
-        "e8daf03a0d1cde0a0278687dbda44b0dbb6486e3077a72a4bae3d4a471209731",
-        "508187eecde125485bdf9711c2512e74dd933dfd9f631271e65f113cbacff3ec"),
+        "7edcb5f27c76c68535c4fe19d2df3a92ad560f0037daef94e78fd18e54241ffe",
+        "dd183b9c316a577f8613061aa6fc64375f90767a4ce7c381fea8bfbfd10f861a"),
     "alps-exploring": (
-        "c5ce3a861d2b86ce6ba844323023b9ff1dc621c1ea26efedb6895d70d11c301f",
-        "ce7f6e06367a293923187e75efcee08d77fc1c7e0da3a5c1579190c7636b7a68"),
+        "d6e24a866d159e90545a32ffc8c8f764fc5f8ad654e07c0be22643bb9b3e33fd",
+        "57975e79f61de634b4a392a0cedc1972059f4ca80f6d15dd15c9b03ba3fc01d6"),
 }
 
 
@@ -540,7 +531,6 @@ def test_alps_recovers_unequal_mode_weights():
     target = GaussianMixtureTarget(weights, mus, sigmas)
     cfg = gaussian_config(ladder={"betas": [1.0, 8.0]}, initial_modes=mus,
                           init=[0.0, 0.0],
-                          rwm={"step_scale": [1.7, 1.7]},
                           total_target_samples=6000, burnin_samples=600)
     samples, _ = alps_run(cfg, target)
     in_first = samples[cfg.burnin_samples:, 0] < 5.0
@@ -551,8 +541,7 @@ def test_alps_recovers_unequal_mode_weights():
     assert np.count_nonzero(np.diff(in_first)) > 50  # level 0 hops modes
     # a random walk at level 0 alone never leaves the first mode
     walk_cfg = gaussian_config(ladder={"betas": [1.0]}, initial_modes=None,
-                               init=[0.0, 0.0], total_target_samples=3000,
-                               rwm={"step_scale": 1.7})
+                               init=[0.0, 0.0], total_target_samples=3000)
     walk, _ = pt_run(walk_cfg, target)
     assert np.all(walk[:, 0] < 5.0)
 
@@ -823,7 +812,6 @@ def exploring_case(betas=(1.0, 2.0, 6.0), **over):
                                    [np.eye(2), 0.5 * np.eye(2)])
     cfg = gaussian_config(
         ladder={"betas": list(betas), "beta_hot": 0.2},
-        rwm={"step_scale": [2.0] * len(betas)},
         total_target_samples=600, burnin_samples=300,
         **over)
     return alps_run, cfg, target
@@ -940,8 +928,8 @@ def test_lais_run_counter_identities():
     assert len(diag.mode_visits_level0) == t
     assert diag.mode_visits_top == diag.mode_visits_level0
     assert diag.registry.n_modes == 1
-    # the leap-local step is never tuned
-    assert diag.tuned_step_scales == cfg.rwm.step_scales(1)
+    # the leap-local step, 2.38/sqrt(d) at d = 1, is never tuned
+    assert diag.tuned_step_scales == [2.38]
     assert len(samples) == 1000
 
 
