@@ -271,17 +271,7 @@ def _benchmark_pt_preset() -> dict:
 
 
 def _benchmark_lais_preset() -> dict:
-    return {
-        "target": {"name": "skew_normal_mixture_20d", "params": {}},
-        "ladder": {"beta_hot": 5e-6, "betas": [1.0]},
-        "seed": 1,
-        "exploration": {"step_scale": 120.0},
-        "total_target_samples": 200000,
-        "burnin_samples": 15000,
-        "init": [20.0] * 20,
-        "initial_modes": [[20.0] * 20],
-        "running_threshold": 0.5,
-    }
+    return deep_merge(_benchmark_preset(), {"ladder": {"betas": [1.0]}})
 
 
 def _sur_grunfeld_preset() -> dict:

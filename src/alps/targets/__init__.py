@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..config import _require_int
+from ..config import _require_int, _require_number
 from ..density import TargetDensity
 from .gaussian import GaussianMixtureTarget, GaussianTarget
 from .product import GaussianShape, IidProductTarget, SkewShape
@@ -36,8 +36,10 @@ TARGET_PARAMS = {
 def build_target(name: str, params: dict | None = None) -> TargetDensity:
     """Construct a named target from a config parameter block.
 
-    Unknown target names and parameter keys are errors, and so is a
-    `dim` that is not an integer.
+    Unknown target names and parameter keys are errors, and so are a
+    `dim` that is not an integer, an `alpha` or `beta` that is not a
+    finite number, and a `first_years` that is not a positive integer or
+    null (all years).
     """
     params = dict(params or {})
     if name not in TARGET_PARAMS:
@@ -54,15 +56,23 @@ def build_target(name: str, params: dict | None = None) -> TargetDensity:
                                      params["sigmas"])
     if "dim" in params:
         _require_int(params["dim"], "target.params.dim")
+    for key in ("alpha", "beta"):
+        if key in params:
+            _require_number(params[key], f"target.params.{key}")
     if name == "skew_normal_mixture_20d":
         return benchmark_target(dim=params.get("dim", 20),
                                 alpha=float(params.get("alpha", 10.0)))
-    if name == "sur_grunfeld":
-        data = load_grunfeld(first_years=params.get("first_years", 15))
-        return SurProfileTarget(data)
-    if name == "sur_csv":
-        data = load_sur_csv(params["path"],
-                            first_years=params.get("first_years"))
+    if name in ("sur_grunfeld", "sur_csv"):
+        first_years = params.get("first_years",
+                                 15 if name == "sur_grunfeld" else None)
+        if first_years is not None:
+            _require_int(first_years, "target.params.first_years")
+            if first_years < 1:
+                raise ValueError("target.params.first_years must be at least "
+                                 "1, or null for all years")
+        data = (load_grunfeld(first_years=first_years)
+                if name == "sur_grunfeld"
+                else load_sur_csv(params["path"], first_years=first_years))
         return SurProfileTarget(data)
     # iid_product_skew
     shape = SkewShape(alpha=float(params.get("alpha", 2.0)))

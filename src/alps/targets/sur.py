@@ -192,6 +192,16 @@ def sur_profile_loglik(theta: np.ndarray, data: SurData) -> float:
                  - data.N)
 
 
+def _require_identified(data: SurData) -> None:
+    """UnidentifiableSystemError with N <= J observations per equation:
+    OLS then fits every equation exactly and the residual covariance is
+    singular."""
+    if data.N <= data.J:
+        raise UnidentifiableSystemError(
+            f"unidentifiable system: {data.N} observations per equation "
+            f"for {data.J} covariates")
+
+
 @dataclass
 class ZellnerResult:
     theta: np.ndarray
@@ -215,10 +225,7 @@ def zellner_iterate(data: SurData, tol: float = 1e-6,
         raise ValueError("tol must be finite and positive")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    if data.N <= data.J:
-        raise UnidentifiableSystemError(
-            f"unidentifiable system: {data.N} observations per equation "
-            f"for {data.J} covariates")
+    _require_identified(data)
     theta = ols_theta(data)
     trajectory = [sur_profile_loglik(theta, data)]
     fitted = data.Y - _residuals(theta, data)
@@ -254,9 +261,11 @@ def zellner_iterate(data: SurData, tol: float = 1e-6,
 
 
 class SurProfileTarget(TargetDensity):
-    """Profile log-likelihood as a sampling target over theta (dim M * J)."""
+    """Profile log-likelihood as a sampling target over theta (dim M * J);
+    UnidentifiableSystemError with N <= J observations per equation."""
 
     def __init__(self, data: SurData):
+        _require_identified(data)
         self.data = data
         super().__init__(dim=data.dim, log_density=self._logpdf,
                          gradient=self._grad, name="sur_profile")

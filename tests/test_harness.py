@@ -135,14 +135,29 @@ def test_cli_no_modes_without_exploration_is_config_error(tmp_path, capsys):
     assert "config error: no modes discovered" in capsys.readouterr().err
 
 
+# A case's id carries its position: a case that goes leaves its slot to a
+# new one, so the ids of the others stay.
 @pytest.mark.parametrize("override, message", [
     ({"ladder": {"betas": [1.0, 0.5], "beta_hot": 2.0}}, "beta_hot"),
     # the initial RWM steps are derived from d and the ladder
     ({"rwm": {"step_scale": 2.4}}, "config: unknown key(s) ['rwm']"),
+    # target parameters used to run as bool() or float() of what was given
+    ({"target": {"name": "iid_product_skew",
+                 "params": {"dim": 1, "alpha": True}}},
+     "bad target spec: target.params.alpha must be a number"),
+    ({"target": {"name": "iid_product_skew",
+                 "params": {"dim": 1, "alpha": "10"}}},
+     "bad target spec: target.params.alpha must be a number"),
+    ({"target": {"name": "iid_product_skew",
+                 "params": {"dim": 1, "beta": True}}},
+     "bad target spec: target.params.beta must be a number"),
     ({"truncation": {"level": "high"}}, "truncation"),
     ({"target": {"name": "iid_product_skew",
                  "params": {"dim": 1, "alpah": 10.0}}}, "alpah"),
     ({"freeze_sweep": -3}, "config: unknown key(s) ['freeze_sweep']"),
+    # a one-year panel used to run
+    ({"target": {"name": "sur_grunfeld", "params": {"first_years": True}}},
+     "bad target spec: target.params.first_years must be an integer"),
     ({"swap_quanta_prob": True}, "swap_quanta_prob must be a number"),
     ({"ladder": {"betas": [True, 0.5]}}, "ladder.betas must be a number"),
     # Python's json reads NaN and Infinity
@@ -150,6 +165,9 @@ def test_cli_no_modes_without_exploration_is_config_error(tmp_path, capsys):
     ({"ladder": {"betas": [1.0, float("inf")]}}, "ladder.betas must be finite"),
     ({"exploration": {"step_scale": float("nan")}},
      "exploration.step_scale must be finite"),
+    # N = 0 years used to give log pi = NaN; -3 dropped the last 3 years
+    ({"target": {"name": "sur_grunfeld", "params": {"first_years": 0}}},
+     "bad target spec: target.params.first_years must be at least 1"),
     ({"running_threshold": float("nan")}, "running_threshold must be finite"),
     ({"init": "abc"}, "init is not a point"),
     ({"init": [float("inf")]}, "init must be finite"),
@@ -162,6 +180,8 @@ def test_cli_no_modes_without_exploration_is_config_error(tmp_path, capsys):
      "truncation: unknown key(s) ['enabled']"),
     ({"exploration": {"enabled": True}},
      "exploration: unknown key(s) ['enabled']"),
+    ({"target": {"name": "sur_grunfeld", "params": {"first_years": -3}}},
+     "bad target spec: target.params.first_years must be at least 1"),
     # fixed or derived values are not settings
     ({"s": 1.5}, "config: unknown key(s) ['s']"),
     ({"s": True}, "config: unknown key(s) ['s']"),
@@ -174,6 +194,11 @@ def test_cli_no_modes_without_exploration_is_config_error(tmp_path, capsys):
      "exploration: unknown key(s) ['n_hot_chains']"),
     # used to end in a bare TypeError when the output directory was made
     ({"out_dir": 5}, "out_dir must be a string"),
+    # N <= J observations per equation: log pi = -inf at theta = 0 used to
+    # run
+    ({"target": {"name": "sur_grunfeld", "params": {"first_years": 2}}},
+     "bad target spec: unidentifiable system: 2 observations per equation "
+     "for 3 covariates"),
     # the bootstrap budget is fixed
     ({"exploration": {"max_bootstrap_attempts": 3}},
      "exploration: unknown key(s) ['max_bootstrap_attempts']"),
