@@ -59,20 +59,20 @@ def build_target(name: str, params: dict | None = None) -> TargetDensity:
     for key in ("alpha", "beta"):
         if key in params:
             _require_number(params[key], f"target.params.{key}")
+    if params.get("first_years") is not None:
+        _require_int(params["first_years"], "target.params.first_years")
+        if params["first_years"] < 1:
+            raise ValueError("target.params.first_years must be at least 1, "
+                             "or null for all years")
     if name == "skew_normal_mixture_20d":
         return benchmark_target(dim=params.get("dim", 20),
                                 alpha=float(params.get("alpha", 10.0)))
-    if name in ("sur_grunfeld", "sur_csv"):
-        first_years = params.get("first_years",
-                                 15 if name == "sur_grunfeld" else None)
-        if first_years is not None:
-            _require_int(first_years, "target.params.first_years")
-            if first_years < 1:
-                raise ValueError("target.params.first_years must be at least "
-                                 "1, or null for all years")
-        data = (load_grunfeld(first_years=first_years)
-                if name == "sur_grunfeld"
-                else load_sur_csv(params["path"], first_years=first_years))
+    if name == "sur_grunfeld":
+        data = load_grunfeld(first_years=params.get("first_years", 15))
+        return SurProfileTarget(data)
+    if name == "sur_csv":
+        data = load_sur_csv(params["path"],
+                            first_years=params.get("first_years"))
         return SurProfileTarget(data)
     # iid_product_skew
     shape = SkewShape(alpha=float(params.get("alpha", 2.0)))
