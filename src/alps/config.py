@@ -27,9 +27,10 @@ preset uses the one value:
   (`runner.MAX_BOOTSTRAP_ATTEMPTS`);
 - the registry's dedup tolerance: 1 + sqrt(2/d)
   (`registry.default_tol`), which scales with the target's dimension;
-- the RWM tuning target: an acceptance rate of 0.234
-  (`runner.RWM_TUNE_TARGET`), optimal for RWM in high dimension (Roberts,
-  Gelman & Gilks 1997);
+- the initial RWM step: 2.38/sqrt(d) in each level's units
+  (`runner.RWM_INITIAL_STEP`), and the RWM tuning target: an acceptance
+  rate of 0.234 (`runner.RWM_TUNE_TARGET`), both optimal for RWM in high
+  dimension (Roberts, Gelman & Gilks 1997);
 - trace thinning: every 10th sample goes to trace.csv
   (`outputs.TRACE_THINNING`).
 """

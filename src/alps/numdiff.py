@@ -1,8 +1,11 @@
 """Finite-difference derivatives.
 
-Used as the fallback when a target does not provide analytic callbacks,
-and (Richardson-extrapolated) to extract the second and third log-density
-derivatives that enter the cold-temperature acceptance formula.
+Central differences are the fallback when a target does not provide an
+analytic gradient or Hessian.  The Richardson-extrapolated second
+derivative checks the curvature of a product-target shape at its mode
+(`targets.product.check_shape`); the third serves, with the second, as
+the reference that tests hold the shapes' analytic `h2`/`h3` to, which
+are what the cold-temperature acceptance formula reads.
 """
 
 from __future__ import annotations
