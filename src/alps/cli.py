@@ -52,7 +52,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sc = subs.add_parser(
         "scaling", help="cold-temperature acceptance scaling",
         description="Observed vs predicted leap acceptance at beta = ell * d "
-                    "along a dimension grid.  Dimensions run on up to "
+                    "along a dimension grid.  The current state is drawn "
+                    "by rejection from a Gaussian envelope 1.02 times as "
+                    "wide as exp(beta*h) where h is flattest (at 0 or "
+                    "+-8), in rounds sized by its acceptance rate.  "
+                    "Dimensions run on up to "
                     "min(#dims, usable CPUs) threads and proposals are "
                     "processed in blocks of 2^15; scaling.csv does not "
                     "depend on either.")
@@ -62,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--ell", type=float, default=0.25,
                     help="temperature slope, beta = ell * d")
     sc.add_argument("--dims", default="10,20,40,80",
-                    help="comma-separated dimension grid")
+                    help="comma-separated dimension grid, no repeats")
     sc.add_argument("--samples", type=int, default=100_000,
                     help="Monte Carlo proposals per dimension")
     sc.add_argument("--seed", type=int, default=0)

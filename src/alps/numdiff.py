@@ -3,7 +3,9 @@
 Central differences are the fallback when a target does not provide an
 analytic gradient or Hessian.  The Richardson-extrapolated second
 derivative checks the curvature of a product-target shape at its mode
-(`targets.product.check_shape`); the third serves, with the second, as
+(`targets.product.check_shape`) and sizes the scaling experiment's
+rejection envelope from it at the mode and at +-8
+(`scaling._envelope_curvature`); the third serves, with the second, as
 the reference that tests hold the shapes' analytic `h2`/`h3` to, which
 are what the cold-temperature acceptance formula reads.
 """

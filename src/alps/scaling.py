@@ -14,6 +14,18 @@ and the rejection sampler hands back h(x) with each draw.  The leap ratio
 carries those values, so the shape is evaluated once per proposal of the
 rejection sampler and once per leap proposal y, never again at x.
 
+The envelope is N(0, env_sd^2) with env_sd = 1.02 / sqrt(beta c), where
+c = min(-h''(t)) over t = 0, -8 and 8 (Richardson second differences,
+once per experiment): the shape's flattest curvature among its mode and
+its two tails, so the envelope is 2% wider than exp(beta*h) where that is
+widest.  Its constant M is the grid supremum of exp(beta*h) / phi plus a
+margin, and the trapezoid rule on the same grid gives the acceptance
+probability p = Z / M, Z the integral of exp(beta*h) (0.98 for the
+Gaussian shape, about 0.64 for the skew one).  Each rejection round draws
+min(ceil(need / p * 1.01 + 3 sqrt(need)) + 64, 2^18) proposals for the
+`need` draws still missing, so one round almost always fills them, and
+every proposal drawn is evaluated and checked against M.
+
 Each dimension d draws from its own stream (SCALING_STREAM, counter d),
 so the dimensions are independent: they run on up to min(#dims, usable
 CPUs) threads, largest first, since numpy's generator fills and scipy's
@@ -29,12 +41,13 @@ from __future__ import annotations
 import logging
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 from scipy.special import ndtr
 
+from . import numdiff
 from .config import _require_seed
 from .rng import SCALING_STREAM, StreamFactory
 from .targets.product import check_shape
@@ -45,6 +58,8 @@ _GRID_HALF_WIDTH = 12.0
 _GRID_POINTS = 24001
 _BATCH = 1 << 18
 _BLOCK = 1 << 15
+_ENV_WIDEN = 1.02                 # envelope sd over the shape's widest scale
+_CURVATURE_POINTS = (0.0, -8.0, 8.0)
 
 
 class EnvelopeViolationError(RuntimeError):
@@ -57,13 +72,18 @@ class EnvelopeViolationError(RuntimeError):
 
 @dataclass(frozen=True)
 class ScalingExperimentConfig:
-    """Shape, temperature slope (beta = ell * d), dimension grid, MC size."""
+    """Shape, temperature slope (beta = ell * d), dimension grid, MC size.
+
+    `env_curvature` is derived: the shape's `_envelope_curvature`, which
+    must be positive.
+    """
 
     shape: Callable
     ell: float
     dims: tuple = (10, 20, 40, 80)
     samples: int = 100_000
     seed: int = 0
+    env_curvature: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.ell) and self.ell > 0):
@@ -71,6 +91,9 @@ class ScalingExperimentConfig:
         dims = tuple(int(d) for d in self.dims)
         if not dims or any(d < 2 for d in dims):
             raise ValueError("dims must all be at least 2")
+        if len(set(dims)) < len(dims):
+            # each dimension reads stream counter d: a repeat is a copy
+            raise ValueError(f"dims must not repeat, got {dims}")
         if self.samples <= 1:
             raise ValueError("samples must exceed 1")
         _require_seed(self.seed)
@@ -80,6 +103,11 @@ class ScalingExperimentConfig:
                              "and third derivatives at 0")
         object.__setattr__(self, "dims", dims)
         check_shape(self.shape)
+        c = _envelope_curvature(self.shape)
+        if not (math.isfinite(c) and c > 0):
+            raise ValueError(f"shape must be strictly concave at 0 and +-8 "
+                             f"for the rejection envelope, min -h'' = {c:.3g}")
+        object.__setattr__(self, "env_curvature", c)
 
 
 @dataclass(frozen=True)
@@ -106,11 +134,27 @@ def _shape_derivatives(shape: Callable) -> tuple:
     return float(shape.h2()), float(shape.h3())
 
 
+def _envelope_curvature(shape: Callable) -> float:
+    """c = min(-h''(t)) over t = 0, -8 and 8, by Richardson second
+    differences: the shape's flattest curvature at its mode and in its
+    tails, from which the envelope's scale 1.02 / sqrt(beta c) follows."""
+    def h(t):
+        return float(shape(np.array([t]))[0])
+
+    return min(-numdiff.richardson_second_derivative(h, t)
+               for t in _CURVATURE_POINTS)
+
+
+def _envelope_grid(shape: Callable, beta: float, env_sd: float) -> tuple:
+    """The grid t of +-12 env_sd and beta*h(t) on it."""
+    grid = env_sd * np.linspace(-_GRID_HALF_WIDTH, _GRID_HALF_WIDTH, _GRID_POINTS)
+    return grid, beta * np.asarray(shape(grid), dtype=float)
+
+
 def _envelope_log_constant(shape: Callable, beta: float, env_sd: float) -> float:
     """Grid supremum of beta*h(t) - log phi(t; 0, env_sd^2) plus margin."""
-    grid = env_sd * np.linspace(-_GRID_HALF_WIDTH, _GRID_HALF_WIDTH, _GRID_POINTS)
-    log_ratio = (beta * np.asarray(shape(grid), dtype=float)
-                 + 0.5 * (grid / env_sd) ** 2
+    grid, beta_h = _envelope_grid(shape, beta, env_sd)
+    log_ratio = (beta_h + 0.5 * (grid / env_sd) ** 2
                  + math.log(env_sd * math.sqrt(2.0 * math.pi)))
     if not np.all(np.isfinite(log_ratio)):
         k = int(np.flatnonzero(~np.isfinite(log_ratio))[0])
@@ -118,6 +162,17 @@ def _envelope_log_constant(shape: Callable, beta: float, env_sd: float) -> float
             grid[k], f"envelope validation failed: non-finite density ratio "
                      f"at x = {grid[k]:.6g}")
     return float(np.max(log_ratio)) + 1e-6 * (1.0 + beta)
+
+
+def _envelope_acceptance(shape: Callable, beta: float, env_sd: float,
+                         log_m: float) -> float:
+    """p = Z / M, the probability that a proposal is accepted: Z is the
+    integral of exp(beta*h) by the trapezoid rule on the grid of
+    `_envelope_log_constant`, and M = exp(log_m) its envelope constant."""
+    grid, beta_h = _envelope_grid(shape, beta, env_sd)
+    f = np.exp(beta_h)
+    z = (grid[1] - grid[0]) * (f.sum() - 0.5 * (f[0] + f[-1]))
+    return float(z) * math.exp(-log_m)
 
 
 def _log_acceptance(t: np.ndarray, h: np.ndarray, beta: float, env_sd: float,
@@ -141,9 +196,11 @@ def _log_acceptance(t: np.ndarray, h: np.ndarray, beta: float, env_sd: float,
 def _rejection_batch(shape: Callable, beta: float, env_sd: float,
                      log_env_norm: float, log_m: float, m: int, rng,
                      out: np.ndarray, h_out: np.ndarray) -> tuple:
-    """One rejection round of m envelope proposals.
+    """One rejection round of m proposals from the envelope N(0, env_sd^2).
 
-    Draws the m normals in one call, then takes the proposals in blocks
+    A proposal t is accepted when log U < beta*h(t) - log phi(t) - log_m,
+    i.e. with probability exp(beta*h(t)) / (M phi(t)).  Draws the m
+    normals in one call, then takes the proposals in blocks
     of `_BLOCK`: each block's shape values, acceptance log-ratios and
     uniforms (`rng.random` per block, in order, which draws what one
     call of size m would) stay in cache, and its accepted draws and their
@@ -187,19 +244,33 @@ def _rejection_batch(shape: Callable, beta: float, env_sd: float,
 
 
 def _sample_tempered_coords(shape: Callable, beta: float, env_sd: float,
-                            log_m: float, n_coords: int, rng) -> tuple:
+                            log_m: float, n_coords: int, rng,
+                            accept: float | None = None) -> tuple:
     """Draw n_coords iid values with density proportional to exp(beta*h).
+
+    Rejection from the envelope N(0, env_sd^2) scaled by exp(log_m), in
+    rounds of `_rejection_batch`.  `accept` is the envelope's acceptance
+    probability p (`_envelope_acceptance`, evaluated here when not
+    given).  A round drawn for the `need` draws still missing proposes
+    min(ceil(need / p * 1.01 + 3 sqrt(need)) + 64, `_BATCH`): the mean
+    number accepted exceeds `need` by 1% plus three binomial standard
+    deviations plus 64 p, so a second round is rare unless `_BATCH`
+    caps the first, and few accepted draws are left over.
 
     Returns (draws, h(draws)).  Each h value is copied from the shape
     evaluation the draw's acceptance test already made, so callers never
     evaluate the shape at the draws again.
     """
+    if accept is None:
+        accept = _envelope_acceptance(shape, beta, env_sd, log_m)
     out = np.empty(n_coords)
     h_out = np.empty(n_coords)
     filled = 0
     log_env_norm = math.log(env_sd * math.sqrt(2.0 * math.pi))
     while filled < n_coords:
-        m = min(max(2 * (n_coords - filled), 64), _BATCH)
+        need = n_coords - filled
+        m = min(math.ceil(need / accept * 1.01 + 3.0 * math.sqrt(need)) + 64,
+                _BATCH)
         filled += _rejection_batch(shape, beta, env_sd, log_env_norm, log_m,
                                    m, rng, out[filled:], h_out[filled:])
     return out, h_out
@@ -240,8 +311,9 @@ def _dimension(cfg: ScalingExperimentConfig, d: int, abs_h2: float,
                predicted: float) -> ScalingRow:
     """Observed leap acceptance at dimension d, from its own stream."""
     beta = cfg.ell * d
-    env_sd = math.sqrt(2.0 * max(1.0, abs_h2) / (beta * abs_h2))
+    env_sd = _ENV_WIDEN / math.sqrt(beta * cfg.env_curvature)
     log_m = _envelope_log_constant(cfg.shape, beta, env_sd)
+    accept = _envelope_acceptance(cfg.shape, beta, env_sd, log_m)
     rng = StreamFactory(cfg.seed).stream(SCALING_STREAM, counter=d)
     prop_sd = 1.0 / math.sqrt(beta * abs_h2)
     block_rows = max(_BLOCK // d, 1)
@@ -250,7 +322,7 @@ def _dimension(cfg: ScalingExperimentConfig, d: int, abs_h2: float,
     while done < cfg.samples:
         rows_here = min(cfg.samples - done, max(_BATCH // d, 1))
         x, hx = _sample_tempered_coords(cfg.shape, beta, env_sd, log_m,
-                                        rows_here * d, rng)
+                                        rows_here * d, rng, accept)
         x = x.reshape(rows_here, d)
         hx = hx.reshape(rows_here, d)
         # y is drawn after all x of the chunk, block by block of rows

@@ -7,6 +7,7 @@ mode feed the predicted-acceptance formula.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -60,12 +61,15 @@ class SkewShape:
     h(x) = log f(x + m0) - log f(m0) where f is the skew-normal density
     with the given alpha and m0 its mode, so h(0) = 0 and h'(0) = 0.
     The derivatives entering the acceptance formula are the analytic
-    ones of log f at m0.
+    ones of log f at m0.  A non-finite alpha is a ValueError, raised
+    before the mode search could overflow on it.
     """
 
     def __init__(self, alpha: float = 2.0):
         self.alpha = float(alpha)
-        self.m0 = skew_normal_mode_offset(alpha)
+        if not math.isfinite(self.alpha):
+            raise ValueError(f"alpha must be a finite number, got {alpha!r}")
+        self.m0 = skew_normal_mode_offset(self.alpha)
         self._peak = float(skew_log_pdf(self.m0, alpha))
 
     def __call__(self, x):

@@ -193,13 +193,18 @@ def sur_profile_loglik(theta: np.ndarray, data: SurData) -> float:
 
 
 def _require_identified(data: SurData) -> None:
-    """UnidentifiableSystemError with N <= J observations per equation:
-    OLS then fits every equation exactly and the residual covariance is
-    singular."""
+    """UnidentifiableSystemError with N <= J observations per equation
+    (OLS then fits every equation exactly) or N < M (the M x M residual
+    cross-moment matrix then has rank at most N for every theta): either
+    way the residual covariance is singular and log pi is -inf."""
     if data.N <= data.J:
         raise UnidentifiableSystemError(
             f"unidentifiable system: {data.N} observations per equation "
             f"for {data.J} covariates")
+    if data.N < data.M:
+        raise UnidentifiableSystemError(
+            f"unidentifiable system: {data.N} observations per equation "
+            f"for {data.M} equations")
 
 
 @dataclass
@@ -218,8 +223,9 @@ def zellner_iterate(data: SurData, tol: float = 1e-6,
     Converged when the relative change of the fitted values
     ||X theta_new - X theta||_2 / ||X theta_new||_2 drops below tol.
     With N <= J observations per equation OLS fits every equation
-    exactly, the residual covariance is singular and the system is
-    unidentified: UnidentifiableSystemError.
+    exactly, and with N < M the residual covariance has rank at most N:
+    either way it is singular and the system is unidentified,
+    UnidentifiableSystemError.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be finite and positive")
@@ -262,7 +268,8 @@ def zellner_iterate(data: SurData, tol: float = 1e-6,
 
 class SurProfileTarget(TargetDensity):
     """Profile log-likelihood as a sampling target over theta (dim M * J);
-    UnidentifiableSystemError with N <= J observations per equation."""
+    UnidentifiableSystemError with N <= J or N < M observations per
+    equation."""
 
     def __init__(self, data: SurData):
         _require_identified(data)

@@ -215,6 +215,12 @@ def test_cli_no_modes_without_exploration_is_config_error(tmp_path, capsys):
       for dim in (20.7, True, "20")],
     ({"target": {"name": "sur_csv", "params": {"path": "missing/panel.csv"}}},
      "bad target spec: [Errno 2] No such file or directory"),
+    # N < M: log pi = -inf for every theta, and from init null it used to
+    # run
+    ({"target": {"name": "sur_grunfeld", "params": {"first_years": 4}},
+      "init": None},
+     "bad target spec: unidentifiable system: 4 observations per equation "
+     "for 5 equations"),
 ])
 def test_cli_bad_settings_are_config_errors(tmp_path, capsys, override,
                                             message):

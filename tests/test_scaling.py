@@ -1,3 +1,4 @@
+import hashlib
 import math
 import threading
 import time
@@ -9,6 +10,7 @@ from scipy.special import ndtr
 
 from alps import cli, scaling
 from alps.cli import main
+from alps.numdiff import richardson_second_derivative
 from alps.rng import SCALING_STREAM, StreamFactory
 from alps.scaling import (EnvelopeViolationError, ScalingExperimentConfig,
                           ScalingRow, _envelope_log_constant, _log_acceptance,
@@ -18,13 +20,17 @@ from alps.targets.product import GaussianShape, SkewShape
 
 
 def reference_sample_tempered_coords(shape, beta, env_sd, log_m, n_coords,
-                                     rng):
+                                     rng, accept=None):
     """The rejection sampler as one expression per step, returning draws only."""
+    if accept is None:
+        accept = scaling._envelope_acceptance(shape, beta, env_sd, log_m)
     out = np.empty(n_coords)
     filled = 0
     log_env_norm = math.log(env_sd * math.sqrt(2.0 * math.pi))
     while filled < n_coords:
-        m = min(max(2 * (n_coords - filled), 64), scaling._BATCH)
+        need = n_coords - filled
+        m = min(math.ceil(need / accept * 1.01 + 3.0 * math.sqrt(need)) + 64,
+                scaling._BATCH)
         t = env_sd * rng.standard_normal(m)
         log_acc = (beta * np.asarray(shape(t), dtype=float)
                    + 0.5 * (t / env_sd) ** 2 + log_env_norm - log_m)
@@ -46,16 +52,21 @@ def reference_leap_log_ratios(shape, beta, abs_h2, x, y):
 
 
 def reference_scaling_experiment(cfg):
-    """The experiment with h(x) recomputed in the leap ratio."""
+    """The experiment with h(x) recomputed in the leap ratio and the
+    envelope's curvature recomputed here."""
     h2, h3 = _shape_derivatives(cfg.shape)
     abs_h2 = -h2
     predicted = predicted_acceptance(h3, h2, cfg.ell)
+    curvature = min(-richardson_second_derivative(
+        lambda t: float(cfg.shape(np.array([t]))[0]), t0)
+        for t0 in (0.0, -8.0, 8.0))
     factory = StreamFactory(cfg.seed)
     rows = []
     for d in cfg.dims:
         beta = cfg.ell * d
-        env_sd = math.sqrt(2.0 * max(1.0, abs_h2) / (beta * abs_h2))
+        env_sd = 1.02 / math.sqrt(beta * curvature)
         log_m = _envelope_log_constant(cfg.shape, beta, env_sd)
+        accept = scaling._envelope_acceptance(cfg.shape, beta, env_sd, log_m)
         rng = factory.stream(SCALING_STREAM, counter=d)
         prop_sd = 1.0 / math.sqrt(beta * abs_h2)
         vals = np.empty(cfg.samples)
@@ -63,8 +74,8 @@ def reference_scaling_experiment(cfg):
         while done < cfg.samples:
             rows_here = min(cfg.samples - done, max(scaling._BATCH // d, 1))
             x = reference_sample_tempered_coords(
-                cfg.shape, beta, env_sd, log_m, rows_here * d,
-                rng).reshape(rows_here, d)
+                cfg.shape, beta, env_sd, log_m, rows_here * d, rng,
+                accept).reshape(rows_here, d)
             y = prop_sd * rng.standard_normal((rows_here, d))
             b = reference_leap_log_ratios(cfg.shape, beta, abs_h2, x, y)
             vals[done:done + rows_here] = np.where(b >= 0.0, 1.0, np.exp(b))
@@ -385,3 +396,132 @@ def test_shape_without_its_derivatives_is_a_config_error(monkeypatch, capsys):
     assert main(["scaling", "--shape", "gaussian"]) == 2
     assert capsys.readouterr().err.startswith(
         "config error: shape must define h2() and h3()")
+
+
+def _envelope(shape, beta):
+    """The experiment's envelope at beta: (env_sd, log_m, accept)."""
+    env_sd = 1.02 / math.sqrt(beta * scaling._envelope_curvature(shape))
+    log_m = _envelope_log_constant(shape, beta, env_sd)
+    return env_sd, log_m, scaling._envelope_acceptance(shape, beta, env_sd,
+                                                       log_m)
+
+
+class CountingShape:
+    """The shape, counting the points it is evaluated at."""
+
+    def __init__(self, shape):
+        self.shape, self.points = shape, 0
+
+    def __call__(self, x):
+        self.points += np.size(x)
+        return self.shape(x)
+
+
+@pytest.mark.parametrize("beta", [2.5, 20.0])
+def test_tempered_sampler_matches_quadrature_moments(beta):
+    # the narrowed envelope still samples exp(beta*h): mean and variance of
+    # the skew shape's draws against a fine Riemann sum
+    shape, n = SkewShape(alpha=2.0), 20000
+    env_sd, log_m, accept = _envelope(shape, beta)
+    draws, _ = _sample_tempered_coords(shape, beta, env_sd, log_m, n,
+                                       np.random.default_rng(7), accept)
+    t = np.linspace(-15.0, 15.0, 300001) / math.sqrt(beta)
+    w = np.exp(beta * shape(t))
+    w /= w.sum()
+    mean = float(np.sum(w * t))
+    var = float(np.sum(w * (t - mean) ** 2))
+    m4 = float(np.sum(w * (t - mean) ** 4))
+    assert abs(np.mean(draws) - mean) < 4.0 * math.sqrt(var / n)
+    assert abs(np.var(draws) - var) < 4.0 * math.sqrt((m4 - var ** 2) / n)
+
+
+def test_envelope_acceptance_estimates():
+    # the Gaussian shape's envelope is exactly 2% wider than exp(beta*h),
+    # so p = exp(-margin) / 1.02; the skew shape's flat right tail sets it
+    for beta in (2.5, 20.0):
+        _, _, accept = _envelope(GaussianShape(), beta)
+        assert abs(accept - math.exp(-1e-6 * (1.0 + beta)) / 1.02) < 1e-9
+        _, _, accept = _envelope(SkewShape(alpha=2.0), beta)
+        assert 0.63 < accept < 0.65
+
+
+@pytest.mark.parametrize("shape, beta", [(SkewShape(alpha=2.0), 2.5),
+                                         (SkewShape(alpha=2.0), 20.0),
+                                         (GaussianShape(), 10.0)])
+def test_observed_acceptance_matches_the_estimate(shape, beta):
+    # one round with room for every accepted proposal
+    env_sd, log_m, accept = _envelope(shape, beta)
+    log_env_norm = math.log(env_sd * math.sqrt(2.0 * math.pi))
+    m = 1 << 16
+    kept = scaling._rejection_batch(shape, beta, env_sd, log_env_norm, log_m,
+                                    m, np.random.default_rng(5), np.empty(m),
+                                    np.empty(m))
+    assert abs(kept / m - accept) < 4.0 * math.sqrt(accept * (1 - accept) / m)
+
+
+@pytest.mark.parametrize("n_coords", [20000, 1 << 18, 3 << 18])
+@pytest.mark.parametrize("shape, beta", [(SkewShape(alpha=2.0), 2.5),
+                                         (SkewShape(alpha=2.0), 20.0),
+                                         (GaussianShape(), 10.0)])
+def test_rounds_evaluate_few_surplus_proposals(shape, beta, n_coords):
+    # every proposal drawn is evaluated once; the rounds are sized so that
+    # few accepted draws are thrown away, also when _BATCH caps a round
+    counted = CountingShape(shape)
+    env_sd, log_m, accept = _envelope(shape, beta)
+    draws, _ = _sample_tempered_coords(counted, beta, env_sd, log_m, n_coords,
+                                       np.random.default_rng(6), accept)
+    assert draws.size == n_coords
+    assert counted.points / n_coords <= 1.05 / accept + 0.01
+
+
+def test_envelope_needs_a_concave_shape_at_its_tails():
+    # h = -log(1 + x^2 / 2) has its maximum at 0 but convex tails, which no
+    # Gaussian envelope at the rule's scale covers
+    class CauchyLike:
+        def __call__(self, x):
+            return -np.log1p(0.5 * np.asarray(x, dtype=float) ** 2)
+
+        def h2(self):
+            return -1.0
+
+        def h3(self):
+            return 0.0
+
+    with pytest.raises(ValueError, match="strictly concave at 0 and"):
+        ScalingExperimentConfig(shape=CauchyLike(), ell=1.0)
+    cfg = ScalingExperimentConfig(shape=SkewShape(alpha=2.0), ell=1.0)
+    assert abs(cfg.env_curvature - 1.0) < 1e-6  # the right tail's -h''
+
+
+def test_repeated_dims_are_a_config_error(capsys):
+    # each dimension reads stream counter d: both rows used to be the same
+    with pytest.raises(ValueError, match="dims must not repeat"):
+        ScalingExperimentConfig(shape=GaussianShape(), ell=1.0, dims=(20, 20))
+    assert main(["scaling", "--dims", "20,10,20"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: dims must not repeat, got (20, 10, 20)\n")
+
+
+@pytest.mark.parametrize("alpha", ["inf", "-inf", "nan"])
+def test_non_finite_alpha_is_a_config_error(capsys, alpha):
+    # the mode search used to overflow on it first, with a RuntimeWarning
+    with pytest.raises(ValueError, match="alpha must be a finite number"):
+        SkewShape(alpha=float(alpha))
+    assert main(["scaling", f"--alpha={alpha}"]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: alpha must be a finite number, got {float(alpha)}\n")
+
+
+# `alps scaling --dims 10,20 --samples 2000 --seed 1` (perfbench's smoke
+# size), recorded on x86-64 Linux (numpy 2.4): a change to the envelope,
+# the rounds or the leap ratio changes it
+SCALING_CSV_SHA256 = \
+    "91611ca129e68d54de2180728c68bd867abb01d692c6ac4bd8fcaac94cce0cc2"
+
+
+def test_smoke_scaling_csv_is_pinned(tmp_path, capsys):
+    assert main(["scaling", "--dims", "10,20", "--samples", "2000",
+                 "--seed", "1", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    digest = hashlib.sha256((tmp_path / "scaling.csv").read_bytes())
+    assert digest.hexdigest() == SCALING_CSV_SHA256
