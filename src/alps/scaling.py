@@ -23,8 +23,9 @@ margin, and the trapezoid rule on the same grid gives the acceptance
 probability p = Z / M, Z the integral of exp(beta*h) (0.98 for the
 Gaussian shape, about 0.64 for the skew one).  Each rejection round draws
 min(ceil(need / p * 1.01 + 3 sqrt(need)) + 64, 2^18) proposals for the
-`need` draws still missing, so one round almost always fills them, and
-every proposal drawn is evaluated and checked against M.
+`need` draws still missing, so a round that 2^18 does not cap almost
+always fills them, and every proposal drawn is evaluated and checked
+against M.
 
 Each dimension d draws from its own stream (SCALING_STREAM, counter d),
 so the dimensions are independent: they run on up to min(#dims, usable
@@ -252,10 +253,11 @@ def _sample_tempered_coords(shape: Callable, beta: float, env_sd: float,
     rounds of `_rejection_batch`.  `accept` is the envelope's acceptance
     probability p (`_envelope_acceptance`, evaluated here when not
     given).  A round drawn for the `need` draws still missing proposes
-    min(ceil(need / p * 1.01 + 3 sqrt(need)) + 64, `_BATCH`): the mean
-    number accepted exceeds `need` by 1% plus three binomial standard
-    deviations plus 64 p, so a second round is rare unless `_BATCH`
-    caps the first, and few accepted draws are left over.
+    min(ceil(need / p * 1.01 + 3 sqrt(need)) + 64, `_BATCH`): its mean
+    number accepted, 1.01 need + 3 p sqrt(need) + 64 p, clears `need` by
+    over three binomial standard deviations (sqrt(need (1 - p))) once
+    p > 0.62, so a second round is rare unless `_BATCH` caps the first,
+    and few accepted draws are left over.
 
     Returns (draws, h(draws)).  Each h value is copied from the shape
     evaluation the draw's acceptance test already made, so callers never
