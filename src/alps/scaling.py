@@ -130,11 +130,6 @@ def predicted_acceptance(h3: float, h2: float, ell: float) -> float:
     return 2.0 * float(ndtr(arg))
 
 
-def _shape_derivatives(shape: Callable) -> tuple:
-    """(h''(0), h'''(0)) from the shape's own h2() and h3()."""
-    return float(shape.h2()), float(shape.h3())
-
-
 def _envelope_curvature(shape: Callable) -> float:
     """c = min(-h''(t)) over t = 0, -8 and 8, by Richardson second
     differences: the shape's flattest curvature at its mode and in its
@@ -146,15 +141,17 @@ def _envelope_curvature(shape: Callable) -> float:
                for t in _CURVATURE_POINTS)
 
 
-def _envelope_grid(shape: Callable, beta: float, env_sd: float) -> tuple:
-    """The grid t of +-12 env_sd and beta*h(t) on it."""
+def _envelope_log_constant(shape: Callable, beta: float,
+                           env_sd: float) -> tuple:
+    """(log M, p) from one evaluation of beta*h on the grid of +-12 env_sd.
+
+    log M is the grid supremum of beta*h(t) - log phi(t; 0, env_sd^2)
+    plus a margin.  p = Z / M is the probability that a proposal is
+    accepted, Z the integral of exp(beta*h) by the trapezoid rule on the
+    same grid.
+    """
     grid = env_sd * np.linspace(-_GRID_HALF_WIDTH, _GRID_HALF_WIDTH, _GRID_POINTS)
-    return grid, beta * np.asarray(shape(grid), dtype=float)
-
-
-def _envelope_log_constant(shape: Callable, beta: float, env_sd: float) -> float:
-    """Grid supremum of beta*h(t) - log phi(t; 0, env_sd^2) plus margin."""
-    grid, beta_h = _envelope_grid(shape, beta, env_sd)
+    beta_h = beta * np.asarray(shape(grid), dtype=float)
     log_ratio = (beta_h + 0.5 * (grid / env_sd) ** 2
                  + math.log(env_sd * math.sqrt(2.0 * math.pi)))
     if not np.all(np.isfinite(log_ratio)):
@@ -162,18 +159,10 @@ def _envelope_log_constant(shape: Callable, beta: float, env_sd: float) -> float
         raise EnvelopeViolationError(
             grid[k], f"envelope validation failed: non-finite density ratio "
                      f"at x = {grid[k]:.6g}")
-    return float(np.max(log_ratio)) + 1e-6 * (1.0 + beta)
-
-
-def _envelope_acceptance(shape: Callable, beta: float, env_sd: float,
-                         log_m: float) -> float:
-    """p = Z / M, the probability that a proposal is accepted: Z is the
-    integral of exp(beta*h) by the trapezoid rule on the grid of
-    `_envelope_log_constant`, and M = exp(log_m) its envelope constant."""
-    grid, beta_h = _envelope_grid(shape, beta, env_sd)
+    log_m = float(np.max(log_ratio)) + 1e-6 * (1.0 + beta)
     f = np.exp(beta_h)
     z = (grid[1] - grid[0]) * (f.sum() - 0.5 * (f[0] + f[-1]))
-    return float(z) * math.exp(-log_m)
+    return log_m, float(z) * math.exp(-log_m)
 
 
 def _log_acceptance(t: np.ndarray, h: np.ndarray, beta: float, env_sd: float,
@@ -246,13 +235,12 @@ def _rejection_batch(shape: Callable, beta: float, env_sd: float,
 
 def _sample_tempered_coords(shape: Callable, beta: float, env_sd: float,
                             log_m: float, n_coords: int, rng,
-                            accept: float | None = None) -> tuple:
+                            accept: float) -> tuple:
     """Draw n_coords iid values with density proportional to exp(beta*h).
 
     Rejection from the envelope N(0, env_sd^2) scaled by exp(log_m), in
     rounds of `_rejection_batch`.  `accept` is the envelope's acceptance
-    probability p (`_envelope_acceptance`, evaluated here when not
-    given).  A round drawn for the `need` draws still missing proposes
+    probability p (`_envelope_log_constant`).  A round drawn for the `need` draws still missing proposes
     min(ceil(need / p * 1.01 + 3 sqrt(need)) + 64, `_BATCH`): its mean
     number accepted, 1.01 need + 3 p sqrt(need) + 64 p, clears `need` by
     over three binomial standard deviations (sqrt(need (1 - p))) once
@@ -263,8 +251,6 @@ def _sample_tempered_coords(shape: Callable, beta: float, env_sd: float,
     evaluation the draw's acceptance test already made, so callers never
     evaluate the shape at the draws again.
     """
-    if accept is None:
-        accept = _envelope_acceptance(shape, beta, env_sd, log_m)
     out = np.empty(n_coords)
     h_out = np.empty(n_coords)
     filled = 0
@@ -314,8 +300,7 @@ def _dimension(cfg: ScalingExperimentConfig, d: int, abs_h2: float,
     """Observed leap acceptance at dimension d, from its own stream."""
     beta = cfg.ell * d
     env_sd = _ENV_WIDEN / math.sqrt(beta * cfg.env_curvature)
-    log_m = _envelope_log_constant(cfg.shape, beta, env_sd)
-    accept = _envelope_acceptance(cfg.shape, beta, env_sd, log_m)
+    log_m, accept = _envelope_log_constant(cfg.shape, beta, env_sd)
     rng = StreamFactory(cfg.seed).stream(SCALING_STREAM, counter=d)
     prop_sd = 1.0 / math.sqrt(beta * abs_h2)
     block_rows = max(_BLOCK // d, 1)
@@ -353,11 +338,9 @@ def scaling_experiment(cfg: ScalingExperimentConfig) -> list:
     """
     from concurrent.futures import ThreadPoolExecutor
 
-    h2, h3 = _shape_derivatives(cfg.shape)
-    if h2 >= 0:
-        raise ValueError(f"h''(0) must be negative, got {h2:.6g}")
+    h2 = float(cfg.shape.h2())
+    predicted = predicted_acceptance(float(cfg.shape.h3()), h2, cfg.ell)
     abs_h2 = -h2
-    predicted = predicted_acceptance(h3, h2, cfg.ell)
     n = len(cfg.dims)
     order = sorted(range(n), key=lambda i: -cfg.dims[i])
     with ThreadPoolExecutor(max_workers=_worker_count(n)) as pool:

@@ -14,16 +14,14 @@ from alps.numdiff import richardson_second_derivative
 from alps.rng import SCALING_STREAM, StreamFactory
 from alps.scaling import (EnvelopeViolationError, ScalingExperimentConfig,
                           ScalingRow, _envelope_log_constant, _log_acceptance,
-                          _sample_tempered_coords, _shape_derivatives,
-                          predicted_acceptance, scaling_experiment)
+                          _sample_tempered_coords, predicted_acceptance,
+                          scaling_experiment)
 from alps.targets.product import GaussianShape, SkewShape
 
 
 def reference_sample_tempered_coords(shape, beta, env_sd, log_m, n_coords,
-                                     rng, accept=None):
+                                     rng, accept):
     """The rejection sampler as one expression per step, returning draws only."""
-    if accept is None:
-        accept = scaling._envelope_acceptance(shape, beta, env_sd, log_m)
     out = np.empty(n_coords)
     filled = 0
     log_env_norm = math.log(env_sd * math.sqrt(2.0 * math.pi))
@@ -54,7 +52,7 @@ def reference_leap_log_ratios(shape, beta, abs_h2, x, y):
 def reference_scaling_experiment(cfg):
     """The experiment with h(x) recomputed in the leap ratio and the
     envelope's curvature recomputed here."""
-    h2, h3 = _shape_derivatives(cfg.shape)
+    h2, h3 = cfg.shape.h2(), cfg.shape.h3()
     abs_h2 = -h2
     predicted = predicted_acceptance(h3, h2, cfg.ell)
     curvature = min(-richardson_second_derivative(
@@ -65,8 +63,7 @@ def reference_scaling_experiment(cfg):
     for d in cfg.dims:
         beta = cfg.ell * d
         env_sd = 1.02 / math.sqrt(beta * curvature)
-        log_m = _envelope_log_constant(cfg.shape, beta, env_sd)
-        accept = scaling._envelope_acceptance(cfg.shape, beta, env_sd, log_m)
+        log_m, accept = _envelope_log_constant(cfg.shape, beta, env_sd)
         rng = factory.stream(SCALING_STREAM, counter=d)
         prop_sd = 1.0 / math.sqrt(beta * abs_h2)
         vals = np.empty(cfg.samples)
@@ -143,9 +140,10 @@ def test_tempered_sampler_moments():
     # Gaussian shape at inverse temperature beta: coordinates are N(0, 1/beta)
     shape = GaussianShape()
     beta, env_sd = 10.0, math.sqrt(2.0 / 10.0)
-    log_m = _envelope_log_constant(shape, beta, env_sd)
+    log_m, accept = _envelope_log_constant(shape, beta, env_sd)
     rng = np.random.default_rng(0)
-    draws, _ = _sample_tempered_coords(shape, beta, env_sd, log_m, 20000, rng)
+    draws, _ = _sample_tempered_coords(shape, beta, env_sd, log_m, 20000, rng,
+                                       accept)
     assert abs(np.mean(draws)) < 3.0 * math.sqrt(0.1 / 20000)
     var = np.var(draws)
     assert abs(var - 0.1) < 3.0 * 0.1 * math.sqrt(2.0 / 20000)
@@ -158,11 +156,11 @@ def test_sampler_matches_reference_and_carries_h(monkeypatch, shape, batch):
     # the in-place rejection step keeps every draw of the one-expression one
     monkeypatch.setattr(scaling, "_BATCH", batch)
     beta, env_sd = 8.0, 0.5
-    log_m = _envelope_log_constant(shape, beta, env_sd)
+    log_m, accept = _envelope_log_constant(shape, beta, env_sd)
     draws, h = _sample_tempered_coords(shape, beta, env_sd, log_m, 5000,
-                                       np.random.default_rng(4))
+                                       np.random.default_rng(4), accept)
     ref = reference_sample_tempered_coords(shape, beta, env_sd, log_m, 5000,
-                                           np.random.default_rng(4))
+                                           np.random.default_rng(4), accept)
     assert np.array_equal(draws, ref, equal_nan=True)
     assert np.array_equal(h, shape(draws), equal_nan=True)
 
@@ -173,9 +171,9 @@ def test_log_acceptance_is_the_left_to_right_sum(d):
     # only over long runs: any reordering of its sum changes some entry
     shape, ell = SkewShape(alpha=2.0), 0.25
     beta = ell * d
-    abs_h2 = -shape.h2()
-    env_sd = math.sqrt(2.0 * max(1.0, abs_h2) / (beta * abs_h2))
-    log_m = _envelope_log_constant(shape, beta, env_sd)
+    curvature = ScalingExperimentConfig(shape=shape, ell=ell).env_curvature
+    env_sd = 1.02 / math.sqrt(beta * curvature)
+    log_m, _ = _envelope_log_constant(shape, beta, env_sd)
     log_env_norm = math.log(env_sd * math.sqrt(2.0 * math.pi))
     t = env_sd * np.random.default_rng(d).standard_normal(20000)
     h = shape(t)
@@ -201,10 +199,11 @@ def test_experiment_matches_evaluate_twice_reference(monkeypatch, shape,
 def test_understated_envelope_is_detected():
     shape = SkewShape(alpha=2.0)
     beta, env_sd = 20.0, 0.3
-    log_m = _envelope_log_constant(shape, beta, env_sd)
+    log_m, accept = _envelope_log_constant(shape, beta, env_sd)
     rng = np.random.default_rng(1)
     with pytest.raises(EnvelopeViolationError) as info:
-        _sample_tempered_coords(shape, beta, env_sd, log_m - 5.0, 1000, rng)
+        _sample_tempered_coords(shape, beta, env_sd, log_m - 5.0, 1000, rng,
+                                accept)
     assert math.isfinite(info.value.abscissa)
 
 
@@ -213,7 +212,7 @@ def test_rejection_batch_names_the_bad_abscissa(poison):
     # a NaN shape value is an envelope failure, not a rejected draw
     skew = SkewShape(alpha=2.0)
     beta, env_sd, m = 20.0, 0.3, 4096
-    log_m = _envelope_log_constant(skew, beta, env_sd)
+    log_m, _ = _envelope_log_constant(skew, beta, env_sd)
     log_env_norm = math.log(env_sd * math.sqrt(2.0 * math.pi))
     bad_value = np.nan if poison == "nan" else 1e3
 
@@ -246,7 +245,7 @@ def test_rejection_batch_checks_every_block(monkeypatch, poison):
     monkeypatch.setattr(scaling, "_BLOCK", 8)
     skew = SkewShape(alpha=2.0)
     beta, env_sd, m = 20.0, 0.3, 4096
-    log_m = _envelope_log_constant(skew, beta, env_sd)
+    log_m, _ = _envelope_log_constant(skew, beta, env_sd)
     log_env_norm = math.log(env_sd * math.sqrt(2.0 * math.pi))
     nan_above = 0.9 if poison == "nan" else math.inf
 
@@ -401,9 +400,7 @@ def test_shape_without_its_derivatives_is_a_config_error(monkeypatch, capsys):
 def _envelope(shape, beta):
     """The experiment's envelope at beta: (env_sd, log_m, accept)."""
     env_sd = 1.02 / math.sqrt(beta * scaling._envelope_curvature(shape))
-    log_m = _envelope_log_constant(shape, beta, env_sd)
-    return env_sd, log_m, scaling._envelope_acceptance(shape, beta, env_sd,
-                                                       log_m)
+    return (env_sd,) + _envelope_log_constant(shape, beta, env_sd)
 
 
 class CountingShape:
