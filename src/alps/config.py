@@ -10,18 +10,18 @@ object.
 Some values of a run are fixed or derived rather than set, because every
 preset uses the one value:
 
-- within-level updates per sweep: `V` = 5 per level (RWM steps, or
-  mode leaps at the ALPS top level); a sweep records V level-0 samples,
-  so `n_sweeps` and `burnin_sweeps` are the sample counts over V,
-  rounded up;
+- within-level updates per sweep: `V` = 5 RWM steps per level, and
+  then V mode leaps at the ALPS top level; a sweep records V level-0
+  samples, one per RWM step, so `n_sweeps` and `burnin_sweeps` are the
+  sample counts over V, rounded up;
 - one hot chain of exploration (`runner._Run.hot_state`);
 - swaps per sweep: `n_levels - 1` (`RunConfig.n_swaps`), one per
   neighbour pair of the ladder;
 - the freeze of adaptation (step tuning and mode search): the end of
   burn-in, `burnin_sweeps`, so the sampled part runs on a fixed ladder;
-- step tuning: every RWM level's step is tuned until the freeze, and
-  the leap-local step of the top level never is, so the LAIS baseline
-  is ALPS on the ladder [1.0];
+- step tuning: every level's RWM step, the top level's included, is
+  tuned until the freeze, so the LAIS baseline is ALPS on the ladder
+  [1.0];
 - the hot chain: it moves and searches until the freeze and stops there;
 - the bootstrap's budget: 2000 searches
   (`runner.MAX_BOOTSTRAP_ATTEMPTS`);

@@ -1,4 +1,11 @@
-"""Run diagnostics: acceptance counters, traces, mode visits, timings."""
+"""Run diagnostics: acceptance counters, traces, mode visits, timings.
+
+The counters tally (accepts, proposals) per (move, level): RWM steps at
+every level, mode leaps at the top level of an ALPS ladder (level 0 on
+the ladder [1.0]), standard and QuanTA swaps per neighbour pair (level
+k for the pair k, k + 1), and the hot chain's steps under HOT at level
+-1.  A phase that decides a block of moves counts them in one call.
+"""
 
 from __future__ import annotations
 
@@ -9,7 +16,6 @@ import numpy as np
 
 RWM = "rwm"
 LEAP = "leap"
-LEAP_LOCAL = "leap_local"
 SWAP_QUANTA = "swap_quanta"
 SWAP_STANDARD = "swap_standard"
 HOT = "hot"

@@ -19,8 +19,7 @@ Each decision takes exactly one uniform u and compares log u with the
 log ratio; a NaN ratio rejects.  The RWM and swap decisions take log u,
 formed by their caller, as the argument `log_u`, so a caller may draw
 the uniforms of many decisions in one call and take their logs in
-another.  The single-chain kernels, `rwm_core` and the mode leap, draw
-their own.
+another.  `rwm_core` and `mode_leap_core` draw their own.
 
 An RWM step is three parts: `rwm_propose` forms the proposal from a
 drawn z ~ N(0, I), the caller scores its record, and `rwm_decide`
@@ -28,6 +27,13 @@ accepts or rejects.  Both work on a block of rows, one chain each: the
 RWM phase moves every level of the ladder in one block, one repetition
 at a time.  `rwm_core` draws z, then u, and composes the three for a
 single chain, a block of one row, so there is one RWM formula.
+
+The mode leap is an independence proposal from the registry's Laplace
+mixture at the level's temperature, so its proposals do not depend on
+the chain: `mode_leap_core` draws a chain's n leaps as one block
+(`mixture_propose`, then the n uniforms), scores the block with one
+batch evaluation, and then decides the n leaps in order on scalars
+already computed.
 """
 
 from __future__ import annotations
@@ -36,12 +42,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hat import ChainRecord, gaussian_log_pdf_terms
+from .hat import ChainRecord, gaussian_log_pdf_terms, level_values, quad_forms
 from .linalg import LOG_2PI, logsumexp_1d
 from .registry import RegistrySnapshot
-
-LOCAL = "local"
-LEAP = "leap"
 
 
 def _accept(log_ratio, log_u):
@@ -187,17 +190,20 @@ def standard_swap_core(rec_k: ChainRecord, rec_k1: ChainRecord,
     return SwapResult(False, log_ratio, rec_k, rec_k1, logp_k, logp_k1)
 
 
-def mixture_propose(snapshot: RegistrySnapshot, beta: float,
+def mixture_propose(snapshot: RegistrySnapshot, beta: float, n: int,
                     rng: np.random.Generator) -> np.ndarray:
-    """Draw from the registry's Laplace mixture at temperature beta."""
+    """n draws from the registry's Laplace mixture at temperature beta,
+    an (n, dim) block: the n component uniforms first, then one (n, dim)
+    block of z ~ N(0, I); row r is mu_j + L_j z_r / sqrt(beta), j the
+    component of the r-th uniform."""
     if snapshot.n_modes == 0:
         raise ValueError("no modes discovered")
-    u = rng.random()
+    u = rng.random(n)
     cum = np.cumsum(np.exp(snapshot.log_weights))
-    j = int(np.searchsorted(cum, u * cum[-1]))
-    j = min(j, snapshot.n_modes - 1)
-    z = rng.standard_normal(snapshot.dim)
-    return snapshot.mus[j] + (snapshot.chols[j] @ z) / np.sqrt(beta)
+    j = np.minimum(np.searchsorted(cum, u * cum[-1]), snapshot.n_modes - 1)
+    z = rng.standard_normal((n, snapshot.dim))
+    return (snapshot.mus[j] + np.matmul(snapshot.chols[j], z[..., None])[..., 0]
+            / np.sqrt(beta))
 
 
 def mixture_log_density(snapshot: RegistrySnapshot, beta: float,
@@ -210,30 +216,35 @@ def mixture_log_density(snapshot: RegistrySnapshot, beta: float,
                         + gaussian_log_pdf_terms(snapshot, qf, beta))
 
 
-def leap_log_ratio(x: ChainRecord, y: ChainRecord, target, logp_x: float,
-                   logp_y: float) -> float:
-    """Independence-sampler log acceptance ratio for the mixture proposal
-    y from x at the level's temperature, from their records and values."""
-    lq_x = mixture_log_density(target.snapshot, target.beta, x.qf)
-    lq_y = mixture_log_density(target.snapshot, target.beta, y.qf)
-    return (logp_y + lq_x) - (logp_x + lq_y)
+def mode_leap_core(rec: ChainRecord, target, n: int,
+                   rng: np.random.Generator):
+    """n mode leaps of one chain at the HAT level `target`, drawn and
+    scored as one block; returns (record', leaps accepted).
 
-
-def mode_leap_core(rec: ChainRecord, logp_x: float, target,
-                   step_scale: float, rng: np.random.Generator):
-    """Algorithm: coin-flip between a local RWM move and a mixture leap.
-
-    Returns (record', logp', move_type, accepted).
+    The draws are the n proposals (`mixture_propose` at the level's beta)
+    and then the n decision uniforms.  The proposals' records and values
+    come from one `log_density_batch`, one quad-form and one block
+    `level_values` call, and their mixture densities from one
+    `mixture_log_density` per row.  Then the leaps are decided in order:
+    leap r compares log u_r with the independence-sampler log ratio
+    (logp(y_r) + log q(x)) - (logp(x) + log q(y_r)) from the chain's
+    current state x, which an accepted leap replaces.
     """
-    if rng.random() < 0.5:
-        rec_y, logp_y, accepted = rwm_core(rec, logp_x, target, step_scale,
-                                           rng)
-        return rec_y, logp_y, LOCAL, accepted
-    y = mixture_propose(target.snapshot, target.beta, rng)
-    log_u = np.log(rng.random())
-    rec_y = target.record(y)
-    logp_y, _ = target.value(rec_y)
-    log_ratio = leap_log_ratio(rec, rec_y, target, logp_x, logp_y)
-    if _accept(log_ratio, log_u):
-        return rec_y, logp_y, LEAP, True
-    return rec, logp_x, LEAP, False
+    snapshot, beta = target.snapshot, target.beta
+    y = mixture_propose(snapshot, beta, n, rng)
+    log_u = np.log(rng.random(n)).tolist()
+    logpi_y = target.base.log_density_batch(y)
+    qf_y = quad_forms(snapshot, y)
+    logp_y = level_values(snapshot, np.full(n, beta), logpi_y, qf_y,
+                          np.full(n, target.radius))[0].tolist()
+    lq_y = [mixture_log_density(snapshot, beta, qf) for qf in qf_y]
+    logp_x = target.value(rec)[0]
+    lq_x = mixture_log_density(snapshot, beta, rec.qf)
+    logpi_y = logpi_y.tolist()
+    accepted = 0
+    for r in range(n):
+        if _accept((logp_y[r] + lq_x) - (logp_x + lq_y[r]), log_u[r]):
+            rec = ChainRecord((y[r], logpi_y[r], qf_y[r]))
+            logp_x, lq_x = logp_y[r], lq_y[r]
+            accepted += 1
+    return rec, accepted

@@ -6,6 +6,9 @@ block.  Streams are therefore independent of execution order: a phase
 running on sweep t sees the same draws whatever ran before it.  The RWM
 phase draws every level's steps of the sweep as one block from the RWM
 stream: first all the z ~ N(0, I), then all the acceptance uniforms.
+The leap phase draws its V leaps as one block from the leap stream: the
+V component uniforms, one (V, dim) block of z ~ N(0, I), then the V
+acceptance uniforms.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ _EMPTY_BUFFER = (0, 0, 0, 0)
 
 # Fixed stream-id layout: one stream per kind of move, each sweep its own
 # counter block.  The RWM stream holds all of a sweep's RWM draws, every
-# level's.
+# level's; the leap stream all of its leap draws.
 RWM_STREAM = 1 << 32
 SWAP_STREAM = (1 << 32) + 1
 LEAP_STREAM = (1 << 32) + 2

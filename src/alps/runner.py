@@ -2,24 +2,25 @@
 
 A run type is the list of phases one sweep applies, in order:
 
-- ALPS: RWM at HAT levels 0..n-1, mode leaps at level n, swaps (QuanTA
+- ALPS: RWM at HAT levels 0..n, mode leaps at level n, swaps (QuanTA
   with probability swap_quanta_prob, else standard), exploration, and
   the mode allocations of levels 0 and n.
 - PT: RWM at power-tempered levels 0..n, standard swaps, and the
   nearest component locations of levels 0 and n.
 
 The LAIS baseline (Laplace-mixture independence sampling at beta = 1)
-is ALPS on the one-level ladder [1.0]: mode leaps at level 0,
-exploration, and the allocation of level 0.
+is ALPS on the one-level ladder [1.0]: RWM steps and mode leaps at
+level 0, exploration, and the allocation of level 0.
 
 Adaptation has one window, burn-in: until the freeze (sweep
-burnin_sweeps) each RWM level's step is tuned and the hot chain searches
-for modes; after it the kernels and the ladder are fixed.  The
-leap-local step at level n is never tuned.
+burnin_sweeps) each level's RWM step is tuned and the hot chain searches
+for modes; after it the kernels and the ladder are fixed.
 
-RWM and leap phases make V (`config.V`) updates per level.  Level-0
-states are recorded after every level-0 update, so total_target_samples
-= V * sweeps.
+RWM and leap phases make V (`config.V`) updates per level: each level
+takes V RWM steps, and level n then takes V leaps, a fixed composition
+that leaves each level invariant.  Level-0 states are recorded after
+every level-0 RWM step, and only then, so total_target_samples = V *
+sweeps, on the ladder [1.0] too.
 
 Every chain, each ladder chain and the hot chain, carries its record
 (x, log pi(x), qf(x)), qf(x) being the quad forms of x against the
@@ -44,6 +45,11 @@ of Z[r] and of the uniforms is level i's r-th step, so the run is the
 one that updates the levels one after another, each taking its steps'
 draws from the same block.
 
+The leap phase draws from the sweep's leap stream: the V component
+uniforms, one (V, dim) block of z ~ N(0, I), then the V decision
+uniforms.  It scores the V proposals as one block and decides the
+leaps in order (`kernels.mode_leap_core`, called once per sweep).
+
 The swap phase makes one swap per neighbour pair, n_levels - 1 in all.
 It draws from the sweep's swap stream: under the "uniform" strategy the
 pair indices first, in one call, then the decisions' uniforms in one
@@ -55,25 +61,24 @@ The run owns the hot chain of exploration: until the freeze, each sweep
 it moves on pi^beta_hot by V + 1 `rwm_core` steps, tallied under HOT,
 and then searches from its state (`exploration.mfind`); at the freeze it
 stops.  The exploration phase draws from the sweep's explore stream:
-first the refresh coin (and, on heads, the mixture point the chain
-restarts from), then z, then u, per step.  A bootstrap search moves and
-draws the same way, from a stream of its own, and gives up after
-MAX_BOOTSTRAP_ATTEMPTS searches.
+first the refresh coin (and, on heads, the one-row mixture block the
+chain restarts from: its component uniform, then its z), then z, then
+u, per step.  A bootstrap search moves and draws the same way, from a
+stream of its own, and gives up after MAX_BOOTSTRAP_ATTEMPTS searches.
 """
 
 from __future__ import annotations
 
 import logging
 import time
-from functools import partial
 
 import numpy as np
 
 from . import outputs
 from .config import V, ConfigError, RunConfig
 from .density import TargetDensity
-from .diagnostics import (HOT, LEAP, LEAP_LOCAL, RWM, SWAP_QUANTA,
-                          SWAP_STANDARD, RunDiagnostics)
+from .diagnostics import (HOT, LEAP, RWM, SWAP_QUANTA, SWAP_STANDARD,
+                          RunDiagnostics)
 from .exploration import NOT_CONVERGED, REJECTED, mfind
 from .hat import ChainRecord, Level, chi2_quantile, level_values, quad_forms
 from .kernels import (mixture_propose, mode_leap_core, quanta_swap_core,
@@ -114,6 +119,13 @@ def _config_point(value, dim: int, name: str) -> np.ndarray:
     if not np.all(np.isfinite(point)):
         raise ConfigError(f"{name} must be finite")
     return point
+
+
+def _require_finite_start(logpi: float, point: np.ndarray, name: str) -> None:
+    """A chain or a mode search cannot start where log pi is not finite."""
+    if not np.isfinite(logpi):
+        raise ConfigError(f"log density not finite at {name} = "
+                          f"{point.tolist()}")
 
 
 def _swap_schedule(strategy: str, n_pairs: int, sweep: int, rng) -> list:
@@ -162,10 +174,16 @@ class _Run:
         self.initial_points = [
             _config_point(point, d, f"initial_modes[{i}]")
             for i, point in enumerate(config.initial_modes or [])]
-        # build_levels fills in the quad forms
-        self.states = [ChainRecord((x0.copy(), target.log_density(x0),
-                                    quad_forms(None, x0)))
-                       for _ in range(self.n + 1)]
+        # a start whose log density overflows is a config error, not a
+        # warning; build_levels fills in the quad forms
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.states = [ChainRecord((x0.copy(), target.log_density(x0),
+                                        quad_forms(None, x0)))
+                           for _ in range(self.n + 1)]
+            _require_finite_start(self.states[0].logpi, x0, "init")
+            for i, point in enumerate(self.initial_points):
+                _require_finite_start(target.log_density(point), point,
+                                      f"initial_modes[{i}]")
         if hat:
             self._find_modes(x0)
         radius = (np.inf if config.truncation is None
@@ -243,7 +261,7 @@ class _Run:
         if (refresh > 0.0 and self.registry.n_modes > 0
                 and rng.random() < refresh):
             self.hot_state = self.hot_target.record(
-                mixture_propose(self.registry.snapshot(), 1.0, rng))
+                mixture_propose(self.registry.snapshot(), 1.0, 1, rng)[0])
         self.hot_moves(rng)
         record: dict = {}
         _, self.registry, found = mfind(self.hot_state.x, self.registry,
@@ -276,47 +294,39 @@ class _Run:
             else level.record(mode.copy())
             for level, rec in zip(self.level_targets, self.states)]
 
-    def tune(self, levels, rates, sweep: int) -> None:
+    def tune(self, rates: np.ndarray, sweep: int) -> None:
         """Robbins-Monro step of each level's log step scale toward the
         target acceptance rate, all levels in one array operation, until
         adaptation freezes."""
         if sweep >= self.freeze:
             return
-        levels = np.asarray(levels)
         gamma = 1.0 / (1.0 + sweep) ** 0.6
-        log_steps = np.log(self.step_scales[levels])
-        self.step_scales[levels] = np.clip(
-            np.exp(log_steps + gamma * (np.asarray(rates) - RWM_TUNE_TARGET)),
-            1e-8, 1e8)
+        self.step_scales = np.clip(
+            np.exp(np.log(self.step_scales)
+                   + gamma * (rates - RWM_TUNE_TARGET)), 1e-8, 1e8)
 
 
 # Phases: each takes (run, sweep index) and advances the run in place.
 # They look kernels up in this module's namespace at call time, so
 # wrappers installed on those names see every call.
 
-def _rwm_phase(run: _Run, t: int, levels: range) -> None:
+def _rwm_phase(run: _Run, t: int) -> None:
     """V RWM updates per level, the levels in lockstep (see the module
     docstring); the tallies are counted and the step scales tuned once
     per level after the last repetition."""
-    if not levels:
-        return
-    snapshot = run.snapshot
-    lo, hi = levels.start, levels.stop
-    states = run.states[lo:hi]
-    X = np.array([rec.x for rec in states])
-    logpi = np.array([rec.logpi for rec in states])
-    qf = np.array([rec.qf for rec in states])
-    betas, radii = run.betas[lo:hi], run.radii[lo:hi]
+    snapshot, betas, radii = run.snapshot, run.betas, run.radii
+    X = np.array([rec.x for rec in run.states])
+    logpi = np.array([rec.logpi for rec in run.states])
+    qf = np.array([rec.qf for rec in run.states])
     logp, alloc = level_values(snapshot, betas, logpi, qf, radii)
-    beta_col, step_col = betas[:, None], run.step_scales[lo:hi, None]
+    beta_col, step_col = betas[:, None], run.step_scales[:, None]
     scale = (step_col / np.sqrt(beta_col)).ravel()
     rng = run.factory.stream(RWM_STREAM, t)
     Z = rng.standard_normal((V,) + X.shape)
-    log_u = np.log(rng.random((V, len(levels))))
-    accepted = np.zeros(len(levels), dtype=int)
-    span = f"levels {lo}-{hi - 1}"
+    log_u = np.log(rng.random((V, betas.size)))
+    accepted = np.zeros(betas.size, dtype=int)
     for r in range(V):
-        run.stage = f"rwm rep {r}, {span}"
+        run.stage = f"rwm rep {r}, levels 0-{run.n}"
         Y = rwm_propose(X, snapshot, beta_col, step_col, Z[r], alloc)
         logpi_y = run.target.log_density_batch(Y)
         qf_y = quad_forms(snapshot, Y)
@@ -329,29 +339,22 @@ def _rwm_phase(run: _Run, t: int, levels: range) -> None:
         np.copyto(alloc, alloc_y, where=acc)
         np.copyto(qf, qf_y, where=acc[:, None])
         accepted += acc
-        if lo == 0:
-            run.diag.record_sample(X[0])
-    run.states[lo:hi] = map(ChainRecord, zip(X, logpi.tolist(), qf))
-    for k, acc in zip(levels, accepted.tolist()):
+        run.diag.record_sample(X[0])
+    run.states = list(map(ChainRecord, zip(X, logpi.tolist(), qf)))
+    for k, acc in enumerate(accepted.tolist()):
         run.diag.count(RWM, k, acc, V)
-    run.tune(levels, accepted / V, t)
+    run.tune(accepted / V, t)
 
 
 def _leap_phase(run: _Run, t: int) -> None:
-    """V mode-leap moves at level n, each a leap or a local RWM step at
-    the level's untuned step scale."""
-    n, level = run.n, run.level_targets[run.n]
+    """V mode leaps at level n, drawn and scored as one block (see the
+    module docstring)."""
+    n = run.n
     run.stage = f"leap level {n}"
-    rng = run.factory.stream(LEAP_STREAM, t)
-    rec = run.states[n]
-    logp = level.value(rec)[0]
-    for _ in range(V):
-        rec, logp, move_type, acc = mode_leap_core(
-            rec, logp, level, run.step_scales[n], rng)
-        run.diag.count(LEAP if move_type == "leap" else LEAP_LOCAL, n, acc)
-        if n == 0:
-            run.diag.record_sample(rec.x)
-    run.states[n] = rec
+    run.states[n], accepted = mode_leap_core(
+        run.states[n], run.level_targets[n], V,
+        run.factory.stream(LEAP_STREAM, t))
+    run.diag.count(LEAP, n, accepted, V)
 
 
 def _swap_phase(run: _Run, t: int) -> None:
@@ -446,8 +449,8 @@ def alps_run(config: RunConfig, target: TargetDensity):
     if betas[0] != 1.0 or np.any(np.diff(betas) <= 0):
         raise ConfigError("annealing ladder must start at 1 and increase")
     return _drive(config, target, betas, hat=True, phases=(
-        partial(_rwm_phase, levels=range(betas.size - 1)),
-        _leap_phase, _swap_phase, _exploration_phase, _hat_visits))
+        _rwm_phase, _leap_phase, _swap_phase, _exploration_phase,
+        _hat_visits))
 
 
 def pt_run(config: RunConfig, target: TargetDensity):
@@ -456,6 +459,5 @@ def pt_run(config: RunConfig, target: TargetDensity):
     if betas[0] != 1.0 or (betas.size > 1 and np.any(np.diff(betas) >= 0)):
         raise ConfigError("tempering ladder must start at 1 and decrease")
     return _drive(config, target, betas, hat=False, phases=(
-        partial(_rwm_phase, levels=range(betas.size)),
-        _swap_phase, _nearest_visits))
+        _rwm_phase, _swap_phase, _nearest_visits))
 

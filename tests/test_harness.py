@@ -15,8 +15,8 @@ from alps import cli, exploration, kernels, runner
 from alps.cli import main
 from alps.config import V, ConfigError, RunConfig, preset_dict
 from alps.density import TargetDensity
-from alps.diagnostics import (HOT, LEAP, LEAP_LOCAL, RWM, SWAP_QUANTA,
-                              SWAP_STANDARD, running_prob_estimate)
+from alps.diagnostics import (HOT, LEAP, RWM, SWAP_QUANTA, SWAP_STANDARD,
+                              running_prob_estimate)
 from alps.hat import Level, chi2_quantile
 from alps.kernels import standard_swap_core
 from alps.optimize import local_optimize
@@ -83,8 +83,8 @@ def test_alps_run_counter_identities():
     t = diag.n_sweeps
     def totals(move):
         return sum(n for (mv, _), (a, n) in diag.counters.items() if mv == move)
-    assert totals(RWM) == V * t
-    assert totals(LEAP) + totals(LEAP_LOCAL) == V * t
+    assert totals(RWM) == V * t * len(cfg.ladder.betas)
+    assert totals(LEAP) == V * t
     assert totals(SWAP_QUANTA) + totals(SWAP_STANDARD) == cfg.n_swaps * t
     assert len(diag.mode_visits_level0) == t
     assert len(diag.mode_visits_top) == t
@@ -221,6 +221,11 @@ def test_cli_no_modes_without_exploration_is_config_error(tmp_path, capsys):
       "init": None},
      "bad target spec: unidentifiable system: 4 observations per equation "
      "for 5 equations"),
+    # log pi = -inf at a start point: a search from it used to end in a
+    # bare ValueError, and a chain started there never moved
+    ({"init": [1e200]}, "log density not finite at init = [1e+200]"),
+    ({"initial_modes": [[1e200]]},
+     "log density not finite at initial_modes[0] = [1e+200]"),
 ])
 def test_cli_bad_settings_are_config_errors(tmp_path, capsys, override,
                                             message):
@@ -234,6 +239,27 @@ def test_cli_bad_settings_are_config_errors(tmp_path, capsys, override,
     assert main(["pt", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error") and message in err
+
+
+@pytest.mark.parametrize("override", [
+    {"init": [1e200], "ladder": {"betas": [1.0, 4.0], "beta_hot": 0.1}},
+    {"initial_modes": [[1e200]], "exploration": None},
+], ids=["bootstrap-from-init", "initial-mode"])
+def test_cli_run_from_a_start_without_finite_log_density(tmp_path, capsys,
+                                                         override):
+    # the bootstrap search from init, or the search from an initial mode,
+    # used to end in "ValueError: log density not finite at the starting
+    # point", exit 1
+    config = {
+        "target": {"name": "gaussian", "params": {"mu": [0.0],
+                                                  "sigma": [[1.0]]}},
+        "ladder": {"betas": [1.0, 4.0]}, "seed": 0,
+        "total_target_samples": 10, **override}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["run", "--config", str(path)]) == 2
+    assert "config error: log density not finite at " in (
+        capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("key, value", [
@@ -448,29 +474,32 @@ def reference_rwm_core_alloc(x, logp_x, target, step_scale, z, u, a_x=None):
     return x, logp_x, a_x, False
 
 
-def reference_rwm_phase(run, t, levels):
-    """The RWM phase updating one level after another, V steps each, level
-    i's step r taking its z and u from row i of the sweep's draw block's
-    repetition r; the chain's record is evaluated afresh at its last
-    state."""
+def reference_rwm_phase(run, t):
+    """The RWM phase updating one level after another, the top level
+    included, V steps each, level k's step r taking its z and u from row
+    k of the sweep's draw block's repetition r; the chain's record is
+    evaluated afresh at its last state."""
+    levels = range(run.n + 1)
     rng = run.factory.stream(runner.RWM_STREAM, t)
     Z = rng.standard_normal((V, len(levels), run.target.dim))
     U = rng.random((V, len(levels)))
-    for i, k in enumerate(levels):
+    rates = np.zeros(len(levels))
+    for k in levels:
         accepted = 0
         a_k = None
         x = run.states[k].x
         logp = run.level_targets[k].value(run.states[k])[0]
         for r in range(V):
             x, logp, a_k, acc = reference_rwm_core_alloc(
-                x, logp, run.level_targets[k], run.step_scales[k], Z[r, i],
-                U[r, i], a_k)
+                x, logp, run.level_targets[k], run.step_scales[k], Z[r, k],
+                U[r, k], a_k)
             accepted += int(acc)
             run.diag.count(RWM, k, acc)
             if k == 0:
                 run.diag.record_sample(x)
         run.states[k] = run.level_targets[k].record(x)
-        run.tune(k, accepted / V, t)
+        rates[k] = accepted / V
+    run.tune(rates, t)
 
 
 def two_mode_alps_case():
@@ -496,14 +525,14 @@ def skew_pt_case():
 # A platform whose libm or BLAS rounds differently changes them.
 PINNED_DIGESTS = {
     "alps-hat": (
-        "ddd586468dd3a1e84c1460c6514b1df5b1bed620d3b53ba6de0af41978c75ec8",
-        "cf17b7bada79c3bcd53092ded6e167cc58ded02ab7d43663d49a638e82fc7e47"),
+        "92c59df3b94a5a827a399b47322cdef3df8222b635f02d2da3fcc4ddac00f357",
+        "f80ff63a55ba2659f50f1682cf40f9a34f3b5fdb2f92773a97a80a40ce52220b"),
     "pt-batched": (
         "7edcb5f27c76c68535c4fe19d2df3a92ad560f0037daef94e78fd18e54241ffe",
         "dd183b9c316a577f8613061aa6fc64375f90767a4ce7c381fea8bfbfd10f861a"),
     "alps-exploring": (
-        "d6e24a866d159e90545a32ffc8c8f764fc5f8ad654e07c0be22643bb9b3e33fd",
-        "57975e79f61de634b4a392a0cedc1972059f4ca80f6d15dd15c9b03ba3fc01d6"),
+        "79cc19d0c21efa94bae96cb09f143138a29a6fda4ee402551c7fc55805c2fe56",
+        "fbdc512fc9a88a87d30211922f14291c28d7a34f0a2beaa7d4f0f26b6bdc86e2"),
 }
 
 
@@ -553,6 +582,61 @@ def test_lockstep_rwm_phase_equals_level_by_level_reference(monkeypatch, case):
         assert lockstep_corrections > 0
 
 
+def reference_leap_phase(run, t):
+    """The leap phase one leap after another: leap r takes its component
+    uniform, its z and its decision uniform from row r of the sweep's
+    drawn block, evaluates its proposal and both mixture densities on its
+    own, and is decided by the scalar kernel; the chain's record is
+    evaluated afresh at its last state."""
+    n, level = run.n, run.level_targets[run.n]
+    snap, beta = level.snapshot, level.beta
+    rng = run.factory.stream(runner.LEAP_STREAM, t)
+    C = rng.random(V)
+    Z = rng.standard_normal((V, run.target.dim))
+    U = rng.random(V)
+    x = run.states[n].x
+    logp = level.log_density(x)
+    for r in range(V):
+        y = reference_mixture_draw(snap, beta, C[r], Z[r])
+        logp_y = level.log_density(y)
+        log_ratio = (
+            (logp_y + kernels.mixture_log_density(snap, beta,
+                                                  snap.quad_forms(x)))
+            - (logp + kernels.mixture_log_density(snap, beta,
+                                                  snap.quad_forms(y))))
+        accepted = bool(kernels._accept(log_ratio, np.log(U[r])))
+        if accepted:
+            x, logp = y, logp_y
+        run.diag.count(LEAP, n, accepted)
+    run.states[n] = level.record(x)
+
+
+def lais_case():
+    target = GaussianMixtureTarget([0.6, 0.4], [[0.0, 0.0], [3.0, 0.5]],
+                                   [np.eye(2), 0.5 * np.eye(2)])
+    cfg = lais_config(initial_modes=[[0.0, 0.0], [3.0, 0.5]],
+                      total_target_samples=1500, burnin_samples=500)
+    return alps_run, cfg, target
+
+
+@pytest.mark.parametrize("case", [two_mode_alps_case, lais_case],
+                         ids=["alps-hat", "lais"])
+def test_block_leap_phase_equals_leap_by_leap_reference(monkeypatch, case):
+    run_fn, cfg, target = case()
+    samples, diag = run_fn(cfg, target)
+    monkeypatch.setattr(runner, "_leap_phase", reference_leap_phase)
+    ref_samples, ref_diag = run_fn(cfg, target)
+    np.testing.assert_array_equal(samples, ref_samples)
+    assert diag.counters == ref_diag.counters
+    assert diag.tuned_step_scales == ref_diag.tuned_step_scales
+    assert diag.mode_visits_level0 == ref_diag.mode_visits_level0
+    assert diag.mode_visits_top == ref_diag.mode_visits_top
+    # leaps were both accepted and rejected, V per sweep at the top level
+    top = len(cfg.ladder.betas) - 1
+    accepts, proposed = diag.counters[(LEAP, top)]
+    assert 0 < accepts < proposed == V * diag.n_sweeps
+
+
 def test_alps_recovers_unequal_mode_weights():
     # HAT keeps each mode's mass at every level, so level 0 must split its
     # time 0.7 / 0.3 between two modes of unequal covariance, which it
@@ -575,6 +659,32 @@ def test_alps_recovers_unequal_mode_weights():
                                init=[0.0, 0.0], total_target_samples=3000)
     walk, _ = pt_run(walk_cfg, target)
     assert np.all(walk[:, 0] < 5.0)
+
+
+def test_alps_recovers_three_mode_weights_with_one_mode_far_away():
+    # two near modes and one ~70 units away: the far one is reached only
+    # by the top level's leaps, and level 0 must still split its time
+    # 0.5 / 0.3 / 0.2 between the three (nearest mode point, within four
+    # batch-means standard errors)
+    weights = [0.5, 0.3, 0.2]
+    mus = [[0.0, 0.0], [6.0, 2.0], [60.0, -40.0]]
+    sigmas = [[[1.0, 0.3], [0.3, 0.5]], [[0.4, -0.1], [-0.1, 1.2]],
+              [[2.0, 0.5], [0.5, 0.8]]]
+    target = GaussianMixtureTarget(weights, mus, sigmas)
+    cfg = gaussian_config(ladder={"betas": [1.0, 8.0]}, initial_modes=mus,
+                          init=[0.0, 0.0],
+                          total_target_samples=6000, burnin_samples=600)
+    samples, _ = alps_run(cfg, target)
+    post = samples[cfg.burnin_samples:]
+    nearest = np.argmin(
+        ((post[:, None, :] - np.array(mus)[None]) ** 2).sum(axis=2), axis=1)
+    for k, weight in enumerate(weights):
+        batches = (nearest == k).reshape(30, -1).mean(axis=1)
+        mcse = batches.std(ddof=1) / np.sqrt(batches.size)
+        assert mcse < 0.03, k
+        assert abs(batches.mean() - weight) < 4.0 * mcse, k
+    # level 0 enters and leaves the far mode many times
+    assert np.count_nonzero(np.diff(nearest == 2)) > 50
 
 
 def test_build_levels_restarts_stranded_states_at_the_dominant_mode():
@@ -748,6 +858,13 @@ def reference_settings(config):
                            refresh_from_modes=ec.refresh_from_modes)
 
 
+def reference_mixture_draw(snap, beta, u, z):
+    """The mixture point of component uniform u and z ~ N(0, I)."""
+    cum = np.cumsum(np.exp(snap.log_weights))
+    j = min(int(np.searchsorted(cum, u * cum[-1])), snap.n_modes - 1)
+    return snap.mus[j] + (snap.chols[j] @ z) / np.sqrt(beta)
+
+
 def reference_mfind(x_hot, registry, base, cfg, rng, count, log_cb=None):
     """One exploration step as one function: the refresh coin, V + 1
     `hot_step` updates (two evaluations each), each passed to `count`,
@@ -756,7 +873,9 @@ def reference_mfind(x_hot, registry, base, cfg, rng, count, log_cb=None):
     x_hot = np.asarray(x_hot, dtype=float)
     if cfg.refresh_from_modes > 0.0 and registry.n_modes > 0:
         if rng.random() < cfg.refresh_from_modes:
-            x_hot = kernels.mixture_propose(registry.snapshot(), 1.0, rng)
+            x_hot = reference_mixture_draw(registry.snapshot(), 1.0,
+                                           rng.random(),
+                                           rng.standard_normal(base.dim))
     for _ in range(V + 1):
         x_hot, accepted = exploration.hot_step(x_hot, cfg.beta_hot, base, rng,
                                                cfg.step_scale)
@@ -947,20 +1066,21 @@ def lais_config(**over):
 
 
 def test_lais_run_counter_identities():
-    # LAIS is ALPS on the one-level ladder [1.0]: only mode leaps and
-    # their local moves, no RWM phase and no swaps
+    # LAIS is ALPS on the one-level ladder [1.0]: V RWM steps and V mode
+    # leaps at level 0 per sweep, and no swaps
     cfg = lais_config(total_target_samples=1000, burnin_samples=100)
     target = GaussianTarget(np.zeros(1), np.eye(1))
     samples, diag = alps_run(cfg, target)
     t = diag.n_sweeps
-    assert proposals(diag, LEAP) + proposals(diag, LEAP_LOCAL) == V * t
-    assert proposals(diag, RWM) == 0
+    assert proposals(diag, LEAP) == V * t
+    assert proposals(diag, RWM) == V * t
     assert proposals(diag, SWAP_QUANTA) + proposals(diag, SWAP_STANDARD) == 0
     assert len(diag.mode_visits_level0) == t
     assert diag.mode_visits_top == diag.mode_visits_level0
     assert diag.registry.n_modes == 1
-    # the leap-local step, 2.38/sqrt(d) at d = 1, is never tuned
-    assert diag.tuned_step_scales == [2.38]
+    # level 0's RWM step is tuned away from its start, 2.38/sqrt(d)
+    assert len(diag.tuned_step_scales) == 1
+    assert diag.tuned_step_scales != [2.38]
     assert len(samples) == 1000
 
 
@@ -1007,7 +1127,7 @@ def test_cli_runs_the_lais_preset_under_run(tmp_path, capsys):
     assert main(["run", "--preset", "synthetic-20d-lais",
                  "--config", str(path)]) == 0
     out = capsys.readouterr().out
-    assert "  leap: acceptance" in out and "  rwm:" not in out
+    assert "  leap: acceptance" in out and "  rwm: acceptance" in out
     # there is no separate LAIS subcommand
     with pytest.raises(SystemExit) as exit_info:
         main(["lais", "--preset", "synthetic-20d-lais"])

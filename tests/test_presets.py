@@ -19,26 +19,26 @@ SMOKE = {"total_target_samples": 200, "burnin_samples": 100}
 # preset: (subcommand, override, {artifact: sha256})
 PINNED_PRESETS = {
     "synthetic-20d": ("run", SMOKE, {
-        "trace.csv": "6373f196484472e0978fd707a8bea468ba68e7389c612ef4b9c3ab15f109818d",
-        "acceptance.json": "6293e9bbc477c2efa84700c3698ecaa258babbb5285cd1b9170f8d52d9afe715",
+        "trace.csv": "b7c3b203a2e967be734104be8cb71c385cdc39cc10a8a5b3918c3841458f7d25",
+        "acceptance.json": "56b6be6d175ac54e1a749a0ce41c750397b3b630630a54dd3b8a1a47966acac1",
         "modes.json": "8e59a8d311028abdc1f02b3d735e6161380aedc46cecabc856469b580008ac2f",
-        "summary.json": "7d6077d763a95d043b9729c145290c4d69958639ab3e223dcbfa2aab2ffa60ee"}),
+        "summary.json": "36b4f03ad66e6b25846fe2bd03bb12b27764d8ae4e0d46a66d07d1882b7c4e83"}),
     "synthetic-20d-pt": ("pt", SMOKE, {
         "trace.csv": "7e6f43408fee5490eb3cc93c32bea2a11da446d84f79126087cedcf86873ca9f",
         "acceptance.json": "fe9e30767ed466d8f0ee14103b01dd152d993de8ae9882eea1497bc2ef4db71f",
         "modes.json": "f4e2aa74a1cd000c2499f7c1f692105ba35c3e9f4d8d77b9585f8643dec94a13",
         "summary.json": "167bb552a1317d254e451401a6a8a73b82e727f569c156f8338954478bbce7dd"}),
     "synthetic-20d-lais": ("run", SMOKE, {
-        "trace.csv": "716ab80ced5924208d2ac9296612778dd544411b891b00d87062265e1c9e4986",
-        "acceptance.json": "306595f93cde424f5a8d67f6d2a9841a28b1797592f2db7e8144f3d8fa45e9c3",
+        "trace.csv": "419268f159476d5ba5632831e1ab92e575e6b30592134ca8196702b14fa55eb0",
+        "acceptance.json": "0400168ac388f9edd07878d1c170f1aa506225d3cf9ee76b58ede4cd66aabbda",
         "modes.json": "8e59a8d311028abdc1f02b3d735e6161380aedc46cecabc856469b580008ac2f",
-        "summary.json": "dff57815e72ea30b26a10be1eb50a3ac89b90ad7b63b5941d6c7550c91f208ae"}),
+        "summary.json": "7c8710d97802356d0296ba765017d2d7cbcfccb32c1560ac2885c1c196685e6f"}),
     "sur-grunfeld": ("run", {"total_target_samples": 100,
                              "burnin_samples": 50}, {
-        "trace.csv": "81b480be5aea46b7d362c855441e7f6c6bdcf1c42af43f8fc9a8b79cf50c6486",
-        "acceptance.json": "de3292ad9165f60429f0ba32ebf3c8ad726fab62eef2ab3ed6388f89067081cd",
+        "trace.csv": "31d2837f3b6dba482dec7591bf31a7b563d321d9f8685952b894b5a5f01d0c32",
+        "acceptance.json": "bd0f1752ceb31b446fd42f4f135df79e0b486c8dee1486b41fe59accacd89811",
         "modes.json": "b63719077841ff762deeb0685006b12763c94b620bb2ba790bb0477c8d337756",
-        "summary.json": "87100d74ba0a9acf50b0a4254cd809332e2fcc53be0891333d9fe3f650b3068c"}),
+        "summary.json": "15a973e9061e5320f09ed6deef8042516aba68d194b384e1c0e822ded7b65220"}),
 }
 
 
