@@ -8,9 +8,10 @@ mode points, a level without one (a plain power) gets the plain random
 walk.  All acceptance ratios are formed and compared in log space.
 
 Each chain carries its record (x, log pi(x), qf(x)) (`hat.ChainRecord`).
-A kernel takes the chain's level value beside the record and returns
-the new one, so a caller making many moves reads it off the record
-(`level.value`) once.  A kernel evaluates the base density and the quad
+`rwm_core` and the swaps take the chain's level value beside the record
+and return the new one, so a caller making many moves reads it off the
+record (`level.value`) once; `mode_leap_core`, which makes all of a
+sweep's leaps in one call, reads it itself.  A kernel evaluates the base density and the quad
 forms once per new point, at the point's record; every other value,
 allocation and mixture density it needs at a carried state it reads
 from the state's record.
