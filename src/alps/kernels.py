@@ -11,10 +11,10 @@ Each chain carries its record (x, log pi(x), qf(x)) (`hat.ChainRecord`).
 `rwm_core` and the swaps take the chain's level value beside the record
 and return the new one, so a caller making many moves reads it off the
 record (`level.value`) once; `mode_leap_core`, which makes all of a
-sweep's leaps in one call, reads it itself.  A kernel evaluates the base density and the quad
-forms once per new point, at the point's record; every other value,
-allocation and mixture density it needs at a carried state it reads
-from the state's record.
+sweep's leaps in one call, reads it itself.  A kernel evaluates the
+base density and the quad forms once per new point, at the point's
+record; every other value, allocation and mixture density it needs at
+a carried state it reads from the state's record.
 
 Each decision takes exactly one uniform u and compares log u with the
 log ratio; a NaN ratio rejects.  The RWM and swap decisions take log u,
@@ -203,8 +203,8 @@ def mixture_propose(snapshot: RegistrySnapshot, beta: float, n: int,
     cum = np.cumsum(np.exp(snapshot.log_weights))
     j = np.minimum(np.searchsorted(cum, u * cum[-1]), snapshot.n_modes - 1)
     z = rng.standard_normal((n, snapshot.dim))
-    return (snapshot.mus[j] + np.matmul(snapshot.chols[j], z[..., None])[..., 0]
-            / np.sqrt(beta))
+    steps = np.matmul(snapshot.chols[j], z[..., None])[..., 0]
+    return snapshot.mus[j] + steps / np.sqrt(beta)
 
 
 def mixture_log_density(snapshot: RegistrySnapshot, beta: float,
@@ -241,11 +241,10 @@ def mode_leap_core(rec: ChainRecord, target, n: int,
     lq_y = [mixture_log_density(snapshot, beta, qf) for qf in qf_y]
     logp_x = target.value(rec)[0]
     lq_x = mixture_log_density(snapshot, beta, rec.qf)
-    logpi_y = logpi_y.tolist()
     accepted = 0
     for r in range(n):
         if _accept((logp_y[r] + lq_x) - (logp_x + lq_y[r]), log_u[r]):
-            rec = ChainRecord((y[r], logpi_y[r], qf_y[r]))
+            rec = ChainRecord((y[r], float(logpi_y[r]), qf_y[r]))
             logp_x, lq_x = logp_y[r], lq_y[r]
             accepted += 1
     return rec, accepted
