@@ -218,14 +218,6 @@ class RunConfig:
                 obj[key] = _build(section, obj[key], key)
         return _build(cls, obj, "config")
 
-    @classmethod
-    def from_json(cls, text: str) -> "RunConfig":
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as err:
-            raise ConfigError(f"invalid JSON: {err}") from err
-        return cls.from_dict(obj)
-
 
 def deep_merge(base: dict, override: dict) -> dict:
     """Recursive dict merge; scalars and lists in `override` win."""

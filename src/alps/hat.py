@@ -32,8 +32,10 @@ class ChainRecord(tuple):
     against the level snapshot's modes ((J,), empty on power levels).
 
     Built from one tuple, `ChainRecord((x, logpi, qf))`, by tuple's own
-    constructor, a fraction of the cost of a NamedTuple's: the RWM phase
-    builds one per level every sweep.
+    constructor, a fraction of the cost of a NamedTuple's: the hot chain
+    builds one per step.  The ladder's chains keep theirs as the rows of
+    the run's block, and a phase takes one as a view of a row
+    (`runner._Run.record`).
     """
 
     __slots__ = ()

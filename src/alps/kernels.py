@@ -8,10 +8,16 @@ mode points, a level without one (a plain power) gets the plain random
 walk.  All acceptance ratios are formed and compared in log space.
 
 Each chain carries its record (x, log pi(x), qf(x)) (`hat.ChainRecord`).
-`rwm_core` and the swaps take the chain's level value beside the record
-and return the new one, so a caller making many moves reads it off the
-record (`level.value`) once; `mode_leap_core`, which makes all of a
-sweep's leaps in one call, reads it itself.  A kernel evaluates the
+`rwm_core` takes the chain's level value beside the record and returns
+the new one, so a caller making many moves reads it off the record
+(`level.value`) once; `mode_leap_core`, which makes all of a sweep's
+leaps in one call, reads it itself.  The swaps take what they need of
+the two chains from their caller, which reads it off the records:
+`standard_swap_core` decides from four level values alone (the chains'
+own and their cross values) and returns its decision;
+`quanta_swap_core` takes the two states with their values and
+allocations, evaluates only its two transformed points, and returns
+None or the two new records with their values.  A kernel evaluates the
 base density and the quad forms once per new point, at the point's
 record; every other value, allocation and mixture density it needs at
 a carried state it reads from the state's record.
@@ -39,12 +45,10 @@ already computed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .hat import ChainRecord, gaussian_log_pdf_terms, level_values, quad_forms
-from .linalg import LOG_2PI, logsumexp_1d
+from .linalg import LOG_2PI, logsumexp_1d, solve_lower
 from .registry import RegistrySnapshot
 
 
@@ -56,9 +60,8 @@ def _accept(log_ratio, log_u):
 
 def _proposal_log_density(diff: np.ndarray, chol: np.ndarray, log_det: float,
                           scale: float) -> float:
-    from scipy.linalg import solve_triangular
     d = diff.shape[0]
-    z = solve_triangular(chol, diff, lower=True, check_finite=False) / scale
+    z = solve_lower(chol, diff) / scale
     return -0.5 * (d * LOG_2PI + log_det + 2.0 * d * np.log(scale)
                    + float(z @ z))
 
@@ -136,59 +139,41 @@ def quanta_transform(x: np.ndarray, beta_from: float, beta_to: float,
     return np.sqrt(beta_from / beta_to) * (x - mu) + mu
 
 
-@dataclass
-class SwapResult:
-    accepted: bool
-    log_ratio: float
-    low: ChainRecord     # the record now at level k
-    high: ChainRecord    # the record now at level k + 1
-    logp_low: float
-    logp_high: float
-
-
-def quanta_swap_core(rec_k: ChainRecord, rec_k1: ChainRecord, logp_k: float,
-                     logp_k1: float, target_k, target_k1,
-                     log_u: float) -> SwapResult:
+def quanta_swap_core(x_k: np.ndarray, x_k1: np.ndarray, m1: int, m2: int,
+                     logp_k: float, logp_k1: float, target_k, target_k1,
+                     log_u: float):
     """QuanTA exchange between neighbouring HAT levels k and k+1, decided
-    by the log uniform `log_u`: each state is rescaled about its
-    allocated mode point to the other level's temperature.
+    by the log uniform `log_u`: each state, x_k with value logp_k and
+    allocation m1 at level k and x_k1 with logp_k1 and m2 at level k+1,
+    is rescaled about its allocated mode point to the other level's
+    temperature.  Returns None if rejected, else (the record now at
+    level k, the record now at level k+1, their values there).
 
     The map is an involution only while each transformed state keeps its
     allocation at its new level; a proposal that changes either
-    allocation is rejected, with log ratio -inf (Tawn & Roberts 2018,
-    QuanTA).
+    allocation is rejected (Tawn & Roberts 2018, QuanTA).
     """
     beta_k, beta_k1 = target_k.beta, target_k1.beta
     snapshot = target_k.snapshot
-    _, m1 = target_k.value(rec_k)
-    _, m2 = target_k1.value(rec_k1)
     y_k = target_k1.record(
-        quanta_transform(rec_k.x, beta_k, beta_k1, snapshot.mus[m1]))
+        quanta_transform(x_k, beta_k, beta_k1, snapshot.mus[m1]))
     y_k1 = target_k.record(
-        quanta_transform(rec_k1.x, beta_k1, beta_k, snapshot.mus[m2]))
+        quanta_transform(x_k1, beta_k1, beta_k, snapshot.mus[m2]))
     lp_yk_at_k1, a_yk = target_k1.value(y_k)
     lp_yk1_at_k, a_yk1 = target_k.value(y_k1)
-    if a_yk != m1 or a_yk1 != m2:
-        return SwapResult(False, -np.inf, rec_k, rec_k1, logp_k, logp_k1)
-    log_ratio = (lp_yk_at_k1 + lp_yk1_at_k) - (logp_k + logp_k1)
-    if _accept(log_ratio, log_u):
-        return SwapResult(True, log_ratio, y_k1, y_k, lp_yk1_at_k, lp_yk_at_k1)
-    return SwapResult(False, log_ratio, rec_k, rec_k1, logp_k, logp_k1)
+    if a_yk == m1 and a_yk1 == m2 and _accept(
+            (lp_yk_at_k1 + lp_yk1_at_k) - (logp_k + logp_k1), log_u):
+        return y_k1, y_k, lp_yk1_at_k, lp_yk_at_k1
+    return None
 
 
-def standard_swap_core(rec_k: ChainRecord, rec_k1: ChainRecord,
-                       logp_k: float, logp_k1: float, target_k, target_k1,
-                       log_u: float) -> SwapResult:
-    """Exchange proposal between neighbouring levels k and k+1, decided
-    by the log uniform `log_u`; the cross values come from the two
-    records."""
-    lp_xk1_at_k, _ = target_k.value(rec_k1)
-    lp_xk_at_k1, _ = target_k1.value(rec_k)
-    log_ratio = (lp_xk1_at_k + lp_xk_at_k1) - (logp_k + logp_k1)
-    if _accept(log_ratio, log_u):
-        return SwapResult(True, log_ratio, rec_k1, rec_k, lp_xk1_at_k,
-                          lp_xk_at_k1)
-    return SwapResult(False, log_ratio, rec_k, rec_k1, logp_k, logp_k1)
+def standard_swap_core(logp_k: float, logp_k1: float, cross_k: float,
+                       cross_k1: float, log_u: float) -> bool:
+    """Whether to exchange the states of neighbouring levels k and k+1,
+    decided by the log uniform `log_u`: logp_k and logp_k1 are their
+    values at their own levels, cross_k the value of level k+1's state
+    at level k and cross_k1 that of level k's state at level k+1."""
+    return _accept((cross_k + cross_k1) - (logp_k + logp_k1), log_u)
 
 
 def mixture_propose(snapshot: RegistrySnapshot, beta: float, n: int,

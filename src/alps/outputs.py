@@ -41,11 +41,11 @@ def write_json(path: str, obj) -> None:
 def _write_trace(path: str, samples: np.ndarray) -> None:
     """Every TRACE_THINNING-th sample; each sweep records V of them."""
     header = "sweep," + ",".join(f"x{i}" for i in range(samples.shape[1]))
+    rows = samples[::TRACE_THINNING].tolist()  # Python floats, repr'd as is
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
-        for i in range(0, len(samples), TRACE_THINNING):
-            coords = ",".join(repr(float(v)) for v in samples[i])
-            fh.write(f"{i // V},{coords}\n")
+        for i, row in zip(range(0, len(samples), TRACE_THINNING), rows):
+            fh.write(f"{i // V},{','.join(map(repr, row))}\n")
 
 
 def emit_outputs(diag: RunDiagnostics, config: RunConfig) -> dict:

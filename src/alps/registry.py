@@ -13,10 +13,10 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.special import logsumexp
 
-from .linalg import IndefiniteMatrixError, chol_lower, log_det_from_chol
+from .linalg import (IndefiniteMatrixError, chol_lower, log_det_from_chol,
+                     solve_lower)
 
 logger = logging.getLogger(__name__)
 
@@ -84,8 +84,7 @@ def covariance_from_hessian(hess: np.ndarray):
         except IndefiniteMatrixError:
             raise IndefiniteHessianError(pivot=first.pivot) from first
     # sigma = L^{-T} L^{-1} for -hess = L L^T
-    inv_chol = solve_triangular(chol_neg, np.eye(neg.shape[0]), lower=True,
-                                check_finite=False)
+    inv_chol = solve_lower(chol_neg, np.eye(neg.shape[0]))
     sigma = inv_chol.T @ inv_chol
     sigma = 0.5 * (sigma + sigma.T)
     sigma_chol = chol_lower(sigma)
@@ -105,8 +104,8 @@ def pseudo_distance(a: ModeInfo, b: ModeInfo) -> float:
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     diff = a.mu - b.mu
-    za = solve_triangular(a.sigma_chol, diff, lower=True, check_finite=False)
-    zb = solve_triangular(b.sigma_chol, diff, lower=True, check_finite=False)
+    za = solve_lower(a.sigma_chol, diff)
+    zb = solve_lower(b.sigma_chol, diff)
     return max(float(za @ za), float(zb @ zb)) / a.dim
 
 
@@ -131,9 +130,7 @@ class RegistrySnapshot:
         if self.inv_chols is None:
             if self.n_modes:
                 eye = np.eye(self.dim)
-                inv = np.stack([solve_triangular(c, eye, lower=True,
-                                                 check_finite=False)
-                                for c in self.chols])
+                inv = np.stack([solve_lower(c, eye) for c in self.chols])
             else:
                 inv = np.empty((0, self.dim, self.dim))
             object.__setattr__(self, "inv_chols", inv)

@@ -22,16 +22,18 @@ that leaves each level invariant.  Level-0 states are recorded after
 every level-0 RWM step, and only then, so total_target_samples = V *
 sweeps, on the ladder [1.0] too.
 
-Every chain, each ladder chain and the hot chain, carries its record
-(x, log pi(x), qf(x)), qf(x) being the quad forms of x against the
-registered modes (an empty row on power levels), and nothing else: a
-phase reads the chain values it needs off the records when it starts
-(`hat.level_values`, which evaluates no density) and keeps them only
-while it runs.  Only new points are evaluated.  A registry rebuild
-recomputes qf and keeps log pi.  Every level, and the target of the hot
-chain, is one `hat.Level`: a plain power without a snapshot, a HAT level
-on the run's current snapshot, truncated at a finite radius (the levels
-with beta > 1 when config.truncation is set).
+The ladder's chains are one block for the whole run: row k of X (L,
+dim), logpi (L,) and qf (L, J) is level k's record (x, log pi(x),
+qf(x)), qf(x) being the quad forms of x against the registered modes
+(no columns on power levels), and nothing else.  The hot chain keeps
+its own record (`hat.ChainRecord`).  A phase reads the level values it
+needs off the block when it starts (`hat.level_values`, which evaluates
+no density) and keeps them only while it runs; it updates the block in
+place.  Only new points are evaluated.  A registry rebuild recomputes
+qf and keeps log pi.  Every level, and the target of the hot chain, is
+one `hat.Level`: a plain power without a snapshot, a HAT level on the
+run's current snapshot, truncated at a finite radius (the levels with
+beta > 1 when config.truncation is set).
 
 The RWM phase draws all of a sweep's RWM randomness from the sweep's
 RWM stream in two calls: first Z ~ N(0, I) of shape (V, L, dim), then
@@ -55,7 +57,11 @@ It draws from the sweep's swap stream: under the "uniform" strategy the
 pair indices first, in one call, then the decisions' uniforms in one
 call, in order, one row per swap.  On HAT levels a row is (coin, u): the
 coin picks QuanTA or standard, u decides; on power levels a row is u
-alone.  The logs of the u column are taken in one call.
+alone.  The logs of the u column are taken in one call.  A standard
+swap is decided from four level values (`standard_swap_core`): the two
+chains' own, read off the block once per sweep, and their cross values,
+each from the other chain's row (`hat.level_values`); an accepted one
+exchanges the two chains' rows.
 
 The run owns the hot chain of exploration: until the freeze, each sweep
 it moves on pi^beta_hot by V + 1 `rwm_core` steps, tallied under HOT,
@@ -151,8 +157,8 @@ class _Run:
     they are the plain powers pi^beta and there is no registry.  `radii`
     holds each level's truncation radius: config.truncation's chi-squared
     quantile at the levels with beta > 1, inf elsewhere.  Chain k's
-    record, its only state, is `states[k]`; the hot chain's is
-    `hot_state`.
+    record, its only state, is row k of the block X, logpi, qf
+    (`record(k)`); the hot chain's is `hot_state`.
     """
 
     def __init__(self, config: RunConfig, target: TargetDensity,
@@ -176,11 +182,10 @@ class _Run:
             for i, point in enumerate(config.initial_modes or [])]
         # a start whose log density overflows is a config error, not a
         # warning; build_levels fills in the quad forms
+        self.X = np.tile(x0, (self.n + 1, 1))
         with np.errstate(over="ignore", invalid="ignore"):
-            self.states = [ChainRecord((x0.copy(), target.log_density(x0),
-                                        quad_forms(None, x0)))
-                           for _ in range(self.n + 1)]
-            _require_finite_start(self.states[0].logpi, x0, "init")
+            self.logpi = np.array([target.log_density(x0) for _ in self.X])
+            _require_finite_start(self.logpi[0], x0, "init")
             for i, point in enumerate(self.initial_points):
                 _require_finite_start(target.log_density(point), point,
                                       f"initial_modes[{i}]")
@@ -273,26 +278,30 @@ class _Run:
                  "n_modes": self.registry.n_modes})
         return found
 
+    def record(self, k: int) -> ChainRecord:
+        """Chain k's record, a view of row k of the block."""
+        return ChainRecord((self.X[k], self.logpi[k], self.qf[k]))
+
     def build_levels(self) -> None:
         """One `Level` per beta on the current registry snapshot (plain
-        powers without a registry), at its radius in `radii`; each chain's
-        record gets its quad forms against the snapshot, keeping log pi."""
+        powers without a registry), at its radius in `radii`; the block's
+        quad forms are recomputed against the snapshot, keeping log pi."""
         snap = self.snapshot = (None if self.registry is None
                                 else self.registry.snapshot())
         self.level_targets = [
             Level(self.target, beta, snap, radius)
             for beta, radius in zip(self.betas.tolist(), self.radii.tolist())]
-        self.states = [ChainRecord((rec.x, rec.logpi, quad_forms(snap, rec.x)))
-                       for rec in self.states]
+        self.qf = quad_forms(snap, self.X)
         if snap is None:
             return
         # states stranded outside a (new) truncation region restart at the
         # dominant mode point, whose HAT value is finite at every level
         mode = snap.mus[int(np.argmax(snap.log_weights))]
-        self.states = [
-            rec if np.isfinite(level.value(rec)[0])
-            else level.record(mode.copy())
-            for level, rec in zip(self.level_targets, self.states)]
+        values = level_values(snap, self.betas, self.logpi, self.qf,
+                              self.radii)[0]
+        for k in np.flatnonzero(~np.isfinite(values)).tolist():
+            self.X[k], self.logpi[k], self.qf[k] = \
+                self.level_targets[k].record(mode)
 
     def tune(self, rates: np.ndarray, sweep: int) -> None:
         """Robbins-Monro step of each level's log step scale toward the
@@ -301,9 +310,10 @@ class _Run:
         if sweep >= self.freeze:
             return
         gamma = 1.0 / (1.0 + sweep) ** 0.6
-        self.step_scales = np.clip(
-            np.exp(np.log(self.step_scales)
-                   + gamma * (rates - RWM_TUNE_TARGET)), 1e-8, 1e8)
+        scales = np.exp(np.log(self.step_scales)
+                        + gamma * (rates - RWM_TUNE_TARGET))
+        self.step_scales = np.minimum(np.maximum(scales, 1e-8, out=scales),
+                                      1e8, out=scales)
 
 
 # Phases: each takes (run, sweep index) and advances the run in place.
@@ -311,13 +321,11 @@ class _Run:
 # wrappers installed on those names see every call.
 
 def _rwm_phase(run: _Run, t: int) -> None:
-    """V RWM updates per level, the levels in lockstep (see the module
-    docstring); the tallies are counted and the step scales tuned once
-    per level after the last repetition."""
+    """V RWM updates per level, the levels in lockstep on the run's block
+    (see the module docstring); the tallies are counted and the step
+    scales tuned once, after the last repetition."""
     snapshot, betas, radii = run.snapshot, run.betas, run.radii
-    X = np.array([rec.x for rec in run.states])
-    logpi = np.array([rec.logpi for rec in run.states])
-    qf = np.array([rec.qf for rec in run.states])
+    X, logpi, qf = run.X, run.logpi, run.qf
     logp, alloc = level_values(snapshot, betas, logpi, qf, radii)
     beta_col, step_col = betas[:, None], run.step_scales[:, None]
     scale = (step_col / np.sqrt(beta_col)).ravel()
@@ -340,9 +348,7 @@ def _rwm_phase(run: _Run, t: int) -> None:
         np.copyto(qf, qf_y, where=acc[:, None])
         accepted += acc
         run.diag.record_sample(X[0])
-    run.states = list(map(ChainRecord, zip(X, logpi.tolist(), qf)))
-    for k, acc in enumerate(accepted.tolist()):
-        run.diag.count(RWM, k, acc, V)
+    run.diag.tally(RWM, accepted.tolist(), [V] * betas.size)
     run.tune(accepted / V, t)
 
 
@@ -351,9 +357,9 @@ def _leap_phase(run: _Run, t: int) -> None:
     module docstring)."""
     n = run.n
     run.stage = f"leap level {n}"
-    run.states[n], accepted = mode_leap_core(
-        run.states[n], run.level_targets[n], V,
-        run.factory.stream(LEAP_STREAM, t))
+    rec, accepted = mode_leap_core(run.record(n), run.level_targets[n], V,
+                                   run.factory.stream(LEAP_STREAM, t))
+    run.X[n], run.logpi[n], run.qf[n] = rec
     run.diag.count(LEAP, n, accepted, V)
 
 
@@ -361,33 +367,57 @@ def _swap_phase(run: _Run, t: int) -> None:
     """One swap per neighbour pair; on HAT levels a coin picks QuanTA or
     standard for each, on power levels all are standard and no coin is
     drawn.  The schedule and the uniforms are drawn up front (see the
-    module docstring)."""
+    module docstring).  Each level's log pi, value and allocation are
+    read off the block once and follow its chain through the swaps;
+    the exchanged rows are written back once, at the end."""
     config, n = run.config, run.n
     if n < 1:
         return
     run.stage = "swaps"
     rng = run.factory.stream(SWAP_STREAM, t)
-    hat = run.snapshot is not None
+    snapshot, targets, X, qf = run.snapshot, run.level_targets, run.X, run.qf
+    hat = snapshot is not None
     schedule = _swap_schedule(config.swap_strategy, n, t, rng)
     draws = rng.random((n, 2 if hat else 1))
     coins, log_us = draws[:, 0].tolist(), np.log(draws[:, -1]).tolist()
-    states, targets = run.states, run.level_targets
-    logps = level_values(run.snapshot, run.betas,
-                         [rec.logpi for rec in states],
-                         [rec.qf for rec in states], run.radii)[0].tolist()
+    betas, radii, logpi = (a.tolist() for a in (run.betas, run.radii,
+                                                run.logpi))
+    logp, alloc = (a.tolist() for a in level_values(
+        snapshot, run.betas, run.logpi, qf, run.radii))
+    rows = list(range(n + 1))  # level k's chain is row rows[k] of the block
+    tallies = {move: ([0] * n, [0] * n)
+               for move in (SWAP_STANDARD, SWAP_QUANTA)}
     for k, coin, log_u in zip(schedule, coins, log_us):
+        i, j = rows[k], rows[k + 1]
         if hat and coin < config.swap_quanta_prob:
-            res = quanta_swap_core(states[k], states[k + 1], logps[k],
-                                   logps[k + 1], targets[k], targets[k + 1],
-                                   log_u)
-            run.diag.count(SWAP_QUANTA, k, res.accepted)
+            move = SWAP_QUANTA
+            new = quanta_swap_core(X[i], X[j], alloc[k], alloc[k + 1],
+                                   logp[k], logp[k + 1], targets[k],
+                                   targets[k + 1], log_u)
+            accepted = new is not None
+            if accepted:  # each chain keeps its mode, so the allocations swap
+                low, high, logp[k], logp[k + 1] = new
+                X[i], logpi[k], qf[i] = low
+                X[j], logpi[k + 1], qf[j] = high
+                alloc[k], alloc[k + 1] = alloc[k + 1], alloc[k]
         else:
-            res = standard_swap_core(states[k], states[k + 1], logps[k],
-                                     logps[k + 1], targets[k], targets[k + 1],
-                                     log_u)
-            run.diag.count(SWAP_STANDARD, k, res.accepted)
-        states[k], states[k + 1] = res.low, res.high
-        logps[k], logps[k + 1] = res.logp_low, res.logp_high
+            move = SWAP_STANDARD
+            cross_k, a_k = level_values(snapshot, betas[k], logpi[k + 1],
+                                        qf[j], radii[k])
+            cross_k1, a_k1 = level_values(snapshot, betas[k + 1], logpi[k],
+                                          qf[i], radii[k + 1])
+            accepted = standard_swap_core(logp[k], logp[k + 1], cross_k,
+                                          cross_k1, log_u)
+            if accepted:
+                rows[k], rows[k + 1] = j, i
+                logpi[k], logpi[k + 1] = logpi[k + 1], logpi[k]
+                logp[k], logp[k + 1] = cross_k, cross_k1
+                alloc[k], alloc[k + 1] = a_k, a_k1
+        tallies[move][0][k] += accepted
+        tallies[move][1][k] += 1
+    X[:], qf[:], run.logpi[:] = X[rows], qf[rows], logpi
+    for move, (accepts, proposals) in tallies.items():
+        run.diag.tally(move, accepts, proposals)
 
 
 def _exploration_phase(run: _Run, t: int) -> None:
@@ -404,17 +434,17 @@ def _hat_visits(run: _Run, t: int) -> None:
     run.stage = "bookkeeping"
     diag, n = run.diag, run.n
     diag.mode_visits_level0.append(
-        run.level_targets[0].value(run.states[0])[1])
+        run.level_targets[0].value(run.record(0))[1])
     diag.mode_visits_top.append(
         diag.mode_visits_level0[-1] if n == 0
-        else run.level_targets[n].value(run.states[n])[1])
+        else run.level_targets[n].value(run.record(n))[1])
 
 
 def _nearest_visits(run: _Run, t: int) -> None:
     if run.locations is not None:
-        for visits, rec in ((run.diag.mode_visits_level0, run.states[0]),
-                            (run.diag.mode_visits_top, run.states[run.n])):
-            sq_dist = np.sum((run.locations - rec.x) ** 2, axis=1)
+        for visits, x in ((run.diag.mode_visits_level0, run.X[0]),
+                          (run.diag.mode_visits_top, run.X[run.n])):
+            sq_dist = np.sum((run.locations - x) ** 2, axis=1)
             visits.append(int(np.argmin(sq_dist)))
 
 

@@ -7,8 +7,7 @@ from scipy.special import logsumexp
 
 from ..density import TargetDensity
 from ..linalg import (LOG_2PI, chol_lower, log_det_from_chol, logsumexp_1d,
-                      spd_solve)
-from scipy.linalg import solve_triangular
+                      solve_lower, spd_solve)
 
 
 class GaussianTarget(TargetDensity):
@@ -27,8 +26,7 @@ class GaussianTarget(TargetDensity):
                          name="gaussian")
 
     def _logpdf(self, x: np.ndarray) -> float:
-        z = solve_triangular(self.chol, x - self.mu, lower=True,
-                             check_finite=False)
+        z = solve_lower(self.chol, x - self.mu)
         return -0.5 * (self.dim * LOG_2PI + self.log_det + float(z @ z))
 
     def _grad(self, x: np.ndarray) -> np.ndarray:
@@ -57,8 +55,7 @@ class GaussianMixtureTarget(TargetDensity):
     def _component_logpdfs(self, x: np.ndarray) -> np.ndarray:
         out = np.empty(self.mus.shape[0])
         for k in range(self.mus.shape[0]):
-            z = solve_triangular(self.chols[k], x - self.mus[k], lower=True,
-                                 check_finite=False)
+            z = solve_lower(self.chols[k], x - self.mus[k])
             out[k] = -0.5 * (self.dim * LOG_2PI + self.log_dets[k]
                              + float(z @ z))
         return out

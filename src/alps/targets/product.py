@@ -37,7 +37,11 @@ def check_shape(h: Callable) -> None:
 
 
 class IidProductTarget(TargetDensity):
-    """log pi(x) = beta * sum_i h(x_i) with h(0) = 0 and the max at 0."""
+    """log pi(x) = beta * sum_i h(x_i) with h(0) = 0 and the max at 0.
+
+    h maps an array of floats to the array of its values; at beta = 1
+    they are summed as they come, since multiplying by 1.0 is exact.
+    """
 
     def __init__(self, h: Callable, dim: int, beta: float = 1.0):
         if beta <= 0:
@@ -48,11 +52,13 @@ class IidProductTarget(TargetDensity):
         super().__init__(dim=dim, log_density=self._logpdf, name="iid_product")
 
     def _logpdf(self, x: np.ndarray) -> float:
-        return float((self.beta * np.asarray(self.h(x), dtype=float)).sum())
+        h = self.h(x)
+        return float((h if self.beta == 1.0 else self.beta * h).sum())
 
     def _log_density_rows(self, xs: np.ndarray) -> np.ndarray:
         # h is elementwise and each row is reduced like `_logpdf` reduces x
-        return (self.beta * np.asarray(self.h(xs), dtype=float)).sum(axis=1)
+        h = self.h(xs)
+        return (h if self.beta == 1.0 else self.beta * h).sum(axis=1)
 
 
 class SkewShape:
@@ -73,7 +79,8 @@ class SkewShape:
         self._peak = float(skew_log_pdf(self.m0, alpha))
 
     def __call__(self, x):
-        h = skew_log_pdf(np.asarray(x, dtype=float) + self.m0, self.alpha)
+        # x is a float or an array of floats; skew_log_pdf takes it as one
+        h = skew_log_pdf(x + self.m0, self.alpha)
         h -= self._peak
         return h
 

@@ -17,10 +17,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from ..density import TargetDensity
-from ..linalg import IndefiniteMatrixError, LOG_2PI, chol_lower, log_det_from_chol
+from ..linalg import (IndefiniteMatrixError, LOG_2PI, chol_lower,
+                      log_det_from_chol, solve_lower, spd_solve)
 
 logger = logging.getLogger(__name__)
 
@@ -164,8 +164,7 @@ def sur_gls_theta(sigma: np.ndarray, data: SurData) -> np.ndarray:
     [sigma^{-1}]_{lm} X_l^T X_m; solved by Cholesky at size MJ x MJ."""
     sigma = np.asarray(sigma, dtype=float)
     chol_s = chol_lower(sigma)  # raises if sigma is not positive definite
-    inv_chol = solve_triangular(chol_s, np.eye(data.M), lower=True,
-                                check_finite=False)
+    inv_chol = solve_lower(chol_s, np.eye(data.M))
     sigma_inv = inv_chol.T @ inv_chol
     xtx, xty = data._moments()
     a = (sigma_inv[:, :, None, None] * xtx).transpose(0, 2, 1, 3)
@@ -176,8 +175,7 @@ def sur_gls_theta(sigma: np.ndarray, data: SurData) -> np.ndarray:
     except IndefiniteMatrixError as err:
         raise UnidentifiableSystemError("unidentifiable system: normal matrix "
                                         "is singular") from err
-    z = solve_triangular(chol_a, b, lower=True, check_finite=False)
-    return solve_triangular(chol_a.T, z, lower=False, check_finite=False)
+    return spd_solve(chol_a, b)
 
 
 def sur_profile_loglik(theta: np.ndarray, data: SurData) -> float:
@@ -284,7 +282,5 @@ class SurProfileTarget(TargetDensity):
         data = self.data
         r = _residuals(theta, data)          # (M, N)
         sigma = (r @ r.T) / data.N
-        chol_s = chol_lower(sigma)
-        z = solve_triangular(chol_s, r, lower=True, check_finite=False)
-        w = solve_triangular(chol_s.T, z, lower=False, check_finite=False)
+        w = spd_solve(chol_lower(sigma), r)
         return np.einsum("mnj,mn->mj", data.X, w).reshape(-1)

@@ -139,9 +139,11 @@ def test_load_config_requires_some_source():
         load_config(config_path="/nonexistent/cfg.json")
 
 
-def test_from_json_reports_parse_errors():
-    with pytest.raises(ConfigError, match="invalid JSON"):
-        RunConfig.from_json("{not json")
+def test_load_config_reports_parse_errors(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text("{not json")
+    with pytest.raises(ConfigError, match=f"invalid JSON in {path}: "):
+        load_config(config_path=str(path))
 
 
 def test_presence_of_a_section_is_its_switch():

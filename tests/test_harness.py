@@ -18,7 +18,6 @@ from alps.density import TargetDensity
 from alps.diagnostics import (HOT, LEAP, RWM, SWAP_QUANTA, SWAP_STANDARD,
                               running_prob_estimate)
 from alps.hat import Level, chi2_quantile
-from alps.kernels import standard_swap_core
 from alps.optimize import local_optimize
 from alps.outputs import emit_outputs
 from alps.registry import (IndefiniteHessianError, ModeRegistry,
@@ -395,13 +394,10 @@ def test_pt_run_swaps_evaluate_no_density(monkeypatch):
     carried = len(calls)
     assert carried == 3 * (1 + V * diag.n_sweeps)
     # and the run is the one that prices every swap by two evaluations
-    monkeypatch.setattr(
-        runner, "standard_swap_core",
-        lambda rec_k, rec_k1, lp_k, lp_k1, t_k, t_k1, log_u:
-        standard_swap_core(t_k.record(rec_k.x), t_k1.record(rec_k1.x), lp_k,
-                           lp_k1, t_k, t_k1, log_u))
+    # and then evaluates the two records afresh
+    monkeypatch.setattr(runner, "_swap_phase", reference_swap_phase)
     evaluated, diag_evaluated = pt_run(cfg, target)
-    assert len(calls) - carried == carried + 2 * cfg.n_swaps * diag.n_sweeps
+    assert len(calls) - carried == carried + 4 * cfg.n_swaps * diag.n_sweeps
     np.testing.assert_array_equal(samples, evaluated)
     assert diag.counters == diag_evaluated.counters
     monkeypatch.undo()
@@ -432,11 +428,10 @@ def test_pt_run_swaps_evaluate_no_density(monkeypatch):
             return out
         monkeypatch.setattr(runner, name, wrapped)
 
-    watched("standard_swap_core", lambda a, b, *_: (a.x, b.x), False)
-    watched("quanta_swap_core", lambda a, b, *_: (a.x, b.x), True)
+    watched("standard_swap_core", lambda *_: (), False)
+    watched("quanta_swap_core", lambda a, b, *_: (a, b), True)
     watched("mode_leap_core", lambda a, *_: (a.x,), True)
-    watched("_hat_visits", lambda run, t: (run.states[0].x,
-                                           run.states[run.n].x), False)
+    watched("_hat_visits", lambda run, t: (run.X[0], run.X[run.n]), False)
     run_fn(cfg, target)
     assert min(calls.values()) > 0 and len(calls) == 4
 
@@ -487,8 +482,8 @@ def reference_rwm_phase(run, t):
     for k in levels:
         accepted = 0
         a_k = None
-        x = run.states[k].x
-        logp = run.level_targets[k].value(run.states[k])[0]
+        x = run.X[k]
+        logp = run.level_targets[k].value(run.record(k))[0]
         for r in range(V):
             x, logp, a_k, acc = reference_rwm_core_alloc(
                 x, logp, run.level_targets[k], run.step_scales[k], Z[r, k],
@@ -497,7 +492,7 @@ def reference_rwm_phase(run, t):
             run.diag.count(RWM, k, acc)
             if k == 0:
                 run.diag.record_sample(x)
-        run.states[k] = run.level_targets[k].record(x)
+        run.X[k], run.logpi[k], run.qf[k] = run.level_targets[k].record(x)
         rates[k] = accepted / V
     run.tune(rates, t)
 
@@ -594,7 +589,7 @@ def reference_leap_phase(run, t):
     C = rng.random(V)
     Z = rng.standard_normal((V, run.target.dim))
     U = rng.random(V)
-    x = run.states[n].x
+    x = run.X[n]
     logp = level.log_density(x)
     for r in range(V):
         y = reference_mixture_draw(snap, beta, C[r], Z[r])
@@ -608,7 +603,7 @@ def reference_leap_phase(run, t):
         if accepted:
             x, logp = y, logp_y
         run.diag.count(LEAP, n, accepted)
-    run.states[n] = level.record(x)
+    run.X[n], run.logpi[n], run.qf[n] = level.record(x)
 
 
 def lais_case():
@@ -698,13 +693,13 @@ def test_build_levels_restarts_stranded_states_at_the_dominant_mode():
                           truncation={"level": 0.99}, init=[40.0, 40.0])
     run = runner._Run(cfg, target, np.array(cfg.ladder.betas), hat=True)
     start = np.array(cfg.init)
-    np.testing.assert_array_equal(run.states[0].x, start)
+    np.testing.assert_array_equal(run.X[0], start)
     snap = run.snapshot
     mode = snap.mus[int(np.argmax(snap.log_weights))]
-    for level, rec in zip(run.level_targets[1:], run.states[1:]):
+    for k, level in enumerate(run.level_targets[1:], start=1):
         assert level.value(level.record(start))[0] == -np.inf
-        np.testing.assert_array_equal(rec.x, mode)
-        assert np.isfinite(level.value(rec)[0])
+        np.testing.assert_array_equal(run.X[k], mode)
+        assert np.isfinite(level.value(run.record(k))[0])
 
 
 class FailingBatch(TargetDensity):
@@ -752,7 +747,8 @@ def test_cli_batched_evaluation_failure_aborts_with_context(
 def reference_quanta_swap_core(x_k, x_k1, logp_k, logp_k1, target_k,
                                target_k1, rng):
     """The QuanTA swap drawing its uniform from the generator; a proposal
-    that changes either allocation is rejected."""
+    that changes either allocation is rejected.  Returns (accepted, the
+    state now at level k, the state now at level k + 1, their values)."""
     snapshot = target_k.snapshot
     m1 = target_k.allocate_index(x_k)
     m2 = target_k1.allocate_index(x_k1)
@@ -765,35 +761,32 @@ def reference_quanta_swap_core(x_k, x_k1, logp_k, logp_k1, target_k,
     lp_yk1_at_k = target_k.log_density(y_k1)
     if (target_k1.allocate_index(y_k) != m1
             or target_k.allocate_index(y_k1) != m2):
-        return kernels.SwapResult(False, -np.inf, x_k, x_k1, logp_k, logp_k1)
+        return False, x_k, x_k1, logp_k, logp_k1
     log_ratio = (lp_yk_at_k1 + lp_yk1_at_k) - (logp_k + logp_k1)
     if kernels._accept(log_ratio, np.log(u)):
-        return kernels.SwapResult(True, log_ratio, y_k1, y_k, lp_yk1_at_k,
-                                  lp_yk_at_k1)
-    return kernels.SwapResult(False, log_ratio, x_k, x_k1, logp_k, logp_k1)
+        return True, y_k1, y_k, lp_yk1_at_k, lp_yk_at_k1
+    return False, x_k, x_k1, logp_k, logp_k1
 
 
 def reference_standard_swap_core(x_k, x_k1, logp_k, logp_k1, target_k,
-                                 target_k1, rng, logpi=None):
-    """The standard swap drawing its uniform from the generator."""
+                                 target_k1, rng):
+    """The standard swap drawing its uniform from the generator and
+    evaluating both states at the other level; returns what
+    `reference_quanta_swap_core` returns."""
     u = rng.random()
-    if logpi is None:
-        lp_xk1_at_k = target_k.log_density(x_k1)
-        lp_xk_at_k1 = target_k1.log_density(x_k)
-    else:
-        lp_xk1_at_k = target_k.beta * logpi[1]
-        lp_xk_at_k1 = target_k1.beta * logpi[0]
+    lp_xk1_at_k = target_k.log_density(x_k1)
+    lp_xk_at_k1 = target_k1.log_density(x_k)
     log_ratio = (lp_xk1_at_k + lp_xk_at_k1) - (logp_k + logp_k1)
     if kernels._accept(log_ratio, np.log(u)):
-        return kernels.SwapResult(True, log_ratio, x_k1, x_k, lp_xk1_at_k,
-                                  lp_xk_at_k1)
-    return kernels.SwapResult(False, log_ratio, x_k, x_k1, logp_k, logp_k1)
+        return True, x_k1, x_k, lp_xk1_at_k, lp_xk_at_k1
+    return False, x_k, x_k1, logp_k, logp_k1
 
 
 def reference_swap_phase(run, t):
     """The swap phase drawing one value at a time: each pair index, then
     per swap the coin (HAT levels) and the kernel's own uniform; the
-    records of the two chains are evaluated afresh after each swap."""
+    records of the two chains are evaluated afresh after each swap and
+    written to their rows of the block."""
     config, n = run.config, run.n
     if n < 1:
         return
@@ -802,22 +795,21 @@ def reference_swap_phase(run, t):
         schedule = [int(rng.integers(0, n)) for _ in range(n)]
     else:
         schedule = _swap_schedule("even_odd", n, t, None)
-    states, targets = run.states, run.level_targets
-    logps = [target.value(rec)[0] for target, rec in zip(targets, states)]
+    targets = run.level_targets
+    logps = [target.value(run.record(k))[0]
+             for k, target in enumerate(targets)]
     for k in schedule:
         if run.snapshot is not None and rng.random() < config.swap_quanta_prob:
-            res = reference_quanta_swap_core(
-                states[k].x, states[k + 1].x, logps[k], logps[k + 1],
-                targets[k], targets[k + 1], rng)
-            run.diag.count(SWAP_QUANTA, k, res.accepted)
+            move, swap = SWAP_QUANTA, reference_quanta_swap_core
         else:
-            res = reference_standard_swap_core(
-                states[k].x, states[k + 1].x, logps[k], logps[k + 1],
-                targets[k], targets[k + 1], rng)
-            run.diag.count(SWAP_STANDARD, k, res.accepted)
-        states[k] = targets[k].record(res.low)
-        states[k + 1] = targets[k + 1].record(res.high)
-        logps[k], logps[k + 1] = res.logp_low, res.logp_high
+            move, swap = SWAP_STANDARD, reference_standard_swap_core
+        accepted, low, high, logps[k], logps[k + 1] = swap(
+            run.X[k].copy(), run.X[k + 1].copy(), logps[k], logps[k + 1],
+            targets[k], targets[k + 1], rng)
+        run.diag.count(move, k, accepted)
+        run.X[k], run.logpi[k], run.qf[k] = targets[k].record(low)
+        run.X[k + 1], run.logpi[k + 1], run.qf[k + 1] = \
+            targets[k + 1].record(high)
 
 
 def located_pt_case(strategy):
@@ -1051,6 +1043,46 @@ def test_python_dash_m_runs_the_cli():
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: alps pt")
+
+
+# The command-line run in a fresh interpreter; its last stdout line is
+# [exit status, whether scipy.linalg was imported].
+LINALG_SCRIPT = """
+import json
+import sys
+
+from alps.cli import main
+
+status = main(sys.argv[1:])
+print(json.dumps([status, "scipy.linalg" in sys.modules]))
+"""
+
+SMOKE_SIZES = {"total_target_samples": 200, "burnin_samples": 100}
+
+
+@pytest.mark.parametrize("command, preset, override, loaded", [
+    ("pt", "synthetic-20d-pt",
+     {"target": {"name": "iid_product_skew",
+                 "params": {"dim": 20, "alpha": 10.0}},
+      "init": [0.0] * 20, "running_threshold": None}, False),
+    ("run", "synthetic-20d", {}, True),
+], ids=["pt-iid-product-skew", "alps-synthetic-20d"])
+def test_only_runs_that_factor_a_matrix_load_scipy_linalg(
+        tmp_path, command, preset, override, loaded):
+    # PT on power levels factors and solves nothing, so it does not load
+    # LAPACK (about 6.5 MiB resident); an ALPS run factors each mode's
+    # covariance, so it does
+    path = tmp_path / "override.json"
+    path.write_text(json.dumps({**override, **SMOKE_SIZES}))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", LINALG_SCRIPT, command, "--preset", preset,
+         "--config", str(path), "--seed", "1", "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, loaded]
 
 
 def test_pt_run_is_deterministic():

@@ -5,7 +5,7 @@ from scipy.stats import norm
 
 from alps import kernels
 from alps.density import TargetDensity
-from alps.hat import Level
+from alps.hat import Level, level_values
 from alps.kernels import (mixture_log_density, mixture_propose,
                           mode_leap_core, quanta_swap_core, quanta_transform,
                           rwm_core, rwm_decide, standard_swap_core)
@@ -181,13 +181,14 @@ def test_quanta_swap_mode_points_always_accept():
     mix = Mix()
     t_k = Level(mix, 4.0, snap)
     t_k1 = Level(mix, 16.0, snap)
-    x_k, x_k1 = t_k.record(snap.mus[0]), t_k1.record(snap.mus[1])
-    res = quanta_swap_core(x_k, x_k1, t_k.value(x_k)[0],
-                           t_k1.value(x_k1)[0], t_k, t_k1, np.log(0.999999))
-    assert res.accepted
-    assert abs(res.log_ratio) < 1e-10
-    np.testing.assert_allclose(res.low.x, snap.mus[1], atol=1e-12)
-    np.testing.assert_allclose(res.high.x, snap.mus[0], atol=1e-12)
+    lp_k, m1 = t_k.value(t_k.record(snap.mus[0]))
+    lp_k1, m2 = t_k1.value(t_k1.record(snap.mus[1]))
+    low, high, lp_low, lp_high = quanta_swap_core(
+        snap.mus[0], snap.mus[1], m1, m2, lp_k, lp_k1, t_k, t_k1,
+        np.log(0.999999))
+    assert abs((lp_low + lp_high) - (lp_k + lp_k1)) < 1e-10
+    np.testing.assert_allclose(low.x, snap.mus[1], atol=1e-12)
+    np.testing.assert_allclose(high.x, snap.mus[0], atol=1e-12)
 
 
 def test_quanta_swap_rejects_a_proposal_that_changes_allocation():
@@ -195,7 +196,7 @@ def test_quanta_swap_rejects_a_proposal_that_changes_allocation():
     # The state 4.0 at beta 4, rescaled about mode 0 to beta 1, lands at
     # 8.0, which beta 1 allocates to mode 10: the reverse move would
     # rescale about 10 and return 7.0, not 4.0, so the swap is rejected
-    # whatever its uniform
+    # whatever its uniform, log u = -inf included
     snap = two_mode_snapshot()
     base = GaussianTarget(np.zeros(1), np.eye(1))
     t_k, t_k1 = Level(base, 1.0, snap), Level(base, 4.0, snap)
@@ -206,10 +207,8 @@ def test_quanta_swap_rejects_a_proposal_that_changes_allocation():
     assert t_k.value(t_k.record(y_k1))[1] == 1
     back = quanta_transform(y_k1, 1.0, 4.0, snap.mus[1])
     assert not np.allclose(back, x_k1.x)
-    res = quanta_swap_core(x_k, x_k1, t_k.value(x_k)[0], t_k1.value(x_k1)[0],
-                           t_k, t_k1, np.log(1e-300))
-    assert not res.accepted and res.log_ratio == -np.inf
-    assert res.low is x_k and res.high is x_k1
+    assert quanta_swap_core(x_k.x, x_k1.x, 0, 0, t_k.value(x_k)[0],
+                            t_k1.value(x_k1)[0], t_k, t_k1, -np.inf) is None
 
 
 def test_quanta_equals_standard_at_equal_betas():
@@ -218,15 +217,20 @@ def test_quanta_equals_standard_at_equal_betas():
     t_a = Level(base, 4.0, snap)
     t_b = Level(base, 4.0, snap)
     rng = np.random.default_rng(2)
-    log_u = np.log(0.5)
     for _ in range(50):
         x_k = t_a.record(rng.standard_normal(1))
         x_k1 = t_b.record(rng.standard_normal(1) + 10.0)
-        lq = quanta_swap_core(x_k, x_k1, t_a.value(x_k)[0],
-                              t_b.value(x_k1)[0], t_a, t_b, log_u).log_ratio
-        ls = standard_swap_core(x_k, x_k1, t_a.value(x_k)[0],
-                                t_b.value(x_k1)[0], t_a, t_b, log_u).log_ratio
+        (lp_k, m1), (lp_k1, m2) = t_a.value(x_k), t_b.value(x_k1)
+        # log u = -inf accepts every proposal that keeps its allocations,
+        # so the QuanTA log ratio can be read off the values it returns
+        _, _, lp_low, lp_high = quanta_swap_core(
+            x_k.x, x_k1.x, m1, m2, lp_k, lp_k1, t_a, t_b, -np.inf)
+        lq = (lp_low + lp_high) - (lp_k + lp_k1)
+        ls = (t_a.value(x_k1)[0] + t_b.value(x_k)[0]) - (lp_k + lp_k1)
         assert abs(lq - ls) < 1e-10
+        for log_u in (ls - 1e-6, ls + 1e-6):
+            assert standard_swap_core(lp_k, lp_k1, t_a.value(x_k1)[0],
+                                      t_b.value(x_k)[0], log_u) == (log_u < ls)
 
 
 def test_standard_swap_trivial_accepts():
@@ -235,15 +239,14 @@ def test_standard_swap_trivial_accepts():
     t_a = Level(base, 1.0, snap)
     t_b = Level(base, 4.0, snap)
     x = t_a.record(np.array([0.3]))
-    res = standard_swap_core(x, x, t_a.value(x)[0], t_b.value(x)[0], t_a, t_b,
-                             np.log(0.999999))
-    assert res.accepted and abs(res.log_ratio) < 1e-14
+    lp_a, lp_b = t_a.value(x)[0], t_b.value(x)[0]
+    assert standard_swap_core(lp_a, lp_b, lp_a, lp_b, np.log(0.999999))
 
 
 def test_standard_swap_with_carried_logpi_is_exact():
-    # pricing a swap from the carried records gives the result of
+    # pricing a swap from the carried records gives the cross values of
     # evaluating both states at the other level bit for bit, also where
-    # pi vanishes (x[0] < -1)
+    # pi vanishes (x[0] < -1), and so the same decision
     base = TargetDensity(
         2, lambda x: -0.5 * float(x @ x) if x[0] > -1.0 else -np.inf)
     rng = np.random.default_rng(11)
@@ -252,21 +255,14 @@ def test_standard_swap_with_carried_logpi_is_exact():
         x_k, x_k1 = rng.normal(0.0, 2.0, (2, 2))
         rec_k, rec_k1 = t_k.record(x_k), t_k1.record(x_k1)
         lp_k, lp_k1 = t_k.log_density(x_k), t_k1.log_density(x_k1)
-        u = rng.random()
-        got = standard_swap_core(rec_k, rec_k1, lp_k, lp_k1, t_k, t_k1,
-                                 np.log(u))
+        log_u = np.log(rng.random())
+        carried = (level_values(None, t_k.beta, rec_k1.logpi, rec_k1.qf)[0],
+                   level_values(None, t_k1.beta, rec_k.logpi, rec_k.qf)[0])
         cross = (t_k.log_density(x_k1), t_k1.log_density(x_k))
+        assert np.array(carried).tobytes() == np.array(cross).tobytes()
         log_ratio = (cross[0] + cross[1]) - (lp_k + lp_k1)
-        accepted = bool(np.log(u) < log_ratio)
-        assert got.accepted == accepted
-        expected = {"log_ratio": log_ratio,
-                    "logp_low": cross[0] if accepted else lp_k,
-                    "logp_high": cross[1] if accepted else lp_k1}
-        for name, value in expected.items():
-            assert (np.float64(getattr(got, name)).tobytes()
-                    == np.float64(value).tobytes())
-        low, high = (rec_k1, rec_k) if accepted else (rec_k, rec_k1)
-        assert got.low is low and got.high is high
+        assert standard_swap_core(lp_k, lp_k1, *carried, log_u) \
+            == bool(log_u < log_ratio)
 
 
 def test_standard_swap_rate_matches_quadrature():
@@ -296,9 +292,9 @@ def test_standard_swap_rate_matches_quadrature():
     m = 20000
     for i in range(m):
         x, y = t1.record(np.array([xs[i]])), t2.record(np.array([ys[i]]))
-        res = standard_swap_core(x, y, t1.value(x)[0], t2.value(y)[0],
-                                 t1, t2, np.log(rng.random()))
-        accepts += res.accepted
+        accepts += standard_swap_core(t1.value(x)[0], t2.value(y)[0],
+                                      t1.value(y)[0], t2.value(x)[0],
+                                      np.log(rng.random()))
     assert abs(accepts / m - expected) < 0.015
 
 
