@@ -1070,8 +1070,8 @@ SMOKE_SIZES = {"total_target_samples": 200, "burnin_samples": 100}
 def test_only_runs_that_factor_a_matrix_load_scipy_linalg(
         tmp_path, command, preset, override, loaded):
     # PT on power levels factors and solves nothing, so it does not load
-    # LAPACK (about 6.5 MiB resident); an ALPS run factors each mode's
-    # covariance, so it does
+    # LAPACK (about 6.4 MiB resident with scipy 1.17 on x86-64 Linux); an
+    # ALPS run factors each mode's covariance, so it does
     path = tmp_path / "override.json"
     path.write_text(json.dumps({**override, **SMOKE_SIZES}))
     env = dict(os.environ)
