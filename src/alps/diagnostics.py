@@ -4,9 +4,7 @@ The counters tally (accepts, proposals) per (move, level): RWM steps at
 every level, mode leaps at the top level of an ALPS ladder (level 0 on
 the ladder [1.0]), standard and QuanTA swaps per neighbour pair (level
 k for the pair k, k + 1), and the hot chain's steps under HOT at level
--1.  A phase that decides a block of moves counts them in one call,
-and the RWM and swap phases fold all of a sweep's tallies in at its
-end (`tally`).
+-1.  A phase that decides a block of moves counts them in one call.
 """
 
 from __future__ import annotations
@@ -50,15 +48,6 @@ class RunDiagnostics:
         cell = self.counters[(move, level)]
         cell[0] += int(accepts)
         cell[1] += proposals
-
-    def tally(self, move: str, accepts, proposals) -> None:
-        """Add accepts[k] accepted out of proposals[k] moves at level k to
-        the tally, for each level k that proposed any."""
-        for level, (acc, tot) in enumerate(zip(accepts, proposals)):
-            if tot:
-                cell = self.counters[(move, level)]
-                cell[0] += int(acc)
-                cell[1] += tot
 
     def record_sample(self, x: np.ndarray) -> None:
         self.samples[self.n_recorded] = x

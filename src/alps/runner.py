@@ -311,10 +311,9 @@ class _Run:
         if sweep >= self.freeze:
             return
         gamma = 1.0 / (1.0 + sweep) ** 0.6
-        scales = np.exp(np.log(self.step_scales)
-                        + gamma * (rates - RWM_TUNE_TARGET))
-        self.step_scales = np.minimum(np.maximum(scales, 1e-8, out=scales),
-                                      1e8, out=scales)
+        self.step_scales = np.clip(
+            np.exp(np.log(self.step_scales)
+                   + gamma * (rates - RWM_TUNE_TARGET)), 1e-8, 1e8)
 
 
 # Phases: each takes (run, sweep index) and advances the run in place.
@@ -349,7 +348,8 @@ def _rwm_phase(run: _Run, t: int) -> None:
         np.copyto(qf, qf_y, where=acc[:, None])
         accepted += acc
         run.diag.record_sample(X[0])
-    run.diag.tally(RWM, accepted.tolist(), [V] * betas.size)
+    for k, acc in enumerate(accepted.tolist()):
+        run.diag.count(RWM, k, acc, V)
     run.tune(accepted / V, t)
 
 
@@ -386,8 +386,6 @@ def _swap_phase(run: _Run, t: int) -> None:
     logp, alloc = (a.tolist() for a in level_values(
         snapshot, run.betas, run.logpi, qf, run.radii))
     rows = list(range(n + 1))  # level k's chain is row rows[k] of the block
-    tallies = {move: ([0] * n, [0] * n)
-               for move in (SWAP_STANDARD, SWAP_QUANTA)}
     for k, coin, log_u in zip(schedule, coins, log_us):
         i, j = rows[k], rows[k + 1]
         if hat and coin < config.swap_quanta_prob:
@@ -414,11 +412,8 @@ def _swap_phase(run: _Run, t: int) -> None:
                 logpi[k], logpi[k + 1] = logpi[k + 1], logpi[k]
                 logp[k], logp[k + 1] = cross_k, cross_k1
                 alloc[k], alloc[k + 1] = a_k, a_k1
-        tallies[move][0][k] += accepted
-        tallies[move][1][k] += 1
+        run.diag.count(move, k, accepted)
     X[:], qf[:], run.logpi[:] = X[rows], qf[rows], logpi
-    for move, (accepts, proposals) in tallies.items():
-        run.diag.tally(move, accepts, proposals)
 
 
 def _exploration_phase(run: _Run, t: int) -> None:

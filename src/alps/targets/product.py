@@ -37,11 +37,7 @@ def check_shape(h: Callable) -> None:
 
 
 class IidProductTarget(TargetDensity):
-    """log pi(x) = beta * sum_i h(x_i) with h(0) = 0 and the max at 0.
-
-    h maps an array of floats to the array of its values; at beta = 1
-    they are summed as they come, since multiplying by 1.0 is exact.
-    """
+    """log pi(x) = beta * sum_i h(x_i) with h(0) = 0 and the max at 0."""
 
     def __init__(self, h: Callable, dim: int, beta: float = 1.0):
         if beta <= 0:
@@ -52,13 +48,11 @@ class IidProductTarget(TargetDensity):
         super().__init__(dim=dim, log_density=self._logpdf, name="iid_product")
 
     def _logpdf(self, x: np.ndarray) -> float:
-        h = self.h(x)
-        return float((h if self.beta == 1.0 else self.beta * h).sum())
+        return float((self.beta * self.h(x)).sum())
 
     def _log_density_rows(self, xs: np.ndarray) -> np.ndarray:
         # h is elementwise and each row is reduced like `_logpdf` reduces x
-        h = self.h(xs)
-        return (h if self.beta == 1.0 else self.beta * h).sum(axis=1)
+        return (self.beta * self.h(xs)).sum(axis=1)
 
 
 class SkewShape:

@@ -404,7 +404,8 @@ def test_pt_run_swaps_evaluate_no_density(monkeypatch):
 
     # on an ALPS ladder the chains carry their records too: no swap, leap
     # or mode visit evaluates pi or the quad forms at a chain's current
-    # state, and standard swaps and mode visits evaluate nothing at all
+    # state, and standard swaps and mode visits evaluate nothing at all:
+    # the swap phase evaluates only the points its QuanTA kernel does
     run_fn, cfg, target = two_mode_alps_case()
     points = []
     log_density, quad_forms = target.log_density, RegistrySnapshot.quad_forms
@@ -412,7 +413,7 @@ def test_pt_run_swaps_evaluate_no_density(monkeypatch):
         np.array(x)) or log_density(x))
     monkeypatch.setattr(RegistrySnapshot, "quad_forms", lambda snap, x: (
         points.append(np.array(x)) or quad_forms(snap, x)))
-    calls = {}
+    calls, evaluated = {}, {}
 
     def watched(name, current, evaluates):
         kernel = getattr(runner, name)
@@ -425,15 +426,18 @@ def test_pt_run_swaps_evaluate_no_density(monkeypatch):
             assert not any(np.array_equal(p, x) for p in new
                            for x in current(*args)), name
             calls[name] = calls.get(name, 0) + 1
+            evaluated[name] = evaluated.get(name, 0) + len(new)
             return out
         monkeypatch.setattr(runner, name, wrapped)
 
+    watched("_swap_phase", lambda *_: (), True)
     watched("standard_swap_core", lambda *_: (), False)
     watched("quanta_swap_core", lambda a, b, *_: (a, b), True)
     watched("mode_leap_core", lambda a, *_: (a.x,), True)
     watched("_hat_visits", lambda run, t: (run.X[0], run.X[run.n]), False)
     run_fn(cfg, target)
-    assert min(calls.values()) > 0 and len(calls) == 4
+    assert min(calls.values()) > 0 and len(calls) == 5
+    assert evaluated["_swap_phase"] == evaluated["quanta_swap_core"] > 0
 
 
 def reference_rwm_core_alloc(x, logp_x, target, step_scale, z, u, a_x=None):
