@@ -57,9 +57,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     "wide as exp(beta*h) where h is flattest (at 0 or "
                     "+-8), in rounds sized by its acceptance rate.  "
                     "Dimensions run on up to "
-                    "min(#dims, usable CPUs) threads and proposals are "
-                    "processed in blocks of 2^15; scaling.csv does not "
-                    "depend on either.")
+                    "min(#dims, usable CPUs) threads; scaling.csv does "
+                    "not depend on their number.")
     sc.add_argument("--shape", choices=("skew", "gaussian"), default="skew")
     sc.add_argument("--alpha", type=float, default=2.0,
                     help="skewness of the skew shape")

@@ -184,8 +184,7 @@ class _Run:
         # warning; build_levels fills in the quad forms
         self.X = np.tile(x0, (self.n + 1, 1))
         with np.errstate(over="ignore", invalid="ignore"):
-            self.logpi = np.array([target.log_density(x0)
-                                   for _ in range(self.n + 1)])
+            self.logpi = np.full(self.n + 1, target.log_density(x0))
             _require_finite_start(self.logpi[0], x0, "init")
             for i, point in enumerate(self.initial_points):
                 _require_finite_start(target.log_density(point), point,

@@ -22,8 +22,8 @@ widest.  Its constant M is the grid supremum of exp(beta*h) / phi plus a
 margin, and the trapezoid rule on the same grid gives the acceptance
 probability p = Z / M, Z the integral of exp(beta*h) (0.98 for the
 Gaussian shape, about 0.64 for the skew one).  Each rejection round draws
-min(ceil(need / p * 1.01 + 3 sqrt(need)) + 64, 2^18) proposals for the
-`need` draws still missing, so a round that 2^18 does not cap almost
+min(ceil(need / p * 1.01 + 3 sqrt(need)) + 64, 2^15) proposals for the
+`need` draws still missing, so a round that 2^15 does not cap almost
 always fills them, and every proposal drawn is evaluated and checked
 against M.
 
@@ -31,10 +31,14 @@ Each dimension d draws from its own stream (SCALING_STREAM, counter d),
 so the dimensions are independent: they run on up to min(#dims, usable
 CPUs) threads, largest first, since numpy's generator fills and scipy's
 log_ndtr release the interpreter lock; the shape must therefore be safe
-to call from several threads at once.  Within a dimension, proposals are
-processed in blocks of 2^15 (`_BLOCK`) that stay in cache.  Neither the
-thread count nor the block size changes a draw: `scaling.csv` is the same
-bytes either way.
+to call from several threads at once.  The thread count does not change
+a draw: `scaling.csv` is the same bytes on any number of threads.
+
+One block size, 2^15 (`_BLOCK`), bounds everything a dimension
+allocates besides its per-sample results, so a thread's arrays stay in
+cache: a dimension works through its samples in chunks of
+max(2^15 // d, 1) rows, drawing the chunk's x round by round (each round
+at most 2^15 proposals), then its leap proposals y in one draw.
 """
 
 from __future__ import annotations
@@ -57,7 +61,6 @@ logger = logging.getLogger(__name__)
 
 _GRID_HALF_WIDTH = 12.0
 _GRID_POINTS = 24001
-_BATCH = 1 << 18
 _BLOCK = 1 << 15
 _ENV_WIDEN = 1.02                 # envelope sd over the shape's widest scale
 _CURVATURE_POINTS = (0.0, -8.0, 8.0)
@@ -185,52 +188,38 @@ def _log_acceptance(t: np.ndarray, h: np.ndarray, beta: float, env_sd: float,
 
 def _rejection_batch(shape: Callable, beta: float, env_sd: float,
                      log_env_norm: float, log_m: float, m: int, rng,
-                     out: np.ndarray, h_out: np.ndarray) -> tuple:
-    """One rejection round of m proposals from the envelope N(0, env_sd^2).
+                     out: np.ndarray, h_out: np.ndarray) -> int:
+    """One rejection round of m <= `_BLOCK` proposals from the envelope
+    N(0, env_sd^2), scored as one block.
 
     A proposal t is accepted when log U < beta*h(t) - log phi(t) - log_m,
     i.e. with probability exp(beta*h(t)) / (M phi(t)).  Draws the m
-    normals in one call, then takes the proposals in blocks
-    of `_BLOCK`: each block's shape values, acceptance log-ratios and
-    uniforms (`rng.random` per block, in order, which draws what one
-    call of size m would) stay in cache, and its accepted draws and their
-    h values are written straight into `out` and `h_out` until those are
+    normals, evaluates the shape and the acceptance log-ratios once, then
+    draws the m uniforms into the spent temporary; the accepted draws and
+    their h values are written into `out` and `h_out` until those are
     full.  Returns the number of entries filled.
 
-    Every proposal of the round is checked before it returns: raises
+    Every proposal is checked before any uniform is drawn: raises
     EnvelopeViolationError naming the first abscissa whose log acceptance
-    ratio is NaN (a NaN shape value) or, failing that, the one with the
-    largest positive ratio.
+    ratio is NaN (a NaN shape value) or, failing that, the first one with
+    the largest positive ratio.
     """
     t = rng.standard_normal(m)
     t *= env_sd
-    filled = 0
-    first_nan = -1
-    worst, worst_at = -math.inf, -1
-    for lo in range(0, m, _BLOCK):
-        tb = t[lo:lo + _BLOCK]
-        h = np.asarray(shape(tb), dtype=float)
-        log_acc, sq = _log_acceptance(tb, h, beta, env_sd, log_env_norm, log_m)
-        block_max = float(log_acc.max())  # NaN if any entry is NaN
-        if first_nan < 0 and math.isnan(block_max):
-            first_nan = lo + int(np.argmax(log_acc))  # argmax finds the first NaN
-        elif block_max > worst:
-            worst, worst_at = block_max, lo + int(np.argmax(log_acc))
-        u = rng.random(tb.size, out=sq)  # sq is spent; its buffer takes the uniforms
-        np.negative(u, out=u)
-        keep = np.flatnonzero(np.log1p(u, out=u) < log_acc)
-        take = min(keep.size, out.size - filled)
-        out[filled:filled + take] = tb[keep[:take]]
-        h_out[filled:filled + take] = h[keep[:take]]
-        filled += take
-    if first_nan >= 0 or worst > 0.0:
-        at = first_nan if first_nan >= 0 else worst_at
-        ratio = math.nan if first_nan >= 0 else worst
-        bad = float(t[at])
+    h = np.asarray(shape(t), dtype=float)
+    log_acc, sq = _log_acceptance(t, h, beta, env_sd, log_env_norm, log_m)
+    worst = float(log_acc.max())  # NaN if any entry is NaN
+    if not worst <= 0.0:
+        bad = float(t[np.argmax(log_acc)])  # argmax finds the first NaN
         raise EnvelopeViolationError(
             bad, f"rejection envelope violated at x = {bad:.6g} "
-                 f"(log acceptance ratio {ratio:.3e}, must be <= 0)")
-    return filled
+                 f"(log acceptance ratio {worst:.3e}, must be <= 0)")
+    u = rng.random(m, out=sq)  # sq is spent; its buffer takes the uniforms
+    np.negative(u, out=u)
+    keep = np.flatnonzero(np.log1p(u, out=u) < log_acc)[:out.size]
+    out[:keep.size] = t[keep]
+    h_out[:keep.size] = h[keep]
+    return keep.size
 
 
 def _sample_tempered_coords(shape: Callable, beta: float, env_sd: float,
@@ -240,11 +229,12 @@ def _sample_tempered_coords(shape: Callable, beta: float, env_sd: float,
 
     Rejection from the envelope N(0, env_sd^2) scaled by exp(log_m), in
     rounds of `_rejection_batch`.  `accept` is the envelope's acceptance
-    probability p (`_envelope_log_constant`).  A round drawn for the `need` draws still missing proposes
-    min(ceil(need / p * 1.01 + 3 sqrt(need)) + 64, `_BATCH`): its mean
+    probability p (`_envelope_log_constant`).  A round drawn for the
+    `need` draws still missing proposes
+    min(ceil(need / p * 1.01 + 3 sqrt(need)) + 64, `_BLOCK`): its mean
     number accepted, 1.01 need + 3 p sqrt(need) + 64 p, clears `need` by
     over three binomial standard deviations (sqrt(need (1 - p))) once
-    p > 0.62, so a second round is rare unless `_BATCH` caps the first,
+    p > 0.62, so a second round is rare unless `_BLOCK` caps the first,
     and few accepted draws are left over.
 
     Returns (draws, h(draws)).  Each h value is copied from the shape
@@ -258,7 +248,7 @@ def _sample_tempered_coords(shape: Callable, beta: float, env_sd: float,
     while filled < n_coords:
         need = n_coords - filled
         m = min(math.ceil(need / accept * 1.01 + 3.0 * math.sqrt(need)) + 64,
-                _BATCH)
+                _BLOCK)
         filled += _rejection_batch(shape, beta, env_sd, log_env_norm, log_m,
                                    m, rng, out[filled:], h_out[filled:])
     return out, h_out
@@ -303,24 +293,18 @@ def _dimension(cfg: ScalingExperimentConfig, d: int, abs_h2: float,
     log_m, accept = _envelope_log_constant(cfg.shape, beta, env_sd)
     rng = StreamFactory(cfg.seed).stream(SCALING_STREAM, counter=d)
     prop_sd = 1.0 / math.sqrt(beta * abs_h2)
-    block_rows = max(_BLOCK // d, 1)
+    rows = max(_BLOCK // d, 1)
     vals = np.empty(cfg.samples)
-    done = 0
-    while done < cfg.samples:
-        rows_here = min(cfg.samples - done, max(_BATCH // d, 1))
+    for lo in range(0, cfg.samples, rows):
+        hi = min(lo + rows, cfg.samples)
         x, hx = _sample_tempered_coords(cfg.shape, beta, env_sd, log_m,
-                                        rows_here * d, rng, accept)
-        x = x.reshape(rows_here, d)
-        hx = hx.reshape(rows_here, d)
-        # y is drawn after all x of the chunk, block by block of rows
-        for lo in range(0, rows_here, block_rows):
-            hi = min(lo + block_rows, rows_here)
-            gx_sums = _g_row_sums(x[lo:hi], hx[lo:hi], abs_h2)
-            y = prop_sd * rng.standard_normal((hi - lo, d))
-            b = _leap_log_ratios(cfg.shape, beta, abs_h2, gx_sums, y)
-            vals[done + lo:done + hi] = np.where(b >= 0.0, 1.0, np.exp(b))
-        del x, hx  # freed before the next chunk's draws are allocated
-        done += rows_here
+                                        (hi - lo) * d, rng, accept)
+        gx_sums = _g_row_sums(x.reshape(-1, d), hx.reshape(-1, d), abs_h2)
+        # y is drawn after all x of the chunk
+        y = prop_sd * rng.standard_normal((hi - lo, d))
+        b = _leap_log_ratios(cfg.shape, beta, abs_h2, gx_sums, y)
+        vals[lo:hi] = np.where(b >= 0.0, 1.0, np.exp(b))
+        del x, hx, y  # freed before the next chunk's draws are allocated
     observed = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1) / math.sqrt(cfg.samples))
     logger.info("scaling d=%d beta=%.3g observed=%.4f (se %.4f) "

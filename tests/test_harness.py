@@ -382,8 +382,8 @@ def test_pt_run_counter_identities():
 
 
 def test_pt_run_swaps_evaluate_no_density(monkeypatch):
-    # each chain carries log pi of its state: pi is evaluated once per
-    # chain at set-up and once per RWM proposal, never by a swap
+    # each chain carries log pi of its state: pi is evaluated once at
+    # the shared start point and once per RWM proposal, never by a swap
     base = GaussianTarget(np.zeros(1), np.eye(1))
     calls = []
     target = TargetDensity(
@@ -392,7 +392,7 @@ def test_pt_run_swaps_evaluate_no_density(monkeypatch):
     samples, diag = pt_run(cfg, target)
     assert proposals(diag, SWAP_STANDARD) == cfg.n_swaps * diag.n_sweeps > 0
     carried = len(calls)
-    assert carried == 3 * (1 + V * diag.n_sweeps)
+    assert carried == 1 + 3 * V * diag.n_sweeps
     # and the run is the one that prices every swap by two evaluations
     # and then evaluates the two records afresh
     monkeypatch.setattr(runner, "_swap_phase", reference_swap_phase)

@@ -2,6 +2,7 @@ import hashlib
 import math
 import threading
 import time
+import tracemalloc
 from dataclasses import astuple
 
 import numpy as np
@@ -28,7 +29,7 @@ def reference_sample_tempered_coords(shape, beta, env_sd, log_m, n_coords,
     while filled < n_coords:
         need = n_coords - filled
         m = min(math.ceil(need / accept * 1.01 + 3.0 * math.sqrt(need)) + 64,
-                scaling._BATCH)
+                scaling._BLOCK)
         t = env_sd * rng.standard_normal(m)
         log_acc = (beta * np.asarray(shape(t), dtype=float)
                    + 0.5 * (t / env_sd) ** 2 + log_env_norm - log_m)
@@ -69,7 +70,7 @@ def reference_scaling_experiment(cfg):
         vals = np.empty(cfg.samples)
         done = 0
         while done < cfg.samples:
-            rows_here = min(cfg.samples - done, max(scaling._BATCH // d, 1))
+            rows_here = min(cfg.samples - done, max(scaling._BLOCK // d, 1))
             x = reference_sample_tempered_coords(
                 cfg.shape, beta, env_sd, log_m, rows_here * d, rng,
                 accept).reshape(rows_here, d)
@@ -150,11 +151,11 @@ def test_tempered_sampler_moments():
 
 
 @pytest.mark.parametrize("shape", [SkewShape(alpha=2.0), GaussianShape()])
-@pytest.mark.parametrize("batch", [1 << 18, 1 << 9])
-def test_sampler_matches_reference_and_carries_h(monkeypatch, shape, batch):
+@pytest.mark.parametrize("block", [1 << 18, 1 << 9])
+def test_sampler_matches_reference_and_carries_h(monkeypatch, shape, block):
     # the carried h values are the shape at the draws, bit for bit, and
     # the in-place rejection step keeps every draw of the one-expression one
-    monkeypatch.setattr(scaling, "_BATCH", batch)
+    monkeypatch.setattr(scaling, "_BLOCK", block)
     beta, env_sd = 8.0, 0.5
     log_m, accept = _envelope_log_constant(shape, beta, env_sd)
     draws, h = _sample_tempered_coords(shape, beta, env_sd, log_m, 5000,
@@ -183,12 +184,12 @@ def test_log_acceptance_is_the_left_to_right_sum(d):
 
 
 @pytest.mark.parametrize("shape", [SkewShape(alpha=2.0), GaussianShape()])
-@pytest.mark.parametrize("batch", [1 << 18, 1 << 9])
+@pytest.mark.parametrize("block", [1 << 18, 1 << 9])
 def test_experiment_matches_evaluate_twice_reference(monkeypatch, shape,
-                                                     batch):
-    # a small batch runs several row blocks per dimension and several
-    # rejection rounds per block
-    monkeypatch.setattr(scaling, "_BATCH", batch)
+                                                     block):
+    # a small block runs several row chunks per dimension and several
+    # rejection rounds per chunk
+    monkeypatch.setattr(scaling, "_BLOCK", block)
     cfg = ScalingExperimentConfig(shape=shape, ell=0.5, dims=(4, 10, 16),
                                   samples=3000, seed=11)
     rows = [astuple(r) for r in scaling_experiment(cfg)]
@@ -207,48 +208,18 @@ def test_understated_envelope_is_detected():
     assert math.isfinite(info.value.abscissa)
 
 
-@pytest.mark.parametrize("poison", ["nan", "positive"])
-def test_rejection_batch_names_the_bad_abscissa(poison):
-    # a NaN shape value is an envelope failure, not a rejected draw
-    skew = SkewShape(alpha=2.0)
-    beta, env_sd, m = 20.0, 0.3, 4096
-    log_m, _ = _envelope_log_constant(skew, beta, env_sd)
-    log_env_norm = math.log(env_sd * math.sqrt(2.0 * math.pi))
-    bad_value = np.nan if poison == "nan" else 1e3
-
-    def shape(t):
-        return np.where(t > 0.5, bad_value, skew(t))
-
-    t = env_sd * np.random.default_rng(3).standard_normal(m)
-    # the first NaN, or else the largest excess: the largest t above 0.5
-    bad = float(t[np.flatnonzero(t > 0.5)[0]] if poison == "nan"
-                else t.max())
-    with pytest.raises(EnvelopeViolationError) as info:
-        scaling._rejection_batch(shape, beta, env_sd, log_env_norm, log_m, m,
-                                 np.random.default_rng(3), np.empty(m),
-                                 np.empty(m))
-    assert info.value.abscissa == bad
-    assert f"x = {bad:.6g}" in str(info.value)
-    # the same draws with a finite shape pass the check
-    kept = scaling._rejection_batch(skew, beta, env_sd, log_env_norm,
-                                    log_m, m, np.random.default_rng(3),
-                                    np.empty(m), np.empty(m))
-    assert 0 < kept < m
-
-
 @pytest.mark.parametrize("poison", ["nan", "positive", "tied"])
-def test_rejection_batch_checks_every_block(monkeypatch, poison):
-    # blocks of 8: the first NaN and the largest excess sit in later blocks
-    # than the first, which holds a finite excess; the error still names the
-    # first NaN of the round, or else its largest excess, or else the first
-    # of the tied largest (an excess so large that t no longer shows in it)
-    monkeypatch.setattr(scaling, "_BLOCK", 8)
+def test_rejection_batch_names_the_bad_abscissa(poison):
+    # a NaN shape value is an envelope failure, not a rejected draw.  The
+    # round's first excess comes before its first NaN and its largest
+    # excess after; the error names the first NaN, or else the largest
+    # excess, or else the first of the tied largest (an excess so large
+    # that t no longer shows in it)
     skew = SkewShape(alpha=2.0)
     beta, env_sd, m = 20.0, 0.3, 4096
     log_m, _ = _envelope_log_constant(skew, beta, env_sd)
     log_env_norm = math.log(env_sd * math.sqrt(2.0 * math.pi))
     nan_above = 0.9 if poison == "nan" else math.inf
-
     excess = 1e20 if poison == "tied" else 1e3
 
     def shape(t):
@@ -258,16 +229,21 @@ def test_rejection_batch_checks_every_block(monkeypatch, poison):
     t = env_sd * np.random.default_rng(3).standard_normal(m)
     first_excess = int(np.flatnonzero(t > 0.5)[0])
     first_nan = int(np.flatnonzero(t > 0.9)[0])
-    assert first_excess < 8 <= first_nan < int(np.argmax(t)) // 8 * 8
+    assert first_excess < first_nan < int(np.argmax(t))
     bad = float({"nan": t[first_nan], "positive": t.max(),
                  "tied": t[first_excess]}[poison])
-    out, h_out = np.empty(m), np.empty(m)
     with pytest.raises(EnvelopeViolationError) as info:
         scaling._rejection_batch(shape, beta, env_sd, log_env_norm, log_m, m,
-                                 np.random.default_rng(3), out, h_out)
+                                 np.random.default_rng(3), np.empty(m),
+                                 np.empty(m))
     assert info.value.abscissa == bad
     assert f"x = {bad:.6g}" in str(info.value)
     assert ("log acceptance ratio nan" in str(info.value)) == (poison == "nan")
+    # the same draws with a finite shape pass the check
+    kept = scaling._rejection_batch(skew, beta, env_sd, log_env_norm,
+                                    log_m, m, np.random.default_rng(3),
+                                    np.empty(m), np.empty(m))
+    assert 0 < kept < m
 
 
 def test_stderr_scales_with_sample_size():
@@ -308,10 +284,8 @@ def test_dimension_stream_is_order_independent():
 @pytest.mark.parametrize("shape", [SkewShape(alpha=2.0), GaussianShape()])
 def test_blocked_threaded_experiment_matches_reference(monkeypatch, shape,
                                                        workers):
-    # blocks of 2^7 and batches of 2^10 run several blocks per rejection
-    # round, several rounds per row chunk and several chunks per dimension;
-    # d = 160 exceeds the block, so the leap takes one row at a time
-    monkeypatch.setattr(scaling, "_BATCH", 1 << 10)
+    # blocks of 2^7 run several rounds per row chunk and several chunks
+    # per dimension; d = 160 exceeds the block, so a chunk is one row
     monkeypatch.setattr(scaling, "_BLOCK", 1 << 7)
     monkeypatch.setattr(scaling, "_worker_count",
                         lambda n_dims: min(n_dims, workers))
@@ -462,13 +436,29 @@ def test_observed_acceptance_matches_the_estimate(shape, beta):
                                          (GaussianShape(), 10.0)])
 def test_rounds_evaluate_few_surplus_proposals(shape, beta, n_coords):
     # every proposal drawn is evaluated once; the rounds are sized so that
-    # few accepted draws are thrown away, also when _BATCH caps a round
+    # few accepted draws are thrown away, also when _BLOCK caps a round
     counted = CountingShape(shape)
     env_sd, log_m, accept = _envelope(shape, beta)
     draws, _ = _sample_tempered_coords(counted, beta, env_sd, log_m, n_coords,
                                        np.random.default_rng(6), accept)
     assert draws.size == n_coords
     assert counted.points / n_coords <= 1.05 / accept + 0.01
+
+
+@pytest.mark.parametrize("samples", [20000, 100000])
+def test_dimension_allocates_at_most_a_few_blocks(samples):
+    # besides its 8-byte per-sample results, a dimension holds a chunk's
+    # x, h(x) and y, one rejection round and their temporaries, each at
+    # most _BLOCK floats: the peak does not grow with the sample count
+    cfg = ScalingExperimentConfig(shape=SkewShape(alpha=2.0), ell=0.25,
+                                  dims=(80,), samples=samples, seed=1)
+    tracemalloc.start()
+    try:
+        scaling._dimension(cfg, 80, -cfg.shape.h2(), 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - 8 * samples < 16 * scaling._BLOCK * 8
 
 
 def test_envelope_needs_a_concave_shape_at_its_tails():
@@ -511,9 +501,11 @@ def test_non_finite_alpha_is_a_config_error(capsys, alpha):
 
 # `alps scaling --dims 10,20 --samples 2000 --seed 1` (perfbench's smoke
 # size), recorded on x86-64 Linux (numpy 2.4): a change to the envelope,
-# the rounds or the leap ratio changes it
+# the rounds, the chunks or the leap ratio changes it.  Pinned again when
+# a chunk became max(2^15 // d, 1) rows: d = 20 now draws two chunks of
+# x then y instead of one, so its row moved; d = 10 fits one either way
 SCALING_CSV_SHA256 = \
-    "91611ca129e68d54de2180728c68bd867abb01d692c6ac4bd8fcaac94cce0cc2"
+    "bd2f4ef193e57500355bacccf586eb8669a973c959f056dbf754f00fcadb2c2e"
 
 
 def test_smoke_scaling_csv_is_pinned(tmp_path, capsys):

@@ -171,8 +171,8 @@ def test_tracer_patches_see_a_pt_run():
 def test_tracer_sees_every_element_of_batched_skew_evaluations():
     counts = traced_counts(SKEW_SCRIPT)
     assert counts["rwm"] == V * SWEEPS
-    # one evaluation per level at set-up and one per RWM proposal
-    assert counts["shape_elements"] == LEVELS * DIM * (1 + V * SWEEPS)
+    # one evaluation at set-up and one per RWM proposal
+    assert counts["shape_elements"] == DIM * (1 + LEVELS * V * SWEEPS)
 
 
 def test_tracer_counts_hot_steps_and_searches_of_an_alps_run():
