@@ -246,6 +246,42 @@ def test_rejection_batch_names_the_bad_abscissa(poison):
     assert 0 < kept < m
 
 
+@pytest.mark.parametrize("poison", ["nan", "positive", "tied"])
+def test_rejection_batch_checks_every_block(monkeypatch, poison):
+    # blocks (rejection rounds) of 256 proposals: the shape turns bad only
+    # in the third round, which is still checked whole; the error names
+    # that round's first NaN, or else its largest excess, or else the first
+    # of its tied largest
+    monkeypatch.setattr(scaling, "_BLOCK", 256)
+    skew = SkewShape(alpha=2.0)
+    beta, env_sd = 20.0, 0.3
+    log_m, accept = _envelope_log_constant(skew, beta, env_sd)
+    nan_above = 0.3 if poison == "nan" else math.inf
+    excess = 1e20 if poison == "tied" else 1e3
+    rounds = []
+
+    def shape(t):
+        rounds.append(t.copy())
+        if len(rounds) < 3:
+            return skew(t)
+        bad = np.where(t > nan_above, np.nan, excess)
+        return np.where(t > 0.0, bad, skew(t))
+
+    with pytest.raises(EnvelopeViolationError) as info:
+        _sample_tempered_coords(shape, beta, env_sd, log_m, 4096,
+                                np.random.default_rng(3), accept)
+    assert [r.size for r in rounds] == [256, 256, 256]
+    t = rounds[2]
+    first_excess = int(np.flatnonzero(t > 0.0)[0])
+    first_nan = int(np.flatnonzero(t > 0.3)[0])
+    assert 0 < first_excess < first_nan < int(np.argmax(t))
+    bad = float({"nan": t[first_nan], "positive": t.max(),
+                 "tied": t[first_excess]}[poison])
+    assert info.value.abscissa == bad
+    assert f"x = {bad:.6g}" in str(info.value)
+    assert ("log acceptance ratio nan" in str(info.value)) == (poison == "nan")
+
+
 def test_stderr_scales_with_sample_size():
     base = dict(shape=SkewShape(alpha=2.0), ell=1.0, dims=(4,), seed=2)
     small = scaling_experiment(ScalingExperimentConfig(samples=4000, **base))
