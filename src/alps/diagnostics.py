@@ -37,6 +37,7 @@ class RunDiagnostics:
     sweep_seconds: float = 0.0
     n_sweeps: int = 0
     tuned_step_scales: list = field(default_factory=list)
+    round_trips: int = 0  # post-burn-in level 0 -> n -> 0 passes
     registry: object = None
 
     def __post_init__(self):

@@ -96,6 +96,7 @@ def emit_outputs(diag: RunDiagnostics, config: RunConfig) -> dict:
         "n_modes": (diag.registry.n_modes if diag.registry is not None
                     else None),
         "registry_events": diag.registry_events,
+        "ladder_round_trips": diag.round_trips,
         "tuned_step_scales": [float(s) for s in diag.tuned_step_scales],
     })
     logger.info("wrote outputs to %s", out)

@@ -199,6 +199,10 @@ class _Run:
         self.step_scales = RWM_INITIAL_STEP / np.sqrt(
             d * (np.ones_like(betas) if hat else betas))
         self.locations = getattr(target, "component_locations", None)
+        # chain labels by level, and the ladder end (0 or n) each labelled
+        # chain last reached after burn-in (`visit_ends`)
+        self.labels = list(range(self.n + 1))
+        self.last_end = [None] * (self.n + 1)
 
     def _find_modes(self, x0: np.ndarray) -> None:
         """Start the hot chain at x0 when exploration runs, then fill the
@@ -303,6 +307,17 @@ class _Run:
             self.X[k], self.logpi[k], self.qf[k] = \
                 self.level_targets[k].record(mode)
 
+    def visit_ends(self) -> None:
+        """Note which chains sit at levels 0 and n; a chain back at level 0
+        after reaching n since its last visit there completes a round
+        trip."""
+        bottom, top = self.labels[0], self.labels[self.n]
+        if self.last_end[bottom] == self.n:
+            self.diag.round_trips += 1
+        self.last_end[bottom] = 0
+        if self.last_end[top] == 0:
+            self.last_end[top] = self.n
+
     def tune(self, rates: np.ndarray, sweep: int) -> None:
         """Robbins-Monro step of each level's log step scale toward the
         target acceptance rate, all levels in one array operation, until
@@ -385,6 +400,9 @@ def _swap_phase(run: _Run, t: int) -> None:
     logp, alloc = (a.tolist() for a in level_values(
         snapshot, run.betas, run.logpi, qf, run.radii))
     rows = list(range(n + 1))  # level k's chain is row rows[k] of the block
+    labels, after_burnin = run.labels, t >= run.freeze
+    if after_burnin:
+        run.visit_ends()
     for k, coin, log_u in zip(schedule, coins, log_us):
         i, j = rows[k], rows[k + 1]
         if hat and coin < config.swap_quanta_prob:
@@ -412,6 +430,10 @@ def _swap_phase(run: _Run, t: int) -> None:
                 logp[k], logp[k + 1] = cross_k, cross_k1
                 alloc[k], alloc[k + 1] = a_k, a_k1
         run.diag.count(move, k, accepted)
+        if accepted:
+            labels[k], labels[k + 1] = labels[k + 1], labels[k]
+            if after_burnin:
+                run.visit_ends()
     X[:], qf[:], run.logpi[:] = X[rows], qf[rows], logpi
 
 

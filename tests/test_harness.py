@@ -365,6 +365,53 @@ def pt_config(**over):
                            initial_modes=None, **over)
 
 
+def replayed_round_trips(n_levels, sweeps, freeze, schedule):
+    """Round trips of the chains of a ladder on which every swap is
+    accepted: each sweep exchanges the chains of the pairs
+    `schedule(sweep)`, in order.  From the freeze on each chain's visits
+    to the two ends are listed, repeats dropped, its place at the freeze
+    included; every visit to level 0 that follows one to the top ends a
+    trip."""
+    top = n_levels - 1
+    at = list(range(n_levels))  # chain label at each level
+    ends = {label: [] for label in at}
+
+    def visit():
+        for level in (0, top):
+            if ends[at[level]][-1:] != [level]:
+                ends[at[level]].append(level)
+    for t in range(sweeps):
+        if t == freeze:
+            visit()
+        for k in schedule(t):
+            at[k], at[k + 1] = at[k + 1], at[k]
+            if t >= freeze:
+                visit()
+    trips = 0
+    for seq in ends.values():
+        seq = seq[seq.index(0):] if 0 in seq else []
+        trips += max(seq.count(0) - 1, 0)
+    return trips
+
+
+def flat_pt_round_trips(betas, total, burnin):
+    target = TargetDensity(1, lambda x: 0.0)  # every move is accepted
+    cfg = gaussian_config(ladder={"betas": betas}, initial_modes=None,
+                          total_target_samples=total, burnin_samples=burnin)
+    _, diag = pt_run(cfg, target)
+    assert all(a == n for a, n in diag.counters.values())
+    return diag.round_trips, cfg
+
+
+def test_round_trips_on_a_two_level_flat_ladder():
+    # the one pair swaps every sweep, so each of the two chains is back at
+    # level 0 every second sweep of the 80 after burn-in
+    trips, cfg = flat_pt_round_trips([1.0, 0.5], 500, 100)
+    assert trips == replayed_round_trips(2, cfg.n_sweeps, cfg.burnin_sweeps,
+                                         lambda t: [0]) == 79
+    assert flat_pt_round_trips([1.0], 500, 100)[0] == 0
+
+
 def test_pt_run_counter_identities():
     cfg = pt_config(total_target_samples=1000, burnin_samples=100)
     target = GaussianTarget(np.zeros(1), np.eye(1))

@@ -22,23 +22,23 @@ PINNED_PRESETS = {
         "trace.csv": "b7c3b203a2e967be734104be8cb71c385cdc39cc10a8a5b3918c3841458f7d25",
         "acceptance.json": "56b6be6d175ac54e1a749a0ce41c750397b3b630630a54dd3b8a1a47966acac1",
         "modes.json": "8e59a8d311028abdc1f02b3d735e6161380aedc46cecabc856469b580008ac2f",
-        "summary.json": "36b4f03ad66e6b25846fe2bd03bb12b27764d8ae4e0d46a66d07d1882b7c4e83"}),
+        "summary.json": "ad8cc13e471b1e59c482a3a3a46ce2b505d61974bd6b71672c40d3f157517537"}),
     "synthetic-20d-pt": ("pt", SMOKE, {
         "trace.csv": "7e6f43408fee5490eb3cc93c32bea2a11da446d84f79126087cedcf86873ca9f",
         "acceptance.json": "fe9e30767ed466d8f0ee14103b01dd152d993de8ae9882eea1497bc2ef4db71f",
         "modes.json": "f4e2aa74a1cd000c2499f7c1f692105ba35c3e9f4d8d77b9585f8643dec94a13",
-        "summary.json": "167bb552a1317d254e451401a6a8a73b82e727f569c156f8338954478bbce7dd"}),
+        "summary.json": "640169164dd6b968d4d08a7106dd61ea182ebed121f10239beb9b5ac78a47ad0"}),
     "synthetic-20d-lais": ("run", SMOKE, {
         "trace.csv": "419268f159476d5ba5632831e1ab92e575e6b30592134ca8196702b14fa55eb0",
         "acceptance.json": "0400168ac388f9edd07878d1c170f1aa506225d3cf9ee76b58ede4cd66aabbda",
         "modes.json": "8e59a8d311028abdc1f02b3d735e6161380aedc46cecabc856469b580008ac2f",
-        "summary.json": "7c8710d97802356d0296ba765017d2d7cbcfccb32c1560ac2885c1c196685e6f"}),
+        "summary.json": "9f69f6fa277aed898e41cb8584458551f96d2ed51e14f4f33a675e57ff35e139"}),
     "sur-grunfeld": ("run", {"total_target_samples": 100,
                              "burnin_samples": 50}, {
         "trace.csv": "31d2837f3b6dba482dec7591bf31a7b563d321d9f8685952b894b5a5f01d0c32",
         "acceptance.json": "bd0f1752ceb31b446fd42f4f135df79e0b486c8dee1486b41fe59accacd89811",
         "modes.json": "b63719077841ff762deeb0685006b12763c94b620bb2ba790bb0477c8d337756",
-        "summary.json": "15a973e9061e5320f09ed6deef8042516aba68d194b384e1c0e822ded7b65220"}),
+        "summary.json": "83b66d39a047ef9e6a0400203412eb50d8faf5deeab518340af20026484a93ca"}),
 }
 
 
