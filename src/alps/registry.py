@@ -13,10 +13,9 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .linalg import (IndefiniteMatrixError, chol_lower, log_det_from_chol,
-                     solve_lower)
+                     logsumexp_1d, solve_lower)
 
 logger = logging.getLogger(__name__)
 
@@ -96,7 +95,7 @@ def approximate_log_weights(modes: list[ModeInfo]) -> np.ndarray:
     if not modes:
         raise ValueError("no modes")
     raw = np.array([m.log_pi_at_mode + 0.5 * m.log_det_sigma for m in modes])
-    return raw - logsumexp(raw)
+    return raw - logsumexp_1d(raw)
 
 
 def pseudo_distance(a: ModeInfo, b: ModeInfo) -> float:

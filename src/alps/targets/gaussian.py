@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import logsumexp
 
 from ..density import TargetDensity
 from ..linalg import (LOG_2PI, chol_lower, log_det_from_chol, logsumexp_1d,
@@ -65,7 +64,7 @@ class GaussianMixtureTarget(TargetDensity):
 
     def _grad(self, x: np.ndarray) -> np.ndarray:
         lp = self.log_w + self._component_logpdfs(x)
-        r = np.exp(lp - logsumexp(lp))
+        r = np.exp(lp - logsumexp_1d(lp))
         g = np.zeros(self.dim)
         for k in range(self.mus.shape[0]):
             g += r[k] * spd_solve(self.chols[k], self.mus[k] - x)
