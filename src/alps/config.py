@@ -17,6 +17,10 @@ preset uses the one value:
 - one hot chain of exploration (`runner._Run.hot_state`);
 - swaps per sweep: `n_levels - 1` (`RunConfig.n_swaps`), one per
   neighbour pair of the ladder;
+- the swap schedule: deterministic even-odd (DEO; Syed et al.,
+  arXiv:1905.02939), every sweep the even pairs (0-1, 2-3, ...) and
+  then the odd ones (`runner._swap_phase`), which keeps the rate of
+  ladder round trips from decaying as levels are added;
 - the freeze of adaptation (step tuning and mode search): the end of
   burn-in, `burnin_sweeps`, so the sampled part runs on a fixed ladder;
 - step tuning: every level's RWM step, the top level's included, is
@@ -154,7 +158,6 @@ class RunConfig:
     ladder: LadderConfig
     seed: int
     swap_quanta_prob: float = 0.5
-    swap_strategy: str = "uniform"    # "uniform" | "even_odd"
     exploration: Optional[ExplorationSettings] = field(
         default_factory=ExplorationSettings)
     truncation: Optional[TruncationSettings] = None
@@ -176,8 +179,6 @@ class RunConfig:
             raise ConfigError("sample counts must be non-negative")
         if not 0.0 <= self.swap_quanta_prob <= 1.0:
             raise ConfigError("swap_quanta_prob must be a probability")
-        if self.swap_strategy not in ("uniform", "even_odd"):
-            raise ConfigError("swap_strategy must be 'uniform' or 'even_odd'")
         if not isinstance(self.initial_modes, (list, type(None))):
             raise ConfigError("initial_modes must be a list of points")
         if not isinstance(self.out_dir, (str, type(None))):

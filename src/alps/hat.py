@@ -8,11 +8,12 @@ starving low modes of mass.
 
 A level's value and allocation at x depend on x only through its chain
 record (x, log pi(x), qf(x)), qf(x) being the quad forms of x against
-the J registered modes.  `level_values` turns one record, or a block of
-records of many levels at once, into values for every level; a power
-level pi^beta is its J = 0 case, whose record carries an empty qf row
-and whose value is beta * log pi, and a truncated level is one with a
-finite radius.
+the J registered modes.  `level_values` turns a block of records of
+many levels at once into values for every level, and a level prices one
+record as a block of one (`Level.value`), so there is one value
+formula.  A power level pi^beta is its J = 0 case, whose record carries
+an empty qf row and whose value is beta * log pi, and a truncated level
+is one with a finite radius.
 """
 
 from __future__ import annotations
@@ -74,15 +75,16 @@ def quad_forms(snapshot: RegistrySnapshot | None, x: np.ndarray) -> np.ndarray:
     return snapshot.quad_forms(x)
 
 
-def level_values(snapshot: RegistrySnapshot | None, beta, logpi, qf,
-                 radius=np.inf):
-    """(value, allocation) at inverse temperature beta of a chain record
-    (log pi, qf), qf the (J,) quad forms.  For a block of L records beta
-    and radius are (L,) arrays, logpi has L entries and qf L rows, and
-    the values and allocations come back as two (L,) arrays
-    (`_block_values`), row for row those of the single-record form.
+def level_values(snapshot: RegistrySnapshot | None, beta: np.ndarray,
+                 logpi: np.ndarray, qf: np.ndarray, radius=np.inf):
+    """(values, allocations) of a block of L chain records (log pi, qf)
+    at inverse temperatures beta: beta is an (L,) array, logpi has L
+    entries and qf L rows of J quad forms, and radius is an (L,) array or
+    one radius for all rows.  Computed as array operations: one score
+    matrix and its argmax at beta and at 1, then a selection among the
+    value branches.
 
-    Without a snapshot (J = 0) the value is beta * log pi and the
+    Without a snapshot (J = 0) a value is beta * log pi and its
     allocation 0.  Otherwise a is the allocation at beta.  While it
     agrees with the allocation at 1 the value is beta log pi(x) +
     (1 - beta) log pi(mu_a), arranged so that x = mu_a gives log pi(mu_a)
@@ -90,30 +92,10 @@ def level_values(snapshot: RegistrySnapshot | None, beta, logpi, qf,
     cancels to leave the quad form.  At beta = 1 it is log pi(x).  States
     whose quad form against mode a reaches `radius` have value -inf.
     """
-    if isinstance(beta, np.ndarray):
-        return _block_values(snapshot, beta, np.asarray(logpi, dtype=float),
-                             np.asarray(qf, dtype=float), radius)
-    if snapshot is None:
-        return beta * logpi, 0
-    a = int(np.argmax(allocation_scores(snapshot, qf, beta)))
-    qf_a = float(qf[a])
-    if qf_a >= radius:
-        return -np.inf, a
-    if beta == 1.0:
-        return logpi, a
-    mode = float(snapshot.log_pi_at_modes[a])
-    if a == int(np.argmax(allocation_scores(snapshot, qf, 1.0))):
-        return mode + beta * (logpi - mode), a
-    return mode - 0.5 * beta * qf_a, a
-
-
-def _block_values(snapshot: RegistrySnapshot | None, beta: np.ndarray,
-                  logpi: np.ndarray, qf: np.ndarray, radius: np.ndarray):
-    """`level_values` of L records as array operations: one score matrix
-    and its argmax at beta and at 1, then a selection among the value
-    branches, the same arithmetic as the single-record form row by row."""
+    logpi = np.asarray(logpi, dtype=float)
     if snapshot is None:
         return beta * logpi, np.zeros(beta.size, dtype=int)
+    qf = np.asarray(qf, dtype=float)
     a = np.argmax(allocation_scores(snapshot, qf, beta[:, None]), axis=1)
     a_one = np.argmax(allocation_scores(snapshot, qf, 1.0), axis=1)
     qf_a = qf[np.arange(beta.size), a]
@@ -160,9 +142,11 @@ class Level:
                             quad_forms(self.snapshot, x)))
 
     def value(self, rec: ChainRecord) -> tuple[float, int]:
-        """(log density, allocation index) of a record; evaluates nothing."""
-        _, logpi, qf = rec
-        return level_values(self.snapshot, self.beta, logpi, qf, self.radius)
+        """(log density, allocation index) of a record, `level_values` of
+        a block of one; evaluates nothing."""
+        value, a = level_values(self.snapshot, np.array([self.beta]),
+                                [rec.logpi], [rec.qf], self.radius)
+        return float(value[0]), int(a[0])
 
     def value_and_alloc(self, x: np.ndarray) -> tuple[float, int]:
         """(log density, allocation index) of the record of x."""

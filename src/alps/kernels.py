@@ -12,15 +12,16 @@ Each chain carries its record (x, log pi(x), qf(x)) (`hat.ChainRecord`).
 the new one, so a caller making many moves reads it off the record
 (`level.value`) once; `mode_leap_core`, which makes all of a sweep's
 leaps in one call, reads it itself.  The swaps take what they need of
-the two chains from their caller, which reads it off the records:
-`standard_swap_core` decides from four level values alone (the chains'
-own and their cross values) and returns its decision;
-`quanta_swap_core` takes the two states with their values and
-allocations, evaluates only its two transformed points, and returns
-None or the two new records with their values.  A kernel evaluates the
-base density and the quad forms once per new point, at the point's
-record; every other value, allocation and mixture density it needs at
-a carried state it reads from the state's record.
+the chains from their caller, which reads it off the block:
+`standard_swap_core` decides one pair from four level values alone (the
+chains' own and their cross values) and returns its decision;
+`quanta_swap_core` takes the states of a block of disjoint pairs with
+their values and allocations, evaluates only their transformed points,
+as one block, and returns each pair's decision with the new records and
+their values.  A kernel evaluates the base density and the quad forms
+once per new point, at the point's record; every other value,
+allocation and mixture density it needs at a carried state it reads
+from the state's record.
 
 Each decision takes exactly one uniform u and compares log u with the
 log ratio; a NaN ratio rejects.  The RWM and swap decisions take log u,
@@ -131,40 +132,46 @@ def rwm_core(rec: ChainRecord, logp_x: float, target, step_scale: float,
     return rec, logp_x, False
 
 
-def quanta_transform(x: np.ndarray, beta_from: float, beta_to: float,
+def quanta_transform(x: np.ndarray, beta_from, beta_to,
                      mu: np.ndarray) -> np.ndarray:
-    """Affine rescaling (beta_from/beta_to)^{1/2} (x - mu) + mu."""
-    if beta_from <= 0 or beta_to <= 0:
+    """Affine rescaling (beta_from/beta_to)^{1/2} (x - mu) + mu; on a block
+    of rows beta_from and beta_to are (m, 1) columns and mu (m, dim)."""
+    if np.any(beta_from <= 0) or np.any(beta_to <= 0):
         raise ValueError("temperatures must be positive")
     return np.sqrt(beta_from / beta_to) * (x - mu) + mu
 
 
-def quanta_swap_core(x_k: np.ndarray, x_k1: np.ndarray, m1: int, m2: int,
-                     logp_k: float, logp_k1: float, target_k, target_k1,
-                     log_u: float):
-    """QuanTA exchange between neighbouring HAT levels k and k+1, decided
-    by the log uniform `log_u`: each state, x_k with value logp_k and
-    allocation m1 at level k and x_k1 with logp_k1 and m2 at level k+1,
-    is rescaled about its allocated mode point to the other level's
-    temperature.  Returns None if rejected, else (the record now at
-    level k, the record now at level k+1, their values there).
+def quanta_swap_core(base, snapshot: RegistrySnapshot, x: np.ndarray,
+                     a_x: np.ndarray, logp_x: list, beta_x: np.ndarray,
+                     beta_y: np.ndarray, radius_y: np.ndarray, log_u: list):
+    """QuanTA exchanges of m disjoint pairs of neighbouring HAT levels,
+    scored as one block; pair i is decided by the log uniform log_u[i].
 
-    The map is an involution only while each transformed state keeps its
-    allocation at its new level; a proposal that changes either
-    allocation is rejected (Tawn & Roberts 2018, QuanTA).
+    x is the (2m, dim) block of the pairs' states, row i and row m + i
+    being pair i's two chains; a_x, logp_x and beta_x are their
+    allocations, values and betas at their own levels, and beta_y and
+    radius_y those of the level each moves to, the other of its pair.
+    Each state is rescaled about its allocated mode point to beta_y, and
+    the 2m images are scored with one `log_density_batch`, one quad-form
+    and one `level_values` call.  Then the pairs are decided on floats.
+    Returns (the m decisions, the images' records (y, log pi, qf), their
+    values and allocations at their new levels).
+
+    The map is an involution only while each image keeps its chain's
+    allocation at its new level; a pair in which either image changes it
+    is rejected (Tawn & Roberts 2018, QuanTA).
     """
-    beta_k, beta_k1 = target_k.beta, target_k1.beta
-    snapshot = target_k.snapshot
-    y_k = target_k1.record(
-        quanta_transform(x_k, beta_k, beta_k1, snapshot.mus[m1]))
-    y_k1 = target_k.record(
-        quanta_transform(x_k1, beta_k1, beta_k, snapshot.mus[m2]))
-    lp_yk_at_k1, a_yk = target_k1.value(y_k)
-    lp_yk1_at_k, a_yk1 = target_k.value(y_k1)
-    if a_yk == m1 and a_yk1 == m2 and _accept(
-            (lp_yk_at_k1 + lp_yk1_at_k) - (logp_k + logp_k1), log_u):
-        return y_k1, y_k, lp_yk1_at_k, lp_yk_at_k1
-    return None
+    y = quanta_transform(x, beta_x[:, None], beta_y[:, None],
+                         snapshot.mus[a_x])
+    logpi_y = base.log_density_batch(y)
+    qf_y = quad_forms(snapshot, y)
+    logp_y, a_y = level_values(snapshot, beta_y, logpi_y, qf_y, radius_y)
+    logp_y, kept = logp_y.tolist(), (a_y == a_x).tolist()
+    m = len(log_u)
+    accepted = [kept[i] and kept[m + i] and _accept(
+        (logp_y[i] + logp_y[m + i]) - (logp_x[i] + logp_x[m + i]), log_u[i])
+        for i in range(m)]
+    return accepted, (y, logpi_y, qf_y), logp_y, a_y.tolist()
 
 
 def standard_swap_core(logp_k: float, logp_k1: float, cross_k: float,

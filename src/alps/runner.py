@@ -2,10 +2,10 @@
 
 A run type is the list of phases one sweep applies, in order:
 
-- ALPS: RWM at HAT levels 0..n, mode leaps at level n, swaps (QuanTA
-  with probability swap_quanta_prob, else standard), exploration, and
-  the mode allocations of levels 0 and n.
-- PT: RWM at power-tempered levels 0..n, standard swaps, and the
+- ALPS: RWM at HAT levels 0..n, mode leaps at level n, DEO swaps
+  (QuanTA with probability swap_quanta_prob, else standard),
+  exploration, and the mode allocations of levels 0 and n.
+- PT: RWM at power-tempered levels 0..n, standard DEO swaps, and the
   nearest component locations of levels 0 and n.
 
 The LAIS baseline (Laplace-mixture independence sampling at beta = 1)
@@ -52,16 +52,23 @@ uniforms, one (V, dim) block of z ~ N(0, I), then the V decision
 uniforms.  It scores the V proposals as one block and decides the
 leaps in order (`kernels.mode_leap_core`, called once per sweep).
 
-The swap phase makes one swap per neighbour pair, n_levels - 1 in all.
-It draws from the sweep's swap stream: under the "uniform" strategy the
-pair indices first, in one call, then the decisions' uniforms in one
-call, in order, one row per swap.  On HAT levels a row is (coin, u): the
-coin picks QuanTA or standard, u decides; on power levels a row is u
-alone.  The logs of the u column are taken in one call.  A standard
-swap is decided from four level values (`standard_swap_core`): the two
-chains' own, read off the block once per sweep, and their cross values,
-each from the other chain's row (`hat.level_values`); an accepted one
-exchanges the two chains' rows.
+The swap phase makes one swap per neighbour pair, n_levels - 1 in all,
+on the deterministic even-odd schedule (DEO; Syed et al.,
+arXiv:1905.02939): every sweep the even pairs (0-1, 2-3, ...), then the
+odd ones.  It draws from the sweep's swap stream in one call, one row
+per pair k in pair order: on HAT levels (coin, u), the coin picking
+QuanTA or standard and u deciding; on power levels u alone.  The logs
+of the u column are taken in one call.  The pairs of one parity are
+disjoint, so a parity is one block: the cross values of its standard
+pairs, each chain's record priced at the other level of its pair, come
+from one `hat.level_values` call, and its QuanTA pairs are scored by one
+`quanta_swap_core` call.  The pairs are then decided in pair order on
+floats, a standard pair from four level values (`standard_swap_core`),
+and the accepted rows of the block are exchanged once per parity.  Each
+chain carries a label, its starting level, through the swaps; from the
+freeze on, a label's passes from level 0 to level n and back are the
+run's round trips (`_Run.visit_ends`, summary.json's
+`ladder_round_trips`).
 
 The run owns the hot chain of exploration: until the freeze, each sweep
 it moves on pi^beta_hot by V + 1 `rwm_core` steps, tallied under HOT,
@@ -132,21 +139,6 @@ def _require_finite_start(logpi: float, point: np.ndarray, name: str) -> None:
     if not np.isfinite(logpi):
         raise ConfigError(f"log density not finite at {name} = "
                           f"{point.tolist()}")
-
-
-def _swap_schedule(strategy: str, n_pairs: int, sweep: int, rng) -> list:
-    """Pair indices for one sweep's swap phase, one swap per pair.
-
-    "uniform" draws each pair index independently; "even_odd" runs the
-    even-indexed then the odd-indexed pairs, alternating the starting
-    block between sweeps so neighbouring swaps compose into systematic
-    up/down passes of the ladder.
-    """
-    if strategy == "uniform":
-        return rng.integers(0, n_pairs, size=n_pairs).tolist()
-    even = list(range(0, n_pairs, 2))
-    odd = list(range(1, n_pairs, 2))
-    return even + odd if sweep % 2 == 0 else odd + even
 
 
 class _Run:
@@ -307,13 +299,14 @@ class _Run:
             self.X[k], self.logpi[k], self.qf[k] = \
                 self.level_targets[k].record(mode)
 
-    def visit_ends(self) -> None:
-        """Note which chains sit at levels 0 and n; a chain back at level 0
-        after reaching n since its last visit there completes a round
-        trip."""
+    def visit_ends(self, sweep: int) -> None:
+        """From the freeze on, note which chains sit at levels 0 and n; a
+        chain back at level 0 after reaching n since its last visit there
+        completes a round trip."""
+        if sweep < self.freeze:
+            return
         bottom, top = self.labels[0], self.labels[self.n]
-        if self.last_end[bottom] == self.n:
-            self.diag.round_trips += 1
+        self.diag.round_trips += self.last_end[bottom] == self.n
         self.last_end[bottom] = 0
         if self.last_end[top] == 0:
             self.last_end[top] = self.n
@@ -379,62 +372,79 @@ def _leap_phase(run: _Run, t: int) -> None:
 
 
 def _swap_phase(run: _Run, t: int) -> None:
-    """One swap per neighbour pair; on HAT levels a coin picks QuanTA or
-    standard for each, on power levels all are standard and no coin is
-    drawn.  The schedule and the uniforms are drawn up front (see the
-    module docstring).  Each level's log pi, value and allocation are
-    read off the block once and follow its chain through the swaps;
-    the exchanged rows are written back once, at the end."""
-    config, n = run.config, run.n
+    """One swap per neighbour pair, the even pairs and then the odd ones
+    (DEO); on HAT levels a coin picks QuanTA or standard for each, on
+    power levels all are standard and no coin is drawn.  The uniforms are
+    drawn up front and each parity is scored as one block (see the module
+    docstring).  Each level's value and allocation are read off the block
+    once and follow its chain through the swaps; the accepted rows are
+    exchanged once per parity."""
+    n = run.n
     if n < 1:
         return
     run.stage = "swaps"
     rng = run.factory.stream(SWAP_STREAM, t)
-    snapshot, targets, X, qf = run.snapshot, run.level_targets, run.X, run.qf
-    hat = snapshot is not None
-    schedule = _swap_schedule(config.swap_strategy, n, t, rng)
+    X, logpi, qf, labels = run.X, run.logpi, run.qf, run.labels
+    hat = run.snapshot is not None
     draws = rng.random((n, 2 if hat else 1))
-    coins, log_us = draws[:, 0].tolist(), np.log(draws[:, -1]).tolist()
-    betas, radii, logpi = (a.tolist() for a in (run.betas, run.radii,
-                                                run.logpi))
+    quanta = (draws[:, 0] < run.config.swap_quanta_prob if hat
+              else np.zeros(n, dtype=bool)).tolist()
+    log_us = np.log(draws[:, -1]).tolist()
     logp, alloc = (a.tolist() for a in level_values(
-        snapshot, run.betas, run.logpi, qf, run.radii))
-    rows = list(range(n + 1))  # level k's chain is row rows[k] of the block
-    labels, after_burnin = run.labels, t >= run.freeze
-    if after_burnin:
-        run.visit_ends()
-    for k, coin, log_u in zip(schedule, coins, log_us):
-        i, j = rows[k], rows[k + 1]
-        if hat and coin < config.swap_quanta_prob:
-            move = SWAP_QUANTA
-            new = quanta_swap_core(X[i], X[j], alloc[k], alloc[k + 1],
-                                   logp[k], logp[k + 1], targets[k],
-                                   targets[k + 1], log_u)
-            accepted = new is not None
-            if accepted:  # each chain keeps its mode, so the allocations swap
-                low, high, logp[k], logp[k + 1] = new
-                X[i], logpi[k], qf[i] = low
-                X[j], logpi[k + 1], qf[j] = high
-                alloc[k], alloc[k + 1] = alloc[k + 1], alloc[k]
-        else:
-            move = SWAP_STANDARD
-            cross_k, a_k = level_values(snapshot, betas[k], logpi[k + 1],
-                                        qf[j], radii[k])
-            cross_k1, a_k1 = level_values(snapshot, betas[k + 1], logpi[k],
-                                          qf[i], radii[k + 1])
-            accepted = standard_swap_core(logp[k], logp[k + 1], cross_k,
-                                          cross_k1, log_u)
+        run.snapshot, run.betas, logpi, qf, run.radii))
+    run.visit_ends(t)
+    for parity in (0, 1):
+        pairs = range(parity, n, 2)
+        # standard (False) and QuanTA (True) pairs: each kind's block, the
+        # pairs' positions in it and the block rows taken by accepted pairs
+        blocks, row, taken = {}, {}, {False: [], True: []}
+        for kind in (False, True):
+            lower = [k for k in pairs if quanta[k] == kind]
+            row.update((k, i) for i, k in enumerate(lower))
+            if lower:
+                blocks[kind] = _parity_block(run, lower, kind, logp, alloc,
+                                             log_us)
+        for k in pairs:
+            levels, _, values, allocs, decided = blocks[quanta[k]]
+            i, m = row[k], levels.size // 2
+            accepted = (decided[i] if quanta[k] else standard_swap_core(
+                logp[k], logp[k + 1], values[i], values[m + i], log_us[k]))
+            run.diag.count(SWAP_QUANTA if quanta[k] else SWAP_STANDARD, k,
+                           accepted)
             if accepted:
-                rows[k], rows[k + 1] = j, i
-                logpi[k], logpi[k + 1] = logpi[k + 1], logpi[k]
-                logp[k], logp[k + 1] = cross_k, cross_k1
-                alloc[k], alloc[k + 1] = a_k, a_k1
-        run.diag.count(move, k, accepted)
-        if accepted:
-            labels[k], labels[k + 1] = labels[k + 1], labels[k]
-            if after_burnin:
-                run.visit_ends()
-    X[:], qf[:], run.logpi[:] = X[rows], qf[rows], logpi
+                logp[k], logp[k + 1] = values[i], values[m + i]
+                alloc[k], alloc[k + 1] = allocs[i], allocs[m + i]
+                labels[k], labels[k + 1] = labels[k + 1], labels[k]
+                taken[quanta[k]] += [i, m + i]
+        for kind, (levels, (x, lp, q), *_) in blocks.items():
+            if taken[kind]:
+                sel, rows = taken[kind], levels[taken[kind]]
+                X[rows], logpi[rows], qf[rows] = x[sel], lp[sel], q[sel]
+        run.visit_ends(t)
+
+
+def _parity_block(run: _Run, lower: list, quanta: bool, logp: list,
+                  alloc: list, log_us: list):
+    """The swap proposals of the pairs (k, k + 1), k in `lower`, all
+    standard or all QuanTA, as one block of 2m rows: row i holds the
+    record proposed for level k of the i-th pair, row m + i the one for
+    level k + 1.  A standard pair proposes each chain's own record at the
+    other level, a QuanTA pair its image (`quanta_swap_core`, which also
+    decides the pairs).  Returns (the rows' levels, their records (x, log
+    pi, qf), values and allocations there, the QuanTA decisions)."""
+    lo = np.array(lower)
+    levels, chains = np.concatenate((lo, lo + 1)), np.concatenate((lo + 1, lo))
+    betas, radii = run.betas[levels], run.radii[levels]
+    if quanta:
+        decided, records, values, allocs = quanta_swap_core(
+            run.target, run.snapshot, run.X[chains], np.array(alloc)[chains],
+            [logp[k] for k in chains.tolist()], run.betas[chains], betas,
+            radii, [log_us[k] for k in lower])
+        return levels, records, values, allocs, decided
+    records = run.X[chains], run.logpi[chains], run.qf[chains]
+    values, allocs = level_values(run.snapshot, betas, records[1], records[2],
+                                  radii)
+    return levels, records, values.tolist(), allocs.tolist(), None
 
 
 def _exploration_phase(run: _Run, t: int) -> None:

@@ -4,6 +4,7 @@ from dataclasses import fields, is_dataclass
 import numpy as np
 import pytest
 
+from alps.cli import main
 from alps.config import (ConfigError, PRESETS, RunConfig, deep_merge,
                          load_config, preset_dict)
 from alps.runner import _Run
@@ -21,7 +22,6 @@ def test_minimal_config_parses_with_defaults():
     assert cfg.seed == 7
     assert cfg.n_levels == 2
     assert cfg.n_swaps == 1
-    assert cfg.swap_strategy == "uniform"
     # exploration is on and truncation off unless a config says otherwise
     assert cfg.exploration is not None and cfg.truncation is None
 
@@ -53,8 +53,6 @@ def test_value_validation():
     with pytest.raises(ConfigError):
         RunConfig.from_dict(dict(MINIMAL, swap_quanta_prob=1.5))
     with pytest.raises(ConfigError):
-        RunConfig.from_dict(dict(MINIMAL, swap_strategy="roundrobin"))
-    with pytest.raises(ConfigError):
         RunConfig.from_dict(dict(MINIMAL, truncation={"level": 1.0}))
     with pytest.raises(ConfigError, match="beta_hot"):
         RunConfig.from_dict(dict(MINIMAL, ladder={"betas": [1.0],
@@ -66,9 +64,15 @@ def test_value_validation():
                                  exploration={"refresh_from_modes": 2.0}))
 
 
-def test_swap_strategy_even_odd_accepted():
-    cfg = RunConfig.from_dict(dict(MINIMAL, swap_strategy="even_odd"))
-    assert cfg.swap_strategy == "even_odd"
+@pytest.mark.parametrize("strategy", ["uniform", "even_odd"])
+def test_swap_strategy_is_an_unknown_key(tmp_path, capsys, strategy):
+    # the swap schedule is fixed (DEO); the old setting is a config error
+    with pytest.raises(ConfigError, match=r"unknown key\(s\) \['swap_strategy'\]"):
+        RunConfig.from_dict(dict(MINIMAL, swap_strategy=strategy))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(MINIMAL, swap_strategy=strategy)))
+    assert main(["pt", "--config", str(path)]) == 2
+    assert "swap_strategy" in capsys.readouterr().err
 
 
 def test_derived_quantities():
@@ -172,7 +176,7 @@ def test_settable_values_are_pinned():
     cfg = RunConfig.from_dict(dict(MINIMAL, truncation={}))
     assert leaf_settings(cfg) == [
         "target.name", "target.params", "ladder.betas", "ladder.beta_hot",
-        "seed", "swap_quanta_prob", "swap_strategy",
+        "seed", "swap_quanta_prob",
         "exploration.step_scale", "exploration.refresh_from_modes",
         "truncation.level", "total_target_samples", "burnin_samples",
         "init", "initial_modes", "running_threshold", "out_dir"]

@@ -23,7 +23,7 @@ from alps.outputs import emit_outputs
 from alps.registry import (IndefiniteHessianError, ModeRegistry,
                            RegistrySnapshot, covariance_from_hessian,
                            make_mode_info, try_insert)
-from alps.runner import _swap_schedule, alps_run, pt_run
+from alps.runner import alps_run, pt_run
 from alps.scaling import predicted_acceptance
 from alps.targets import build_target
 from alps.targets.gaussian import GaussianMixtureTarget, GaussianTarget
@@ -95,17 +95,6 @@ def test_alps_run_is_deterministic():
     a, _ = alps_run(gaussian_config(total_target_samples=2000), target)
     b, _ = alps_run(gaussian_config(total_target_samples=2000), target)
     np.testing.assert_array_equal(a, b)
-
-
-def test_alps_run_even_odd_strategy():
-    cfg = gaussian_config(total_target_samples=500,
-                          ladder={"betas": [1.0, 4.0, 16.0]},
-                          swap_strategy="even_odd")
-    target = GaussianTarget(np.zeros(1), np.eye(1))
-    _, diag = alps_run(cfg, target)
-    swaps = sum(n for (mv, _), (a, n) in diag.counters.items()
-                if mv in (SWAP_QUANTA, SWAP_STANDARD))
-    assert swaps == 2 * diag.n_sweeps
 
 
 def test_alps_run_ladder_validation():
@@ -394,22 +383,23 @@ def replayed_round_trips(n_levels, sweeps, freeze, schedule):
     return trips
 
 
-def flat_pt_round_trips(betas, total, burnin):
-    target = TargetDensity(1, lambda x: 0.0)  # every move is accepted
-    cfg = gaussian_config(ladder={"betas": betas}, initial_modes=None,
-                          total_target_samples=total, burnin_samples=burnin)
+@pytest.mark.parametrize("n_levels", [1, 2, 6])
+def test_round_trips_on_a_flat_ladder_replay_the_deo_permutation(n_levels):
+    # log pi = 0: every RWM step and every swap is accepted, so the chains
+    # move by the fixed DEO permutation
+    target = TargetDensity(1, lambda x: 0.0)
+    cfg = gaussian_config(ladder={"betas": [0.5 ** k for k in range(n_levels)]},
+                          initial_modes=None, total_target_samples=500,
+                          burnin_samples=100)
     _, diag = pt_run(cfg, target)
     assert all(a == n for a, n in diag.counters.values())
-    return diag.round_trips, cfg
-
-
-def test_round_trips_on_a_two_level_flat_ladder():
-    # the one pair swaps every sweep, so each of the two chains is back at
-    # level 0 every second sweep of the 80 after burn-in
-    trips, cfg = flat_pt_round_trips([1.0, 0.5], 500, 100)
-    assert trips == replayed_round_trips(2, cfg.n_sweeps, cfg.burnin_sweeps,
-                                         lambda t: [0]) == 79
-    assert flat_pt_round_trips([1.0], 500, 100)[0] == 0
+    trips = replayed_round_trips(n_levels, cfg.n_sweeps, cfg.burnin_sweeps,
+                                 lambda t: deo_order(n_levels - 1))
+    assert diag.round_trips == trips
+    # one level makes no trips; on two, each chain is back at level 0
+    # every second sweep of the 80 after burn-in; on six, each chain
+    # crosses the ladder in about five parities
+    assert trips == {1: 0, 2: 79, 6: 75}[n_levels]
 
 
 def test_pt_run_counter_identities():
@@ -479,7 +469,7 @@ def test_pt_run_swaps_evaluate_no_density(monkeypatch):
 
     watched("_swap_phase", lambda *_: (), True)
     watched("standard_swap_core", lambda *_: (), False)
-    watched("quanta_swap_core", lambda a, b, *_: (a, b), True)
+    watched("quanta_swap_core", lambda base, snap, x, *_: tuple(x), True)
     watched("mode_leap_core", lambda a, *_: (a.x,), True)
     watched("_hat_visits", lambda run, t: (run.X[0], run.X[run.n]), False)
     run_fn(cfg, target)
@@ -548,10 +538,10 @@ def reference_rwm_phase(run, t):
     run.tune(rates, t)
 
 
-def two_mode_alps_case():
+def two_mode_alps_case(betas=(1.0, 2.0, 6.0)):
     target = GaussianMixtureTarget([0.6, 0.4], [[0.0, 0.0], [3.0, 0.5]],
                                    [np.eye(2), 0.5 * np.eye(2)])
-    cfg = gaussian_config(ladder={"betas": [1.0, 2.0, 6.0]},
+    cfg = gaussian_config(ladder={"betas": list(betas)},
                           initial_modes=[[0.0, 0.0], [3.0, 0.5]],
                           truncation={"level": 0.999},
                           total_target_samples=1500, burnin_samples=500)
@@ -571,14 +561,14 @@ def skew_pt_case():
 # A platform whose libm or BLAS rounds differently changes them.
 PINNED_DIGESTS = {
     "alps-hat": (
-        "92c59df3b94a5a827a399b47322cdef3df8222b635f02d2da3fcc4ddac00f357",
-        "f80ff63a55ba2659f50f1682cf40f9a34f3b5fdb2f92773a97a80a40ce52220b"),
+        "347514d7092a1b4a55606de0d7b557233ddc8046743d5878729b0a9b8f79df6f",
+        "b49eaf85a697a0a03b43a2298a2f78a5962de49af22da9d32861949829c44ae9"),
     "pt-batched": (
-        "7edcb5f27c76c68535c4fe19d2df3a92ad560f0037daef94e78fd18e54241ffe",
-        "dd183b9c316a577f8613061aa6fc64375f90767a4ce7c381fea8bfbfd10f861a"),
+        "0843017efdf9f18d3786afb8a3c73b97745b5d9607632ec9f903018313eb3462",
+        "4fe7afd7720fd0de3791aea6035e67ff1b5a55041b90a008adc9cba563e51ed7"),
     "alps-exploring": (
-        "79cc19d0c21efa94bae96cb09f143138a29a6fda4ee402551c7fc55805c2fe56",
-        "fbdc512fc9a88a87d30211922f14291c28d7a34f0a2beaa7d4f0f26b6bdc86e2"),
+        "dbeb6b4a06fcdb88c75ee835f5b81943dcb5206d9d0e21e0bcf848089c00d9aa",
+        "7dfab1afb897100f1e70ef9dec6c089a6d5a34b875cd45de3133f320301c283a"),
 }
 
 
@@ -796,10 +786,10 @@ def test_cli_batched_evaluation_failure_aborts_with_context(
 
 
 def reference_quanta_swap_core(x_k, x_k1, logp_k, logp_k1, target_k,
-                               target_k1, rng):
-    """The QuanTA swap drawing its uniform from the generator; a proposal
-    that changes either allocation is rejected.  Returns (accepted, the
-    state now at level k, the state now at level k + 1, their values)."""
+                               target_k1, u):
+    """The QuanTA swap decided by the uniform u; a proposal that changes
+    either allocation is rejected.  Returns (accepted, the state now at
+    level k, the state now at level k + 1, their values)."""
     snapshot = target_k.snapshot
     m1 = target_k.allocate_index(x_k)
     m2 = target_k1.allocate_index(x_k1)
@@ -807,7 +797,6 @@ def reference_quanta_swap_core(x_k, x_k1, logp_k, logp_k1, target_k,
                                    snapshot.mus[m1])
     y_k1 = kernels.quanta_transform(x_k1, target_k1.beta, target_k.beta,
                                     snapshot.mus[m2])
-    u = rng.random()
     lp_yk_at_k1 = target_k1.log_density(y_k)
     lp_yk1_at_k = target_k.log_density(y_k1)
     if (target_k1.allocate_index(y_k) != m1
@@ -820,11 +809,10 @@ def reference_quanta_swap_core(x_k, x_k1, logp_k, logp_k1, target_k,
 
 
 def reference_standard_swap_core(x_k, x_k1, logp_k, logp_k1, target_k,
-                                 target_k1, rng):
-    """The standard swap drawing its uniform from the generator and
-    evaluating both states at the other level; returns what
-    `reference_quanta_swap_core` returns."""
-    u = rng.random()
+                                 target_k1, u):
+    """The standard swap decided by the uniform u, evaluating both states
+    at the other level; returns what `reference_quanta_swap_core`
+    returns."""
     lp_xk1_at_k = target_k.log_density(x_k1)
     lp_xk_at_k1 = target_k1.log_density(x_k)
     log_ratio = (lp_xk1_at_k + lp_xk_at_k1) - (logp_k + logp_k1)
@@ -833,49 +821,57 @@ def reference_standard_swap_core(x_k, x_k1, logp_k, logp_k1, target_k,
     return False, x_k, x_k1, logp_k, logp_k1
 
 
+def deo_order(n_pairs):
+    """The pairs of one sweep's swaps: the even ones, then the odd ones."""
+    return list(range(0, n_pairs, 2)) + list(range(1, n_pairs, 2))
+
+
 def reference_swap_phase(run, t):
-    """The swap phase drawing one value at a time: each pair index, then
-    per swap the coin (HAT levels) and the kernel's own uniform; the
-    records of the two chains are evaluated afresh after each swap and
-    written to their rows of the block."""
+    """The swap phase one pair at a time: it draws one value at a time,
+    per pair in pair order the coin (HAT levels) and then the uniform,
+    and then makes the swaps in DEO order, each evaluating its states at
+    the other level; the records of the two chains are evaluated afresh
+    after each swap and written to their rows of the block."""
     config, n = run.config, run.n
     if n < 1:
         return
     rng = run.factory.stream(runner.SWAP_STREAM, t)
-    if config.swap_strategy == "uniform":
-        schedule = [int(rng.integers(0, n)) for _ in range(n)]
-    else:
-        schedule = _swap_schedule("even_odd", n, t, None)
+    hat = run.snapshot is not None
+    draws = [(rng.random() if hat else None, rng.random()) for _ in range(n)]
     targets = run.level_targets
     logps = [target.value(run.record(k))[0]
              for k, target in enumerate(targets)]
-    for k in schedule:
-        if run.snapshot is not None and rng.random() < config.swap_quanta_prob:
+    for k in deo_order(n):
+        coin, u = draws[k]
+        if hat and coin < config.swap_quanta_prob:
             move, swap = SWAP_QUANTA, reference_quanta_swap_core
         else:
             move, swap = SWAP_STANDARD, reference_standard_swap_core
         accepted, low, high, logps[k], logps[k + 1] = swap(
             run.X[k].copy(), run.X[k + 1].copy(), logps[k], logps[k + 1],
-            targets[k], targets[k + 1], rng)
+            targets[k], targets[k + 1], u)
         run.diag.count(move, k, accepted)
         run.X[k], run.logpi[k], run.qf[k] = targets[k].record(low)
         run.X[k + 1], run.logpi[k + 1], run.qf[k + 1] = \
             targets[k + 1].record(high)
 
 
-def located_pt_case(strategy):
+def located_pt_case():
+    # five levels: two pairs of each parity
     target = GaussianTarget(np.zeros(1), np.eye(1))
     target.component_locations = np.array([[-1.0], [2.0]])
-    cfg = pt_config(total_target_samples=1500, burnin_samples=500,
-                    swap_strategy=strategy)
+    cfg = gaussian_config(ladder={"betas": [1.0, 0.6, 0.36, 0.2, 0.1]},
+                          initial_modes=None, total_target_samples=1500,
+                          burnin_samples=500)
     return pt_run, cfg, target
 
 
-@pytest.mark.parametrize("case", [
-    lambda: located_pt_case("uniform"),
-    lambda: located_pt_case("even_odd"),
-    two_mode_alps_case,
-], ids=["pt-uniform", "pt-even-odd", "alps-hat"])
+def five_level_alps_case():
+    return two_mode_alps_case(betas=[1.0, 1.5, 2.5, 4.0, 6.0])
+
+
+@pytest.mark.parametrize("case", [located_pt_case, five_level_alps_case],
+                         ids=["pt", "alps-hat"])
 def test_batched_swap_draws_equal_sequential_reference(monkeypatch, case):
     run_fn, cfg, target = case()
     samples, diag = run_fn(cfg, target)
@@ -888,9 +884,32 @@ def test_batched_swap_draws_equal_sequential_reference(monkeypatch, case):
     assert diag.mode_visits_top == ref_diag.mode_visits_top
     assert len(diag.mode_visits_level0) == diag.n_sweeps
     moves = [SWAP_STANDARD] + ([SWAP_QUANTA] if run_fn is alps_run else [])
-    for move in moves:  # every kind of swap was accepted
-        assert sum(a for (mv, _), (a, n) in diag.counters.items()
-                   if mv == move) > 0
+    for move in moves:  # every kind of swap was accepted, at every pair
+        assert all(diag.counters[(move, k)][0] > 0
+                   for k in range(cfg.n_swaps)), move
+
+
+@pytest.mark.parametrize("case", [located_pt_case, five_level_alps_case],
+                         ids=["pt", "alps-hat"])
+def test_every_sweep_swaps_the_even_pairs_then_the_odd(monkeypatch, case):
+    run_fn, cfg, target = case()
+    swaps = []
+    count = runner.RunDiagnostics.count
+
+    def recorded(diag, move, level, accepts, proposals=1):
+        if move in (SWAP_STANDARD, SWAP_QUANTA):
+            swaps.append((move, level))
+        count(diag, move, level, accepts, proposals)
+    monkeypatch.setattr(runner.RunDiagnostics, "count", recorded)
+    _, diag = run_fn(cfg, target)
+    n = cfg.n_swaps
+    assert len(swaps) == n * diag.n_sweeps
+    for t in range(diag.n_sweeps):
+        assert [k for _, k in swaps[t * n:(t + 1) * n]] == deo_order(n) \
+            == [0, 2, 1, 3]
+    assert {move for move, _ in swaps} == (
+        {SWAP_STANDARD, SWAP_QUANTA} if run_fn is alps_run
+        else {SWAP_STANDARD})
 
 
 def reference_settings(config):
@@ -1224,19 +1243,6 @@ def test_running_prob_estimate_values():
     np.testing.assert_array_equal(low, np.ones(10))
     with pytest.raises(ValueError):
         running_prob_estimate(np.zeros(4), 0.5, 4)
-
-
-def test_swap_schedule_uniform_bounds():
-    rng = np.random.default_rng(0)
-    schedules = [_swap_schedule("uniform", 6, t, rng) for t in range(40)]
-    assert all(len(ks) == 6 for ks in schedules)
-    assert set(sum(schedules, [])) == set(range(6))
-
-
-def test_swap_schedule_even_odd_alternates():
-    assert _swap_schedule("even_odd", 4, 0, None) == [0, 2, 1, 3]
-    assert _swap_schedule("even_odd", 4, 1, None) == [1, 3, 0, 2]
-    assert _swap_schedule("even_odd", 1, 1, None) == [0]
 
 
 def test_emit_outputs_files_and_reproducibility(tmp_path):

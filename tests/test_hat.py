@@ -3,8 +3,8 @@ import pytest
 from scipy.stats import chi2, multivariate_normal, norm
 
 from alps.config import TruncationSettings
-from alps.hat import (Level, allocate_mode, chi2_quantile,
-                      gaussian_log_pdf_terms, level_values)
+from alps.hat import (ChainRecord, Level, allocate_mode, allocation_scores,
+                      chi2_quantile, gaussian_log_pdf_terms, level_values)
 from alps.registry import (ModeRegistry, RegistrySnapshot, make_mode_info,
                            try_insert)
 from alps.targets.gaussian import GaussianMixtureTarget, GaussianTarget
@@ -236,10 +236,27 @@ def test_level_without_snapshot_is_the_power():
         assert level.value_and_alloc(x) == (0.3 * base.log_density(x), 0)
 
 
+def single_record_value(snapshot, beta, logpi, qf, radius):
+    """(value, allocation) of one chain record (log pi, qf) at beta, the
+    branches of the `level_values` formula taken one at a time."""
+    if snapshot is None:
+        return beta * logpi, 0
+    a = int(np.argmax(allocation_scores(snapshot, qf, beta)))
+    qf_a = float(qf[a])
+    if qf_a >= radius:
+        return -np.inf, a
+    if beta == 1.0:
+        return logpi, a
+    mode = float(snapshot.log_pi_at_modes[a])
+    if a == int(np.argmax(allocation_scores(snapshot, qf, 1.0))):
+        return mode + beta * (logpi - mode), a
+    return mode - 0.5 * beta * qf_a, a
+
+
 @pytest.mark.parametrize("hat", [True, False], ids=["hat", "power"])
 def test_block_level_values_equal_the_single_record_form(hat):
     # a block of records of many levels, priced at once, gives each row
-    # the value and allocation of the single-record form bit for bit,
+    # the value and allocation of the single-record reference bit for bit,
     # truncated rows (-inf), beta = 1 rows and rows whose allocation at
     # beta differs from the one at 1 included
     base, snap = mixture_base_1d()
@@ -259,10 +276,13 @@ def test_block_level_values_equal_the_single_record_form(hat):
     assert values.shape == allocs.shape == (n,)
     flips = 0
     for i in range(n):
-        value, a = level_values(snap, float(betas[i]), float(logpi[i]), qf[i],
-                                float(radii[i]))
+        value, a = single_record_value(snap, float(betas[i]), float(logpi[i]),
+                                       qf[i], float(radii[i]))
         assert (np.float64(values[i]).tobytes()
                 == np.float64(value).tobytes()) and allocs[i] == a
+        # a level prices one record as a block of one
+        level = Level(base, float(betas[i]), snap, float(radii[i]))
+        assert level.value(ChainRecord((xs[i], logpi[i], qf[i]))) == (value, a)
         if hat and betas[i] != 1.0 and np.isfinite(value):
             flips += a != allocate_mode(xs[i], 1.0, snap)
     if hat:

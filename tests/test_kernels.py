@@ -5,7 +5,7 @@ from scipy.stats import norm
 
 from alps import kernels
 from alps.density import TargetDensity
-from alps.hat import Level, level_values
+from alps.hat import Level
 from alps.kernels import (mixture_log_density, mixture_propose,
                           mode_leap_core, quanta_swap_core, quanta_transform,
                           rwm_core, rwm_decide, standard_swap_core)
@@ -169,6 +169,22 @@ def test_quanta_transform_round_trip():
     np.testing.assert_allclose(back, x, atol=1e-12)
 
 
+def quanta_pair(x_k, x_k1, t_k, t_k1, log_u):
+    """One QuanTA pair of levels k, k + 1 through the block kernel: None
+    if rejected, else (the state now at level k, the one now at k + 1,
+    their values there)."""
+    (lp_k, m1), (lp_k1, m2) = (t.value(t.record(x))
+                               for t, x in ((t_k, x_k), (t_k1, x_k1)))
+    accepted, (y, _, _), logp_y, _ = quanta_swap_core(
+        t_k.base, t_k.snapshot, np.array([x_k, x_k1]), np.array([m1, m2]),
+        [lp_k, lp_k1], np.array([t_k.beta, t_k1.beta]),
+        np.array([t_k1.beta, t_k.beta]), np.array([t_k1.radius, t_k.radius]),
+        [log_u])
+    if not accepted[0]:
+        return None
+    return y[1], y[0], logp_y[1], logp_y[0]
+
+
 def test_quanta_swap_mode_points_always_accept():
     base = GaussianTarget(np.zeros(1), np.eye(1))
     snap = two_mode_snapshot()
@@ -183,12 +199,11 @@ def test_quanta_swap_mode_points_always_accept():
     t_k1 = Level(mix, 16.0, snap)
     lp_k, m1 = t_k.value(t_k.record(snap.mus[0]))
     lp_k1, m2 = t_k1.value(t_k1.record(snap.mus[1]))
-    low, high, lp_low, lp_high = quanta_swap_core(
-        snap.mus[0], snap.mus[1], m1, m2, lp_k, lp_k1, t_k, t_k1,
-        np.log(0.999999))
+    low, high, lp_low, lp_high = quanta_pair(snap.mus[0], snap.mus[1], t_k,
+                                             t_k1, np.log(0.999999))
     assert abs((lp_low + lp_high) - (lp_k + lp_k1)) < 1e-10
-    np.testing.assert_allclose(low.x, snap.mus[1], atol=1e-12)
-    np.testing.assert_allclose(high.x, snap.mus[0], atol=1e-12)
+    np.testing.assert_allclose(low, snap.mus[1], atol=1e-12)
+    np.testing.assert_allclose(high, snap.mus[0], atol=1e-12)
 
 
 def test_quanta_swap_rejects_a_proposal_that_changes_allocation():
@@ -207,8 +222,7 @@ def test_quanta_swap_rejects_a_proposal_that_changes_allocation():
     assert t_k.value(t_k.record(y_k1))[1] == 1
     back = quanta_transform(y_k1, 1.0, 4.0, snap.mus[1])
     assert not np.allclose(back, x_k1.x)
-    assert quanta_swap_core(x_k.x, x_k1.x, 0, 0, t_k.value(x_k)[0],
-                            t_k1.value(x_k1)[0], t_k, t_k1, -np.inf) is None
+    assert quanta_pair(x_k.x, x_k1.x, t_k, t_k1, -np.inf) is None
 
 
 def test_quanta_equals_standard_at_equal_betas():
@@ -223,8 +237,8 @@ def test_quanta_equals_standard_at_equal_betas():
         (lp_k, m1), (lp_k1, m2) = t_a.value(x_k), t_b.value(x_k1)
         # log u = -inf accepts every proposal that keeps its allocations,
         # so the QuanTA log ratio can be read off the values it returns
-        _, _, lp_low, lp_high = quanta_swap_core(
-            x_k.x, x_k1.x, m1, m2, lp_k, lp_k1, t_a, t_b, -np.inf)
+        _, _, lp_low, lp_high = quanta_pair(x_k.x, x_k1.x, t_a, t_b,
+                                            -np.inf)
         lq = (lp_low + lp_high) - (lp_k + lp_k1)
         ls = (t_a.value(x_k1)[0] + t_b.value(x_k)[0]) - (lp_k + lp_k1)
         assert abs(lq - ls) < 1e-10
@@ -256,8 +270,7 @@ def test_standard_swap_with_carried_logpi_is_exact():
         rec_k, rec_k1 = t_k.record(x_k), t_k1.record(x_k1)
         lp_k, lp_k1 = t_k.log_density(x_k), t_k1.log_density(x_k1)
         log_u = np.log(rng.random())
-        carried = (level_values(None, t_k.beta, rec_k1.logpi, rec_k1.qf)[0],
-                   level_values(None, t_k1.beta, rec_k.logpi, rec_k.qf)[0])
+        carried = (t_k.value(rec_k1)[0], t_k1.value(rec_k)[0])
         cross = (t_k.log_density(x_k1), t_k1.log_density(x_k))
         assert np.array(carried).tobytes() == np.array(cross).tobytes()
         log_ratio = (cross[0] + cross[1]) - (lp_k + lp_k1)
@@ -357,3 +370,36 @@ def test_leap_exact_gaussian_always_accepts():
     # the state is the last proposal, its record scored by the block
     assert rec.logpi == target.base.log_density(rec.x)
     np.testing.assert_array_equal(rec.qf, target.snapshot.quad_forms(rec.x))
+
+
+def test_quanta_is_exact_across_widely_spaced_betas():
+    # one Gaussian mode registered with its exact mean and covariance:
+    # every HAT level's value is log pi(mu) - beta qf / 2, and QuanTA
+    # carries a state's qf / beta to the other level, so every exchange
+    # has log ratio 0 and is accepted, however far apart the betas
+    mu = np.array([1.0, -2.0, 0.5])
+    a = np.array([[2.0, 0.0, 0.0], [0.6, 0.3, 0.0], [-1.0, 0.2, 1.5]])
+    base = GaussianTarget(mu, a @ a.T)
+    reg, _ = try_insert(ModeRegistry(dim=3), make_mode_info(
+        mu, a @ a.T, base.log_density(mu)))
+    snap = reg.snapshot()
+    betas = np.array([1.0, 64.0, 4096.0, 2.0 ** 18])
+    levels = [Level(base, beta, snap) for beta in betas]
+    rng = np.random.default_rng(4)
+    for _ in range(50):
+        x = mu + (a @ rng.standard_normal((3, 4))).T / np.sqrt(betas)[:, None]
+        logp = [level.value(level.record(row))[0]
+                for level, row in zip(levels, x)]
+        for lower in ([0, 2], [1]):  # the even parity block, then the odd
+            lo = np.array(lower)
+            rows, dest = np.r_[lo, lo + 1], np.r_[lo + 1, lo]
+            accepted, _, logp_y, _ = quanta_swap_core(
+                base, snap, x[rows], np.zeros(rows.size, dtype=int),
+                [logp[k] for k in rows], betas[rows], betas[dest],
+                np.full(rows.size, np.inf), [-1e-9] * lo.size)
+            m = lo.size
+            assert accepted == [True] * m
+            for i in range(m):
+                log_ratio = ((logp_y[i] + logp_y[m + i])
+                             - (logp[rows[i]] + logp[rows[m + i]]))
+                assert abs(log_ratio) < 1e-9

@@ -19,15 +19,15 @@ SMOKE = {"total_target_samples": 200, "burnin_samples": 100}
 # preset: (subcommand, override, {artifact: sha256})
 PINNED_PRESETS = {
     "synthetic-20d": ("run", SMOKE, {
-        "trace.csv": "b7c3b203a2e967be734104be8cb71c385cdc39cc10a8a5b3918c3841458f7d25",
-        "acceptance.json": "56b6be6d175ac54e1a749a0ce41c750397b3b630630a54dd3b8a1a47966acac1",
+        "trace.csv": "0763ff78264a5a301fe4362d598716eba6d741d4158625601ccddae3461c337d",
+        "acceptance.json": "2df79f00a5550063eb55561481858afafbc8286ba895017813441366db76223c",
         "modes.json": "8e59a8d311028abdc1f02b3d735e6161380aedc46cecabc856469b580008ac2f",
-        "summary.json": "ad8cc13e471b1e59c482a3a3a46ce2b505d61974bd6b71672c40d3f157517537"}),
+        "summary.json": "ad444c8bb4aa8948f24f284af838aca2c34b90129e49366d74d74f53d174af7e"}),
     "synthetic-20d-pt": ("pt", SMOKE, {
-        "trace.csv": "7e6f43408fee5490eb3cc93c32bea2a11da446d84f79126087cedcf86873ca9f",
-        "acceptance.json": "fe9e30767ed466d8f0ee14103b01dd152d993de8ae9882eea1497bc2ef4db71f",
+        "trace.csv": "e4a9a45fecec6b5a605df7dc7a7cc91f2fcd894310899bf34993409bdb4c39f9",
+        "acceptance.json": "ed89cc3d1276c13f6648cfb5046cb6987d21991195fd29947d9c1b667ebaac11",
         "modes.json": "f4e2aa74a1cd000c2499f7c1f692105ba35c3e9f4d8d77b9585f8643dec94a13",
-        "summary.json": "640169164dd6b968d4d08a7106dd61ea182ebed121f10239beb9b5ac78a47ad0"}),
+        "summary.json": "1e6826c0560163078c00a52091bc721966f393701a8b061b161578e49001bb9f"}),
     "synthetic-20d-lais": ("run", SMOKE, {
         "trace.csv": "419268f159476d5ba5632831e1ab92e575e6b30592134ca8196702b14fa55eb0",
         "acceptance.json": "0400168ac388f9edd07878d1c170f1aa506225d3cf9ee76b58ede4cd66aabbda",
@@ -36,9 +36,9 @@ PINNED_PRESETS = {
     "sur-grunfeld": ("run", {"total_target_samples": 100,
                              "burnin_samples": 50}, {
         "trace.csv": "31d2837f3b6dba482dec7591bf31a7b563d321d9f8685952b894b5a5f01d0c32",
-        "acceptance.json": "bd0f1752ceb31b446fd42f4f135df79e0b486c8dee1486b41fe59accacd89811",
+        "acceptance.json": "7cc7dfc5baafd47899b2fd956747995d49e475201a176f110358ad4109f447ab",
         "modes.json": "b63719077841ff762deeb0685006b12763c94b620bb2ba790bb0477c8d337756",
-        "summary.json": "83b66d39a047ef9e6a0400203412eb50d8faf5deeab518340af20026484a93ca"}),
+        "summary.json": "d2b210881738a5611f95f799e0c44a541c7676a08f244e1d4df839de4e527dd4"}),
 }
 
 
