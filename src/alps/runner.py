@@ -387,8 +387,8 @@ def _swap_phase(run: _Run, t: int) -> None:
     X, logpi, qf, labels = run.X, run.logpi, run.qf, run.labels
     hat = run.snapshot is not None
     draws = rng.random((n, 2 if hat else 1))
-    quanta = (draws[:, 0] < run.config.swap_quanta_prob if hat
-              else np.zeros(n, dtype=bool)).tolist()
+    quanta = ((draws[:, 0] < run.config.swap_quanta_prob).tolist() if hat
+              else [False] * n)
     log_us = np.log(draws[:, -1]).tolist()
     logp, alloc = (a.tolist() for a in level_values(
         run.snapshot, run.betas, logpi, qf, run.radii))
@@ -400,7 +400,7 @@ def _swap_phase(run: _Run, t: int) -> None:
         blocks, row, taken = {}, {}, {False: [], True: []}
         for kind in (False, True):
             lower = [k for k in pairs if quanta[k] == kind]
-            row.update((k, i) for i, k in enumerate(lower))
+            row.update(zip(lower, range(len(lower))))
             if lower:
                 blocks[kind] = _parity_block(run, lower, kind, logp, alloc,
                                              log_us)
@@ -432,8 +432,8 @@ def _parity_block(run: _Run, lower: list, quanta: bool, logp: list,
     other level, a QuanTA pair its image (`quanta_swap_core`, which also
     decides the pairs).  Returns (the rows' levels, their records (x, log
     pi, qf), values and allocations there, the QuanTA decisions)."""
-    lo = np.array(lower)
-    levels, chains = np.concatenate((lo, lo + 1)), np.concatenate((lo + 1, lo))
+    upper = [k + 1 for k in lower]
+    levels, chains = np.array(lower + upper), np.array(upper + lower)
     betas, radii = run.betas[levels], run.radii[levels]
     if quanta:
         decided, records, values, allocs = quanta_swap_core(

@@ -354,10 +354,15 @@ def pt_config(**over):
                            initial_modes=None, **over)
 
 
-def replayed_round_trips(n_levels, sweeps, freeze, schedule):
+def deo_order(n_pairs):
+    """The pairs of one sweep's swaps: the even ones, then the odd ones."""
+    return list(range(0, n_pairs, 2)) + list(range(1, n_pairs, 2))
+
+
+def replayed_round_trips(n_levels, sweeps, freeze):
     """Round trips of the chains of a ladder on which every swap is
-    accepted: each sweep exchanges the chains of the pairs
-    `schedule(sweep)`, in order.  From the freeze on each chain's visits
+    accepted: each sweep exchanges the chains of the pairs in DEO order
+    (`deo_order`).  From the freeze on each chain's visits
     to the two ends are listed, repeats dropped, its place at the freeze
     included; every visit to level 0 that follows one to the top ends a
     trip."""
@@ -372,7 +377,7 @@ def replayed_round_trips(n_levels, sweeps, freeze, schedule):
     for t in range(sweeps):
         if t == freeze:
             visit()
-        for k in schedule(t):
+        for k in deo_order(n_levels - 1):
             at[k], at[k + 1] = at[k + 1], at[k]
             if t >= freeze:
                 visit()
@@ -393,8 +398,7 @@ def test_round_trips_on_a_flat_ladder_replay_the_deo_permutation(n_levels):
                           burnin_samples=100)
     _, diag = pt_run(cfg, target)
     assert all(a == n for a, n in diag.counters.values())
-    trips = replayed_round_trips(n_levels, cfg.n_sweeps, cfg.burnin_sweeps,
-                                 lambda t: deo_order(n_levels - 1))
+    trips = replayed_round_trips(n_levels, cfg.n_sweeps, cfg.burnin_sweeps)
     assert diag.round_trips == trips
     # one level makes no trips; on two, each chain is back at level 0
     # every second sweep of the 80 after burn-in; on six, each chain
@@ -819,11 +823,6 @@ def reference_standard_swap_core(x_k, x_k1, logp_k, logp_k1, target_k,
     if kernels._accept(log_ratio, np.log(u)):
         return True, x_k1, x_k, lp_xk1_at_k, lp_xk_at_k1
     return False, x_k, x_k1, logp_k, logp_k1
-
-
-def deo_order(n_pairs):
-    """The pairs of one sweep's swaps: the even ones, then the odd ones."""
-    return list(range(0, n_pairs, 2)) + list(range(1, n_pairs, 2))
 
 
 def reference_swap_phase(run, t):
