@@ -361,11 +361,10 @@ def deo_order(n_pairs):
 
 def replayed_round_trips(n_levels, sweeps, freeze):
     """Round trips of the chains of a ladder on which every swap is
-    accepted: each sweep exchanges the chains of the pairs in DEO order
-    (`deo_order`).  From the freeze on each chain's visits
-    to the two ends are listed, repeats dropped, its place at the freeze
-    included; every visit to level 0 that follows one to the top ends a
-    trip."""
+    accepted: each sweep exchanges the chains of the pairs in DEO order.
+    From the freeze on each chain's visits to the two ends are listed,
+    repeats dropped, its place at the freeze included; every visit to
+    level 0 that follows one to the top ends a trip."""
     top = n_levels - 1
     at = list(range(n_levels))  # chain label at each level
     ends = {label: [] for label in at}
