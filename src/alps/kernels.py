@@ -13,15 +13,15 @@ the new one, so a caller making many moves reads it off the record
 (`level.value`) once; `mode_leap_core`, which makes all of a sweep's
 leaps in one call, reads it itself.  The swaps take what they need of
 the chains from their caller, which reads it off the block:
-`standard_swap_core` decides one pair from four level values alone (the
-chains' own and their cross values) and returns its decision;
-`quanta_swap_core` takes the states of a block of disjoint pairs with
-their values and allocations, evaluates only their transformed points,
-as one block, and returns each pair's decision with the new records and
-their values.  A kernel evaluates the base density and the quad forms
-once per new point, at the point's record; every other value,
-allocation and mixture density it needs at a carried state it reads
-from the state's record.
+`standard_swap_core` decides a block of pairs at once from four level
+values per pair (the chains' own values and those of the records
+proposed at each level), a standard pair proposing the other chain's
+record and a QuanTA pair its image; `quanta_swap_core` builds and
+scores those images, a block of states rescaled about their allocated
+modes, and decides nothing.  A kernel evaluates the base density and
+the quad forms once per new point, at the point's record; every other
+value, allocation and mixture density it needs at a carried state it
+reads from the state's record.
 
 Each decision takes exactly one uniform u and compares log u with the
 log ratio; a NaN ratio rejects.  The RWM and swap decisions take log u,
@@ -142,44 +142,31 @@ def quanta_transform(x: np.ndarray, beta_from, beta_to,
 
 
 def quanta_swap_core(base, snapshot: RegistrySnapshot, x: np.ndarray,
-                     a_x: np.ndarray, logp_x: list, beta_x: np.ndarray,
-                     beta_y: np.ndarray, radius_y: np.ndarray, log_u: list):
-    """QuanTA exchanges of m disjoint pairs of neighbouring HAT levels,
-    scored as one block; pair i is decided by the log uniform log_u[i].
+                     a_x: np.ndarray, beta_x: np.ndarray, beta_y: np.ndarray):
+    """The QuanTA images of a block of chain states and their records.
 
-    x is the (2m, dim) block of the pairs' states, row i and row m + i
-    being pair i's two chains; a_x, logp_x and beta_x are their
-    allocations, values and betas at their own levels, and beta_y and
-    radius_y those of the level each moves to, the other of its pair.
-    Each state is rescaled about its allocated mode point to beta_y, and
-    the 2m images are scored with one `log_density_batch`, one quad-form
-    and one `level_values` call.  Then the pairs are decided on floats.
-    Returns (the m decisions, the images' records (y, log pi, qf), their
-    values and allocations at their new levels).
+    x is an (r, dim) block of states on HAT levels, a_x their allocations
+    and beta_x their betas there, beta_y the betas of the levels they are
+    proposed for.  Each state is rescaled about its allocated mode point
+    to beta_y (`quanta_transform`), and the r images are scored with one
+    `log_density_batch` and one quad-form call.  Returns the images'
+    records (y, log pi, qf); the caller prices and decides them.
 
     The map is an involution only while each image keeps its chain's
-    allocation at its new level; a pair in which either image changes it
-    is rejected (Tawn & Roberts 2018, QuanTA).
+    allocation at its new level, so a swap in which either image changes
+    it must be rejected (Tawn & Roberts 2018, QuanTA).
     """
     y = quanta_transform(x, beta_x[:, None], beta_y[:, None],
                          snapshot.mus[a_x])
-    logpi_y = base.log_density_batch(y)
-    qf_y = quad_forms(snapshot, y)
-    logp_y, a_y = level_values(snapshot, beta_y, logpi_y, qf_y, radius_y)
-    logp_y, kept = logp_y.tolist(), (a_y == a_x).tolist()
-    m = len(log_u)
-    accepted = [kept[i] and kept[m + i] and _accept(
-        (logp_y[i] + logp_y[m + i]) - (logp_x[i] + logp_x[m + i]), log_u[i])
-        for i in range(m)]
-    return accepted, (y, logpi_y, qf_y), logp_y, a_y.tolist()
+    return y, base.log_density_batch(y), quad_forms(snapshot, y)
 
 
-def standard_swap_core(logp_k: float, logp_k1: float, cross_k: float,
-                       cross_k1: float, log_u: float) -> bool:
+def standard_swap_core(logp_k, logp_k1, cross_k, cross_k1, log_u):
     """Whether to exchange the states of neighbouring levels k and k+1,
     decided by the log uniform `log_u`: logp_k and logp_k1 are their
-    values at their own levels, cross_k the value of level k+1's state
-    at level k and cross_k1 that of level k's state at level k+1."""
+    values at their own levels, cross_k the value at level k of the state
+    proposed there and cross_k1 that at level k+1 of the one proposed
+    there.  Elementwise on arrays, one entry per pair."""
     return _accept((cross_k + cross_k1) - (logp_k + logp_k1), log_u)
 
 

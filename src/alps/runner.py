@@ -58,13 +58,14 @@ arXiv:1905.02939): every sweep the even pairs (0-1, 2-3, ...), then the
 odd ones.  It draws from the sweep's swap stream in one call, one row
 per pair k in pair order: on HAT levels (coin, u), the coin picking
 QuanTA or standard and u deciding; on power levels u alone.  The logs
-of the u column are taken in one call.  The pairs of one parity are
-disjoint, so a parity is one block: the cross values of its standard
-pairs, each chain's record priced at the other level of its pair, come
-from one `hat.level_values` call, and its QuanTA pairs are scored by one
-`quanta_swap_core` call.  The pairs are then decided in pair order on
-floats, a standard pair from four level values (`standard_swap_core`),
-and the accepted rows of the block are exchanged once per parity.  Each
+of the u column are taken in one call.  The m pairs of one parity are
+disjoint, so a parity is one block of 2m proposed records: row i is the
+one proposed for level k of the i-th pair, row m + i the one for level
+k + 1, each the other chain's record or, in a QuanTA pair, its image
+(`quanta_swap_core`, one call for all the parity's QuanTA rows).  One
+`hat.level_values` call prices the block, one `standard_swap_core` call
+decides its m pairs, a QuanTA pair only while both images keep their
+chain's allocation, and one exchange writes the accepted rows.  Each
 chain carries a label, its starting level, through the swaps; from the
 freeze on, a label's passes from level 0 to level n and back are the
 run's round trips (`_Run.visit_ends`, summary.json's
@@ -193,8 +194,14 @@ class _Run:
         self.locations = getattr(target, "component_locations", None)
         # chain labels by level, and the ladder end (0 or n) each labelled
         # chain last reached after burn-in (`visit_ends`)
-        self.labels = list(range(self.n + 1))
+        self.labels = np.arange(self.n + 1)
         self.last_end = [None] * (self.n + 1)
+        # each swap parity's lower levels k, its block's rows' levels (k
+        # then k + 1) and the chains proposed there (k + 1 then k)
+        self.parities = [
+            (lower, np.r_[lower, lower + 1], np.r_[lower + 1, lower])
+            for lower in (np.arange(p, self.n, 2)
+                          for p in range(min(self.n, 2)))]
 
     def _find_modes(self, x0: np.ndarray) -> None:
         """Start the hot chain at x0 when exploration runs, then fill the
@@ -375,76 +382,52 @@ def _swap_phase(run: _Run, t: int) -> None:
     """One swap per neighbour pair, the even pairs and then the odd ones
     (DEO); on HAT levels a coin picks QuanTA or standard for each, on
     power levels all are standard and no coin is drawn.  The uniforms are
-    drawn up front and each parity is scored as one block (see the module
-    docstring).  Each level's value and allocation are read off the block
-    once and follow its chain through the swaps; the accepted rows are
-    exchanged once per parity."""
+    drawn up front and each parity is proposed, priced, decided and
+    exchanged as one block (see the module docstring).  Each level's
+    value and allocation are read off the block once and follow its
+    chain through the swaps."""
     n = run.n
     if n < 1:
         return
     run.stage = "swaps"
     rng = run.factory.stream(SWAP_STREAM, t)
     X, logpi, qf, labels = run.X, run.logpi, run.qf, run.labels
-    hat = run.snapshot is not None
+    snapshot, betas, radii = run.snapshot, run.betas, run.radii
+    hat = snapshot is not None
     draws = rng.random((n, 2 if hat else 1))
-    quanta = ((draws[:, 0] < run.config.swap_quanta_prob).tolist() if hat
-              else [False] * n)
-    log_us = np.log(draws[:, -1]).tolist()
-    logp, alloc = (a.tolist() for a in level_values(
-        run.snapshot, run.betas, logpi, qf, run.radii))
+    quanta = (draws[:, 0] < run.config.swap_quanta_prob if hat
+              else np.zeros(n, dtype=bool))
+    log_us = np.log(draws[:, -1])
+    logp, alloc = level_values(snapshot, betas, logpi, qf, radii)
     run.visit_ends(t)
-    for parity in (0, 1):
-        pairs = range(parity, n, 2)
-        # standard (False) and QuanTA (True) pairs: each kind's block, the
-        # pairs' positions in it and the block rows taken by accepted pairs
-        blocks, row, taken = {}, {}, {False: [], True: []}
-        for kind in (False, True):
-            lower = [k for k in pairs if quanta[k] == kind]
-            row.update(zip(lower, range(len(lower))))
-            if lower:
-                blocks[kind] = _parity_block(run, lower, kind, logp, alloc,
-                                             log_us)
-        for k in pairs:
-            levels, _, values, allocs, decided = blocks[quanta[k]]
-            i, m = row[k], levels.size // 2
-            accepted = (decided[i] if quanta[k] else standard_swap_core(
-                logp[k], logp[k + 1], values[i], values[m + i], log_us[k]))
-            run.diag.count(SWAP_QUANTA if quanta[k] else SWAP_STANDARD, k,
-                           accepted)
-            if accepted:
-                logp[k], logp[k + 1] = values[i], values[m + i]
-                alloc[k], alloc[k + 1] = allocs[i], allocs[m + i]
-                labels[k], labels[k + 1] = labels[k + 1], labels[k]
-                taken[quanta[k]] += [i, m + i]
-        for kind, (levels, (x, lp, q), *_) in blocks.items():
-            if taken[kind]:
-                sel, rows = taken[kind], levels[taken[kind]]
-                X[rows], logpi[rows], qf[rows] = x[sel], lp[sel], q[sel]
+    for lower, levels, chains in run.parities:
+        m = lower.size
+        kinds = quanta[lower]
+        x, lp, q = X[chains], logpi[chains], qf[chains]
+        images = None
+        if hat and kinds.any():
+            images, a_x = np.concatenate((kinds, kinds)), alloc[chains]
+            x[images], lp[images], q[images] = quanta_swap_core(
+                run.target, snapshot, x[images], a_x[images],
+                betas[chains][images], betas[levels][images])
+        values, allocs = level_values(snapshot, betas[levels], lp, q,
+                                      radii[levels])
+        accepted = standard_swap_core(logp[lower], logp[lower + 1],
+                                      values[:m], values[m:], log_us[lower])
+        if images is not None:
+            # QuanTA's map is an involution only while each image keeps
+            # its chain's allocation (Tawn & Roberts 2018)
+            kept = (allocs == a_x) | ~images
+            accepted &= kept[:m] & kept[m:]
+        for k, kind, acc in zip(lower.tolist(), kinds.tolist(),
+                                accepted.tolist()):
+            run.diag.count(SWAP_QUANTA if kind else SWAP_STANDARD, k, acc)
+        taken = np.concatenate((accepted, accepted))
+        rows = levels[taken]
+        X[rows], logpi[rows], qf[rows] = x[taken], lp[taken], q[taken]
+        logp[rows], alloc[rows] = values[taken], allocs[taken]
+        labels[rows] = labels[chains[taken]]
         run.visit_ends(t)
-
-
-def _parity_block(run: _Run, lower: list, quanta: bool, logp: list,
-                  alloc: list, log_us: list):
-    """The swap proposals of the pairs (k, k + 1), k in `lower`, all
-    standard or all QuanTA, as one block of 2m rows: row i holds the
-    record proposed for level k of the i-th pair, row m + i the one for
-    level k + 1.  A standard pair proposes each chain's own record at the
-    other level, a QuanTA pair its image (`quanta_swap_core`, which also
-    decides the pairs).  Returns (the rows' levels, their records (x, log
-    pi, qf), values and allocations there, the QuanTA decisions)."""
-    upper = [k + 1 for k in lower]
-    levels, chains = np.array(lower + upper), np.array(upper + lower)
-    betas, radii = run.betas[levels], run.radii[levels]
-    if quanta:
-        decided, records, values, allocs = quanta_swap_core(
-            run.target, run.snapshot, run.X[chains], np.array(alloc)[chains],
-            [logp[k] for k in chains.tolist()], run.betas[chains], betas,
-            radii, [log_us[k] for k in lower])
-        return levels, records, values, allocs, decided
-    records = run.X[chains], run.logpi[chains], run.qf[chains]
-    values, allocs = level_values(run.snapshot, betas, records[1], records[2],
-                                  radii)
-    return levels, records, values.tolist(), allocs.tolist(), None
 
 
 def _exploration_phase(run: _Run, t: int) -> None:
@@ -459,12 +442,11 @@ def _exploration_phase(run: _Run, t: int) -> None:
 
 def _hat_visits(run: _Run, t: int) -> None:
     run.stage = "bookkeeping"
-    diag, n = run.diag, run.n
-    diag.mode_visits_level0.append(
-        run.level_targets[0].value(run.record(0))[1])
-    diag.mode_visits_top.append(
-        diag.mode_visits_level0[-1] if n == 0
-        else run.level_targets[n].value(run.record(n))[1])
+    ends = [0, run.n]
+    alloc = level_values(run.snapshot, run.betas[ends], run.logpi[ends],
+                         run.qf[ends], run.radii[ends])[1].tolist()
+    run.diag.mode_visits_level0.append(alloc[0])
+    run.diag.mode_visits_top.append(alloc[1])
 
 
 def _nearest_visits(run: _Run, t: int) -> None:

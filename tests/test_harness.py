@@ -541,13 +541,14 @@ def reference_rwm_phase(run, t):
     run.tune(rates, t)
 
 
-def two_mode_alps_case(betas=(1.0, 2.0, 6.0)):
+def two_mode_alps_case(betas=(1.0, 2.0, 6.0), **over):
     target = GaussianMixtureTarget([0.6, 0.4], [[0.0, 0.0], [3.0, 0.5]],
                                    [np.eye(2), 0.5 * np.eye(2)])
     cfg = gaussian_config(ladder={"betas": list(betas)},
                           initial_modes=[[0.0, 0.0], [3.0, 0.5]],
                           truncation={"level": 0.999},
-                          total_target_samples=1500, burnin_samples=500)
+                          total_target_samples=1500, burnin_samples=500,
+                          **over)
     return alps_run, cfg, target
 
 
@@ -864,12 +865,15 @@ def located_pt_case():
     return pt_run, cfg, target
 
 
-def five_level_alps_case():
-    return two_mode_alps_case(betas=[1.0, 1.5, 2.5, 4.0, 6.0])
+def five_level_alps_case(**over):
+    return two_mode_alps_case(betas=[1.0, 1.5, 2.5, 4.0, 6.0], **over)
 
 
-@pytest.mark.parametrize("case", [located_pt_case, five_level_alps_case],
-                         ids=["pt", "alps-hat"])
+@pytest.mark.parametrize("case", [
+    located_pt_case, five_level_alps_case,
+    lambda: five_level_alps_case(swap_quanta_prob=0.0),
+    lambda: five_level_alps_case(swap_quanta_prob=1.0)],
+    ids=["pt", "alps-hat", "alps-hat-standard", "alps-hat-quanta"])
 def test_batched_swap_draws_equal_sequential_reference(monkeypatch, case):
     run_fn, cfg, target = case()
     samples, diag = run_fn(cfg, target)
@@ -881,9 +885,12 @@ def test_batched_swap_draws_equal_sequential_reference(monkeypatch, case):
     assert diag.mode_visits_level0 == ref_diag.mode_visits_level0
     assert diag.mode_visits_top == ref_diag.mode_visits_top
     assert len(diag.mode_visits_level0) == diag.n_sweeps
-    moves = [SWAP_STANDARD] + ([SWAP_QUANTA] if run_fn is alps_run else [])
-    for move in moves:  # every kind of swap was accepted, at every pair
-        assert all(diag.counters[(move, k)][0] > 0
+    hat = run_fn is alps_run
+    drawn = {SWAP_STANDARD: not hat or cfg.swap_quanta_prob < 1.0,
+             SWAP_QUANTA: hat and cfg.swap_quanta_prob > 0.0}
+    for move in drawn:  # every kind drawn was accepted, at every pair
+        assert all(diag.counters[(move, k)][0] > 0 if drawn[move]
+                   else (move, k) not in diag.counters
                    for k in range(cfg.n_swaps)), move
 
 

@@ -1,11 +1,15 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.stats import norm
 
-from alps import kernels
+from alps import kernels, runner
+from alps.config import RunConfig
 from alps.density import TargetDensity
-from alps.hat import Level
+from alps.diagnostics import SWAP_QUANTA
+from alps.hat import Level, level_values
 from alps.kernels import (mixture_log_density, mixture_propose,
                           mode_leap_core, quanta_swap_core, quanta_transform,
                           rwm_core, rwm_decide, standard_swap_core)
@@ -38,12 +42,16 @@ def gaussian_hat(mu, sigma, beta):
     return Level(base, beta, reg.snapshot())
 
 
-def two_mode_snapshot():
+def two_mode_registry():
     reg = ModeRegistry(dim=1, tol=1e-12)
     reg, _ = try_insert(reg, make_mode_info(np.array([0.0]), np.eye(1),
                                             np.log(2.0)))
     reg, _ = try_insert(reg, make_mode_info(np.array([10.0]), np.eye(1), 0.0))
-    return reg.snapshot()
+    return reg
+
+
+def two_mode_snapshot():
+    return two_mode_registry().snapshot()
 
 
 def test_rwm_zero_displacement_accepts():
@@ -170,19 +178,25 @@ def test_quanta_transform_round_trip():
 
 
 def quanta_pair(x_k, x_k1, t_k, t_k1, log_u):
-    """One QuanTA pair of levels k, k + 1 through the block kernel: None
-    if rejected, else (the state now at level k, the one now at k + 1,
-    their values there)."""
+    """One QuanTA pair of levels k, k + 1 as the swap phase makes it: the
+    images from `quanta_swap_core`, priced at their new levels, the pair
+    rejected if either image leaves its chain's allocation and else
+    decided by `standard_swap_core`.  None if rejected, else (the state
+    now at level k, the one now at k + 1, their values there)."""
     (lp_k, m1), (lp_k1, m2) = (t.value(t.record(x))
                                for t, x in ((t_k, x_k), (t_k1, x_k1)))
-    accepted, (y, _, _), logp_y, _ = quanta_swap_core(
-        t_k.base, t_k.snapshot, np.array([x_k, x_k1]), np.array([m1, m2]),
-        [lp_k, lp_k1], np.array([t_k.beta, t_k1.beta]),
-        np.array([t_k1.beta, t_k.beta]), np.array([t_k1.radius, t_k.radius]),
-        [log_u])
-    if not accepted[0]:
+    # row 0 is proposed for level k, row 1 for level k + 1
+    a_x = np.array([m2, m1])
+    y, logpi_y, qf_y = quanta_swap_core(
+        t_k.base, t_k.snapshot, np.array([x_k1, x_k]), a_x,
+        np.array([t_k1.beta, t_k.beta]), np.array([t_k.beta, t_k1.beta]))
+    logp_y, a_y = level_values(t_k.snapshot, np.array([t_k.beta, t_k1.beta]),
+                               logpi_y, qf_y,
+                               np.array([t_k.radius, t_k1.radius]))
+    if not (np.all(a_y == a_x)
+            and standard_swap_core(lp_k, lp_k1, *logp_y, log_u)):
         return None
-    return y[1], y[0], logp_y[1], logp_y[0]
+    return y[0], y[1], logp_y[0], logp_y[1]
 
 
 def test_quanta_swap_mode_points_always_accept():
@@ -223,6 +237,43 @@ def test_quanta_swap_rejects_a_proposal_that_changes_allocation():
     back = quanta_transform(y_k1, 1.0, 4.0, snap.mus[1])
     assert not np.allclose(back, x_k1.x)
     assert quanta_pair(x_k.x, x_k1.x, t_k, t_k1, -np.inf) is None
+
+
+def test_swap_phase_rejects_a_quanta_pair_that_changes_allocation():
+    # the pair of the test above on a two-level run block: its log
+    # ratio would accept it at the smallest uniform, but the swap phase
+    # rejects it and leaves the block as it was
+    base = GaussianTarget(np.zeros(1), np.eye(1))
+    config = RunConfig.from_dict({
+        "target": {"name": "gaussian"}, "ladder": {"betas": [1.0, 4.0]},
+        "seed": 0, "total_target_samples": 100, "exploration": None,
+        "initial_modes": [[0.0]], "swap_quanta_prob": 1.0})
+    run = runner._Run(config, base, np.array([1.0, 4.0]), hat=True)
+    run.registry = two_mode_registry()
+    run.X[:] = [[0.5], [4.0]]
+    run.logpi[:] = base.log_density_batch(run.X)
+    run.build_levels()
+    snap, (t_k, t_k1) = run.snapshot, run.level_targets
+    before = run.X.copy(), run.logpi.copy(), run.qf.copy()
+
+    class Draws:
+        # coin and uniform alike: QuanTA, decided at the smallest log u
+        def random(self, shape):
+            return np.full(shape, np.nextafter(0.0, 1.0))
+
+    run.factory = SimpleNamespace(stream=lambda name, t: Draws())
+    images = (quanta_transform(run.X[1], 4.0, 1.0, snap.mus[0]),
+              quanta_transform(run.X[0], 1.0, 4.0, snap.mus[0]))
+    log_ratio = ((t_k.value_and_alloc(images[0])[0]
+                  + t_k1.value_and_alloc(images[1])[0])
+                 - (t_k.value(run.record(0))[0]
+                    + t_k1.value(run.record(1))[0]))
+    assert np.log(np.nextafter(0.0, 1.0)) < log_ratio
+    runner._swap_phase(run, 0)
+    assert run.diag.counters[(SWAP_QUANTA, 0)] == [0, 1]
+    for now, then in zip((run.X, run.logpi, run.qf), before):
+        np.testing.assert_array_equal(now, then)
+    assert run.labels.tolist() == [0, 1]
 
 
 def test_quanta_equals_standard_at_equal_betas():
@@ -388,18 +439,20 @@ def test_quanta_is_exact_across_widely_spaced_betas():
     rng = np.random.default_rng(4)
     for _ in range(50):
         x = mu + (a @ rng.standard_normal((3, 4))).T / np.sqrt(betas)[:, None]
-        logp = [level.value(level.record(row))[0]
-                for level, row in zip(levels, x)]
+        logp = np.array([level.value(level.record(row))[0]
+                         for level, row in zip(levels, x)])
         for lower in ([0, 2], [1]):  # the even parity block, then the odd
             lo = np.array(lower)
-            rows, dest = np.r_[lo, lo + 1], np.r_[lo + 1, lo]
-            accepted, _, logp_y, _ = quanta_swap_core(
-                base, snap, x[rows], np.zeros(rows.size, dtype=int),
-                [logp[k] for k in rows], betas[rows], betas[dest],
-                np.full(rows.size, np.inf), [-1e-9] * lo.size)
+            dest, chains = np.r_[lo, lo + 1], np.r_[lo + 1, lo]
+            _, logpi_y, qf_y = quanta_swap_core(
+                base, snap, x[chains], np.zeros(chains.size, dtype=int),
+                betas[chains], betas[dest])
+            logp_y, a_y = level_values(snap, betas[dest], logpi_y, qf_y,
+                                       np.full(dest.size, np.inf))
             m = lo.size
-            assert accepted == [True] * m
-            for i in range(m):
-                log_ratio = ((logp_y[i] + logp_y[m + i])
-                             - (logp[rows[i]] + logp[rows[m + i]]))
-                assert abs(log_ratio) < 1e-9
+            assert np.all(a_y == 0)
+            assert np.all(standard_swap_core(logp[lo], logp[lo + 1],
+                                             logp_y[:m], logp_y[m:],
+                                             np.full(m, -1e-9)))
+            log_ratio = (logp_y[:m] + logp_y[m:]) - (logp[lo] + logp[lo + 1])
+            assert np.all(np.abs(log_ratio) < 1e-9)

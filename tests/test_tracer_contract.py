@@ -14,6 +14,9 @@ from alps.config import V
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SWEEPS, LEVELS = 10, 3
+# four levels make three swaps a sweep in two parities, so a count per
+# parity differs from a count per swap
+PT_LEVELS = 4
 
 SCRIPT = f"""
 import json
@@ -31,7 +34,7 @@ t = tracer.Tracer()
 tracer.instrument(t)
 config = RunConfig.from_dict({{
     "target": {{"name": "gaussian"}}, "seed": 0,
-    "ladder": {{"betas": [0.5 ** k for k in range({LEVELS})]}},
+    "ladder": {{"betas": [0.5 ** k for k in range({PT_LEVELS})]}},
     "exploration": None, "total_target_samples": {V * SWEEPS}}})
 t.wrap("runner", runner.pt_run)(config, GaussianTarget(np.zeros(1), np.eye(1)))
 print(json.dumps({{
@@ -160,9 +163,10 @@ def test_tracer_patches_see_a_pt_run():
     counts = traced_counts(SCRIPT)
     # one block decision per repetition, for all levels at once
     assert counts["rwm"] == V * SWEEPS
-    # the swap phase draws its uniforms in one call, and still calls the
-    # swap kernel once per swap
-    assert counts["swap_standard"] == SWEEPS * counts["n_swaps"] > 0
+    # the swap phase draws its uniforms in one call and decides each
+    # parity's swaps with one swap kernel call
+    assert counts["n_swaps"] == PT_LEVELS - 1
+    assert counts["swap_standard"] == 2 * SWEEPS
     assert counts["record_sample"] == V * SWEEPS
     # one RWM stream and one swap stream per sweep
     assert counts["substream"] == 2 * SWEEPS
