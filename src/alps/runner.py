@@ -405,7 +405,7 @@ def _swap_phase(run: _Run, t: int) -> None:
         kinds = quanta[lower]
         x, lp, q = X[chains], logpi[chains], qf[chains]
         images = None
-        if hat and kinds.any():
+        if kinds.any():
             images, a_x = np.concatenate((kinds, kinds)), alloc[chains]
             x[images], lp[images], q[images] = quanta_swap_core(
                 run.target, snapshot, x[images], a_x[images],

@@ -1,6 +1,8 @@
 import importlib.util
 import os
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -53,3 +55,11 @@ def test_count_code_lines_main_sums_the_files_of_a_directory(tmp_path,
     (tmp_path / "notes.txt").write_text("x = 1\n")
     assert tool.main([str(tmp_path)]) == 0
     assert capsys.readouterr().out == "11\n"
+
+
+def test_count_code_lines_main_rejects_a_missing_path(tmp_path, capsys):
+    tool = load_tool("count_code_lines")
+    with pytest.raises(SystemExit) as exc:
+        tool.main([str(tmp_path / "no_such_dir")])
+    assert exc.value.code == 2
+    assert "no such file or directory" in capsys.readouterr().err

@@ -3,9 +3,9 @@ comments or docstrings.
 
     python3 tools/count_code_lines.py [PATH ...]   # default: src/alps
 
-A path is a .py file or a directory searched recursively.  Prints the
-total; with --per-file, each file's count first.  A line counts when a
-token other than a comment starts or continues on it, so every line of a
+A path is a .py file or a directory searched recursively; a path that
+is neither is an error.  Prints the total.  A line counts when a token
+other than a comment starts or continues on it, so every line of a
 multi-line statement or string counts, except the lines of docstrings:
 a string-literal statement that opens a module, class or function body
 (found with `ast`).
@@ -58,16 +58,15 @@ def python_files(path: str) -> list:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("paths", nargs="*", default=["src/alps"])
-    parser.add_argument("--per-file", action="store_true")
     args = parser.parse_args(argv)
+    missing = [p for p in args.paths if not os.path.exists(p)]
+    if missing:
+        parser.error(f"no such file or directory: {', '.join(missing)}")
     total = 0
     for path in args.paths:
         for name in python_files(path):
             with open(name, encoding="utf-8") as fh:
-                count = count_code_lines(fh.read())
-            if args.per_file:
-                print(f"{count:6d} {name}")
-            total += count
+                total += count_code_lines(fh.read())
     print(total)
     return 0
 
