@@ -91,7 +91,7 @@ def _cmd_sampling(args: argparse.Namespace) -> int:
                          seed=args.seed, out_dir=args.out)
     try:
         target = build_target(config.target.name, config.target.params)
-    except (ValueError, KeyError, TypeError, OSError) as err:
+    except (ValueError, KeyError, TypeError, OSError, OverflowError) as err:
         raise ConfigError(f"bad target spec: {err}") from err
     samples, diag = args.runner(config, target)
     if config.out_dir:

@@ -21,6 +21,10 @@ preset uses the one value:
   arXiv:1905.02939), every sweep the even pairs (0-1, 2-3, ...) and
   then the odd ones (`runner._swap_phase`), which keeps the rate of
   ladder round trips from decaying as levels are added;
+- the swap kind: QuanTA (Tawn & Roberts, Adv. Appl. Prob. 2019) on
+  every pair of HAT levels, standard swaps on power levels
+  (`runner._swap_phase`); between HAT levels of the 20-d benchmark
+  standard swaps accept under 1% of proposals, QuanTA about half;
 - the freeze of adaptation (step tuning and mode search): the end of
   burn-in, `burnin_sweeps`, so the sampled part runs on a fixed ladder;
 - step tuning: every level's RWM step, the top level's included, is
@@ -43,7 +47,7 @@ from __future__ import annotations
 
 import copy
 import json
-import math
+import sys
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
@@ -88,13 +92,14 @@ def _require_seed(value) -> None:
 
 def _require_number(value, key: str, optional: bool = False) -> None:
     """ConfigError unless value is a finite number (a JSON integer or
-    float; not a bool, a string, NaN or an infinity), or None where the
-    setting is optional."""
+    float; not a bool, a string, NaN, an infinity or an integer beyond
+    the float range), or None where the setting is optional."""
     if optional and value is None:
         return
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{key} must be a number")
-    if not math.isfinite(value):
+    # false for NaN, the infinities and integers too large for a float
+    if not abs(value) <= sys.float_info.max:
         raise ConfigError(f"{key} must be finite")
 
 
@@ -157,7 +162,6 @@ class RunConfig:
     target: TargetSpec
     ladder: LadderConfig
     seed: int
-    swap_quanta_prob: float = 0.5
     exploration: Optional[ExplorationSettings] = field(
         default_factory=ExplorationSettings)
     truncation: Optional[TruncationSettings] = None
@@ -172,13 +176,10 @@ class RunConfig:
         _require_seed(self.seed)
         for key in ("total_target_samples", "burnin_samples"):
             _require_int(getattr(self, key), key)
-        _require_number(self.swap_quanta_prob, "swap_quanta_prob")
         _require_number(self.running_threshold, "running_threshold",
                         optional=True)
         if self.total_target_samples < 0 or self.burnin_samples < 0:
             raise ConfigError("sample counts must be non-negative")
-        if not 0.0 <= self.swap_quanta_prob <= 1.0:
-            raise ConfigError("swap_quanta_prob must be a probability")
         if not isinstance(self.initial_modes, (list, type(None))):
             raise ConfigError("initial_modes must be a list of points")
         if not isinstance(self.out_dir, (str, type(None))):
@@ -241,7 +242,6 @@ def _benchmark_preset() -> dict:
         "ladder": {"beta_hot": 5e-6,
                    "betas": [1.0, 4.0, 16.0, 64.0, 256.0, 1024.0, 4096.0]},
         "seed": 1,
-        "swap_quanta_prob": 0.5,
         "exploration": {"step_scale": 120.0, "refresh_from_modes": 0.0},
         "total_target_samples": 200000,
         "burnin_samples": 15000,
@@ -274,7 +274,6 @@ def _sur_grunfeld_preset() -> dict:
         "ladder": {"beta_hot": 0.067,
                    "betas": [1.00, 1.10, 1.40, 1.96, 2.74, 3.84, 5.38]},
         "seed": 1,
-        "swap_quanta_prob": 0.5,
         "exploration": {"step_scale": 40.0, "refresh_from_modes": 0.25},
         "truncation": {"level": 0.9999},
         "total_target_samples": 20000,

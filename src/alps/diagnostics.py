@@ -2,9 +2,10 @@
 
 The counters tally (accepts, proposals) per (move, level): RWM steps at
 every level, mode leaps at the top level of an ALPS ladder (level 0 on
-the ladder [1.0]), standard and QuanTA swaps per neighbour pair (level
-k for the pair k, k + 1), and the hot chain's steps under HOT at level
--1.  A phase that decides a block of moves counts them in one call.
+the ladder [1.0]), swaps per neighbour pair (level k for the pair k,
+k + 1; QuanTA between HAT levels, standard between power levels), and
+the hot chain's steps under HOT at level -1.  A phase that decides a
+block of moves counts them in one call.
 """
 
 from __future__ import annotations

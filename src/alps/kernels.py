@@ -4,8 +4,9 @@ Random-walk Metropolis, standard and transformation-aided (QuanTA)
 temperature swaps, and mode leaps from the registry's Gaussian mixture.
 Moves follow from the level (`hat.Level`): a level on a registry
 snapshot (HAT, truncated or not) gives mode-local RWM steps and QuanTA
-mode points, a level without one (a plain power) gets the plain random
-walk.  All acceptance ratios are formed and compared in log space.
+swaps about its mode points, a level without one (a plain power) gets
+the plain random walk and standard swaps.  All acceptance ratios are
+formed and compared in log space.
 
 Each chain carries its record (x, log pi(x), qf(x)) (`hat.ChainRecord`).
 `rwm_core` takes the chain's level value beside the record and returns
@@ -15,8 +16,8 @@ leaps in one call, reads it itself.  The swaps take what they need of
 the chains from their caller, which reads it off the block:
 `standard_swap_core` decides a block of pairs at once from four level
 values per pair (the chains' own values and those of the records
-proposed at each level), a standard pair proposing the other chain's
-record and a QuanTA pair its image; `quanta_swap_core` builds and
+proposed at each level), a standard swap proposing the other chain's
+record and a QuanTA swap its image; `quanta_swap_core` builds and
 scores those images, a block of states rescaled about their allocated
 modes, and decides nothing.  A kernel evaluates the base density and
 the quad forms once per new point, at the point's record; every other

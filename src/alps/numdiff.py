@@ -5,9 +5,7 @@ analytic gradient or Hessian.  The Richardson-extrapolated second
 derivative checks the curvature of a product-target shape at its mode
 (`targets.product.check_shape`) and sizes the scaling experiment's
 rejection envelope from it at the mode and at +-8
-(`scaling._envelope_curvature`); the third serves, with the second, as
-the reference that tests hold the shapes' analytic `h2`/`h3` to, which
-are what the cold-temperature acceptance formula reads.
+(`scaling._envelope_curvature`).
 """
 
 from __future__ import annotations
@@ -84,14 +82,4 @@ def richardson_second_derivative(f: Callable[[float], float], x: float,
     for k in range(levels):
         h = h0 / 2.0 ** k
         ests.append((f(x + h) - 2.0 * f(x) + f(x - h)) / (h * h))
-    return _richardson(ests)
-
-
-def richardson_third_derivative(f: Callable[[float], float], x: float,
-                                h0: float = 0.1, levels: int = 5) -> float:
-    ests = []
-    for k in range(levels):
-        h = h0 / 2.0 ** k
-        ests.append((f(x + 2 * h) - 2.0 * f(x + h) + 2.0 * f(x - h) - f(x - 2 * h))
-                    / (2.0 * h ** 3))
     return _richardson(ests)

@@ -2,9 +2,8 @@
 
 A run type is the list of phases one sweep applies, in order:
 
-- ALPS: RWM at HAT levels 0..n, mode leaps at level n, DEO swaps
-  (QuanTA with probability swap_quanta_prob, else standard),
-  exploration, and the mode allocations of levels 0 and n.
+- ALPS: RWM at HAT levels 0..n, mode leaps at level n, QuanTA DEO
+  swaps, exploration, and the mode allocations of levels 0 and n.
 - PT: RWM at power-tempered levels 0..n, standard DEO swaps, and the
   nearest component locations of levels 0 and n.
 
@@ -55,20 +54,21 @@ leaps in order (`kernels.mode_leap_core`, called once per sweep).
 The swap phase makes one swap per neighbour pair, n_levels - 1 in all,
 on the deterministic even-odd schedule (DEO; Syed et al.,
 arXiv:1905.02939): every sweep the even pairs (0-1, 2-3, ...), then the
-odd ones.  It draws from the sweep's swap stream in one call, one row
-per pair k in pair order: on HAT levels (coin, u), the coin picking
-QuanTA or standard and u deciding; on power levels u alone.  The logs
-of the u column are taken in one call.  The m pairs of one parity are
+odd ones.  The swap is QuanTA on HAT levels (Tawn & Roberts, built for
+such locally Gaussian levels) and standard on power levels; the run's
+registry snapshot, not a setting, decides.  The phase draws the
+sweep's swap stream in one call, one uniform u per pair k in pair
+order, and takes their logs in one more.  The m pairs of one parity are
 disjoint, so a parity is one block of 2m proposed records: row i is the
 one proposed for level k of the i-th pair, row m + i the one for level
-k + 1, each the other chain's record or, in a QuanTA pair, its image
-(`quanta_swap_core`, one call for all the parity's QuanTA rows).  One
+k + 1, each the other chain's record on power levels or its QuanTA
+image on HAT levels (`quanta_swap_core`, one call for the block).  One
 `hat.level_values` call prices the block, one `standard_swap_core` call
-decides its m pairs, a QuanTA pair only while both images keep their
-chain's allocation, and one exchange writes the accepted rows.  Each
-chain carries a label, its starting level, through the swaps; from the
-freeze on, a label's passes from level 0 to level n and back are the
-run's round trips (`_Run.visit_ends`, summary.json's
+decides its m pairs, on HAT levels a pair only while both images keep
+their chain's allocation, and one exchange writes the accepted rows.
+Each chain carries a label, its starting level, through the swaps; from
+the freeze on, a label's passes from level 0 to level n and back are
+the run's round trips (`_Run.visit_ends`, summary.json's
 `ladder_round_trips`).
 
 The run owns the hot chain of exploration: until the freeze, each sweep
@@ -126,6 +126,8 @@ def _config_point(value, dim: int, name: str) -> np.ndarray:
     """The config entry `name` as a point of dim finite coordinates."""
     try:
         point = np.asarray(value, dtype=float)
+    except OverflowError as err:  # an integer too large for a float
+        raise ConfigError(f"{name} must be finite") from err
     except (TypeError, ValueError) as err:
         raise ConfigError(f"{name} is not a point: {err}") from err
     if point.shape != (dim,):
@@ -380,9 +382,8 @@ def _leap_phase(run: _Run, t: int) -> None:
 
 def _swap_phase(run: _Run, t: int) -> None:
     """One swap per neighbour pair, the even pairs and then the odd ones
-    (DEO); on HAT levels a coin picks QuanTA or standard for each, on
-    power levels all are standard and no coin is drawn.  The uniforms are
-    drawn up front and each parity is proposed, priced, decided and
+    (DEO): QuanTA on HAT levels, standard on power levels.  The uniforms
+    are drawn up front and each parity is proposed, priced, decided and
     exchanged as one block (see the module docstring).  Each level's
     value and allocation are read off the block once and follow its
     chain through the swaps."""
@@ -390,38 +391,31 @@ def _swap_phase(run: _Run, t: int) -> None:
     if n < 1:
         return
     run.stage = "swaps"
-    rng = run.factory.stream(SWAP_STREAM, t)
     X, logpi, qf, labels = run.X, run.logpi, run.qf, run.labels
     snapshot, betas, radii = run.snapshot, run.betas, run.radii
     hat = snapshot is not None
-    draws = rng.random((n, 2 if hat else 1))
-    quanta = (draws[:, 0] < run.config.swap_quanta_prob if hat
-              else np.zeros(n, dtype=bool))
-    log_us = np.log(draws[:, -1])
+    move = SWAP_QUANTA if hat else SWAP_STANDARD
+    log_us = np.log(run.factory.stream(SWAP_STREAM, t).random(n))
     logp, alloc = level_values(snapshot, betas, logpi, qf, radii)
     run.visit_ends(t)
     for lower, levels, chains in run.parities:
         m = lower.size
-        kinds = quanta[lower]
         x, lp, q = X[chains], logpi[chains], qf[chains]
-        images = None
-        if kinds.any():
-            images, a_x = np.concatenate((kinds, kinds)), alloc[chains]
-            x[images], lp[images], q[images] = quanta_swap_core(
-                run.target, snapshot, x[images], a_x[images],
-                betas[chains][images], betas[levels][images])
+        if hat:
+            a_x = alloc[chains]
+            x, lp, q = quanta_swap_core(run.target, snapshot, x, a_x,
+                                        betas[chains], betas[levels])
         values, allocs = level_values(snapshot, betas[levels], lp, q,
                                       radii[levels])
         accepted = standard_swap_core(logp[lower], logp[lower + 1],
                                       values[:m], values[m:], log_us[lower])
-        if images is not None:
+        if hat:
             # QuanTA's map is an involution only while each image keeps
             # its chain's allocation (Tawn & Roberts 2018)
-            kept = (allocs == a_x) | ~images
+            kept = allocs == a_x
             accepted &= kept[:m] & kept[m:]
-        for k, kind, acc in zip(lower.tolist(), kinds.tolist(),
-                                accepted.tolist()):
-            run.diag.count(SWAP_QUANTA if kind else SWAP_STANDARD, k, acc)
+        for k, acc in zip(lower.tolist(), accepted.tolist()):
+            run.diag.count(move, k, acc)
         taken = np.concatenate((accepted, accepted))
         rows = levels[taken]
         X[rows], logpi[rows], qf[rows] = x[taken], lp[taken], q[taken]

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import importlib.resources
+import io
 import logging
 import math
 from dataclasses import dataclass, field
@@ -78,9 +79,18 @@ def load_sur_csv(path, first_years: int | None = None) -> SurData:
     Columns: firm, year, invest, value, capital.  The design per firm is
     (1, value, capital) and the response is invest.  Firms are ordered
     by first appearance; `first_years` keeps only each firm's earliest
-    years.
+    years.  A file that is not UTF-8 text and a cell that is not a
+    finite number are SurParseErrors naming the row.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as err:
+        rownum = raw.count(b"\n", 0, err.start) + 1
+        raise SurParseError(
+            f"row {rownum}: not UTF-8 text ({err.reason})") from err
+    with io.StringIO(text, newline="") as fh:
         reader = csv.DictReader(fh)
         required = {"firm", "year", "invest", "value", "capital"}
         header = set(reader.fieldnames or [])
@@ -96,6 +106,8 @@ def load_sur_csv(path, first_years: int | None = None) -> SurData:
                         float(row["capital"]))
             except (TypeError, ValueError) as err:
                 raise SurParseError(f"row {rownum}: non-numeric cell ({err})") from err
+            if not all(map(math.isfinite, vals)):
+                raise SurParseError(f"row {rownum}: non-finite cell in {vals}")
             if firm not in panel:
                 firms.append(firm)
                 panel[firm] = {}

@@ -51,8 +51,6 @@ def test_value_validation():
     with pytest.raises(ConfigError):
         RunConfig.from_dict(dict(MINIMAL, ladder={"betas": [0.0, 1.0]}))
     with pytest.raises(ConfigError):
-        RunConfig.from_dict(dict(MINIMAL, swap_quanta_prob=1.5))
-    with pytest.raises(ConfigError):
         RunConfig.from_dict(dict(MINIMAL, truncation={"level": 1.0}))
     with pytest.raises(ConfigError, match="beta_hot"):
         RunConfig.from_dict(dict(MINIMAL, ladder={"betas": [1.0],
@@ -176,7 +174,6 @@ def test_settable_values_are_pinned():
     cfg = RunConfig.from_dict(dict(MINIMAL, truncation={}))
     assert leaf_settings(cfg) == [
         "target.name", "target.params", "ladder.betas", "ladder.beta_hot",
-        "seed", "swap_quanta_prob",
-        "exploration.step_scale", "exploration.refresh_from_modes",
+        "seed", "exploration.step_scale", "exploration.refresh_from_modes",
         "truncation.level", "total_target_samples", "burnin_samples",
         "init", "initial_modes", "running_threshold", "out_dir"]

@@ -84,7 +84,9 @@ def test_alps_run_counter_identities():
         return sum(n for (mv, _), (a, n) in diag.counters.items() if mv == move)
     assert totals(RWM) == V * t * len(cfg.ladder.betas)
     assert totals(LEAP) == V * t
-    assert totals(SWAP_QUANTA) + totals(SWAP_STANDARD) == cfg.n_swaps * t
+    # every swap between HAT levels is QuanTA
+    assert totals(SWAP_QUANTA) == cfg.n_swaps * t
+    assert totals(SWAP_STANDARD) == 0
     assert len(diag.mode_visits_level0) == t
     assert len(diag.mode_visits_top) == t
     assert len(samples) == 1000
@@ -146,7 +148,9 @@ def test_cli_no_modes_without_exploration_is_config_error(tmp_path, capsys):
     # a one-year panel used to run
     ({"target": {"name": "sur_grunfeld", "params": {"first_years": True}}},
      "bad target spec: target.params.first_years must be an integer"),
-    ({"swap_quanta_prob": True}, "swap_quanta_prob must be a number"),
+    # QuanTA on every HAT pair: the coin between QuanTA and standard swaps
+    # is gone
+    ({"swap_quanta_prob": 0.5}, "config: unknown key(s) ['swap_quanta_prob']"),
     ({"ladder": {"betas": [True, 0.5]}}, "ladder.betas must be a number"),
     # Python's json reads NaN and Infinity
     ({"ladder": {"betas": [1.0, float("nan")]}}, "ladder.betas must be finite"),
@@ -214,6 +218,16 @@ def test_cli_no_modes_without_exploration_is_config_error(tmp_path, capsys):
     ({"init": [1e200]}, "log density not finite at init = [1e+200]"),
     ({"initial_modes": [[1e200]]},
      "log density not finite at initial_modes[0] = [1e+200]"),
+    # JSON integers too large for a float used to end in a bare
+    # OverflowError
+    ({"ladder": {"betas": [1.0, 10 ** 400]}}, "ladder.betas must be finite"),
+    ({"init": [10 ** 400]}, "init must be finite"),
+    ({"target": {"name": "gaussian", "params": {"mu": [10 ** 400],
+                                                "sigma": [[1.0]]}}},
+     "bad target spec: int too large to convert to float"),
+    ({"target": {"name": "iid_product_skew",
+                 "params": {"dim": 1, "alpha": 10 ** 400}}},
+     "bad target spec: target.params.alpha must be finite"),
 ])
 def test_cli_bad_settings_are_config_errors(tmp_path, capsys, override,
                                             message):
@@ -444,7 +458,7 @@ def test_pt_run_swaps_evaluate_no_density(monkeypatch):
 
     # on an ALPS ladder the chains carry their records too: no swap, leap
     # or mode visit evaluates pi or the quad forms at a chain's current
-    # state, and standard swaps and mode visits evaluate nothing at all:
+    # state, and the swap decision and mode visits evaluate nothing at all:
     # the swap phase evaluates only the points its QuanTA kernel does
     run_fn, cfg, target = two_mode_alps_case()
     points = []
@@ -565,14 +579,14 @@ def skew_pt_case():
 # A platform whose libm or BLAS rounds differently changes them.
 PINNED_DIGESTS = {
     "alps-hat": (
-        "347514d7092a1b4a55606de0d7b557233ddc8046743d5878729b0a9b8f79df6f",
-        "b49eaf85a697a0a03b43a2298a2f78a5962de49af22da9d32861949829c44ae9"),
+        "8033c0dff0c2a17cf04f4c4c2bfbe92e90ce1f7571a7177ee0b44af26cac2abd",
+        "96af9fe740fb55550052c2ff71ddf71d5acc1cb74004eea0d69d23b1495fd4e0"),
     "pt-batched": (
         "0843017efdf9f18d3786afb8a3c73b97745b5d9607632ec9f903018313eb3462",
         "4fe7afd7720fd0de3791aea6035e67ff1b5a55041b90a008adc9cba563e51ed7"),
     "alps-exploring": (
-        "dbeb6b4a06fcdb88c75ee835f5b81943dcb5206d9d0e21e0bcf848089c00d9aa",
-        "7dfab1afb897100f1e70ef9dec6c089a6d5a34b875cd45de3133f320301c283a"),
+        "eae6c7368d3a1390a95be334367d6b94c3f8ce226c2d1391fae77b52bdc8e27a",
+        "356c03e2d81bd7a5f251fbc67f2efa71a6dbd26fcf33da65acb1341003e40bb2"),
 }
 
 
@@ -583,9 +597,9 @@ PINNED_DIGESTS = {
                                               exploration=explore(0.5))),
 ], ids=["alps-hat", "pt-batched", "alps-exploring"])
 def test_fixed_seed_runs_keep_their_digests(name, case):
-    # the ALPS case runs truncated HAT, QuanTA and standard swaps and
-    # leaps; the PT case the batched power path; the exploring case the
-    # bootstrap, refreshes, searches and the hot chain's tallied steps
+    # the ALPS case runs truncated HAT, QuanTA swaps and leaps; the PT
+    # case the batched power path; the exploring case the bootstrap,
+    # refreshes, searches and the hot chain's tallied steps
     run_fn, cfg, target = case()
     samples, diag = run_fn(cfg, target)
     counters = repr(sorted(diag.counters.items())).encode()
@@ -826,26 +840,25 @@ def reference_standard_swap_core(x_k, x_k1, logp_k, logp_k1, target_k,
 
 
 def reference_swap_phase(run, t):
-    """The swap phase one pair at a time: it draws one value at a time,
-    per pair in pair order the coin (HAT levels) and then the uniform,
-    and then makes the swaps in DEO order, each evaluating its states at
-    the other level; the records of the two chains are evaluated afresh
-    after each swap and written to their rows of the block."""
-    config, n = run.config, run.n
+    """The swap phase one pair at a time: it draws the uniforms one at a
+    time in pair order, and then makes the swaps in DEO order, QuanTA on
+    HAT levels and standard on power levels, each evaluating its states
+    at the other level; the records of the two chains are evaluated
+    afresh after each swap and written to their rows of the block."""
+    n = run.n
     if n < 1:
         return
     rng = run.factory.stream(runner.SWAP_STREAM, t)
-    hat = run.snapshot is not None
-    draws = [(rng.random() if hat else None, rng.random()) for _ in range(n)]
+    draws = [rng.random() for _ in range(n)]
+    if run.snapshot is not None:
+        move, swap = SWAP_QUANTA, reference_quanta_swap_core
+    else:
+        move, swap = SWAP_STANDARD, reference_standard_swap_core
     targets = run.level_targets
     logps = [target.value(run.record(k))[0]
              for k, target in enumerate(targets)]
     for k in deo_order(n):
-        coin, u = draws[k]
-        if hat and coin < config.swap_quanta_prob:
-            move, swap = SWAP_QUANTA, reference_quanta_swap_core
-        else:
-            move, swap = SWAP_STANDARD, reference_standard_swap_core
+        u = draws[k]
         accepted, low, high, logps[k], logps[k + 1] = swap(
             run.X[k].copy(), run.X[k + 1].copy(), logps[k], logps[k + 1],
             targets[k], targets[k + 1], u)
@@ -865,15 +878,18 @@ def located_pt_case():
     return pt_run, cfg, target
 
 
-def five_level_alps_case(**over):
-    return two_mode_alps_case(betas=[1.0, 1.5, 2.5, 4.0, 6.0], **over)
+def five_level_alps_case():
+    return two_mode_alps_case(betas=[1.0, 1.5, 2.5, 4.0, 6.0])
+
+
+def four_level_alps_case():
+    # three pairs: the even parity holds two of them, the odd one
+    return two_mode_alps_case(betas=[1.0, 3.0, 9.0, 27.0])
 
 
 @pytest.mark.parametrize("case", [
-    located_pt_case, five_level_alps_case,
-    lambda: five_level_alps_case(swap_quanta_prob=0.0),
-    lambda: five_level_alps_case(swap_quanta_prob=1.0)],
-    ids=["pt", "alps-hat", "alps-hat-standard", "alps-hat-quanta"])
+    located_pt_case, five_level_alps_case, four_level_alps_case],
+    ids=["pt", "alps-hat", "alps-hat-quanta"])
 def test_batched_swap_draws_equal_sequential_reference(monkeypatch, case):
     run_fn, cfg, target = case()
     samples, diag = run_fn(cfg, target)
@@ -885,13 +901,13 @@ def test_batched_swap_draws_equal_sequential_reference(monkeypatch, case):
     assert diag.mode_visits_level0 == ref_diag.mode_visits_level0
     assert diag.mode_visits_top == ref_diag.mode_visits_top
     assert len(diag.mode_visits_level0) == diag.n_sweeps
-    hat = run_fn is alps_run
-    drawn = {SWAP_STANDARD: not hat or cfg.swap_quanta_prob < 1.0,
-             SWAP_QUANTA: hat and cfg.swap_quanta_prob > 0.0}
-    for move in drawn:  # every kind drawn was accepted, at every pair
-        assert all(diag.counters[(move, k)][0] > 0 if drawn[move]
-                   else (move, k) not in diag.counters
-                   for k in range(cfg.n_swaps)), move
+    # QuanTA on HAT levels, standard on power levels, each accepted at
+    # every pair; the other kind has no counter
+    move, other = ((SWAP_QUANTA, SWAP_STANDARD) if run_fn is alps_run
+                   else (SWAP_STANDARD, SWAP_QUANTA))
+    for k in range(cfg.n_swaps):
+        assert diag.counters[(move, k)][0] > 0
+        assert (other, k) not in diag.counters
 
 
 @pytest.mark.parametrize("case", [located_pt_case, five_level_alps_case],
@@ -913,8 +929,7 @@ def test_every_sweep_swaps_the_even_pairs_then_the_odd(monkeypatch, case):
         assert [k for _, k in swaps[t * n:(t + 1) * n]] == deo_order(n) \
             == [0, 2, 1, 3]
     assert {move for move, _ in swaps} == (
-        {SWAP_STANDARD, SWAP_QUANTA} if run_fn is alps_run
-        else {SWAP_STANDARD})
+        {SWAP_QUANTA} if run_fn is alps_run else {SWAP_STANDARD})
 
 
 def reference_settings(config):

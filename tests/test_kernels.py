@@ -247,7 +247,7 @@ def test_swap_phase_rejects_a_quanta_pair_that_changes_allocation():
     config = RunConfig.from_dict({
         "target": {"name": "gaussian"}, "ladder": {"betas": [1.0, 4.0]},
         "seed": 0, "total_target_samples": 100, "exploration": None,
-        "initial_modes": [[0.0]], "swap_quanta_prob": 1.0})
+        "initial_modes": [[0.0]]})
     run = runner._Run(config, base, np.array([1.0, 4.0]), hat=True)
     run.registry = two_mode_registry()
     run.X[:] = [[0.5], [4.0]]
@@ -257,7 +257,7 @@ def test_swap_phase_rejects_a_quanta_pair_that_changes_allocation():
     before = run.X.copy(), run.logpi.copy(), run.qf.copy()
 
     class Draws:
-        # coin and uniform alike: QuanTA, decided at the smallest log u
+        # the pair's uniform: decided at the smallest log u
         def random(self, shape):
             return np.full(shape, np.nextafter(0.0, 1.0))
 

@@ -19,10 +19,10 @@ SMOKE = {"total_target_samples": 200, "burnin_samples": 100}
 # preset: (subcommand, override, {artifact: sha256})
 PINNED_PRESETS = {
     "synthetic-20d": ("run", SMOKE, {
-        "trace.csv": "0763ff78264a5a301fe4362d598716eba6d741d4158625601ccddae3461c337d",
-        "acceptance.json": "2df79f00a5550063eb55561481858afafbc8286ba895017813441366db76223c",
+        "trace.csv": "313cea0bf2741b77c12b35fd3d253b80e240531ca7f932b2dfbb6b0d028e520f",
+        "acceptance.json": "fa147ff0f5628467c54b4b195e055540fc443c7ab0b09b44b54951beef858d26",
         "modes.json": "8e59a8d311028abdc1f02b3d735e6161380aedc46cecabc856469b580008ac2f",
-        "summary.json": "ad444c8bb4aa8948f24f284af838aca2c34b90129e49366d74d74f53d174af7e"}),
+        "summary.json": "f810c82a11b48854e339374950f0b7d34dc837646e1ed904dc4d197c1abc175b"}),
     "synthetic-20d-pt": ("pt", SMOKE, {
         "trace.csv": "e4a9a45fecec6b5a605df7dc7a7cc91f2fcd894310899bf34993409bdb4c39f9",
         "acceptance.json": "ed89cc3d1276c13f6648cfb5046cb6987d21991195fd29947d9c1b667ebaac11",
@@ -36,9 +36,9 @@ PINNED_PRESETS = {
     "sur-grunfeld": ("run", {"total_target_samples": 100,
                              "burnin_samples": 50}, {
         "trace.csv": "31d2837f3b6dba482dec7591bf31a7b563d321d9f8685952b894b5a5f01d0c32",
-        "acceptance.json": "7cc7dfc5baafd47899b2fd956747995d49e475201a176f110358ad4109f447ab",
+        "acceptance.json": "19ff3c0d69ebde8c0703e6d9ba53935a8bffc6420be265b31aca6f6d1f8c5980",
         "modes.json": "b63719077841ff762deeb0685006b12763c94b620bb2ba790bb0477c8d337756",
-        "summary.json": "d2b210881738a5611f95f799e0c44a541c7676a08f244e1d4df839de4e527dd4"}),
+        "summary.json": "bf2488eefdf8e79aaca0c0f980781be115de66d3689c9993088f955b9276fd24"}),
 }
 
 

@@ -161,7 +161,7 @@ def test_load_sur_csv_small_panel(tmp_path):
     np.testing.assert_array_equal(first.Y, [[1.0], [4.0]])
 
 
-def test_load_sur_csv_errors(tmp_path):
+def test_load_sur_csv_errors(tmp_path, capsys):
     p = tmp_path / "bad.csv"
     p.write_text("firm,year,invest,value\nx,1950,1,2\n")
     with pytest.raises(SurParseError, match="missing column"):
@@ -178,6 +178,20 @@ def test_load_sur_csv_errors(tmp_path):
     p.write_text("firm,year,invest,value,capital\n")
     with pytest.raises(SurParseError, match="no data"):
         load_sur_csv(p)
+    # a nan or inf cell used to reach LAPACK, which printed "On entry to
+    # DLASCL parameter number 4 had an illegal value" before the fit
+    # failed with "SVD did not converge"
+    for cell in ("nan", "inf", "-Infinity"):
+        p.write_text(CSV_SMALL.replace("b,1951,4.5,", f"b,1951,{cell},"))
+        with pytest.raises(SurParseError, match="^row 5: non-finite cell"):
+            load_sur_csv(p)
+    # a Latin-1 byte used to end in a bare UnicodeDecodeError, exit 1
+    p.write_bytes(CSV_SMALL.replace("b,1950", "\xe9,1950").encode("latin-1"))
+    with pytest.raises(SurParseError, match="^row 4: not UTF-8 text"):
+        load_sur_csv(p)
+    assert main(["sur-fit", "--csv", str(p)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: cannot load panel data: row 4: not UTF-8 text")
 
 
 def test_load_grunfeld_shape():
