@@ -58,7 +58,8 @@ def hot_step(x_hot: np.ndarray, beta_hot: float, base: TargetDensity,
 
 
 def hessian_at(base: TargetDensity, mu: np.ndarray) -> np.ndarray:
-    """Hessian of log pi at mu (analytic callback or central differences)."""
+    """Hessian of log pi at mu: the target's `hessian`, analytic or by
+    central differences."""
     hess = base.hessian(np.asarray(mu, dtype=float))
     if not np.all(np.isfinite(hess)):
         bad = np.argwhere(~np.isfinite(hess))

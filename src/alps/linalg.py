@@ -1,9 +1,10 @@
 """Cholesky-based linear algebra helpers.
 
 Quadratic forms and Gaussian log-densities go through a stored lower
-Cholesky factor: either a triangular solve, or (on hot paths that reuse
-the same small factors many times) a cached triangular inverse applied
-as a matrix-vector product.
+Cholesky factor: either a triangular solve, or (on the density and
+quad-form paths, which reuse the same small factors many times and
+score blocks of points) a cached triangular inverse applied by one
+broadcast `matmul` (`quad_forms`).
 
 `scipy.linalg` and its LAPACK wrappers are imported when a function
 here first factors or solves (`_scipy_linalg`), not with the package:
@@ -66,6 +67,31 @@ def logsumexp_1d(a: np.ndarray) -> float:
     if not math.isfinite(m):
         return float(m)
     return float(m) + math.log(np.exp(a - m).sum())
+
+
+def logsumexp_rows(a: np.ndarray) -> np.ndarray:
+    """logsumexp over the last axis of an (L, K) array, row by row, with
+    the arithmetic of `logsumexp_1d`: a row's max plus the log of its
+    shifted exponentials' sum, or its max where that is not finite."""
+    m = a.max(axis=-1)
+    finite = np.isfinite(m)
+    if finite.all():
+        return m + np.log(np.exp(a - m[:, None]).sum(axis=-1))
+    m[finite] = logsumexp_rows(a[finite])
+    return m
+
+
+def quad_forms(inv_chols: np.ndarray, mus: np.ndarray,
+               x: np.ndarray) -> np.ndarray:
+    """(x - mu_j)^T Sigma_j^{-1} (x - mu_j) for each of J Gaussians, from
+    the inverses (J, d, d) of the lower Cholesky factors of Sigma_j and
+    the means (J, d): (J,) for a point x, (L, J) for an (L, d) block.
+
+    A block goes through one broadcast `matmul`, whose rows equal the
+    point-by-point values bit for bit (`einsum` may sum in another
+    order)."""
+    z = np.matmul(inv_chols, (x[..., None, :] - mus)[..., None])
+    return (z * z).sum(axis=(-2, -1))
 
 
 def solve_lower(chol: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (IndefiniteMatrixError, chol_lower, log_det_from_chol,
-                     logsumexp_1d, solve_lower)
+                     logsumexp_1d, quad_forms, solve_lower)
 
 logger = logging.getLogger(__name__)
 
@@ -142,14 +142,9 @@ class RegistrySnapshot:
         return self.mus.shape[0]
 
     def quad_forms(self, x: np.ndarray) -> np.ndarray:
-        """(x - mu_j)^T Sigma_j^{-1} (x - mu_j) for every mode j: (J,) for
-        a point x, (L, J) for an (L, dim) block of points.
-
-        A block goes through one broadcast `matmul`, whose rows equal the
-        point-by-point values bit for bit (`einsum` may sum in another
-        order)."""
-        z = np.matmul(self.inv_chols, (x[..., None, :] - self.mus)[..., None])
-        return (z * z).sum(axis=(-2, -1))
+        """`linalg.quad_forms` of a point (J,) or an (L, dim) block (L, J)
+        against every mode."""
+        return quad_forms(self.inv_chols, self.mus, x)
 
 
 @dataclass

@@ -11,7 +11,7 @@ import numpy as np
 from scipy.special import log_ndtr
 
 from ..density import TargetDensity
-from ..linalg import LOG_2PI, logsumexp_1d
+from ..linalg import LOG_2PI, logsumexp_rows
 
 LOG_2 = float(np.log(2.0))
 
@@ -88,15 +88,13 @@ class SkewNormalMixtureTarget(TargetDensity):
             raise ValueError("mus must be (K, d) with one scale per component")
         if np.any(omegas <= 0):
             raise ValueError("omegas must be positive")
+        super().__init__(dim=mus.shape[1], name="skew_normal_mixture")
         self.alpha = float(alpha)
         self.mus = mus
         self.omegas = omegas
         self._inv_omegas = 1.0 / omegas[:, None]
         self._comp_const = mus.shape[1] * (LOG_2 - 0.5 * LOG_2PI
                                            - np.log(omegas))
-        super().__init__(dim=mus.shape[1], log_density=self._logpdf,
-                         gradient=self._grad, hessian=self._hess,
-                         name="skew_normal_mixture")
 
     @property
     def component_locations(self) -> np.ndarray:
@@ -107,34 +105,36 @@ class SkewNormalMixtureTarget(TargetDensity):
         off = skew_normal_mode_offset(self.alpha)
         return self.mus + off * self.omegas[:, None]
 
-    def _component_logpdfs(self, x: np.ndarray) -> np.ndarray:
-        z = (x - self.mus) * self._inv_omegas
+    def _components(self, xs: np.ndarray) -> np.ndarray:
+        """(L, K) component log densities of the rows of xs: one (L, K, d)
+        broadcast, summed over its last axis."""
+        z = (xs[:, None, :] - self.mus) * self._inv_omegas
         terms = log_ndtr(self.alpha * z) - 0.5 * (z * z)
-        return terms.sum(axis=1) + self._comp_const
+        return terms.sum(axis=-1) + self._comp_const
 
-    def _logpdf(self, x: np.ndarray) -> float:
-        return logsumexp_1d(self._component_logpdfs(x))
+    def _log_density_block(self, xs: np.ndarray) -> np.ndarray:
+        return logsumexp_rows(self._components(xs))
 
-    def _grad(self, x: np.ndarray) -> np.ndarray:
-        comp = self._component_logpdfs(x)
+    def _responsibilities(self, x: np.ndarray):
+        """(r, z) at the point x: the components' posterior weights (K,)
+        and standardized offsets (K, d)."""
+        comp = self._components(x[None])[0]
         w = np.exp(comp - np.max(comp))
-        r = w / np.sum(w)
-        z = (x - self.mus) * self._inv_omegas
-        dcomp = skew_log_pdf_d1(z, self.alpha) * self._inv_omegas
-        return r @ dcomp
+        return w / np.sum(w), (x - self.mus) * self._inv_omegas
 
-    def _hess(self, x: np.ndarray) -> np.ndarray:
-        comp = self._component_logpdfs(x)
-        w = np.exp(comp - np.max(comp))
-        r = w / np.sum(w)
-        z = (x - self.mus) * self._inv_omegas
+    def gradient(self, x: np.ndarray) -> np.ndarray:
+        r, z = self._responsibilities(np.asarray(x, dtype=float))
+        return r @ (skew_log_pdf_d1(z, self.alpha) * self._inv_omegas)
+
+    def hessian(self, x: np.ndarray) -> np.ndarray:
+        r, z = self._responsibilities(np.asarray(x, dtype=float))
         dcomp = skew_log_pdf_d1(z, self.alpha) * self._inv_omegas
         d2comp = skew_log_pdf_d2(z, self.alpha) * self._inv_omegas ** 2
         g = r @ dcomp
         hess = np.diag(r @ d2comp) - np.outer(g, g)
         for k in range(self.mus.shape[0]):
             hess += r[k] * np.outer(dcomp[k], dcomp[k])
-        return hess
+        return 0.5 * (hess + hess.T)
 
 
 def benchmark_target(dim: int = 20, alpha: float = 10.0) -> SkewNormalMixtureTarget:

@@ -283,14 +283,15 @@ class SurProfileTarget(TargetDensity):
 
     def __init__(self, data: SurData):
         _require_identified(data)
+        super().__init__(dim=data.dim, name="sur_profile")
         self.data = data
-        super().__init__(dim=data.dim, log_density=self._logpdf,
-                         gradient=self._grad, name="sur_profile")
 
-    def _logpdf(self, theta: np.ndarray) -> float:
-        return sur_profile_loglik(theta, self.data)
+    def _log_density_block(self, thetas: np.ndarray) -> np.ndarray:
+        # one factorization per row
+        return np.array([sur_profile_loglik(theta, self.data)
+                         for theta in thetas])
 
-    def _grad(self, theta: np.ndarray) -> np.ndarray:
+    def gradient(self, theta: np.ndarray) -> np.ndarray:
         data = self.data
         r = _residuals(theta, data)          # (M, N)
         sigma = (r @ r.T) / data.N

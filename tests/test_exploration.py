@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from alps.density import TargetDensity
 from alps.exploration import hessian_at, hot_step, mfind
 from alps.hat import Level
 from alps.kernels import rwm_core
@@ -10,6 +9,7 @@ from alps.registry import ModeRegistry, make_mode_info, try_insert
 from alps.targets.gaussian import GaussianMixtureTarget, GaussianTarget
 from alps.targets.skewnormal import (benchmark_target, skew_log_pdf,
                                      skew_normal_mode_offset)
+from function_target import FunctionTarget
 
 
 class StubRng:
@@ -51,21 +51,21 @@ def test_hot_step_validates_beta():
 
 
 def test_hessian_at_standard_gaussian():
-    target = TargetDensity(3, lambda x: -0.5 * float(x @ x))
+    target = FunctionTarget(3, lambda x: -0.5 * float(x @ x))
     np.testing.assert_allclose(hessian_at(target, np.zeros(3)), -np.eye(3),
                                atol=1e-5)
 
 
 def test_hessian_at_diagonal_quadratic():
     a = np.diag([2.0, 0.5])
-    target = TargetDensity(2, lambda x: -0.5 * float(x @ a @ x))
+    target = FunctionTarget(2, lambda x: -0.5 * float(x @ a @ x))
     np.testing.assert_allclose(hessian_at(target, np.zeros(2)), -a, atol=1e-5)
 
 
 def test_hessian_at_skew_normal_mode_matches_richardson():
     alpha = 4.0
     mode = skew_normal_mode_offset(alpha)
-    target = TargetDensity(1, lambda x: float(skew_log_pdf(x[0], alpha)))
+    target = FunctionTarget(1, lambda x: float(skew_log_pdf(x[0], alpha)))
     h = hessian_at(target, np.array([mode]))[0, 0]
     oracle = richardson_second_derivative(
         lambda t: float(skew_log_pdf(t, alpha)), mode, h0=0.05)
@@ -74,8 +74,8 @@ def test_hessian_at_skew_normal_mode_matches_richardson():
 
 def test_hessian_at_rejects_nonfinite():
     # finite region narrower than the finite-difference probe step
-    target = TargetDensity(1, lambda x: -np.inf if abs(x[0]) > 1e-5
-                           else -x[0] ** 2)
+    target = FunctionTarget(1, lambda x: -np.inf if abs(x[0]) > 1e-5
+                            else -x[0] ** 2)
     with pytest.raises(ValueError, match="non-finite"):
         hessian_at(target, np.zeros(1))
 

@@ -28,6 +28,7 @@ from alps.scaling import predicted_acceptance
 from alps.targets import build_target
 from alps.targets.gaussian import GaussianMixtureTarget, GaussianTarget
 from alps.targets.product import IidProductTarget, SkewShape
+from function_target import FunctionTarget
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
@@ -243,6 +244,28 @@ def test_cli_bad_settings_are_config_errors(tmp_path, capsys, override,
     assert err.startswith("config error") and message in err
 
 
+def test_cli_gaussian_mixture_shapes_are_config_errors(tmp_path, capsys):
+    # weights (K,), mus (K, d) and sigmas (K, d, d) must agree: two weights
+    # for one mu used to run, one sigma for two mus to end in a bare
+    # IndexError and 3 x 3 sigmas for 2-d mus in a bare ValueError
+    eye2 = np.eye(2).tolist()
+    for params in ({"weights": [0.5, 0.5], "mus": [[0.0, 0.0]],
+                    "sigmas": [eye2]},
+                   {"weights": [0.5, 0.5], "mus": [[0.0, 0.0], [3.0, 0.0]],
+                    "sigmas": [eye2]},
+                   {"weights": [0.5, 0.5], "mus": [[0.0, 0.0], [3.0, 0.0]],
+                    "sigmas": [np.eye(3).tolist()] * 2}):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "target": {"name": "gaussian_mixture", "params": params},
+            "ladder": {"betas": [1.0, 0.5]}, "seed": 0, "exploration": None,
+            "total_target_samples": 10}))
+        assert main(["pt", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: bad target spec: expected "
+                              "weights (K,), mus (K, d) and sigmas (K, d, d)")
+
+
 @pytest.mark.parametrize("override", [
     {"init": [1e200], "ladder": {"betas": [1.0, 4.0], "beta_hot": 0.1}},
     {"initial_modes": [[1e200]], "exploration": None},
@@ -339,7 +362,7 @@ def test_alps_run_init_shape_checked():
 
 def test_alps_run_skipped_initial_mode_logs_warning(caplog):
     # the ascent from 10 climbs the linear branch without converging
-    target = TargetDensity(
+    target = FunctionTarget(
         1, lambda x: float(-x[0] ** 2 if x[0] < 5.0 else x[0] - 30.0),
         gradient=lambda x: np.array([-2.0 * x[0] if x[0] < 5.0 else 1.0]))
     cfg = gaussian_config(initial_modes=[[0.5], [10.0]],
@@ -405,7 +428,7 @@ def replayed_round_trips(n_levels, sweeps, freeze):
 def test_round_trips_on_a_flat_ladder_replay_the_deo_permutation(n_levels):
     # log pi = 0: every RWM step and every swap is accepted, so the chains
     # move by the fixed DEO permutation
-    target = TargetDensity(1, lambda x: 0.0)
+    target = FunctionTarget(1, lambda x: 0.0)
     cfg = gaussian_config(ladder={"betas": [0.5 ** k for k in range(n_levels)]},
                           initial_modes=None, total_target_samples=500,
                           burnin_samples=100)
@@ -440,7 +463,7 @@ def test_pt_run_swaps_evaluate_no_density(monkeypatch):
     # the shared start point and once per RWM proposal, never by a swap
     base = GaussianTarget(np.zeros(1), np.eye(1))
     calls = []
-    target = TargetDensity(
+    target = FunctionTarget(
         1, lambda x: calls.append(None) or base.log_density(x))
     cfg = pt_config(total_target_samples=1000, burnin_samples=100)
     samples, diag = pt_run(cfg, target)
@@ -608,8 +631,8 @@ def test_fixed_seed_runs_keep_their_digests(name, case):
 
 
 def gaussian_pt_case():
-    # TargetDensity's row-by-row batch fallback
-    target = GaussianTarget(np.zeros(1), np.eye(1))
+    # a batch evaluated row by row
+    target = FunctionTarget(1, lambda x: -0.5 * float(x @ x))
     return pt_run, pt_config(total_target_samples=1500), target
 
 
@@ -762,25 +785,24 @@ def test_build_levels_restarts_stranded_states_at_the_dominant_mode():
 
 
 class FailingBatch(TargetDensity):
-    """1-d standard normal whose n-th evaluation raises, or whose batch
-    call returns one value too many."""
+    """1-d standard normal whose n-th evaluated row raises, or whose
+    blocks of more than one row (the run's batches, not its one-point
+    evaluations at set-up) return one value too many."""
 
     def __init__(self, fail_at=None, batch_extra=False):
         self.calls = 0
         self.fail_at = fail_at
         self.batch_extra = batch_extra
-        super().__init__(1, self._logpdf)
+        super().__init__(1)
 
-    def _logpdf(self, x):
-        self.calls += 1
-        if self.calls == self.fail_at:
-            raise ValueError("evaluation failed")
-        return -0.5 * float(x @ x)
-
-    def _log_density_rows(self, xs):
-        if self.batch_extra:
+    def _log_density_block(self, xs):
+        if self.batch_extra and len(xs) > 1:
             return np.zeros(len(xs) + 1)
-        return super()._log_density_rows(xs)
+        for _ in xs:
+            self.calls += 1
+            if self.calls == self.fail_at:
+                raise ValueError("evaluation failed")
+        return -0.5 * (xs * xs).sum(axis=1)
 
 
 @pytest.mark.parametrize("target, message", [
@@ -1098,8 +1120,8 @@ def test_runner_hot_chains_equal_mfind_hot_step_reference(monkeypatch, case):
 def test_bootstrap_abort_names_budget_and_failures(tmp_path, capsys,
                                                    monkeypatch):
     # a linear log density has no mode: every ascent runs off
-    target = TargetDensity(2, lambda x: float(x.sum()),
-                           gradient=lambda x: np.ones(2))
+    target = FunctionTarget(2, lambda x: float(x.sum()),
+                            gradient=lambda x: np.ones(2))
     path = tmp_path / "config.json"
     path.write_text(json.dumps({
         "target": {"name": "gaussian"},
@@ -1114,8 +1136,8 @@ def test_bootstrap_abort_names_budget_and_failures(tmp_path, capsys,
             "rejected\n") == err
     # a flat density with a positive Hessian: every ascent converges at
     # once and every Hessian is rejected
-    target = TargetDensity(1, lambda x: 0.0, gradient=lambda x: np.zeros(1),
-                           hessian=lambda x: np.eye(1))
+    target = FunctionTarget(1, lambda x: 0.0, gradient=lambda x: np.zeros(1),
+                            hessian=lambda x: np.eye(1))
     assert main(["run", "--config", str(path)]) == 3
     err = capsys.readouterr().err
     assert ("no modes discovered after 3 bootstrap exploration attempts: "

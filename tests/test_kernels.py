@@ -7,7 +7,6 @@ from scipy.stats import norm
 
 from alps import kernels, runner
 from alps.config import RunConfig
-from alps.density import TargetDensity
 from alps.diagnostics import SWAP_QUANTA
 from alps.hat import Level, level_values
 from alps.kernels import (mixture_log_density, mixture_propose,
@@ -15,6 +14,7 @@ from alps.kernels import (mixture_log_density, mixture_propose,
                           rwm_core, rwm_decide, standard_swap_core)
 from alps.registry import ModeRegistry, make_mode_info, try_insert
 from alps.targets.gaussian import GaussianTarget
+from function_target import FunctionTarget
 
 
 class StubRng:
@@ -66,7 +66,7 @@ def test_rwm_zero_displacement_accepts():
 
 def test_rwm_rejects_minus_inf_region():
     box = Level(
-        TargetDensity(1, lambda x: 0.0 if abs(x[0]) < 1 else -np.inf), 1.0)
+        FunctionTarget(1, lambda x: 0.0 if abs(x[0]) < 1 else -np.inf), 1.0)
     x = np.array([0.0])
     rng = StubRng(normals=5.0, uniforms=0.5)
     rec_new, logp, accepted = rwm_core(box.record(x), 0.0, box, 1.0, rng)
@@ -203,7 +203,7 @@ def test_quanta_swap_mode_points_always_accept():
     base = GaussianTarget(np.zeros(1), np.eye(1))
     snap = two_mode_snapshot()
 
-    class Mix(TargetDensity):
+    class Mix(FunctionTarget):
         def __init__(self):
             super().__init__(1, lambda x: float(np.logaddexp(
                 np.log(2.0) - 0.5 * x[0] ** 2, -0.5 * (x[0] - 10.0) ** 2)))
@@ -312,7 +312,7 @@ def test_standard_swap_with_carried_logpi_is_exact():
     # pricing a swap from the carried records gives the cross values of
     # evaluating both states at the other level bit for bit, also where
     # pi vanishes (x[0] < -1), and so the same decision
-    base = TargetDensity(
+    base = FunctionTarget(
         2, lambda x: -0.5 * float(x @ x) if x[0] > -1.0 else -np.inf)
     rng = np.random.default_rng(11)
     for _ in range(500):
@@ -332,7 +332,7 @@ def test_standard_swap_with_carried_logpi_is_exact():
 def test_standard_swap_rate_matches_quadrature():
     # power-tempered 1-d N(0,1) at betas (1, 2) with iid level draws;
     # acceptance = E min(1, ratio), computed independently by quadrature
-    base = TargetDensity(1, lambda x: -0.5 * float(x @ x))
+    base = FunctionTarget(1, lambda x: -0.5 * float(x @ x))
     t1, t2 = Level(base, 1.0), Level(base, 2.0)
     rng = np.random.default_rng(3)
     n = 100000

@@ -3,7 +3,7 @@ import pytest
 from scipy.special import logsumexp
 
 from alps.linalg import (IndefiniteMatrixError, chol_lower, log_det_from_chol,
-                         logsumexp_1d, spd_solve)
+                         logsumexp_1d, logsumexp_rows, spd_solve)
 
 
 def random_spd(rng, d):
@@ -46,3 +46,20 @@ def test_logsumexp_1d_matches_scipy_and_handles_infinities():
     assert abs(logsumexp_1d(a) - logsumexp(a)) < 1e-12
     assert logsumexp_1d(np.full(3, -np.inf)) == -np.inf
     assert logsumexp_1d(np.array([-1.0, np.inf, 0.0])) == np.inf
+
+
+def test_logsumexp_rows_is_logsumexp_1d_of_each_row():
+    rng = np.random.default_rng(3)
+    a = np.concatenate([10.0 * rng.standard_normal((200, 4)),
+                        [[-np.inf] * 4, [1.0, np.inf, 0.0, -np.inf],
+                         [np.nan, 0.0, 1.0, 2.0], [-np.inf, -3.0, -np.inf, 2.0]]])
+    got = logsumexp_rows(a)
+    # np.log and math.log may round a log differently in the last bit;
+    # rows whose max is not finite take that max exactly
+    np.testing.assert_allclose(got, [logsumexp_1d(row) for row in a],
+                               rtol=4e-16, atol=1e-15)
+    assert np.array_equal(got[200:203], [-np.inf, np.inf, np.nan],
+                          equal_nan=True)
+    # each row is computed from that row alone
+    assert np.array_equal(got, [logsumexp_rows(row[None])[0] for row in a],
+                          equal_nan=True)

@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from alps import optimize
-from alps.density import TargetDensity
 from alps.optimize import local_optimize
 from alps.targets.gaussian import GaussianTarget
+from function_target import FunctionTarget
 
 
 def test_quadratic_exact():
     a = np.array([1.5, -2.0, 0.25])
-    target = TargetDensity(3, lambda x: -0.5 * float((x - a) @ (x - a)))
+    target = FunctionTarget(3, lambda x: -0.5 * float((x - a) @ (x - a)))
     mu, converged = local_optimize(np.array([10.0, 10.0, -5.0]), target)
     assert converged
     np.testing.assert_allclose(mu, a, atol=1e-8)
@@ -42,7 +42,7 @@ def test_rosenbrock_shaped_log_density(monkeypatch):
     def logp(x):
         return -((1.0 - x[0]) ** 2) - 100.0 * (x[1] - x[0] ** 2) ** 2
 
-    target = TargetDensity(2, logp)
+    target = FunctionTarget(2, logp)
     monkeypatch.setattr(optimize, "MAX_ITERATIONS", 2000)
     monkeypatch.setattr(optimize, "GRADIENT_TOLERANCE", 1e-8)
     mu, converged = local_optimize(np.array([-1.2, 1.0]), target)
@@ -54,7 +54,7 @@ def test_budget_exhaustion_reports_not_converged(monkeypatch):
     def logp(x):
         return -((1.0 - x[0]) ** 2) - 100.0 * (x[1] - x[0] ** 2) ** 2
 
-    target = TargetDensity(2, logp)
+    target = FunctionTarget(2, logp)
     monkeypatch.setattr(optimize, "MAX_ITERATIONS", 3)
     mu, converged = local_optimize(np.array([-1.2, 1.0]), target)
     assert not converged
@@ -62,6 +62,6 @@ def test_budget_exhaustion_reports_not_converged(monkeypatch):
 
 
 def test_nonfinite_start_raises():
-    target = TargetDensity(1, lambda x: -np.inf if x[0] < 0 else -x[0] ** 2)
+    target = FunctionTarget(1, lambda x: -np.inf if x[0] < 0 else -x[0] ** 2)
     with pytest.raises(ValueError, match="not finite"):
         local_optimize(np.array([-1.0]), target)

@@ -18,6 +18,7 @@ from alps.targets.skewnormal import (LOG_2, SkewNormalMixtureTarget,
                                      skew_log_pdf_d1,
                                      skew_log_pdf_d2, skew_log_pdf_d3,
                                      skew_normal_mode_offset)
+from function_target import FunctionTarget
 from numdiff_reference import richardson_third_derivative
 
 
@@ -227,20 +228,23 @@ def test_gaussian_shape_derivatives():
     assert shape.h3() == 0.0
 
 
+CSV = os.path.join(os.path.dirname(numdiff.__file__), "targets", "data",
+                   "grunfeld.csv")
+# (parameter block, dim) of one instance of each named target
+TARGET_SPECS = {
+    "gaussian": ({"mu": [1.0, 2.0], "sigma": np.eye(2).tolist()}, 2),
+    "gaussian_mixture": ({"weights": [0.5, 0.5], "mus": [[0.0], [5.0]],
+                          "sigmas": [[[1.0]], [[1.0]]]}, 1),
+    "skew_normal_mixture_20d": ({"dim": 4, "alpha": 3.0}, 4),
+    "sur_grunfeld": ({"first_years": 15}, 15),
+    "sur_csv": ({"path": CSV, "first_years": 15}, 15),
+    "iid_product_skew": ({"dim": 3, "alpha": 10.0, "beta": 2.0}, 3),
+}
+
+
 def test_build_target_takes_each_targets_own_keys():
-    csv = os.path.join(os.path.dirname(numdiff.__file__), "targets", "data",
-                       "grunfeld.csv")
-    specs = {
-        "gaussian": ({"mu": [1.0, 2.0], "sigma": np.eye(2).tolist()}, 2),
-        "gaussian_mixture": ({"weights": [0.5, 0.5], "mus": [[0.0], [5.0]],
-                              "sigmas": [[[1.0]], [[1.0]]]}, 1),
-        "skew_normal_mixture_20d": ({"dim": 4, "alpha": 3.0}, 4),
-        "sur_grunfeld": ({"first_years": 15}, 15),
-        "sur_csv": ({"path": csv, "first_years": 15}, 15),
-        "iid_product_skew": ({"dim": 3, "alpha": 10.0, "beta": 2.0}, 3),
-    }
-    assert set(specs) == set(TARGET_PARAMS)
-    for name, (params, dim) in specs.items():
+    assert set(TARGET_SPECS) == set(TARGET_PARAMS)
+    for name, (params, dim) in TARGET_SPECS.items():
         assert set(params) == TARGET_PARAMS[name]
         assert build_target(name, params).dim == dim
     skew = build_target("iid_product_skew", {"dim": 2, "alpha": 10.0})
@@ -266,16 +270,21 @@ def special_rows(dim, rng):
 @pytest.mark.parametrize("target", [
     IidProductTarget(SkewShape(alpha=2.0), dim=20),
     IidProductTarget(SkewShape(alpha=10.0), dim=20, beta=0.3),
-    GaussianTarget(np.arange(3.0), np.diag([1.0, 2.0, 0.5])),
-], ids=["iid-alpha2", "iid-alpha10", "gaussian-loop"])
+    # the tests' row-by-row helper, on a Gaussian
+    FunctionTarget(3, lambda x: -0.5 * float((x - 1.0) @ (x - 1.0))),
+] + [build_target(name, params) for name, (params, _) in TARGET_SPECS.items()],
+    ids=["iid-alpha2", "iid-alpha10", "gaussian-loop", *TARGET_SPECS])
 def test_log_density_batch_equals_log_density_row_by_row(target):
     rng = np.random.default_rng(12)
     pool = special_rows(target.dim, rng)
     for size in (1, 3, 14):
         for _ in range(10):
             xs = pool[rng.integers(len(pool), size=size)]
-            batch = target.log_density_batch(xs)
-            rows = np.array([target.log_density(x) for x in xs])
+            # the SUR residual cross-moments of an infinite row meet
+            # inf - inf, which numpy's matmul reports as invalid
+            with np.errstate(invalid="ignore"):
+                batch = target.log_density_batch(xs)
+                rows = np.array([target.log_density(x) for x in xs])
             assert batch.shape == (size,)
             assert np.array_equal(batch, rows, equal_nan=True)
 
@@ -283,12 +292,12 @@ def test_log_density_batch_equals_log_density_row_by_row(target):
 class ColumnBatch(TargetDensity):
     """Returns its batch as an (L, 1) column instead of (L,)."""
 
-    def _log_density_rows(self, xs):
+    def _log_density_block(self, xs):
         return np.zeros((len(xs), 1))
 
 
 def test_log_density_batch_checks_shapes():
-    target = ColumnBatch(2, lambda x: 0.0)
+    target = ColumnBatch(2)
     with pytest.raises(ValueError, match="expected"):
         target.log_density_batch(np.zeros((3, 1)))
     with pytest.raises(ValueError, match=r"expected \(3,\)"):
