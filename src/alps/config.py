@@ -7,6 +7,13 @@ An optional section is switched by its presence alone: exploration runs
 unless `"exploration": null`, truncation runs only with a `"truncation"`
 object.
 
+`init` is where the chains start.  A null `init` starts them at the
+origin, except in an ALPS run, where the ladder's chains start at the
+dominant registered mode once the registry holds one, and only the hot
+chain at the origin: level 0 is never truncated, so nothing else would
+move it to where the levels above it sample.  An explicit `init` keeps
+level 0 where it is put.
+
 Some values of a run are fixed or derived rather than set, because every
 preset uses the one value:
 

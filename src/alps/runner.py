@@ -149,8 +149,10 @@ class _Run:
 
     With `hat` the levels are HAT targets on a mode registry filled from
     config.initial_modes or else by bootstrap exploration; without it
-    they are the plain powers pi^beta and there is no registry.  `radii`
-    holds each level's truncation radius: config.truncation's chi-squared
+    they are the plain powers pi^beta and there is no registry.  Chains
+    start at config.init, or at the origin when it is null; a HAT run
+    then moves its ladder's chains to the dominant registered mode.
+    `radii` holds each level's truncation radius: config.truncation's chi-squared
     quantile at the levels with beta > 1, inf elsewhere.  Chain k's
     record, its only state, is row k of the block X, logpi, qf
     (`record(k)`); the hot chain's is `hot_state`.
@@ -186,6 +188,13 @@ class _Run:
                                       f"initial_modes[{i}]")
         if hat:
             self._find_modes(x0)
+            if config.init is None:
+                # level 0 is not truncated: nothing else would move it to
+                # where the levels above it sample
+                snap = self.registry.snapshot()
+                j = int(np.argmax(snap.log_weights))
+                self.X[:] = snap.mus[j]
+                self.logpi[:] = snap.log_pi_at_modes[j]
         radius = (np.inf if config.truncation is None
                   else chi2_quantile(config.truncation.level, d))
         self.radii = np.where(betas > 1.0, radius, np.inf)

@@ -602,13 +602,13 @@ def skew_pt_case():
 # A platform whose libm or BLAS rounds differently changes them.
 PINNED_DIGESTS = {
     "alps-hat": (
-        "8033c0dff0c2a17cf04f4c4c2bfbe92e90ce1f7571a7177ee0b44af26cac2abd",
+        "67302985f0c9670d9e3f6bafd435f7e4577ea76ca439881f5fdc573988c96c45",
         "96af9fe740fb55550052c2ff71ddf71d5acc1cb74004eea0d69d23b1495fd4e0"),
     "pt-batched": (
         "0843017efdf9f18d3786afb8a3c73b97745b5d9607632ec9f903018313eb3462",
         "4fe7afd7720fd0de3791aea6035e67ff1b5a55041b90a008adc9cba563e51ed7"),
     "alps-exploring": (
-        "eae6c7368d3a1390a95be334367d6b94c3f8ce226c2d1391fae77b52bdc8e27a",
+        "3765ba0ca490e7781433a5ea5b992eeea515b0a276f05ee95175e2ada5637a69",
         "356c03e2d81bd7a5f251fbc67f2efa71a6dbd26fcf33da65acb1341003e40bb2"),
 }
 

@@ -35,10 +35,10 @@ PINNED_PRESETS = {
         "summary.json": "9f69f6fa277aed898e41cb8584458551f96d2ed51e14f4f33a675e57ff35e139"}),
     "sur-grunfeld": ("run", {"total_target_samples": 100,
                              "burnin_samples": 50}, {
-        "trace.csv": "31d2837f3b6dba482dec7591bf31a7b563d321d9f8685952b894b5a5f01d0c32",
-        "acceptance.json": "19ff3c0d69ebde8c0703e6d9ba53935a8bffc6420be265b31aca6f6d1f8c5980",
+        "trace.csv": "d0d5486380add2c1a852db2b0502023b1b48f7e623759cfd4a9a1ebb8a046665",
+        "acceptance.json": "d3d3fa36cc2ac00589345492dfc463f37ba2d595d3ef911a841aa67d6e893135",
         "modes.json": "b63719077841ff762deeb0685006b12763c94b620bb2ba790bb0477c8d337756",
-        "summary.json": "bf2488eefdf8e79aaca0c0f980781be115de66d3689c9993088f955b9276fd24"}),
+        "summary.json": "8d6b74df97acba8340a3753b8939182ef0cbf3ffb7d06901490018dc87f5ee2a"}),
 }
 
 

@@ -6,6 +6,10 @@ from scipy.linalg import block_diag
 
 from alps import numdiff
 from alps.cli import main
+from alps.config import RunConfig, deep_merge, preset_dict
+from alps.hat import chi2_quantile
+from alps.runner import alps_run
+from alps.targets import build_target
 from alps.targets.sur import (SurParseError, SurProfileTarget, load_grunfeld,
                               load_sur_csv, make_sur_data, ols_theta,
                               sur_gls_theta, sur_profile_loglik,
@@ -239,3 +243,21 @@ def test_cli_sur_fit_writes_sorted_json(tmp_path):
     assert text == json.dumps(fit, indent=2, sort_keys=True) + "\n"
     assert fit["converged"] and len(fit["theta"]) == 15
     assert fit["log_likelihood"] == fit["trajectory"][-1]
+
+
+def test_alps_with_null_init_samples_level_zero_at_the_mode():
+    # with a null init every chain of the ladder starts at the dominant
+    # registered mode, here the profile likelihood's one mode.  Level 0 is
+    # not truncated, and started at theta = 0 it stayed far outside
+    # the truncation ball of level 1 (median quad form about 2400) while
+    # the levels above it sampled the mode
+    cfg = RunConfig.from_dict(deep_merge(
+        preset_dict("sur-grunfeld"),
+        {"total_target_samples": 100, "burnin_samples": 50}))
+    assert cfg.init is None
+    samples, diag = alps_run(cfg, build_target(cfg.target.name,
+                                               cfg.target.params))
+    snap = diag.registry.snapshot()
+    qf = snap.quad_forms(samples[cfg.burnin_samples:])
+    dominant = int(np.argmax(snap.log_weights))
+    assert np.median(qf[:, dominant]) < 2.0 * chi2_quantile(0.9999, 15)
