@@ -152,9 +152,9 @@ class _Run:
     they are the plain powers pi^beta and there is no registry.  Chains
     start at config.init, or at the origin when it is null; a HAT run
     then moves its ladder's chains to the dominant registered mode.
-    `radii` holds each level's truncation radius: config.truncation's chi-squared
-    quantile at the levels with beta > 1, inf elsewhere.  Chain k's
-    record, its only state, is row k of the block X, logpi, qf
+    `radii` holds each level's truncation radius: config.truncation's
+    chi-squared quantile at the levels with beta > 1, inf elsewhere.
+    Chain k's record, its only state, is row k of the block X, logpi, qf
     (`record(k)`); the hot chain's is `hot_state`.
     """
 

@@ -280,8 +280,9 @@ def test_log_density_batch_equals_log_density_row_by_row(target):
     for size in (1, 3, 14):
         for _ in range(10):
             xs = pool[rng.integers(len(pool), size=size)]
-            # the SUR residual cross-moments of an infinite row meet
-            # inf - inf, which numpy's matmul reports as invalid
+            # at an infinite row the SUR residual cross-moments and the
+            # Gaussian quad forms meet inf - inf or inf * 0, which numpy's
+            # matmul reports as invalid
             with np.errstate(invalid="ignore"):
                 batch = target.log_density_batch(xs)
                 rows = np.array([target.log_density(x) for x in xs])
