@@ -188,17 +188,12 @@ class _Run:
                                       f"initial_modes[{i}]")
         if hat:
             self._find_modes(x0)
-            if config.init is None:
-                # level 0 is not truncated: nothing else would move it to
-                # where the levels above it sample
-                snap = self.registry.snapshot()
-                j = int(np.argmax(snap.log_weights))
-                self.X[:] = snap.mus[j]
-                self.logpi[:] = snap.log_pi_at_modes[j]
         radius = (np.inf if config.truncation is None
                   else chi2_quantile(config.truncation.level, d))
         self.radii = np.where(betas > 1.0, radius, np.inf)
-        self.build_levels()
+        # level 0 is not truncated: without an init nothing else would move
+        # it to where the levels above it sample
+        self.build_levels(restart_all=hat and config.init is None)
         # HAT proposals divide by sqrt(beta) themselves (`rwm_propose`)
         self.step_scales = RWM_INITIAL_STEP / np.sqrt(
             d * (np.ones_like(betas) if hat else betas))
@@ -296,10 +291,11 @@ class _Run:
         """Chain k's record, a view of row k of the block."""
         return ChainRecord((self.X[k], self.logpi[k], self.qf[k]))
 
-    def build_levels(self) -> None:
+    def build_levels(self, restart_all: bool = False) -> None:
         """One `Level` per beta on the current registry snapshot (plain
         powers without a registry), at its radius in `radii`; the block's
-        quad forms are recomputed against the snapshot, keeping log pi."""
+        quad forms are recomputed against the snapshot, keeping log pi.
+        With `restart_all` every chain restarts at the dominant mode."""
         snap = self.snapshot = (None if self.registry is None
                                 else self.registry.snapshot())
         self.level_targets = [
@@ -313,7 +309,7 @@ class _Run:
         mode = snap.mus[int(np.argmax(snap.log_weights))]
         values = level_values(snap, self.betas, self.logpi, self.qf,
                               self.radii)[0]
-        for k in np.flatnonzero(~np.isfinite(values)).tolist():
+        for k in np.flatnonzero(~np.isfinite(values) | restart_all).tolist():
             self.X[k], self.logpi[k], self.qf[k] = \
                 self.level_targets[k].record(mode)
 

@@ -38,7 +38,10 @@ class GaussianMixtureTarget(TargetDensity):
 
     def _components(self, xs: np.ndarray) -> np.ndarray:
         """(L, K) weighted component log densities of the rows of xs."""
-        qf = quad_forms(self._inv_chols, self.mus, xs)
+        # a row with an infinite entry meets inf * 0 in the matmul; its
+        # quad form is nan or inf either way, so say nothing about it
+        with np.errstate(invalid="ignore"):
+            qf = quad_forms(self._inv_chols, self.mus, xs)
         return self.log_w - 0.5 * (self.dim * LOG_2PI + self.log_dets + qf)
 
     def _log_density_block(self, xs: np.ndarray) -> np.ndarray:

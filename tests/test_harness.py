@@ -229,6 +229,18 @@ def test_cli_no_modes_without_exploration_is_config_error(tmp_path, capsys):
     ({"target": {"name": "iid_product_skew",
                  "params": {"dim": 1, "alpha": 10 ** 400}}},
      "bad target spec: target.params.alpha must be finite"),
+    # weights (K,), mus (K, d) and sigmas (K, d, d) must agree: two weights
+    # for one mu used to run, one sigma for two mus to end in a bare
+    # IndexError and 3 x 3 sigmas for 2-d mus in a bare ValueError
+    *[({"target": {"name": "gaussian_mixture",
+                   "params": {"weights": [0.5, 0.5], "mus": mus,
+                              "sigmas": sigmas}}},
+       "bad target spec: expected weights (K,), mus (K, d) and sigmas "
+       "(K, d, d)")
+      for mus, sigmas in (([[0.0, 0.0]], [np.eye(2).tolist()]),
+                          ([[0.0, 0.0], [3.0, 0.0]], [np.eye(2).tolist()]),
+                          ([[0.0, 0.0], [3.0, 0.0]],
+                           [np.eye(3).tolist()] * 2))],
 ])
 def test_cli_bad_settings_are_config_errors(tmp_path, capsys, override,
                                             message):
@@ -242,28 +254,6 @@ def test_cli_bad_settings_are_config_errors(tmp_path, capsys, override,
     assert main(["pt", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error") and message in err
-
-
-def test_cli_gaussian_mixture_shapes_are_config_errors(tmp_path, capsys):
-    # weights (K,), mus (K, d) and sigmas (K, d, d) must agree: two weights
-    # for one mu used to run, one sigma for two mus to end in a bare
-    # IndexError and 3 x 3 sigmas for 2-d mus in a bare ValueError
-    eye2 = np.eye(2).tolist()
-    for params in ({"weights": [0.5, 0.5], "mus": [[0.0, 0.0]],
-                    "sigmas": [eye2]},
-                   {"weights": [0.5, 0.5], "mus": [[0.0, 0.0], [3.0, 0.0]],
-                    "sigmas": [eye2]},
-                   {"weights": [0.5, 0.5], "mus": [[0.0, 0.0], [3.0, 0.0]],
-                    "sigmas": [np.eye(3).tolist()] * 2}):
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps({
-            "target": {"name": "gaussian_mixture", "params": params},
-            "ladder": {"betas": [1.0, 0.5]}, "seed": 0, "exploration": None,
-            "total_target_samples": 10}))
-        assert main(["pt", "--config", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error: bad target spec: expected "
-                              "weights (K,), mus (K, d) and sigmas (K, d, d)")
 
 
 @pytest.mark.parametrize("override", [

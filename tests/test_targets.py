@@ -267,12 +267,20 @@ def special_rows(dim, rng):
     return np.array(rows)
 
 
+# the SUR residual cross-moments of a row with an infinite entry meet
+# inf - inf; the target returns -inf or nan there, after numpy's warning
+SUR_INF_WARNING = pytest.mark.filterwarnings(
+    "ignore:invalid value encountered in matmul")
+
+
 @pytest.mark.parametrize("target", [
     IidProductTarget(SkewShape(alpha=2.0), dim=20),
     IidProductTarget(SkewShape(alpha=10.0), dim=20, beta=0.3),
     # the tests' row-by-row helper, on a Gaussian
     FunctionTarget(3, lambda x: -0.5 * float((x - 1.0) @ (x - 1.0))),
-] + [build_target(name, params) for name, (params, _) in TARGET_SPECS.items()],
+] + [pytest.param(build_target(name, params),
+                  marks=SUR_INF_WARNING if name.startswith("sur") else ())
+     for name, (params, _) in TARGET_SPECS.items()],
     ids=["iid-alpha2", "iid-alpha10", "gaussian-loop", *TARGET_SPECS])
 def test_log_density_batch_equals_log_density_row_by_row(target):
     rng = np.random.default_rng(12)
@@ -280,12 +288,8 @@ def test_log_density_batch_equals_log_density_row_by_row(target):
     for size in (1, 3, 14):
         for _ in range(10):
             xs = pool[rng.integers(len(pool), size=size)]
-            # at an infinite row the SUR residual cross-moments and the
-            # Gaussian quad forms meet inf - inf or inf * 0, which numpy's
-            # matmul reports as invalid
-            with np.errstate(invalid="ignore"):
-                batch = target.log_density_batch(xs)
-                rows = np.array([target.log_density(x) for x in xs])
+            batch = target.log_density_batch(xs)
+            rows = np.array([target.log_density(x) for x in xs])
             assert batch.shape == (size,)
             assert np.array_equal(batch, rows, equal_nan=True)
 
