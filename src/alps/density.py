@@ -65,10 +65,10 @@ class TargetDensity:
         return float(self.log_density_batch(xs)[0])
 
     def gradient(self, x: Vector) -> Vector:
-        return numdiff.central_gradient(self.log_density,
-                                        np.asarray(x, dtype=float))
+        """Central first differences, the stencil one block."""
+        return numdiff.central_gradient(self.log_density_batch, x)
 
     def hessian(self, x: Vector) -> np.ndarray:
-        """Central second differences, symmetrized as (H + H^T)/2."""
-        return numdiff.central_hessian(self.log_density,
-                                       np.asarray(x, dtype=float))
+        """Central second differences, the stencil one block, symmetrized
+        as (H + H^T)/2."""
+        return numdiff.central_hessian(self.log_density_batch, x)

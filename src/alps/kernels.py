@@ -34,15 +34,20 @@ An RWM step is three parts: `rwm_propose` forms the proposal from a
 drawn z ~ N(0, I), the caller scores its record, and `rwm_decide`
 accepts or rejects.  Both work on a block of rows, one chain each: the
 RWM phase moves every level of the ladder in one block, one repetition
-at a time.  `rwm_core` draws z, then u, and composes the three for a
-single chain, a block of one row, so there is one RWM formula.
+at a time.  On HAT levels a proposal that changes its allocation steps
+by another mode's factor on the way back, so its ratio takes a Hastings
+term; `rwm_decide` scores the terms of all such rows of a block as one
+block (`_step_log_densities`).  `rwm_core` draws z, then u, and
+composes the three for a single chain, a block of one row, so there is
+one RWM formula.
 
 The mode leap is an independence proposal from the registry's Laplace
 mixture at the level's temperature, so its proposals do not depend on
 the chain: `mode_leap_core` draws a chain's n leaps as one block
 (`mixture_propose`, then the n uniforms), scores the block with one
-batch evaluation, and then decides the n leaps in order on scalars
-already computed.
+batch evaluation and the mixture densities of the block and of the
+chain's state with one `mixture_log_density` call, and then decides the
+n leaps in order on scalars already computed.
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ from __future__ import annotations
 import numpy as np
 
 from .hat import ChainRecord, gaussian_log_pdf_terms, level_values, quad_forms
-from .linalg import LOG_2PI, logsumexp_1d, solve_lower
+from .linalg import logsumexp_rows
 from .registry import RegistrySnapshot
 
 
@@ -60,12 +65,17 @@ def _accept(log_ratio, log_u):
     return log_u < log_ratio
 
 
-def _proposal_log_density(diff: np.ndarray, chol: np.ndarray, log_det: float,
-                          scale: float) -> float:
-    d = diff.shape[0]
-    z = solve_lower(chol, diff) / scale
-    return -0.5 * (d * LOG_2PI + log_det + 2.0 * d * np.log(scale)
-                   + float(z @ z))
+def _step_log_densities(snapshot: RegistrySnapshot, a: np.ndarray,
+                        steps: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """log N(step | 0, scale^2 Sigma_a) of each row of an (m, dim) block of
+    RWM steps, a its (m,) modes and scale its (m, 1) proposal scales, up
+    to the terms that cancel in a Hastings ratio of two such densities
+    at one scale, d log 2 pi and 2 d log scale: -0.5 (log|Sigma_a| +
+    |L_a^{-1} step / scale|^2), the cached inverses applied by one
+    broadcast `matmul`.  A step and its reverse, -step, have the same
+    value at one mode."""
+    z = np.matmul(snapshot.inv_chols[a], steps[..., None])[..., 0] / scale
+    return -0.5 * (snapshot.log_dets[a] + (z * z).sum(axis=-1))
 
 
 def rwm_propose(x: np.ndarray, snapshot: RegistrySnapshot | None, beta,
@@ -101,14 +111,14 @@ def rwm_decide(x: np.ndarray, logp_x: np.ndarray, a_x: np.ndarray,
         log_ratio = logp_y - logp_x
     if snapshot is not None:
         # allocation changed: the frozen-L proposal is no longer
-        # symmetric, so apply the Hastings correction
-        for i in np.flatnonzero((a_y != a_x) & np.isfinite(logp_y)).tolist():
-            diff = y[i] - x[i]
-            fwd = _proposal_log_density(diff, snapshot.chols[a_x[i]],
-                                        snapshot.log_dets[a_x[i]], scale[i])
-            rev = _proposal_log_density(-diff, snapshot.chols[a_y[i]],
-                                        snapshot.log_dets[a_y[i]], scale[i])
-            log_ratio[i] += rev - fwd
+        # symmetric, so apply the Hastings correction, the reverse
+        # step's density over the forward one's, to all such rows at once
+        rows = np.flatnonzero((a_y != a_x) & np.isfinite(logp_y))
+        if rows.size:
+            step, scale = y[rows] - x[rows], scale[rows, None]
+            log_ratio[rows] += (
+                _step_log_densities(snapshot, a_y[rows], step, scale)
+                - _step_log_densities(snapshot, a_x[rows], step, scale))
     return _accept(log_ratio, log_u)
 
 
@@ -188,13 +198,14 @@ def mixture_propose(snapshot: RegistrySnapshot, beta: float, n: int,
 
 
 def mixture_log_density(snapshot: RegistrySnapshot, beta: float,
-                        qf: np.ndarray) -> float:
-    """Log density at temperature beta of the registry's Laplace mixture
-    at a point, from the point's quad forms qf."""
+                        qf: np.ndarray) -> np.ndarray:
+    """Log densities at temperature beta of the registry's Laplace
+    mixture at a block of points, from their (L, J) quad forms qf; (L,),
+    one `logsumexp_rows` over the block."""
     if snapshot.n_modes == 0:
         raise ValueError("no modes discovered")
-    return logsumexp_1d(snapshot.log_weights
-                        + gaussian_log_pdf_terms(snapshot, qf, beta))
+    return logsumexp_rows(snapshot.log_weights
+                          + gaussian_log_pdf_terms(snapshot, qf, beta))
 
 
 def mode_leap_core(rec: ChainRecord, target, n: int,
@@ -205,11 +216,12 @@ def mode_leap_core(rec: ChainRecord, target, n: int,
     The draws are the n proposals (`mixture_propose` at the level's beta)
     and then the n decision uniforms.  The proposals' records and values
     come from one `log_density_batch`, one quad-form and one block
-    `level_values` call, and their mixture densities from one
-    `mixture_log_density` per row.  Then the leaps are decided in order:
-    leap r compares log u_r with the independence-sampler log ratio
-    (logp(y_r) + log q(x)) - (logp(x) + log q(y_r)) from the chain's
-    current state x, which an accepted leap replaces.
+    `level_values` call, and their mixture densities, with the current
+    state's, from one `mixture_log_density` call.  Then the leaps are
+    decided in order: leap r compares log u_r with the
+    independence-sampler log ratio (logp(y_r) + log q(x)) - (logp(x) +
+    log q(y_r)) from the chain's current state x, which an accepted leap
+    replaces.
     """
     snapshot, beta = target.snapshot, target.beta
     y = mixture_propose(snapshot, beta, n, rng)
@@ -218,9 +230,9 @@ def mode_leap_core(rec: ChainRecord, target, n: int,
     qf_y = quad_forms(snapshot, y)
     logp_y = level_values(snapshot, np.full(n, beta), logpi_y, qf_y,
                           np.full(n, target.radius))[0].tolist()
-    lq_y = [mixture_log_density(snapshot, beta, qf) for qf in qf_y]
+    lq_x, *lq_y = mixture_log_density(snapshot, beta,
+                                      np.vstack((rec.qf, qf_y))).tolist()
     logp_x = target.value(rec)[0]
-    lq_x = mixture_log_density(snapshot, beta, rec.qf)
     accepted = 0
     for r in range(n):
         if _accept((logp_y[r] + lq_x) - (logp_x + lq_y[r]), log_u[r]):

@@ -16,7 +16,6 @@ factors and solves through these functions.
 from __future__ import annotations
 
 import functools
-import math
 
 import numpy as np
 
@@ -57,22 +56,15 @@ def log_det_from_chol(chol: np.ndarray) -> float:
     return float(2.0 * np.sum(np.log(np.diag(chol))))
 
 
-def logsumexp_1d(a: np.ndarray) -> float:
-    """logsumexp of a 1-d array without scipy's broadcasting machinery.
-
-    The general scipy implementation costs more than the target density
-    itself on the few-component arrays the kernels produce.
-    """
-    m = a.max()
-    if not math.isfinite(m):
-        return float(m)
-    return float(m) + math.log(np.exp(a - m).sum())
-
-
 def logsumexp_rows(a: np.ndarray) -> np.ndarray:
-    """logsumexp over the last axis of an (L, K) array, row by row, with
-    the arithmetic of `logsumexp_1d`: a row's max plus the log of its
-    shifted exponentials' sum, or its max where that is not finite."""
+    """logsumexp over the last axis of an (L, K) array, row by row: a
+    row's max plus the log of its shifted exponentials' sum, or its max
+    where that is not finite.  A caller scores a 1-d array a as the
+    one-row block a[None].
+
+    Written out rather than scipy's, whose general broadcasting costs
+    more than the target density itself on the few-component arrays
+    the kernels produce."""
     m = a.max(axis=-1)
     finite = np.isfinite(m)
     if finite.all():

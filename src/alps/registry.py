@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (IndefiniteMatrixError, chol_lower, log_det_from_chol,
-                     logsumexp_1d, quad_forms, solve_lower)
+                     logsumexp_rows, quad_forms, solve_lower)
 
 logger = logging.getLogger(__name__)
 
@@ -95,7 +95,7 @@ def approximate_log_weights(modes: list[ModeInfo]) -> np.ndarray:
     if not modes:
         raise ValueError("no modes")
     raw = np.array([m.log_pi_at_mode + 0.5 * m.log_det_sigma for m in modes])
-    return raw - logsumexp_1d(raw)
+    return raw - logsumexp_rows(raw[None])[0]
 
 
 def pseudo_distance(a: ModeInfo, b: ModeInfo) -> float:

@@ -295,7 +295,11 @@ class _Run:
         """One `Level` per beta on the current registry snapshot (plain
         powers without a registry), at its radius in `radii`; the block's
         quad forms are recomputed against the snapshot, keeping log pi.
-        With `restart_all` every chain restarts at the dominant mode."""
+
+        The chains whose value is not finite at their level, or with
+        `restart_all` every chain, restart at the dominant mode point:
+        its record comes from one `log_density` and one quad-form call
+        and is written to their rows in one masked assignment."""
         snap = self.snapshot = (None if self.registry is None
                                 else self.registry.snapshot())
         self.level_targets = [
@@ -306,12 +310,12 @@ class _Run:
             return
         # states stranded outside a (new) truncation region restart at the
         # dominant mode point, whose HAT value is finite at every level
-        mode = snap.mus[int(np.argmax(snap.log_weights))]
-        values = level_values(snap, self.betas, self.logpi, self.qf,
-                              self.radii)[0]
-        for k in np.flatnonzero(~np.isfinite(values) | restart_all).tolist():
-            self.X[k], self.logpi[k], self.qf[k] = \
-                self.level_targets[k].record(mode)
+        stranded = restart_all | ~np.isfinite(level_values(
+            snap, self.betas, self.logpi, self.qf, self.radii)[0])
+        if stranded.any():
+            mode = snap.mus[int(np.argmax(snap.log_weights))]
+            self.X[stranded], self.logpi[stranded], self.qf[stranded] = (
+                mode, self.target.log_density(mode), quad_forms(snap, mode))
 
     def visit_ends(self, sweep: int) -> None:
         """From the freeze on, note which chains sit at levels 0 and n; a

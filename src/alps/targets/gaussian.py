@@ -9,8 +9,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..density import TargetDensity
-from ..linalg import (LOG_2PI, chol_lower, log_det_from_chol, logsumexp_1d,
-                      logsumexp_rows, quad_forms, solve_lower, spd_solve)
+from ..linalg import (LOG_2PI, chol_lower, log_det_from_chol, logsumexp_rows,
+                      quad_forms, solve_lower, spd_solve)
 
 
 class GaussianMixtureTarget(TargetDensity):
@@ -49,7 +49,7 @@ class GaussianMixtureTarget(TargetDensity):
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         lp = self._components(np.asarray(x, dtype=float)[None])[0]
-        r = np.exp(lp - logsumexp_1d(lp))
+        r = np.exp(lp - logsumexp_rows(lp[None])[0])
         g = np.zeros(self.dim)
         for k in range(self.mus.shape[0]):
             g += r[k] * spd_solve(self.chols[k], self.mus[k] - x)

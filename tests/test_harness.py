@@ -28,6 +28,7 @@ from alps.scaling import predicted_acceptance
 from alps.targets import build_target
 from alps.targets.gaussian import GaussianMixtureTarget, GaussianTarget
 from alps.targets.product import IidProductTarget, SkewShape
+import kernel_reference
 from function_target import FunctionTarget
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -509,7 +510,8 @@ def test_pt_run_swaps_evaluate_no_density(monkeypatch):
 
 def reference_rwm_core_alloc(x, logp_x, target, step_scale, z, u, a_x=None):
     """One RWM step as a single function on its drawn z and u: propose,
-    evaluate, then decide with the scalar kernel."""
+    evaluate, then decide on scalars, a flipped allocation's Hastings
+    term by triangular solves."""
     log_u = np.log(u)
     snapshot = getattr(target, "snapshot", None)
     if snapshot is None:
@@ -529,12 +531,8 @@ def reference_rwm_core_alloc(x, logp_x, target, step_scale, z, u, a_x=None):
     logp_y, a_y = target.value_and_alloc(y)
     log_ratio = logp_y - logp_x
     if a_y != a_x and np.isfinite(logp_y):
-        diff = y - x
-        fwd = kernels._proposal_log_density(diff, snapshot.chols[a_x],
-                                            snapshot.log_dets[a_x], scale)
-        rev = kernels._proposal_log_density(-diff, snapshot.chols[a_y],
-                                            snapshot.log_dets[a_y], scale)
-        log_ratio += rev - fwd
+        log_ratio += kernel_reference.hastings_term(snapshot, y - x, a_x, a_y,
+                                                    scale)
     if kernels._accept(log_ratio, log_u):
         return y, logp_y, a_y, True
     return x, logp_x, a_x, False
@@ -631,22 +629,26 @@ def gaussian_pt_case():
                          ids=["alps-hat", "pt-batched", "pt-loop"])
 def test_lockstep_rwm_phase_equals_level_by_level_reference(monkeypatch, case):
     run_fn, cfg, target = case()
-    corrections = []
-    proposal_log_density = kernels._proposal_log_density
-    monkeypatch.setattr(kernels, "_proposal_log_density",
-                        lambda *a: corrections.append(None)
-                        or proposal_log_density(*a))
+    # the rows whose Hastings term the block decision scores, each in
+    # two blocks (reverse and forward steps), and the reference's terms
+    rows, terms = [], []
+    step_log_densities = kernels._step_log_densities
+    monkeypatch.setattr(kernels, "_step_log_densities",
+                        lambda *a: rows.extend(a[1])
+                        or step_log_densities(*a))
+    hastings_term = kernel_reference.hastings_term
+    monkeypatch.setattr(kernel_reference, "hastings_term",
+                        lambda *a: terms.append(None) or hastings_term(*a))
     samples, diag = run_fn(cfg, target)
-    lockstep_corrections = len(corrections)
     monkeypatch.setattr(runner, "_rwm_phase", reference_rwm_phase)
     ref_samples, ref_diag = run_fn(cfg, target)
     np.testing.assert_array_equal(samples, ref_samples)
     assert diag.counters == ref_diag.counters
     assert diag.tuned_step_scales == ref_diag.tuned_step_scales
     assert diag.mode_visits_level0 == ref_diag.mode_visits_level0
-    assert len(corrections) == 2 * lockstep_corrections
+    assert len(rows) == 2 * len(terms)
     if run_fn is alps_run:  # the Hastings correction ran
-        assert lockstep_corrections > 0
+        assert terms
 
 
 def reference_leap_phase(run, t):
@@ -667,10 +669,10 @@ def reference_leap_phase(run, t):
         y = reference_mixture_draw(snap, beta, C[r], Z[r])
         logp_y = level.log_density(y)
         log_ratio = (
-            (logp_y + kernels.mixture_log_density(snap, beta,
-                                                  snap.quad_forms(x)))
-            - (logp + kernels.mixture_log_density(snap, beta,
-                                                  snap.quad_forms(y))))
+            (logp_y + kernel_reference.mixture_log_density(
+                snap, beta, snap.quad_forms(x)))
+            - (logp + kernel_reference.mixture_log_density(
+                snap, beta, snap.quad_forms(y))))
         accepted = bool(kernels._accept(log_ratio, np.log(U[r])))
         if accepted:
             x, logp = y, logp_y

@@ -6,15 +6,18 @@ from scipy.integrate import quad
 from scipy.stats import norm
 
 from alps import kernels, runner
-from alps.config import RunConfig
+from alps.config import V, RunConfig
 from alps.diagnostics import SWAP_QUANTA
 from alps.hat import Level, level_values
 from alps.kernels import (mixture_log_density, mixture_propose,
                           mode_leap_core, quanta_swap_core, quanta_transform,
                           rwm_core, rwm_decide, standard_swap_core)
 from alps.registry import ModeRegistry, make_mode_info, try_insert
-from alps.targets.gaussian import GaussianTarget
+from alps.targets.gaussian import GaussianMixtureTarget, GaussianTarget
 from function_target import FunctionTarget
+from kernel_reference import hastings_term
+from kernel_reference import mixture_log_density as \
+    reference_mixture_log_density
 
 
 class StubRng:
@@ -95,12 +98,7 @@ def reference_rwm_decide(x, logp_x, a_x, y, u, logp_y, a_y, snapshot,
     correction where a finite proposal changed its allocation."""
     log_ratio = logp_y - logp_x
     if a_y != a_x and np.isfinite(logp_y):
-        diff = y - x
-        fwd = kernels._proposal_log_density(diff, snapshot.chols[a_x],
-                                            snapshot.log_dets[a_x], scale)
-        rev = kernels._proposal_log_density(-diff, snapshot.chols[a_y],
-                                            snapshot.log_dets[a_y], scale)
-        log_ratio += rev - fwd
+        log_ratio += hastings_term(snapshot, y - x, a_x, a_y, scale)
     return bool(np.log(u) < log_ratio)
 
 
@@ -128,15 +126,25 @@ def test_block_rwm_decide_equals_the_row_by_row_reference(monkeypatch):
     u = rng.random(n)
     scale = rng.uniform(0.5, 2.0, n)
     corrections = []
-    proposal_log_density = kernels._proposal_log_density
-    monkeypatch.setattr(kernels, "_proposal_log_density",
-                        lambda *a: corrections.append(None)
-                        or proposal_log_density(*a))
+    step_log_densities = kernels._step_log_densities
+    monkeypatch.setattr(kernels, "_step_log_densities",
+                        lambda *a: corrections.append(a[1:])
+                        or step_log_densities(*a))
     got = rwm_decide(x, logp_x, a_x, y, np.log(u), logp_y, a_y, snapshot,
                      scale)
     flipped = (a_y != a_x) & np.isfinite(logp_y)
-    assert len(corrections) == 2 * flipped.sum() > 0
-    assert (a_y != a_x)[~np.isfinite(logp_y)].any()
+    assert flipped.any() and (a_y != a_x)[~np.isfinite(logp_y)].any()
+    # the correction is one block of exactly the flipped finite rows:
+    # their reverse steps' densities, then their forward ones'
+    assert len(corrections) == 2
+    for (a, step, s), alloc in zip(corrections, (a_y, a_x)):
+        assert np.array_equal(a, alloc[flipped])
+        assert np.array_equal(step, y[flipped] - x[flipped])
+        assert np.array_equal(s, scale[flipped, None])
+    # a block without flipped finite rows computes no correction
+    kept = np.where(flipped, a_x, a_y)
+    rwm_decide(x, logp_x, a_x, y, np.log(u), logp_y, kept, snapshot, scale)
+    assert len(corrections) == 2
     expected = [reference_rwm_decide(
         x[i], logp_x.tolist()[i], int(a_x[i]), y[i], u.tolist()[i],
         logp_y.tolist()[i], int(a_y[i]), snapshot, scale.tolist()[i])
@@ -388,23 +396,25 @@ def test_mixture_propose_tempered_scale():
 def test_mixture_log_density_well_separated():
     snap = two_mode_snapshot()
     # registered weights are (2/3, 1/3); at y = 0 the far mode contributes
-    # nothing beyond rounding
-    val = mixture_log_density(snap, 1.0, snap.quad_forms(np.array([0.0])))
-    expected = np.log(2.0 / 3.0) - 0.5 * np.log(2.0 * np.pi)
-    assert abs(val - expected) < 1e-10
-    val1 = mixture_log_density(snap, 1.0, snap.quad_forms(np.array([10.0])))
-    expected1 = np.log(1.0 / 3.0) - 0.5 * np.log(2.0 * np.pi)
-    assert abs(val1 - expected1) < 1e-10
+    # nothing beyond rounding, and at y = 10 the near one
+    val = mixture_log_density(snap, 1.0,
+                              snap.quad_forms(np.array([[0.0], [10.0]])))
+    expected = np.log([2.0 / 3.0, 1.0 / 3.0]) - 0.5 * np.log(2.0 * np.pi)
+    assert val.shape == (2,)
+    np.testing.assert_allclose(val, expected, rtol=0.0, atol=1e-10)
 
 
 def test_mixture_log_density_integrates_against_proposals():
-    # density consistency: empirical mean of exp(log q) weights is finite
+    # density consistency on the mixture's own draws: finite everywhere,
+    # and each row the one-point density of its point
     snap = two_mode_snapshot()
     rng = np.random.default_rng(6)
     ys = mixture_propose(snap, 4.0, 200, rng)
-    vals = np.array([mixture_log_density(snap, 4.0, snap.quad_forms(y))
-                     for y in ys])
-    assert np.all(np.isfinite(vals))
+    vals = mixture_log_density(snap, 4.0, snap.quad_forms(ys))
+    assert vals.shape == (200,) and np.all(np.isfinite(vals))
+    np.testing.assert_allclose(
+        vals, [reference_mixture_log_density(snap, 4.0, snap.quad_forms(y))
+               for y in ys], rtol=1e-15, atol=0.0)
 
 
 def test_leap_exact_gaussian_always_accepts():
@@ -421,6 +431,68 @@ def test_leap_exact_gaussian_always_accepts():
     # the state is the last proposal, its record scored by the block
     assert rec.logpi == target.base.log_density(rec.x)
     np.testing.assert_array_equal(rec.qf, target.snapshot.quad_forms(rec.x))
+
+
+# Two 3-d modes of unequal shape, weights 0.7 / 0.3, about 50 standard
+# deviations apart: in floating point the HAT level at beta is then the
+# mixture sum_j w_j N(mu_j, Sigma_j / beta), so it has exact draws.
+EXACT_WEIGHTS = np.array([0.7, 0.3])
+EXACT_MUS = np.array([[0.0, 0.0, 0.0], [50.0, 20.0, -10.0]])
+EXACT_SIGMAS = np.array([[[1.0, 0.3, 0.0], [0.3, 0.5, 0.1], [0.0, 0.1, 0.8]],
+                         [[0.4, -0.1, 0.0], [-0.1, 1.2, 0.2],
+                          [0.0, 0.2, 0.6]]])
+EXACT_BETA = 16.0
+# 13 statistics: the first mode's share, then each mode's standardized
+# coordinate means and variances; a two-sided Bonferroni bound at 1%
+EXACT_BOUND = float(norm.ppf(1.0 - 0.01 / (2 * 13)))
+
+
+def exact_start_leap_statistics(n: int, seed: int) -> np.ndarray:
+    """z statistics of n chains started at exact draws of the HAT level
+    and moved by one call of V leaps each: the binomial z of the first
+    mode's share, then per mode the means times sqrt(n_j) and the
+    variances' deviations from 1 over sqrt(2 / n_j) of the coordinates
+    standardized by the level's Sigma_j / beta.  Each is about N(0, 1)
+    when the leaps keep the level."""
+    target = GaussianMixtureTarget(EXACT_WEIGHTS, EXACT_MUS, EXACT_SIGMAS)
+    reg = ModeRegistry(dim=3)
+    for mu, sigma in zip(EXACT_MUS, EXACT_SIGMAS):
+        reg, _ = try_insert(reg, make_mode_info(mu, sigma,
+                                                target.log_density(mu)))
+    level = Level(target, EXACT_BETA, reg.snapshot())
+    rng = np.random.default_rng(seed)
+    chols = np.linalg.cholesky(EXACT_SIGMAS) / np.sqrt(EXACT_BETA)
+    j = (rng.random(n) >= EXACT_WEIGHTS[0]).astype(int)
+    starts = EXACT_MUS[j] + np.matmul(chols[j],
+                                      rng.standard_normal((n, 3, 1)))[..., 0]
+    ends = np.array([mode_leap_core(level.record(x), level, V, rng)[0].x
+                     for x in starts])
+    mode = np.argmin(((ends[:, None] - EXACT_MUS) ** 2).sum(axis=-1), axis=1)
+    w = EXACT_WEIGHTS[0]
+    stats = [((mode == 0).mean() - w) / np.sqrt(w * (1.0 - w) / n)]
+    for k in range(2):
+        z = np.linalg.solve(chols[k], (ends[mode == k] - EXACT_MUS[k]).T).T
+        m = len(z)
+        stats += list(z.mean(axis=0) * np.sqrt(m))
+        stats += list((z.var(axis=0, ddof=1) - 1.0) / np.sqrt(2.0 / m))
+    return np.array(stats)
+
+
+def test_leaps_from_exact_draws_keep_the_hat_level():
+    # the leap is an independence sampler that leaves the level
+    # invariant, so chains started at exact draws end at exact draws
+    stats = exact_start_leap_statistics(4000, seed=19)
+    assert np.all(np.abs(stats) < EXACT_BOUND), stats
+
+
+def test_a_leap_without_its_proposal_density_fails_the_exact_start_check(
+        monkeypatch):
+    # a leap that drops log q(x) - log q(y) from its ratio samples
+    # pi * q, here the level squared, with half its variances
+    monkeypatch.setattr(kernels, "mixture_log_density",
+                        lambda snapshot, beta, qf: np.zeros(len(qf)))
+    stats = exact_start_leap_statistics(4000, seed=19)
+    assert np.any(np.abs(stats) > EXACT_BOUND), stats
 
 
 def test_quanta_is_exact_across_widely_spaced_betas():

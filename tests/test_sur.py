@@ -8,9 +8,11 @@ from alps import numdiff
 from alps.cli import main
 from alps.config import RunConfig, deep_merge, preset_dict
 from alps.hat import chi2_quantile
+from alps.optimize import local_optimize
 from alps.runner import alps_run
 from alps.targets import build_target
-from alps.targets.sur import (SurParseError, SurProfileTarget, load_grunfeld,
+from alps.targets.sur import (SurParseError, SurProfileTarget,
+                              UnidentifiableSystemError, load_grunfeld,
                               load_sur_csv, make_sur_data, ols_theta,
                               sur_gls_theta, sur_profile_loglik,
                               sur_sigma_hat, zellner_iterate)
@@ -107,7 +109,7 @@ def test_profile_target_gradient():
     target = SurProfileTarget(data)
     rng = np.random.default_rng(11)
     theta = ols_theta(data) + 0.05 * rng.standard_normal(data.dim)
-    g = numdiff.central_gradient(target.log_density, theta)
+    g = numdiff.central_gradient(target.log_density_batch, theta)
     np.testing.assert_allclose(target.gradient(theta), g, atol=1e-5)
 
 
@@ -243,6 +245,43 @@ def test_cli_sur_fit_writes_sorted_json(tmp_path):
     assert text == json.dumps(fit, indent=2, sort_keys=True) + "\n"
     assert fit["converged"] and len(fit["theta"]) == 15
     assert fit["log_likelihood"] == fit["trajectory"][-1]
+
+
+def dispersed_ascents(data, n=12):
+    """(converged, log pi at the end) of BFGS ascents on the profile
+    likelihood of `data` from n starts dispersed about the Zellner fit
+    of the 15-year panel: theta (1 + N(0, 0.5^2)) + N(0, 1), seed 0."""
+    theta = zellner_iterate(load_grunfeld(15)).theta
+    target = SurProfileTarget(data)
+    rng = np.random.default_rng(0)
+    ends = []
+    for _ in range(n):
+        x0 = (theta * (1.0 + rng.normal(0.0, 0.5, theta.size))
+              + rng.normal(0.0, 1.0, theta.size))
+        mu, converged = local_optimize(x0, target)
+        ends.append((converged, target.log_density(mu)))
+    return ends
+
+
+def test_grunfeld_profile_likelihood_has_one_mode_at_fifteen_years():
+    # the bundled panel at its default length is unimodal: every
+    # dispersed ascent ends at the Zellner fixed point
+    data = load_grunfeld(15)
+    zellner = sur_profile_loglik(zellner_iterate(data).theta, data)
+    assert abs(zellner - (-263.7295)) < 1e-4
+    for converged, logpi in dispersed_ascents(data):
+        assert converged and abs(logpi - zellner) < 1e-6
+
+
+def test_grunfeld_profile_likelihood_has_no_mode_found_at_ten_years():
+    # with 10 years for 5 equations of 3 covariates the ascents climb
+    # toward a singular residual covariance, where the profile
+    # likelihood has no bound: Zellner's GLS step meets a singular
+    # normal matrix, and no ascent converges
+    data = load_grunfeld(10)
+    with pytest.raises(UnidentifiableSystemError):
+        zellner_iterate(data)
+    assert not any(converged for converged, _ in dispersed_ascents(data))
 
 
 def test_alps_with_null_init_samples_level_zero_at_the_mode():

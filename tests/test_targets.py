@@ -108,9 +108,9 @@ def test_mixture_gradient_and_hessian_match_finite_differences():
     rng = np.random.default_rng(0)
     for _ in range(3):
         x = target.component_locations[2] + rng.standard_normal(4)
-        g = numdiff.central_gradient(target.log_density, x)
+        g = numdiff.central_gradient(target.log_density_batch, x)
         np.testing.assert_allclose(target.gradient(x), g, atol=1e-5)
-        h = numdiff.central_hessian(target.log_density, x)
+        h = numdiff.central_hessian(target.log_density_batch, x)
         np.testing.assert_allclose(target.hessian(x), h, atol=1e-4)
 
 
@@ -171,7 +171,7 @@ def test_gaussian_mixture_matches_scipy():
         oracle = logsumexp([np.log(wk) + stats.multivariate_normal.logpdf(
             x, mean=m, cov=s) for wk, m, s in zip(w, mus, sigmas)])
         np.testing.assert_allclose(target.log_density(x), oracle, rtol=1e-12)
-        g = numdiff.central_gradient(target.log_density, x)
+        g = numdiff.central_gradient(target.log_density_batch, x)
         np.testing.assert_allclose(target.gradient(x), g, atol=1e-5)
 
 

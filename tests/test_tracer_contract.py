@@ -144,6 +144,7 @@ level.log_density(np.zeros(2))
 level.allocate_index(np.zeros(2))
 print(json.dumps({{
     "run": run_calls, "probe": {{name: t.calls(name) for name in names}},
+    "mixture_log_density": t.calls("kernels.mixture_log_density"),
     "truncated": int(np.isfinite(run.radii).sum()),
     "modes": diag.registry.n_modes, "sweeps": diag.n_sweeps}}))
 """
@@ -198,3 +199,6 @@ def test_traced_truncated_alps_run_calls_no_patched_level_method():
     # one direct call of each is counted once per alias
     assert counts["probe"] == {"hat.value_and_alloc": 2,
                                "hat.allocate_index": 2, "hat.log_density": 2}
+    # a leap phase scores the mixture densities of its V proposals and
+    # of the chain's state in one call
+    assert counts["mixture_log_density"] == SWEEPS
