@@ -44,12 +44,15 @@ class RunDiagnostics:
     def __post_init__(self):
         self.samples = np.empty((self.capacity, self.dim))
 
-    def count(self, move: str, level: int, accepts: int,
-              proposals: int = 1) -> None:
-        """Add `accepts` accepted out of `proposals` moves to the tally."""
-        cell = self.counters[(move, level)]
-        cell[0] += int(accepts)
-        cell[1] += proposals
+    def count(self, move: str, levels, accepts, proposals: int = 1) -> None:
+        """Add accepts[i] accepted out of `proposals` moves at levels[i] to
+        the tally, for a block of levels; a scalar level and its accepts
+        count one."""
+        for level, acc in zip(np.atleast_1d(levels).tolist(),
+                              np.atleast_1d(accepts).tolist()):
+            cell = self.counters[(move, level)]
+            cell[0] += int(acc)
+            cell[1] += proposals
 
     def record_sample(self, x: np.ndarray) -> None:
         self.samples[self.n_recorded] = x

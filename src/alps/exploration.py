@@ -86,7 +86,7 @@ def mfind(x: np.ndarray, registry: ModeRegistry, base: TargetDensity,
             log_cb(record)
         return mu, registry, False
     try:
-        sigma, _, _ = covariance_from_hessian(hessian_at(base, mu))
+        sigma = covariance_from_hessian(hessian_at(base, mu))
         candidate = make_mode_info(mu, sigma, base.log_density(mu))
     except (IndefiniteHessianError, ValueError) as err:
         logger.warning("candidate mode rejected: %s", err)

@@ -35,8 +35,7 @@ class ChainRecord(tuple):
     Built from one tuple, `ChainRecord((x, logpi, qf))`, by tuple's own
     constructor, a fraction of the cost of a NamedTuple's: the hot chain
     builds one per step.  The ladder's chains keep theirs as the rows of
-    the run's block, and a phase takes one as a view of a row
-    (`runner._Run.record`).
+    the run's block, and its phases and kernels take rows, not records.
     """
 
     __slots__ = ()
@@ -107,13 +106,15 @@ def level_values(snapshot: RegistrySnapshot | None, beta: np.ndarray,
 
 
 class Level:
-    """A ladder level at inverse temperature beta: its value at a chain
-    record is `level_values`.
+    """One level at inverse temperature beta as an object: its value at a
+    chain record is `level_values`.
 
-    Without a snapshot (J = 0) it is the plain power pi^beta: the levels
-    of the parallel-tempering baseline and the hot exploration chains,
-    where no mode information is available.  On a registry snapshot it is
-    the HAT target; a finite `radius` restricts it to the allocated mode's
+    A run builds one, the target of its hot exploration chain; the
+    ladder's levels are the run's arrays (betas, radii and its snapshot,
+    `runner._Run`), which its phases price with `level_values` directly.
+    Without a snapshot (J = 0) a level is the plain power pi^beta, where
+    no mode information is available.  On a registry snapshot it is the
+    HAT target; a finite `radius` restricts it to the allocated mode's
     Mahalanobis ball, in squared-Mahalanobis units of that mode's
     untempered Sigma.
     """

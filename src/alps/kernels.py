@@ -2,27 +2,30 @@
 
 Random-walk Metropolis, standard and transformation-aided (QuanTA)
 temperature swaps, and mode leaps from the registry's Gaussian mixture.
-Moves follow from the level (`hat.Level`): a level on a registry
-snapshot (HAT, truncated or not) gives mode-local RWM steps and QuanTA
-swaps about its mode points, a level without one (a plain power) gets
-the plain random walk and standard swaps.  All acceptance ratios are
-formed and compared in log space.
+Moves follow from the level, its beta, its radius and the run's
+registry snapshot or none: a level on a snapshot (HAT, truncated or
+not) gives mode-local RWM steps and QuanTA swaps about its mode points,
+a level without one (a plain power) gets the plain random walk and
+standard swaps.  All acceptance ratios are formed and compared in log
+space.
 
-Each chain carries its record (x, log pi(x), qf(x)) (`hat.ChainRecord`).
-`rwm_core` takes the chain's level value beside the record and returns
-the new one, so a caller making many moves reads it off the record
-(`level.value`) once; `mode_leap_core`, which makes all of a sweep's
-leaps in one call, reads it itself.  The swaps take what they need of
-the chains from their caller, which reads it off the block:
-`standard_swap_core` decides a block of pairs at once from four level
-values per pair (the chains' own values and those of the records
-proposed at each level), a standard swap proposing the other chain's
-record and a QuanTA swap its image; `quanta_swap_core` builds and
-scores those images, a block of states rescaled about their allocated
-modes, and decides nothing.  A kernel evaluates the base density and
-the quad forms once per new point, at the point's record; every other
-value, allocation and mixture density it needs at a carried state it
-reads from the state's record.
+Each chain carries its record (x, log pi(x), qf(x)).  The ladder's
+chains keep theirs as the rows of the run's block, and the ladder
+kernels take what they need of them from their caller, which reads it
+off the block: `mode_leap_core`, which makes all of a sweep's leaps in
+one call, takes one chain's row and the level's beta and radius and
+returns the new row; `standard_swap_core` decides a block of pairs at
+once from four level values per pair (the chains' own values and those
+of the records proposed at each level), a standard swap proposing the
+other chain's record and a QuanTA swap its image; `quanta_swap_core`
+builds and scores those images, a block of states rescaled about their
+allocated modes, and decides nothing.  `rwm_core`, the hot chain's
+step, takes the chain's record (`hat.ChainRecord`) and its level value
+beside it and returns the new ones, so a caller making many moves
+reads the value off the record (`level.value`) once.  A kernel
+evaluates the base density and the quad forms once per new point, at
+the point's record; every other value, allocation and mixture density
+it needs at a carried state it reads from the state's record.
 
 Each decision takes exactly one uniform u and compares log u with the
 log ratio; a NaN ratio rejects.  The RWM and swap decisions take log u,
@@ -45,16 +48,17 @@ The mode leap is an independence proposal from the registry's Laplace
 mixture at the level's temperature, so its proposals do not depend on
 the chain: `mode_leap_core` draws a chain's n leaps as one block
 (`mixture_propose`, then the n uniforms), scores the block with one
-batch evaluation and the mixture densities of the block and of the
-chain's state with one `mixture_log_density` call, and then decides the
-n leaps in order on scalars already computed.
+batch evaluation, prices the block and the chain's state with one
+`level_values` call and their mixture densities with one
+`mixture_log_density` call, and then decides the n leaps in order on
+scalars already computed.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .hat import ChainRecord, gaussian_log_pdf_terms, level_values, quad_forms
+from .hat import gaussian_log_pdf_terms, level_values, quad_forms
 from .linalg import logsumexp_rows
 from .registry import RegistrySnapshot
 
@@ -122,11 +126,12 @@ def rwm_decide(x: np.ndarray, logp_x: np.ndarray, a_x: np.ndarray,
     return _accept(log_ratio, log_u)
 
 
-def rwm_core(rec: ChainRecord, logp_x: float, target, step_scale: float,
+def rwm_core(rec, logp_x: float, target, step_scale: float,
              rng: np.random.Generator):
-    """One RWM step of a single chain: draw z, then u, and propose ->
-    score -> decide, the decision on a block of one row; returns
-    (record', logp', accepted)."""
+    """One RWM step of a single chain, its record `rec` (a
+    `hat.ChainRecord`) at the level `target`: draw z, then u, and
+    propose -> score -> decide, the decision on a block of one row;
+    returns (record', logp', accepted)."""
     x = rec.x
     z = rng.standard_normal(x.shape[0])
     log_u = np.log(rng.random())
@@ -208,35 +213,36 @@ def mixture_log_density(snapshot: RegistrySnapshot, beta: float,
                           + gaussian_log_pdf_terms(snapshot, qf, beta))
 
 
-def mode_leap_core(rec: ChainRecord, target, n: int,
-                   rng: np.random.Generator):
-    """n mode leaps of one chain at the HAT level `target`, drawn and
-    scored as one block; returns (record', leaps accepted).
+def mode_leap_core(base, snapshot: RegistrySnapshot, beta: float,
+                   radius: float, x: np.ndarray, logpi: float, qf: np.ndarray,
+                   n: int, rng: np.random.Generator):
+    """n mode leaps of one chain, its record (x, logpi, qf), at the HAT
+    level of `snapshot`, beta and radius, drawn and scored as one block;
+    returns ((x', logpi', qf'), leaps accepted).
 
-    The draws are the n proposals (`mixture_propose` at the level's beta)
-    and then the n decision uniforms.  The proposals' records and values
-    come from one `log_density_batch`, one quad-form and one block
-    `level_values` call, and their mixture densities, with the current
-    state's, from one `mixture_log_density` call.  Then the leaps are
-    decided in order: leap r compares log u_r with the
-    independence-sampler log ratio (logp(y_r) + log q(x)) - (logp(x) +
-    log q(y_r)) from the chain's current state x, which an accepted leap
-    replaces.
+    The draws are the n proposals (`mixture_propose` at beta) and then
+    the n decision uniforms.  The proposals' records come from one
+    `log_density_batch` and one quad-form call; the level values of the
+    chain's state and of the proposals come from one `level_values` call
+    on the n + 1 records, and their mixture densities from one
+    `mixture_log_density` call.  Then the leaps are decided in order:
+    leap r compares log u_r with the independence-sampler log ratio
+    (logp(y_r) + log q(x)) - (logp(x) + log q(y_r)) from the chain's
+    current state x, which an accepted leap replaces.
     """
-    snapshot, beta = target.snapshot, target.beta
     y = mixture_propose(snapshot, beta, n, rng)
     log_u = np.log(rng.random(n)).tolist()
-    logpi_y = target.base.log_density_batch(y)
+    logpi_y = base.log_density_batch(y)
     qf_y = quad_forms(snapshot, y)
-    logp_y = level_values(snapshot, np.full(n, beta), logpi_y, qf_y,
-                          np.full(n, target.radius))[0].tolist()
-    lq_x, *lq_y = mixture_log_density(snapshot, beta,
-                                      np.vstack((rec.qf, qf_y))).tolist()
-    logp_x = target.value(rec)[0]
+    qf_all = np.vstack((qf, qf_y))
+    logp_x, *logp_y = level_values(snapshot, np.full(n + 1, beta),
+                                   np.r_[logpi, logpi_y], qf_all,
+                                   radius)[0].tolist()
+    lq_x, *lq_y = mixture_log_density(snapshot, beta, qf_all).tolist()
     accepted = 0
     for r in range(n):
         if _accept((logp_y[r] + lq_x) - (logp_x + lq_y[r]), log_u[r]):
-            rec = ChainRecord((y[r], float(logpi_y[r]), qf_y[r]))
+            x, logpi, qf = y[r], logpi_y[r], qf_y[r]
             logp_x, lq_x = logp_y[r], lq_y[r]
             accepted += 1
-    return rec, accepted
+    return (x, logpi, qf), accepted

@@ -64,8 +64,8 @@ def make_mode_info(mu: np.ndarray, sigma: np.ndarray,
                     log_det_sigma=log_det_from_chol(chol))
 
 
-def covariance_from_hessian(hess: np.ndarray):
-    """(sigma, sigma_chol, log_det_sigma) with sigma = -hess^{-1}.
+def covariance_from_hessian(hess: np.ndarray) -> np.ndarray:
+    """sigma = -hess^{-1}, which `make_mode_info` factors.
 
     Inversion goes through the Cholesky factor of -hess.  A single
     jitter retry (1e-10 * max |diag|) absorbs near-semidefinite cases;
@@ -85,9 +85,7 @@ def covariance_from_hessian(hess: np.ndarray):
     # sigma = L^{-T} L^{-1} for -hess = L L^T
     inv_chol = solve_lower(chol_neg, np.eye(neg.shape[0]))
     sigma = inv_chol.T @ inv_chol
-    sigma = 0.5 * (sigma + sigma.T)
-    sigma_chol = chol_lower(sigma)
-    return sigma, sigma_chol, log_det_from_chol(sigma_chol)
+    return 0.5 * (sigma + sigma.T)
 
 
 def approximate_log_weights(modes: list[ModeInfo]) -> np.ndarray:

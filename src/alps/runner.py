@@ -29,10 +29,11 @@ its own record (`hat.ChainRecord`).  A phase reads the level values it
 needs off the block when it starts (`hat.level_values`, which evaluates
 no density) and keeps them only while it runs; it updates the block in
 place.  Only new points are evaluated.  A registry rebuild recomputes
-qf and keeps log pi.  Every level, and the target of the hot chain, is
-one `hat.Level`: a plain power without a snapshot, a HAT level on the
-run's current snapshot, truncated at a finite radius (the levels with
-beta > 1 when config.truncation is set).
+qf and keeps log pi.  A level is its beta, its radius and the run's
+current snapshot, and nothing else: a plain power without a snapshot,
+a HAT level on the snapshot, truncated at a finite radius (the levels
+with beta > 1 when config.truncation is set).  The hot chain's target,
+a plain power, is one `hat.Level`.
 
 The RWM phase draws all of a sweep's RWM randomness from the sweep's
 RWM stream in two calls: first Z ~ N(0, I) of shape (V, L, dim), then
@@ -94,7 +95,7 @@ from .density import TargetDensity
 from .diagnostics import (HOT, LEAP, RWM, SWAP_QUANTA, SWAP_STANDARD,
                           RunDiagnostics)
 from .exploration import NOT_CONVERGED, REJECTED, mfind
-from .hat import ChainRecord, Level, chi2_quantile, level_values, quad_forms
+from .hat import Level, chi2_quantile, level_values, quad_forms
 from .kernels import (mixture_propose, mode_leap_core, quanta_swap_core,
                       rwm_core, rwm_propose, standard_swap_core)
 # perfbench/tracer.py counts the RWM phase's block decisions, one per
@@ -154,8 +155,8 @@ class _Run:
     then moves its ladder's chains to the dominant registered mode.
     `radii` holds each level's truncation radius: config.truncation's
     chi-squared quantile at the levels with beta > 1, inf elsewhere.
-    Chain k's record, its only state, is row k of the block X, logpi, qf
-    (`record(k)`); the hot chain's is `hot_state`.
+    Chain k's record, its only state, is row k of the block X, logpi,
+    qf; the hot chain's is `hot_state`.
     """
 
     def __init__(self, config: RunConfig, target: TargetDensity,
@@ -287,14 +288,10 @@ class _Run:
                  "n_modes": self.registry.n_modes})
         return found
 
-    def record(self, k: int) -> ChainRecord:
-        """Chain k's record, a view of row k of the block."""
-        return ChainRecord((self.X[k], self.logpi[k], self.qf[k]))
-
     def build_levels(self, restart_all: bool = False) -> None:
-        """One `Level` per beta on the current registry snapshot (plain
-        powers without a registry), at its radius in `radii`; the block's
-        quad forms are recomputed against the snapshot, keeping log pi.
+        """Take the registry's current snapshot (none without a
+        registry) for the levels; the block's quad forms are recomputed
+        against it, keeping log pi.
 
         The chains whose value is not finite at their level, or with
         `restart_all` every chain, restart at the dominant mode point:
@@ -302,9 +299,6 @@ class _Run:
         and is written to their rows in one masked assignment."""
         snap = self.snapshot = (None if self.registry is None
                                 else self.registry.snapshot())
-        self.level_targets = [
-            Level(self.target, beta, snap, radius)
-            for beta, radius in zip(self.betas.tolist(), self.radii.tolist())]
         self.qf = quad_forms(snap, self.X)
         if snap is None:
             return
@@ -373,8 +367,7 @@ def _rwm_phase(run: _Run, t: int) -> None:
         np.copyto(qf, qf_y, where=acc[:, None])
         accepted += acc
         run.diag.record_sample(X[0])
-    for k, acc in enumerate(accepted.tolist()):
-        run.diag.count(RWM, k, acc, V)
+    run.diag.count(RWM, np.arange(betas.size), accepted, V)
     run.tune(accepted / V, t)
 
 
@@ -383,8 +376,9 @@ def _leap_phase(run: _Run, t: int) -> None:
     module docstring)."""
     n = run.n
     run.stage = f"leap level {n}"
-    rec, accepted = mode_leap_core(run.record(n), run.level_targets[n], V,
-                                   run.factory.stream(LEAP_STREAM, t))
+    rec, accepted = mode_leap_core(
+        run.target, run.snapshot, run.betas[n], run.radii[n], run.X[n],
+        run.logpi[n], run.qf[n], V, run.factory.stream(LEAP_STREAM, t))
     run.X[n], run.logpi[n], run.qf[n] = rec
     run.diag.count(LEAP, n, accepted, V)
 
@@ -423,8 +417,7 @@ def _swap_phase(run: _Run, t: int) -> None:
             # its chain's allocation (Tawn & Roberts 2018)
             kept = allocs == a_x
             accepted &= kept[:m] & kept[m:]
-        for k, acc in zip(lower.tolist(), accepted.tolist()):
-            run.diag.count(move, k, acc)
+        run.diag.count(move, lower, accepted)
         taken = np.concatenate((accepted, accepted))
         rows = levels[taken]
         X[rows], logpi[rows], qf[rows] = x[taken], lp[taken], q[taken]

@@ -29,7 +29,7 @@ TARGET_PARAMS = {
     "skew_normal_mixture_20d": {"dim", "alpha"},
     "sur_grunfeld": {"first_years"},
     "sur_csv": {"path", "first_years"},
-    "iid_product_skew": {"dim", "alpha", "beta"},
+    "iid_product_skew": {"dim", "alpha"},
 }
 
 
@@ -37,8 +37,8 @@ def build_target(name: str, params: dict | None = None) -> TargetDensity:
     """Construct a named target from a config parameter block.
 
     Unknown target names and parameter keys are errors, and so are a
-    `dim` that is not an integer, an `alpha` or `beta` that is not a
-    finite number, and a `first_years` that is not a positive integer or
+    `dim` that is not an integer, an `alpha` that is not a finite
+    number, and a `first_years` that is not a positive integer or
     null (all years).
     """
     params = dict(params or {})
@@ -56,9 +56,8 @@ def build_target(name: str, params: dict | None = None) -> TargetDensity:
                                      params["sigmas"])
     if "dim" in params:
         _require_int(params["dim"], "target.params.dim")
-    for key in ("alpha", "beta"):
-        if key in params:
-            _require_number(params[key], f"target.params.{key}")
+    if "alpha" in params:
+        _require_number(params["alpha"], "target.params.alpha")
     if params.get("first_years") is not None:
         _require_int(params["first_years"], "target.params.first_years")
         if params["first_years"] < 1:
@@ -76,5 +75,4 @@ def build_target(name: str, params: dict | None = None) -> TargetDensity:
         return SurProfileTarget(data)
     # iid_product_skew
     shape = SkewShape(alpha=float(params.get("alpha", 2.0)))
-    return IidProductTarget(shape, dim=params["dim"],
-                            beta=float(params.get("beta", 1.0)))
+    return IidProductTarget(shape, dim=params["dim"])

@@ -1,4 +1,4 @@
-"""Iid product targets pi_beta(x) proportional to prod f(x_i)^beta.
+"""Iid product targets pi(x) proportional to prod f(x_i).
 
 Used by the cold-temperature scaling experiment, and as the
 `iid_product_skew` target, the 20-d product that the `pt-skew` benchmark
@@ -39,19 +39,16 @@ def check_shape(h: Callable) -> None:
 
 
 class IidProductTarget(TargetDensity):
-    """log pi(x) = beta * sum_i h(x_i) with h(0) = 0 and the max at 0."""
+    """log pi(x) = sum_i h(x_i) with h(0) = 0 and the max at 0."""
 
-    def __init__(self, h: Callable, dim: int, beta: float = 1.0):
-        if beta <= 0:
-            raise ValueError("beta must be positive")
+    def __init__(self, h: Callable, dim: int):
         check_shape(h)
         super().__init__(dim=dim, name="iid_product")
         self.h = h
-        self.beta = float(beta)
 
     def _log_density_block(self, xs: np.ndarray) -> np.ndarray:
         # h is elementwise; each row is summed over its own axis
-        return (self.beta * self.h(xs)).sum(axis=1)
+        return self.h(xs).sum(axis=1)
 
 
 class SkewShape:

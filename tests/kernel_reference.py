@@ -8,12 +8,16 @@ triangular solve with every normalizing term kept, and the mixture
 density by scipy's logsumexp.  Block and one-point forms may round
 differently in the last bit, so tests compare the decisions they lead
 to, not the log ratios.
+
+A run keeps its ladder as arrays; `run_level` and `row_record` give
+the references one level and one chain of it as the objects that price
+one record.
 """
 
 import numpy as np
 from scipy.special import logsumexp
 
-from alps.hat import gaussian_log_pdf_terms
+from alps.hat import ChainRecord, Level, gaussian_log_pdf_terms
 from alps.linalg import LOG_2PI, solve_lower
 
 
@@ -40,3 +44,13 @@ def mixture_log_density(snapshot, beta, qf):
     at one point, from its (J,) quad forms."""
     return float(logsumexp(snapshot.log_weights
                            + gaussian_log_pdf_terms(snapshot, qf, beta)))
+
+
+def run_level(run, k):
+    """Level k of a run's ladder as a `hat.Level`."""
+    return Level(run.target, run.betas[k], run.snapshot, run.radii[k])
+
+
+def row_record(run, k):
+    """Chain k's record, a view of row k of the run's block."""
+    return ChainRecord((run.X[k], run.logpi[k], run.qf[k]))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from alps import exploration
 from alps.exploration import hessian_at, hot_step, mfind
 from alps.hat import Level
 from alps.kernels import rwm_core
@@ -128,6 +129,20 @@ def test_mfind_log_callback_fields():
                                "min_pseudo_distance", "status"}
     assert records[0]["found_new"] is True
     assert records[0]["status"] == "inserted"
+
+
+def test_mfind_rejects_a_covariance_that_does_not_factor(monkeypatch):
+    # a Sigma that does not factor fails in make_mode_info, its one
+    # factorization, and the search logs the candidate as rejected
+    base = GaussianTarget(np.zeros(2), np.eye(2))
+    monkeypatch.setattr(exploration, "covariance_from_hessian",
+                        lambda hess: np.diag([1.0, -1.0]))
+    records = []
+    _, registry, found = mfind(np.zeros(2), ModeRegistry(dim=2), base,
+                               log_cb=records.append)
+    assert not found and registry.n_modes == 0
+    assert records[0]["status"] == "rejected"
+    assert "failing pivot index 1" in records[0]["reason"]
 
 
 def test_benchmark_hot_chain_finds_all_modes():

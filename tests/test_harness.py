@@ -30,6 +30,7 @@ from alps.targets.gaussian import GaussianMixtureTarget, GaussianTarget
 from alps.targets.product import IidProductTarget, SkewShape
 import kernel_reference
 from function_target import FunctionTarget
+from kernel_reference import row_record, run_level
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
@@ -140,9 +141,11 @@ def test_cli_no_modes_without_exploration_is_config_error(tmp_path, capsys):
     ({"target": {"name": "iid_product_skew",
                  "params": {"dim": 1, "alpha": "10"}}},
      "bad target spec: target.params.alpha must be a number"),
+    # tempering is a ladder level's job: the product has no beta
     ({"target": {"name": "iid_product_skew",
                  "params": {"dim": 1, "beta": True}}},
-     "bad target spec: target.params.beta must be a number"),
+     "bad target spec: unknown parameter(s) ['beta'] for target "
+     "'iid_product_skew'"),
     ({"truncation": {"level": "high"}}, "truncation"),
     ({"target": {"name": "iid_product_skew",
                  "params": {"dim": 1, "alpah": 10.0}}}, "alpah"),
@@ -318,9 +321,6 @@ def test_build_levels_truncates_exactly_the_levels_above_one(run_fn, betas,
     radius = np.inf if truncation is None else chi2_quantile(0.99, 2)
     expected = [radius if beta > 1.0 else np.inf for beta in betas]
     assert run.radii.tolist() == expected
-    assert [level.radius for level in run.level_targets] == expected
-    # every level shares the run's snapshot, also after a rebuild
-    assert all(level.snapshot is run.snapshot for level in run.level_targets)
     if run_fn is pt_run:
         assert run.snapshot is None
         return
@@ -329,8 +329,8 @@ def test_build_levels_truncates_exactly_the_levels_above_one(run_fn, betas,
     assert inserted
     run.build_levels()
     assert run.snapshot.n_modes == 2
-    assert all(level.snapshot is run.snapshot for level in run.level_targets)
-    assert [level.radius for level in run.level_targets] == expected
+    # a rebuild keeps the radii
+    assert run.radii.tolist() == expected
 
 
 def test_alps_run_exploration_needs_hot_temperature():
@@ -501,7 +501,8 @@ def test_pt_run_swaps_evaluate_no_density(monkeypatch):
     watched("_swap_phase", lambda *_: (), True)
     watched("standard_swap_core", lambda *_: (), False)
     watched("quanta_swap_core", lambda base, snap, x, *_: tuple(x), True)
-    watched("mode_leap_core", lambda a, *_: (a.x,), True)
+    watched("mode_leap_core", lambda base, snap, beta, radius, x, *_: (x,),
+            True)
     watched("_hat_visits", lambda run, t: (run.X[0], run.X[run.n]), False)
     run_fn(cfg, target)
     assert min(calls.values()) > 0 and len(calls) == 5
@@ -552,16 +553,16 @@ def reference_rwm_phase(run, t):
         accepted = 0
         a_k = None
         x = run.X[k]
-        logp = run.level_targets[k].value(run.record(k))[0]
+        level = run_level(run, k)
+        logp = level.value(row_record(run, k))[0]
         for r in range(V):
             x, logp, a_k, acc = reference_rwm_core_alloc(
-                x, logp, run.level_targets[k], run.step_scales[k], Z[r, k],
-                U[r, k], a_k)
+                x, logp, level, run.step_scales[k], Z[r, k], U[r, k], a_k)
             accepted += int(acc)
             run.diag.count(RWM, k, acc)
             if k == 0:
                 run.diag.record_sample(x)
-        run.X[k], run.logpi[k], run.qf[k] = run.level_targets[k].record(x)
+        run.X[k], run.logpi[k], run.qf[k] = level.record(x)
         rates[k] = accepted / V
     run.tune(rates, t)
 
@@ -657,7 +658,7 @@ def reference_leap_phase(run, t):
     drawn block, evaluates its proposal and both mixture densities on its
     own, and is decided by the scalar kernel; the chain's record is
     evaluated afresh at its last state."""
-    n, level = run.n, run.level_targets[run.n]
+    n, level = run.n, run_level(run, run.n)
     snap, beta = level.snapshot, level.beta
     rng = run.factory.stream(runner.LEAP_STREAM, t)
     C = rng.random(V)
@@ -770,10 +771,11 @@ def test_build_levels_restarts_stranded_states_at_the_dominant_mode():
     np.testing.assert_array_equal(run.X[0], start)
     snap = run.snapshot
     mode = snap.mus[int(np.argmax(snap.log_weights))]
-    for k, level in enumerate(run.level_targets[1:], start=1):
+    for k in range(1, run.n + 1):
+        level = run_level(run, k)
         assert level.value(level.record(start))[0] == -np.inf
         np.testing.assert_array_equal(run.X[k], mode)
-        assert np.isfinite(level.value(run.record(k))[0])
+        assert np.isfinite(level.value(row_record(run, k))[0])
 
 
 class FailingBatch(TargetDensity):
@@ -868,8 +870,8 @@ def reference_swap_phase(run, t):
         move, swap = SWAP_QUANTA, reference_quanta_swap_core
     else:
         move, swap = SWAP_STANDARD, reference_standard_swap_core
-    targets = run.level_targets
-    logps = [target.value(run.record(k))[0]
+    targets = [run_level(run, k) for k in range(n + 1)]
+    logps = [target.value(row_record(run, k))[0]
              for k, target in enumerate(targets)]
     for k in deo_order(n):
         u = draws[k]
@@ -931,10 +933,11 @@ def test_every_sweep_swaps_the_even_pairs_then_the_odd(monkeypatch, case):
     swaps = []
     count = runner.RunDiagnostics.count
 
-    def recorded(diag, move, level, accepts, proposals=1):
+    def recorded(diag, move, levels, accepts, proposals=1):
+        # a block call counts its levels in order
         if move in (SWAP_STANDARD, SWAP_QUANTA):
-            swaps.append((move, level))
-        count(diag, move, level, accepts, proposals)
+            swaps.extend((move, k) for k in np.atleast_1d(levels).tolist())
+        count(diag, move, levels, accepts, proposals)
     monkeypatch.setattr(runner.RunDiagnostics, "count", recorded)
     _, diag = run_fn(cfg, target)
     n = cfg.n_swaps
@@ -984,7 +987,7 @@ def reference_mfind(x_hot, registry, base, cfg, rng, count, log_cb=None):
             log_cb(record)
         return x_hot, registry, False
     try:
-        sigma, _, _ = covariance_from_hessian(exploration.hessian_at(base, mu))
+        sigma = covariance_from_hessian(exploration.hessian_at(base, mu))
         candidate = make_mode_info(mu, sigma, base.log_density(mu))
     except (IndefiniteHessianError, ValueError) as err:
         record.update(status="rejected", reason=str(err))
@@ -1007,8 +1010,7 @@ def reference_register_point_as_mode(point, target, registry):
     if not converged:
         return
     try:
-        sigma, _, _ = covariance_from_hessian(exploration.hessian_at(target,
-                                                                     mu))
+        sigma = covariance_from_hessian(exploration.hessian_at(target, mu))
     except (ValueError, IndefiniteHessianError):
         return
     try_insert(registry, make_mode_info(mu, sigma, target.log_density(mu)))

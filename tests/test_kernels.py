@@ -18,6 +18,7 @@ from function_target import FunctionTarget
 from kernel_reference import hastings_term
 from kernel_reference import mixture_log_density as \
     reference_mixture_log_density
+from kernel_reference import row_record, run_level
 
 
 class StubRng:
@@ -261,7 +262,7 @@ def test_swap_phase_rejects_a_quanta_pair_that_changes_allocation():
     run.X[:] = [[0.5], [4.0]]
     run.logpi[:] = base.log_density_batch(run.X)
     run.build_levels()
-    snap, (t_k, t_k1) = run.snapshot, run.level_targets
+    snap, t_k, t_k1 = run.snapshot, run_level(run, 0), run_level(run, 1)
     before = run.X.copy(), run.logpi.copy(), run.qf.copy()
 
     class Draws:
@@ -274,8 +275,8 @@ def test_swap_phase_rejects_a_quanta_pair_that_changes_allocation():
               quanta_transform(run.X[0], 1.0, 4.0, snap.mus[0]))
     log_ratio = ((t_k.value_and_alloc(images[0])[0]
                   + t_k1.value_and_alloc(images[1])[0])
-                 - (t_k.value(run.record(0))[0]
-                    + t_k1.value(run.record(1))[0]))
+                 - (t_k.value(row_record(run, 0))[0]
+                    + t_k1.value(row_record(run, 1))[0]))
     assert np.log(np.nextafter(0.0, 1.0)) < log_ratio
     runner._swap_phase(run, 0)
     assert run.diag.counters[(SWAP_QUANTA, 0)] == [0, 1]
@@ -425,12 +426,15 @@ def test_leap_exact_gaussian_always_accepts():
     a = rng.standard_normal((3, 3))
     sigma = a @ a.T + 3 * np.eye(3)
     target = gaussian_hat(mu, sigma, 256.0)
-    x = target.record(mu + 0.01 * rng.standard_normal(3))
-    rec, accepted = mode_leap_core(x, target, 500, rng)
+    base, snap = target.base, target.snapshot
+    x = mu + 0.01 * rng.standard_normal(3)
+    (x, logpi, qf), accepted = mode_leap_core(
+        base, snap, 256.0, np.inf, x, base.log_density(x),
+        snap.quad_forms(x), 500, rng)
     assert accepted == 500
     # the state is the last proposal, its record scored by the block
-    assert rec.logpi == target.base.log_density(rec.x)
-    np.testing.assert_array_equal(rec.qf, target.snapshot.quad_forms(rec.x))
+    assert logpi == base.log_density(x)
+    np.testing.assert_array_equal(qf, snap.quad_forms(x))
 
 
 # Two 3-d modes of unequal shape, weights 0.7 / 0.3, about 50 standard
@@ -442,33 +446,51 @@ EXACT_SIGMAS = np.array([[[1.0, 0.3, 0.0], [0.3, 0.5, 0.1], [0.0, 0.1, 0.8]],
                          [[0.4, -0.1, 0.0], [-0.1, 1.2, 0.2],
                           [0.0, 0.2, 0.6]]])
 EXACT_BETA = 16.0
+
+
+def exact_bound(count: int) -> float:
+    """A two-sided Bonferroni bound at 1% on `count` z statistics."""
+    return float(norm.ppf(1.0 - 0.01 / (2 * count)))
+
+
 # 13 statistics: the first mode's share, then each mode's standardized
-# coordinate means and variances; a two-sided Bonferroni bound at 1%
-EXACT_BOUND = float(norm.ppf(1.0 - 0.01 / (2 * 13)))
+# coordinate means and variances
+EXACT_BOUND = exact_bound(13)
 
 
-def exact_start_leap_statistics(n: int, seed: int) -> np.ndarray:
-    """z statistics of n chains started at exact draws of the HAT level
-    and moved by one call of V leaps each: the binomial z of the first
-    mode's share, then per mode the means times sqrt(n_j) and the
-    variances' deviations from 1 over sqrt(2 / n_j) of the coordinates
-    standardized by the level's Sigma_j / beta.  Each is about N(0, 1)
-    when the leaps keep the level."""
-    target = GaussianMixtureTarget(EXACT_WEIGHTS, EXACT_MUS, EXACT_SIGMAS)
-    reg = ModeRegistry(dim=3)
-    for mu, sigma in zip(EXACT_MUS, EXACT_SIGMAS):
-        reg, _ = try_insert(reg, make_mode_info(mu, sigma,
-                                                target.log_density(mu)))
-    level = Level(target, EXACT_BETA, reg.snapshot())
-    rng = np.random.default_rng(seed)
-    chols = np.linalg.cholesky(EXACT_SIGMAS) / np.sqrt(EXACT_BETA)
-    j = (rng.random(n) >= EXACT_WEIGHTS[0]).astype(int)
-    starts = EXACT_MUS[j] + np.matmul(chols[j],
-                                      rng.standard_normal((n, 3, 1)))[..., 0]
-    ends = np.array([mode_leap_core(level.record(x), level, V, rng)[0].x
-                     for x in starts])
+def exact_target():
+    return GaussianMixtureTarget(EXACT_WEIGHTS, EXACT_MUS, EXACT_SIGMAS)
+
+
+def power_weights(beta: float) -> np.ndarray:
+    """The weights of pi^beta, the mixture of the Sigma_j / beta: w_j^beta
+    |Sigma_j|^((1 - beta) / 2), normalized."""
+    raw = EXACT_WEIGHTS ** beta * np.linalg.det(EXACT_SIGMAS) ** (
+        0.5 * (1.0 - beta))
+    return raw / raw.sum()
+
+
+def exact_draws(n: int, beta: float, weights: np.ndarray,
+                rng: np.random.Generator) -> np.ndarray:
+    """n exact draws of sum_j weights_j N(mu_j, Sigma_j / beta): the n
+    component uniforms, then one (n, 3) block of z."""
+    chols = np.linalg.cholesky(EXACT_SIGMAS) / np.sqrt(beta)
+    j = (rng.random(n) >= weights[0]).astype(int)
+    return EXACT_MUS[j] + np.matmul(chols[j],
+                                    rng.standard_normal((n, 3, 1)))[..., 0]
+
+
+def exact_statistics(ends: np.ndarray, beta: float,
+                     weights: np.ndarray) -> np.ndarray:
+    """z statistics of n states against sum_j weights_j N(mu_j, Sigma_j /
+    beta): the binomial z of the first mode's share, then per mode the
+    means times sqrt(n_j) and the variances' deviations from 1 over
+    sqrt(2 / n_j) of the coordinates standardized by Sigma_j / beta.
+    Each is about N(0, 1) when the states are exact draws."""
+    n = len(ends)
+    chols = np.linalg.cholesky(EXACT_SIGMAS) / np.sqrt(beta)
     mode = np.argmin(((ends[:, None] - EXACT_MUS) ** 2).sum(axis=-1), axis=1)
-    w = EXACT_WEIGHTS[0]
+    w = weights[0]
     stats = [((mode == 0).mean() - w) / np.sqrt(w * (1.0 - w) / n)]
     for k in range(2):
         z = np.linalg.solve(chols[k], (ends[mode == k] - EXACT_MUS[k]).T).T
@@ -476,6 +498,23 @@ def exact_start_leap_statistics(n: int, seed: int) -> np.ndarray:
         stats += list(z.mean(axis=0) * np.sqrt(m))
         stats += list((z.var(axis=0, ddof=1) - 1.0) / np.sqrt(2.0 / m))
     return np.array(stats)
+
+
+def exact_start_leap_statistics(n: int, seed: int) -> np.ndarray:
+    """`exact_statistics` of n chains started at exact draws of the HAT
+    level and moved by one call of V leaps each."""
+    target = exact_target()
+    reg = ModeRegistry(dim=3)
+    for mu, sigma in zip(EXACT_MUS, EXACT_SIGMAS):
+        reg, _ = try_insert(reg, make_mode_info(mu, sigma,
+                                                target.log_density(mu)))
+    snap = reg.snapshot()
+    rng = np.random.default_rng(seed)
+    starts = exact_draws(n, EXACT_BETA, EXACT_WEIGHTS, rng)
+    ends = np.array([mode_leap_core(
+        target, snap, EXACT_BETA, np.inf, x, target.log_density(x),
+        snap.quad_forms(x), V, rng)[0][0] for x in starts])
+    return exact_statistics(ends, EXACT_BETA, EXACT_WEIGHTS)
 
 
 def test_leaps_from_exact_draws_keep_the_hat_level():
@@ -493,6 +532,98 @@ def test_a_leap_without_its_proposal_density_fails_the_exact_start_check(
                         lambda snapshot, beta, qf: np.zeros(len(qf)))
     stats = exact_start_leap_statistics(4000, seed=19)
     assert np.any(np.abs(stats) > EXACT_BOUND), stats
+
+
+def exact_run(betas: np.ndarray, hat: bool, seed: int) -> runner._Run:
+    """A run whose N chains are the rows of its block, at the levels
+    betas; sweep 0 is past the freeze, so nothing is tuned, and the
+    registry holds the two modes."""
+    config = RunConfig.from_dict({
+        "target": {"name": "gaussian_mixture"}, "ladder": {"betas": [1.0]},
+        "seed": seed, "exploration": None, "burnin_samples": 0,
+        "total_target_samples": V, "initial_modes": EXACT_MUS.tolist()})
+    return runner._Run(config, exact_target(), betas, hat=hat)
+
+
+def acceptance(run: runner._Run) -> float:
+    accepts, proposals = np.sum(list(run.diag.counters.values()), axis=0)
+    return accepts / proposals
+
+
+def exact_start_rwm_statistics(n: int, seed: int):
+    """`exact_statistics` of n chains of one run at the HAT level at
+    EXACT_BETA, started at exact draws and moved by one RWM phase, V
+    steps each; and the phase's acceptance rate."""
+    run = exact_run(np.full(n, EXACT_BETA), hat=True, seed=seed)
+    X = exact_draws(n, EXACT_BETA, EXACT_WEIGHTS, np.random.default_rng(seed))
+    run.X[:], run.logpi[:] = X, run.target.log_density_batch(X)
+    run.qf[:] = run.snapshot.quad_forms(X)
+    runner._rwm_phase(run, 0)
+    return exact_statistics(run.X, EXACT_BETA, EXACT_WEIGHTS), acceptance(run)
+
+
+def test_rwm_phase_from_exact_draws_keeps_the_hat_level():
+    # every row of the block is a chain at the same HAT level, which is
+    # the exact mixture at EXACT_BETA; mode-local steps with their
+    # Hastings terms keep it
+    stats, rate = exact_start_rwm_statistics(4000, seed=23)
+    assert np.all(np.abs(stats) < EXACT_BOUND), stats
+    assert 0.2 < rate < 0.5
+
+
+def test_an_always_accepting_rwm_fails_the_exact_start_check(monkeypatch):
+    monkeypatch.setattr(runner, "rwm_core_alloc",
+                        lambda x, *_: np.ones(len(x), dtype=bool))
+    stats, rate = exact_start_rwm_statistics(4000, seed=23)
+    assert rate == 1.0
+    assert np.any(np.abs(stats) > EXACT_BOUND), stats
+
+
+# the rows' betas of the swap check: mirrored, so the even pairs (1, 0.5)
+# and (0.5, 1) and the odd pairs (0.5, 0.5) and (1, 1) do not undo each
+# other's exchanges
+SWAP_BETAS = (1.0, 0.5, 0.5, 1.0)
+
+
+def exact_start_swap_statistics(n: int, seed: int):
+    """`exact_statistics` at beta 1 and at beta 0.5 of the chains of one
+    PT run whose rows sit at the mirrored betas SWAP_BETAS, started at
+    exact draws of pi^beta and moved by one swap phase; and the phase's
+    acceptance rate."""
+    betas = np.tile(SWAP_BETAS, n // 4)
+    run = exact_run(betas, hat=False, seed=seed)
+    rng = np.random.default_rng(seed)
+    for beta in (1.0, 0.5):
+        run.X[betas == beta] = exact_draws(n // 2, beta, power_weights(beta),
+                                           rng)
+    run.logpi[:] = run.target.log_density_batch(run.X)
+    runner._swap_phase(run, 0)
+    stats = np.concatenate([
+        exact_statistics(run.X[betas == beta], beta, power_weights(beta))
+        for beta in (1.0, 0.5)])
+    return stats, acceptance(run)
+
+
+def test_standard_swaps_from_exact_draws_keep_every_level():
+    # for modes this far apart pi^beta is the mixture of the Sigma_j /
+    # beta at the weights `power_weights`.  The QuanTA swap has no such
+    # check: on these exactly Gaussian modes it accepts every swap, so a
+    # mispriced one would pass
+    stats, rate = exact_start_swap_statistics(4000, seed=29)
+    assert np.all(np.abs(stats) < exact_bound(26)), stats
+    assert 0.5 < rate < 0.95
+
+
+def test_a_swap_priced_at_its_own_values_fails_the_exact_start_check(
+        monkeypatch):
+    # cross values equal to the chains' own: every swap is accepted
+    monkeypatch.setattr(
+        runner, "standard_swap_core",
+        lambda logp_k, logp_k1, cross_k, cross_k1, log_u:
+        standard_swap_core(logp_k, logp_k1, logp_k, logp_k1, log_u))
+    stats, rate = exact_start_swap_statistics(4000, seed=29)
+    assert rate == 1.0
+    assert np.any(np.abs(stats) > exact_bound(26)), stats
 
 
 def test_quanta_is_exact_across_widely_spaced_betas():

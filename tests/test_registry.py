@@ -66,16 +66,19 @@ def test_weights_empty_list_raises():
 
 
 def test_covariance_from_hessian_identity():
-    sigma, chol, log_det = covariance_from_hessian(-np.eye(3))
+    # sigma alone; its mode's factor and log-determinant come from
+    # make_mode_info's one factorization
+    sigma = covariance_from_hessian(-np.eye(3))
     np.testing.assert_allclose(sigma, np.eye(3), atol=1e-12)
-    np.testing.assert_allclose(chol, np.eye(3), atol=1e-12)
-    assert abs(log_det) < 1e-12
+    mode = make_mode_info(np.zeros(3), sigma, 0.0)
+    np.testing.assert_allclose(mode.sigma_chol, np.eye(3), atol=1e-12)
+    assert abs(mode.log_det_sigma) < 1e-12
 
 
 def test_covariance_from_hessian_diagonal():
-    sigma, _, log_det = covariance_from_hessian(np.diag([-2.0, -0.5]))
+    sigma = covariance_from_hessian(np.diag([-2.0, -0.5]))
     np.testing.assert_allclose(sigma, np.diag([0.5, 2.0]), atol=1e-12)
-    assert abs(log_det - 0.0) < 1e-12
+    assert abs(make_mode_info(np.zeros(2), sigma, 0.0).log_det_sigma) < 1e-12
 
 
 def test_covariance_from_hessian_indefinite():

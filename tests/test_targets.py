@@ -201,11 +201,16 @@ def test_check_shape_rejects_bad_shapes():
 
 def test_iid_product_target_value_and_validation():
     shape = GaussianShape()
-    target = IidProductTarget(shape, dim=3, beta=2.0)
+    target = IidProductTarget(shape, dim=3)
     x = np.array([1.0, -2.0, 0.5])
-    assert abs(target.log_density(x) - 2.0 * shape(x).sum()) < 1e-12
-    with pytest.raises(ValueError):
-        IidProductTarget(shape, dim=3, beta=0.0)
+    assert target.log_density(x) == shape(x).sum()
+    # the shape is checked; tempering is a ladder level's job, not the
+    # product's
+    with pytest.raises(ValueError, match="not maximized at 0"):
+        IidProductTarget(lambda x: -0.5 * (np.asarray(x) - 1.0) ** 2 + 0.5,
+                         dim=3)
+    with pytest.raises(TypeError, match="beta"):
+        IidProductTarget(shape, dim=3, beta=2.0)
 
 
 def test_skew_shape_derivatives_match_analytic():
@@ -238,7 +243,7 @@ TARGET_SPECS = {
     "skew_normal_mixture_20d": ({"dim": 4, "alpha": 3.0}, 4),
     "sur_grunfeld": ({"first_years": 15}, 15),
     "sur_csv": ({"path": CSV, "first_years": 15}, 15),
-    "iid_product_skew": ({"dim": 3, "alpha": 10.0, "beta": 2.0}, 3),
+    "iid_product_skew": ({"dim": 3, "alpha": 10.0}, 3),
 }
 
 
@@ -275,7 +280,7 @@ SUR_INF_WARNING = pytest.mark.filterwarnings(
 
 @pytest.mark.parametrize("target", [
     IidProductTarget(SkewShape(alpha=2.0), dim=20),
-    IidProductTarget(SkewShape(alpha=10.0), dim=20, beta=0.3),
+    IidProductTarget(SkewShape(alpha=10.0), dim=20),
     # the tests' row-by-row helper, on a Gaussian
     FunctionTarget(3, lambda x: -0.5 * float((x - 1.0) @ (x - 1.0))),
 ] + [pytest.param(build_target(name, params),

@@ -139,7 +139,7 @@ _, diag = t.wrap("runner", runner.alps_run)(config, target)
 names = ("hat.value_and_alloc", "hat.allocate_index", "hat.log_density")
 run_calls = {{name: t.calls(name) for name in names}}
 run = runner._Run(config, target, np.array(config.ladder.betas), hat=True)
-level = run.level_targets[-1]
+level = hat.Level(target, run.betas[-1], run.snapshot, run.radii[-1])
 level.log_density(np.zeros(2))
 level.allocate_index(np.zeros(2))
 print(json.dumps({{
